@@ -359,11 +359,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tolerance(args: argparse.Namespace) -> float:
+    """--tol, else BILINEAR_KERNELS_TOL, else the default; finite and >= 0."""
+    if args.tol is not None:
+        tol, source = args.tol, "--tol"
+    else:
+        env_tol = os.environ.get("BILINEAR_KERNELS_TOL")
+        if not env_tol:
+            return DEFAULT_TOL
+        source = "BILINEAR_KERNELS_TOL"
+        try:
+            tol = float(env_tol)
+        except ValueError:
+            raise ConfigError(f"{source}={env_tol!r} is not a number") from None
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"{source} must be a finite nonnegative number, got {tol!r}")
+    return tol
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    env_tol = os.environ.get("BILINEAR_KERNELS_TOL")
-    tol = args.tol if args.tol is not None else (float(env_tol) if env_tol else DEFAULT_TOL)
+    if args.command in ("verify", "simul") and args.trials < 1:
+        raise ConfigError(f"--trials must be a positive integer, got {args.trials}")
     cfg = RunConfig(command=args.command, n=args.n, seed=args.seed,
-                    trials=args.trials, tol=tol)
+                    trials=args.trials, tol=_tolerance(args))
     if hasattr(args, "kind"):
         cfg.kind = args.kind
         cfg.f = _parse_complex(args.f)

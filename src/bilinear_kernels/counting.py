@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -147,6 +148,49 @@ def div(a: TrackedScalar, b: TrackedScalar, ctx: CountContext,
 # ---------------------------------------------------------------------------
 
 
+_KIND_OF_FLAG = (Kind.CONSTANT, Kind.VARIABLE)
+_value_of = attrgetter("value")
+
+
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """Mark an array read-only in place and return it."""
+    arr.flags.writeable = False
+    return arr
+
+
+def propagate(support: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Variable flags after a linear map with the given boolean support.
+
+    The support's last axis runs over the inputs, its leading axes over the
+    outputs.  An output is Variable when any Variable input feeds it.  The
+    boolean product is an OR of ANDs, so it cannot wrap however many inputs
+    feed one output.
+    """
+    return np.dot(support, flags)
+
+
+class ConstantMap:
+    """A constant linear map: a read-only matrix and its boolean support.
+
+    Kernels apply the same transforms to many vectors, so the support is
+    computed once here, not on every application.
+    """
+
+    __slots__ = ("matrix", "support")
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = read_only(np.asarray(matrix, dtype=complex))
+        self.support = read_only(self.matrix != 0)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.matrix.shape
+
+    @property
+    def nbytes(self) -> int:
+        return self.matrix.nbytes + self.support.nbytes
+
+
 class TrackedVector:
     """Vector of tracked scalars stored structure-of-arrays style."""
 
@@ -169,16 +213,16 @@ def as_vector(x) -> TrackedVector:
     if isinstance(x, TrackedVector):
         return x
     scalars = list(x)
-    values = np.array([s.value for s in scalars], dtype=complex)
-    flags = np.array([s.is_variable for s in scalars], dtype=bool)
+    values = np.array(list(map(_value_of, scalars)), dtype=complex)
+    flags = np.array([s.kind is Kind.VARIABLE for s in scalars], dtype=bool)
     return TrackedVector(values, flags)
 
 
 def to_scalars(vec: TrackedVector) -> list[TrackedScalar]:
     if vec.symbolic:
         raise ValueError("symbolic vectors have no scalar representation")
-    return [TrackedScalar(complex(v), Kind.VARIABLE if f else Kind.CONSTANT)
-            for v, f in zip(vec.values, vec.variable)]
+    kinds = map(_KIND_OF_FLAG.__getitem__, vec.variable.tolist())
+    return list(map(TrackedScalar, vec.values.astype(complex, copy=False).tolist(), kinds))
 
 
 def variable_vector(values) -> TrackedVector:
@@ -211,13 +255,22 @@ def take(vec: TrackedVector, idx) -> TrackedVector:
     return TrackedVector(vec.values[idx], vec.variable[idx])
 
 
-def apply_matrix(M: np.ndarray, vec: TrackedVector, ctx: CountContext) -> TrackedVector:
-    """Apply a constant matrix: scalar multiplications and additions only."""
-    m, n = M.shape
+def apply_matrix(M: ConstantMap | np.ndarray, vec: TrackedVector,
+                 ctx: CountContext) -> TrackedVector:
+    """Apply a constant matrix: scalar multiplications and additions only.
+
+    Pass a cached ConstantMap where the same matrix is applied repeatedly;
+    a plain array has its support derived on every call.
+    """
+    if isinstance(M, ConstantMap):
+        matrix, support = M.matrix, M.support
+    else:
+        matrix, support = M, M != 0
+    m, n = matrix.shape
     if n != len(vec):
         raise ValueError(f"matrix of width {n} applied to vector of length {len(vec)}")
-    values = M @ vec.values
-    flags = (np.abs(M) > 0) @ vec.variable.astype(np.int8) > 0
+    values = matrix @ vec.values
+    flags = propagate(support, vec.variable)
     ctx.count_scalar(m * n)
     if n > 1:
         ctx.count_addition(m * (n - 1))
@@ -317,6 +370,6 @@ def as_matrix(rows) -> tuple[np.ndarray, np.ndarray]:
     n = len(grid[0]) if m else 0
     if any(len(r) != n for r in grid):
         raise ValueError("ragged matrix")
-    values = np.array([[s.value for s in r] for r in grid], dtype=complex)
-    flags = np.array([[s.is_variable for s in r] for r in grid], dtype=bool)
+    values = np.array([list(map(_value_of, r)) for r in grid], dtype=complex)
+    flags = np.array([[s.kind is Kind.VARIABLE for s in r] for r in grid], dtype=bool)
     return values, flags

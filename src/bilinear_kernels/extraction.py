@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import CountContext, TrackedVector, variable_vector
+from .counting import ConstantMap, CountContext, TrackedVector, variable_vector
 from .structures import LevelSpec, SparsityPattern, StructureKind, param_count
 from .tensorlab import DecompositionTerm, TensorDecomposition
 
@@ -138,8 +138,8 @@ def extract_decomposition(kind, n: int, f: complex | None = None,
 
 
 @lru_cache(maxsize=None)
-def level_decomposition(lev: LevelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constant (U, V, W) factor matrices of one level's kernel decomposition."""
+def level_decomposition(lev: LevelSpec) -> tuple[ConstantMap, ConstantMap, ConstantMap]:
+    """Constant (U, V, W) factor maps of one level's kernel decomposition."""
     dec = extract_decomposition(lev.kind, lev.n, f=lev.f, pattern=lev.pattern)
     r = len(dec.terms)
     P, n = dec.dims[0], dec.dims[1]
@@ -150,4 +150,4 @@ def level_decomposition(lev: LevelSpec) -> tuple[np.ndarray, np.ndarray, np.ndar
         U[i] = term.lam * term.u
         V[i] = term.v
         W[:, i] = term.w
-    return U, V, W
+    return ConstantMap(U), ConstantMap(V), ConstantMap(W)

@@ -9,10 +9,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, add,
+from .counting import (ConstantMap, CountContext, Kind, TrackedScalar, TrackedVector, add,
                        apply_matrix, as_matrix, constant, mul, take, to_scalars,
                        vmul, zero_vector)
-from .spectral import dft_matrix, idft_matrix
+from .spectral import dft_map, idft_map
 
 
 @dataclass(frozen=True)
@@ -232,6 +232,10 @@ for _g in range(8):
         for _be in range(2):
             _D4_INV_MAP[_g, 4 + 2 * _be + _al] = 2.0 * _D4_REP2[_gi][_al, _be] / 8.0
 
+_D4_FWD_A_MAP = ConstantMap(_D4_FWD_A)
+_D4_FWD_B_MAP = ConstantMap(_D4_FWD_B)
+_D4_INV_CMAP = ConstantMap(_D4_INV_MAP)
+
 _M1_COEFF = (1, 4, 7, 0)   # entries of AB at x, y, x^3y, 1
 _M2_COEFF = (5, 2, 3, 6)   # entries of AB^f at xy, x^2, x^3, x^2y
 
@@ -272,11 +276,11 @@ def d4_simultaneous(A, B, ctx: CountContext):
         raise ValueError("d4_simultaneous expects 2x2 factors")
     av = TrackedVector(avals.reshape(-1), aflags.reshape(-1))
     bv = TrackedVector(bvals.reshape(-1), bflags.reshape(-1))
-    wa = apply_matrix(_D4_FWD_A, av, ctx)          # r0..r3, p11, p22
-    wb = apply_matrix(_D4_FWD_B, bv, ctx)          # r0..r3, q11, q12, q21, q22
+    wa = apply_matrix(_D4_FWD_A_MAP, av, ctx)      # r0..r3, p11, p22
+    wb = apply_matrix(_D4_FWD_B_MAP, bv, ctx)      # r0..r3, q11, q12, q21, q22
     left = take(wa, np.array([0, 1, 2, 3, 4, 4, 5, 5]))
     prods = vmul(left, wb, ctx)                    # exactly 8 bilinear products
-    coeffs = apply_matrix(_D4_INV_MAP, prods, ctx)
+    coeffs = apply_matrix(_D4_INV_CMAP, prods, ctx)
     return _grid2(coeffs, _M1_COEFF), _grid2(coeffs, _M2_COEFF)
 
 
@@ -302,9 +306,9 @@ def x8_simultaneous(A, B, ctx: CountContext):
     p.variable[np.array([0, 1, 2, 3])] = asel.variable
     q.values[np.array([0, 2, 4, 6])] = bsel.values
     q.variable[np.array([0, 2, 4, 6])] = bsel.variable
-    phat = apply_matrix(dft_matrix(8), p, ctx)
-    qhat = apply_matrix(dft_matrix(8), q, ctx)
-    u = apply_matrix(idft_matrix(8), vmul(phat, qhat, ctx), ctx)
+    phat = apply_matrix(dft_map(8), p, ctx)
+    qhat = apply_matrix(dft_map(8), q, ctx)
+    u = apply_matrix(idft_map(8), vmul(phat, qhat, ctx), ctx)
     return _grid2(u, (7, 3, 6, 2)), _grid2(u, (5, 1, 4, 0))
 
 

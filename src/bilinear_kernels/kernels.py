@@ -24,11 +24,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import (CountContext, TrackedScalar, TrackedVector, add, add_at,
-                       apply_matrix, as_matrix, as_vector, broadcast_add, concat,
-                       match_output, mul, neg, reciprocal, scale, signed_take, sub,
-                       take, to_scalars, vadd, vmul, vneg, vsub, zero_vector)
-from .spectral import (dft_matrix, idft_matrix, scaled_dft_matrix, scaled_idft_matrix)
+from .counting import (ConstantMap, CountContext, TrackedScalar, TrackedVector, add,
+                       add_at, apply_matrix, as_matrix, as_vector, broadcast_add, concat,
+                       match_output, mul, neg, propagate, read_only, reciprocal, scale,
+                       signed_take, sub, take, to_scalars, vadd, vmul, vneg, vsub,
+                       zero_vector)
+from .spectral import (F_CACHE_SIZE, dft_map, dft_matrix, idft_map, idft_matrix,
+                       principal_root, scaled_dft_matrix, scaled_idft_matrix)
 from .structures import (LevelSpec, SparsityPattern, StructureKind, StructuredMatrix,
                          skew_index, symmetric_index, _MULTILEVEL_KINDS)
 
@@ -75,7 +77,7 @@ class KernelReport:
 # Circulant and f-circulant
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=F_CACHE_SIZE)
 def _fcirc_maps(n: int, f: complex):
     """Constant transforms diagonalizing the f-circulant action.
 
@@ -84,12 +86,12 @@ def _fcirc_maps(n: int, f: complex):
     x[m] = d[(n-m) mod n] the product Av equals post @ diag(eval @ x) @ pre @ v
     where eval evaluates at the n roots of t^n = f.
     """
-    perm = np.array([(n - m) % n for m in range(n)])
-    rho = abs(f) ** (1.0 / n) * np.exp(1j * np.angle(f) / n)
+    perm = read_only((n - np.arange(n)) % n)
+    rho = principal_root(f, n)
     j = np.arange(n)
     pre = idft_matrix(n) * (rho ** -j.astype(float))[None, :]
     post = (rho ** j)[:, None] * dft_matrix(n)
-    return perm, scaled_dft_matrix(n, f), pre, post
+    return perm, ConstantMap(scaled_dft_matrix(n, f)), ConstantMap(pre), ConstantMap(post)
 
 
 def _fcirc_impl(d: TrackedVector, f: complex, x: TrackedVector, ctx: CountContext) -> TrackedVector:
@@ -115,7 +117,7 @@ def f_circulant_matvec(c, f: complex, x, ctx: CountContext):
     return match_output(x, _fcirc_impl(as_vector(c), complex(f), as_vector(x), ctx))
 
 
-def _spectrum_or_raise(vec: TrackedVector, M: np.ndarray, ctx: CountContext,
+def _spectrum_or_raise(vec: TrackedVector, M: ConstantMap, ctx: CountContext,
                        params: TrackedVector) -> TrackedVector:
     hat = apply_matrix(M, vec, ctx)
     floor = 1e-12 * float(np.linalg.norm(params.values))
@@ -128,9 +130,9 @@ def circulant_inverse(c, ctx: CountContext):
     """First column of Circ(c)^-1 using n divisions and zero bilinear mults."""
     cv = as_vector(c)
     n = len(cv)
-    chat = _spectrum_or_raise(cv, dft_matrix(n), ctx, cv)
+    chat = _spectrum_or_raise(cv, dft_map(n), ctx, cv)
     inv_hat = reciprocal(chat, ctx)
-    return match_output(c, apply_matrix(idft_matrix(n), inv_hat, ctx))
+    return match_output(c, apply_matrix(idft_map(n), inv_hat, ctx))
 
 
 def f_circulant_inverse(c, f: complex, ctx: CountContext):
@@ -167,9 +169,9 @@ def gauss_complex_mul(a: TrackedScalar, b: TrackedScalar, c: TrackedScalar,
 
 @lru_cache(maxsize=None)
 def _toeplitz_maps(n: int):
-    front = np.arange(n - 1, -1, -1)          # t_0, t_-1, ..., t_-(n-1)
-    back = np.arange(2 * n - 2, n - 1, -1)    # t_{n-1}, ..., t_1  (empty for n = 1)
-    neg_sum = -np.ones((1, 2 * n - 1), dtype=complex)
+    front = read_only(np.arange(n - 1, -1, -1))        # t_0, t_-1, ..., t_-(n-1)
+    back = read_only(np.arange(2 * n - 2, n - 1, -1))  # t_{n-1}, ..., t_1  (empty for n = 1)
+    neg_sum = ConstantMap(-np.ones((1, 2 * n - 1), dtype=complex))
     return front, back, neg_sum
 
 
@@ -184,13 +186,13 @@ def _toeplitz_bins(t: TrackedVector, x: TrackedVector, ctx: CountContext,
         t = broadcast_add(t, shift, ctx)
     y = apply_matrix(neg_sum, t, ctx)
     c = concat(take(t, front), y, take(t, back))
-    chat = apply_matrix(dft_matrix(2 * n), c, ctx)
+    chat = apply_matrix(dft_map(2 * n), c, ctx)
     xext = concat(x, zero_vector(n, x))
-    xhat = apply_matrix(dft_matrix(2 * n), xext, ctx)
+    xhat = apply_matrix(dft_map(2 * n), xext, ctx)
     live = np.arange(skip_bins, 2 * n)
     prods = vmul(take(chat, live), take(xhat, live), ctx)
     zhat = concat(zero_vector(skip_bins, prods), prods)
-    z = apply_matrix(idft_matrix(2 * n), zhat, ctx)
+    z = apply_matrix(idft_map(2 * n), zhat, ctx)
     return take(z, np.arange(n))
 
 
@@ -227,14 +229,14 @@ def triangular_toeplitz_matvec(a, x, ctx: CountContext):
     p = concat(av, zero_vector(n - 1, av)) if n > 1 else av
     q0 = take(xv, np.arange(n - 1, -1, -1))
     q = concat(q0, zero_vector(n - 1, xv)) if n > 1 else q0
-    phat = apply_matrix(dft_matrix(N), p, ctx)
-    qhat = apply_matrix(dft_matrix(N), q, ctx)
-    conv = apply_matrix(idft_matrix(N), vmul(phat, qhat, ctx), ctx)
+    phat = apply_matrix(dft_map(N), p, ctx)
+    qhat = apply_matrix(dft_map(N), q, ctx)
+    conv = apply_matrix(idft_map(N), vmul(phat, qhat, ctx), ctx)
     return match_output(x, take(conv, np.arange(n - 1, -1, -1)))
 
 
 @lru_cache(maxsize=None)
-def _tph_shift_row(n: int) -> np.ndarray:
+def _tph_shift_row(n: int) -> ConstantMap:
     """Row computing the embedded symbol's frequency-1 value from the diagonals.
 
     The value is affine in the all-ones shift a with linear coefficient 2n
@@ -248,10 +250,10 @@ def _tph_shift_row(n: int) -> np.ndarray:
     powers = om ** np.arange(2 * n)
     for pos, src in enumerate(front):
         row[0, src] += powers[pos]
-    row[0] += powers[n] * neg_sum[0]
+    row[0] += powers[n] * neg_sum.matrix[0]
     for pos, src in enumerate(back):
         row[0, src] += powers[n + 1 + pos]
-    return row
+    return ConstantMap(row)
 
 
 def tph_matvec(t, h, x, ctx: CountContext):
@@ -289,7 +291,7 @@ def _symmetric_stage_maps(m: int):
     for (i, j), k in inner.items():
         outer_param[k] = idx[(i + 1, j + 1)]
         h1_pos[k] = i + j + 2
-    return first, outer_param, h1_pos
+    return read_only(first), read_only(outer_param), read_only(h1_pos)
 
 
 def symmetric_matvec(s, x, ctx: CountContext):
@@ -379,7 +381,8 @@ def _skew_maps(n: int):
     pair_pos = np.array([p for (p, _, _) in pair_rows], dtype=int)
     pair_i = np.array([i for (_, i, _) in pair_rows], dtype=int)
     pair_partner = np.array([p for (_, _, p) in pair_rows], dtype=int)
-    return d_param, pa, sa, pc, sc, rows, cols, npairs, pair_pos, pair_i, pair_partner
+    maps = (d_param, pa, sa, pc, sc, rows, cols, npairs, pair_pos, pair_i, pair_partner)
+    return tuple(read_only(m) if isinstance(m, np.ndarray) else m for m in maps)
 
 
 def skew_symmetric_matvec(w, x, ctx: CountContext):
@@ -461,6 +464,17 @@ def matvec_by_kind(kind: StructureKind, data: TrackedVector, x: TrackedVector,
     raise ValueError(f"no kernel for kind {kind}")
 
 
+def _apply_blocks(M: ConstantMap, values: np.ndarray, flags: np.ndarray,
+                  ctx: CountContext) -> tuple[np.ndarray, np.ndarray]:
+    """Apply a constant map to every column of a block of values at once."""
+    m, k = M.shape
+    cols = values.shape[1]
+    ctx.count_scalar(m * k * cols)
+    if k > 1:
+        ctx.count_addition(m * (k - 1) * cols)
+    return M.matrix @ values, propagate(M.support, flags)
+
+
 def _multilevel_impl(levels: tuple[LevelSpec, ...], data: TrackedVector,
                      x: TrackedVector, ctx: CountContext) -> TrackedVector:
     if len(levels) == 1:
@@ -477,16 +491,8 @@ def _multilevel_impl(levels: tuple[LevelSpec, ...], data: TrackedVector,
     dflag = data.variable.reshape(p0, inner_plen)
     xvals = x.values.reshape(n0, inner_n)
     xflag = x.variable.reshape(n0, inner_n)
-    pv = U @ dvals
-    pf = (np.abs(U) > 0) @ dflag.astype(np.int8) > 0
-    ctx.count_scalar(r * p0 * inner_plen)
-    if p0 > 1:
-        ctx.count_addition(r * (p0 - 1) * inner_plen)
-    xv = V @ xvals
-    xf = (np.abs(V) > 0) @ xflag.astype(np.int8) > 0
-    ctx.count_scalar(r * n0 * inner_n)
-    if n0 > 1:
-        ctx.count_addition(r * (n0 - 1) * inner_n)
+    pv, pf = _apply_blocks(U, dvals, dflag, ctx)
+    xv, xf = _apply_blocks(V, xvals, xflag, ctx)
     zvals = np.empty((r, inner_n), dtype=complex)
     zflag = np.empty((r, inner_n), dtype=bool)
     for i in range(r):
@@ -494,11 +500,7 @@ def _multilevel_impl(levels: tuple[LevelSpec, ...], data: TrackedVector,
                              TrackedVector(xv[i], xf[i]), ctx)
         zvals[i] = z.values
         zflag[i] = z.variable
-    outv = W @ zvals
-    outf = (np.abs(W) > 0) @ zflag.astype(np.int8) > 0
-    ctx.count_scalar(n0 * r * inner_n)
-    if r > 1:
-        ctx.count_addition(n0 * (r - 1) * inner_n)
+    outv, outf = _apply_blocks(W, zvals, zflag, ctx)
     return TrackedVector(outv.reshape(-1), outf.reshape(-1))
 
 

@@ -17,8 +17,9 @@ Canonical parameter orders (normative for serialization and basis indexing):
 
 from __future__ import annotations
 
+import cmath
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Sequence
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, as_matrix,
-                       as_vector, constant, match_output)
+                       as_vector, constant, match_output, propagate, read_only)
 
 
 class SchemaError(ValueError):
@@ -131,6 +132,8 @@ class StructuredMatrix:
     f: complex | None = None
     pattern: SparsityPattern | None = None
     levels: tuple[LevelSpec, ...] | None = None
+    _vector: TrackedVector | None = field(default=None, init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -155,7 +158,14 @@ class StructuredMatrix:
                 raise ValueError(f"multilevel order {self.n} != product of level orders {total}")
 
     def data_vector(self) -> TrackedVector:
-        return as_vector(self.data)
+        """The parameters as a read-only TrackedVector, converted on first use."""
+        vec = self._vector
+        if vec is None:
+            vec = as_vector(self.data)
+            read_only(vec.values)
+            read_only(vec.variable)
+            object.__setattr__(self, "_vector", vec)
+        return vec
 
 
 def structured(kind: StructureKind, n: int, data, f: complex | None = None,
@@ -198,8 +208,10 @@ def skew_index(n: int) -> dict[tuple[int, int], int]:
 
 
 def _placement(kind: StructureKind, n: int, f: complex | None,
-               pattern: SparsityPattern | None) -> tuple[np.ndarray, np.ndarray]:
-    """(coeff, structural): dense[i,j] = sum_p coeff[p,i,j] * data[p]."""
+               pattern: SparsityPattern | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coeff, support, structural): dense[i,j] = sum_p coeff[p,i,j] * data[p];
+    support[i,j,p] = coeff[p,i,j] != 0, laid out like a map from parameters to
+    entries; structural marks the entries some parameter reaches."""
     P = param_count(kind, n, pattern)
     coeff = np.zeros((P, n, n), dtype=complex)
     if kind is StructureKind.CIRCULANT:
@@ -243,36 +255,39 @@ def _placement(kind: StructureKind, n: int, f: complex | None,
             coeff[p, r, c] = 1.0
     else:
         raise ValueError(f"no placement for kind {kind}")
-    structural = np.abs(coeff).sum(axis=0) > 0
-    return coeff, structural
+    support = np.ascontiguousarray(np.moveaxis(coeff != 0, 0, -1))
+    structural = support.any(axis=-1)
+    return read_only(coeff), read_only(support), read_only(structural)
 
 
-@lru_cache(maxsize=None)
+# Keyed on f and on sparsity patterns, which sweeps draw fresh; the bound keeps
+# every fixed (kind, n) of a sweep over n <= 16 resident.
+@lru_cache(maxsize=512)
 def _placement_cached(kind: StructureKind, n: int, f: complex | None,
                       pattern: SparsityPattern | None):
     return _placement(kind, n, f, pattern)
+
+
+def _single_level_parts(kind: StructureKind, n: int, f: complex | None,
+                        pattern: SparsityPattern | None, data: TrackedVector):
+    coeff, support, structural = _placement_cached(kind, n, f, pattern)
+    values = np.einsum("pij,p->ij", coeff, data.values)
+    variable = propagate(support, data.variable)
+    return values, variable, structural
 
 
 def dense_parts(M: StructuredMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense (values, variable, structural) arrays for any structured matrix."""
     if M.kind is StructureKind.MULTILEVEL:
         return _multilevel_parts(M.levels, M.data_vector())
-    coeff, structural = _placement_cached(M.kind, M.n, M.f, M.pattern)
-    vec = M.data_vector()
-    values = np.einsum("pij,p->ij", coeff, vec.values)
-    variable = np.einsum("pij,p->ij", np.abs(coeff) > 0, vec.variable.astype(np.int8)) > 0
-    return values, variable, structural
+    return _single_level_parts(M.kind, M.n, M.f, M.pattern, M.data_vector())
 
 
 def _multilevel_parts(levels: tuple[LevelSpec, ...], data: TrackedVector):
-    if len(levels) == 1:
-        lev = levels[0]
-        coeff, structural = _placement_cached(lev.kind, lev.n, lev.f, lev.pattern)
-        values = np.einsum("pij,p->ij", coeff, data.values)
-        variable = np.einsum("pij,p->ij", np.abs(coeff) > 0, data.variable.astype(np.int8)) > 0
-        return values, variable, structural
     lev = levels[0]
-    coeff, structural = _placement_cached(lev.kind, lev.n, lev.f, lev.pattern)
+    if len(levels) == 1:
+        return _single_level_parts(lev.kind, lev.n, lev.f, lev.pattern, data)
+    coeff, support, _ = _placement_cached(lev.kind, lev.n, lev.f, lev.pattern)
     P0 = coeff.shape[0]
     inner_plen = 1
     for sub in levels[1:]:
@@ -288,9 +303,8 @@ def _multilevel_parts(levels: tuple[LevelSpec, ...], data: TrackedVector):
                               data.variable[p * inner_plen:(p + 1) * inner_plen])
         bvals, bvar, bstruct = _multilevel_parts(levels[1:], block)
         vals += np.kron(coeff[p], bvals)
-        sup = np.abs(coeff[p]) > 0
-        var |= np.kron(sup, bvar)
-        struct |= np.kron(sup, bstruct)
+        var |= np.kron(support[..., p], bvar)
+        struct |= np.kron(support[..., p], bstruct)
     return vals, var, struct
 
 
@@ -377,7 +391,13 @@ def _read_pair(obj, where: str) -> complex:
     if (not isinstance(obj, list)) or len(obj) != 2 \
             or not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in obj):
         raise SchemaError(f"{where}: expected [re, im]")
-    return complex(obj[0], obj[1])
+    try:
+        z = complex(obj[0], obj[1])
+    except OverflowError:
+        raise SchemaError(f"{where}: value out of range") from None
+    if not cmath.isfinite(z):
+        raise SchemaError(f"{where}: non-finite value")
+    return z
 
 
 def serialize_matrix(M: StructuredMatrix) -> str:

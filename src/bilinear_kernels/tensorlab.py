@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structures import (SchemaError, SparsityPattern, StructureKind, basis,
+from .structures import (SchemaError, SparsityPattern, StructureKind, _read_pair, basis,
                          dense_parts)
 
 
@@ -287,13 +287,8 @@ def serialize_decomposition(D: TensorDecomposition) -> str:
 def _read_cvec(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list):
         raise SchemaError(f"{where}: expected a list of [re, im]")
-    out = np.empty(len(obj), dtype=complex)
-    for k, pair in enumerate(obj):
-        if (not isinstance(pair, list)) or len(pair) != 2 \
-                or not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in pair):
-            raise SchemaError(f"{where}[{k}]: expected [re, im]")
-        out[k] = complex(pair[0], pair[1])
-    return out
+    return np.array([_read_pair(pair, f"{where}[{k}]") for k, pair in enumerate(obj)],
+                    dtype=complex)
 
 
 def parse_decomposition(text: str) -> TensorDecomposition:
@@ -314,10 +309,7 @@ def parse_decomposition(text: str) -> TensorDecomposition:
         where = f"terms[{k}]"
         if not isinstance(t, dict) or any(key not in t for key in ("lambda", "u", "v", "w")):
             raise SchemaError(f"{where}: expected an object with lambda, u, v, w")
-        lam_pair = t["lambda"]
-        if (not isinstance(lam_pair, list)) or len(lam_pair) != 2:
-            raise SchemaError(f"{where}.lambda: expected [re, im]")
-        lam = complex(lam_pair[0], lam_pair[1])
+        lam = _read_pair(t["lambda"], f"{where}.lambda")
         terms.append(DecompositionTerm(lam, _read_cvec(t["u"], f"{where}.u"),
                                        _read_cvec(t["v"], f"{where}.v"),
                                        _read_cvec(t["w"], f"{where}.w")))

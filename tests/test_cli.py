@@ -1,5 +1,8 @@
+import os
 import subprocess
 import sys
+
+import pytest
 
 from bilinear_kernels.cli import main
 
@@ -61,6 +64,44 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--kind", "f_circulant", "--n", "4",
                            "--f", "0,1", "--trials", "20")
         assert code == 0 and "fast_count=4" in out
+
+    def test_counts_past_flag_width(self, capsys):
+        code, out, _ = run(capsys, "verify", "--kind", "toeplitz", "--n", "70",
+                           "--trials", "2")
+        assert code == 0 and "fast_count=139" in out and "pass=true" in out
+
+
+def assert_usage_error(code, err):
+    lines = err.strip().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--kind", "toeplitz", "--n", "3", "--trials", "0"),
+        ("verify", "--kind", "toeplitz", "--n", "3", "--trials", "-4"),
+        ("simul", "--variant", "f", "--trials", "0"),
+        ("simul", "--variant", "g", "--trials", "-1"),
+        ("verify", "--kind", "toeplitz", "--n", "3", "--tol", "nan"),
+        ("verify", "--kind", "toeplitz", "--n", "3", "--tol=-1e-8"),
+        ("simul", "--variant", "f", "--tol", "nan"),
+    ])
+    def test_bad_option(self, capsys, argv):
+        assert_usage_error(*run(capsys, *argv)[::2])
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "-1"])
+    def test_bad_env_tolerance(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("BILINEAR_KERNELS_TOL", value)
+        code, _, err = run(capsys, "verify", "--kind", "toeplitz", "--n", "3")
+        assert_usage_error(code, err)
+
+    def test_bad_env_tolerance_in_subprocess_has_no_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bilinear_kernels", "verify", "--kind", "toeplitz",
+             "--n", "3"], capture_output=True, text=True,
+            env={**os.environ, "BILINEAR_KERNELS_TOL": "tight"})
+        assert_usage_error(proc.returncode, proc.stderr)
 
 
 class TestCountTable:

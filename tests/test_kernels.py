@@ -456,3 +456,35 @@ def test_formula_count_table():
     assert formula_count(StructureKind.SYMMETRIC, 7) == 28
     assert formula_count(StructureKind.SKEW_SYMMETRIC, 7) == 40
     assert formula_count(StructureKind.SKEW_SYMMETRIC, 1) == 0
+
+
+# Sizes around the points where flag propagation in a narrow integer type
+# would wrap: 128 or more Variables feeding one output.  Symmetric and
+# skew-symmetric stop at 129 to keep the suite fast.
+WRAP_SIZES = (63, 64, 65, 127, 128, 129, 256)
+
+
+@pytest.mark.parametrize("kind,n", [
+    (kind, n) for kind in ALL_KINDS for n in WRAP_SIZES
+    if n <= 129 or kind not in (StructureKind.SYMMETRIC, StructureKind.SKEW_SYMMETRIC)])
+def test_count_matches_formula_at_large_n(kind, n):
+    f = 2.0 if kind is StructureKind.F_CIRCULANT else None
+    M = random_instance(kind, n, Lcg(n), f=f)
+    ctx = CountContext()
+    out = structured_matvec(M, variables(Lcg(n + 1).complex_vector(n)), ctx)
+    assert ctx.bilinear_mults == formula_count(kind, n)
+    assert all(s.is_variable for s in out)
+
+
+def test_multilevel_count_with_wide_outer_level():
+    """The outer toeplitz:65 level has 129 parameters feeding each block product."""
+    rng = Lcg(44)
+    levels = (LevelSpec(StructureKind.TOEPLITZ, 65), LevelSpec(StructureKind.TOEPLITZ, 2))
+    M = structured(StructureKind.MULTILEVEL, 130, rng.complex_vector(129 * 3), levels=levels)
+    x = variables(rng.complex_vector(130))
+    ctx = CountContext()
+    out = multilevel_matvec(M, x, ctx)
+    assert ctx.bilinear_mults == formula_count(StructureKind.MULTILEVEL, 130, levels=levels)
+    assert ctx.bilinear_mults == 129 * 3
+    want = vals(naive_matvec(M, x, CountContext()))
+    assert rel_err(vals(out), want) < 1e-7

@@ -239,3 +239,17 @@ class TestSerialization:
         assert [s.value for s in back] == [s.value for s in x]
         with pytest.raises(SchemaError, match=r"data"):
             parse_vector('{"n": 2, "data": [[1, 0]]}')
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_values_are_rejected(self, bad):
+        with pytest.raises(SchemaError, match=r"data\[1\]: non-finite"):
+            parse_matrix('{"kind":"circulant","n":2,"data":[[1,0],[0,%s]]}' % bad)
+        with pytest.raises(SchemaError, match=r"^f: non-finite"):
+            parse_matrix('{"kind":"f_circulant","n":1,"f":[%s,0],"data":[[1,0]]}' % bad)
+        from bilinear_kernels import parse_vector
+        with pytest.raises(SchemaError, match=r"data\[0\]: non-finite"):
+            parse_vector('{"n":2,"data":[[%s,0],[1,0]]}' % bad)
+
+    def test_out_of_range_integer_is_rejected(self):
+        with pytest.raises(SchemaError, match=r"data\[0\]: value out of range"):
+            parse_matrix('{"kind":"circulant","n":1,"data":[[1%s,0]]}' % ("0" * 400))

@@ -206,3 +206,14 @@ def test_decomposition_json_roundtrip():
         assert np.array_equal(np.asarray(a.u, dtype=complex), b.u)
         assert np.array_equal(np.asarray(a.v, dtype=complex), b.v)
         assert np.array_equal(np.asarray(a.w, dtype=complex), b.w)
+
+
+def test_decomposition_json_rejects_non_finite_values():
+    from bilinear_kernels import SchemaError
+    term = '{"lambda": %s, "u": [[1, 0]], "v": %s, "w": [[1, 0]]}'
+    with pytest.raises(SchemaError, match=r"terms\[0\]\.v\[1\]: non-finite"):
+        parse_decomposition('{"dims": [1, 2, 1], "terms": [%s]}'
+                            % (term % ("[1, 0]", "[[1, 0], [NaN, 0]]")))
+    with pytest.raises(SchemaError, match=r"terms\[0\]\.lambda: non-finite"):
+        parse_decomposition('{"dims": [1, 1, 1], "terms": [%s]}'
+                            % (term % ("[Infinity, 0]", "[[1, 0]]")))
