@@ -255,22 +255,13 @@ def take(vec: TrackedVector, idx) -> TrackedVector:
     return TrackedVector(vec.values[idx], vec.variable[idx])
 
 
-def apply_matrix(M: ConstantMap | np.ndarray, vec: TrackedVector,
-                 ctx: CountContext) -> TrackedVector:
-    """Apply a constant matrix: scalar multiplications and additions only.
-
-    Pass a cached ConstantMap where the same matrix is applied repeatedly;
-    a plain array has its support derived on every call.
-    """
-    if isinstance(M, ConstantMap):
-        matrix, support = M.matrix, M.support
-    else:
-        matrix, support = M, M != 0
-    m, n = matrix.shape
+def apply_matrix(M: ConstantMap, vec: TrackedVector, ctx: CountContext) -> TrackedVector:
+    """Apply a constant map: scalar multiplications and additions only."""
+    m, n = M.shape
     if n != len(vec):
         raise ValueError(f"matrix of width {n} applied to vector of length {len(vec)}")
-    values = matrix @ vec.values
-    flags = propagate(support, vec.variable)
+    values = M.matrix @ vec.values
+    flags = propagate(M.support, vec.variable)
     ctx.count_scalar(m * n)
     if n > 1:
         ctx.count_addition(m * (n - 1))

@@ -12,7 +12,7 @@ import numpy as np
 from .counting import (ConstantMap, CountContext, Kind, TrackedScalar, TrackedVector, add,
                        apply_matrix, as_matrix, constant, mul, take, to_scalars,
                        vmul, zero_vector)
-from .spectral import dft_map, idft_map
+from .spectral import dft_matrix, idft_matrix
 
 
 @dataclass(frozen=True)
@@ -306,9 +306,9 @@ def x8_simultaneous(A, B, ctx: CountContext):
     p.variable[np.array([0, 1, 2, 3])] = asel.variable
     q.values[np.array([0, 2, 4, 6])] = bsel.values
     q.variable[np.array([0, 2, 4, 6])] = bsel.variable
-    phat = apply_matrix(dft_map(8), p, ctx)
-    qhat = apply_matrix(dft_map(8), q, ctx)
-    u = apply_matrix(idft_map(8), vmul(phat, qhat, ctx), ctx)
+    phat = apply_matrix(dft_matrix(8), p, ctx)
+    qhat = apply_matrix(dft_matrix(8), q, ctx)
+    u = apply_matrix(idft_matrix(8), vmul(phat, qhat, ctx), ctx)
     return _grid2(u, (7, 3, 6, 2)), _grid2(u, (5, 1, 4, 0))
 
 

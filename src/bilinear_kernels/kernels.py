@@ -29,8 +29,8 @@ from .counting import (ConstantMap, CountContext, TrackedScalar, TrackedVector, 
                        match_output, mul, neg, propagate, read_only, reciprocal, scale,
                        signed_take, sub, take, to_scalars, vadd, vmul, vneg, vsub,
                        zero_vector)
-from .spectral import (F_CACHE_SIZE, dft_map, dft_matrix, idft_map, idft_matrix,
-                       principal_root, scaled_dft_matrix, scaled_idft_matrix)
+from .spectral import (F_CACHE_SIZE, dft_matrix, idft_matrix, principal_root,
+                       scaled_dft_matrix, scaled_idft_matrix)
 from .structures import (LevelSpec, SparsityPattern, StructureKind, StructuredMatrix,
                          skew_index, symmetric_index, _MULTILEVEL_KINDS)
 
@@ -89,9 +89,9 @@ def _fcirc_maps(n: int, f: complex):
     perm = read_only((n - np.arange(n)) % n)
     rho = principal_root(f, n)
     j = np.arange(n)
-    pre = idft_matrix(n) * (rho ** -j.astype(float))[None, :]
-    post = (rho ** j)[:, None] * dft_matrix(n)
-    return perm, ConstantMap(scaled_dft_matrix(n, f)), ConstantMap(pre), ConstantMap(post)
+    pre = idft_matrix(n).matrix * (rho ** -j.astype(float))[None, :]
+    post = (rho ** j)[:, None] * dft_matrix(n).matrix
+    return perm, scaled_dft_matrix(n, f), ConstantMap(pre), ConstantMap(post)
 
 
 def _fcirc_impl(d: TrackedVector, f: complex, x: TrackedVector, ctx: CountContext) -> TrackedVector:
@@ -130,9 +130,9 @@ def circulant_inverse(c, ctx: CountContext):
     """First column of Circ(c)^-1 using n divisions and zero bilinear mults."""
     cv = as_vector(c)
     n = len(cv)
-    chat = _spectrum_or_raise(cv, dft_map(n), ctx, cv)
+    chat = _spectrum_or_raise(cv, dft_matrix(n), ctx, cv)
     inv_hat = reciprocal(chat, ctx)
-    return match_output(c, apply_matrix(idft_map(n), inv_hat, ctx))
+    return match_output(c, apply_matrix(idft_matrix(n), inv_hat, ctx))
 
 
 def f_circulant_inverse(c, f: complex, ctx: CountContext):
@@ -186,13 +186,13 @@ def _toeplitz_bins(t: TrackedVector, x: TrackedVector, ctx: CountContext,
         t = broadcast_add(t, shift, ctx)
     y = apply_matrix(neg_sum, t, ctx)
     c = concat(take(t, front), y, take(t, back))
-    chat = apply_matrix(dft_map(2 * n), c, ctx)
+    chat = apply_matrix(dft_matrix(2 * n), c, ctx)
     xext = concat(x, zero_vector(n, x))
-    xhat = apply_matrix(dft_map(2 * n), xext, ctx)
+    xhat = apply_matrix(dft_matrix(2 * n), xext, ctx)
     live = np.arange(skip_bins, 2 * n)
     prods = vmul(take(chat, live), take(xhat, live), ctx)
     zhat = concat(zero_vector(skip_bins, prods), prods)
-    z = apply_matrix(idft_map(2 * n), zhat, ctx)
+    z = apply_matrix(idft_matrix(2 * n), zhat, ctx)
     return take(z, np.arange(n))
 
 
@@ -229,9 +229,9 @@ def triangular_toeplitz_matvec(a, x, ctx: CountContext):
     p = concat(av, zero_vector(n - 1, av)) if n > 1 else av
     q0 = take(xv, np.arange(n - 1, -1, -1))
     q = concat(q0, zero_vector(n - 1, xv)) if n > 1 else q0
-    phat = apply_matrix(dft_map(N), p, ctx)
-    qhat = apply_matrix(dft_map(N), q, ctx)
-    conv = apply_matrix(idft_map(N), vmul(phat, qhat, ctx), ctx)
+    phat = apply_matrix(dft_matrix(N), p, ctx)
+    qhat = apply_matrix(dft_matrix(N), q, ctx)
+    conv = apply_matrix(idft_matrix(N), vmul(phat, qhat, ctx), ctx)
     return match_output(x, take(conv, np.arange(n - 1, -1, -1)))
 
 

@@ -4,8 +4,9 @@ In the bilinear-complexity model a DFT costs nothing: every twiddle factor
 is a constant, so applying the transform spends only scalar multiplications
 and additions.  Transforms are direct O(n^2) applications of cached constant
 matrices; counting correctness outranks speed at the sizes this library
-targets.  Every cached matrix is read-only: callers share it.  The caches
-keyed on a complex f hold at most F_CACHE_SIZE entries each.
+targets.  Each transform has one cache of ConstantMaps: the read-only matrix,
+shared by all callers, and its nonzero support.  The caches keyed on a
+complex f hold at most F_CACHE_SIZE entries each.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import (ConstantMap, CountContext, apply_matrix, as_vector, match_output,
-                       read_only)
+from .counting import ConstantMap, CountContext, apply_matrix, as_vector, match_output
 
 # Bound of every cache keyed on an arbitrary complex f.  It keeps all the
 # (n, f) pairs of a sweep over n <= 16 and a handful of fixed f resident
@@ -49,53 +49,42 @@ def principal_root(f: complex, n: int) -> complex:
 
 
 @lru_cache(maxsize=None)
-def dft_matrix(n: int) -> np.ndarray:
+def dft_matrix(n: int) -> ConstantMap:
     """W[k, j] = omega^(j*k); forward transform output[k] = sum_j v[j] W[k, j]."""
     k = np.arange(n)
     angles = 2.0 * np.pi * ((np.outer(k, k) % n) / n)
-    return read_only(np.exp(1j * angles))
+    return ConstantMap(np.exp(1j * angles))
 
 
 @lru_cache(maxsize=None)
-def idft_matrix(n: int) -> np.ndarray:
-    return read_only(dft_matrix(n).conj() / n)
+def idft_matrix(n: int) -> ConstantMap:
+    return ConstantMap(dft_matrix(n).matrix.conj() / n)
 
 
 @lru_cache(maxsize=F_CACHE_SIZE)
-def scaled_dft_matrix(n: int, f: complex) -> np.ndarray:
+def scaled_dft_matrix(n: int, f: complex) -> ConstantMap:
     """Evaluation at the n roots of x^n = f: M[k, j] = (rho*omega^k)^j."""
     rho = principal_root(f, n)
     j = np.arange(n)
-    return read_only(dft_matrix(n) * rho ** j[None, :])
+    return ConstantMap(dft_matrix(n).matrix * rho ** j[None, :])
 
 
 @lru_cache(maxsize=F_CACHE_SIZE)
-def scaled_idft_matrix(n: int, f: complex) -> np.ndarray:
+def scaled_idft_matrix(n: int, f: complex) -> ConstantMap:
     rho = principal_root(f, n)
     j = np.arange(n)
-    return read_only((rho ** -j.astype(float))[:, None] * idft_matrix(n))
-
-
-@lru_cache(maxsize=None)
-def dft_map(n: int) -> ConstantMap:
-    """dft_matrix(n) with its support, for repeated application."""
-    return ConstantMap(dft_matrix(n))
-
-
-@lru_cache(maxsize=None)
-def idft_map(n: int) -> ConstantMap:
-    return ConstantMap(idft_matrix(n))
+    return ConstantMap((rho ** -j.astype(float))[:, None] * idft_matrix(n).matrix)
 
 
 def dft(v, ctx: CountContext):
     """Forward DFT; zero bilinear multiplications by construction."""
     vec = as_vector(v)
-    return match_output(v, apply_matrix(dft_map(len(vec)), vec, ctx))
+    return match_output(v, apply_matrix(dft_matrix(len(vec)), vec, ctx))
 
 
 def idft(v, ctx: CountContext):
     vec = as_vector(v)
-    return match_output(v, apply_matrix(idft_map(len(vec)), vec, ctx))
+    return match_output(v, apply_matrix(idft_matrix(len(vec)), vec, ctx))
 
 
 def scaled_dft(v, f: complex, ctx: CountContext):

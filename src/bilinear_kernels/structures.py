@@ -260,9 +260,13 @@ def _placement(kind: StructureKind, n: int, f: complex | None,
     return read_only(coeff), read_only(support), read_only(structural)
 
 
-# Keyed on f and on sparsity patterns, which sweeps draw fresh; the bound keeps
-# every fixed (kind, n) of a sweep over n <= 16 resident.
-@lru_cache(maxsize=512)
+# Bound of the placement cache.  It is keyed on f and on sparsity patterns,
+# which sweeps draw fresh; the bound keeps every fixed (kind, n) of a sweep
+# over n <= 16 resident.
+PLACEMENT_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=PLACEMENT_CACHE_SIZE)
 def _placement_cached(kind: StructureKind, n: int, f: complex | None,
                       pattern: SparsityPattern | None):
     return _placement(kind, n, f, pattern)
@@ -387,7 +391,8 @@ def _pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _read_pair(obj, where: str) -> complex:
+def read_complex_pair(obj, where: str) -> complex:
+    """Read a JSON [re, im] pair as a finite complex number, or raise SchemaError."""
     if (not isinstance(obj, list)) or len(obj) != 2 \
             or not all(isinstance(t, (int, float)) and not isinstance(t, bool) for t in obj):
         raise SchemaError(f"{where}: expected [re, im]")
@@ -461,7 +466,7 @@ def parse_matrix(text: str) -> StructuredMatrix:
     if kind is StructureKind.F_CIRCULANT:
         if "f" not in doc:
             raise SchemaError("f: required for f_circulant")
-        f = _read_pair(doc["f"], "f")
+        f = read_complex_pair(doc["f"], "f")
     if kind is StructureKind.SPARSE:
         if "omega" not in doc:
             raise SchemaError("omega: required for sparse")
@@ -478,7 +483,7 @@ def parse_matrix(text: str) -> StructuredMatrix:
             ln = lev["n"]
             if not isinstance(ln, int) or isinstance(ln, bool) or ln < 1:
                 raise SchemaError(f"{where}.n: expected a positive integer")
-            lf = _read_pair(lev["f"], f"{where}.f") if "f" in lev else None
+            lf = read_complex_pair(lev["f"], f"{where}.f") if "f" in lev else None
             lpat = _read_pattern(lev["omega"], ln, f"{where}.omega") if "omega" in lev else None
             if lkind not in _MULTILEVEL_KINDS:
                 raise SchemaError(f"{where}.kind: {lkind.value} is not a valid level kind")
@@ -486,7 +491,7 @@ def parse_matrix(text: str) -> StructuredMatrix:
         levels = tuple(levels)
     if not isinstance(doc["data"], list):
         raise SchemaError("data: expected a list")
-    data = [_read_pair(entry, f"data[{k}]") for k, entry in enumerate(doc["data"])]
+    data = [read_complex_pair(entry, f"data[{k}]") for k, entry in enumerate(doc["data"])]
     expected = param_count(kind, n, pattern, levels)
     if len(data) != expected:
         raise SchemaError(f"data: need {expected} entries for {kind.value} of order {n}, "
@@ -512,5 +517,5 @@ def parse_vector(text: str) -> list[TrackedScalar]:
         raise SchemaError("n: expected a positive integer")
     if not isinstance(doc["data"], list) or len(doc["data"]) != n:
         raise SchemaError(f"data: expected {n} entries")
-    return [TrackedScalar(_read_pair(e, f"data[{k}]"), Kind.VARIABLE)
+    return [TrackedScalar(read_complex_pair(e, f"data[{k}]"), Kind.VARIABLE)
             for k, e in enumerate(doc["data"])]

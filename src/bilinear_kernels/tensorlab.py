@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structures import (SchemaError, SparsityPattern, StructureKind, _read_pair, basis,
-                         dense_parts)
+from .structures import (SchemaError, SparsityPattern, StructureKind, basis, dense_parts,
+                         read_complex_pair)
 
 
 @dataclass(frozen=True)
@@ -287,7 +287,7 @@ def serialize_decomposition(D: TensorDecomposition) -> str:
 def _read_cvec(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list):
         raise SchemaError(f"{where}: expected a list of [re, im]")
-    return np.array([_read_pair(pair, f"{where}[{k}]") for k, pair in enumerate(obj)],
+    return np.array([read_complex_pair(pair, f"{where}[{k}]") for k, pair in enumerate(obj)],
                     dtype=complex)
 
 
@@ -309,7 +309,7 @@ def parse_decomposition(text: str) -> TensorDecomposition:
         where = f"terms[{k}]"
         if not isinstance(t, dict) or any(key not in t for key in ("lambda", "u", "v", "w")):
             raise SchemaError(f"{where}: expected an object with lambda, u, v, w")
-        lam = _read_pair(t["lambda"], f"{where}.lambda")
+        lam = read_complex_pair(t["lambda"], f"{where}.lambda")
         terms.append(DecompositionTerm(lam, _read_cvec(t["u"], f"{where}.u"),
                                        _read_cvec(t["v"], f"{where}.v"),
                                        _read_cvec(t["w"], f"{where}.w")))

@@ -21,11 +21,10 @@ def write_first(arr):
 
 
 def test_cached_maps_reject_writes():
-    with pytest.raises(ValueError):
-        write_first(dft_matrix(8))
     perm, ev, pre, post = _fcirc_maps(8, complex(1.0))
-    for arr in (perm, ev.matrix, ev.support, pre.matrix, pre.support, post.matrix,
-                post.support):
+    assert ev is scaled_dft_matrix(8, complex(1.0))
+    for arr in (dft_matrix(8).matrix, dft_matrix(8).support, perm, ev.matrix, ev.support,
+                pre.matrix, pre.support, post.matrix, post.support):
         with pytest.raises(ValueError):
             write_first(arr)
     c, x = [1, 2, 3, 4, 5, 6, 7, 8], [1, -1, 2, 0, 1j, 3, -2, 1]
