@@ -13,23 +13,20 @@ Usage:
 import sys
 
 import bilinear_kernels as bk
-from bilinear_kernels import StructureKind
-
-KINDS = (StructureKind.CIRCULANT, StructureKind.F_CIRCULANT, StructureKind.TOEPLITZ,
-         StructureKind.HANKEL, StructureKind.UPPER_TRIANGULAR_TOEPLITZ,
-         StructureKind.TOEPLITZ_PLUS_HANKEL, StructureKind.SYMMETRIC,
-         StructureKind.SKEW_SYMMETRIC)
+from bilinear_kernels.kernels import SPECS
 
 
 def main(max_n: int) -> int:
     print(f"{'structure':22s} {'n':>3s} {'terms':>6s} {'rank_lb':>8s} {'dim':>5s} "
           f"{'err':>9s}  statement")
     ok = True
-    for kind in KINDS:
+    for kind, spec in SPECS.items():
+        if spec.needs_pattern:
+            continue
         for n in range(1, max_n + 1):
-            if kind is StructureKind.SKEW_SYMMETRIC and n == 1:
+            if spec.params(n, None) == 0:
                 continue
-            f = -1.0 if kind is StructureKind.F_CIRCULANT else None
+            f = -1.0 if spec.needs_f else None
             D = bk.extract_decomposition(kind, n, f=f)
             T = bk.structure_tensor(kind, n, f=f)
             rep = bk.verify_decomposition(T, D, 1e-8)

@@ -9,8 +9,9 @@ from .counting import (CountContext, DivisionByZero, Kind, TrackedScalar,
 from .groups import (GroupAlgebraElement, GroupTable, blocked_simultaneous, cu_matmul,
                      cyclic_group, d4_simultaneous, dihedral8, group_algebra_mul,
                      tpp_check, wedderburn_d4, wedderburn_d4_inverse, x8_simultaneous)
+from .extraction import extract_decomposition
 from .kernels import (KernelReport, SingularMatrix, circulant_inverse,
-                      circulant_matvec, commutator_2x2, extract_decomposition,
+                      circulant_matvec, commutator_2x2,
                       f_circulant_inverse, f_circulant_matvec, formula_count,
                       gauss_complex_mul, hankel_matvec, kernel_report,
                       multilevel_matvec, skew_symmetric_matvec, structured_matvec,

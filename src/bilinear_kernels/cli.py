@@ -18,21 +18,15 @@ import numpy as np
 
 from .counting import CountContext, variables
 from .groups import blocked_simultaneous, cyclic_group, dihedral8, tpp_check
-from .kernels import formula_count, structured_matvec
+from .kernels import SPECS, formula_count, structured_matvec
 from .rng import Lcg
 from .structures import (LevelSpec, SparsityPattern, StructureKind, StructuredMatrix,
-                         naive_count, naive_matvec, param_count, structure_dim,
-                         structured)
-from .tensorlab import (build_structure_tensor, complex_mul_decomposition,
-                        complex_mul_tensor, flattening_ranks, ottaviani_test,
-                        stability_measure, structure_tensor, verify_decomposition)
-
-_MATVEC_KINDS = (
-    StructureKind.CIRCULANT, StructureKind.F_CIRCULANT, StructureKind.TOEPLITZ,
-    StructureKind.HANKEL, StructureKind.UPPER_TRIANGULAR_TOEPLITZ,
-    StructureKind.TOEPLITZ_PLUS_HANKEL, StructureKind.SYMMETRIC,
-    StructureKind.SKEW_SYMMETRIC,
-)
+                         dense_parts, naive_count, naive_matvec, param_count,
+                         structure_dim, structured)
+from .tensorlab import (NAMED_BUILDERS, build_structure_tensor,
+                        complex_mul_decomposition, complex_mul_tensor, flattening_ranks,
+                        ottaviani_test, stability_measure, structure_tensor,
+                        verify_decomposition)
 
 DEFAULT_TOL = 1e-8
 
@@ -72,6 +66,27 @@ def _parse_complex(text: str) -> complex:
     raise ConfigError(f"cannot parse complex number from {text!r} (expected re,im)")
 
 
+def _table_kind(name: str | None, n: int | None, f: complex, where: str,
+                draws_pattern: bool = False) -> tuple[StructureKind, complex | None]:
+    """A single-level kind named on the command line, checked against the
+    table, and the f it takes.  Only verify draws a sparsity pattern."""
+    try:
+        kind = StructureKind(name)
+    except ValueError:
+        raise ConfigError(f"{where}: unknown kind {name!r}") from None
+    if kind is StructureKind.MULTILEVEL:
+        raise ConfigError(f"{where}: multilevel is built from --levels")
+    entry = SPECS[kind]
+    if entry.needs_pattern and not draws_pattern:
+        raise ConfigError(f"{where}: {kind.value} needs a sparsity pattern, "
+                          f"which only verify --kind draws")
+    if n is None or n < 1:
+        raise ConfigError(f"{where}: the order must be a positive integer, got {n}")
+    if entry.needs_f and f == 0:
+        raise ConfigError(f"{where}: f must be nonzero")
+    return kind, (f if entry.needs_f else None)
+
+
 def _parse_levels(text: str) -> tuple[LevelSpec, ...]:
     levels = []
     for chunk in text.split(","):
@@ -79,16 +94,13 @@ def _parse_levels(text: str) -> tuple[LevelSpec, ...]:
         if len(parts) not in (2, 3):
             raise ConfigError(f"level {chunk!r}: expected kind:n or kind:n:f")
         try:
-            kind = StructureKind(parts[0])
-        except ValueError:
-            raise ConfigError(f"level {chunk!r}: unknown kind {parts[0]!r}") from None
-        try:
             n = int(parts[1])
         except ValueError:
             raise ConfigError(f"level {chunk!r}: bad order {parts[1]!r}") from None
-        f = None
-        if kind is StructureKind.F_CIRCULANT:
-            f = _parse_complex(parts[2]) if len(parts) == 3 else complex(-1.0)
+        f = _parse_complex(parts[2]) if len(parts) == 3 else complex(-1.0)
+        kind, f = _table_kind(parts[0], n, f, f"level {chunk!r}")
+        if not SPECS[kind].multilevel_ok:
+            raise ConfigError(f"level {chunk!r}: {kind.value} cannot be a level")
         levels.append(LevelSpec(kind, n, f))
     if not levels:
         raise ConfigError("empty level list")
@@ -122,16 +134,8 @@ def _build_instance(cfg: RunConfig, rng: Lcg) -> StructuredMatrix:
             raise ConfigError("multilevel verification needs --levels")
         order = math.prod(lev.n for lev in cfg.levels)
         return random_structured(StructureKind.MULTILEVEL, order, rng, levels=cfg.levels)
-    try:
-        kind = StructureKind(cfg.kind)
-    except ValueError:
-        raise ConfigError(f"unknown kind {cfg.kind!r}") from None
-    if kind is StructureKind.MULTILEVEL:
-        raise ConfigError("multilevel verification needs --levels")
-    if cfg.n is None or cfg.n < 1:
-        raise ConfigError("--n must be a positive integer")
-    f = cfg.f if kind is StructureKind.F_CIRCULANT else None
-    pattern = random_pattern(cfg.n, rng) if kind is StructureKind.SPARSE else None
+    kind, f = _table_kind(cfg.kind, cfg.n, cfg.f, "--kind", draws_pattern=True)
+    pattern = random_pattern(cfg.n, rng) if SPECS[kind].needs_pattern else None
     return random_structured(kind, cfg.n, rng, f=f, pattern=pattern)
 
 
@@ -178,7 +182,8 @@ def _count_row(M: StructuredMatrix, label_n: str, rng: Lcg) -> tuple[list[str], 
     naive = naive_count(M)
     formula = formula_count(M.kind, M.n, M.pattern, M.levels)
     match = fast == formula
-    naive_text = f"{naive}*" if M.kind is StructureKind.SKEW_SYMMETRIC else str(naive)
+    # '*': the pattern-aware count, which skips a structurally zero diagonal
+    naive_text = str(naive) if dense_parts(M)[2].diagonal().all() else f"{naive}*"
     name = "bttb" if M.kind is StructureKind.MULTILEVEL else M.kind.value
     return [name, label_n, str(fast), naive_text, str(formula), str(match).lower()], match
 
@@ -187,9 +192,11 @@ def cmd_count_table(cfg: RunConfig) -> int:
     rng = Lcg(cfg.seed)
     rows = [["structure", "n", "fast_mults", "naive_mults", "formula", "match"]]
     all_match = True
-    for kind in _MATVEC_KINDS:
+    for kind, entry in SPECS.items():
+        if entry.needs_pattern:
+            continue
         for n in range(1, cfg.max_n + 1):
-            f = complex(-1.0) if kind is StructureKind.F_CIRCULANT else None
+            f = complex(-1.0) if entry.needs_f else None
             M = random_structured(kind, n, rng, f=f)
             row, ok = _count_row(M, str(n), rng)
             rows.append(row)
@@ -219,8 +226,15 @@ def cmd_count_table(cfg: RunConfig) -> int:
 def cmd_tensor(cfg: RunConfig) -> int:
     from .extraction import extract_decomposition
 
+    if cfg.builder in NAMED_BUILDERS:
+        T = build_structure_tensor(cfg.builder)
+    else:
+        where = f"--builder (named: {', '.join(NAMED_BUILDERS)})" if cfg.builder else "--kind"
+        kind, f = _table_kind(cfg.builder or cfg.kind, cfg.n, cfg.f, where)
+        if SPECS[kind].params(cfg.n, None) == 0:
+            raise ConfigError(f"{where}: {kind.value} of order {cfg.n} has no parameters")
+        T = structure_tensor(kind, cfg.n, f=f)
     if cfg.builder:
-        T = build_structure_tensor(cfg.builder, n=cfg.n)
         ranks = flattening_ranks(T)
         print(f"builder={cfg.builder} flattening_ranks={ranks}")
         if cfg.ottaviani:
@@ -231,14 +245,6 @@ def cmd_tensor(cfg: RunConfig) -> int:
             print(f"ottaviani test singular (det magnitude {rep.det_magnitude:.3e})")
             return 1
         return 0
-    try:
-        kind = StructureKind(cfg.kind)
-    except ValueError:
-        raise ConfigError(f"unknown kind {cfg.kind!r}") from None
-    if cfg.n is None or cfg.n < 1:
-        raise ConfigError("--n must be a positive integer")
-    f = cfg.f if kind is StructureKind.F_CIRCULANT else None
-    T = structure_tensor(kind, cfg.n, f=f)
     D = extract_decomposition(kind, cfg.n, f=f)
     rep = verify_decomposition(T, D, 1e-8)
     ranks = flattening_ranks(T)
@@ -274,6 +280,8 @@ def cmd_tpp(cfg: RunConfig) -> int:
         S, T, U = (4, 0), (6, 0), (7, 0)   # {y,1}, {x^2 y,1}, {x^3 y,1}
     elif cfg.preset == "cyclic-1n1":
         n = cfg.n if cfg.n else 4
+        if n < 1:
+            raise ConfigError(f"--n must be a positive integer, got {n}")
         G = cyclic_group(n)
         S, T, U = (0,), tuple(range(n)), (0,)
     else:

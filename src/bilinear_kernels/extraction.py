@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .counting import ConstantMap, CountContext, TrackedVector, variable_vector
-from .structures import LevelSpec, SparsityPattern, StructureKind, param_count
+from .structures import LevelSpec, SparsityPattern, StructureKind, check_level, spec
 from .tensorlab import DecompositionTerm, TensorDecomposition
 
 _PURITY_TOL = 1e-11
@@ -77,41 +77,26 @@ class _Recorder:
         return TrackedVector(out, u.variable | v.variable)
 
 
-def _sparse_terms(pattern: SparsityPattern) -> TensorDecomposition:
-    P = len(pattern)
-    terms = []
-    for p, (r, c) in enumerate(pattern.entries):
-        u = np.zeros(P, dtype=complex)
-        u[p] = 1.0
-        v = np.zeros(pattern.cols, dtype=complex)
-        v[c] = 1.0
-        w = np.zeros(pattern.rows, dtype=complex)
-        w[r] = 1.0
-        terms.append(DecompositionTerm(1.0 + 0j, u, v, w))
-    return TensorDecomposition((P, pattern.cols, pattern.rows), terms)
-
-
 def extract_decomposition(kind, n: int, f: complex | None = None,
                           pattern: SparsityPattern | None = None) -> TensorDecomposition:
-    from . import kernels
+    """Explicit rank-one terms realized by the kernel for this structure.
 
+    The kernel is replayed once over linear-form scalars; every bilinear
+    product contributes one term, so the term count equals the kernel's
+    multiplication count and the summed tensor equals the structure tensor.
+    A kind that needs f uses f = -1 when none is given.
+    """
     kind = StructureKind(kind)
-    if kind is StructureKind.SPARSE:
-        if pattern is None:
-            raise ValueError("sparse extraction needs a pattern")
-        return _sparse_terms(pattern)
-    if kind is StructureKind.MULTILEVEL:
-        raise ValueError("extract per level, not for multilevel composites")
-    if kind is StructureKind.F_CIRCULANT and f is None:
+    if f is None and spec(kind).needs_f:
         f = -1.0
-
-    P = param_count(kind, n, pattern)
+    P = check_level(kind, n, f, pattern)
+    kernel = spec(kind).kernel
 
     # Dry numeric run pins the exact product count (it is size-determined).
     dry = CountContext()
     dummy_params = variable_vector(np.arange(1, P + 1) * (0.5 + 0.25j))
     dummy_x = variable_vector(np.arange(1, n + 1) * (0.75 - 0.5j))
-    kernels.matvec_by_kind(kind, dummy_params, dummy_x, dry, f, pattern)
+    kernel(dummy_params, dummy_x, dry, f, pattern)
     r = dry.bilinear_mults
 
     rec = _Recorder(P, n, r)
@@ -122,7 +107,7 @@ def extract_decomposition(kind, n: int, f: complex | None = None,
     x_rows[np.arange(n), P + np.arange(n)] = 1.0
     params = TrackedVector(params_rows, np.ones(P, dtype=bool))
     x = TrackedVector(x_rows, np.ones(n, dtype=bool))
-    out = kernels.matvec_by_kind(kind, params, x, ctx, f, pattern)
+    out = kernel(params, x, ctx, f, pattern)
 
     if ctx.bilinear_mults != r or len(rec.us) != r:
         raise AssertionError("symbolic replay diverged from the numeric count")

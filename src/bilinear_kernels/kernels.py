@@ -31,8 +31,11 @@ from .counting import (ConstantMap, CountContext, TrackedScalar, TrackedVector, 
                        zero_vector)
 from .spectral import (F_CACHE_SIZE, dft_matrix, idft_matrix, principal_root,
                        scaled_dft_matrix, scaled_idft_matrix)
-from .structures import (LevelSpec, SparsityPattern, StructureKind, StructuredMatrix,
-                         skew_index, symmetric_index, _MULTILEVEL_KINDS)
+from .structures import (LevelSpec, SparsityPattern, StructureKind, StructureSpec,
+                         StructuredMatrix, check_level, circulant_placement,
+                         f_circulant_placement, hankel_placement, skew_symmetric_placement,
+                         sparse_placement, symmetric_placement, toeplitz_placement,
+                         tph_placement, triangular_toeplitz_placement, upper_index)
 
 
 class SingularMatrix(ValueError):
@@ -43,25 +46,9 @@ def formula_count(kind: StructureKind, n: int, pattern: SparsityPattern | None =
                   levels: tuple[LevelSpec, ...] | None = None) -> int:
     """Closed-form bilinear multiplication count of the fast kernel."""
     kind = StructureKind(kind)
-    if kind in (StructureKind.CIRCULANT, StructureKind.F_CIRCULANT):
-        return n
-    if kind in (StructureKind.TOEPLITZ, StructureKind.HANKEL,
-                StructureKind.UPPER_TRIANGULAR_TOEPLITZ):
-        return 2 * n - 1
-    if kind is StructureKind.TOEPLITZ_PLUS_HANKEL:
-        return 4 * n - 3
-    if kind is StructureKind.SYMMETRIC:
-        return n * (n + 1) // 2
-    if kind is StructureKind.SKEW_SYMMETRIC:
-        return 0 if n == 1 else n * n - n - math.ceil((n - 1) / 2) + 1
-    if kind is StructureKind.SPARSE:
-        return len(pattern)
     if kind is StructureKind.MULTILEVEL:
-        out = 1
-        for lev in levels:
-            out *= formula_count(lev.kind, lev.n, lev.pattern)
-        return out
-    raise ValueError(f"no count formula for kind {kind}")
+        return math.prod(formula_count(lev.kind, lev.n, lev.pattern) for lev in levels)
+    return SPECS[kind].count(n, pattern)
 
 
 @dataclass
@@ -94,27 +81,27 @@ def _fcirc_maps(n: int, f: complex):
     return perm, scaled_dft_matrix(n, f), ConstantMap(pre), ConstantMap(post)
 
 
-def _fcirc_impl(d: TrackedVector, f: complex, x: TrackedVector, ctx: CountContext) -> TrackedVector:
-    n = len(x)
-    if len(d) != n:
-        raise ValueError(f"f-circulant of order {n} needs {n} parameters, got {len(d)}")
-    perm, ev, pre, post = _fcirc_maps(n, complex(f))
+def _f_circulant_kernel(d: TrackedVector, x: TrackedVector, ctx: CountContext,
+                        f: complex, pattern=None) -> TrackedVector:
+    perm, ev, pre, post = _fcirc_maps(len(x), complex(f))
     dhat = apply_matrix(ev, take(d, perm), ctx)
     u = apply_matrix(pre, x, ctx)
     prods = vmul(dhat, u, ctx)
     return apply_matrix(post, prods, ctx)
 
 
+def _circulant_kernel(c, x, ctx, f=None, pattern=None):
+    return _f_circulant_kernel(c, x, ctx, 1.0)
+
+
 def circulant_matvec(c, x, ctx: CountContext):
     """Circ(c) @ x in exactly n bilinear multiplications."""
-    return match_output(x, _fcirc_impl(as_vector(c), 1.0, as_vector(x), ctx))
+    return _run(StructureKind.CIRCULANT, c, x, ctx)
 
 
 def f_circulant_matvec(c, f: complex, x, ctx: CountContext):
     """f-circulant product in exactly n bilinear multiplications; f must be nonzero."""
-    if f == 0:
-        raise ValueError("f must be nonzero")
-    return match_output(x, _fcirc_impl(as_vector(c), complex(f), as_vector(x), ctx))
+    return _run(StructureKind.F_CIRCULANT, c, x, ctx, f)
 
 
 def _spectrum_or_raise(vec: TrackedVector, M: ConstantMap, ctx: CountContext,
@@ -196,43 +183,44 @@ def _toeplitz_bins(t: TrackedVector, x: TrackedVector, ctx: CountContext,
     return take(z, np.arange(n))
 
 
+def _toeplitz_kernel(t, x, ctx, f=None, pattern=None):
+    return _toeplitz_bins(t, x, ctx, skip_bins=1)
+
+
+def _hankel_kernel(h, x, ctx, f=None, pattern=None):
+    return take(_toeplitz_bins(h, x, ctx, skip_bins=1), np.arange(len(x) - 1, -1, -1))
+
+
 def toeplitz_matvec(t, x, ctx: CountContext):
     """Toeplitz product via the 2n-point embedding; exactly 2n-1 multiplications.
 
     The frequency-0 bin of the embedded symbol vanishes by the choice of the
     free entry, so its product is never formed.
     """
-    tv, xv = as_vector(t), as_vector(x)
-    if len(tv) != 2 * len(xv) - 1:
-        raise ValueError(f"toeplitz of order {len(xv)} needs {2 * len(xv) - 1} diagonals")
-    return match_output(x, _toeplitz_bins(tv, xv, ctx, skip_bins=1))
+    return _run(StructureKind.TOEPLITZ, t, x, ctx)
 
 
 def hankel_matvec(h, x, ctx: CountContext):
     """Hankel product as a row-reversed Toeplitz product; 2n-1 multiplications."""
-    hv, xv = as_vector(h), as_vector(x)
-    n = len(xv)
-    if len(hv) != 2 * n - 1:
-        raise ValueError(f"hankel of order {n} needs {2 * n - 1} anti-diagonals")
-    z = _toeplitz_bins(hv, xv, ctx, skip_bins=1)
-    return match_output(x, take(z, np.arange(n - 1, -1, -1)))
+    return _run(StructureKind.HANKEL, h, x, ctx)
+
+
+def _triangular_toeplitz_kernel(a, x, ctx, f=None, pattern=None):
+    n = len(x)
+    N = 2 * n - 1
+    p = concat(a, zero_vector(n - 1, a)) if n > 1 else a
+    q0 = take(x, np.arange(n - 1, -1, -1))
+    q = concat(q0, zero_vector(n - 1, x)) if n > 1 else q0
+    phat = apply_matrix(dft_matrix(N), p, ctx)
+    qhat = apply_matrix(dft_matrix(N), q, ctx)
+    conv = apply_matrix(idft_matrix(N), vmul(phat, qhat, ctx), ctx)
+    return take(conv, np.arange(n - 1, -1, -1))
 
 
 def triangular_toeplitz_matvec(a, x, ctx: CountContext):
     """Upper-triangular Toeplitz product through a length 2n-1 cyclic
     convolution of the coefficient polynomials; exactly 2n-1 multiplications."""
-    av, xv = as_vector(a), as_vector(x)
-    n = len(xv)
-    if len(av) != n:
-        raise ValueError(f"triangular toeplitz of order {n} needs {n} coefficients")
-    N = 2 * n - 1
-    p = concat(av, zero_vector(n - 1, av)) if n > 1 else av
-    q0 = take(xv, np.arange(n - 1, -1, -1))
-    q = concat(q0, zero_vector(n - 1, xv)) if n > 1 else q0
-    phat = apply_matrix(dft_matrix(N), p, ctx)
-    qhat = apply_matrix(dft_matrix(N), q, ctx)
-    conv = apply_matrix(idft_matrix(N), vmul(phat, qhat, ctx), ctx)
-    return match_output(x, take(conv, np.arange(n - 1, -1, -1)))
+    return _run(StructureKind.UPPER_TRIANGULAR_TOEPLITZ, a, x, ctx)
 
 
 @lru_cache(maxsize=None)
@@ -256,6 +244,17 @@ def _tph_shift_row(n: int) -> ConstantMap:
     return ConstantMap(row)
 
 
+def _tph_kernel(th, x, ctx, f=None, pattern=None):
+    n = len(x)
+    t = take(th, np.arange(2 * n - 1))
+    h = take(th, np.arange(2 * n - 1, 4 * n - 2))
+    bin1 = apply_matrix(_tph_shift_row(n), t, ctx)
+    a = scale(bin1, -1.0 / (2 * n), ctx)
+    zt = _toeplitz_bins(t, x, ctx, skip_bins=2, shift=a)
+    zh = _hankel_kernel(broadcast_add(h, a, ctx, negate=True), x, ctx)
+    return vadd(zt, zh, ctx)
+
+
 def tph_matvec(t, h, x, ctx: CountContext):
     """(Toeplitz + Hankel) product in exactly 4n-3 multiplications.
 
@@ -263,17 +262,11 @@ def tph_matvec(t, h, x, ctx: CountContext):
     the embedded Toeplitz symbol also vanishes at frequency 1, leaving 2n-2
     live products there, plus 2n-1 on the Hankel side.
     """
-    tv, hv, xv = as_vector(t), as_vector(h), as_vector(x)
-    n = len(xv)
-    if len(tv) != 2 * n - 1 or len(hv) != 2 * n - 1:
-        raise ValueError(f"tph of order {n} needs 2x{2 * n - 1} parameters")
-    bin1 = apply_matrix(_tph_shift_row(n), tv, ctx)
-    a = scale(bin1, -1.0 / (2 * n), ctx)
-    zt = _toeplitz_bins(tv, xv, ctx, skip_bins=2, shift=a)
-    h2 = broadcast_add(hv, a, ctx, negate=True)
-    zh = _toeplitz_bins(h2, xv, ctx, skip_bins=1)
-    zh = take(zh, np.arange(n - 1, -1, -1))
-    return match_output(x, vadd(zt, zh, ctx))
+    tv, hv = as_vector(t), as_vector(h)
+    if len(tv) != len(hv):
+        raise ValueError(f"tph needs as many anti-diagonals as diagonals, "
+                         f"got {len(hv)} and {len(tv)}")
+    return _run(StructureKind.TOEPLITZ_PLUS_HANKEL, concat(tv, hv), x, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -282,63 +275,46 @@ def tph_matvec(t, h, x, ctx: CountContext):
 
 @lru_cache(maxsize=None)
 def _symmetric_stage_maps(m: int):
-    idx = symmetric_index(m)
-    first = np.array([idx[(0, j)] for j in range(m)]
-                     + [idx[(i, m - 1)] for i in range(1, m)])
-    inner = symmetric_index(m - 2)
-    outer_param = np.empty(len(inner), dtype=int)
-    h1_pos = np.empty(len(inner), dtype=int)
-    for (i, j), k in inner.items():
-        outer_param[k] = idx[(i + 1, j + 1)]
-        h1_pos[k] = i + j + 2
-    return read_only(first), read_only(outer_param), read_only(h1_pos)
+    first = np.concatenate([upper_index(m, 0, np.arange(m)),
+                            upper_index(m, np.arange(1, m), m - 1)])
+    i, j = np.triu_indices(m - 2)
+    return read_only(first), read_only(upper_index(m, i + 1, j + 1)), read_only(i + j + 2)
+
+
+def _peel(s: TrackedVector, n: int, ctx: CountContext):
+    """Yield (offset, h) per stage: the Hankel data h of the block of order
+    m = n - 2 * offset, made of its first row and last column.  The interior
+    block of order m-2 is what remains once that Hankel matrix is taken off;
+    a 2x2 or 1x1 block is itself Hankel and ends the peeling."""
+    offset, m = 0, n
+    while m > 2:
+        first, outer_param, h1_pos = _symmetric_stage_maps(m)
+        h = take(s, first)
+        yield offset, h
+        s = vsub(take(s, outer_param), take(h, h1_pos), ctx)
+        offset += 1
+        m -= 2
+    if m > 0:
+        yield offset, s
+
+
+def _symmetric_kernel(s, x, ctx, f=None, pattern=None):
+    n = len(x)
+    out = zero_vector(n, x)
+    for offset, h in _peel(s, n, ctx):
+        rows = np.arange(offset, n - offset)
+        add_at(out, rows, _hankel_kernel(h, take(x, rows), ctx), ctx)
+    return out
 
 
 def symmetric_matvec(s, x, ctx: CountContext):
-    """Symmetric product as a sum of nested Hankel products; n(n+1)/2 mults.
-
-    Each stage multiplies by the Hankel matrix made of the block's first row
-    and last column, then recurses on the interior symmetric block of order
-    m-2 (a 2x2 or 1x1 block is itself Hankel and terminates the recursion).
-    """
-    sv, xv = as_vector(s), as_vector(x)
-    n = len(xv)
-    if len(sv) != n * (n + 1) // 2:
-        raise ValueError(f"symmetric of order {n} needs {n * (n + 1) // 2} parameters")
-    out = zero_vector(n, xv)
-    cur_s, cur_x, offset, m = sv, xv, 0, n
-    while m > 0:
-        if m <= 2:
-            z = hankel_matvec(cur_s, cur_x, ctx)
-            add_at(out, np.arange(offset, offset + m), z, ctx)
-            break
-        first, outer_param, h1_pos = _symmetric_stage_maps(m)
-        h1 = take(cur_s, first)
-        z = hankel_matvec(h1, cur_x, ctx)
-        add_at(out, np.arange(offset, offset + m), z, ctx)
-        cur_s = vsub(take(cur_s, outer_param), take(h1, h1_pos), ctx)
-        cur_x = take(cur_x, np.arange(1, m - 1))
-        offset += 1
-        m -= 2
-    return match_output(x, out)
+    """Symmetric product as a sum of nested Hankel products; n(n+1)/2 mults."""
+    return _run(StructureKind.SYMMETRIC, s, x, ctx)
 
 
 def symmetric_hankel_stages(s, n: int) -> list[np.ndarray]:
     """Per-stage Hankel data values of the peeling (sizes n, n-2, ..., <=2)."""
-    ctx = CountContext()
-    cur = as_vector(s)
-    stages = []
-    m = n
-    while m > 0:
-        if m <= 2:
-            stages.append(cur.values.copy())
-            break
-        first, outer_param, h1_pos = _symmetric_stage_maps(m)
-        h1 = take(cur, first)
-        stages.append(h1.values.copy())
-        cur = vsub(take(cur, outer_param), take(h1, h1_pos), ctx)
-        m -= 2
-    return stages
+    return [h.values.copy() for _, h in _peel(as_vector(s), n, CountContext())]
 
 
 # ---------------------------------------------------------------------------
@@ -347,42 +323,35 @@ def symmetric_hankel_stages(s, n: int) -> list[np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _skew_maps(n: int):
-    sidx = skew_index(n)
+    """Index maps of the remainder A - C (C the skew-circulant sharing A's
+    first row): one product per entry (i, j), i, j >= 1, i != j, and one per
+    pair of first-column entries (i, 0), (n-i, 0), i < n-i, whose values are
+    negatives of each other."""
+    pairs = [(i, 0) for i in range(1, n) if i < n - i]
+    entries = pairs + [(i, j) for i in range(1, n) for j in range(1, n) if i != j]
+    rows, cols = np.array(entries, dtype=int).reshape(-1, 2).T
+    pa = upper_index(n, np.minimum(rows, cols), np.maximum(rows, cols), strict=True)
+    sa = np.where(rows < cols, 1.0, -1.0)                  # A[i][j] = sa * w[pa]
+    pc = n - 1 - (rows - cols) % n                          # C[i][j] = sc * w[pc]
+    sc = np.where(rows > cols, -1.0, 1.0)
+    d_param = np.arange(n - 2, -1, -1)                      # d_m = first-row entry (0, n-m)
+    partner = n - rows[:len(pairs)]
+    return tuple(read_only(m) for m in (d_param, pa, sa, pc, sc, rows, cols, partner))
 
-    def a_entry(i, j):
-        return (sidx[(i, j)], 1.0) if i < j else (sidx[(j, i)], -1.0)
 
-    def c_entry(i, j):
-        m = (i - j) % n
-        p = sidx[(0, n - m)]
-        return (p, -1.0 if i > j else 1.0)
-
-    d_param = np.arange(n - 2, -1, -1)  # d_m = first-row entry (0, n-m)
-
-    entries = []  # (i, j) of remainder entries that get their own product
-    pair_rows = []
-    for i in range(1, n):
-        partner = n - i
-        if i < partner:
-            entries.append((i, 0))
-            pair_rows.append((len(entries) - 1, i, partner))
-    npairs = len(entries)
-    for i in range(1, n):
-        for j in range(1, n):
-            if i != j:
-                entries.append((i, j))
-
-    pa = np.array([a_entry(i, j)[0] for (i, j) in entries], dtype=int)
-    sa = np.array([a_entry(i, j)[1] for (i, j) in entries])
-    pc = np.array([c_entry(i, j)[0] for (i, j) in entries], dtype=int)
-    sc = np.array([c_entry(i, j)[1] for (i, j) in entries])
-    cols = np.array([j for (_, j) in entries], dtype=int)
-    rows = np.array([i for (i, _) in entries], dtype=int)
-    pair_pos = np.array([p for (p, _, _) in pair_rows], dtype=int)
-    pair_i = np.array([i for (_, i, _) in pair_rows], dtype=int)
-    pair_partner = np.array([p for (_, _, p) in pair_rows], dtype=int)
-    maps = (d_param, pa, sa, pc, sc, rows, cols, npairs, pair_pos, pair_i, pair_partner)
-    return tuple(read_only(m) if isinstance(m, np.ndarray) else m for m in maps)
+def _skew_symmetric_kernel(w, x, ctx, f=None, pattern=None):
+    n = len(x)
+    if n == 1:
+        return zero_vector(1, x)
+    d_param, pa, sa, pc, sc, rows, cols, partner = _skew_maps(n)
+    d = concat(zero_vector(1, w), take(w, d_param))
+    out = _f_circulant_kernel(d, x, ctx, -1.0)
+    remainder = vsub(signed_take(w, pa, sa, ctx), signed_take(w, pc, sc, ctx), ctx)
+    prods = vmul(remainder, take(x, cols), ctx)
+    if len(partner):
+        add_at(out, partner, vneg(take(prods, np.arange(len(partner)))), ctx)
+    add_at(out, rows, prods, ctx)
+    return out
 
 
 def skew_symmetric_matvec(w, x, ctx: CountContext):
@@ -393,76 +362,85 @@ def skew_symmetric_matvec(w, x, ctx: CountContext):
     diagonal whose first-column entries come in +/- pairs, each pair sharing
     one product.  Order 1 is the zero map and costs nothing.
     """
-    wv, xv = as_vector(w), as_vector(x)
-    n = len(xv)
-    if len(wv) != n * (n - 1) // 2:
-        raise ValueError(f"skew-symmetric of order {n} needs {n * (n - 1) // 2} parameters")
-    if n == 1:
-        return match_output(x, zero_vector(1, xv))
-    d_param, pa, sa, pc, sc, rows, cols, npairs, pair_pos, pair_i, pair_partner = _skew_maps(n)
-    d = concat(zero_vector(1, wv), take(wv, d_param))
-    out = _fcirc_impl(d, -1.0, xv, ctx)
-    remainder = vsub(signed_take(wv, pa, sa, ctx), signed_take(wv, pc, sc, ctx), ctx)
-    prods = vmul(remainder, take(xv, cols), ctx)
-    if npairs:
-        pair_prods = take(prods, pair_pos)
-        add_at(out, pair_partner, vneg(pair_prods), ctx)
-    add_at(out, rows, prods, ctx)
-    return match_output(x, out)
+    return _run(StructureKind.SKEW_SYMMETRIC, w, x, ctx)
 
 
 # ---------------------------------------------------------------------------
-# Multilevel (Kronecker-structured) products
+# Sparse: entrywise over the pattern
 # ---------------------------------------------------------------------------
 
-def _sparse_matvec(pattern: SparsityPattern, data: TrackedVector, x: TrackedVector,
-                   ctx: CountContext) -> TrackedVector:
-    active = data.variable | (data.values != 0)
-    pos = np.flatnonzero(active)
+def _sparse_kernel(data, x, ctx, f, pattern):
+    """Entrywise product; a Constant-zero parameter (all-zero coefficient row
+    in the extraction lane) is skipped."""
+    nonzero = np.any(data.values != 0, axis=tuple(range(1, data.values.ndim)))
+    pos = np.flatnonzero(data.variable | nonzero)
     out = zero_vector(pattern.rows, x)
     if len(pos):
-        cols = np.array([pattern.entries[p][1] for p in pos], dtype=int)
-        rows = np.array([pattern.entries[p][0] for p in pos], dtype=int)
+        rows, cols = np.array(pattern.entries, dtype=int)[pos].T
         prods = vmul(take(data, pos), take(x, cols), ctx)
         add_at(out, rows, prods, ctx)
     return out
 
 
-def matvec_by_kind(kind: StructureKind, data: TrackedVector, x: TrackedVector,
-                   ctx: CountContext, f: complex | None = None,
-                   pattern: SparsityPattern | None = None) -> TrackedVector:
-    """Vector-level dispatch shared by the public API, extraction, and the
-    multilevel recursion."""
-    kind = StructureKind(kind)
-    n = len(x)
-    if kind is StructureKind.CIRCULANT:
-        return _fcirc_impl(data, 1.0, x, ctx)
-    if kind is StructureKind.F_CIRCULANT:
-        if f is None or f == 0:
-            raise ValueError("f_circulant needs a nonzero f")
-        return _fcirc_impl(data, complex(f), x, ctx)
-    if kind is StructureKind.TOEPLITZ:
-        return _toeplitz_bins(data, x, ctx, skip_bins=1)
-    if kind is StructureKind.HANKEL:
-        z = _toeplitz_bins(data, x, ctx, skip_bins=1)
-        return take(z, np.arange(n - 1, -1, -1))
-    if kind is StructureKind.UPPER_TRIANGULAR_TOEPLITZ:
-        out = triangular_toeplitz_matvec(data, x, ctx)
-        return out
-    if kind is StructureKind.TOEPLITZ_PLUS_HANKEL:
-        t = take(data, np.arange(2 * n - 1))
-        h = take(data, np.arange(2 * n - 1, 4 * n - 2))
-        return tph_matvec(t, h, x, ctx)
-    if kind is StructureKind.SYMMETRIC:
-        return symmetric_matvec(data, x, ctx)
-    if kind is StructureKind.SKEW_SYMMETRIC:
-        return skew_symmetric_matvec(data, x, ctx)
-    if kind is StructureKind.SPARSE:
-        if pattern is None:
-            raise ValueError("sparse matvec needs a pattern")
-        return _sparse_matvec(pattern, data, x, ctx)
-    raise ValueError(f"no kernel for kind {kind}")
+# ---------------------------------------------------------------------------
+# The structure table: one StructureSpec per single-level kind, in enum order
+# ---------------------------------------------------------------------------
 
+# Per kind: params, count and dim as functions of (n, pattern); the placement
+# of its parameters in the grid; the kernel; whether it may be a level.
+SPECS: dict[StructureKind, StructureSpec] = {
+    StructureKind.CIRCULANT: StructureSpec(
+        lambda n, _: n, lambda n, _: n, lambda n, _: n,
+        circulant_placement, _circulant_kernel, multilevel_ok=True),
+    StructureKind.F_CIRCULANT: StructureSpec(
+        lambda n, _: n, lambda n, _: n, lambda n, _: n,
+        f_circulant_placement, _f_circulant_kernel, multilevel_ok=True, needs_f=True),
+    StructureKind.TOEPLITZ: StructureSpec(
+        lambda n, _: 2 * n - 1, lambda n, _: 2 * n - 1, lambda n, _: 2 * n - 1,
+        toeplitz_placement, _toeplitz_kernel, multilevel_ok=True),
+    StructureKind.HANKEL: StructureSpec(
+        lambda n, _: 2 * n - 1, lambda n, _: 2 * n - 1, lambda n, _: 2 * n - 1,
+        hankel_placement, _hankel_kernel, multilevel_ok=True),
+    StructureKind.UPPER_TRIANGULAR_TOEPLITZ: StructureSpec(
+        lambda n, _: n, lambda n, _: 2 * n - 1, lambda n, _: n,
+        triangular_toeplitz_placement, _triangular_toeplitz_kernel, multilevel_ok=False),
+    # The Toeplitz and Hankel spaces intersect in the two-dimensional space of
+    # checkerboard-constant matrices once n >= 2, so their sum has dimension
+    # 4n-4 (and 1 at n = 1, where every space is the scalars).
+    StructureKind.TOEPLITZ_PLUS_HANKEL: StructureSpec(
+        lambda n, _: 4 * n - 2, lambda n, _: 4 * n - 3,
+        lambda n, _: 1 if n == 1 else 4 * n - 4,
+        tph_placement, _tph_kernel, multilevel_ok=True),
+    StructureKind.SYMMETRIC: StructureSpec(
+        lambda n, _: n * (n + 1) // 2, lambda n, _: n * (n + 1) // 2,
+        lambda n, _: n * (n + 1) // 2,
+        symmetric_placement, _symmetric_kernel, multilevel_ok=True),
+    StructureKind.SKEW_SYMMETRIC: StructureSpec(
+        lambda n, _: n * (n - 1) // 2,
+        lambda n, _: 0 if n == 1 else n * n - n - math.ceil((n - 1) / 2) + 1,
+        lambda n, _: n * (n - 1) // 2,
+        skew_symmetric_placement, _skew_symmetric_kernel, multilevel_ok=False),
+    StructureKind.SPARSE: StructureSpec(
+        lambda n, pattern: len(pattern), lambda n, pattern: len(pattern),
+        lambda n, pattern: len(pattern),
+        sparse_placement, _sparse_kernel, multilevel_ok=True, needs_pattern=True),
+}
+
+
+def _run(kind: StructureKind, data, x, ctx: CountContext, f: complex | None = None):
+    """A public per-kind product: convert the inputs, check the parameter
+    count against the table, run its kernel, return the output like x."""
+    dv, xv = as_vector(data), as_vector(x)
+    want = check_level(kind, len(xv), f, None)
+    if len(dv) != want:
+        raise ValueError(f"{kind.value} of order {len(xv)} needs {want} parameters, "
+                         f"got {len(dv)}")
+    return match_output(x, SPECS[kind].kernel(dv, xv, ctx, f))
+
+
+# ---------------------------------------------------------------------------
+# Multilevel (Kronecker-structured) products
+# ---------------------------------------------------------------------------
 
 def _apply_blocks(M: ConstantMap, values: np.ndarray, flags: np.ndarray,
                   ctx: CountContext) -> tuple[np.ndarray, np.ndarray]:
@@ -479,7 +457,7 @@ def _multilevel_impl(levels: tuple[LevelSpec, ...], data: TrackedVector,
                      x: TrackedVector, ctx: CountContext) -> TrackedVector:
     if len(levels) == 1:
         lev = levels[0]
-        return matvec_by_kind(lev.kind, data, x, ctx, lev.f, lev.pattern)
+        return SPECS[lev.kind].kernel(data, x, ctx, lev.f, lev.pattern)
     from .extraction import level_decomposition
     lev = levels[0]
     U, V, W = level_decomposition(lev)
@@ -510,12 +488,12 @@ def multilevel_matvec(M: StructuredMatrix, x, ctx: CountContext):
     The outer kernel runs with block scalars: each of its bilinear products
     becomes an inner structured product on linear combinations of the inner
     parameter blocks, so the count is the product of the per-level counts.
-    Skew-symmetric and triangular Toeplitz levels are rejected.
+    Level kinds whose table entry is not multilevel_ok are rejected.
     """
     if M.kind is not StructureKind.MULTILEVEL:
         raise ValueError("multilevel_matvec expects a multilevel matrix")
     for lev in M.levels:
-        if lev.kind not in _MULTILEVEL_KINDS:
+        if not SPECS[lev.kind].multilevel_ok:
             raise ValueError(f"unsupported level kind {lev.kind.value}")
     xv = as_vector(x)
     if len(xv) != M.n:
@@ -534,7 +512,7 @@ def structured_matvec(M: StructuredMatrix, x, ctx: CountContext):
     xv = as_vector(x)
     if len(xv) != M.n:
         raise ValueError(f"vector of length {len(xv)} for order {M.n}")
-    out = matvec_by_kind(M.kind, M.data_vector(), xv, ctx, M.f, M.pattern)
+    out = SPECS[M.kind].kernel(M.data_vector(), xv, ctx, M.f, M.pattern)
     return match_output(x, out)
 
 
@@ -581,15 +559,3 @@ def kernel_report(M: StructuredMatrix, x) -> KernelReport:
     formula = formula_count(M.kind, M.n, M.pattern, M.levels)
     out_list = out if isinstance(out, list) else to_scalars(out)
     return KernelReport(out_list, ctx.snapshot(), formula)
-
-
-def extract_decomposition(kind, n: int, f: complex | None = None,
-                          pattern: SparsityPattern | None = None):
-    """Explicit rank-one terms realized by the kernel for this structure.
-
-    The kernel is replayed once over linear-form scalars; every bilinear
-    product contributes one term, so the term count equals the kernel's
-    multiplication count and the summed tensor equals the structure tensor.
-    """
-    from .extraction import extract_decomposition as _impl
-    return _impl(kind, n, f=f, pattern=pattern)

@@ -1,5 +1,6 @@
-"""Structured matrix representations, dense expansion, the naive oracle,
-basis enumeration, and JSON serialization.
+"""Structured matrix representations, the StructureSpec record, placements
+and dense expansion, the naive oracle, basis enumeration, and JSON
+serialization.
 
 Canonical parameter orders (normative for serialization and basis indexing):
   circulant            first column top to bottom
@@ -19,15 +20,16 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, as_matrix,
-                       as_vector, constant, match_output, propagate, read_only)
+                       as_vector, constant, match_output, read_only)
 
 
 class SchemaError(ValueError):
@@ -78,49 +80,71 @@ class LevelSpec:
     pattern: SparsityPattern | None = None
 
 
-_MULTILEVEL_KINDS = {
-    StructureKind.TOEPLITZ, StructureKind.HANKEL, StructureKind.CIRCULANT,
-    StructureKind.F_CIRCULANT, StructureKind.TOEPLITZ_PLUS_HANKEL,
-    StructureKind.SYMMETRIC, StructureKind.SPARSE,
-}
+@dataclass(frozen=True)
+class StructureSpec:
+    """Everything the library knows about one single-level structure kind.
+
+    params(n, pattern)        parameter count, in the canonical order above
+    count(n, pattern)         closed-form bilinear count of the kernel
+    dim(n, pattern)           dimension of the matrix space
+    placement(n, f, pattern)  read-only (param, cell, coeff) index triples:
+                              dense.flat[cell] += coeff * data[param]
+    kernel(data, x, ctx, f, pattern)  the minimum-multiplication product
+                              on TrackedVectors
+    multilevel_ok             the kind may be a level of a multilevel structure
+    needs_f, needs_pattern    the kind takes a nonzero f / a sparsity pattern
+
+    The table `kernels.SPECS` holds one per kind, in enum order.  MULTILEVEL
+    is the one composite kind: it has levels instead of an entry.
+    """
+
+    params: Callable[[int, SparsityPattern | None], int]
+    count: Callable[[int, SparsityPattern | None], int]
+    dim: Callable[[int, SparsityPattern | None], int]
+    placement: Callable[[int, complex | None, SparsityPattern | None],
+                        tuple[np.ndarray, np.ndarray, np.ndarray]]
+    kernel: Callable[..., TrackedVector]
+    multilevel_ok: bool
+    needs_f: bool = False
+    needs_pattern: bool = False
+
+
+@lru_cache(maxsize=None)  # one entry per kind; an import statement costs more than a hit
+def spec(kind: StructureKind) -> StructureSpec:
+    """The table entry of a single-level kind."""
+    from .kernels import SPECS  # the table holds the kernels, and kernels imports this module
+    try:
+        return SPECS[kind]
+    except KeyError:
+        raise ValueError(f"{StructureKind(kind).value} has no table entry: "
+                         f"a multilevel structure is given by its levels") from None
 
 
 def param_count(kind: StructureKind, n: int, pattern: SparsityPattern | None = None,
                 levels: tuple[LevelSpec, ...] | None = None) -> int:
-    if kind in (StructureKind.CIRCULANT, StructureKind.F_CIRCULANT,
-                StructureKind.UPPER_TRIANGULAR_TOEPLITZ):
-        return n
-    if kind in (StructureKind.TOEPLITZ, StructureKind.HANKEL):
-        return 2 * n - 1
-    if kind is StructureKind.TOEPLITZ_PLUS_HANKEL:
-        return 4 * n - 2
-    if kind is StructureKind.SYMMETRIC:
-        return n * (n + 1) // 2
-    if kind is StructureKind.SKEW_SYMMETRIC:
-        return n * (n - 1) // 2
-    if kind is StructureKind.SPARSE:
-        if pattern is None:
-            raise ValueError("sparse structure needs a pattern")
-        return len(pattern)
     if kind is StructureKind.MULTILEVEL:
         if not levels:
             raise ValueError("multilevel structure needs levels")
-        out = 1
-        for lev in levels:
-            out *= param_count(lev.kind, lev.n, lev.pattern)
-        return out
-    raise ValueError(f"unsupported kind {kind}")
+        return math.prod(param_count(lev.kind, lev.n, lev.pattern) for lev in levels)
+    entry = spec(kind)
+    if entry.needs_pattern and pattern is None:
+        raise ValueError(f"{StructureKind(kind).value} structure needs a pattern")
+    return entry.params(n, pattern)
 
 
 def structure_dim(kind: StructureKind, n: int, pattern: SparsityPattern | None = None) -> int:
-    """Dimension of the matrix space (differs from param_count only for tph).
+    """Dimension of the matrix space (differs from param_count only for tph)."""
+    return spec(kind).dim(n, pattern)
 
-    The Toeplitz and Hankel spaces intersect in the two-dimensional space of
-    checkerboard-constant matrices once n >= 2, so their sum has dimension
-    4n-4 (and 1 at n = 1, where every space is the scalars).
-    """
-    if kind is StructureKind.TOEPLITZ_PLUS_HANKEL:
-        return 1 if n == 1 else 4 * n - 4
+
+def check_level(kind: StructureKind, n: int, f: complex | None,
+                pattern: SparsityPattern | None) -> int:
+    """Check a single-level structure's order, f and pattern against the
+    table; return its parameter count."""
+    if n < 1:
+        raise ValueError("order must be positive")
+    if spec(kind).needs_f and (f is None or f == 0):
+        raise ValueError(f"{StructureKind(kind).value} needs a nonzero f")
     return param_count(kind, n, pattern)
 
 
@@ -136,26 +160,20 @@ class StructuredMatrix:
                                           compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("order must be positive")
-        expected = param_count(self.kind, self.n, self.pattern, self.levels)
+        if self.kind is StructureKind.MULTILEVEL:
+            if not self.levels:
+                raise ValueError("multilevel structure needs levels")
+            expected = math.prod(check_level(lev.kind, lev.n, lev.f, lev.pattern)
+                                 for lev in self.levels)
+            total = math.prod(lev.n for lev in self.levels)
+            if total != self.n:
+                raise ValueError(f"multilevel order {self.n} != product of level orders {total}")
+        else:
+            expected = check_level(self.kind, self.n, self.f, self.pattern)
         if len(self.data) != expected:
             raise ValueError(
                 f"{self.kind.value} of order {self.n} needs {expected} parameters, "
                 f"got {len(self.data)}")
-        if self.kind is StructureKind.F_CIRCULANT:
-            if self.f is None or self.f == 0:
-                raise ValueError("f_circulant needs a nonzero f")
-        if self.kind is StructureKind.SPARSE and self.pattern is None:
-            raise ValueError("sparse structure needs a pattern")
-        if self.kind is StructureKind.MULTILEVEL:
-            if not self.levels:
-                raise ValueError("multilevel structure needs levels")
-            total = 1
-            for lev in self.levels:
-                total *= lev.n
-            if total != self.n:
-                raise ValueError(f"multilevel order {self.n} != product of level orders {total}")
 
     def data_vector(self) -> TrackedVector:
         """The parameters as a read-only TrackedVector, converted on first use."""
@@ -182,134 +200,126 @@ def structured(kind: StructureKind, n: int, data, f: complex | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Dense expansion
+# Placements: where each parameter sits in the n x n grid
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def symmetric_index(n: int) -> dict[tuple[int, int], int]:
-    idx = {}
-    k = 0
-    for i in range(n):
-        for j in range(i, n):
-            idx[(i, j)] = k
-            k += 1
-    return idx
+def upper_index(n: int, i, j, strict: bool = False):
+    """Row-major position of entry (i, j), i <= j, in the upper triangle of an
+    order-n matrix; with strict, i < j in the strict upper triangle."""
+    k = i * (2 * n - i - 1) // 2 + j
+    return k - i - 1 if strict else k
 
 
-@lru_cache(maxsize=None)
-def skew_index(n: int) -> dict[tuple[int, int], int]:
-    idx = {}
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            idx[(i, j)] = k
-            k += 1
-    return idx
+def _grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index of every cell, row-major."""
+    i, j = np.indices((n, n)).reshape(2, -1)
+    return i, j
 
 
-def _placement(kind: StructureKind, n: int, f: complex | None,
-               pattern: SparsityPattern | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(coeff, support, structural): dense[i,j] = sum_p coeff[p,i,j] * data[p];
-    support[i,j,p] = coeff[p,i,j] != 0, laid out like a map from parameters to
-    entries; structural marks the entries some parameter reaches."""
-    P = param_count(kind, n, pattern)
-    coeff = np.zeros((P, n, n), dtype=complex)
-    if kind is StructureKind.CIRCULANT:
-        for i in range(n):
-            for j in range(n):
-                coeff[(i - j) % n, i, j] = 1.0
-    elif kind is StructureKind.F_CIRCULANT:
-        for i in range(n):
-            for j in range(n):
-                coeff[(i - j) % n, i, j] = f if i > j else 1.0
-    elif kind is StructureKind.TOEPLITZ:
-        for i in range(n):
-            for j in range(n):
-                coeff[j - i + n - 1, i, j] = 1.0
-    elif kind is StructureKind.HANKEL:
-        for i in range(n):
-            for j in range(n):
-                coeff[i + j, i, j] = 1.0
-    elif kind is StructureKind.UPPER_TRIANGULAR_TOEPLITZ:
-        for i in range(n):
-            for j in range(i, n):
-                coeff[j - i, i, j] = 1.0
-    elif kind is StructureKind.TOEPLITZ_PLUS_HANKEL:
-        for i in range(n):
-            for j in range(n):
-                coeff[j - i + n - 1, i, j] = 1.0
-                coeff[2 * n - 1 + i + j, i, j] += 1.0
-    elif kind is StructureKind.SYMMETRIC:
-        idx = symmetric_index(n)
-        for (i, j), p in idx.items():
-            coeff[p, i, j] = 1.0
-            if i != j:
-                coeff[p, j, i] = 1.0
-    elif kind is StructureKind.SKEW_SYMMETRIC:
-        idx = skew_index(n)
-        for (i, j), p in idx.items():
-            coeff[p, i, j] = 1.0
-            coeff[p, j, i] = -1.0
-    elif kind is StructureKind.SPARSE:
-        for p, (r, c) in enumerate(pattern.entries):
-            coeff[p, r, c] = 1.0
-    else:
-        raise ValueError(f"no placement for kind {kind}")
-    support = np.ascontiguousarray(np.moveaxis(coeff != 0, 0, -1))
-    structural = support.any(axis=-1)
-    return read_only(coeff), read_only(support), read_only(structural)
+def _triples(n: int, param, i, j, coeff=1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    param = np.asarray(param)
+    coeff = np.broadcast_to(np.asarray(coeff, dtype=complex), param.shape)
+    return read_only(param), read_only(i * n + j), read_only(coeff)
+
+
+def circulant_placement(n, f=None, pattern=None):
+    i, j = _grid(n)
+    return _triples(n, (i - j) % n, i, j)
+
+
+def f_circulant_placement(n, f, pattern=None):
+    i, j = _grid(n)
+    return _triples(n, (i - j) % n, i, j, np.where(i > j, f, 1.0))
+
+
+def toeplitz_placement(n, f=None, pattern=None):
+    i, j = _grid(n)
+    return _triples(n, j - i + n - 1, i, j)
+
+
+def hankel_placement(n, f=None, pattern=None):
+    i, j = _grid(n)
+    return _triples(n, i + j, i, j)
+
+
+def triangular_toeplitz_placement(n, f=None, pattern=None):
+    i, j = _grid(n)
+    upper = j >= i
+    i, j = i[upper], j[upper]
+    return _triples(n, j - i, i, j)
+
+
+def tph_placement(n, f=None, pattern=None):
+    i, j = _grid(n)
+    param = np.concatenate([j - i + n - 1, i + j + 2 * n - 1])
+    return _triples(n, param, np.tile(i, 2), np.tile(j, 2))
+
+
+def symmetric_placement(n, f=None, pattern=None):
+    i, j = _grid(n)
+    return _triples(n, upper_index(n, np.minimum(i, j), np.maximum(i, j)), i, j)
+
+
+def skew_symmetric_placement(n, f=None, pattern=None):
+    i, j = _grid(n)
+    off = i != j
+    i, j = i[off], j[off]
+    param = upper_index(n, np.minimum(i, j), np.maximum(i, j), strict=True)
+    return _triples(n, param, i, j, np.sign(j - i))
+
+
+def sparse_placement(n, f, pattern):
+    r, c = np.array(pattern.entries, dtype=int).reshape(-1, 2).T
+    return _triples(n, np.arange(len(pattern)), r, c)
 
 
 # Bound of the placement cache.  It is keyed on f and on sparsity patterns,
-# which sweeps draw fresh; the bound keeps every fixed (kind, n) of a sweep
+# which sweeps draw fresh; the bound keeps every fixed structure of a sweep
 # over n <= 16 resident.
 PLACEMENT_CACHE_SIZE = 512
 
 
 @lru_cache(maxsize=PLACEMENT_CACHE_SIZE)
-def _placement_cached(kind: StructureKind, n: int, f: complex | None,
-                      pattern: SparsityPattern | None):
-    return _placement(kind, n, f, pattern)
+def _placement(levels: tuple[LevelSpec, ...]):
+    """Read-only (param, cell, coeff) triples of a structure given by its
+    levels, and its structural mask: the cells some parameter reaches.
 
-
-def _single_level_parts(kind: StructureKind, n: int, f: complex | None,
-                        pattern: SparsityPattern | None, data: TrackedVector):
-    coeff, support, structural = _placement_cached(kind, n, f, pattern)
-    values = np.einsum("pij,p->ij", coeff, data.values)
-    variable = propagate(support, data.variable)
-    return values, variable, structural
+    Levels compose as a Kronecker product: the outer level's parameter and
+    block index vary slowest.
+    """
+    lev, inner = levels[0], levels[1:]
+    param, cell, coeff = spec(lev.kind).placement(lev.n, lev.f, lev.pattern)
+    n = lev.n
+    if inner:
+        iparam, icell, icoeff, istruct = _placement(inner)
+        m = istruct.shape[0]
+        row, col = np.divmod(cell, n)
+        irow, icol = np.divmod(icell, m)
+        param = (param[:, None] * param_count(StructureKind.MULTILEVEL, m, levels=inner)
+                 + iparam).ravel()
+        cell = ((row[:, None] * m + irow) * (n * m) + col[:, None] * m + icol).ravel()
+        coeff = (coeff[:, None] * icoeff).ravel()
+        n *= m
+    structural = np.zeros(n * n, dtype=bool)
+    structural[cell] = True
+    return (read_only(param), read_only(cell), read_only(coeff),
+            read_only(structural.reshape(n, n)))
 
 
 def dense_parts(M: StructuredMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (values, variable, structural) arrays for any structured matrix."""
-    if M.kind is StructureKind.MULTILEVEL:
-        return _multilevel_parts(M.levels, M.data_vector())
-    return _single_level_parts(M.kind, M.n, M.f, M.pattern, M.data_vector())
-
-
-def _multilevel_parts(levels: tuple[LevelSpec, ...], data: TrackedVector):
-    lev = levels[0]
-    if len(levels) == 1:
-        return _single_level_parts(lev.kind, lev.n, lev.f, lev.pattern, data)
-    coeff, support, _ = _placement_cached(lev.kind, lev.n, lev.f, lev.pattern)
-    P0 = coeff.shape[0]
-    inner_plen = 1
-    for sub in levels[1:]:
-        inner_plen *= param_count(sub.kind, sub.n, sub.pattern)
-    inner_n = 1
-    for sub in levels[1:]:
-        inner_n *= sub.n
-    vals = np.zeros((lev.n * inner_n, lev.n * inner_n), dtype=complex)
-    var = np.zeros_like(vals, dtype=bool)
-    struct = np.zeros_like(var)
-    for p in range(P0):
-        block = TrackedVector(data.values[p * inner_plen:(p + 1) * inner_plen],
-                              data.variable[p * inner_plen:(p + 1) * inner_plen])
-        bvals, bvar, bstruct = _multilevel_parts(levels[1:], block)
-        vals += np.kron(coeff[p], bvals)
-        var |= np.kron(support[..., p], bvar)
-        struct |= np.kron(support[..., p], bstruct)
-    return vals, var, struct
+    """Dense (values, variable, structural) arrays for any structured matrix:
+    the weighted parameters scattered onto their cells, and each cell
+    Variable when a Variable parameter reaches it."""
+    levels = M.levels if M.kind is StructureKind.MULTILEVEL \
+        else (LevelSpec(M.kind, M.n, M.f, M.pattern),)
+    param, cell, coeff, structural = _placement(levels)
+    data = M.data_vector()
+    size = structural.size
+    values = np.zeros(size, dtype=complex)
+    np.add.at(values, cell, coeff * data.values[param])
+    variable = np.zeros(size, dtype=bool)
+    np.logical_or.at(variable, cell, data.variable[param])
+    return values.reshape(structural.shape), variable.reshape(structural.shape), structural
 
 
 def densify(M: StructuredMatrix) -> list[list[TrackedScalar]]:
@@ -370,11 +380,7 @@ def naive_count(A) -> int:
 def basis(kind: StructureKind, n: int, f: complex | None = None,
           pattern: SparsityPattern | None = None) -> list[StructuredMatrix]:
     """Parameter one-hot matrices: one Constant-1 entry per basis element."""
-    if kind is StructureKind.MULTILEVEL:
-        raise ValueError("basis is defined per level, not for multilevel composites")
-    if kind is StructureKind.F_CIRCULANT and (f is None or f == 0):
-        raise ValueError("f_circulant basis needs a nonzero f")
-    P = param_count(kind, n, pattern)
+    P = check_level(kind, n, f, pattern)
     out = []
     for p in range(P):
         data = [constant(0)] * P
@@ -405,21 +411,22 @@ def read_complex_pair(obj, where: str) -> complex:
     return z
 
 
+def _level_doc(kind: StructureKind, n: int, f: complex | None,
+               pattern: SparsityPattern | None) -> dict:
+    doc: dict = {"kind": kind.value, "n": n}
+    if spec(kind).needs_f:
+        doc["f"] = _pair(complex(f))
+    if spec(kind).needs_pattern:
+        doc["omega"] = [[r, c] for (r, c) in pattern.entries]
+    return doc
+
+
 def serialize_matrix(M: StructuredMatrix) -> str:
-    doc: dict = {"kind": M.kind.value, "n": M.n}
-    if M.kind is StructureKind.F_CIRCULANT:
-        doc["f"] = _pair(complex(M.f))
     if M.kind is StructureKind.MULTILEVEL:
-        doc["levels"] = []
-        for lev in M.levels:
-            entry: dict = {"kind": lev.kind.value, "n": lev.n}
-            if lev.f is not None:
-                entry["f"] = _pair(complex(lev.f))
-            if lev.pattern is not None:
-                entry["omega"] = [[r, c] for (r, c) in lev.pattern.entries]
-            doc["levels"].append(entry)
-    if M.kind is StructureKind.SPARSE:
-        doc["omega"] = [[r, c] for (r, c) in M.pattern.entries]
+        doc = {"kind": M.kind.value, "n": M.n,
+               "levels": [_level_doc(lev.kind, lev.n, lev.f, lev.pattern) for lev in M.levels]}
+    else:
+        doc = _level_doc(M.kind, M.n, M.f, M.pattern)
     doc["data"] = [_pair(s.value) for s in M.data]
     return json.dumps(doc)
 
@@ -446,6 +453,21 @@ def _read_pattern(obj, n: int, where: str) -> SparsityPattern:
         raise SchemaError(f"{where}: {exc}") from None
 
 
+def _read_level_fields(doc: dict, kind: StructureKind, n: int,
+                       where: str) -> tuple[complex | None, SparsityPattern | None]:
+    """The f and the pattern a single-level kind needs, read from its object."""
+    f = pattern = None
+    if spec(kind).needs_f:
+        if "f" not in doc:
+            raise SchemaError(f"{where}f: required for {kind.value}")
+        f = read_complex_pair(doc["f"], f"{where}f")
+    if spec(kind).needs_pattern:
+        if "omega" not in doc:
+            raise SchemaError(f"{where}omega: required for {kind.value}")
+        pattern = _read_pattern(doc["omega"], n, f"{where}omega")
+    return f, pattern
+
+
 def parse_matrix(text: str) -> StructuredMatrix:
     try:
         doc = json.loads(text)
@@ -460,17 +482,7 @@ def parse_matrix(text: str) -> StructuredMatrix:
     n = doc["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise SchemaError("n: expected a positive integer")
-    f = None
-    pattern = None
-    levels = None
-    if kind is StructureKind.F_CIRCULANT:
-        if "f" not in doc:
-            raise SchemaError("f: required for f_circulant")
-        f = read_complex_pair(doc["f"], "f")
-    if kind is StructureKind.SPARSE:
-        if "omega" not in doc:
-            raise SchemaError("omega: required for sparse")
-        pattern = _read_pattern(doc["omega"], n, "omega")
+    f = pattern = levels = None
     if kind is StructureKind.MULTILEVEL:
         if "levels" not in doc or not isinstance(doc["levels"], list) or not doc["levels"]:
             raise SchemaError("levels: required non-empty list for multilevel")
@@ -483,12 +495,12 @@ def parse_matrix(text: str) -> StructuredMatrix:
             ln = lev["n"]
             if not isinstance(ln, int) or isinstance(ln, bool) or ln < 1:
                 raise SchemaError(f"{where}.n: expected a positive integer")
-            lf = read_complex_pair(lev["f"], f"{where}.f") if "f" in lev else None
-            lpat = _read_pattern(lev["omega"], ln, f"{where}.omega") if "omega" in lev else None
-            if lkind not in _MULTILEVEL_KINDS:
+            if lkind is StructureKind.MULTILEVEL or not spec(lkind).multilevel_ok:
                 raise SchemaError(f"{where}.kind: {lkind.value} is not a valid level kind")
-            levels.append(LevelSpec(lkind, ln, lf, lpat))
+            levels.append(LevelSpec(lkind, ln, *_read_level_fields(lev, lkind, ln, f"{where}.")))
         levels = tuple(levels)
+    else:
+        f, pattern = _read_level_fields(doc, kind, n, "")
     if not isinstance(doc["data"], list):
         raise SchemaError("data: expected a list")
     data = [read_complex_pair(entry, f"data[{k}]") for k, entry in enumerate(doc["data"])]

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structures import (SchemaError, SparsityPattern, StructureKind, basis, dense_parts,
-                         read_complex_pair)
+from .structures import (SchemaError, SparsityPattern, StructureKind, check_level,
+                         read_complex_pair, spec)
 
 
 @dataclass(frozen=True)
@@ -70,13 +70,12 @@ def structure_tensor(kind, n: int, f: complex | None = None,
     """Matvec structure tensor over the canonical parameter basis:
     entry(p, j, k) = k-th coordinate of (basis_p @ e_j)."""
     kind = StructureKind(kind)
-    if kind is StructureKind.F_CIRCULANT and f is None:
+    if f is None and spec(kind).needs_f:
         f = -1.0
-    mats = basis(kind, n, f=f, pattern=pattern)
-    T = np.zeros((len(mats), n, n), dtype=complex)
-    for p, B in enumerate(mats):
-        values, _, _ = dense_parts(B)
-        T[p] = values.T
+    P = check_level(kind, n, f, pattern)
+    param, cell, coeff = spec(kind).placement(n, f, pattern)
+    T = np.zeros((P, n, n), dtype=complex)
+    np.add.at(T, (param, cell % n, cell // n), coeff)
     return Tensor3(T)
 
 
@@ -123,7 +122,7 @@ def commutator_beta_tensor() -> Tensor3:
     return Tensor3(T)
 
 
-_NAMED_BUILDERS = {
+NAMED_BUILDERS = {
     "complex_mul": lambda **kw: complex_mul_tensor(),
     "so3": lambda **kw: so3_tensor(),
     "commutator_beta": lambda **kw: commutator_beta_tensor(),
@@ -135,8 +134,8 @@ def build_structure_tensor(spec: str, n: int | None = None, f: complex | None = 
                            m: int | None = None, p: int | None = None) -> Tensor3:
     """Dispatch: a structured-matvec kind plus n, 'matmul' with (m, n, p),
     or one of the named builders complex_mul / so3 / commutator_beta."""
-    if spec in _NAMED_BUILDERS:
-        return _NAMED_BUILDERS[spec]()
+    if spec in NAMED_BUILDERS:
+        return NAMED_BUILDERS[spec]()
     if spec == "matmul":
         if m is None or n is None or p is None:
             raise ValueError("matmul tensor needs m, n, p")

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv", [
+    ("count_table.py", "3"), ("certify_ranks.py", "3"), ("stability_report.py",)])
+def test_script_runs(argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+                          capture_output=True, text=True, env=env, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point_subprocess():
@@ -86,6 +100,15 @@ class TestUsageErrors:
         ("verify", "--kind", "toeplitz", "--n", "3", "--tol", "nan"),
         ("verify", "--kind", "toeplitz", "--n", "3", "--tol=-1e-8"),
         ("simul", "--variant", "f", "--tol", "nan"),
+        ("tensor", "--kind", "sparse", "--n", "3"),
+        ("tensor", "--kind", "multilevel", "--n", "3"),
+        ("tensor", "--kind", "skew_symmetric", "--n", "1"),
+        ("tensor", "--builder", "nope"),
+        ("tensor", "--builder", "matmul"),
+        ("verify", "--kind", "multilevel", "--levels", "skew_symmetric:3"),
+        ("verify", "--kind", "multilevel", "--levels", "toeplitz:0"),
+        ("verify", "--kind", "f_circulant", "--n", "4", "--f", "0"),
+        ("tpp", "--preset", "cyclic-1n1", "--n", "-2"),
     ])
     def test_bad_option(self, capsys, argv):
         assert_usage_error(*run(capsys, *argv)[::2])
