@@ -279,9 +279,7 @@ def cmd_tpp(cfg: RunConfig) -> int:
         G = dihedral8()
         S, T, U = (4, 0), (6, 0), (7, 0)   # {y,1}, {x^2 y,1}, {x^3 y,1}
     elif cfg.preset == "cyclic-1n1":
-        n = cfg.n if cfg.n else 4
-        if n < 1:
-            raise ConfigError(f"--n must be a positive integer, got {n}")
+        n = 4 if cfg.n is None else cfg.n
         G = cyclic_group(n)
         S, T, U = (0,), tuple(range(n)), (0,)
     else:
@@ -294,7 +292,7 @@ def cmd_tpp(cfg: RunConfig) -> int:
 def cmd_simul(cfg: RunConfig) -> int:
     if cfg.variant not in ("f", "g"):
         raise ConfigError("--variant must be f or g")
-    pairs = cfg.n if cfg.n else 1
+    pairs = 1 if cfg.n is None else cfg.n
     rng = Lcg(cfg.seed)
     max_err = 0.0
     counts = set()
@@ -388,6 +386,8 @@ def _tolerance(args: argparse.Namespace) -> float:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.command in ("verify", "simul") and args.trials < 1:
         raise ConfigError(f"--trials must be a positive integer, got {args.trials}")
+    if args.command in ("simul", "tpp") and args.n is not None and args.n < 1:
+        raise ConfigError(f"--n must be a positive integer, got {args.n}")
     cfg = RunConfig(command=args.command, n=args.n, seed=args.seed,
                     trials=args.trials, tol=_tolerance(args))
     if hasattr(args, "kind"):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .counting import ConstantMap, CountContext, TrackedVector, variable_vector
 from .structures import LevelSpec, SparsityPattern, StructureKind, check_level, spec
-from .tensorlab import DecompositionTerm, TensorDecomposition
+from .tensorlab import DecompositionTerm, TensorDecomposition, stack_terms
 
 _PURITY_TOL = 1e-11
 
@@ -29,51 +29,62 @@ class _Recorder:
         self.x = x_dim
         self.const_col = p_dim + x_dim
         self.width = p_dim + x_dim + 1 + capacity
-        self.us: list[np.ndarray] = []
-        self.vs: list[np.ndarray] = []
+        self.recorded = 0
+        self.U = np.zeros((capacity, p_dim), dtype=complex)
+        self.V = np.zeros((capacity, x_dim), dtype=complex)
 
-    def _split(self, row: np.ndarray):
-        if abs(row[self.const_col]) > _PURITY_TOL or np.abs(row[self.const_col + 1:]).max(initial=0.0) > _PURITY_TOL:
-            raise ValueError("bilinear product operand is not linear in the inputs")
-        p_part = row[:self.p]
-        x_part = row[self.p:self.const_col]
-        p_live = np.abs(p_part).max(initial=0.0) > _PURITY_TOL
-        x_live = np.abs(x_part).max(initial=0.0) > _PURITY_TOL
-        if p_live and x_live:
-            raise ValueError("bilinear product operand mixes parameter and input coordinates")
-        return ("p", p_part) if p_live else ("x", x_part)
-
-    def _record(self, row_a: np.ndarray, row_b: np.ndarray) -> int:
-        side_a, part_a = self._split(row_a)
-        side_b, part_b = self._split(row_b)
-        if side_a == side_b:
-            raise ValueError("bilinear product needs one parameter-side and one input-side operand")
-        u, v = (part_a, part_b) if side_a == "p" else (part_b, part_a)
-        self.us.append(u.copy())
-        self.vs.append(v.copy())
-        col = self.const_col + len(self.us)
-        if col >= self.width:
-            raise ValueError("recorder capacity exceeded")
-        return col
-
-    def _const_of(self, row: np.ndarray) -> complex:
-        rest = np.delete(row, self.const_col)
-        if np.abs(rest).max(initial=0.0) > _PURITY_TOL:
-            raise ValueError("constant operand carries non-constant coordinates")
-        return complex(row[self.const_col])
+    def _classify(self, values: np.ndarray):
+        """Per row: (not linear in the inputs, parameter side, mixes sides,
+        not a pure constant)."""
+        live = np.abs(values) > _PURITY_TOL
+        p_live = live[:, :self.p].any(axis=1)
+        x_live = live[:, self.p:self.const_col].any(axis=1)
+        prod_live = live[:, self.const_col + 1:].any(axis=1)
+        nonlinear = live[:, self.const_col] | prod_live
+        return nonlinear, p_live, p_live & x_live, p_live | x_live | prod_live
 
     def pointwise(self, u: TrackedVector, v: TrackedVector, both: np.ndarray) -> TrackedVector:
-        k = len(u)
-        out = np.zeros((k, self.width), dtype=complex)
-        for i in range(k):
-            if both[i]:
-                out[i, self._record(u.values[i], v.values[i])] = 1.0
-            elif u.variable[i]:
-                out[i] = self._const_of(v.values[i]) * u.values[i]
-            elif v.variable[i]:
-                out[i] = self._const_of(u.values[i]) * v.values[i]
-            else:
-                out[i, self.const_col] = self._const_of(u.values[i]) * self._const_of(v.values[i])
+        """Record every Variable*Variable entry as a term, in entry order, and
+        return the product rows.  The first refused entry raises."""
+        nonlin_u, side_u, mixed_u, nonconst_u = self._classify(u.values)
+        nonlin_v, side_v, mixed_v, nonconst_v = self._classify(v.values)
+        only_u = ~both & u.variable
+        only_v = ~both & ~u.variable & v.variable
+        neither = ~(both | u.variable | v.variable)
+        over = self.recorded + np.cumsum(both) > len(self.U)
+        # Refusals of one entry, in the order they are checked.
+        checks = (
+            (both & nonlin_u, "bilinear product operand is not linear in the inputs"),
+            (both & mixed_u, "bilinear product operand mixes parameter and input coordinates"),
+            (both & nonlin_v, "bilinear product operand is not linear in the inputs"),
+            (both & mixed_v, "bilinear product operand mixes parameter and input coordinates"),
+            (both & (side_u == side_v),
+             "bilinear product needs one parameter-side and one input-side operand"),
+            (both & over, "recorder capacity exceeded"),
+            ((only_u & nonconst_v) | (only_v & nonconst_u) | (neither & (nonconst_u | nonconst_v)),
+             "constant operand carries non-constant coordinates"),
+        )
+        refused = np.logical_or.reduce([bad for bad, _ in checks])
+        if refused.any():
+            i = np.argmax(refused)
+            raise ValueError(next(message for bad, message in checks if bad[i]))
+
+        # Only the parameter and input columns are gathered: full-width
+        # copies of the rows would raise the peak memory of the replay.
+        c = self.const_col
+        ib = np.flatnonzero(both)
+        lo, hi = self.recorded, self.recorded + len(ib)
+        for at, p_side, x_side in ((side_u[ib], u, v), (~side_u[ib], v, u)):
+            pos = np.flatnonzero(at)
+            self.U[lo + pos] = p_side.values[ib[pos], :self.p]
+            self.V[lo + pos] = x_side.values[ib[pos], self.p:c]
+        self.recorded = hi
+        out = np.zeros((len(u), self.width), dtype=complex)
+        out[ib, c + 1 + np.arange(lo, hi)] = 1.0
+        for idx, var, const in ((np.flatnonzero(only_u), u, v), (np.flatnonzero(only_v), v, u)):
+            out[idx] = const.values[idx, c, None] * var.values[idx]
+        idx = np.flatnonzero(neither)
+        out[idx, c] = u.values[idx, c] * v.values[idx, c]
         return TrackedVector(out, u.variable | v.variable)
 
 
@@ -109,30 +120,20 @@ def extract_decomposition(kind, n: int, f: complex | None = None,
     x = TrackedVector(x_rows, np.ones(n, dtype=bool))
     out = kernel(params, x, ctx, f, pattern)
 
-    if ctx.bilinear_mults != r or len(rec.us) != r:
+    if ctx.bilinear_mults != r or rec.recorded != r:
         raise AssertionError("symbolic replay diverged from the numeric count")
     leak = np.abs(out.values[:, :rec.const_col + 1]).max(initial=0.0)
     if leak > 1e-9:
         raise AssertionError(f"kernel output is not bilinear (leak {leak})")
 
-    terms = []
-    for i in range(r):
-        w = out.values[:, rec.const_col + 1 + i].copy()
-        terms.append(DecompositionTerm(1.0 + 0j, rec.us[i], rec.vs[i], w))
+    W = out.values[:, rec.const_col + 1:].T.copy()
+    terms = [DecompositionTerm(1.0 + 0j, rec.U[i], rec.V[i], W[i]) for i in range(r)]
     return TensorDecomposition((P, n, n), terms)
 
 
 @lru_cache(maxsize=None)
 def level_decomposition(lev: LevelSpec) -> tuple[ConstantMap, ConstantMap, ConstantMap]:
     """Constant (U, V, W) factor maps of one level's kernel decomposition."""
-    dec = extract_decomposition(lev.kind, lev.n, f=lev.f, pattern=lev.pattern)
-    r = len(dec.terms)
-    P, n = dec.dims[0], dec.dims[1]
-    U = np.zeros((r, P), dtype=complex)
-    V = np.zeros((r, n), dtype=complex)
-    W = np.zeros((dec.dims[2], r), dtype=complex)
-    for i, term in enumerate(dec.terms):
-        U[i] = term.lam * term.u
-        V[i] = term.v
-        W[:, i] = term.w
-    return ConstantMap(U), ConstantMap(V), ConstantMap(W)
+    lam, U, V, W = stack_terms(extract_decomposition(lev.kind, lev.n, f=lev.f,
+                                                     pattern=lev.pattern))
+    return ConstantMap(lam[:, None] * U), ConstantMap(V), ConstantMap(W.T.copy())

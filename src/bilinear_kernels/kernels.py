@@ -523,10 +523,9 @@ def toeplitz_matmul(t, Y, ctx: CountContext):
     n = yvals.shape[0]
     if yvals.shape[1] != n or len(tv) != 2 * n - 1:
         raise ValueError("toeplitz_matmul expects 2n-1 diagonals and an n x n factor")
-    cols = []
-    for j in range(n):
-        cols.append(toeplitz_matvec(tv, TrackedVector(yvals[:, j], yflags[:, j]), ctx))
-    return [[to_scalars(cols[j])[i] for j in range(n)] for i in range(n)]
+    cols = [to_scalars(toeplitz_matvec(tv, TrackedVector(yvals[:, j], yflags[:, j]), ctx))
+            for j in range(n)]
+    return [list(row) for row in zip(*cols)]
 
 
 def commutator_2x2(A, X, ctx: CountContext):

@@ -109,6 +109,9 @@ class TestUsageErrors:
         ("verify", "--kind", "multilevel", "--levels", "toeplitz:0"),
         ("verify", "--kind", "f_circulant", "--n", "4", "--f", "0"),
         ("tpp", "--preset", "cyclic-1n1", "--n", "-2"),
+        ("simul", "--variant", "f", "--n", "-1"),
+        ("simul", "--variant", "f", "--n", "0"),
+        ("tpp", "--preset", "cyclic-1n1", "--n", "0"),
     ])
     def test_bad_option(self, capsys, argv):
         assert_usage_error(*run(capsys, *argv)[::2])

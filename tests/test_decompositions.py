@@ -167,3 +167,13 @@ def test_reconstruction_matches_decomposition_tensor():
     D = extract_decomposition(StructureKind.HANKEL, 3)
     T = structure_tensor(StructureKind.HANKEL, 3)
     assert np.abs(decomposition_tensor(D) - T.entries).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind", [StructureKind.SYMMETRIC, StructureKind.SKEW_SYMMETRIC])
+def test_full_chain_at_order_24(kind):
+    D = extract_decomposition(kind, 24)
+    T = structure_tensor(kind, 24)
+    assert len(D.terms) == formula_count(kind, 24)
+    rep = verify_decomposition(T, D, 1e-8)
+    assert rep.passed, f"{kind} n=24: error {rep.max_abs_error}"
+    assert flattening_ranks(T)[0] == structure_dim(kind, 24)

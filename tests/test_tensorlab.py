@@ -7,7 +7,8 @@ from bilinear_kernels import (CountContext, DecompositionTerm, Tensor3,
                               TensorDecomposition, build_structure_tensor,
                               circulant_matvec, commutator_beta_tensor,
                               complex_mul_decomposition, complex_mul_tensor,
-                              contract, flattening_ranks, matmul_tensor,
+                              contract, decomposition_tensor, flattening_ranks,
+                              matmul_tensor,
                               ottaviani_test, parse_decomposition,
                               serialize_decomposition, so3_tensor,
                               stability_measure, structure_tensor,
@@ -121,6 +122,52 @@ class TestVerify:
         assert not rep.passed and rep.max_abs_error > 0.1
 
 
+def reference_tensor(D):
+    """The decomposition summed one rank-one term at a time."""
+    out = np.zeros(D.dims, dtype=complex)
+    for t in D.terms:
+        out += t.lam * np.einsum("i,j,k->ijk", t.u, t.v, t.w)
+    return out
+
+
+def random_decomposition(rng, dims, r):
+    def cvec(d):
+        return rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return TensorDecomposition(dims, [
+        DecompositionTerm(complex(cvec(1)[0]), cvec(dims[0]), cvec(dims[1]), cvec(dims[2]))
+        for _ in range(r)])
+
+
+class TestDecompositionTensor:
+    @pytest.mark.parametrize("r", [0, 1, 7])
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 4), (5, 4, 4)])
+    def test_matches_per_term_reference(self, r, dims):
+        D = random_decomposition(np.random.default_rng(100 * r + sum(dims)), dims, r)
+        got = decomposition_tensor(D)
+        want = reference_tensor(D)
+        assert got.shape == dims
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
+
+    def test_empty_decomposition_is_the_zero_tensor(self):
+        got = decomposition_tensor(TensorDecomposition((3, 2, 2), []))
+        assert got.shape == (3, 2, 2) and not got.any()
+
+    def test_sees_terms_edited_after_construction(self):
+        D = random_decomposition(np.random.default_rng(5), (2, 3, 4), 3)
+        before = decomposition_tensor(D)
+        D.terms[1].lam *= 2.0
+        after = decomposition_tensor(D)
+        assert np.abs(after - reference_tensor(D)).max() <= 1e-12 * np.abs(after).max()
+        assert np.abs(after - before).max() > 1e-6
+
+    @pytest.mark.parametrize("r", [0, 1, 7])
+    def test_stability_matches_per_term_reference(self, r):
+        D = random_decomposition(np.random.default_rng(r), (3, 2, 4), r)
+        want = sum(abs(t.lam) * np.linalg.norm(t.u) * np.linalg.norm(t.v) * np.linalg.norm(t.w)
+                   for t in D.terms)
+        assert abs(stability_measure(D) - want) <= 1e-12 * max(1.0, want)
+
+
 class TestFlattening:
     def test_toeplitz_n3_mode1(self):
         assert flattening_ranks(structure_tensor("toeplitz", 3))[0] == 5
@@ -131,6 +178,12 @@ class TestFlattening:
 
     def test_complex_mul(self):
         assert flattening_ranks(complex_mul_tensor()) == (2, 2, 2)
+
+    @pytest.mark.parametrize("dims", [(2, 3, 4), (6, 2, 2), (3, 12, 1)])
+    def test_matches_rank_of_a_random_low_rank_tensor(self, dims):
+        # r = 2 generic complex terms: every unfolding has rank min(2, its row count).
+        T = Tensor3(decomposition_tensor(random_decomposition(np.random.default_rng(9), dims, 2)))
+        assert flattening_ranks(T) == tuple(min(2, d) for d in dims)
 
 
 class TestOttaviani:
