@@ -9,6 +9,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import os
 import sys
@@ -54,16 +55,22 @@ class ConfigError(ValueError):
 
 
 def _parse_complex(text: str) -> complex:
-    """Accept 're,im', a bare real, or a Python complex literal like '1j'."""
+    """Accept 're,im', a bare real, or a Python complex literal like '1j';
+    both parts must be finite."""
     parts = text.split(",")
     try:
         if len(parts) == 1:
-            return complex(parts[0].strip())
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+            z = complex(parts[0].strip())
+        elif len(parts) == 2:
+            z = complex(float(parts[0]), float(parts[1]))
+        else:
+            raise ValueError(text)
     except ValueError:
-        pass
-    raise ConfigError(f"cannot parse complex number from {text!r} (expected re,im)")
+        raise ConfigError(f"cannot parse complex number from {text!r} "
+                          f"(expected re,im)") from None
+    if not cmath.isfinite(z):
+        raise ConfigError(f"complex number {text!r} is not finite")
+    return z
 
 
 def _table_kind(name: str | None, n: int | None, f: complex, where: str,
@@ -124,8 +131,11 @@ def random_pattern(n: int, rng: Lcg, density: float = 0.4) -> SparsityPattern:
 
 
 def _rel_error(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest error relative to the largest reference entry; inf when any
+    value is not finite, so that a run with NaN output cannot pass."""
     scale = max(float(np.abs(want).max(initial=0.0)), 1e-12)
-    return float(np.abs(got - want).max(initial=0.0)) / scale
+    err = float(np.abs(got - want).max(initial=0.0)) / scale
+    return err if math.isfinite(err) else math.inf
 
 
 def _build_instance(cfg: RunConfig, rng: Lcg) -> StructuredMatrix:
@@ -388,6 +398,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"--trials must be a positive integer, got {args.trials}")
     if args.command in ("simul", "tpp") and args.n is not None and args.n < 1:
         raise ConfigError(f"--n must be a positive integer, got {args.n}")
+    if args.command == "count-table" and args.max_n < 1:
+        raise ConfigError(f"--max-n must be a positive integer, got {args.max_n}")
     cfg = RunConfig(command=args.command, n=args.n, seed=args.seed,
                     trials=args.trials, tol=_tolerance(args))
     if hasattr(args, "kind"):

@@ -173,14 +173,27 @@ class ConstantMap:
     """A constant linear map: a read-only matrix and its boolean support.
 
     Kernels apply the same transforms to many vectors, so the support is
-    computed once here, not on every application.
+    computed once here, not on every application.  By default it is the
+    nonzero pattern of the matrix.  A map composed from a chain of maps
+    passes the chain's structural support instead: an entry of the product
+    can cancel to zero although Variable inputs still feed it, and the
+    flags must not depend on such numeric accidents.
     """
 
     __slots__ = ("matrix", "support")
 
-    def __init__(self, matrix: np.ndarray):
+    def __init__(self, matrix: np.ndarray, support: np.ndarray | None = None):
         self.matrix = read_only(np.asarray(matrix, dtype=complex))
-        self.support = read_only(self.matrix != 0)
+        if support is None:
+            support = self.matrix != 0
+        elif (support := np.asarray(support, dtype=bool)).shape != self.matrix.shape:
+            raise ValueError(f"support of shape {support.shape} for a matrix of shape "
+                             f"{self.matrix.shape}")
+        self.support = read_only(support)
+
+    def __getitem__(self, key) -> "ConstantMap":
+        """The sub-map of the selected rows and columns; slices give views."""
+        return ConstantMap(self.matrix[key], self.support[key])
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -218,11 +231,23 @@ def as_vector(x) -> TrackedVector:
     return TrackedVector(values, flags)
 
 
+# The frozen dataclass __init__ sets each field through object.__setattr__,
+# which dominates the cost of converting a vector; to_scalars allocates the
+# scalars bare and fills them through the slot descriptors instead.
+_new_object = object.__new__
+_set_value = TrackedScalar.value.__set__
+_set_kind = TrackedScalar.kind.__set__
+
+
 def to_scalars(vec: TrackedVector) -> list[TrackedScalar]:
     if vec.symbolic:
         raise ValueError("symbolic vectors have no scalar representation")
-    kinds = map(_KIND_OF_FLAG.__getitem__, vec.variable.tolist())
-    return list(map(TrackedScalar, vec.values.astype(complex, copy=False).tolist(), kinds))
+    values = vec.values.astype(complex, copy=False).tolist()
+    scalars = [_new_object(TrackedScalar) for _ in values]
+    for s, value, flag in zip(scalars, values, vec.variable.tolist()):
+        _set_value(s, value)
+        _set_kind(s, _KIND_OF_FLAG[flag])
+    return scalars
 
 
 def variable_vector(values) -> TrackedVector:

@@ -14,6 +14,18 @@ The counts per size n:
     multilevel                      product of the level counts
     toeplitz matmul                 n(2n-1)
     2x2 commutator                  6
+
+Each Toeplitz-family product runs as three cached constant maps,
+W (U t * V x): U is the parameter (symbol) map, V the input map and W the
+output map, each composed once from the chain of embedding, padding,
+transform, bin-skipping and reversal steps it replaces, with that chain's
+structural support.  Toeplitz uses the live bins 1..2n-1 of the 2n-point
+embedding; Hankel shares U and V and reads W with its rows reversed; tph
+reads the same maps without bin 1; triangular Toeplitz folds its zero
+padding and both reversals into a length 2n-1 transform.  The symmetric
+kernel peels its Hankel stages, applies each stage's h to that order's
+symbol map, and then runs every stage at once: one stacked input map,
+one pointwise product and one stacked output map.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from .counting import (ConstantMap, CountContext, TrackedScalar, TrackedVector, 
                        signed_take, sub, take, to_scalars, vadd, vmul, vneg, vsub,
                        zero_vector)
 from .spectral import (F_CACHE_SIZE, dft_matrix, idft_matrix, principal_root,
-                       scaled_dft_matrix, scaled_idft_matrix)
+                       scaled_dft_matrix, scaled_idft_matrix, twiddles)
 from .structures import (LevelSpec, SparsityPattern, StructureKind, StructureSpec,
                          StructuredMatrix, check_level, circulant_placement,
                          f_circulant_placement, hankel_placement, skew_symmetric_placement,
@@ -151,44 +163,79 @@ def gauss_complex_mul(a: TrackedScalar, b: TrackedScalar, c: TrackedScalar,
 
 
 # ---------------------------------------------------------------------------
-# Toeplitz family
+# Toeplitz family: three fused transforms per product
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _toeplitz_maps(n: int):
-    front = read_only(np.arange(n - 1, -1, -1))        # t_0, t_-1, ..., t_-(n-1)
-    back = read_only(np.arange(2 * n - 2, n - 1, -1))  # t_{n-1}, ..., t_1  (empty for n = 1)
-    neg_sum = ConstantMap(-np.ones((1, 2 * n - 1), dtype=complex))
-    return front, back, neg_sum
+# Bounds of the kernel-map caches keyed on an order.  A per-order map takes
+# O(n^2) memory and a symmetric product of order n reads those of n/2 orders;
+# the stacked symmetric maps take O(n^3), so fewer of them are kept.
+ORDER_CACHE_SIZE = 128
+STACKED_CACHE_SIZE = 16
 
 
-def _toeplitz_bins(t: TrackedVector, x: TrackedVector, ctx: CountContext,
-                   skip_bins: int, shift: TrackedVector | None = None) -> TrackedVector:
-    """Embedded-circulant Toeplitz product, skipping the first `skip_bins`
-    transform products (each structurally zero by the choice of the free
-    embedding entries).  Returns the first n output coordinates."""
-    n = len(x)
-    front, back, neg_sum = _toeplitz_maps(n)
-    if shift is not None:
-        t = broadcast_add(t, shift, ctx)
-    y = apply_matrix(neg_sum, t, ctx)
-    c = concat(take(t, front), y, take(t, back))
-    chat = apply_matrix(dft_matrix(2 * n), c, ctx)
-    xext = concat(x, zero_vector(n, x))
-    xhat = apply_matrix(dft_matrix(2 * n), xext, ctx)
-    live = np.arange(skip_bins, 2 * n)
-    prods = vmul(take(chat, live), take(xhat, live), ctx)
-    zhat = concat(zero_vector(skip_bins, prods), prods)
-    z = apply_matrix(idft_matrix(2 * n), zhat, ctx)
-    return take(z, np.arange(n))
+def _fused_product(U: ConstantMap, V: ConstantMap, W: ConstantMap, t: TrackedVector,
+                   x: TrackedVector, ctx: CountContext) -> TrackedVector:
+    """W (U t * V x): parameter transform, input transform, pointwise
+    products, output transform."""
+    return apply_matrix(W, vmul(apply_matrix(U, t, ctx), apply_matrix(V, x, ctx), ctx), ctx)
+
+
+def _live_bins(n: int) -> np.ndarray:
+    """Bins 1..2n-1 of the 2n-point transform of the circulant embedding."""
+    return np.arange(1, 2 * n)[:, None]
+
+
+@lru_cache(maxsize=ORDER_CACHE_SIZE)
+def _toeplitz_symbol(n: int) -> ConstantMap:
+    """Live bins of the 2n-point DFT of the circulant embedding of t.
+
+    With t[j] the j-th parameter, the embedding's first column is t[n-1],
+    ..., t[0], -sum(t), t[2n-2], ..., t[n]: the free entry at position n
+    makes the frequency-0 bin vanish, so bin k of t[j] at position pos(j) is
+    omega^(k*pos(j)) - omega^(k*n).  Every bin reads every parameter through
+    the -sum entry, so the support is full even where the two terms cancel.
+    """
+    j = np.arange(2 * n - 1)
+    pos = np.where(j < n, n - 1 - j, 3 * n - 1 - j)
+    k = _live_bins(n)
+    U = twiddles(2 * n, k, pos) - twiddles(2 * n, k, n)
+    return ConstantMap(U, np.broadcast_to(True, U.shape))
+
+
+def _toeplitz_input_output(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Live bins of the 2n-point DFT of x padded with n zeros, and the first
+    n rows of the inverse DFT restricted to those bins."""
+    V = twiddles(2 * n, _live_bins(n), np.arange(n))
+    return V, V.T.conj() / (2 * n)
+
+
+@lru_cache(maxsize=ORDER_CACHE_SIZE)
+def _toeplitz_maps(n: int) -> tuple[ConstantMap, ConstantMap, ConstantMap]:
+    V, W = _toeplitz_input_output(n)
+    return _toeplitz_symbol(n), ConstantMap(V), ConstantMap(W)
+
+
+@lru_cache(maxsize=ORDER_CACHE_SIZE)
+def _hankel_maps(n: int) -> tuple[ConstantMap, ConstantMap, ConstantMap]:
+    """The Toeplitz maps with the output rows reversed (a view)."""
+    U, V, W = _toeplitz_maps(n)
+    return U, V, W[::-1]
+
+
+@lru_cache(maxsize=ORDER_CACHE_SIZE)
+def _tph_maps(n: int) -> tuple[ConstantMap, tuple[ConstantMap, ConstantMap, ConstantMap]]:
+    """The frequency-1 row of the Toeplitz symbol, and the Toeplitz maps
+    without bin 1 (views)."""
+    U, V, W = _toeplitz_maps(n)
+    return U[:1], (U[1:], V[1:], W[:, 1:])
 
 
 def _toeplitz_kernel(t, x, ctx, f=None, pattern=None):
-    return _toeplitz_bins(t, x, ctx, skip_bins=1)
+    return _fused_product(*_toeplitz_maps(len(x)), t, x, ctx)
 
 
 def _hankel_kernel(h, x, ctx, f=None, pattern=None):
-    return take(_toeplitz_bins(h, x, ctx, skip_bins=1), np.arange(len(x) - 1, -1, -1))
+    return _fused_product(*_hankel_maps(len(x)), h, x, ctx)
 
 
 def toeplitz_matvec(t, x, ctx: CountContext):
@@ -205,16 +252,20 @@ def hankel_matvec(h, x, ctx: CountContext):
     return _run(StructureKind.HANKEL, h, x, ctx)
 
 
-def _triangular_toeplitz_kernel(a, x, ctx, f=None, pattern=None):
-    n = len(x)
+@lru_cache(maxsize=ORDER_CACHE_SIZE)
+def _triangular_toeplitz_maps(n: int) -> tuple[ConstantMap, ConstantMap, ConstantMap]:
+    """Length 2n-1 cyclic convolution of a with reversed x, zero padding and
+    both reversals folded in: DFT[:, :n], its column-reversed view, and the
+    first n rows of the inverse DFT in reverse order."""
     N = 2 * n - 1
-    p = concat(a, zero_vector(n - 1, a)) if n > 1 else a
-    q0 = take(x, np.arange(n - 1, -1, -1))
-    q = concat(q0, zero_vector(n - 1, x)) if n > 1 else q0
-    phat = apply_matrix(dft_matrix(N), p, ctx)
-    qhat = apply_matrix(dft_matrix(N), q, ctx)
-    conv = apply_matrix(idft_matrix(N), vmul(phat, qhat, ctx), ctx)
-    return take(conv, np.arange(n - 1, -1, -1))
+    k = np.arange(N)
+    i = np.arange(n)
+    P = ConstantMap(twiddles(N, k[:, None], i))
+    return P, P[:, ::-1], ConstantMap(twiddles(N, i[::-1, None], k).conj() / N)
+
+
+def _triangular_toeplitz_kernel(a, x, ctx, f=None, pattern=None):
+    return _fused_product(*_triangular_toeplitz_maps(len(x)), a, x, ctx)
 
 
 def triangular_toeplitz_matvec(a, x, ctx: CountContext):
@@ -223,34 +274,13 @@ def triangular_toeplitz_matvec(a, x, ctx: CountContext):
     return _run(StructureKind.UPPER_TRIANGULAR_TOEPLITZ, a, x, ctx)
 
 
-@lru_cache(maxsize=None)
-def _tph_shift_row(n: int) -> ConstantMap:
-    """Row computing the embedded symbol's frequency-1 value from the diagonals.
-
-    The value is affine in the all-ones shift a with linear coefficient 2n
-    (the self-test below fails loudly if that derivation were wrong)."""
-    om = np.exp(2j * np.pi / (2 * n))
-    coeff = sum(om ** j for j in range(2 * n) if j != n) - (2 * n - 1) * om ** n
-    if abs(coeff - 2 * n) > 1e-9:
-        raise AssertionError(f"frequency-1 shift coefficient {coeff} != {2 * n}")
-    front, back, neg_sum = _toeplitz_maps(n)
-    row = np.zeros((1, 2 * n - 1), dtype=complex)
-    powers = om ** np.arange(2 * n)
-    for pos, src in enumerate(front):
-        row[0, src] += powers[pos]
-    row[0] += powers[n] * neg_sum.matrix[0]
-    for pos, src in enumerate(back):
-        row[0, src] += powers[n + 1 + pos]
-    return ConstantMap(row)
-
-
 def _tph_kernel(th, x, ctx, f=None, pattern=None):
     n = len(x)
     t = take(th, np.arange(2 * n - 1))
     h = take(th, np.arange(2 * n - 1, 4 * n - 2))
-    bin1 = apply_matrix(_tph_shift_row(n), t, ctx)
-    a = scale(bin1, -1.0 / (2 * n), ctx)
-    zt = _toeplitz_bins(t, x, ctx, skip_bins=2, shift=a)
+    shift_row, toeplitz_maps = _tph_maps(n)
+    a = scale(apply_matrix(shift_row, t, ctx), -1.0 / (2 * n), ctx)
+    zt = _fused_product(*toeplitz_maps, broadcast_add(t, a, ctx), x, ctx)
     zh = _hankel_kernel(broadcast_add(h, a, ctx, negate=True), x, ctx)
     return vadd(zt, zh, ctx)
 
@@ -258,9 +288,10 @@ def _tph_kernel(th, x, ctx, f=None, pattern=None):
 def tph_matvec(t, h, x, ctx: CountContext):
     """(Toeplitz + Hankel) product in exactly 4n-3 multiplications.
 
-    An all-ones shift a moves mass between the two summands; a is chosen so
-    the embedded Toeplitz symbol also vanishes at frequency 1, leaving 2n-2
-    live products there, plus 2n-1 on the Hankel side.
+    An all-ones shift a moves mass between the two summands.  The embedded
+    symbol's frequency-1 value is affine in a with coefficient 2n, and a is
+    chosen so that it vanishes, leaving 2n-2 live products on the Toeplitz
+    side, plus 2n-1 on the Hankel side.
     """
     tv, hv = as_vector(t), as_vector(h)
     if len(tv) != len(hv):
@@ -282,29 +313,52 @@ def _symmetric_stage_maps(m: int):
 
 
 def _peel(s: TrackedVector, n: int, ctx: CountContext):
-    """Yield (offset, h) per stage: the Hankel data h of the block of order
-    m = n - 2 * offset, made of its first row and last column.  The interior
-    block of order m-2 is what remains once that Hankel matrix is taken off;
-    a 2x2 or 1x1 block is itself Hankel and ends the peeling."""
-    offset, m = 0, n
+    """Yield the Hankel data h of each stage: the block of order m = n - 2k at
+    offset k, made of its first row and last column.  The interior block of
+    order m-2 is what remains once that Hankel matrix is taken off; a 2x2 or
+    1x1 block is itself Hankel and ends the peeling."""
+    m = n
     while m > 2:
         first, outer_param, h1_pos = _symmetric_stage_maps(m)
         h = take(s, first)
-        yield offset, h
+        yield h
         s = vsub(take(s, outer_param), take(h, h1_pos), ctx)
-        offset += 1
         m -= 2
     if m > 0:
-        yield offset, s
+        yield s
+
+
+@lru_cache(maxsize=STACKED_CACHE_SIZE)
+def _symmetric_maps(n: int):
+    """Per-stage symbol maps, and every stage's Hankel input and output
+    transforms stacked into one R x n and one n x R map, R = n(n+1)/2.
+
+    Stage k (order m = n - 2k) owns 2m - 1 consecutive product rows; its
+    input block reads columns k..n-k-1 and its output block, row-reversed,
+    writes rows k..n-k-1.
+    """
+    orders = range(n, 0, -2)
+    R = n * (n + 1) // 2
+    V = np.zeros((R, n), dtype=complex)
+    W = np.zeros((n, R), dtype=complex)
+    blocks = np.zeros((R, n), dtype=bool)
+    row = 0
+    for k, m in enumerate(orders):
+        Vm, Wm = _toeplitz_input_output(m)
+        bins, cols = slice(row, row + 2 * m - 1), slice(k, k + m)
+        V[bins, cols] = Vm
+        W[cols, bins] = Wm[::-1]
+        blocks[bins, cols] = True
+        row += 2 * m - 1
+    symbols = tuple(_toeplitz_symbol(m) for m in orders)
+    return symbols, ConstantMap(V, blocks), ConstantMap(W, blocks.T)
 
 
 def _symmetric_kernel(s, x, ctx, f=None, pattern=None):
     n = len(x)
-    out = zero_vector(n, x)
-    for offset, h in _peel(s, n, ctx):
-        rows = np.arange(offset, n - offset)
-        add_at(out, rows, _hankel_kernel(h, take(x, rows), ctx), ctx)
-    return out
+    symbols, V, W = _symmetric_maps(n)
+    shat = concat(*(apply_matrix(U, h, ctx) for U, h in zip(symbols, _peel(s, n, ctx))))
+    return apply_matrix(W, vmul(shat, apply_matrix(V, x, ctx), ctx), ctx)
 
 
 def symmetric_matvec(s, x, ctx: CountContext):
@@ -314,7 +368,7 @@ def symmetric_matvec(s, x, ctx: CountContext):
 
 def symmetric_hankel_stages(s, n: int) -> list[np.ndarray]:
     """Per-stage Hankel data values of the peeling (sizes n, n-2, ..., <=2)."""
-    return [h.values.copy() for _, h in _peel(as_vector(s), n, CountContext())]
+    return [h.values.copy() for h in _peel(as_vector(s), n, CountContext())]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ matrices; counting correctness outranks speed at the sizes this library
 targets.  Each transform has one cache of ConstantMaps: the read-only matrix,
 shared by all callers, and its nonzero support.  The caches keyed on a
 complex f hold at most F_CACHE_SIZE entries each.
+
+The Toeplitz-family kernels do not read these caches.  They build their
+fused parameter, input and output maps (see kernels.py) entry by entry from
+``twiddles``, so only the live bins and rows they use are ever stored.
 """
 
 from __future__ import annotations
@@ -48,12 +52,20 @@ def principal_root(f: complex, n: int) -> complex:
     return abs(f) ** (1.0 / n) * np.exp(1j * np.angle(f) / n)
 
 
+def twiddles(n: int, k, j) -> np.ndarray:
+    """omega^(k*j), omega = exp(2*pi*i/n), for broadcast integer index arrays.
+
+    The exponent is reduced mod n and looked up in a table of the n powers,
+    so equal residues give bit-identical entries and a map of any shape
+    costs n exponentials."""
+    return np.exp(1j * (2.0 * np.pi * (np.arange(n) / n)))[k * j % n]
+
+
 @lru_cache(maxsize=None)
 def dft_matrix(n: int) -> ConstantMap:
     """W[k, j] = omega^(j*k); forward transform output[k] = sum_j v[j] W[k, j]."""
     k = np.arange(n)
-    angles = 2.0 * np.pi * ((np.outer(k, k) % n) / n)
-    return ConstantMap(np.exp(1j * angles))
+    return ConstantMap(twiddles(n, k[:, None], k[None, :]))
 
 
 @lru_cache(maxsize=None)

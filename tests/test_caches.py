@@ -1,4 +1,5 @@
-"""Shared cached state: read-only, and bounded where it is keyed on f."""
+"""Shared cached state: read-only, bounded, and shared as views where one
+map is a slice of another."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ import pytest
 from bilinear_kernels import (CountContext, StructureKind, circulant_matvec,
                               f_circulant_matvec, scaled_dft, scaled_idft, structured,
                               structured_matvec, variables)
-from bilinear_kernels.kernels import _fcirc_maps
+from bilinear_kernels.counting import ConstantMap
+from bilinear_kernels.kernels import (ORDER_CACHE_SIZE, STACKED_CACHE_SIZE, _fcirc_maps,
+                                     _hankel_maps, _symmetric_maps, _toeplitz_maps,
+                                     _toeplitz_symbol, _tph_maps, _triangular_toeplitz_maps)
 from bilinear_kernels.spectral import (F_CACHE_SIZE, dft_matrix, scaled_dft_matrix,
                                        scaled_idft_matrix)
 from bilinear_kernels.structures import dense_parts
@@ -76,3 +80,54 @@ def test_fixed_f_entries_survive_fresh_f():
             _fcirc_maps(n, complex(3.0, fresh))
         new = _fcirc_maps.cache_info().misses - misses
     assert new == 16
+
+
+def kernel_maps(n):
+    """Every cached Toeplitz-family and symmetric map of order n."""
+    shift_row, tph_toeplitz = _tph_maps(n)
+    symbols, V, W = _symmetric_maps(n)
+    return (*_toeplitz_maps(n), *_hankel_maps(n), shift_row, *tph_toeplitz,
+            *_triangular_toeplitz_maps(n), *symbols, V, W)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_kernel_maps_reject_writes(n):
+    for M in kernel_maps(n):
+        for arr in (M.matrix, M.support):
+            if arr.size:
+                with pytest.raises(ValueError):
+                    write_first(arr)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_derived_kernel_maps_are_views(n):
+    U, V, W = _toeplitz_maps(n)
+    assert U is _toeplitz_symbol(n)
+    hU, hV, hW = _hankel_maps(n)
+    assert hU is U and hV is V and np.shares_memory(hW.matrix, W.matrix)
+    shift_row, (tU, tV, tW) = _tph_maps(n)
+    assert np.shares_memory(shift_row.matrix, U.matrix)
+    if n > 1:
+        for view, base in ((tU, U), (tV, V), (tW, W)):
+            assert np.shares_memory(view.matrix, base.matrix)
+    P, Q, _ = _triangular_toeplitz_maps(n)
+    assert np.shares_memory(Q.matrix, P.matrix)
+    symbols, _, _ = _symmetric_maps(n)
+    assert all(Um is _toeplitz_symbol(m) for Um, m in zip(symbols, range(n, 0, -2)))
+
+
+def test_order_keyed_caches_stay_bounded():
+    for cache in (_toeplitz_symbol, _toeplitz_maps, _hankel_maps, _tph_maps,
+                  _triangular_toeplitz_maps):
+        assert cache.cache_info().maxsize == ORDER_CACHE_SIZE
+    assert _symmetric_maps.cache_info().maxsize == STACKED_CACHE_SIZE
+    for n in range(1, STACKED_CACHE_SIZE + 6):
+        _symmetric_maps(n)
+    assert _symmetric_maps.cache_info().currsize == STACKED_CACHE_SIZE
+
+
+def test_explicit_support_must_match_the_matrix():
+    with pytest.raises(ValueError):
+        ConstantMap(np.ones((2, 3)), np.ones((3, 2), dtype=bool))
+    M = ConstantMap(np.array([[1.0, 0.0]]), np.array([[True, True]]))
+    assert M.support.all() and not M.matrix.flags.writeable

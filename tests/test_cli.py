@@ -1,11 +1,13 @@
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bilinear_kernels.cli import main
+from bilinear_kernels.cli import _rel_error, main
 
 
 def run(capsys, *argv):
@@ -79,6 +81,18 @@ class TestVerify:
                            "--f", "0,1", "--trials", "20")
         assert code == 0 and "fast_count=4" in out
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_output_fails(self, capsys):
+        # f = 1e300 overflows the transforms: every output value is inf or NaN
+        code, out, _ = run(capsys, "verify", "--kind", "f_circulant", "--n", "3",
+                           "--f", "1e300", "--trials", "3")
+        assert code == 1 and "max_rel_err=inf" in out and "pass=false" in out
+
+    @pytest.mark.parametrize("got", [[math.nan, 1.0], [math.inf, 1.0], [1.0, 1.0]])
+    def test_rel_error_of_non_finite_values_is_inf(self, got):
+        want = np.array([1.0, math.nan]) if got == [1.0, 1.0] else np.array([1.0, 1.0])
+        assert _rel_error(np.array(got), want) == math.inf
+
     def test_counts_past_flag_width(self, capsys):
         code, out, _ = run(capsys, "verify", "--kind", "toeplitz", "--n", "70",
                            "--trials", "2")
@@ -112,6 +126,11 @@ class TestUsageErrors:
         ("simul", "--variant", "f", "--n", "-1"),
         ("simul", "--variant", "f", "--n", "0"),
         ("tpp", "--preset", "cyclic-1n1", "--n", "0"),
+        ("verify", "--kind", "f_circulant", "--n", "3", "--f", "nan"),
+        ("verify", "--kind", "f_circulant", "--n", "3", "--f", "inf"),
+        ("verify", "--kind", "f_circulant", "--n", "3", "--f", "nan,0"),
+        ("verify", "--kind", "multilevel", "--levels", "f_circulant:2:nan,toeplitz:2"),
+        ("count-table", "--max-n", "0"),
     ])
     def test_bad_option(self, capsys, argv):
         assert_usage_error(*run(capsys, *argv)[::2])

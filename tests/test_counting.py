@@ -1,9 +1,11 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilinear_kernels import (CountContext, DivisionByZero, Kind, add, constant,
-                              div, mul, neg, sub, variable)
+from bilinear_kernels import (CountContext, DivisionByZero, Kind, TrackedScalar, add,
+                              constant, div, mul, neg, sub, variable)
 from bilinear_kernels.counting import as_vector, to_scalars, vmul
 
 
@@ -114,6 +116,22 @@ def test_vector_roundtrip_preserves_values_and_kinds():
     back = to_scalars(as_vector(xs))
     assert [s.value for s in back] == [s.value for s in xs]
     assert [s.kind for s in back] == [s.kind for s in xs]
+
+
+def test_to_scalars_builds_ordinary_frozen_scalars():
+    vec = as_vector([variable(1 + 2j), constant(3), variable(-4j), constant(0)])
+    back = to_scalars(vec)
+    want = [TrackedScalar(complex(v), Kind.VARIABLE if f else Kind.CONSTANT)
+            for v, f in zip(vec.values, vec.variable)]
+    assert back == want
+    assert [type(s) for s in back] == [TrackedScalar] * 4
+    assert [hash(s) for s in back] == [hash(s) for s in want]
+    assert [repr(s) for s in back] == [repr(s) for s in want]
+    assert to_scalars(as_vector([])) == []
+    with pytest.raises(FrozenInstanceError):
+        back[0].value = 5
+    with pytest.raises(FrozenInstanceError):
+        back[1].kind = Kind.VARIABLE
 
 
 def test_vmul_counts_variable_pairs_only():

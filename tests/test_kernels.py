@@ -12,7 +12,10 @@ from bilinear_kernels import (CountContext, SingularMatrix, StructureKind,
                               symmetric_hankel_stages, symmetric_matvec,
                               toeplitz_matmul, toeplitz_matvec, tph_matvec,
                               triangular_toeplitz_matvec, variable, variables)
+from bilinear_kernels.kernels import (_symmetric_maps, _toeplitz_maps,
+                                     _triangular_toeplitz_maps)
 from bilinear_kernels.rng import Lcg
+from bilinear_kernels.spectral import dft_matrix, idft_matrix
 from bilinear_kernels.structures import LevelSpec, param_count
 
 ALL_KINDS = [
@@ -301,6 +304,60 @@ class TestSymmetric:
         assert len(stages) == 2
         assert np.array_equal(stages[0], np.array([a, b, c, d, g, i, j]))
         assert stages[1][0] == e - c and stages[1][1] == f - d
+
+
+class TestFusedMaps:
+    """The fused Toeplitz-family maps equal the transform chains they replace."""
+
+    @staticmethod
+    def embedding(n):
+        """Circulant embedding of the 2n-1 Toeplitz diagonals, 2n x (2n-1)."""
+        E = np.zeros((2 * n, 2 * n - 1))
+        for j in range(2 * n - 1):
+            E[n - 1 - j if j < n else 3 * n - 1 - j, j] = 1.0
+        E[n] = -1.0
+        return E
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16])
+    def test_toeplitz_maps_are_slices_of_the_2n_point_transforms(self, n):
+        U, V, W = _toeplitz_maps(n)
+        D, Di = dft_matrix(2 * n).matrix, idft_matrix(2 * n).matrix
+        assert np.abs(U.matrix - D[1:] @ self.embedding(n)).max() < 1e-12 * n
+        assert np.abs(V.matrix - D[1:, :n]).max() < 1e-12
+        assert np.abs(W.matrix - Di[:n, 1:]).max() < 1e-12
+        for M in (U, V, W):
+            assert M.support.all()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_triangular_maps_fold_the_padding_and_reversals(self, n):
+        P, Q, R = _triangular_toeplitz_maps(n)
+        D, Di = dft_matrix(2 * n - 1).matrix, idft_matrix(2 * n - 1).matrix
+        assert np.abs(P.matrix - D[:, :n]).max() < 1e-12
+        assert np.array_equal(Q.matrix, P.matrix[:, ::-1])
+        assert np.abs(R.matrix - Di[:n][::-1]).max() < 1e-12
+
+    def test_tph_shift_coefficient_is_2n(self):
+        """The symbol's frequency-1 row, which fixes the tph shift, sums to 2n:
+        the bin is affine in an all-ones shift with linear coefficient 2n."""
+        for n in range(1, 65):
+            assert abs(_toeplitz_maps(n)[0].matrix[0].sum() - 2 * n) < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
+    def test_symmetric_stacked_maps_hold_the_stage_blocks(self, n):
+        symbols, V, W = _symmetric_maps(n)
+        R = n * (n + 1) // 2
+        assert V.shape == (R, n) and W.shape == (n, R)
+        assert [U.shape[0] for U in symbols] == [2 * m - 1 for m in range(n, 0, -2)]
+        row = 0
+        for k, m in enumerate(range(n, 0, -2)):
+            bins = slice(row, row + 2 * m - 1)
+            _, Vm, Wm = _toeplitz_maps(m)
+            assert np.array_equal(V.matrix[bins, k:k + m], Vm.matrix)
+            assert np.array_equal(W.matrix[k:k + m, bins], Wm.matrix[::-1])
+            assert V.support[bins].sum() == (2 * m - 1) * m
+            row += 2 * m - 1
+        assert np.array_equal(V.support, V.matrix != 0)
+        assert np.array_equal(W.support, V.support.T)
 
 
 class TestSkewSymmetric:
