@@ -10,8 +10,11 @@ numeric values.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 from operator import attrgetter
 from typing import Iterable
 
@@ -140,11 +143,13 @@ def div(a: TrackedScalar, b: TrackedScalar, ctx: CountContext,
 # Vector layer.
 #
 # Kernels operate on whole vectors of tracked scalars.  Values are a numpy
-# array; per-entry Variable flags are a bool array.  In the ordinary numeric
-# lane values are 1-D complex; the decomposition-extraction lane stores one
-# linear-form coefficient row per entry (2-D), and every operation below is
-# the same numpy code in both lanes except the pointwise product, which
-# defers to the recorder installed on the context.
+# array; per-entry Variable flags are a bool array.  A vector's first axis
+# runs over its entries.  Values may carry further axes: a block of vectors
+# (a multilevel level applied to every inner block at once) has flags of the
+# same shape, and the decomposition-extraction lane stores one linear-form
+# coefficient row per entry against 1-D flags.  Constant maps apply over
+# those trailing axes, and the pointwise product defers to the recorder
+# installed on the context.
 # ---------------------------------------------------------------------------
 
 
@@ -158,19 +163,14 @@ def read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def propagate(support: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    """Variable flags after a linear map with the given boolean support.
-
-    The support's last axis runs over the inputs, its leading axes over the
-    outputs.  An output is Variable when any Variable input feeds it.  The
-    boolean product is an OR of ANDs, so it cannot wrap however many inputs
-    feed one output.
-    """
-    return np.dot(support, flags)
-
+# Every constant map form has a shape (m, n), its size in nbytes, and a
+# cost: the scalar multiplications and additions of one application to one
+# vector.  ``apply`` maps values of shape (n, ...) to (m, ...); ``propagate``
+# maps Variable flags the same way through the map's structural support, so
+# an output is Variable when any Variable input feeds it, however many do.
 
 class ConstantMap:
-    """A constant linear map: a read-only matrix and its boolean support.
+    """A dense constant linear map: a read-only matrix and its boolean support.
 
     Kernels apply the same transforms to many vectors, so the support is
     computed once here, not on every application.  By default it is the
@@ -180,7 +180,7 @@ class ConstantMap:
     flags must not depend on such numeric accidents.
     """
 
-    __slots__ = ("matrix", "support")
+    __slots__ = ("matrix", "support", "shape", "nbytes", "cost")
 
     def __init__(self, matrix: np.ndarray, support: np.ndarray | None = None):
         self.matrix = read_only(np.asarray(matrix, dtype=complex))
@@ -190,18 +190,110 @@ class ConstantMap:
             raise ValueError(f"support of shape {support.shape} for a matrix of shape "
                              f"{self.matrix.shape}")
         self.support = read_only(support)
+        self.shape = m, n = self.matrix.shape
+        self.nbytes = self.matrix.nbytes + support.nbytes
+        self.cost = (m * n, m * max(n - 1, 0))
 
     def __getitem__(self, key) -> "ConstantMap":
         """The sub-map of the selected rows and columns; slices give views."""
         return ConstantMap(self.matrix[key], self.support[key])
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.matrix.shape
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return self.matrix @ values
 
-    @property
-    def nbytes(self) -> int:
-        return self.matrix.nbytes + self.support.nbytes
+    def propagate(self, flags: np.ndarray) -> np.ndarray:
+        """The boolean product is an OR of ANDs, so it cannot wrap."""
+        return np.dot(self.support, flags)
+
+
+class GatherMap:
+    """A constant map whose output rows are short signed sums of gathered
+    inputs: row i sums sign[k] * input[index[k]] over the terms k of row i.
+
+    Its support is every gathered input, so a term of sign 0, which a
+    composed chain reads although it cancels, still passes its flag.  A sign
+    costs no multiplication, as ``neg`` does not; every term of a row after
+    its first costs one addition.  A row without terms is Constant zero.
+
+    The terms are laid out as (rank, row) tables, a row's terms of nonzero
+    sign first, so values are summed over the leading ranks alone.
+    """
+
+    __slots__ = ("shape", "support", "terms", "signs", "nbytes", "cost")
+
+    def __init__(self, shape: tuple[int, int], rows, index, sign=None):
+        m, n = shape
+        rows, index = np.asarray(rows, dtype=np.intp), np.asarray(index, dtype=np.intp)
+        sign = np.ones(len(rows)) if sign is None else np.asarray(sign, dtype=float)
+        order = np.lexsort((sign == 0, rows))
+        rows = rows[order]
+        counts = np.bincount(rows, minlength=m)
+        rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+        # An empty slot reads index n, the False appended to the flags, with sign 0.
+        self.shape = shape
+        self.support = np.full((counts.max(initial=0), m), n, dtype=np.intp)
+        signs = np.zeros(self.support.shape)
+        self.support[rank, rows], signs[rank, rows] = index[order], sign[order]
+        live = np.count_nonzero(signs.any(axis=1))
+        self.terms = read_only(np.where(signs[:live] != 0, self.support[:live], 0))
+        self.signs = read_only(signs)[:live]
+        read_only(self.support)
+        self.nbytes = self.support.nbytes + self.terms.nbytes + self.signs.nbytes
+        self.cost = (0, len(rows) - int(np.count_nonzero(counts)))
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        terms = values[self.terms]
+        terms *= self.signs.reshape(self.signs.shape + (1,) * (values.ndim - 1))
+        return terms.sum(axis=0)
+
+    def propagate(self, flags: np.ndarray) -> np.ndarray:
+        flags = np.concatenate([flags, np.zeros((1,) + flags.shape[1:], dtype=bool)])
+        return np.logical_or.reduce(flags[self.support], axis=0)
+
+
+class BlockMap:
+    """A constant map stacked from bands of rows.  A band is a list of
+    (cols, M) pairs, cols a slice of the input, and its rows are the sum of
+    every M applied to input[cols]; the bands are stacked in order.  Each
+    map of a band after the first costs one addition per row.
+    """
+
+    __slots__ = ("bands", "shape", "nbytes", "cost")
+
+    def __init__(self, width: int, bands):
+        self.bands = tuple(tuple(band) for band in bands)
+        heights = [band[0][1].shape[0] for band in self.bands]
+        maps = [M for band in self.bands for _, M in band]
+        self.shape = (sum(heights), width)
+        self.nbytes = sum(M.nbytes for M in maps)
+        self.cost = (sum(M.cost[0] for M in maps), sum(M.cost[1] for M in maps)
+                     + sum((len(band) - 1) * h for band, h in zip(self.bands, heights)))
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return np.concatenate([reduce(operator.add, (M.apply(values[cols]) for cols, M in band))
+                               for band in self.bands])
+
+    def propagate(self, flags: np.ndarray) -> np.ndarray:
+        return np.concatenate([reduce(operator.or_, (M.propagate(flags[cols]) for cols, M in band))
+                               for band in self.bands])
+
+
+class ChainMap:
+    """The map ``second`` applied after ``first``."""
+
+    __slots__ = ("first", "second", "shape", "nbytes", "cost")
+
+    def __init__(self, first, second):
+        self.first, self.second = first, second
+        self.shape = (second.shape[0], first.shape[1])
+        self.nbytes = first.nbytes + second.nbytes
+        self.cost = tuple(a + b for a, b in zip(first.cost, second.cost))
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return self.second.apply(self.first.apply(values))
+
+    def propagate(self, flags: np.ndarray) -> np.ndarray:
+        return self.second.propagate(self.first.propagate(flags))
 
 
 class TrackedVector:
@@ -215,10 +307,6 @@ class TrackedVector:
 
     def __len__(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def symbolic(self) -> bool:
-        return self.values.ndim == 2
 
 
 def as_vector(x) -> TrackedVector:
@@ -240,8 +328,6 @@ _set_kind = TrackedScalar.kind.__set__
 
 
 def to_scalars(vec: TrackedVector) -> list[TrackedScalar]:
-    if vec.symbolic:
-        raise ValueError("symbolic vectors have no scalar representation")
     values = vec.values.astype(complex, copy=False).tolist()
     scalars = [_new_object(TrackedScalar) for _ in values]
     for s, value, flag in zip(scalars, values, vec.variable.tolist()):
@@ -255,18 +341,9 @@ def variable_vector(values) -> TrackedVector:
     return TrackedVector(arr, np.ones(arr.shape[0], dtype=bool))
 
 
-def constant_vector(values) -> TrackedVector:
-    arr = np.asarray(values, dtype=complex)
-    return TrackedVector(arr, np.zeros(arr.shape[0], dtype=bool))
-
-
-def zero_vector(k: int, template: TrackedVector) -> TrackedVector:
-    """Constant-zero vector in the same lane (numeric or symbolic) as template."""
-    if template.symbolic:
-        values = np.zeros((k, template.values.shape[1]), dtype=complex)
-    else:
-        values = np.zeros(k, dtype=complex)
-    return TrackedVector(values, np.zeros(k, dtype=bool))
+def zero_vector(k: int) -> TrackedVector:
+    """Constant-zero vector of length k."""
+    return TrackedVector(np.zeros(k, dtype=complex), np.zeros(k, dtype=bool))
 
 
 def concat(*vecs: TrackedVector) -> TrackedVector:
@@ -280,69 +357,16 @@ def take(vec: TrackedVector, idx) -> TrackedVector:
     return TrackedVector(vec.values[idx], vec.variable[idx])
 
 
-def apply_matrix(M: ConstantMap, vec: TrackedVector, ctx: CountContext) -> TrackedVector:
-    """Apply a constant map: scalar multiplications and additions only."""
-    m, n = M.shape
-    if n != len(vec):
-        raise ValueError(f"matrix of width {n} applied to vector of length {len(vec)}")
-    values = M.matrix @ vec.values
-    flags = propagate(M.support, vec.variable)
-    ctx.count_scalar(m * n)
-    if n > 1:
-        ctx.count_addition(m * (n - 1))
-    return TrackedVector(values, flags)
-
-
-def scale(vec: TrackedVector, c: complex, ctx: CountContext) -> TrackedVector:
-    ctx.count_scalar(len(vec))
-    return TrackedVector(vec.values * c, vec.variable.copy())
-
-
-def signed_take(vec: TrackedVector, idx, signs, ctx: CountContext) -> TrackedVector:
-    """Gather entries and multiply each by a constant sign/coefficient."""
-    idx = np.asarray(idx, dtype=int)
-    coeff = np.asarray(signs, dtype=complex)
-    ctx.count_scalar(len(idx))
-    if vec.symbolic:
-        values = vec.values[idx] * coeff[:, None]
-    else:
-        values = vec.values[idx] * coeff
-    return TrackedVector(values, vec.variable[idx].copy())
-
-
-def vadd(u: TrackedVector, v: TrackedVector, ctx: CountContext) -> TrackedVector:
-    ctx.count_addition(len(u))
-    return TrackedVector(u.values + v.values, u.variable | v.variable)
-
-
-def vsub(u: TrackedVector, v: TrackedVector, ctx: CountContext) -> TrackedVector:
-    ctx.count_addition(len(u))
-    return TrackedVector(u.values - v.values, u.variable | v.variable)
-
-
-def vneg(u: TrackedVector) -> TrackedVector:
-    return TrackedVector(-u.values, u.variable.copy())
-
-
-def broadcast_add(vec: TrackedVector, s: TrackedVector, ctx: CountContext,
-                  negate: bool = False) -> TrackedVector:
-    """Add (or subtract) a length-1 tracked vector to every entry."""
-    if len(s) != 1:
-        raise ValueError("broadcast_add expects a length-1 addend")
-    ctx.count_addition(len(vec))
-    sval = s.values[0] if not vec.symbolic else s.values[0][None, :]
-    values = vec.values - sval if negate else vec.values + sval
-    flags = vec.variable | bool(s.variable[0])
-    return TrackedVector(values, flags)
-
-
-def add_at(target: TrackedVector, idx, source: TrackedVector, ctx: CountContext,
-           negate: bool = False) -> None:
-    """In-place target[idx] += source; repeated indices accumulate."""
-    idx = np.asarray(idx, dtype=int)
-    ctx.count_addition(len(idx))
-    np.add.at(target.values, idx, -source.values if negate else source.values)
-    np.logical_or.at(target.variable, idx, source.variable)
+def apply_matrix(M, vec: TrackedVector, ctx: CountContext) -> TrackedVector:
+    """Apply a constant map of any form to a vector, or to every vector of a
+    block at once: scalar multiplications and additions only."""
+    if M.shape[1] != len(vec):
+        raise ValueError(f"map of width {M.shape[1]} applied to vector of length {len(vec)}")
+    vectors = math.prod(vec.variable.shape[1:])
+    scalars, additions = M.cost
+    ctx.count_scalar(scalars * vectors)
+    ctx.count_addition(additions * vectors)
+    return TrackedVector(M.apply(vec.values), M.propagate(vec.variable))
 
 
 def vmul(u: TrackedVector, v: TrackedVector, ctx: CountContext) -> TrackedVector:
@@ -360,8 +384,6 @@ def vmul(u: TrackedVector, v: TrackedVector, ctx: CountContext) -> TrackedVector
 def reciprocal(vec: TrackedVector, ctx: CountContext,
                zero_threshold: float = DIVISION_ZERO_THRESHOLD) -> TrackedVector:
     """Entrywise 1/x.  Each Variable divisor is one counted division."""
-    if vec.symbolic:
-        raise ValueError("reciprocal is not defined in the extraction lane")
     if np.any(np.abs(vec.values) <= zero_threshold):
         raise DivisionByZero("reciprocal of a zero entry")
     nvar = int(vec.variable.sum())

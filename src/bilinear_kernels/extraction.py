@@ -2,23 +2,22 @@
 
 Scalars in the extraction lane hold linear-form coefficient rows instead of
 numbers: parameter coordinates, input coordinates, one constant coordinate,
-and one coordinate per recorded bilinear product.  Constant-matrix
-application, addition, and scaling act on rows exactly as on numbers; each
-Variable*Variable pointwise product checks that one operand is a pure
-parameter form and the other a pure input form, stores them as a term, and
-becomes a fresh product coordinate.  Kernel outputs are then linear in the
-product coordinates, giving the third factor of every term.
+and one coordinate per recorded bilinear product.  The kernel body
+W (U t * V x) runs on those rows: its constant maps act on rows exactly as
+on numbers, and its Variable*Variable pointwise product checks that one
+operand is a pure parameter form and the other a pure input form, stores
+them as a term, and becomes a fresh product coordinate.  Kernel outputs
+are then linear in the product coordinates, giving the third factor of
+every term.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .counting import ConstantMap, CountContext, TrackedVector, variable_vector
+from .counting import CountContext, TrackedVector
 from .structures import LevelSpec, SparsityPattern, StructureKind, check_level, spec
-from .tensorlab import DecompositionTerm, TensorDecomposition, stack_terms
+from .tensorlab import DecompositionTerm, TensorDecomposition
 
 _PURITY_TOL = 1e-11
 
@@ -93,22 +92,17 @@ def extract_decomposition(kind, n: int, f: complex | None = None,
     """Explicit rank-one terms realized by the kernel for this structure.
 
     The kernel is replayed once over linear-form scalars; every bilinear
-    product contributes one term, so the term count equals the kernel's
-    multiplication count and the summed tensor equals the structure tensor.
-    A kind that needs f uses f = -1 when none is given.
+    product, one per row of the kernel's U map, contributes one term, so the
+    term count equals the kernel's multiplication count and the summed
+    tensor equals the structure tensor.  A kind that needs f uses f = -1
+    when none is given.
     """
     kind = StructureKind(kind)
-    if f is None and spec(kind).needs_f:
+    entry = spec(kind)
+    if f is None and entry.needs_f:
         f = -1.0
     P = check_level(kind, n, f, pattern)
-    kernel = spec(kind).kernel
-
-    # Dry numeric run pins the exact product count (it is size-determined).
-    dry = CountContext()
-    dummy_params = variable_vector(np.arange(1, P + 1) * (0.5 + 0.25j))
-    dummy_x = variable_vector(np.arange(1, n + 1) * (0.75 - 0.5j))
-    kernel(dummy_params, dummy_x, dry, f, pattern)
-    r = dry.bilinear_mults
+    r = entry.maps(n, f, pattern)[0].shape[0]
 
     rec = _Recorder(P, n, r)
     ctx = CountContext(recorder=rec)
@@ -118,10 +112,10 @@ def extract_decomposition(kind, n: int, f: complex | None = None,
     x_rows[np.arange(n), P + np.arange(n)] = 1.0
     params = TrackedVector(params_rows, np.ones(P, dtype=bool))
     x = TrackedVector(x_rows, np.ones(n, dtype=bool))
-    out = kernel(params, x, ctx, f, pattern)
+    out = entry.product(params, x, ctx, f, pattern)
 
     if ctx.bilinear_mults != r or rec.recorded != r:
-        raise AssertionError("symbolic replay diverged from the numeric count")
+        raise AssertionError("symbolic replay diverged from the kernel's product count")
     leak = np.abs(out.values[:, :rec.const_col + 1]).max(initial=0.0)
     if leak > 1e-9:
         raise AssertionError(f"kernel output is not bilinear (leak {leak})")
@@ -131,9 +125,8 @@ def extract_decomposition(kind, n: int, f: complex | None = None,
     return TensorDecomposition((P, n, n), terms)
 
 
-@lru_cache(maxsize=None)
-def level_decomposition(lev: LevelSpec) -> tuple[ConstantMap, ConstantMap, ConstantMap]:
-    """Constant (U, V, W) factor maps of one level's kernel decomposition."""
-    lam, U, V, W = stack_terms(extract_decomposition(lev.kind, lev.n, f=lev.f,
-                                                     pattern=lev.pattern))
-    return ConstantMap(lam[:, None] * U), ConstantMap(V), ConstantMap(W.T.copy())
+def level_decomposition(lev: LevelSpec) -> tuple:
+    """The constant (U, V, W) factor maps of one level: its kind's cached
+    kernel triple, whose supports are structural.  Multilevel products read
+    their outer levels through here, so a trace can count them."""
+    return spec(lev.kind).maps(lev.n, lev.f, lev.pattern)

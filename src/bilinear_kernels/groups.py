@@ -298,8 +298,8 @@ def x8_simultaneous(A, B, ctx: CountContext):
         raise ValueError("x8_simultaneous expects 2x2 factors")
     av = TrackedVector(avals.reshape(-1), aflags.reshape(-1))
     bv = TrackedVector(bvals.reshape(-1), bflags.reshape(-1))
-    p = zero_vector(8, av)
-    q = zero_vector(8, bv)
+    p = zero_vector(8)
+    q = zero_vector(8)
     asel = take(av, np.array([3, 1, 2, 0]))        # d, b, c, a at degrees 0..3
     bsel = take(bv, np.array([1, 3, 0, 2]))        # f, h, e, g at degrees 0, 2, 4, 6
     p.values[np.array([0, 1, 2, 3])] = asel.values

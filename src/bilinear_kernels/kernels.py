@@ -15,17 +15,30 @@ The counts per size n:
     toeplitz matmul                 n(2n-1)
     2x2 commutator                  6
 
-Each Toeplitz-family product runs as three cached constant maps,
-W (U t * V x): U is the parameter (symbol) map, V the input map and W the
-output map, each composed once from the chain of embedding, padding,
-transform, bin-skipping and reversal steps it replaces, with that chain's
-structural support.  Toeplitz uses the live bins 1..2n-1 of the 2n-point
-embedding; Hankel shares U and V and reads W with its rows reversed; tph
-reads the same maps without bin 1; triangular Toeplitz folds its zero
-padding and both reversals into a length 2n-1 transform.  The symmetric
-kernel peels its Hankel stages, applies each stage's h to that order's
-symbol map, and then runs every stage at once: one stacked input map,
-one pointwise product and one stacked output map.
+Every single-level kind is one Cohn-Umans triple (U, V, W) of cached
+constant maps, and one body, StructureSpec.product, runs them all as
+W (U t * V x): U embeds the parameters t, V the input x, the pointwise
+product forms the counted products (one per row of U) and W reads the
+output off.  Each map is built once per order, f or pattern from the chain
+of embedding, padding, transform, bin-skipping, reversal and peeling steps
+it replaces, with that chain's structural support:
+
+    circulant, f-circulant  U evaluates the reindexed first column at the n
+                            roots of t^n = f; V and W are the scaled transforms
+    toeplitz                the live bins 1..2n-1 of the 2n-point embedding
+    hankel                  the Toeplitz triple with W's rows reversed
+    triangular              a length 2n-1 transform, padding and reversals folded in
+    tph                     the Toeplitz triple without bin 1 stacked on the
+                            Hankel triple, the bin-emptying shift folded into U
+    symmetric               U peels the bordered Hankel stages (a gather map) and
+                            applies each stage's symbol; V and W stack the stages
+    skew-symmetric          the f = -1 triple of the first row stacked with the
+                            remainder's gather maps
+    sparse                  gather maps, one product per pattern entry
+
+A map is dense (ConstantMap), a gather of short signed sums (GatherMap), a
+stack of row bands, each a sum of those (BlockMap), or, for the symmetric U
+alone, one map after another (ChainMap); see counting.py.
 """
 
 from __future__ import annotations
@@ -36,18 +49,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import (ConstantMap, CountContext, TrackedScalar, TrackedVector, add,
-                       add_at, apply_matrix, as_matrix, as_vector, broadcast_add, concat,
-                       match_output, mul, neg, propagate, read_only, reciprocal, scale,
-                       signed_take, sub, take, to_scalars, vadd, vmul, vneg, vsub,
-                       zero_vector)
-from .spectral import (F_CACHE_SIZE, dft_matrix, idft_matrix, principal_root,
-                       scaled_dft_matrix, scaled_idft_matrix, twiddles)
+from .counting import (BlockMap, ChainMap, ConstantMap, CountContext, GatherMap,
+                       TrackedScalar, TrackedVector, add, apply_matrix, as_matrix,
+                       as_vector, concat, match_output, mul, neg, reciprocal, sub,
+                       take, to_scalars)
+from .spectral import (F_CACHE_SIZE, ORDER_CACHE_SIZE, dft_matrix, idft_matrix,
+                       principal_root, scaled_dft_matrix, scaled_idft_matrix, twiddles)
 from .structures import (LevelSpec, SparsityPattern, StructureKind, StructureSpec,
                          StructuredMatrix, check_level, circulant_placement,
                          f_circulant_placement, hankel_placement, skew_symmetric_placement,
                          sparse_placement, symmetric_placement, toeplitz_placement,
                          tph_placement, triangular_toeplitz_placement, upper_index)
+
+# Bound of the stacked symmetric maps' cache: they take O(n^3) memory, so
+# fewer of them are kept than of the O(n^2) per-order maps.
+STACKED_CACHE_SIZE = 16
 
 
 class SingularMatrix(ValueError):
@@ -77,33 +93,21 @@ class KernelReport:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=F_CACHE_SIZE)
-def _fcirc_maps(n: int, f: complex):
+def _fcirc_maps(n: int, f: complex) -> tuple[ConstantMap, ConstantMap, ConstantMap]:
     """Constant transforms diagonalizing the f-circulant action.
 
     With data d (wrap factors stripped from the first column) the matrix is
     A[i][j] = d[(i-j) mod n] * f^{[i>j]}; over the reindexed coefficients
     x[m] = d[(n-m) mod n] the product Av equals post @ diag(eval @ x) @ pre @ v
-    where eval evaluates at the n roots of t^n = f.
+    where eval evaluates at the n roots of t^n = f.  U is eval with the
+    reindexing, its own inverse, folded into its columns.
     """
-    perm = read_only((n - np.arange(n)) % n)
     rho = principal_root(f, n)
     j = np.arange(n)
     pre = idft_matrix(n).matrix * (rho ** -j.astype(float))[None, :]
     post = (rho ** j)[:, None] * dft_matrix(n).matrix
-    return perm, scaled_dft_matrix(n, f), ConstantMap(pre), ConstantMap(post)
-
-
-def _f_circulant_kernel(d: TrackedVector, x: TrackedVector, ctx: CountContext,
-                        f: complex, pattern=None) -> TrackedVector:
-    perm, ev, pre, post = _fcirc_maps(len(x), complex(f))
-    dhat = apply_matrix(ev, take(d, perm), ctx)
-    u = apply_matrix(pre, x, ctx)
-    prods = vmul(dhat, u, ctx)
-    return apply_matrix(post, prods, ctx)
-
-
-def _circulant_kernel(c, x, ctx, f=None, pattern=None):
-    return _f_circulant_kernel(c, x, ctx, 1.0)
+    U = scaled_dft_matrix(n, f).matrix[:, (n - j) % n]
+    return ConstantMap(U), ConstantMap(pre), ConstantMap(post)
 
 
 def circulant_matvec(c, x, ctx: CountContext):
@@ -116,9 +120,9 @@ def f_circulant_matvec(c, f: complex, x, ctx: CountContext):
     return _run(StructureKind.F_CIRCULANT, c, x, ctx, f)
 
 
-def _spectrum_or_raise(vec: TrackedVector, M: ConstantMap, ctx: CountContext,
-                       params: TrackedVector) -> TrackedVector:
-    hat = apply_matrix(M, vec, ctx)
+def _spectrum_or_raise(params: TrackedVector, M: ConstantMap,
+                       ctx: CountContext) -> TrackedVector:
+    hat = apply_matrix(M, params, ctx)
     floor = 1e-12 * float(np.linalg.norm(params.values))
     if np.any(np.abs(hat.values) <= floor):
         raise SingularMatrix("a transform value of the parameter vector is zero")
@@ -129,8 +133,7 @@ def circulant_inverse(c, ctx: CountContext):
     """First column of Circ(c)^-1 using n divisions and zero bilinear mults."""
     cv = as_vector(c)
     n = len(cv)
-    chat = _spectrum_or_raise(cv, dft_matrix(n), ctx, cv)
-    inv_hat = reciprocal(chat, ctx)
+    inv_hat = reciprocal(_spectrum_or_raise(cv, dft_matrix(n), ctx), ctx)
     return match_output(c, apply_matrix(idft_matrix(n), inv_hat, ctx))
 
 
@@ -140,11 +143,9 @@ def f_circulant_inverse(c, f: complex, ctx: CountContext):
         raise ValueError("f must be nonzero")
     cv = as_vector(c)
     n = len(cv)
-    perm, ev, _, _ = _fcirc_maps(n, complex(f))
-    xhat = _spectrum_or_raise(take(cv, perm), ev, ctx, cv)
-    inv_hat = reciprocal(xhat, ctx)
+    inv_hat = reciprocal(_spectrum_or_raise(cv, _fcirc_maps(n, complex(f))[0], ctx), ctx)
     x_inv = apply_matrix(scaled_idft_matrix(n, complex(f)), inv_hat, ctx)
-    return match_output(c, take(x_inv, perm))
+    return match_output(c, take(x_inv, (n - np.arange(n)) % n))
 
 
 # ---------------------------------------------------------------------------
@@ -163,22 +164,8 @@ def gauss_complex_mul(a: TrackedScalar, b: TrackedScalar, c: TrackedScalar,
 
 
 # ---------------------------------------------------------------------------
-# Toeplitz family: three fused transforms per product
+# Toeplitz family
 # ---------------------------------------------------------------------------
-
-# Bounds of the kernel-map caches keyed on an order.  A per-order map takes
-# O(n^2) memory and a symmetric product of order n reads those of n/2 orders;
-# the stacked symmetric maps take O(n^3), so fewer of them are kept.
-ORDER_CACHE_SIZE = 128
-STACKED_CACHE_SIZE = 16
-
-
-def _fused_product(U: ConstantMap, V: ConstantMap, W: ConstantMap, t: TrackedVector,
-                   x: TrackedVector, ctx: CountContext) -> TrackedVector:
-    """W (U t * V x): parameter transform, input transform, pointwise
-    products, output transform."""
-    return apply_matrix(W, vmul(apply_matrix(U, t, ctx), apply_matrix(V, x, ctx), ctx), ctx)
-
 
 def _live_bins(n: int) -> np.ndarray:
     """Bins 1..2n-1 of the 2n-point transform of the circulant embedding."""
@@ -222,22 +209,6 @@ def _hankel_maps(n: int) -> tuple[ConstantMap, ConstantMap, ConstantMap]:
     return U, V, W[::-1]
 
 
-@lru_cache(maxsize=ORDER_CACHE_SIZE)
-def _tph_maps(n: int) -> tuple[ConstantMap, tuple[ConstantMap, ConstantMap, ConstantMap]]:
-    """The frequency-1 row of the Toeplitz symbol, and the Toeplitz maps
-    without bin 1 (views)."""
-    U, V, W = _toeplitz_maps(n)
-    return U[:1], (U[1:], V[1:], W[:, 1:])
-
-
-def _toeplitz_kernel(t, x, ctx, f=None, pattern=None):
-    return _fused_product(*_toeplitz_maps(len(x)), t, x, ctx)
-
-
-def _hankel_kernel(h, x, ctx, f=None, pattern=None):
-    return _fused_product(*_hankel_maps(len(x)), h, x, ctx)
-
-
 def toeplitz_matvec(t, x, ctx: CountContext):
     """Toeplitz product via the 2n-point embedding; exactly 2n-1 multiplications.
 
@@ -264,25 +235,36 @@ def _triangular_toeplitz_maps(n: int) -> tuple[ConstantMap, ConstantMap, Constan
     return P, P[:, ::-1], ConstantMap(twiddles(N, i[::-1, None], k).conj() / N)
 
 
-def _triangular_toeplitz_kernel(a, x, ctx, f=None, pattern=None):
-    return _fused_product(*_triangular_toeplitz_maps(len(x)), a, x, ctx)
-
-
 def triangular_toeplitz_matvec(a, x, ctx: CountContext):
     """Upper-triangular Toeplitz product through a length 2n-1 cyclic
     convolution of the coefficient polynomials; exactly 2n-1 multiplications."""
     return _run(StructureKind.UPPER_TRIANGULAR_TOEPLITZ, a, x, ctx)
 
 
-def _tph_kernel(th, x, ctx, f=None, pattern=None):
-    n = len(x)
-    t = take(th, np.arange(2 * n - 1))
-    h = take(th, np.arange(2 * n - 1, 4 * n - 2))
-    shift_row, toeplitz_maps = _tph_maps(n)
-    a = scale(apply_matrix(shift_row, t, ctx), -1.0 / (2 * n), ctx)
-    zt = _fused_product(*toeplitz_maps, broadcast_add(t, a, ctx), x, ctx)
-    zh = _hankel_kernel(broadcast_add(h, a, ctx, negate=True), x, ctx)
-    return vadd(zt, zh, ctx)
+@lru_cache(maxsize=ORDER_CACHE_SIZE)
+def _tph_maps(n: int) -> tuple[BlockMap, BlockMap, BlockMap]:
+    """The Toeplitz triple without bin 1 stacked on the Hankel triple.
+
+    The shift a = -(U[0] . t) / 2n, added to every diagonal and taken from
+    every anti-diagonal, empties bin 1 of the Toeplitz symbol (see
+    tph_matvec).  It is folded into U as the rank-one terms
+    (U[1:] 1) a and -(U 1) a, which read every diagonal: their support is
+    full.  V and W are views of the Toeplitz and Hankel maps.
+    """
+    U, V, W = _toeplitz_maps(n)
+    T, R = 2 * n - 1, 4 * n - 3
+    a = -U.matrix[0] / (2 * n)
+    top = U.matrix[1:] + np.outer(U.matrix[1:].sum(axis=1), a)
+    shift = -np.outer(U.matrix.sum(axis=1), a)
+
+    def full(M: np.ndarray) -> ConstantMap:
+        return ConstantMap(M, np.broadcast_to(True, M.shape))
+
+    t, h, every = slice(0, T), slice(T, 2 * T), slice(None)
+    lo, hi = slice(0, T - 1), slice(T - 1, R)          # Toeplitz bins 2.., Hankel bins 1..
+    return (BlockMap(2 * T, [[(t, full(top))], [(t, full(shift)), (h, U)]]),
+            BlockMap(n, [[(every, V[1:])], [(every, V)]]),
+            BlockMap(R, [[(lo, W[:, 1:]), (hi, W[::-1])]]))
 
 
 def tph_matvec(t, h, x, ctx: CountContext):
@@ -304,61 +286,55 @@ def tph_matvec(t, h, x, ctx: CountContext):
 # Symmetric: peel off bordered Hankel blocks of sizes n, n-2, ...
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _symmetric_stage_maps(m: int):
-    first = np.concatenate([upper_index(m, 0, np.arange(m)),
-                            upper_index(m, np.arange(1, m), m - 1)])
-    i, j = np.triu_indices(m - 2)
-    return read_only(first), read_only(upper_index(m, i + 1, j + 1)), read_only(i + j + 2)
+def _peel_map(n: int) -> GatherMap:
+    """The Hankel data of every stage as one gather over the upper triangle.
 
-
-def _peel(s: TrackedVector, n: int, ctx: CountContext):
-    """Yield the Hankel data h of each stage: the block of order m = n - 2k at
-    offset k, made of its first row and last column.  The interior block of
-    order m-2 is what remains once that Hankel matrix is taken off; a 2x2 or
-    1x1 block is itself Hankel and ends the peeling."""
-    m = n
-    while m > 2:
-        first, outer_param, h1_pos = _symmetric_stage_maps(m)
-        h = take(s, first)
-        yield h
-        s = vsub(take(s, outer_param), take(h, h1_pos), ctx)
-        m -= 2
-    if m > 0:
-        yield s
+    Stage k works on the block of order m = n - 2k at offset k and reads its
+    data h_k[p], p = 0..2m-2, off the block's first row and last column:
+    h_k[p] = s'[c_k(p)], with c_k(p) that border's cell of index sum p and s'
+    what is left once the outer stages' Hankel matrices are taken off.
+    Unrolled, h_k[p] = s[c_k(p)] - s[c_{k-1}(p+2)], but the subtractions
+    read c_l(p + 2(k-l)) for every l <= k: those k + 1 cells, the ones
+    l < k - 1 with sign 0, are the structural support.  A 2x2 or 1x1 block
+    is itself Hankel and ends the peeling.
+    """
+    widths = 2 * np.arange(n, 0, -2) - 1                     # 2m - 1 rows per stage
+    k = np.repeat(np.arange(len(widths)), widths)            # the stage of each row
+    p = np.arange(len(k)) - np.repeat(np.cumsum(widths) - widths, widths)
+    rows = np.repeat(np.arange(len(k)), k + 1)               # k + 1 terms per row
+    l = np.arange(len(rows)) - np.repeat(np.cumsum(k + 1) - (k + 1), k + 1)
+    k = k[rows]
+    q, ml = p[rows] + 2 * (k - l), n - 2 * l                 # c_l(q) in stage l's block
+    cells = upper_index(n, np.maximum(q - ml + 1, 0) + l, np.minimum(q, ml - 1) + l)
+    return GatherMap((len(p), len(p)), rows, cells, (l == k) * 1.0 - (l == k - 1))
 
 
 @lru_cache(maxsize=STACKED_CACHE_SIZE)
-def _symmetric_maps(n: int):
-    """Per-stage symbol maps, and every stage's Hankel input and output
-    transforms stacked into one R x n and one n x R map, R = n(n+1)/2.
+def _symmetric_maps(n: int) -> tuple[ChainMap, ConstantMap, ConstantMap]:
+    """The peel followed by every stage's symbol map, and every stage's
+    Hankel input and output transforms stacked into one R x n and one n x R
+    map, R = n(n+1)/2.
 
     Stage k (order m = n - 2k) owns 2m - 1 consecutive product rows; its
     input block reads columns k..n-k-1 and its output block, row-reversed,
     writes rows k..n-k-1.
     """
-    orders = range(n, 0, -2)
     R = n * (n + 1) // 2
     V = np.zeros((R, n), dtype=complex)
     W = np.zeros((n, R), dtype=complex)
     blocks = np.zeros((R, n), dtype=bool)
+    symbols = []
     row = 0
-    for k, m in enumerate(orders):
+    for k, m in enumerate(range(n, 0, -2)):
         Vm, Wm = _toeplitz_input_output(m)
         bins, cols = slice(row, row + 2 * m - 1), slice(k, k + m)
         V[bins, cols] = Vm
         W[cols, bins] = Wm[::-1]
         blocks[bins, cols] = True
+        symbols.append([(bins, _toeplitz_symbol(m))])
         row += 2 * m - 1
-    symbols = tuple(_toeplitz_symbol(m) for m in orders)
-    return symbols, ConstantMap(V, blocks), ConstantMap(W, blocks.T)
-
-
-def _symmetric_kernel(s, x, ctx, f=None, pattern=None):
-    n = len(x)
-    symbols, V, W = _symmetric_maps(n)
-    shat = concat(*(apply_matrix(U, h, ctx) for U, h in zip(symbols, _peel(s, n, ctx))))
-    return apply_matrix(W, vmul(shat, apply_matrix(V, x, ctx), ctx), ctx)
+    U = ChainMap(_peel_map(n), BlockMap(R, symbols))
+    return U, ConstantMap(V, blocks), ConstantMap(W, blocks.T)
 
 
 def symmetric_matvec(s, x, ctx: CountContext):
@@ -368,44 +344,46 @@ def symmetric_matvec(s, x, ctx: CountContext):
 
 def symmetric_hankel_stages(s, n: int) -> list[np.ndarray]:
     """Per-stage Hankel data values of the peeling (sizes n, n-2, ..., <=2)."""
-    return [h.values.copy() for h in _peel(as_vector(s), n, CountContext())]
+    h = _symmetric_maps(n)[0].first.apply(as_vector(s).values)
+    return np.split(h, np.cumsum([2 * m - 1 for m in range(n, 2, -2)]))
 
 
 # ---------------------------------------------------------------------------
 # Skew-symmetric: skew-circulant part plus a paired sparse remainder
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _skew_maps(n: int):
-    """Index maps of the remainder A - C (C the skew-circulant sharing A's
-    first row): one product per entry (i, j), i, j >= 1, i != j, and one per
-    pair of first-column entries (i, 0), (n-i, 0), i < n-i, whose values are
-    negatives of each other."""
+@lru_cache(maxsize=ORDER_CACHE_SIZE)
+def _skew_symmetric_maps(n: int) -> tuple[BlockMap, BlockMap, BlockMap]:
+    """The f = -1 triple of the skew-circulant C sharing A's first row,
+    stacked with gather maps of the remainder A - C.
+
+    C's data d_m = A[0][n-m], m >= 1, is the first row reversed, and d_0 = 0.
+    The remainder has one product per entry (i, j), i, j >= 1, i != j, and
+    one per pair of first-column entries (i, 0), (n-i, 0), i < n-i, whose
+    values are negatives of each other: W adds it to row i and takes it from
+    row n-i.
+    """
+    if n == 1:  # the zero map: no products at all
+        return tuple(ConstantMap(np.zeros(shape)) for shape in ((0, 0), (0, 1), (1, 0)))
+    U, V, W = _fcirc_maps(n, -1.0)
     pairs = [(i, 0) for i in range(1, n) if i < n - i]
     entries = pairs + [(i, j) for i in range(1, n) for j in range(1, n) if i != j]
     rows, cols = np.array(entries, dtype=int).reshape(-1, 2).T
+    P, E, npairs = n * (n - 1) // 2, len(entries), len(pairs)
     pa = upper_index(n, np.minimum(rows, cols), np.maximum(rows, cols), strict=True)
     sa = np.where(rows < cols, 1.0, -1.0)                  # A[i][j] = sa * w[pa]
     pc = n - 1 - (rows - cols) % n                          # C[i][j] = sc * w[pc]
     sc = np.where(rows > cols, -1.0, 1.0)
-    d_param = np.arange(n - 2, -1, -1)                      # d_m = first-row entry (0, n-m)
-    partner = n - rows[:len(pairs)]
-    return tuple(read_only(m) for m in (d_param, pa, sa, pc, sc, rows, cols, partner))
-
-
-def _skew_symmetric_kernel(w, x, ctx, f=None, pattern=None):
-    n = len(x)
-    if n == 1:
-        return zero_vector(1, x)
-    d_param, pa, sa, pc, sc, rows, cols, partner = _skew_maps(n)
-    d = concat(zero_vector(1, w), take(w, d_param))
-    out = _f_circulant_kernel(d, x, ctx, -1.0)
-    remainder = vsub(signed_take(w, pa, sa, ctx), signed_take(w, pc, sc, ctx), ctx)
-    prods = vmul(remainder, take(x, cols), ctx)
-    if len(partner):
-        add_at(out, partner, vneg(take(prods, np.arange(len(partner)))), ctx)
-    add_at(out, rows, prods, ctx)
-    return out
+    e = np.arange(E)
+    remainder = GatherMap((E, P), np.tile(e, 2), np.concatenate([pa, pc]),
+                          np.concatenate([sa, -sc]))
+    scatter = GatherMap((n, E), np.concatenate([rows, n - rows[:npairs]]),
+                        np.concatenate([e, e[:npairs]]),
+                        np.concatenate([np.ones(E), -np.ones(npairs)]))
+    every = slice(None)
+    return (BlockMap(P, [[(slice(0, n - 1), U[:, :0:-1])], [(every, remainder)]]),
+            BlockMap(n, [[(every, V)], [(every, GatherMap((E, n), e, cols))]]),
+            BlockMap(n + E, [[(slice(0, n), W), (slice(n, n + E), scatter)]]))
 
 
 def skew_symmetric_matvec(w, x, ctx: CountContext):
@@ -423,17 +401,14 @@ def skew_symmetric_matvec(w, x, ctx: CountContext):
 # Sparse: entrywise over the pattern
 # ---------------------------------------------------------------------------
 
-def _sparse_kernel(data, x, ctx, f, pattern):
-    """Entrywise product; a Constant-zero parameter (all-zero coefficient row
-    in the extraction lane) is skipped."""
-    nonzero = np.any(data.values != 0, axis=tuple(range(1, data.values.ndim)))
-    pos = np.flatnonzero(data.variable | nonzero)
-    out = zero_vector(pattern.rows, x)
-    if len(pos):
-        rows, cols = np.array(pattern.entries, dtype=int)[pos].T
-        prods = vmul(take(data, pos), take(x, cols), ctx)
-        add_at(out, rows, prods, ctx)
-    return out
+@lru_cache(maxsize=F_CACHE_SIZE)
+def _sparse_maps(n: int, pattern: SparsityPattern) -> tuple[GatherMap, GatherMap, GatherMap]:
+    """One product per pattern entry (r, c): the parameter times x[c],
+    summed into row r."""
+    rows, cols = np.array(pattern.entries, dtype=int).reshape(-1, 2).T
+    e = np.arange(len(pattern))
+    return (GatherMap((len(e), len(e)), e, e), GatherMap((len(e), n), e, cols),
+            GatherMap((pattern.rows, len(e)), rows, e))
 
 
 # ---------------------------------------------------------------------------
@@ -441,43 +416,48 @@ def _sparse_kernel(data, x, ctx, f, pattern):
 # ---------------------------------------------------------------------------
 
 # Per kind: params, count and dim as functions of (n, pattern); the placement
-# of its parameters in the grid; the kernel; whether it may be a level.
+# of its parameters in the grid; its kernel maps (U, V, W) as a function of
+# (n, f, pattern); whether it may be a level.
 SPECS: dict[StructureKind, StructureSpec] = {
     StructureKind.CIRCULANT: StructureSpec(
         lambda n, _: n, lambda n, _: n, lambda n, _: n,
-        circulant_placement, _circulant_kernel, multilevel_ok=True),
+        circulant_placement, lambda n, f, _: _fcirc_maps(n, 1.0), multilevel_ok=True),
     StructureKind.F_CIRCULANT: StructureSpec(
         lambda n, _: n, lambda n, _: n, lambda n, _: n,
-        f_circulant_placement, _f_circulant_kernel, multilevel_ok=True, needs_f=True),
+        f_circulant_placement, lambda n, f, _: _fcirc_maps(n, complex(f)),
+        multilevel_ok=True, needs_f=True),
     StructureKind.TOEPLITZ: StructureSpec(
         lambda n, _: 2 * n - 1, lambda n, _: 2 * n - 1, lambda n, _: 2 * n - 1,
-        toeplitz_placement, _toeplitz_kernel, multilevel_ok=True),
+        toeplitz_placement, lambda n, f, _: _toeplitz_maps(n), multilevel_ok=True),
     StructureKind.HANKEL: StructureSpec(
         lambda n, _: 2 * n - 1, lambda n, _: 2 * n - 1, lambda n, _: 2 * n - 1,
-        hankel_placement, _hankel_kernel, multilevel_ok=True),
+        hankel_placement, lambda n, f, _: _hankel_maps(n), multilevel_ok=True),
     StructureKind.UPPER_TRIANGULAR_TOEPLITZ: StructureSpec(
         lambda n, _: n, lambda n, _: 2 * n - 1, lambda n, _: n,
-        triangular_toeplitz_placement, _triangular_toeplitz_kernel, multilevel_ok=False),
+        triangular_toeplitz_placement, lambda n, f, _: _triangular_toeplitz_maps(n),
+        multilevel_ok=False),
     # The Toeplitz and Hankel spaces intersect in the two-dimensional space of
     # checkerboard-constant matrices once n >= 2, so their sum has dimension
     # 4n-4 (and 1 at n = 1, where every space is the scalars).
     StructureKind.TOEPLITZ_PLUS_HANKEL: StructureSpec(
         lambda n, _: 4 * n - 2, lambda n, _: 4 * n - 3,
         lambda n, _: 1 if n == 1 else 4 * n - 4,
-        tph_placement, _tph_kernel, multilevel_ok=True),
+        tph_placement, lambda n, f, _: _tph_maps(n), multilevel_ok=True),
     StructureKind.SYMMETRIC: StructureSpec(
         lambda n, _: n * (n + 1) // 2, lambda n, _: n * (n + 1) // 2,
         lambda n, _: n * (n + 1) // 2,
-        symmetric_placement, _symmetric_kernel, multilevel_ok=True),
+        symmetric_placement, lambda n, f, _: _symmetric_maps(n), multilevel_ok=True),
     StructureKind.SKEW_SYMMETRIC: StructureSpec(
         lambda n, _: n * (n - 1) // 2,
         lambda n, _: 0 if n == 1 else n * n - n - math.ceil((n - 1) / 2) + 1,
         lambda n, _: n * (n - 1) // 2,
-        skew_symmetric_placement, _skew_symmetric_kernel, multilevel_ok=False),
+        skew_symmetric_placement, lambda n, f, _: _skew_symmetric_maps(n),
+        multilevel_ok=False),
     StructureKind.SPARSE: StructureSpec(
         lambda n, pattern: len(pattern), lambda n, pattern: len(pattern),
         lambda n, pattern: len(pattern),
-        sparse_placement, _sparse_kernel, multilevel_ok=True, needs_pattern=True),
+        sparse_placement, lambda n, f, pattern: _sparse_maps(n, pattern),
+        multilevel_ok=True, needs_pattern=True),
 }
 
 
@@ -489,51 +469,33 @@ def _run(kind: StructureKind, data, x, ctx: CountContext, f: complex | None = No
     if len(dv) != want:
         raise ValueError(f"{kind.value} of order {len(xv)} needs {want} parameters, "
                          f"got {len(dv)}")
-    return match_output(x, SPECS[kind].kernel(dv, xv, ctx, f))
+    return match_output(x, SPECS[kind].product(dv, xv, ctx, f))
 
 
 # ---------------------------------------------------------------------------
 # Multilevel (Kronecker-structured) products
 # ---------------------------------------------------------------------------
 
-def _apply_blocks(M: ConstantMap, values: np.ndarray, flags: np.ndarray,
-                  ctx: CountContext) -> tuple[np.ndarray, np.ndarray]:
-    """Apply a constant map to every column of a block of values at once."""
-    m, k = M.shape
-    cols = values.shape[1]
-    ctx.count_scalar(m * k * cols)
-    if k > 1:
-        ctx.count_addition(m * (k - 1) * cols)
-    return M.matrix @ values, propagate(M.support, flags)
-
-
 def _multilevel_impl(levels: tuple[LevelSpec, ...], data: TrackedVector,
                      x: TrackedVector, ctx: CountContext) -> TrackedVector:
-    if len(levels) == 1:
-        lev = levels[0]
-        return SPECS[lev.kind].kernel(data, x, ctx, lev.f, lev.pattern)
-    from .extraction import level_decomposition
     lev = levels[0]
+    if len(levels) == 1:
+        return SPECS[lev.kind].product(data, x, ctx, lev.f, lev.pattern)
+    from .extraction import level_decomposition
     U, V, W = level_decomposition(lev)
-    r, p0 = U.shape
-    n0 = W.shape[0]
-    inner_plen = len(data) // p0
+    (r, p0), n0 = U.shape, W.shape[0]
     inner_n = len(x) // n0
-    dvals = data.values.reshape(p0, inner_plen)
-    dflag = data.variable.reshape(p0, inner_plen)
-    xvals = x.values.reshape(n0, inner_n)
-    xflag = x.variable.reshape(n0, inner_n)
-    pv, pf = _apply_blocks(U, dvals, dflag, ctx)
-    xv, xf = _apply_blocks(V, xvals, xflag, ctx)
-    zvals = np.empty((r, inner_n), dtype=complex)
-    zflag = np.empty((r, inner_n), dtype=bool)
+    # Each level map applies to the blocks of the inner parameters and inputs.
+    t = apply_matrix(U, TrackedVector(data.values.reshape(p0, -1),
+                                      data.variable.reshape(p0, -1)), ctx)
+    v = apply_matrix(V, TrackedVector(x.values.reshape(n0, -1), x.variable.reshape(n0, -1)), ctx)
+    z = TrackedVector(np.empty((r, inner_n), dtype=complex), np.empty((r, inner_n), dtype=bool))
     for i in range(r):
-        z = _multilevel_impl(levels[1:], TrackedVector(pv[i], pf[i]),
-                             TrackedVector(xv[i], xf[i]), ctx)
-        zvals[i] = z.values
-        zflag[i] = z.variable
-    outv, outf = _apply_blocks(W, zvals, zflag, ctx)
-    return TrackedVector(outv.reshape(-1), outf.reshape(-1))
+        zi = _multilevel_impl(levels[1:], TrackedVector(t.values[i], t.variable[i]),
+                              TrackedVector(v.values[i], v.variable[i]), ctx)
+        z.values[i], z.variable[i] = zi.values, zi.variable
+    out = apply_matrix(W, z, ctx)
+    return TrackedVector(out.values.reshape(-1), out.variable.reshape(-1))
 
 
 def multilevel_matvec(M: StructuredMatrix, x, ctx: CountContext):
@@ -566,8 +528,7 @@ def structured_matvec(M: StructuredMatrix, x, ctx: CountContext):
     xv = as_vector(x)
     if len(xv) != M.n:
         raise ValueError(f"vector of length {len(xv)} for order {M.n}")
-    out = SPECS[M.kind].kernel(M.data_vector(), xv, ctx, M.f, M.pattern)
-    return match_output(x, out)
+    return match_output(x, SPECS[M.kind].product(M.data_vector(), xv, ctx, M.f, M.pattern))
 
 
 def toeplitz_matmul(t, Y, ctx: CountContext):

@@ -5,11 +5,12 @@ is a constant, so applying the transform spends only scalar multiplications
 and additions.  Transforms are direct O(n^2) applications of cached constant
 matrices; counting correctness outranks speed at the sizes this library
 targets.  Each transform has one cache of ConstantMaps: the read-only matrix,
-shared by all callers, and its nonzero support.  The caches keyed on a
-complex f hold at most F_CACHE_SIZE entries each.
+shared by all callers, and its nonzero support.  The caches keyed on an
+order hold at most ORDER_CACHE_SIZE entries each, those keyed on a complex
+f at most F_CACHE_SIZE.
 
 The Toeplitz-family kernels do not read these caches.  They build their
-fused parameter, input and output maps (see kernels.py) entry by entry from
+parameter, input and output maps (see kernels.py) entry by entry from
 ``twiddles``, so only the live bins and rows they use are ever stored.
 """
 
@@ -22,10 +23,13 @@ import numpy as np
 
 from .counting import ConstantMap, CountContext, apply_matrix, as_vector, match_output
 
-# Bound of every cache keyed on an arbitrary complex f.  It keeps all the
-# (n, f) pairs of a sweep over n <= 16 and a handful of fixed f resident
-# while fresh f values come and go.
+# Bound of every cache keyed on an arbitrary complex f (or sparsity
+# pattern).  It keeps all the (n, f) pairs of a sweep over n <= 16 and a
+# handful of fixed f resident while fresh f values come and go.
 F_CACHE_SIZE = 128
+# Bound of every cache keyed on an order alone: the transforms here and the
+# per-order kernel maps, each O(n^2) memory.
+ORDER_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -36,7 +40,7 @@ class RootTable:
     omega_powers: tuple[complex, ...]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ORDER_CACHE_SIZE)
 def root_table(n: int) -> RootTable:
     if n < 1:
         raise ValueError("root table needs n >= 1")
@@ -61,14 +65,14 @@ def twiddles(n: int, k, j) -> np.ndarray:
     return np.exp(1j * (2.0 * np.pi * (np.arange(n) / n)))[k * j % n]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ORDER_CACHE_SIZE)
 def dft_matrix(n: int) -> ConstantMap:
     """W[k, j] = omega^(j*k); forward transform output[k] = sum_j v[j] W[k, j]."""
     k = np.arange(n)
     return ConstantMap(twiddles(n, k[:, None], k[None, :]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=ORDER_CACHE_SIZE)
 def idft_matrix(n: int) -> ConstantMap:
     return ConstantMap(dft_matrix(n).matrix.conj() / n)
 

@@ -28,8 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, as_matrix,
-                       as_vector, constant, match_output, read_only)
+from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, apply_matrix,
+                       as_matrix, as_vector, constant, match_output, read_only, vmul)
 
 
 class SchemaError(ValueError):
@@ -89,8 +89,10 @@ class StructureSpec:
     dim(n, pattern)           dimension of the matrix space
     placement(n, f, pattern)  read-only (param, cell, coeff) index triples:
                               dense.flat[cell] += coeff * data[param]
-    kernel(data, x, ctx, f, pattern)  the minimum-multiplication product
-                              on TrackedVectors
+    maps(n, f, pattern)       the kernel's cached Cohn-Umans triple (U, V, W)
+                              of constant maps: U embeds the parameters, V the
+                              input, W reads the output off the count = U-row
+                              pointwise products (see ``product``)
     multilevel_ok             the kind may be a level of a multilevel structure
     needs_f, needs_pattern    the kind takes a nonzero f / a sparsity pattern
 
@@ -103,16 +105,24 @@ class StructureSpec:
     dim: Callable[[int, SparsityPattern | None], int]
     placement: Callable[[int, complex | None, SparsityPattern | None],
                         tuple[np.ndarray, np.ndarray, np.ndarray]]
-    kernel: Callable[..., TrackedVector]
+    maps: Callable[[int, complex | None, SparsityPattern | None], tuple]
     multilevel_ok: bool
     needs_f: bool = False
     needs_pattern: bool = False
 
+    def product(self, data: TrackedVector, x: TrackedVector, ctx: CountContext,
+                f: complex | None = None,
+                pattern: SparsityPattern | None = None) -> TrackedVector:
+        """The minimum-multiplication product W (U t * V x) on TrackedVectors,
+        the one kernel body of every single-level kind."""
+        U, V, W = self.maps(len(x), f, pattern)
+        return apply_matrix(W, vmul(apply_matrix(U, data, ctx), apply_matrix(V, x, ctx), ctx),
+                            ctx)
 
-@lru_cache(maxsize=None)  # one entry per kind; an import statement costs more than a hit
+@lru_cache(maxsize=len(StructureKind))  # one entry per kind; an import costs more than a hit
 def spec(kind: StructureKind) -> StructureSpec:
     """The table entry of a single-level kind."""
-    from .kernels import SPECS  # the table holds the kernels, and kernels imports this module
+    from .kernels import SPECS  # the table holds the kernel maps, and kernels imports this module
     try:
         return SPECS[kind]
     except KeyError:

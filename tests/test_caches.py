@@ -1,18 +1,22 @@
 """Shared cached state: read-only, bounded, and shared as views where one
 map is a slice of another."""
 
+from types import ModuleType
+
 import numpy as np
 import pytest
 
-from bilinear_kernels import (CountContext, StructureKind, circulant_matvec,
-                              f_circulant_matvec, scaled_dft, scaled_idft, structured,
-                              structured_matvec, variables)
-from bilinear_kernels.counting import ConstantMap
+import bilinear_kernels
+from bilinear_kernels import (CountContext, LevelSpec, StructureKind, circulant_matvec,
+                              f_circulant_matvec, multilevel_matvec, scaled_dft, scaled_idft,
+                              structured, structured_matvec, variables)
+from bilinear_kernels.counting import BlockMap, ChainMap, ConstantMap, GatherMap
 from bilinear_kernels.kernels import (ORDER_CACHE_SIZE, STACKED_CACHE_SIZE, _fcirc_maps,
-                                     _hankel_maps, _symmetric_maps, _toeplitz_maps,
-                                     _toeplitz_symbol, _tph_maps, _triangular_toeplitz_maps)
-from bilinear_kernels.spectral import (F_CACHE_SIZE, dft_matrix, scaled_dft_matrix,
-                                       scaled_idft_matrix)
+                                     _hankel_maps, _skew_symmetric_maps, _symmetric_maps,
+                                     _toeplitz_maps, _toeplitz_symbol, _tph_maps,
+                                     _triangular_toeplitz_maps)
+from bilinear_kernels.spectral import (F_CACHE_SIZE, dft_matrix, idft_matrix, root_table,
+                                       scaled_dft_matrix, scaled_idft_matrix)
 from bilinear_kernels.structures import dense_parts
 
 
@@ -25,9 +29,10 @@ def write_first(arr):
 
 
 def test_cached_maps_reject_writes():
-    perm, ev, pre, post = _fcirc_maps(8, complex(1.0))
-    assert ev is scaled_dft_matrix(8, complex(1.0))
-    for arr in (dft_matrix(8).matrix, dft_matrix(8).support, perm, ev.matrix, ev.support,
+    U, pre, post = _fcirc_maps(8, complex(1.0))
+    perm = (8 - np.arange(8)) % 8
+    assert np.array_equal(U.matrix, scaled_dft_matrix(8, complex(1.0)).matrix[:, perm])
+    for arr in (dft_matrix(8).matrix, dft_matrix(8).support, U.matrix, U.support,
                 pre.matrix, pre.support, post.matrix, post.support):
         with pytest.raises(ValueError):
             write_first(arr)
@@ -82,18 +87,28 @@ def test_fixed_f_entries_survive_fresh_f():
     assert new == 16
 
 
+def arrays(M):
+    """Every array a map of any form holds."""
+    if isinstance(M, ConstantMap):
+        return [M.matrix, M.support]
+    if isinstance(M, GatherMap):
+        return [M.support, M.terms, M.signs]
+    if isinstance(M, BlockMap):
+        return [arr for band in M.bands for _, block in band for arr in arrays(block)]
+    assert isinstance(M, ChainMap)
+    return arrays(M.first) + arrays(M.second)
+
+
 def kernel_maps(n):
-    """Every cached Toeplitz-family and symmetric map of order n."""
-    shift_row, tph_toeplitz = _tph_maps(n)
-    symbols, V, W = _symmetric_maps(n)
-    return (*_toeplitz_maps(n), *_hankel_maps(n), shift_row, *tph_toeplitz,
-            *_triangular_toeplitz_maps(n), *symbols, V, W)
+    """Every cached Toeplitz-family, symmetric and skew-symmetric map of order n."""
+    return (*_toeplitz_maps(n), *_hankel_maps(n), *_tph_maps(n), *_triangular_toeplitz_maps(n),
+            *_symmetric_maps(n), *_skew_symmetric_maps(n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_kernel_maps_reject_writes(n):
     for M in kernel_maps(n):
-        for arr in (M.matrix, M.support):
+        for arr in arrays(M):
             if arr.size:
                 with pytest.raises(ValueError):
                     write_first(arr)
@@ -105,25 +120,55 @@ def test_derived_kernel_maps_are_views(n):
     assert U is _toeplitz_symbol(n)
     hU, hV, hW = _hankel_maps(n)
     assert hU is U and hV is V and np.shares_memory(hW.matrix, W.matrix)
-    shift_row, (tU, tV, tW) = _tph_maps(n)
-    assert np.shares_memory(shift_row.matrix, U.matrix)
-    if n > 1:
-        for view, base in ((tU, U), (tV, V), (tW, W)):
-            assert np.shares_memory(view.matrix, base.matrix)
+    tU, tV, tW = _tph_maps(n)
+    assert tU.bands[-1][-1][1] is U
+    for stacked, base in ((tV, V), (tW, W)):
+        assert all(np.shares_memory(block.matrix, base.matrix)
+                   for band in stacked.bands for _, block in band if block.matrix.size)
     P, Q, _ = _triangular_toeplitz_maps(n)
     assert np.shares_memory(Q.matrix, P.matrix)
-    symbols, _, _ = _symmetric_maps(n)
-    assert all(Um is _toeplitz_symbol(m) for Um, m in zip(symbols, range(n, 0, -2)))
+    sU, _, _ = _symmetric_maps(n)
+    assert [block for (_, block), in sU.second.bands] == [
+        _toeplitz_symbol(m) for m in range(n, 0, -2)]
 
 
 def test_order_keyed_caches_stay_bounded():
     for cache in (_toeplitz_symbol, _toeplitz_maps, _hankel_maps, _tph_maps,
-                  _triangular_toeplitz_maps):
+                  _triangular_toeplitz_maps, _skew_symmetric_maps, dft_matrix, idft_matrix,
+                  root_table):
         assert cache.cache_info().maxsize == ORDER_CACHE_SIZE
     assert _symmetric_maps.cache_info().maxsize == STACKED_CACHE_SIZE
     for n in range(1, STACKED_CACHE_SIZE + 6):
         _symmetric_maps(n)
     assert _symmetric_maps.cache_info().currsize == STACKED_CACHE_SIZE
+
+
+def library_caches():
+    """Every lru_cache function of the library's modules, by name."""
+    return {f"{module.__name__}.{name}": value
+            for module in vars(bilinear_kernels).values() if isinstance(module, ModuleType)
+            and module.__name__.startswith("bilinear_kernels.")
+            for name, value in vars(module).items() if hasattr(value, "cache_info")}
+
+
+def test_multilevel_sweep_with_fresh_f_stays_within_every_cache_bound():
+    """Each multilevel product reads its levels' kernel maps; a sweep over
+    twice F_CACHE_SIZE f-circulant levels, each with a fresh f, must leave
+    every cache of the library at or under its bound."""
+    caches = library_caches()
+    assert {"bilinear_kernels.kernels._fcirc_maps", "bilinear_kernels.spectral.dft_matrix",
+            "bilinear_kernels.structures._placement"} <= caches.keys()
+    rng = np.random.default_rng(7)
+    for k in range(2 * F_CACHE_SIZE):
+        f = complex(1.0 + k / 64, 0.5)
+        levels = (LevelSpec(StructureKind.F_CIRCULANT, 3, f=f),
+                  LevelSpec(StructureKind.TOEPLITZ, 2))
+        M = structured(StructureKind.MULTILEVEL, 6, rng.standard_normal(9), levels=levels)
+        multilevel_matvec(M, variables(rng.standard_normal(6)), CountContext())
+    for name, cache in caches.items():
+        info = cache.cache_info()
+        assert info.maxsize is not None, name
+        assert info.currsize <= info.maxsize, name
 
 
 def test_explicit_support_must_match_the_matrix():

@@ -6,8 +6,10 @@ from bilinear_kernels import (CountContext, SparsityPattern, StructureKind, cont
                               flattening_ranks, formula_count, naive_matvec,
                               structure_dim, structure_tensor, structured,
                               variables, verify_decomposition)
+from bilinear_kernels.kernels import SPECS
 from bilinear_kernels.rng import Lcg
 from bilinear_kernels.structures import param_count
+from bilinear_kernels.tensorlab import stack_terms
 
 EXTRACTABLE = [
     StructureKind.CIRCULANT, StructureKind.F_CIRCULANT, StructureKind.TOEPLITZ,
@@ -177,3 +179,30 @@ def test_full_chain_at_order_24(kind):
     rep = verify_decomposition(T, D, 1e-8)
     assert rep.passed, f"{kind} n=24: error {rep.max_abs_error}"
     assert flattening_ranks(T)[0] == structure_dim(kind, 24)
+
+
+def spec_cases():
+    """Every table kind at n in {1, 2, 5, 16}: sparse on a fixed pattern,
+    f-circulant at f in {-1, 2, 1j}."""
+    for kind, entry in SPECS.items():
+        for n in (1, 2, 5, 16):
+            pattern = (SparsityPattern(n, n, tuple((i, j) for i in range(n) for j in range(n)
+                                                   if (i * 7 + j * 3) % 4 == 0))
+                       if entry.needs_pattern else None)
+            for f in ((-1.0, 2.0, 1j) if entry.needs_f else (None,)):
+                yield kind, n, f, pattern
+
+
+@pytest.mark.parametrize("kind,n,f,pattern", list(spec_cases()))
+def test_replay_equals_the_kernel_triple(kind, n, f, pattern):
+    """The symbolic replay of the kernel body reads off exactly its (U, V, W)
+    maps: one term per row of U, factors equal to the maps applied to
+    identity matrices."""
+    U, V, W = SPECS[kind].maps(n, f, pattern)
+    assert U.shape[0] == formula_count(kind, n, pattern)
+    lam, Us, Vs, Ws = stack_terms(extract_decomposition(kind, n, f=f, pattern=pattern))
+    assert np.array_equal(lam, np.ones(U.shape[0]))
+    for got, want in ((Us, U.apply(np.eye(U.shape[1]))), (Vs, V.apply(np.eye(n))),
+                      (Ws.T, W.apply(np.eye(W.shape[1])))):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12

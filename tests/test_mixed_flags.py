@@ -9,8 +9,10 @@ multiplication, so these counts fall below the closed-form count.
 
 import pytest
 
-from bilinear_kernels import CountContext, StructureKind, structured, structured_matvec
+from bilinear_kernels import (CountContext, LevelSpec, SparsityPattern, StructureKind,
+                              structured, structured_matvec)
 from bilinear_kernels.counting import Kind, TrackedScalar
+from bilinear_kernels.kernels import SPECS
 from bilinear_kernels.rng import Lcg
 from bilinear_kernels.structures import param_count
 
@@ -91,3 +93,32 @@ GOLDEN = {
 def test_mixed_flag_counts_are_pinned(kind):
     got = [record(StructureKind(kind), n, p) for n in ORDERS for p in range(PATTERNS)]
     assert got == GOLDEN[kind]
+
+
+MULTILEVEL_KINDS = [kind for kind, entry in SPECS.items() if entry.multilevel_ok]
+
+
+@pytest.mark.parametrize("kind", MULTILEVEL_KINDS)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_unit_inner_level_keeps_the_single_level_count_and_flags(kind, n):
+    """Levels (kind, n) and (toeplitz, 1) make the same matrix as the single
+    level kind.  With one Variable parameter among Constants, both must form
+    the same bilinear products and flag the same outputs: the outer level's
+    maps must carry the kernel's structural support, not the nonzero
+    pattern of its numbers."""
+    entry = SPECS[kind]
+    f = 2.0 if entry.needs_f else None
+    pattern = (SparsityPattern(n, n, tuple((i, (3 * i + 1) % n) for i in range(n)))
+               if entry.needs_pattern else None)
+    levels = (LevelSpec(kind, n, f, pattern), LevelSpec(StructureKind.TOEPLITZ, 1))
+    x = [TrackedScalar(complex(1 + k, -k), Kind.VARIABLE) for k in range(n)]
+    for var in range(param_count(kind, n, pattern)):
+        data = [TrackedScalar(complex(k + 1, k % 3), Kind.VARIABLE if k == var else Kind.CONSTANT)
+                for k in range(param_count(kind, n, pattern))]
+        runs = []
+        for M in (structured(kind, n, data, f=f, pattern=pattern),
+                  structured(StructureKind.MULTILEVEL, n, data, levels=levels)):
+            ctx = CountContext()
+            out = structured_matvec(M, x, ctx)
+            runs.append((ctx.bilinear_mults, [s.is_variable for s in out]))
+        assert runs[0] == runs[1], f"variable parameter {var}"

@@ -40,9 +40,11 @@ def test_table_entry_agrees_with_itself(kind, n):
 
     rng = np.random.default_rng(n)
     ctx = CountContext()
-    spec.kernel(variable_vector(rng.standard_normal(P) + 1j),
+    spec.product(variable_vector(rng.standard_normal(P) + 1j),
                 variable_vector(rng.standard_normal(n) - 1j), ctx, f, pattern)
     assert ctx.bilinear_mults == spec.count(n, pattern)
+    counters = (ctx.bilinear_mults, ctx.divisions, ctx.scalar_mults, ctx.additions)
+    assert all(type(c) is int for c in counters)  # JSON-serializable, never numpy ints
 
 
 def test_symmetric_placement_holds_one_entry_per_cell():
