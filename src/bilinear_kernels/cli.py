@@ -74,9 +74,11 @@ def _parse_complex(text: str) -> complex:
 
 
 def _table_kind(name: str | None, n: int | None, f: complex, where: str,
-                draws_pattern: bool = False) -> tuple[StructureKind, complex | None]:
-    """A single-level kind named on the command line, checked against the
-    table, and the f it takes.  Only verify draws a sparsity pattern."""
+                draws_pattern: bool = False,
+                order_where: str = "--n") -> tuple[StructureKind, complex | None]:
+    """A single-level kind named on the command line (at ``where``, its order
+    at ``order_where``), checked against the table, and the f it takes.  Only
+    verify draws a sparsity pattern."""
     try:
         kind = StructureKind(name)
     except ValueError:
@@ -88,7 +90,7 @@ def _table_kind(name: str | None, n: int | None, f: complex, where: str,
         raise ConfigError(f"{where}: {kind.value} needs a sparsity pattern, "
                           f"which only verify --kind draws")
     if n is None or n < 1:
-        raise ConfigError(f"{where}: the order must be a positive integer, got {n}")
+        raise ConfigError(f"{order_where}: the order must be a positive integer, got {n}")
     if entry.needs_f and f == 0:
         raise ConfigError(f"{where}: f must be nonzero")
     return kind, (f if entry.needs_f else None)
@@ -105,7 +107,8 @@ def _parse_levels(text: str) -> tuple[LevelSpec, ...]:
         except ValueError:
             raise ConfigError(f"level {chunk!r}: bad order {parts[1]!r}") from None
         f = _parse_complex(parts[2]) if len(parts) == 3 else complex(-1.0)
-        kind, f = _table_kind(parts[0], n, f, f"level {chunk!r}")
+        where = f"level {chunk!r}"
+        kind, f = _table_kind(parts[0], n, f, where, order_where=where)
         if not SPECS[kind].multilevel_ok:
             raise ConfigError(f"level {chunk!r}: {kind.value} cannot be a level")
         levels.append(LevelSpec(kind, n, f))

@@ -145,11 +145,11 @@ def div(a: TrackedScalar, b: TrackedScalar, ctx: CountContext,
 # Kernels operate on whole vectors of tracked scalars.  Values are a numpy
 # array; per-entry Variable flags are a bool array.  A vector's first axis
 # runs over its entries.  Values may carry further axes: a block of vectors
-# (a multilevel level applied to every inner block at once) has flags of the
-# same shape, and the decomposition-extraction lane stores one linear-form
-# coefficient row per entry against 1-D flags.  Constant maps apply over
-# those trailing axes, and the pointwise product defers to the recorder
-# installed on the context.
+# (a multilevel level map applies to one axis of the whole product) has flags
+# of the same shape, and the decomposition-extraction lane stores one
+# linear-form coefficient row per entry against 1-D flags.  Constant maps
+# apply over those trailing axes, and the pointwise product defers to the
+# recorder installed on the context.
 # ---------------------------------------------------------------------------
 
 

@@ -128,5 +128,5 @@ def extract_decomposition(kind, n: int, f: complex | None = None,
 def level_decomposition(lev: LevelSpec) -> tuple:
     """The constant (U, V, W) factor maps of one level: its kind's cached
     kernel triple, whose supports are structural.  Multilevel products read
-    their outer levels through here, so a trace can count them."""
+    every level through here, so a trace can count them."""
     return spec(lev.kind).maps(lev.n, lev.f, lev.pattern)

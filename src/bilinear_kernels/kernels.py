@@ -38,7 +38,8 @@ it replaces, with that chain's structural support:
 
 A map is dense (ConstantMap), a gather of short signed sums (GatherMap), a
 stack of row bands, each a sum of those (BlockMap), or, for the symmetric U
-alone, one map after another (ChainMap); see counting.py.
+alone, one map after another (ChainMap); see counting.py.  A multilevel
+kernel is the Kronecker product of its levels' triples (structured_matvec).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import numpy as np
 from .counting import (BlockMap, ChainMap, ConstantMap, CountContext, GatherMap,
                        TrackedScalar, TrackedVector, add, apply_matrix, as_matrix,
                        as_vector, concat, match_output, mul, neg, reciprocal, sub,
-                       take, to_scalars)
+                       take, to_scalars, vmul)
 from .spectral import (F_CACHE_SIZE, ORDER_CACHE_SIZE, dft_matrix, idft_matrix,
                        principal_root, scaled_dft_matrix, scaled_idft_matrix, twiddles)
 from .structures import (LevelSpec, SparsityPattern, StructureKind, StructureSpec,
@@ -476,45 +477,21 @@ def _run(kind: StructureKind, data, x, ctx: CountContext, f: complex | None = No
 # Multilevel (Kronecker-structured) products
 # ---------------------------------------------------------------------------
 
-def _multilevel_impl(levels: tuple[LevelSpec, ...], data: TrackedVector,
-                     x: TrackedVector, ctx: CountContext) -> TrackedVector:
-    lev = levels[0]
-    if len(levels) == 1:
-        return SPECS[lev.kind].product(data, x, ctx, lev.f, lev.pattern)
-    from .extraction import level_decomposition
-    U, V, W = level_decomposition(lev)
-    (r, p0), n0 = U.shape, W.shape[0]
-    inner_n = len(x) // n0
-    # Each level map applies to the blocks of the inner parameters and inputs.
-    t = apply_matrix(U, TrackedVector(data.values.reshape(p0, -1),
-                                      data.variable.reshape(p0, -1)), ctx)
-    v = apply_matrix(V, TrackedVector(x.values.reshape(n0, -1), x.variable.reshape(n0, -1)), ctx)
-    z = TrackedVector(np.empty((r, inner_n), dtype=complex), np.empty((r, inner_n), dtype=bool))
-    for i in range(r):
-        zi = _multilevel_impl(levels[1:], TrackedVector(t.values[i], t.variable[i]),
-                              TrackedVector(v.values[i], v.variable[i]), ctx)
-        z.values[i], z.variable[i] = zi.values, zi.variable
-    out = apply_matrix(W, z, ctx)
-    return TrackedVector(out.values.reshape(-1), out.variable.reshape(-1))
+def _leading(vec: TrackedVector, d: int) -> TrackedVector:
+    """A block (a, d, ...) as (d, ..., a): the axis a map made goes last."""
+    return TrackedVector(vec.values.T.reshape(d, -1), vec.variable.T.reshape(d, -1))
+
+
+def _trailing(vec: TrackedVector, d: int) -> TrackedVector:
+    """A block's trailing axis of length d as its leading one: (d, rest)."""
+    return TrackedVector(vec.values.reshape(-1, d).T, vec.variable.reshape(-1, d).T)
 
 
 def multilevel_matvec(M: StructuredMatrix, x, ctx: CountContext):
-    """Nested product for Kronecker-structured matrices.
-
-    The outer kernel runs with block scalars: each of its bilinear products
-    becomes an inner structured product on linear combinations of the inner
-    parameter blocks, so the count is the product of the per-level counts.
-    Level kinds whose table entry is not multilevel_ok are rejected.
-    """
+    """Product with a Kronecker-structured matrix; see structured_matvec."""
     if M.kind is not StructureKind.MULTILEVEL:
         raise ValueError("multilevel_matvec expects a multilevel matrix")
-    for lev in M.levels:
-        if not SPECS[lev.kind].multilevel_ok:
-            raise ValueError(f"unsupported level kind {lev.kind.value}")
-    xv = as_vector(x)
-    if len(xv) != M.n:
-        raise ValueError(f"vector of length {len(xv)} for order {M.n}")
-    return match_output(x, _multilevel_impl(M.levels, M.data_vector(), xv, ctx))
+    return structured_matvec(M, x, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -522,13 +499,31 @@ def multilevel_matvec(M: StructuredMatrix, x, ctx: CountContext):
 # ---------------------------------------------------------------------------
 
 def structured_matvec(M: StructuredMatrix, x, ctx: CountContext):
-    """Run the minimum-multiplication kernel for any structured matrix."""
-    if M.kind is StructureKind.MULTILEVEL:
-        return multilevel_matvec(M, x, ctx)
+    """Run the minimum-multiplication kernel for any structured matrix.
+
+    A multilevel kernel is W (U t * V x) with U = U_0 x ... x U_{L-1}, and
+    likewise V and W, over levels that are multilevel_ok.  U and V apply
+    outer level first, W innermost first, so every counter equals that of
+    the outer kernel run over block scalars, level by level."""
     xv = as_vector(x)
     if len(xv) != M.n:
         raise ValueError(f"vector of length {len(xv)} for order {M.n}")
-    return match_output(x, SPECS[M.kind].product(M.data_vector(), xv, ctx, M.f, M.pattern))
+    if M.kind is not StructureKind.MULTILEVEL:
+        return match_output(x, SPECS[M.kind].product(M.data_vector(), xv, ctx, M.f, M.pattern))
+    for lev in M.levels:
+        if not SPECS[lev.kind].multilevel_ok:
+            raise ValueError(f"unsupported level kind {lev.kind.value}")
+    from .extraction import level_decomposition
+    triples = [level_decomposition(lev) for lev in M.levels]
+    t, v = M.data_vector(), xv
+    for U, V, _ in triples:
+        t = apply_matrix(U, _leading(t, U.shape[1]), ctx)
+        v = apply_matrix(V, _leading(v, V.shape[1]), ctx)
+    r = math.prod(U.shape[0] for U, _, _ in triples)    # one product per row of the Kronecker U
+    z = vmul(_leading(t, r), _leading(v, r), ctx)
+    for _, _, W in reversed(triples):
+        z = apply_matrix(W, _trailing(z, W.shape[1]), ctx)
+    return match_output(x, TrackedVector(z.values.reshape(-1), z.variable.reshape(-1)))
 
 
 def toeplitz_matmul(t, Y, ctx: CountContext):

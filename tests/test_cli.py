@@ -70,6 +70,11 @@ class TestVerify:
                            "--levels", "toeplitz:3,toeplitz:2", "--trials", "10")
         assert code == 0 and "fast_count=15" in out
 
+    def test_multilevel_at_order_1024(self, capsys):
+        code, out, _ = run(capsys, "verify", "--kind", "multilevel",
+                           "--levels", "toeplitz:32,toeplitz:32", "--trials", "2")
+        assert code == 0 and "fast_count=3969" in out and "pass=true" in out
+
     def test_env_tolerance_override(self, capsys, monkeypatch):
         monkeypatch.setenv("BILINEAR_KERNELS_TOL", "1e-30")
         code, out, _ = run(capsys, "verify", "--kind", "toeplitz", "--n", "6",
@@ -134,6 +139,17 @@ class TestUsageErrors:
     ])
     def test_bad_option(self, capsys, argv):
         assert_usage_error(*run(capsys, *argv)[::2])
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--kind", "toeplitz"),
+        ("verify", "--kind", "toeplitz", "--n", "-3"),
+        ("tensor", "--kind", "toeplitz", "--n", "0"),
+        ("tensor", "--builder", "toeplitz"),
+    ])
+    def test_bad_order_names_n(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert_usage_error(code, err)
+        assert err.startswith("error: --n:")
 
     @pytest.mark.parametrize("value", ["abc", "nan", "-1"])
     def test_bad_env_tolerance(self, capsys, monkeypatch, value):

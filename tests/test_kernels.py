@@ -12,6 +12,7 @@ from bilinear_kernels import (CountContext, SingularMatrix, StructureKind,
                               symmetric_hankel_stages, symmetric_matvec,
                               toeplitz_matmul, toeplitz_matvec, tph_matvec,
                               triangular_toeplitz_matvec, variable, variables)
+from bilinear_kernels import kernels
 from bilinear_kernels.kernels import (_symmetric_maps, _toeplitz_maps, _tph_maps,
                                      _triangular_toeplitz_maps)
 from bilinear_kernels.rng import Lcg
@@ -37,6 +38,12 @@ def rel_err(got, want):
 
 def random_instance(kind, n, rng, f=None):
     return structured(kind, n, rng.complex_vector(param_count(kind, n)), f=f)
+
+
+def random_multilevel(levels, rng):
+    n = math.prod(lev.n for lev in levels)
+    count = param_count(StructureKind.MULTILEVEL, n, levels=levels)
+    return structured(StructureKind.MULTILEVEL, n, rng.complex_vector(count), levels=levels)
 
 
 class TestCirculant:
@@ -523,8 +530,31 @@ class TestMultilevel:
             levels = (LevelSpec(StructureKind.TOEPLITZ, 2), LevelSpec(bad, 2))
             count = param_count(StructureKind.TOEPLITZ, 2) * param_count(bad, 2)
             M = structured(StructureKind.MULTILEVEL, 4, [1] * count, levels=levels)
-            with pytest.raises(ValueError, match="level kind"):
-                multilevel_matvec(M, variables([1, 2, 3, 4]), CountContext())
+            for matvec in (multilevel_matvec, structured_matvec):
+                with pytest.raises(ValueError, match="level kind"):
+                    matvec(M, variables([1, 2, 3, 4]), CountContext())
+
+    @pytest.mark.parametrize("levels", [
+        "toeplitz:1,hankel:5", "circulant:4,toeplitz:1", "toeplitz:3,toeplitz:3,toeplitz:3",
+        "symmetric:3,tph:2", "hankel:2,circulant:3,symmetric:1,toeplitz:2",
+    ])
+    def test_one_pointwise_product_and_three_maps_per_level(self, monkeypatch, levels):
+        """The Kronecker kernel makes one pointwise product and applies each
+        level's three maps once, whatever the level orders; nothing recurses."""
+        calls = dict.fromkeys(("structured_matvec", "vmul", "apply_matrix"), 0)
+        for name in calls:
+            def counted(*args, _real=getattr(kernels, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(kernels, name, counted)
+        levels = tuple(LevelSpec(StructureKind(kind), int(n))
+                       for kind, n in (text.split(":") for text in levels.split(",")))
+        rng = Lcg(46)
+        M = random_multilevel(levels, rng)
+        x = variables(rng.complex_vector(M.n))
+        out = multilevel_matvec(M, x, CountContext())
+        assert calls == {"structured_matvec": 1, "vmul": 1, "apply_matrix": 3 * len(levels)}
+        assert rel_err(vals(out), vals(naive_matvec(M, x, CountContext()))) < 1e-7
 
 
 def test_unit_disk_equivalence_invariant():
@@ -587,6 +617,22 @@ def test_count_matches_formula_at_large_n(kind, n):
     out = structured_matvec(M, variables(Lcg(n + 1).complex_vector(n)), ctx)
     assert ctx.bilinear_mults == formula_count(kind, n)
     assert all(s.is_variable for s in out)
+
+
+@pytest.mark.parametrize("levels", [
+    (LevelSpec(StructureKind.TOEPLITZ, 32), LevelSpec(StructureKind.TOEPLITZ, 32)),
+    (LevelSpec(StructureKind.TOEPLITZ, 10), LevelSpec(StructureKind.HANKEL, 10),
+     LevelSpec(StructureKind.CIRCULANT, 10)),
+], ids=["toeplitz:32,toeplitz:32", "toeplitz:10,hankel:10,circulant:10"])
+def test_multilevel_at_order_1000(levels):
+    rng = Lcg(len(levels))
+    M = random_multilevel(levels, rng)
+    x = variables(rng.complex_vector(M.n))
+    ctx = CountContext()
+    out = structured_matvec(M, x, ctx)
+    assert ctx.bilinear_mults == formula_count(StructureKind.MULTILEVEL, M.n, levels=levels)
+    assert all(s.is_variable for s in out)
+    assert rel_err(vals(out), vals(naive_matvec(M, x, CountContext()))) < 1e-7
 
 
 def test_multilevel_count_with_wide_outer_level():
