@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import CountContext, variables
+from .counting import CountContext, variable_vector, variables
 from .groups import blocked_simultaneous, cyclic_group, dihedral8, tpp_check
 from .kernels import SPECS, formula_count, structured_matvec
 from .rng import Lcg
@@ -165,13 +165,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     formulas = set()
     for _ in range(cfg.trials):
         M = _build_instance(cfg, rng)
-        x = variables(rng.complex_vector(M.n))
+        x = variable_vector(rng.complex_vector(M.n))
         ctx = CountContext()
         fast = structured_matvec(M, x, ctx)
         ctx_naive = CountContext()
         ref = naive_matvec(M, x, ctx_naive)
-        max_err = max(max_err, _rel_error(np.array([s.value for s in fast]),
-                                          np.array([s.value for s in ref])))
+        max_err = max(max_err, _rel_error(fast.values, ref.values))
         formula = formula_count(M.kind, M.n, M.pattern, M.levels)
         counts_match &= ctx.bilinear_mults == formula
         fast_counts.add(ctx.bilinear_mults)
@@ -188,15 +187,15 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _count_row(M: StructuredMatrix, label_n: str, rng: Lcg) -> tuple[list[str], bool]:
-    x = variables(rng.complex_vector(M.n))
     ctx = CountContext()
-    structured_matvec(M, x, ctx)
+    structured_matvec(M, variable_vector(rng.complex_vector(M.n)), ctx)
     fast = ctx.bilinear_mults
-    naive = naive_count(M)
+    values, variable, structural = dense_parts(M)
+    naive = naive_count((values, variable))
     formula = formula_count(M.kind, M.n, M.pattern, M.levels)
     match = fast == formula
     # '*': the pattern-aware count, which skips a structurally zero diagonal
-    naive_text = str(naive) if dense_parts(M)[2].diagonal().all() else f"{naive}*"
+    naive_text = str(naive) if structural.diagonal().all() else f"{naive}*"
     name = "bttb" if M.kind is StructureKind.MULTILEVEL else M.kind.value
     return [name, label_n, str(fast), naive_text, str(formula), str(match).lower()], match
 

@@ -145,11 +145,12 @@ def div(a: TrackedScalar, b: TrackedScalar, ctx: CountContext,
 # Kernels operate on whole vectors of tracked scalars.  Values are a numpy
 # array; per-entry Variable flags are a bool array.  A vector's first axis
 # runs over its entries.  Values may carry further axes: a block of vectors
-# (a multilevel level map applies to one axis of the whole product) has flags
-# of the same shape, and the decomposition-extraction lane stores one
-# linear-form coefficient row per entry against 1-D flags.  Constant maps
-# apply over those trailing axes, and the pointwise product defers to the
-# recorder installed on the context.
+# (a multilevel level map applies to one axis of the whole product, and the
+# blocked kernels batch their column pairs or columns) has flags of the same
+# shape, and the decomposition-extraction lane stores one linear-form
+# coefficient row per entry against 1-D flags.  Constant maps apply over
+# those trailing axes, and the pointwise product defers to the recorder
+# installed on the context.
 # ---------------------------------------------------------------------------
 
 
@@ -341,9 +342,18 @@ def variable_vector(values) -> TrackedVector:
     return TrackedVector(arr, np.ones(arr.shape[0], dtype=bool))
 
 
-def zero_vector(k: int) -> TrackedVector:
-    """Constant-zero vector of length k."""
-    return TrackedVector(np.zeros(k, dtype=complex), np.zeros(k, dtype=bool))
+def tile(vec: TrackedVector, k: int) -> TrackedVector:
+    """The block whose k columns are copies of vec; a map applied to it
+    charges every column as its own vector."""
+    return TrackedVector(np.repeat(vec.values[:, None], k, axis=1),
+                         np.repeat(vec.variable[:, None], k, axis=1))
+
+
+def to_grid(block: TrackedVector) -> list[list[TrackedScalar]]:
+    """The rows of an (m, k) block as lists of tracked scalars."""
+    m, k = block.values.shape
+    flat = to_scalars(TrackedVector(block.values.reshape(-1), block.variable.reshape(-1)))
+    return [flat[i * k:(i + 1) * k] for i in range(m)]
 
 
 def concat(*vecs: TrackedVector) -> TrackedVector:
@@ -374,11 +384,21 @@ def vmul(u: TrackedVector, v: TrackedVector, ctx: CountContext) -> TrackedVector
     if len(u) != len(v):
         raise ValueError("pointwise product of mismatched lengths")
     both = u.variable & v.variable
-    ctx.count_bilinear(int(both.sum()))
-    ctx.count_scalar(len(u) - int(both.sum()))
+    bilinear = int(np.count_nonzero(both))
+    ctx.count_bilinear(bilinear)
+    ctx.count_scalar(both.size - bilinear)
     if ctx.recorder is not None:
         return ctx.recorder.pointwise(u, v, both)
     return TrackedVector(u.values * v.values, u.variable | v.variable)
+
+
+def triple_product(maps, a: TrackedVector, b: TrackedVector,
+                   ctx: CountContext) -> TrackedVector:
+    """W (U a * V b) for a Cohn-Umans triple (U, V, W) of constant maps, on
+    vectors or blocks: the body of every bilinear kernel.  The pointwise
+    product forms the counted products, one per row of U."""
+    U, V, W = maps
+    return apply_matrix(W, vmul(apply_matrix(U, a, ctx), apply_matrix(V, b, ctx), ctx), ctx)
 
 
 def reciprocal(vec: TrackedVector, ctx: CountContext,

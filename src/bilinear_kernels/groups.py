@@ -1,6 +1,11 @@
 """Finite groups as multiplication tables, the triple product property,
 embedding-based matrix multiplication, and the two 8-multiplication
-simultaneous 2x2 product kernels."""
+simultaneous 2x2 product kernels.
+
+group_algebra_mul and cu_matmul are the scalar reference path: they walk the
+table entry by entry and skip Constant-zero coefficients by value.  The
+simultaneous kernels are triples (U, V, W) of constant maps built once and
+run by counting.triple_product, over a batch axis of column pairs."""
 
 from __future__ import annotations
 
@@ -9,9 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import (ConstantMap, CountContext, Kind, TrackedScalar, TrackedVector, add,
-                       apply_matrix, as_matrix, constant, mul, take, to_scalars,
-                       vmul, zero_vector)
+from .counting import (ChainMap, ConstantMap, CountContext, GatherMap, Kind, TrackedScalar,
+                       TrackedVector, add, as_matrix, constant, mul, tile, to_grid,
+                       triple_product)
 from .spectral import dft_matrix, idft_matrix
 
 
@@ -193,51 +198,41 @@ _D4_REP2[5] = [[0, 1], [1, 0]]
 _D4_REP2[6] = [[-1, 0], [0, 1]]
 _D4_REP2[7] = [[0, -1], [-1, 0]]
 
-for _p in range(8):
-    for _q in range(8):
-        if np.abs(_D4_REP2[_p] @ _D4_REP2[_q] - _D4_REP2[_D4_TABLE[_p, _q]]).max() > 1e-12:
-            raise AssertionError("two-dimensional representation is not a homomorphism")
+if np.abs(np.einsum("pab,qbc->pqac", _D4_REP2, _D4_REP2) - _D4_REP2[_D4_TABLE]).max() > 1e-12:
+    raise AssertionError("two-dimensional representation is not a homomorphism")
 
 # Support of the embedded left factor: x^2, y, x^2y, 1 (all diagonal in the
 # two-dimensional representation, which is what caps the block product at
 # four multiplications).
-_A_SUPPORT = (2, 4, 6, 0)
-_B_SUPPORT = (3, 6, 7, 0)
-for _g in _A_SUPPORT:
-    if abs(_D4_REP2[_g][0, 1]) > 0 or abs(_D4_REP2[_g][1, 0]) > 0:
-        raise AssertionError("left-factor support is not diagonal in the 2d representation")
+_A_SUPPORT = [2, 4, 6, 0]
+_B_SUPPORT = [3, 6, 7, 0]
+if np.abs(_D4_REP2[_A_SUPPORT][:, [0, 1], [1, 0]]).max() > 0:
+    raise AssertionError("left-factor support is not diagonal in the 2d representation")
 
-# Forward transforms: left factor -> 4 characters + 2 diagonal block entries,
-# right factor -> 4 characters + the full 2x2 block (row-major).
-_D4_FWD_A = np.zeros((6, 4), dtype=complex)
-_D4_FWD_B = np.zeros((8, 4), dtype=complex)
-for _col, _g in enumerate(_A_SUPPORT):
-    _D4_FWD_A[0:4, _col] = _D4_CHARS[:, _g]
-    _D4_FWD_A[4, _col] = _D4_REP2[_g][0, 0]
-    _D4_FWD_A[5, _col] = _D4_REP2[_g][1, 1]
-for _col, _g in enumerate(_B_SUPPORT):
-    _D4_FWD_B[0:4, _col] = _D4_CHARS[:, _g]
-    _D4_FWD_B[4, _col] = _D4_REP2[_g][0, 0]
-    _D4_FWD_B[5, _col] = _D4_REP2[_g][0, 1]
-    _D4_FWD_B[6, _col] = _D4_REP2[_g][1, 0]
-    _D4_FWD_B[7, _col] = _D4_REP2[_g][1, 1]
+# The (AB, AB^f) triple over row-major A = (a, b, c, d) and B.  U maps the
+# left factor to its 4 characters and 2 diagonal block entries and repeats
+# each block entry (a pure relabeling), V maps the right factor to its 4
+# characters and full 2x2 block, so the block product is four
+# multiplications plus one per character.  W is Fourier inversion on D4 from
+# the 8 products (r0..r3, Q00, Q01, Q10, Q11), its rows ordered so that it
+# reads AB's entries off the coefficients at x, y, x^3y, 1 and AB^f's off
+# those at xy, x^2, x^3, x^2y.
+_D4_FWD_A = np.array([*_D4_CHARS[:, _A_SUPPORT], *_D4_REP2[_A_SUPPORT][:, [0, 1], [0, 1]].T])
+_D4_FWD_B = np.array([*_D4_CHARS[:, _B_SUPPORT], *_D4_REP2[_B_SUPPORT].reshape(4, 4).T])
+_D4_INV_MAP = np.hstack([_D4_CHARS[:, _D4_INV].T / 8.0,
+                         2.0 * _D4_REP2[_D4_INV].transpose(0, 2, 1).reshape(8, 4) / 8.0])
+_D4_MAPS = (ChainMap(ConstantMap(_D4_FWD_A),
+                     GatherMap((8, 6), range(8), [0, 1, 2, 3, 4, 4, 5, 5])),
+            ConstantMap(_D4_FWD_B),
+            ConstantMap(_D4_INV_MAP[[1, 4, 7, 0, 5, 2, 3, 6]]))
 
-# Inverse transform from the 8 product values (r0..r3, Q00, Q01, Q10, Q11)
-# back to group-algebra coefficients: Fourier inversion on D4.
-_D4_INV_MAP = np.zeros((8, 8), dtype=complex)
-for _g in range(8):
-    _gi = _D4_INV[_g]
-    _D4_INV_MAP[_g, 0:4] = _D4_CHARS[:, _gi] / 8.0
-    for _al in range(2):
-        for _be in range(2):
-            _D4_INV_MAP[_g, 4 + 2 * _be + _al] = 2.0 * _D4_REP2[_gi][_al, _be] / 8.0
-
-_D4_FWD_A_MAP = ConstantMap(_D4_FWD_A)
-_D4_FWD_B_MAP = ConstantMap(_D4_FWD_B)
-_D4_INV_CMAP = ConstantMap(_D4_INV_MAP)
-
-_M1_COEFF = (1, 4, 7, 0)   # entries of AB at x, y, x^3y, 1
-_M2_COEFF = (5, 2, 3, 6)   # entries of AB^f at xy, x^2, x^3, x^2y
+# The (AB, AB^g) triple: U and V place A's d, b, c, a at degrees 0..3 and B's
+# f, h, e, g at degrees 0, 2, 4, 6 of sparse degree-7 polynomials and apply
+# the 8-point transform; W is the inverse transform's rows at the degrees of
+# AB's entries (7, 3, 6, 2) and then of AB^g's (5, 1, 4, 0).
+_X8_MAPS = (ChainMap(GatherMap((8, 4), range(4), [3, 1, 2, 0]), dft_matrix(8)),
+            ChainMap(GatherMap((8, 4), [0, 2, 4, 6], [1, 3, 0, 2]), dft_matrix(8)),
+            idft_matrix(8)[[7, 3, 6, 2, 5, 1, 4, 0]])
 
 
 def wedderburn_d4(coeffs) -> tuple[np.ndarray, np.ndarray]:
@@ -257,9 +252,11 @@ def wedderburn_d4_inverse(chars4, block) -> np.ndarray:
     return _D4_INV_MAP @ prods
 
 
-def _grid2(vec: TrackedVector, idx: tuple[int, int, int, int]):
-    s = to_scalars(take(vec, np.array(idx)))
-    return [[s[0], s[1]], [s[2], s[3]]]
+def _two_by_two(A, B, name: str):
+    A, B = as_matrix(A), as_matrix(B)
+    if A[0].shape != (2, 2) or B[0].shape != (2, 2):
+        raise ValueError(f"{name} expects 2x2 factors")
+    return A, B
 
 
 def d4_simultaneous(A, B, ctx: CountContext):
@@ -270,18 +267,7 @@ def d4_simultaneous(A, B, ctx: CountContext):
     block product needs four multiplications, plus one per one-dimensional
     coordinate.
     """
-    avals, aflags = as_matrix(A)
-    bvals, bflags = as_matrix(B)
-    if avals.shape != (2, 2) or bvals.shape != (2, 2):
-        raise ValueError("d4_simultaneous expects 2x2 factors")
-    av = TrackedVector(avals.reshape(-1), aflags.reshape(-1))
-    bv = TrackedVector(bvals.reshape(-1), bflags.reshape(-1))
-    wa = apply_matrix(_D4_FWD_A_MAP, av, ctx)      # r0..r3, p11, p22
-    wb = apply_matrix(_D4_FWD_B_MAP, bv, ctx)      # r0..r3, q11, q12, q21, q22
-    left = take(wa, np.array([0, 1, 2, 3, 4, 4, 5, 5]))
-    prods = vmul(left, wb, ctx)                    # exactly 8 bilinear products
-    coeffs = apply_matrix(_D4_INV_CMAP, prods, ctx)
-    return _grid2(coeffs, _M1_COEFF), _grid2(coeffs, _M2_COEFF)
+    return blocked_simultaneous(*_two_by_two(A, B, "d4_simultaneous"), "f", ctx)
 
 
 def x8_simultaneous(A, B, ctx: CountContext):
@@ -292,51 +278,33 @@ def x8_simultaneous(A, B, ctx: CountContext):
     through the 8-point transform; the two products are read off disjoint
     coefficient sets of the same convolution.
     """
-    avals, aflags = as_matrix(A)
-    bvals, bflags = as_matrix(B)
-    if avals.shape != (2, 2) or bvals.shape != (2, 2):
-        raise ValueError("x8_simultaneous expects 2x2 factors")
-    av = TrackedVector(avals.reshape(-1), aflags.reshape(-1))
-    bv = TrackedVector(bvals.reshape(-1), bflags.reshape(-1))
-    p = zero_vector(8)
-    q = zero_vector(8)
-    asel = take(av, np.array([3, 1, 2, 0]))        # d, b, c, a at degrees 0..3
-    bsel = take(bv, np.array([1, 3, 0, 2]))        # f, h, e, g at degrees 0, 2, 4, 6
-    p.values[np.array([0, 1, 2, 3])] = asel.values
-    p.variable[np.array([0, 1, 2, 3])] = asel.variable
-    q.values[np.array([0, 2, 4, 6])] = bsel.values
-    q.variable[np.array([0, 2, 4, 6])] = bsel.variable
-    phat = apply_matrix(dft_matrix(8), p, ctx)
-    qhat = apply_matrix(dft_matrix(8), q, ctx)
-    u = apply_matrix(idft_matrix(8), vmul(phat, qhat, ctx), ctx)
-    return _grid2(u, (7, 3, 6, 2)), _grid2(u, (5, 1, 4, 0))
+    return blocked_simultaneous(*_two_by_two(A, B, "x8_simultaneous"), "g", ctx)
 
 
 def blocked_simultaneous(A, B, variant: str, ctx: CountContext):
-    """(AB, AB^variant) for B with 2n columns, applying the 2x2 kernel per
-    column pair: 8n multiplications.  variant 'f' swaps rows globally;
-    variant 'g' additionally swaps the first-row entries within each pair."""
+    """(AB, AB^variant) for B with 2n columns in 8n multiplications: the 2x2
+    kernel's triple applied once over a trailing batch axis of the n column
+    pairs, with A tiled across it so that U A is charged once per pair.
+    variant 'f' (d4_simultaneous) swaps rows globally; variant 'g'
+    (x8_simultaneous) additionally swaps the first-row entries within each
+    pair."""
     if variant not in ("f", "g"):
         raise ValueError("variant must be 'f' or 'g'")
-    avals, aflags = as_matrix(A)
-    bvals, bflags = as_matrix(B)
+    (avals, aflags), (bvals, bflags) = as_matrix(A), as_matrix(B)
     if avals.shape != (2, 2) or bvals.shape[0] != 2:
         raise ValueError("blocked_simultaneous expects a 2x2 A and a 2-row B")
     if bvals.shape[1] % 2 != 0:
         raise ValueError("B must have an even number of columns")
-    kernel = d4_simultaneous if variant == "f" else x8_simultaneous
-    agrid = [[TrackedScalar(complex(avals[i, j]),
-                            Kind.VARIABLE if aflags[i, j] else Kind.CONSTANT)
-              for j in range(2)] for i in range(2)]
-    out1 = [[], []]
-    out2 = [[], []]
-    for pair in range(bvals.shape[1] // 2):
-        cols = slice(2 * pair, 2 * pair + 2)
-        block = [[TrackedScalar(complex(bvals[i, j]),
-                                Kind.VARIABLE if bflags[i, j] else Kind.CONSTANT)
-                  for j in range(*cols.indices(bvals.shape[1]))] for i in range(2)]
-        m1, m2 = kernel(agrid, block, ctx)
-        for i in range(2):
-            out1[i].extend(m1[i])
-            out2[i].extend(m2[i])
-    return out1, out2
+    pairs = bvals.shape[1] // 2
+
+    def by_pair(M):        # (2, 2n) -> (4, n): column j is pair j's block, row-major
+        return M.reshape(2, pairs, 2).transpose(0, 2, 1).reshape(4, pairs)
+
+    def by_row(M):         # (8, n) -> (4, 2n): the rows of AB, then of AB^variant
+        return M.reshape(2, 2, 2, pairs).transpose(0, 1, 3, 2).reshape(4, 2 * pairs)
+
+    a = tile(TrackedVector(avals.reshape(-1), aflags.reshape(-1)), pairs)
+    out = triple_product(_D4_MAPS if variant == "f" else _X8_MAPS, a,
+                         TrackedVector(by_pair(bvals), by_pair(bflags)), ctx)
+    grid = to_grid(TrackedVector(by_row(out.values), by_row(out.variable)))
+    return grid[:2], grid[2:]

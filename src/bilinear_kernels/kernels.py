@@ -14,14 +14,18 @@ The counts per size n:
     multilevel                      product of the level counts
     toeplitz matmul                 n(2n-1)
     2x2 commutator                  6
+    Gauss complex product           3
 
-Every single-level kind is one Cohn-Umans triple (U, V, W) of cached
-constant maps, and one body, StructureSpec.product, runs them all as
-W (U t * V x): U embeds the parameters t, V the input x, the pointwise
-product forms the counted products (one per row of U) and W reads the
-output off.  Each map is built once per order, f or pattern from the chain
-of embedding, padding, transform, bin-skipping, reversal and peeling steps
-it replaces, with that chain's structural support:
+Every kernel is one Cohn-Umans triple (U, V, W) of constant maps, run by
+one body, counting.triple_product, as W (U t * V x): U embeds the
+parameters t, V the input x, the pointwise product forms the counted
+products (one per row of U) and W reads the output off.  Gauss's product
+and the commutator are triples of gather maps built once, and Toeplitz
+times dense applies the Toeplitz triple once over a batch axis of columns
+(groups.py holds the simultaneous 2x2 products).  A single-level kind's
+triple is cached per order, f or pattern and built from the chain of
+embedding, padding, transform, bin-skipping, reversal and peeling steps it
+replaces, with that chain's structural support:
 
     circulant, f-circulant  U evaluates the reindexed first column at the n
                             roots of t^n = f; V and W are the scaled transforms
@@ -37,9 +41,9 @@ it replaces, with that chain's structural support:
     sparse                  gather maps, one product per pattern entry
 
 A map is dense (ConstantMap), a gather of short signed sums (GatherMap), a
-stack of row bands, each a sum of those (BlockMap), or, for the symmetric U
-alone, one map after another (ChainMap); see counting.py.  A multilevel
-kernel is the Kronecker product of its levels' triples (structured_matvec).
+stack of row bands, each a sum of those (BlockMap), or one map after
+another (ChainMap); see counting.py.  A multilevel kernel is the Kronecker
+product of its levels' triples, applied level by level (structured_matvec).
 """
 
 from __future__ import annotations
@@ -51,9 +55,9 @@ from functools import lru_cache
 import numpy as np
 
 from .counting import (BlockMap, ChainMap, ConstantMap, CountContext, GatherMap,
-                       TrackedScalar, TrackedVector, add, apply_matrix, as_matrix,
-                       as_vector, concat, match_output, mul, neg, reciprocal, sub,
-                       take, to_scalars, vmul)
+                       TrackedScalar, TrackedVector, apply_matrix, as_matrix, as_vector,
+                       concat, match_output, reciprocal, take, tile, to_grid, to_scalars,
+                       triple_product, vmul)
 from .spectral import (F_CACHE_SIZE, ORDER_CACHE_SIZE, dft_matrix, idft_matrix,
                        principal_root, scaled_dft_matrix, scaled_idft_matrix, twiddles)
 from .structures import (LevelSpec, SparsityPattern, StructureKind, StructureSpec,
@@ -153,15 +157,18 @@ def f_circulant_inverse(c, f: complex, ctx: CountContext):
 # Gauss 3-multiplication complex product
 # ---------------------------------------------------------------------------
 
+# (a + ib)(c + id): U and V form a + b, a, b and c + d, c, d; W reads
+# re = ac - bd and im = (a + b)(c + d) - ac - bd off the three products.
+_GAUSS_SUMS = GatherMap((3, 2), [0, 0, 1, 2], [0, 1, 0, 1])
+GAUSS_MAPS = (_GAUSS_SUMS, _GAUSS_SUMS,
+              GatherMap((2, 3), [0, 0, 1, 1, 1], [1, 2, 0, 1, 2], [1, -1, 1, -1, -1]))
+
+
 def gauss_complex_mul(a: TrackedScalar, b: TrackedScalar, c: TrackedScalar,
                       d: TrackedScalar, ctx: CountContext):
     """(a+ib)(c+id) -> (ac-bd, ad+bc) with exactly three multiplications."""
-    m1 = mul(add(a, b, ctx), add(c, d, ctx), ctx)
-    m2 = mul(a, c, ctx)
-    m3 = mul(b, d, ctx)
-    re = sub(m2, m3, ctx)
-    im = sub(sub(m1, m2, ctx), m3, ctx)
-    return re, im
+    return tuple(to_scalars(triple_product(GAUSS_MAPS, as_vector([a, b]), as_vector([c, d]),
+                                           ctx)))
 
 
 # ---------------------------------------------------------------------------
@@ -527,38 +534,36 @@ def structured_matvec(M: StructuredMatrix, x, ctx: CountContext):
 
 
 def toeplitz_matmul(t, Y, ctx: CountContext):
-    """Toeplitz times dense, column by column: n(2n-1) multiplications."""
-    tv = as_vector(t)
-    yvals, yflags = as_matrix(Y)
-    n = yvals.shape[0]
-    if yvals.shape[1] != n or len(tv) != 2 * n - 1:
+    """Toeplitz times dense in n(2n-1) multiplications: the Toeplitz triple
+    applied once over a batch axis of Y's columns, with t tiled across it so
+    that U t is charged once per column."""
+    tv, y = as_vector(t), TrackedVector(*as_matrix(Y))
+    n = len(y)
+    if y.values.shape[1] != n or len(tv) != 2 * n - 1:
         raise ValueError("toeplitz_matmul expects 2n-1 diagonals and an n x n factor")
-    cols = [to_scalars(toeplitz_matvec(tv, TrackedVector(yvals[:, j], yflags[:, j]), ctx))
-            for j in range(n)]
-    return [list(row) for row in zip(*cols)]
+    return to_grid(triple_product(_toeplitz_maps(n), tile(tv, n), y, ctx))
+
+
+# [A, X] for A = [[a, b], [c, d]], X = [[x, y], [z, w]] is a bilinear form in
+# s = (-c, b, a - d) and t = (x - w, y, z).  U and V form s and t once and
+# gather the six products s1 t2, s2 t3, s2 t1, s3 t2, s1 t1, s3 t3 (the junk
+# product s3 t1 of the underlying realization is never formed).  W forms
+# w1 = s1 t2 + s2 t3, w2 = s3 t2 - s2 t1, w3 = -s1 t1 - s3 t3 and then reads
+# [[w1, w2], [w3, -w1]] off them: trace-free by construction, -w1 for free.
+_COMMUTATOR_MAPS = (
+    ChainMap(GatherMap((3, 4), [0, 1, 2, 2], [2, 1, 0, 3], [-1, 1, 1, -1]),
+             GatherMap((6, 3), range(6), [0, 1, 1, 2, 0, 2])),
+    ChainMap(GatherMap((3, 4), [0, 0, 1, 2], [0, 3, 1, 2], [1, -1, 1, 1]),
+             GatherMap((6, 3), range(6), [1, 2, 0, 1, 0, 2])),
+    ChainMap(GatherMap((3, 6), [0, 0, 1, 1, 2, 2], range(6), [1, 1, -1, 1, -1, -1]),
+             GatherMap((4, 3), range(4), [0, 1, 2, 0], [1, 1, 1, -1])))
 
 
 def commutator_2x2(A, X, ctx: CountContext):
-    """[A, X] = AX - XA for 2x2 matrices with exactly six multiplications.
-
-    Reduces to a 3-vector bilinear form over s = (-c, b, a-d) and
-    t = (x-w, y, z); the junk product s3*t1 of the underlying realization is
-    never formed, and the output trace is zero by construction.
-    """
-    (a, b), (c, d) = A[0], A[1]
-    (xx, y), (z, ww) = X[0], X[1]
-    s1, s2, s3 = neg(c), b, sub(a, d, ctx)
-    t1, t2, t3 = sub(xx, ww, ctx), y, z
-    p11 = mul(s1, t1, ctx)
-    p33 = mul(s3, t3, ctx)
-    p12 = mul(s1, t2, ctx)
-    p23 = mul(s2, t3, ctx)
-    p21 = mul(s2, t1, ctx)
-    p32 = mul(s3, t2, ctx)
-    w1 = add(p12, p23, ctx)
-    w2 = add(neg(p21), p32, ctx)
-    w3 = sub(neg(p11), p33, ctx)
-    return [[w1, w2], [w3, neg(w1)]]
+    """[A, X] = AX - XA for 2x2 matrices with exactly six multiplications."""
+    a, x = (as_vector([s for row in M for s in row]) for M in (A, X))
+    out = triple_product(_COMMUTATOR_MAPS, a, x, ctx)
+    return to_grid(TrackedVector(out.values.reshape(2, 2), out.variable.reshape(2, 2)))
 
 
 def kernel_report(M: StructuredMatrix, x) -> KernelReport:

@@ -28,8 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, apply_matrix,
-                       as_matrix, as_vector, constant, match_output, read_only, vmul)
+from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, as_matrix,
+                       as_vector, constant, match_output, read_only, triple_product)
 
 
 class SchemaError(ValueError):
@@ -113,11 +113,9 @@ class StructureSpec:
     def product(self, data: TrackedVector, x: TrackedVector, ctx: CountContext,
                 f: complex | None = None,
                 pattern: SparsityPattern | None = None) -> TrackedVector:
-        """The minimum-multiplication product W (U t * V x) on TrackedVectors,
-        the one kernel body of every single-level kind."""
-        U, V, W = self.maps(len(x), f, pattern)
-        return apply_matrix(W, vmul(apply_matrix(U, data, ctx), apply_matrix(V, x, ctx), ctx),
-                            ctx)
+        """The minimum-multiplication product W (U t * V x) of the kind's
+        triple on TrackedVectors."""
+        return triple_product(self.maps(len(x), f, pattern), data, x, ctx)
 
 @lru_cache(maxsize=len(StructureKind))  # one entry per kind; an import costs more than a hit
 def spec(kind: StructureKind) -> StructureSpec:
@@ -374,12 +372,10 @@ def naive_matvec(A, x, ctx: CountContext):
 
 
 def naive_count(A) -> int:
-    """Structural multiplication count of the naive product (generic input)."""
-    if isinstance(A, StructuredMatrix):
-        values, variable, structural = dense_parts(A)
-        active = variable | (values != 0)
-        return int(active.sum())
-    values, variable = as_matrix(A)
+    """Structural multiplication count of the naive product (generic input).
+    A may be a StructuredMatrix, a dense grid of TrackedScalar or its
+    (values, variable) arrays."""
+    values, variable = as_matrix(dense_parts(A)[:2] if isinstance(A, StructuredMatrix) else A)
     return int((variable | (values != 0)).sum())
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import GAUSS_MAPS
 from .structures import (SchemaError, SparsityPattern, StructureKind, check_level,
                          read_complex_pair, spec)
 
@@ -254,7 +255,9 @@ def complex_mul_decomposition(preset: str) -> TensorDecomposition:
     """Named decompositions of the complex-multiplication tensor.
 
     usual: the four-term schoolbook algorithm (coefficient sum 4).
-    gauss: the three-term algorithm (coefficient sum 2(1+sqrt 2)).
+    gauss: the three-term algorithm (coefficient sum 2(1+sqrt 2)), read off
+           the rows of U and V and the columns of W of gauss_complex_mul's
+           triple.
     cube:  the three-term algorithm that is simultaneously rank- and
            stability-optimal; built from unit vectors at 120-degree spacing,
            with the input factors conjugated relative to the output factor
@@ -271,11 +274,8 @@ def complex_mul_decomposition(preset: str) -> TensorDecomposition:
             DecompositionTerm(1.0, e2, e1, e2),
         ]
     elif preset == "gauss":
-        terms = [
-            DecompositionTerm(1.0, e1 + e2, e1 + e2, e2),
-            DecompositionTerm(1.0, e1, e1, e1 - e2),
-            DecompositionTerm(-1.0, e2, e2, e1 + e2),
-        ]
+        U, V, W = (M.apply(np.eye(M.shape[1])) for M in GAUSS_MAPS)
+        terms = [DecompositionTerm(1.0, U[r], V[r], W[:, r]) for r in range(len(U))]
     elif preset == "cube":
         terms = []
         for theta in (0.0, 2 * np.pi / 3, 4 * np.pi / 3):

@@ -1,12 +1,13 @@
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilinear_kernels import (CountContext, DivisionByZero, Kind, TrackedScalar, add,
                               constant, div, mul, neg, sub, variable)
-from bilinear_kernels.counting import as_vector, to_scalars, vmul
+from bilinear_kernels.counting import TrackedVector, as_vector, to_scalars, vmul
 
 
 class TestMul:
@@ -141,3 +142,18 @@ def test_vmul_counts_variable_pairs_only():
     out = vmul(u, v, ctx)
     assert ctx.bilinear_mults == 1 and ctx.scalar_mults == 2
     assert [complex(z) for z in out.values] == [10, 18, 28]
+
+
+def test_vmul_counts_every_entry_of_a_block():
+    """A block's pointwise product is one product per entry, over every axis."""
+    values = np.arange(1, 13, dtype=complex).reshape(3, 4)
+    every = np.ones((3, 4), dtype=bool)
+    for flags, bilinear, scalar in ((every, 12, 0), (~every, 0, 12)):
+        ctx = CountContext()
+        out = vmul(TrackedVector(values, flags), TrackedVector(values, every), ctx)
+        assert (ctx.bilinear_mults, ctx.scalar_mults) == (bilinear, scalar)
+        assert np.array_equal(out.values, values * values) and out.variable.all()
+    mixed = np.arange(12).reshape(3, 4) % 3 == 0
+    ctx = CountContext()
+    vmul(TrackedVector(values, mixed), TrackedVector(values, every), ctx)
+    assert (ctx.bilinear_mults, ctx.scalar_mults) == (4, 8)

@@ -1,0 +1,42 @@
+"""The scripts under scripts/ run in a fresh interpreter against src/, exit 0
+and print (or write) a known line."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, cwd=ROOT)
+
+
+def test_certify_ranks():
+    proc = run_script("certify_ranks.py", "4")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    # structure, n, terms, rank lower bound, dim, error, statement
+    toeplitz = [row for row in rows if row[:2] == ["toeplitz", "4"]]
+    assert len(toeplitz) == 1
+    assert toeplitz[0][2:5] == ["7", "7", "7"] and toeplitz[0][6:] == ["rank", "=", "7"]
+
+
+def test_count_table_writes_the_csv(tmp_path):
+    out = tmp_path / "table.csv"
+    proc = run_script("count_table.py", "4", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "structure,n,fast_mults,naive_mults,formula,match"
+    assert "toeplitz,4,7,16,7,true" in lines
+
+
+def test_stability_report():
+    proc = run_script("stability_report.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "gauss        3   4.82842712   0.00e+00" in proc.stdout.splitlines()
