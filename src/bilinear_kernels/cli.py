@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import CountContext, variable_vector, variables
+from .counting import CountContext, variable_vector
 from .groups import blocked_simultaneous, cyclic_group, dihedral8, tpp_check
 from .kernels import SPECS, formula_count, structured_matvec
 from .rng import Lcg
@@ -311,10 +311,9 @@ def cmd_simul(cfg: RunConfig) -> int:
     for _ in range(cfg.trials):
         avals = np.array(rng.complex_vector(4)).reshape(2, 2)
         bvals = np.array(rng.complex_vector(4 * pairs)).reshape(2, 2 * pairs)
-        A = [variables(avals[i]) for i in range(2)]
-        B = [variables(bvals[i]) for i in range(2)]
         ctx = CountContext()
-        m1, m2 = blocked_simultaneous(A, B, cfg.variant, ctx)
+        m1, m2 = blocked_simultaneous((avals, np.ones(avals.shape, dtype=bool)),
+                                      (bvals, np.ones(bvals.shape, dtype=bool)), cfg.variant, ctx)
         counts.add(ctx.bilinear_mults)
         want1 = avals @ bvals
         bv = bvals[::-1].copy()

@@ -15,6 +15,7 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
+from itertools import repeat
 from operator import attrgetter
 from typing import Iterable
 
@@ -155,7 +156,7 @@ def div(a: TrackedScalar, b: TrackedScalar, ctx: CountContext,
 
 
 _KIND_OF_FLAG = (Kind.CONSTANT, Kind.VARIABLE)
-_value_of = attrgetter("value")
+_value_of, _kind_of = attrgetter("value"), attrgetter("kind")
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:
@@ -181,7 +182,7 @@ class ConstantMap:
     flags must not depend on such numeric accidents.
     """
 
-    __slots__ = ("matrix", "support", "shape", "nbytes", "cost")
+    __slots__ = ("matrix", "support", "full", "shape", "nbytes", "cost")
 
     def __init__(self, matrix: np.ndarray, support: np.ndarray | None = None):
         self.matrix = read_only(np.asarray(matrix, dtype=complex))
@@ -192,6 +193,7 @@ class ConstantMap:
                              f"{self.matrix.shape}")
         self.support = read_only(support)
         self.shape = m, n = self.matrix.shape
+        self.full = bool(support.all())
         self.nbytes = self.matrix.nbytes + support.nbytes
         self.cost = (m * n, m * max(n - 1, 0))
 
@@ -203,7 +205,14 @@ class ConstantMap:
         return self.matrix @ values
 
     def propagate(self, flags: np.ndarray) -> np.ndarray:
-        """The boolean product is an OR of ANDs, so it cannot wrap."""
+        """The boolean product is an OR of ANDs, so it cannot wrap.  numpy
+        forms it without BLAS, so a vector through a full support takes the
+        OR of all its entries instead.  Blocks keep the product: at the block
+        sizes the kernels use it is the cheaper of the two."""
+        if self.full and flags.ndim == 1:
+            out = np.empty(self.shape[0], dtype=bool)
+            out.fill(np.count_nonzero(flags) > 0)
+            return out
         return np.dot(self.support, flags)
 
 
@@ -220,7 +229,7 @@ class GatherMap:
     sign first, so values are summed over the leading ranks alone.
     """
 
-    __slots__ = ("shape", "support", "terms", "signs", "nbytes", "cost")
+    __slots__ = ("shape", "support", "padded", "terms", "signs", "nbytes", "cost")
 
     def __init__(self, shape: tuple[int, int], rows, index, sign=None):
         m, n = shape
@@ -230,11 +239,16 @@ class GatherMap:
         rows = rows[order]
         counts = np.bincount(rows, minlength=m)
         rank = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
-        # An empty slot reads index n, the False appended to the flags, with sign 0.
         self.shape = shape
-        self.support = np.full((counts.max(initial=0), m), n, dtype=np.intp)
-        signs = np.zeros(self.support.shape)
-        self.support[rank, rows], signs[rank, rows] = index[order], sign[order]
+        support = np.full((counts.max(initial=0), m), n, dtype=np.intp)
+        signs = np.zeros(support.shape)
+        support[rank, rows], signs[rank, rows] = index[order], sign[order]
+        # An empty slot has sign 0 and repeats its row's first input, which
+        # leaves the row's OR as it is.  Only a row without terms, whose first
+        # slot is empty, reads index n: the False that propagate appends.
+        empty = support == n
+        self.support = np.where(empty, support[:1], support)
+        self.padded = bool(empty[:1].any())
         live = np.count_nonzero(signs.any(axis=1))
         self.terms = read_only(np.where(signs[:live] != 0, self.support[:live], 0))
         self.signs = read_only(signs)[:live]
@@ -248,7 +262,9 @@ class GatherMap:
         return terms.sum(axis=0)
 
     def propagate(self, flags: np.ndarray) -> np.ndarray:
-        flags = np.concatenate([flags, np.zeros((1,) + flags.shape[1:], dtype=bool)])
+        """Only a map with a row without terms reads the appended False."""
+        if self.padded:
+            flags = np.concatenate([flags, np.zeros((1,) + flags.shape[1:], dtype=bool)])
         return np.logical_or.reduce(flags[self.support], axis=0)
 
 
@@ -315,8 +331,10 @@ def as_vector(x) -> TrackedVector:
     if isinstance(x, TrackedVector):
         return x
     scalars = list(x)
-    values = np.array(list(map(_value_of, scalars)), dtype=complex)
-    flags = np.array([s.kind is Kind.VARIABLE for s in scalars], dtype=bool)
+    n = len(scalars)
+    values = np.fromiter(map(_value_of, scalars), dtype=complex, count=n)
+    flags = np.fromiter(map(operator.is_, map(_kind_of, scalars), repeat(Kind.VARIABLE, n)),
+                        dtype=bool, count=n)
     return TrackedVector(values, flags)
 
 
@@ -397,8 +415,15 @@ def triple_product(maps, a: TrackedVector, b: TrackedVector,
     """W (U a * V b) for a Cohn-Umans triple (U, V, W) of constant maps, on
     vectors or blocks: the body of every bilinear kernel.  The pointwise
     product forms the counted products, one per row of U."""
-    U, V, W = maps
-    return apply_matrix(W, vmul(apply_matrix(U, a, ctx), apply_matrix(V, b, ctx), ctx), ctx)
+    return triple_tail(maps, apply_matrix(maps[0], a, ctx), b, ctx)
+
+
+def triple_tail(maps, ua: TrackedVector, b: TrackedVector,
+                ctx: CountContext) -> TrackedVector:
+    """W (ua * V b): the triple product once U a is formed.  A structured
+    matrix forms its symbol U t once and runs only this tail on later calls."""
+    _, V, W = maps
+    return apply_matrix(W, vmul(ua, apply_matrix(V, b, ctx), ctx), ctx)
 
 
 def reciprocal(vec: TrackedVector, ctx: CountContext,

@@ -19,7 +19,10 @@ The counts per size n:
 Every kernel is one Cohn-Umans triple (U, V, W) of constant maps, run by
 one body, counting.triple_product, as W (U t * V x): U embeds the
 parameters t, V the input x, the pointwise product forms the counted
-products (one per row of U) and W reads the output off.  Gauss's product
+products (one per row of U) and W reads the output off.  structured_matvec
+forms the symbol U t once per matrix and keeps it on the StructuredMatrix
+(StructuredMatrix.symbol): later products with the same matrix charge its
+counts again and run only the rest, counting.triple_tail.  Gauss's product
 and the commutator are triples of gather maps built once, and Toeplitz
 times dense applies the Toeplitz triple once over a batch axis of columns
 (groups.py holds the simultaneous 2x2 products).  A single-level kind's
@@ -57,7 +60,7 @@ import numpy as np
 from .counting import (BlockMap, ChainMap, ConstantMap, CountContext, GatherMap,
                        TrackedScalar, TrackedVector, apply_matrix, as_matrix, as_vector,
                        concat, match_output, reciprocal, take, tile, to_grid, to_scalars,
-                       triple_product, vmul)
+                       triple_product, triple_tail, vmul)
 from .spectral import (F_CACHE_SIZE, ORDER_CACHE_SIZE, dft_matrix, idft_matrix,
                        principal_root, scaled_dft_matrix, scaled_idft_matrix, twiddles)
 from .structures import (LevelSpec, SparsityPattern, StructureKind, StructureSpec,
@@ -508,6 +511,10 @@ def multilevel_matvec(M: StructuredMatrix, x, ctx: CountContext):
 def structured_matvec(M: StructuredMatrix, x, ctx: CountContext):
     """Run the minimum-multiplication kernel for any structured matrix.
 
+    U t is M's symbol: the first call forms it, and later calls reuse it
+    and charge its counts again (StructuredMatrix.symbol), so they apply
+    only V and W and form the pointwise product.
+
     A multilevel kernel is W (U t * V x) with U = U_0 x ... x U_{L-1}, and
     likewise V and W, over levels that are multilevel_ok.  U and V apply
     outer level first, W innermost first, so every counter equals that of
@@ -516,15 +523,22 @@ def structured_matvec(M: StructuredMatrix, x, ctx: CountContext):
     if len(xv) != M.n:
         raise ValueError(f"vector of length {len(xv)} for order {M.n}")
     if M.kind is not StructureKind.MULTILEVEL:
-        return match_output(x, SPECS[M.kind].product(M.data_vector(), xv, ctx, M.f, M.pattern))
+        maps = SPECS[M.kind].maps(M.n, M.f, M.pattern)
+        t = M.symbol(lambda data, ctx: apply_matrix(maps[0], data, ctx), ctx)
+        return match_output(x, triple_tail(maps, t, xv, ctx))
     for lev in M.levels:
         if not SPECS[lev.kind].multilevel_ok:
             raise ValueError(f"unsupported level kind {lev.kind.value}")
     from .extraction import level_decomposition
     triples = [level_decomposition(lev) for lev in M.levels]
-    t, v = M.data_vector(), xv
-    for U, V, _ in triples:
-        t = apply_matrix(U, _leading(t, U.shape[1]), ctx)
+
+    def embed(t: TrackedVector, ctx: CountContext) -> TrackedVector:
+        for U, _, _ in triples:
+            t = apply_matrix(U, _leading(t, U.shape[1]), ctx)
+        return t
+
+    t, v = M.symbol(embed, ctx), xv
+    for _, V, _ in triples:
         v = apply_matrix(V, _leading(v, V.shape[1]), ctx)
     r = math.prod(U.shape[0] for U, _, _ in triples)    # one product per row of the Kronecker U
     z = vmul(_leading(t, r), _leading(v, r), ctx)

@@ -166,6 +166,8 @@ class StructuredMatrix:
     levels: tuple[LevelSpec, ...] | None = None
     _vector: TrackedVector | None = field(default=None, init=False, repr=False,
                                           compare=False)
+    _symbol: tuple[TrackedVector, int, int] | None = field(default=None, init=False,
+                                                           repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind is StructureKind.MULTILEVEL:
@@ -191,6 +193,30 @@ class StructuredMatrix:
             read_only(vec.values)
             read_only(vec.variable)
             object.__setattr__(self, "_vector", vec)
+        return vec
+
+    def symbol(self, embed: Callable[[TrackedVector, CountContext], TrackedVector],
+               ctx: CountContext) -> TrackedVector:
+        """The kernel's parameter symbol U t, formed once per matrix.
+
+        The first call runs embed(t, ctx), U applied to the parameters on
+        the caller's context, and keeps the read-only result with the scalar
+        multiplications and additions it charged.  Every later call charges
+        those same counts to ctx and returns the kept symbol, so each call's
+        counters are those of a full kernel run.  U makes no bilinear
+        products and no divisions.
+        """
+        if self._symbol is None:
+            scalars, additions = ctx.scalar_mults, ctx.additions
+            vec = embed(self.data_vector(), ctx)
+            read_only(vec.values)
+            read_only(vec.variable)
+            object.__setattr__(self, "_symbol", (vec, ctx.scalar_mults - scalars,
+                                                 ctx.additions - additions))
+            return vec
+        vec, scalars, additions = self._symbol
+        ctx.count_scalar(scalars)
+        ctx.count_addition(additions)
         return vec
 
 

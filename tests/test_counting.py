@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from bilinear_kernels import (CountContext, DivisionByZero, Kind, TrackedScalar, add,
                               constant, div, mul, neg, sub, variable)
-from bilinear_kernels.counting import TrackedVector, as_vector, to_scalars, vmul
+from bilinear_kernels.counting import (ConstantMap, GatherMap, TrackedVector, as_vector,
+                                       to_scalars, vmul)
 
 
 class TestMul:
@@ -157,3 +158,68 @@ def test_vmul_counts_every_entry_of_a_block():
     ctx = CountContext()
     vmul(TrackedVector(values, mixed), TrackedVector(values, every), ctx)
     assert (ctx.bilinear_mults, ctx.scalar_mults) == (4, 8)
+
+
+def test_as_vector_converts_any_sequence_of_scalars():
+    xs = [variable(1 + 2j), constant(3), variable(-4j), constant(0)]
+    for given in (xs, tuple(xs), iter(xs), (s for s in xs)):
+        vec = as_vector(given)
+        assert vec.values.dtype == complex and vec.variable.dtype == bool
+        assert vec.values.tolist() == [1 + 2j, 3, -4j, 0]
+        assert vec.variable.tolist() == [True, False, True, False]
+    empty = as_vector([])
+    assert empty.values.shape == empty.variable.shape == (0,)
+    assert (empty.values.dtype, empty.variable.dtype) == (complex, bool)
+    for bad in ([variable(1), 2.0], [variable(1), (1, 2)], [3j]):
+        with pytest.raises(AttributeError):
+            as_vector(bad)
+
+
+def flag_cases(n: int) -> list[np.ndarray]:
+    """No, every and some Variable inputs, as vectors and as blocks."""
+    some = np.arange(n) % 3 == 1
+    block = (np.arange(3 * n).reshape(n, 3) % 5) == 2
+    return [np.zeros(n, bool), np.ones(n, bool), some, block, np.zeros((n, 2), bool)]
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (1, 4), (4, 1), (0, 3), (3, 0)])
+def test_constant_map_flags_equal_the_boolean_product(shape):
+    """A full support propagates as the OR of every input; the flags equal
+    those of the boolean product, for a full and for a block support."""
+    m, n = shape
+    block = np.zeros(shape, dtype=bool)
+    block[:m // 2 + 1, :n // 2 + 1] = True
+    for support in (np.ones(shape, dtype=bool), block):
+        M = ConstantMap(np.ones(shape), support)
+        assert M.full == bool(support.all())
+        for flags in flag_cases(n):
+            got, want = M.propagate(flags), np.dot(support, flags)
+            assert got.dtype == bool and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+def test_toeplitz_family_maps_have_full_supports():
+    from bilinear_kernels.kernels import _fcirc_maps, _toeplitz_maps
+    for maps in (_toeplitz_maps(5), _fcirc_maps(4, 2.0), _fcirc_maps(3, 1.0)):
+        assert all(M.full for M in maps)
+
+
+@pytest.mark.parametrize("shape, rows, index, sign, padded", [
+    ((3, 4), [0, 1, 2], [3, 0, 1], None, False),                 # a relabelling
+    ((2, 3), [0, 0, 1, 1], [0, 1, 1, 2], [1, -1, 0, 1], False),   # two terms per row
+    ((3, 4), [0, 0, 1, 2], [1, 2, 3, 0], None, False),            # ragged rows
+    ((3, 4), [0, 0, 2], [1, 2, 3], [1, -1, 1], True),             # row 1 empty
+    ((3, 4), [0, 0, 1], [1, 2, 3], [0, 1, 1], True),              # row 2 empty
+    ((2, 3), [], [], None, False),                                # no terms at all
+])
+def test_gather_map_flags_equal_the_boolean_product(shape, rows, index, sign, padded):
+    """A gather's flags are those of its structural support as a dense
+    boolean matrix, whether or not a slot of its table is empty."""
+    G = GatherMap(shape, rows, index, sign)
+    assert G.padded is padded
+    support = np.zeros(shape, dtype=bool)
+    support[np.asarray(rows, dtype=int), np.asarray(index, dtype=int)] = True
+    for flags in flag_cases(shape[1]):
+        got, want = G.propagate(flags), np.dot(support, flags)
+        assert got.dtype == bool and got.shape == want.shape
+        assert np.array_equal(got, want)
