@@ -13,6 +13,7 @@ from bilinear_kernels import (CountContext, DecompositionTerm, Tensor3,
                               serialize_decomposition, so3_tensor,
                               stability_measure, structure_tensor,
                               variables, verify_decomposition)
+from bilinear_kernels.kernels import SPECS
 from bilinear_kernels.rng import Lcg
 
 nonzero = st.floats(min_value=0.1, max_value=5.0)
@@ -68,6 +69,29 @@ class TestBuilders:
         assert build_structure_tensor("toeplitz", n=3).dims == (5, 3, 3)
         with pytest.raises(ValueError):
             build_structure_tensor("nonsense", n=2)
+
+
+class TestTensor3:
+    @pytest.mark.parametrize("entries", [
+        -np.ones((2, 2, 2), dtype=int),
+        np.ones((2, 3, 4), dtype=np.float32),
+        np.full((3, 2, 2), 1 - 2j, dtype=np.complex64),
+        np.moveaxis(so3_tensor().entries, 0, 2),
+        np.ones((4, 6, 8), dtype=complex)[::2, 1::3, ::-2],
+    ], ids=["int", "float32", "complex64", "moveaxis", "strided"])
+    def test_accepts_finite_entries_of_any_layout(self, entries):
+        assert Tensor3(entries).dims == entries.shape
+
+    @pytest.mark.parametrize("dtype, bad", [
+        *((dtype, bad) for dtype in (complex, np.complex64, float, np.float32)
+          for bad in (np.nan, np.inf, -np.inf)),
+        *((dtype, bad) for dtype in (complex, np.complex64)
+          for bad in (complex(0, np.nan), complex(1, np.inf), complex(1, -np.inf)))])
+    def test_rejects_non_finite_entries(self, dtype, bad):
+        entries = np.zeros((2, 2, 2), dtype=dtype)
+        entries[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Tensor3(entries)
 
 
 class TestContract:
@@ -186,6 +210,93 @@ class TestFlattening:
         assert flattening_ranks(T) == tuple(min(2, d) for d in dims)
 
 
+def complex_flattening_ranks(T, tol=1e-9):
+    """flattening_ranks with every unfolding through a complex SVD: the
+    reference the real-arithmetic path must agree with."""
+    ranks = []
+    arr = T.entries
+    for mode in range(3):
+        mat = np.moveaxis(arr, mode, 0).reshape(arr.shape[mode], -1)
+        if mat.shape[0] < mat.shape[1]:
+            mat = mat.T
+        s = np.linalg.svd(mat, compute_uv=False)
+        if s.size == 0 or s[0] == 0:
+            ranks.append(0)
+        else:
+            ranks.append(int((s > tol * s[0]).sum()))
+    return tuple(ranks)
+
+
+SINGLE_LEVEL_KINDS = [kind for kind, s in SPECS.items() if not s.needs_pattern]
+
+# The `tensor --kind K --n N` chains the benchmark's certify workload runs.
+CERTIFY_CELLS = ([(kind, n) for kind in ("circulant", "toeplitz", "hankel") for n in (4, 8, 16, 32)]
+                 + [("tph", n) for n in (4, 8, 16)]
+                 + [(kind, n) for kind in ("symmetric", "skew_symmetric") for n in (4, 8, 12, 16)])
+
+
+def random_real_decomposition(rng, dims, r):
+    return TensorDecomposition(dims, [
+        DecompositionTerm(rng.standard_normal(), *(rng.standard_normal(d) for d in dims))
+        for _ in range(r)])
+
+
+class TestRealArithmeticRanks:
+    """flattening_ranks takes real tensors through the real SVD; the ranks
+    must equal the complex SVD's on every tensor the library builds."""
+
+    @pytest.mark.parametrize("kind, n", [(kind.value, n) for kind in SINGLE_LEVEL_KINDS
+                                         for n in range(1, 13) if SPECS[kind].params(n, None)])
+    def test_single_level_kinds(self, kind, n):
+        T = structure_tensor(kind, n)
+        assert flattening_ranks(T) == complex_flattening_ranks(T)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("f", [-1.0, 2.0, 1j, 0.02, 60j])
+    def test_f_circulant(self, f, n):
+        T = structure_tensor("f_circulant", n, f=f)
+        assert flattening_ranks(T) == complex_flattening_ranks(T)
+
+    @pytest.mark.parametrize("kind, n", CERTIFY_CELLS)
+    def test_certify_cells(self, kind, n):
+        T = structure_tensor(kind, n)
+        assert flattening_ranks(T) == complex_flattening_ranks(T)
+
+    @pytest.mark.parametrize("T", [complex_mul_tensor(), so3_tensor(), commutator_beta_tensor(),
+                                   matmul_tensor(2, 2, 2),
+                                   Tensor3(np.zeros((2, 3, 4), dtype=complex))],
+                             ids=["complex_mul", "so3", "commutator_beta", "matmul222", "zero"])
+    def test_named_tensors(self, T):
+        assert flattening_ranks(T) == complex_flattening_ranks(T)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 5])
+    @pytest.mark.parametrize("dims", [(2, 3, 4), (6, 2, 2), (3, 12, 1), (5, 5, 5)])
+    def test_random_low_rank(self, dims, r):
+        # r generic terms, complex or real: every unfolding has the rank of a
+        # generic matrix of its shape and rank at most r.
+        rng = np.random.default_rng(10 * r + sum(dims))
+        for D in (random_decomposition(rng, dims, r), random_real_decomposition(rng, dims, r)):
+            T = Tensor3(decomposition_tensor(D))
+            assert flattening_ranks(T) == complex_flattening_ranks(T)
+            assert flattening_ranks(T) == tuple(min(r, d, np.prod(dims) // d) for d in dims)
+
+    @pytest.mark.parametrize("T, dtype", [(structure_tensor("toeplitz", 5), np.float64),
+                                          (structure_tensor("f_circulant", 5, f=1j),
+                                           np.complex128)],
+                             ids=["toeplitz", "f_circulant_1j"])
+    def test_svd_arithmetic(self, monkeypatch, T, dtype):
+        seen = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            seen.append(np.asarray(a).dtype)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        flattening_ranks(T)
+        assert seen == [np.dtype(dtype)] * 3
+
+
 class TestOttaviani:
     def test_skew3_matvec_is_nonsingular(self):
         rep = ottaviani_test(structure_tensor("skew_symmetric", 3))
@@ -270,3 +381,10 @@ def test_decomposition_json_rejects_non_finite_values():
     with pytest.raises(SchemaError, match=r"terms\[0\]\.lambda: non-finite"):
         parse_decomposition('{"dims": [1, 1, 1], "terms": [%s]}'
                             % (term % ("[Infinity, 0]", "[[1, 0]]")))
+
+
+def test_decomposition_json_rejects_a_factor_of_the_wrong_length():
+    from bilinear_kernels import SchemaError
+    term = '{"lambda": [1, 0], "u": [[1, 0]], "v": [[1, 0]], "w": [[1, 0]]}'
+    with pytest.raises(SchemaError, match=r"^terms\[0\]\.v: expected 2 entries, got 1$"):
+        parse_decomposition('{"dims": [1, 2, 1], "terms": [%s]}' % term)
