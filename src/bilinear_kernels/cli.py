@@ -54,6 +54,13 @@ class ConfigError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ConfigError: one line, exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _parse_complex(text: str) -> complex:
     """Accept 're,im', a bare real, or a Python complex literal like '1j';
     both parts must be finite."""
@@ -110,7 +117,9 @@ def _parse_levels(text: str) -> tuple[LevelSpec, ...]:
         where = f"level {chunk!r}"
         kind, f = _table_kind(parts[0], n, f, where, order_where=where)
         if not SPECS[kind].multilevel_ok:
-            raise ConfigError(f"level {chunk!r}: {kind.value} cannot be a level")
+            raise ConfigError(f"{where}: {kind.value} cannot be a level")
+        if len(parts) == 3 and f is None:
+            raise ConfigError(f"{where}: {kind.value} takes no F; only f_circulant:n:F does")
         levels.append(LevelSpec(kind, n, f))
     if not levels:
         raise ConfigError("empty level list")
@@ -147,6 +156,8 @@ def _build_instance(cfg: RunConfig, rng: Lcg) -> StructuredMatrix:
             raise ConfigError("multilevel verification needs --levels")
         order = math.prod(lev.n for lev in cfg.levels)
         return random_structured(StructureKind.MULTILEVEL, order, rng, levels=cfg.levels)
+    if cfg.levels is not None:
+        raise ConfigError(f"--levels: only --kind multilevel takes levels, not {cfg.kind!r}")
     kind, f = _table_kind(cfg.kind, cfg.n, cfg.f, "--kind", draws_pattern=True)
     pattern = random_pattern(cfg.n, rng) if SPECS[kind].needs_pattern else None
     return random_structured(kind, cfg.n, rng, f=f, pattern=pattern)
@@ -332,47 +343,38 @@ def cmd_simul(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
+# The settings of every option, and the options each subcommand reads.
+_OPTIONS = {
+    "--kind": dict(type=str), "--n": dict(type=int), "--f": dict(type=str, default="-1,0"),
+    "--levels": dict(type=str), "--seed": dict(type=int, default=0),
+    "--trials": dict(type=int, default=100), "--tol": dict(type=float),
+    "--max-n": dict(type=int, default=8), "--out": dict(type=str),
+    "--builder": dict(type=str), "--ottaviani": dict(action="store_true"),
+    "--preset": dict(type=str, required=True), "--variant": dict(type=str, required=True),
+}
+_SUBCOMMANDS = (
+    ("verify", "fast kernel vs naive oracle on random inputs",
+     "--kind --n --f --levels --seed --trials --tol"),
+    ("count-table", "CSV of multiplication counts per structure and size",
+     "--max-n --seed --out"),
+    ("tensor", "rank certification chain or named tensor report",
+     "--kind --n --f --builder --ottaviani"),
+    ("stability", "coefficient-sum measure of named decompositions", "--preset"),
+    ("tpp", "triple product property presets", "--preset --n"),
+    ("simul", "simultaneous 2x2 product kernels vs dense oracles",
+     "--variant --n --seed --trials --tol"),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bilinear-kernels",
         description="Structured matrix kernels with certified multiplication counts")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, kind=False):
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=100)
-        p.add_argument("--tol", type=float, default=None)
-        if kind:
-            p.add_argument("--kind", type=str, default=None)
-            p.add_argument("--f", type=str, default="-1,0")
-            p.add_argument("--levels", type=str, default=None)
-
-    p = sub.add_parser("verify", help="fast kernel vs naive oracle on random inputs")
-    common(p, kind=True)
-
-    p = sub.add_parser("count-table", help="CSV of multiplication counts per structure and size")
-    common(p, kind=True)
-    p.add_argument("--max-n", type=int, default=8)
-    p.add_argument("--out", type=str, default=None)
-
-    p = sub.add_parser("tensor", help="rank certification chain or named tensor report")
-    common(p, kind=True)
-    p.add_argument("--builder", type=str, default=None)
-    p.add_argument("--ottaviani", action="store_true")
-
-    p = sub.add_parser("stability", help="coefficient-sum measure of named decompositions")
-    common(p)
-    p.add_argument("--preset", type=str, required=True)
-
-    p = sub.add_parser("tpp", help="triple product property presets")
-    common(p)
-    p.add_argument("--preset", type=str, required=True)
-
-    p = sub.add_parser("simul", help="simultaneous 2x2 product kernels vs dense oracles")
-    common(p)
-    p.add_argument("--variant", type=str, required=True)
-
+    for command, text, options in _SUBCOMMANDS:
+        p = sub.add_parser(command, help=text)
+        for option in options.split():
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
@@ -395,29 +397,21 @@ def _tolerance(args: argparse.Namespace) -> float:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command in ("verify", "simul") and args.trials < 1:
+    """A RunConfig of the options the subcommand takes, each checked."""
+    given = vars(args)
+    if given.get("trials", 1) < 1:
         raise ConfigError(f"--trials must be a positive integer, got {args.trials}")
     if args.command in ("simul", "tpp") and args.n is not None and args.n < 1:
         raise ConfigError(f"--n must be a positive integer, got {args.n}")
-    if args.command == "count-table" and args.max_n < 1:
+    if given.get("max_n", 1) < 1:
         raise ConfigError(f"--max-n must be a positive integer, got {args.max_n}")
-    cfg = RunConfig(command=args.command, n=args.n, seed=args.seed,
-                    trials=args.trials, tol=_tolerance(args))
-    if hasattr(args, "kind"):
-        cfg.kind = args.kind
+    cfg = RunConfig(**{k: v for k, v in given.items() if k not in ("f", "levels", "tol")})
+    if "tol" in given:
+        cfg.tol = _tolerance(args)
+    if "f" in given:
         cfg.f = _parse_complex(args.f)
-        cfg.levels = _parse_levels(args.levels) if args.levels else None
-    if hasattr(args, "max_n"):
-        cfg.max_n = args.max_n
-    if hasattr(args, "out"):
-        cfg.out = args.out
-    if hasattr(args, "preset"):
-        cfg.preset = args.preset
-    if hasattr(args, "variant"):
-        cfg.variant = args.variant
-    if hasattr(args, "builder"):
-        cfg.builder = args.builder
-        cfg.ottaviani = args.ottaviani
+    if given.get("levels"):
+        cfg.levels = _parse_levels(args.levels)
     return cfg
 
 
@@ -432,10 +426,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        cfg = _config_from_args(_build_parser().parse_args(argv))
         if cfg.command == "verify" and cfg.kind is None:
             raise ConfigError("verify needs --kind")
         if cfg.command == "tensor" and cfg.kind is None and cfg.builder is None:

@@ -415,15 +415,8 @@ def triple_product(maps, a: TrackedVector, b: TrackedVector,
     """W (U a * V b) for a Cohn-Umans triple (U, V, W) of constant maps, on
     vectors or blocks: the body of every bilinear kernel.  The pointwise
     product forms the counted products, one per row of U."""
-    return triple_tail(maps, apply_matrix(maps[0], a, ctx), b, ctx)
-
-
-def triple_tail(maps, ua: TrackedVector, b: TrackedVector,
-                ctx: CountContext) -> TrackedVector:
-    """W (ua * V b): the triple product once U a is formed.  A structured
-    matrix forms its symbol U t once and runs only this tail on later calls."""
-    _, V, W = maps
-    return apply_matrix(W, vmul(ua, apply_matrix(V, b, ctx), ctx), ctx)
+    U, V, W = maps
+    return apply_matrix(W, vmul(apply_matrix(U, a, ctx), apply_matrix(V, b, ctx), ctx), ctx)
 
 
 def reciprocal(vec: TrackedVector, ctx: CountContext,

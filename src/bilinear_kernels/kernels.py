@@ -16,19 +16,21 @@ The counts per size n:
     2x2 commutator                  6
     Gauss complex product           3
 
-Every kernel is one Cohn-Umans triple (U, V, W) of constant maps, run by
-one body, counting.triple_product, as W (U t * V x): U embeds the
-parameters t, V the input x, the pointwise product forms the counted
-products (one per row of U) and W reads the output off.  structured_matvec
-forms the symbol U t once per matrix and keeps it on the StructuredMatrix
-(StructuredMatrix.symbol): later products with the same matrix charge its
-counts again and run only the rest, counting.triple_tail.  Gauss's product
-and the commutator are triples of gather maps built once, and Toeplitz
-times dense applies the Toeplitz triple once over a batch axis of columns
-(groups.py holds the simultaneous 2x2 products).  A single-level kind's
-triple is cached per order, f or pattern and built from the chain of
-embedding, padding, transform, bin-skipping, reversal and peeling steps it
-replaces, with that chain's structural support:
+Every kernel is one Cohn-Umans triple (U, V, W) of constant maps, run as
+W (U t * V x): U embeds the parameters t, V the input x, the pointwise
+product forms the counted products (one per row of U) and W reads the
+output off.  structured_matvec runs every structured matrix through one
+body, the Kronecker product of its levels' triples applied level by level;
+a single-level matrix is its own one level.  It forms the symbol U t once
+per matrix and keeps it on the StructuredMatrix (StructuredMatrix.symbol):
+later products with the same matrix charge its counts again and apply only
+V, the pointwise product and W.  Gauss's product, the commutator and
+Toeplitz times dense (the Toeplitz triple over a batch axis of columns) run
+through counting.triple_product; groups.py holds the simultaneous 2x2
+products.  A single-level kind's triple is cached per order, f or pattern
+and built from the chain of embedding, padding, transform, bin-skipping,
+reversal and peeling steps it replaces, with that chain's structural
+support:
 
     circulant, f-circulant  U evaluates the reindexed first column at the n
                             roots of t^n = f; V and W are the scaled transforms
@@ -45,8 +47,7 @@ replaces, with that chain's structural support:
 
 A map is dense (ConstantMap), a gather of short signed sums (GatherMap), a
 stack of row bands, each a sum of those (BlockMap), or one map after
-another (ChainMap); see counting.py.  A multilevel kernel is the Kronecker
-product of its levels' triples, applied level by level (structured_matvec).
+another (ChainMap); see counting.py.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ import numpy as np
 from .counting import (BlockMap, ChainMap, ConstantMap, CountContext, GatherMap,
                        TrackedScalar, TrackedVector, apply_matrix, as_matrix, as_vector,
                        concat, match_output, reciprocal, take, tile, to_grid, to_scalars,
-                       triple_product, triple_tail, vmul)
+                       triple_product, vmul)
+from .extraction import level_decomposition
 from .spectral import (F_CACHE_SIZE, ORDER_CACHE_SIZE, dft_matrix, idft_matrix,
                        principal_root, scaled_dft_matrix, scaled_idft_matrix, twiddles)
 from .structures import (LevelSpec, SparsityPattern, StructureKind, StructureSpec,
@@ -484,16 +486,20 @@ def _run(kind: StructureKind, data, x, ctx: CountContext, f: complex | None = No
 
 
 # ---------------------------------------------------------------------------
-# Multilevel (Kronecker-structured) products
+# The kernel of every StructuredMatrix, matmul, commutator, reports
 # ---------------------------------------------------------------------------
 
 def _leading(vec: TrackedVector, d: int) -> TrackedVector:
     """A block (a, d, ...) as (d, ..., a): the axis a map made goes last."""
+    if vec.values.shape == (d,):
+        return vec
     return TrackedVector(vec.values.T.reshape(d, -1), vec.variable.T.reshape(d, -1))
 
 
 def _trailing(vec: TrackedVector, d: int) -> TrackedVector:
     """A block's trailing axis of length d as its leading one: (d, rest)."""
+    if vec.values.shape == (d,):
+        return vec
     return TrackedVector(vec.values.reshape(-1, d).T, vec.variable.reshape(-1, d).T)
 
 
@@ -504,47 +510,34 @@ def multilevel_matvec(M: StructuredMatrix, x, ctx: CountContext):
     return structured_matvec(M, x, ctx)
 
 
-# ---------------------------------------------------------------------------
-# Dispatch over StructuredMatrix, matmul, commutator, reports
-# ---------------------------------------------------------------------------
-
 def structured_matvec(M: StructuredMatrix, x, ctx: CountContext):
     """Run the minimum-multiplication kernel for any structured matrix.
 
+    The kernel is W (U t * V x) with U = U_0 x ... x U_{L-1}, and likewise
+    V and W, over M's levels; a single-level matrix has one, its own kind.
+    U and V apply outer level first, W innermost first, so every counter
+    equals that of the outer kernel run over block scalars, level by level.
     U t is M's symbol: the first call forms it, and later calls reuse it
-    and charge its counts again (StructuredMatrix.symbol), so they apply
-    only V and W and form the pointwise product.
-
-    A multilevel kernel is W (U t * V x) with U = U_0 x ... x U_{L-1}, and
-    likewise V and W, over levels that are multilevel_ok.  U and V apply
-    outer level first, W innermost first, so every counter equals that of
-    the outer kernel run over block scalars, level by level."""
+    and charge its counts again (StructuredMatrix.symbol)."""
     xv = as_vector(x)
     if len(xv) != M.n:
         raise ValueError(f"vector of length {len(xv)} for order {M.n}")
-    if M.kind is not StructureKind.MULTILEVEL:
-        maps = SPECS[M.kind].maps(M.n, M.f, M.pattern)
-        t = M.symbol(lambda data, ctx: apply_matrix(maps[0], data, ctx), ctx)
-        return match_output(x, triple_tail(maps, t, xv, ctx))
-    for lev in M.levels:
-        if not SPECS[lev.kind].multilevel_ok:
-            raise ValueError(f"unsupported level kind {lev.kind.value}")
-    from .extraction import level_decomposition
     triples = [level_decomposition(lev) for lev in M.levels]
 
     def embed(t: TrackedVector, ctx: CountContext) -> TrackedVector:
         for U, _, _ in triples:
             t = apply_matrix(U, _leading(t, U.shape[1]), ctx)
-        return t
+        return _leading(t, t.values.size)    # one product per row of the Kronecker U
 
     t, v = M.symbol(embed, ctx), xv
     for _, V, _ in triples:
         v = apply_matrix(V, _leading(v, V.shape[1]), ctx)
-    r = math.prod(U.shape[0] for U, _, _ in triples)    # one product per row of the Kronecker U
-    z = vmul(_leading(t, r), _leading(v, r), ctx)
+    z = vmul(t, _leading(v, len(t)), ctx)
     for _, _, W in reversed(triples):
         z = apply_matrix(W, _trailing(z, W.shape[1]), ctx)
-    return match_output(x, TrackedVector(z.values.reshape(-1), z.variable.reshape(-1)))
+    if z.values.ndim > 1:
+        z = TrackedVector(z.values.reshape(-1), z.variable.reshape(-1))
+    return match_output(x, z)
 
 
 def toeplitz_matmul(t, Y, ctx: CountContext):

@@ -170,16 +170,24 @@ class StructuredMatrix:
                                                            repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind is StructureKind.MULTILEVEL:
-            if not self.levels:
-                raise ValueError("multilevel structure needs levels")
-            expected = math.prod(check_level(lev.kind, lev.n, lev.f, lev.pattern)
-                                 for lev in self.levels)
-            total = math.prod(lev.n for lev in self.levels)
-            if total != self.n:
-                raise ValueError(f"multilevel order {self.n} != product of level orders {total}")
-        else:
-            expected = check_level(self.kind, self.n, self.f, self.pattern)
+        """A single-level kind is its own one level.  Every level is checked
+        against the table; their orders and parameter counts multiply."""
+        multilevel = self.kind is StructureKind.MULTILEVEL
+        if multilevel and not self.levels:
+            raise ValueError("multilevel structure needs levels")
+        if not multilevel:
+            if self.levels is not None:
+                raise ValueError(f"{self.kind.value} takes no levels")
+            object.__setattr__(self, "levels",
+                               (LevelSpec(self.kind, self.n, self.f, self.pattern),))
+        expected = order = 1
+        for lev in self.levels:
+            if multilevel and not spec(lev.kind).multilevel_ok:
+                raise ValueError(f"unsupported level kind {lev.kind.value}")
+            expected *= check_level(lev.kind, lev.n, lev.f, lev.pattern)
+            order *= lev.n
+        if order != self.n:
+            raise ValueError(f"multilevel order {self.n} != product of level orders {order}")
         if len(self.data) != expected:
             raise ValueError(
                 f"{self.kind.value} of order {self.n} needs {expected} parameters, "
@@ -344,9 +352,7 @@ def dense_parts(M: StructuredMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """Dense (values, variable, structural) arrays for any structured matrix:
     the weighted parameters scattered onto their cells, and each cell
     Variable when a Variable parameter reaches it."""
-    levels = M.levels if M.kind is StructureKind.MULTILEVEL \
-        else (LevelSpec(M.kind, M.n, M.f, M.pattern),)
-    param, cell, coeff, structural = _placement(levels)
+    param, cell, coeff, structural = _placement(M.levels)
     data = M.data_vector()
     size = structural.size
     values = np.zeros(size, dtype=complex)
@@ -443,22 +449,20 @@ def read_complex_pair(obj, where: str) -> complex:
     return z
 
 
-def _level_doc(kind: StructureKind, n: int, f: complex | None,
-               pattern: SparsityPattern | None) -> dict:
-    doc: dict = {"kind": kind.value, "n": n}
-    if spec(kind).needs_f:
-        doc["f"] = _pair(complex(f))
-    if spec(kind).needs_pattern:
-        doc["omega"] = [[r, c] for (r, c) in pattern.entries]
+def _level_doc(lev: LevelSpec) -> dict:
+    doc: dict = {"kind": lev.kind.value, "n": lev.n}
+    if spec(lev.kind).needs_f:
+        doc["f"] = _pair(complex(lev.f))
+    if spec(lev.kind).needs_pattern:
+        doc["omega"] = [[r, c] for (r, c) in lev.pattern.entries]
     return doc
 
 
 def serialize_matrix(M: StructuredMatrix) -> str:
     if M.kind is StructureKind.MULTILEVEL:
-        doc = {"kind": M.kind.value, "n": M.n,
-               "levels": [_level_doc(lev.kind, lev.n, lev.f, lev.pattern) for lev in M.levels]}
+        doc = {"kind": M.kind.value, "n": M.n, "levels": [_level_doc(lev) for lev in M.levels]}
     else:
-        doc = _level_doc(M.kind, M.n, M.f, M.pattern)
+        doc = _level_doc(M.levels[0])
     doc["data"] = [_pair(s.value) for s in M.data]
     return json.dumps(doc)
 
@@ -485,9 +489,15 @@ def _read_pattern(obj, n: int, where: str) -> SparsityPattern:
         raise SchemaError(f"{where}: {exc}") from None
 
 
-def _read_level_fields(doc: dict, kind: StructureKind, n: int,
-                       where: str) -> tuple[complex | None, SparsityPattern | None]:
-    """The f and the pattern a single-level kind needs, read from its object."""
+def _read_level(doc: dict, where: str) -> LevelSpec:
+    """The kind and order of a matrix or level object, and the f and pattern
+    its kind needs; where prefixes every position."""
+    kind = _read_kind(doc["kind"], f"{where}kind")
+    n = doc["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise SchemaError(f"{where}n: expected a positive integer")
+    if kind is StructureKind.MULTILEVEL:
+        return LevelSpec(kind, n)
     f = pattern = None
     if spec(kind).needs_f:
         if "f" not in doc:
@@ -497,7 +507,7 @@ def _read_level_fields(doc: dict, kind: StructureKind, n: int,
         if "omega" not in doc:
             raise SchemaError(f"{where}omega: required for {kind.value}")
         pattern = _read_pattern(doc["omega"], n, f"{where}omega")
-    return f, pattern
+    return LevelSpec(kind, n, f, pattern)
 
 
 def parse_matrix(text: str) -> StructuredMatrix:
@@ -510,38 +520,30 @@ def parse_matrix(text: str) -> StructuredMatrix:
     for key in ("kind", "n", "data"):
         if key not in doc:
             raise SchemaError(f"top level: missing {key!r}")
-    kind = _read_kind(doc["kind"], "kind")
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise SchemaError("n: expected a positive integer")
-    f = pattern = levels = None
+    top = _read_level(doc, "")
+    kind, n, levels = top.kind, top.n, None
     if kind is StructureKind.MULTILEVEL:
         if "levels" not in doc or not isinstance(doc["levels"], list) or not doc["levels"]:
             raise SchemaError("levels: required non-empty list for multilevel")
         levels = []
-        for k, lev in enumerate(doc["levels"]):
+        for k, obj in enumerate(doc["levels"]):
             where = f"levels[{k}]"
-            if not isinstance(lev, dict) or "kind" not in lev or "n" not in lev:
+            if not isinstance(obj, dict) or "kind" not in obj or "n" not in obj:
                 raise SchemaError(f"{where}: expected an object with kind and n")
-            lkind = _read_kind(lev["kind"], f"{where}.kind")
-            ln = lev["n"]
-            if not isinstance(ln, int) or isinstance(ln, bool) or ln < 1:
-                raise SchemaError(f"{where}.n: expected a positive integer")
-            if lkind is StructureKind.MULTILEVEL or not spec(lkind).multilevel_ok:
-                raise SchemaError(f"{where}.kind: {lkind.value} is not a valid level kind")
-            levels.append(LevelSpec(lkind, ln, *_read_level_fields(lev, lkind, ln, f"{where}.")))
+            lev = _read_level(obj, f"{where}.")
+            if lev.kind is StructureKind.MULTILEVEL or not spec(lev.kind).multilevel_ok:
+                raise SchemaError(f"{where}.kind: {lev.kind.value} is not a valid level kind")
+            levels.append(lev)
         levels = tuple(levels)
-    else:
-        f, pattern = _read_level_fields(doc, kind, n, "")
     if not isinstance(doc["data"], list):
         raise SchemaError("data: expected a list")
     data = [read_complex_pair(entry, f"data[{k}]") for k, entry in enumerate(doc["data"])]
-    expected = param_count(kind, n, pattern, levels)
+    expected = param_count(kind, n, top.pattern, levels)
     if len(data) != expected:
         raise SchemaError(f"data: need {expected} entries for {kind.value} of order {n}, "
                           f"got {len(data)}")
     scalars = tuple(TrackedScalar(z, Kind.VARIABLE) for z in data)
-    return StructuredMatrix(kind, n, scalars, f=f, pattern=pattern, levels=levels)
+    return StructuredMatrix(kind, n, scalars, f=top.f, pattern=top.pattern, levels=levels)
 
 
 def serialize_vector(x) -> str:

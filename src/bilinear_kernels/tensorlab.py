@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import GAUSS_MAPS
 from .structures import (SchemaError, SparsityPattern, StructureKind, check_level,
                          read_complex_pair, spec)
 
@@ -279,6 +278,7 @@ def complex_mul_decomposition(preset: str) -> TensorDecomposition:
             DecompositionTerm(1.0, e2, e1, e2),
         ]
     elif preset == "gauss":
+        from .kernels import GAUSS_MAPS  # kernels imports extraction, which imports this module
         U, V, W = (M.apply(np.eye(M.shape[1])) for M in GAUSS_MAPS)
         terms = [DecompositionTerm(1.0, U[r], V[r], W[:, r]) for r in range(len(U))]
     elif preset == "cube":

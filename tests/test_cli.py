@@ -1,5 +1,6 @@
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -136,6 +137,20 @@ class TestUsageErrors:
         ("verify", "--kind", "f_circulant", "--n", "3", "--f", "nan,0"),
         ("verify", "--kind", "multilevel", "--levels", "f_circulant:2:nan,toeplitz:2"),
         ("count-table", "--max-n", "0"),
+        ("verify", "--kind", "toeplitz", "--n", "x"),
+        ("verify", "--bogus", "1"),
+        ("bogus",),
+        (),
+        ("stability",),
+        ("verify", "--kind", "toeplitz", "--n", "3", "--levels", "hankel:2"),
+        ("verify", "--kind", "multilevel", "--levels", "toeplitz:2:3"),
+        ("verify", "--kind", "multilevel", "--levels", "f_circulant:2:2,hankel:2:2"),
+        ("count-table", "--f", "nan"),
+        ("count-table", "--levels", "bogus"),
+        ("count-table", "--n", "3"),
+        ("tensor", "--kind", "toeplitz", "--n", "3", "--seed", "1"),
+        ("stability", "--preset", "gauss", "--trials", "2"),
+        ("tpp", "--preset", "d4-222", "--tol", "1e-3"),
     ])
     def test_bad_option(self, capsys, argv):
         assert_usage_error(*run(capsys, *argv)[::2])
@@ -150,6 +165,18 @@ class TestUsageErrors:
         code, _, err = run(capsys, *argv)
         assert_usage_error(code, err)
         assert err.startswith("error: --n:")
+
+    def test_help_is_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: bilinear-kernels verify")
+
+    @pytest.mark.parametrize("argv", [("count-table", "--max-n", "2"),
+                                      ("stability", "--preset", "gauss")])
+    def test_env_tolerance_is_read_only_by_verify_and_simul(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("BILINEAR_KERNELS_TOL", "tight")
+        assert run(capsys, *argv)[0] == 0
 
     @pytest.mark.parametrize("value", ["abc", "nan", "-1"])
     def test_bad_env_tolerance(self, capsys, monkeypatch, value):
@@ -261,3 +288,23 @@ class TestSimul:
     def test_bad_variant(self, capsys):
         code, _, err = run(capsys, "simul", "--variant", "q")
         assert code == 2
+
+
+def readme_cli_lines():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI\n", 1)[1].split("```\n", 2)[1]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_block_is_found():
+    lines = readme_cli_lines()
+    assert len(lines) >= 10
+    assert all(line.startswith("bilinear-kernels ") for line in lines)
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_example_runs(capsys, monkeypatch, tmp_path, line):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BILINEAR_KERNELS_TOL", raising=False)
+    code, _, err = run(capsys, *shlex.split(line)[1:])
+    assert code == 0, err

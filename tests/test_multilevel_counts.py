@@ -12,11 +12,12 @@ fixed pattern.
 import math
 import zlib
 
+import numpy as np
 import pytest
 
 from bilinear_kernels import (CountContext, LevelSpec, SparsityPattern, StructureKind,
                               structured, structured_matvec)
-from bilinear_kernels.counting import Kind, TrackedScalar
+from bilinear_kernels.counting import Kind, TrackedScalar, TrackedVector
 from bilinear_kernels.kernels import SPECS
 from bilinear_kernels.rng import Lcg
 from bilinear_kernels.structures import param_count
@@ -363,3 +364,28 @@ GOLDEN = {
 @pytest.mark.parametrize("case", CASES)
 def test_multilevel_counters_and_flags_are_pinned(case):
     assert [record(case, p) for p in range(PATTERNS)] == GOLDEN[case]
+
+
+@pytest.mark.parametrize("kind", LEVEL_KINDS)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_a_single_level_matrix_runs_as_its_one_level(kind, n):
+    """The single-level matrix and the one-level multilevel matrix on the same
+    data give the same counters, flags and value bytes, first and warm."""
+    lev = level(f"{kind.value}:{n}")
+    rng = Lcg(zlib.crc32(f"one-level/{kind.value}/{n}".encode()))
+    data = draw_scalars(rng, param_count(kind, n, lev.pattern), 0.7)
+    x = TrackedVector(np.array(rng.complex_vector(n)), np.arange(n) % 3 != 1)
+    single = structured(kind, n, data, f=lev.f, pattern=lev.pattern)
+    assert single.levels == (lev,)
+    one_level = structured(StructureKind.MULTILEVEL, n, data, levels=(lev,))
+
+    def runs(M):
+        out = []
+        for _ in range(3):
+            ctx = CountContext()
+            y = structured_matvec(M, x, ctx)
+            out.append(((ctx.bilinear_mults, ctx.divisions, ctx.scalar_mults, ctx.additions),
+                        y.variable.tobytes(), y.values.tobytes()))
+        return out
+
+    assert runs(single) == runs(one_level)

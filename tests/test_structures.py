@@ -66,6 +66,15 @@ class TestDensify:
         with pytest.raises(ValueError):
             structured(StructureKind.TOEPLITZ, 2, [1.0])
 
+    @pytest.mark.parametrize("kind", ALL_SINGLE_KINDS)
+    def test_levels_with_a_single_level_kind_rejected(self, kind):
+        f = 2.0 if kind is StructureKind.F_CIRCULANT else None
+        data = [1.0] * param_count(kind, 3)
+        assert structured(kind, 3, data, f=f).levels == (LevelSpec(kind, 3, f),)
+        for levels in ((LevelSpec(kind, 3, f),), (LevelSpec(StructureKind.TOEPLITZ, 3),), ()):
+            with pytest.raises(ValueError, match="takes no levels"):
+                structured(kind, 3, data, f=f, levels=levels)
+
 
 class TestNaiveMatvec:
     def test_dense_rectangular_count(self):
