@@ -39,7 +39,7 @@ class RunConfig:
     n: int | None = None
     max_n: int = 8
     levels: tuple[LevelSpec, ...] | None = None
-    f: complex = complex(-1.0)
+    f: complex | None = None
     trials: int = 100
     seed: int = 0
     tol: float = DEFAULT_TOL
@@ -80,27 +80,32 @@ def _parse_complex(text: str) -> complex:
     return z
 
 
-def _table_kind(name: str | None, n: int | None, f: complex, where: str,
-                draws_pattern: bool = False,
-                order_where: str = "--n") -> tuple[StructureKind, complex | None]:
+def _table_kind(name: str | None, n: int | None, f: complex | None, where: str,
+                draws_pattern: bool = False, order_where: str = "--n",
+                f_where: str = "--f") -> tuple[StructureKind, complex | None]:
     """A single-level kind named on the command line (at ``where``, its order
-    at ``order_where``), checked against the table, and the f it takes.  Only
-    verify draws a sparsity pattern."""
+    at ``order_where``, its f, None when not given, at ``f_where``), checked
+    against the table, and the f it takes: -1 by default.  Only verify draws
+    a sparsity pattern."""
     try:
         kind = StructureKind(name)
     except ValueError:
         raise ConfigError(f"{where}: unknown kind {name!r}") from None
     if kind is StructureKind.MULTILEVEL:
-        raise ConfigError(f"{where}: multilevel is built from --levels")
+        raise ConfigError(f"{where}: multilevel is not a single-level kind")
     entry = SPECS[kind]
     if entry.needs_pattern and not draws_pattern:
         raise ConfigError(f"{where}: {kind.value} needs a sparsity pattern, "
                           f"which only verify --kind draws")
     if n is None or n < 1:
         raise ConfigError(f"{order_where}: the order must be a positive integer, got {n}")
-    if entry.needs_f and f == 0:
+    if not entry.needs_f:
+        if f is not None:
+            raise ConfigError(f"{f_where}: {kind.value} takes no f; only f_circulant does")
+        return kind, None
+    if f == 0:
         raise ConfigError(f"{where}: f must be nonzero")
-    return kind, (f if entry.needs_f else None)
+    return kind, complex(-1.0) if f is None else f
 
 
 def _parse_levels(text: str) -> tuple[LevelSpec, ...]:
@@ -113,13 +118,9 @@ def _parse_levels(text: str) -> tuple[LevelSpec, ...]:
             n = int(parts[1])
         except ValueError:
             raise ConfigError(f"level {chunk!r}: bad order {parts[1]!r}") from None
-        f = _parse_complex(parts[2]) if len(parts) == 3 else complex(-1.0)
+        f = _parse_complex(parts[2]) if len(parts) == 3 else None
         where = f"level {chunk!r}"
-        kind, f = _table_kind(parts[0], n, f, where, order_where=where)
-        if not SPECS[kind].multilevel_ok:
-            raise ConfigError(f"{where}: {kind.value} cannot be a level")
-        if len(parts) == 3 and f is None:
-            raise ConfigError(f"{where}: {kind.value} takes no F; only f_circulant:n:F does")
+        kind, f = _table_kind(parts[0], n, f, where, order_where=where, f_where=where)
         levels.append(LevelSpec(kind, n, f))
     if not levels:
         raise ConfigError("empty level list")
@@ -154,8 +155,15 @@ def _build_instance(cfg: RunConfig, rng: Lcg) -> StructuredMatrix:
     if cfg.kind == "multilevel":
         if cfg.levels is None:
             raise ConfigError("multilevel verification needs --levels")
+        if cfg.f is not None:
+            raise ConfigError("--f: multilevel takes no f; a level takes it as f_circulant:n:F")
         order = math.prod(lev.n for lev in cfg.levels)
-        return random_structured(StructureKind.MULTILEVEL, order, rng, levels=cfg.levels)
+        if cfg.n is not None and cfg.n != order:
+            raise ConfigError(f"--n: {cfg.n} is not {order}, the product of the level orders")
+        try:
+            return random_structured(StructureKind.MULTILEVEL, order, rng, levels=cfg.levels)
+        except ValueError as exc:
+            raise ConfigError(f"--levels: {exc}") from None
     if cfg.levels is not None:
         raise ConfigError(f"--levels: only --kind multilevel takes levels, not {cfg.kind!r}")
     kind, f = _table_kind(cfg.kind, cfg.n, cfg.f, "--kind", draws_pattern=True)
@@ -188,9 +196,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         naive_counts.add(ctx_naive.bilinear_mults)
         formulas.add(formula)
     ok = max_err <= cfg.tol and counts_match
-    if cfg.kind == "multilevel" and cfg.levels is not None:
-        cfg.n = math.prod(lev.n for lev in cfg.levels)
-    print(f"kind={cfg.kind} n={cfg.n} trials={cfg.trials} "
+    print(f"kind={cfg.kind} n={M.n} trials={cfg.trials} "
           f"max_rel_err={max_err:.3e} fast_count={_fmt_counts(fast_counts)} "
           f"naive_count={_fmt_counts(naive_counts)} formula={_fmt_counts(formulas)} "
           f"pass={str(ok).lower()}")
@@ -249,7 +255,12 @@ def cmd_count_table(cfg: RunConfig) -> int:
 def cmd_tensor(cfg: RunConfig) -> int:
     from .extraction import extract_decomposition
 
+    if cfg.ottaviani and not cfg.builder:
+        raise ConfigError("--ottaviani: the test runs on a --builder tensor")
     if cfg.builder in NAMED_BUILDERS:
+        for option, value in (("--n", cfg.n), ("--f", cfg.f)):
+            if value is not None:
+                raise ConfigError(f"{option}: the named builder {cfg.builder} takes no {option}")
         T = build_structure_tensor(cfg.builder)
     else:
         where = f"--builder (named: {', '.join(NAMED_BUILDERS)})" if cfg.builder else "--kind"
@@ -345,7 +356,7 @@ def cmd_simul(cfg: RunConfig) -> int:
 
 # The settings of every option, and the options each subcommand reads.
 _OPTIONS = {
-    "--kind": dict(type=str), "--n": dict(type=int), "--f": dict(type=str, default="-1,0"),
+    "--kind": dict(type=str), "--n": dict(type=int), "--f": dict(type=str),
     "--levels": dict(type=str), "--seed": dict(type=int, default=0),
     "--trials": dict(type=int, default=100), "--tol": dict(type=float),
     "--max-n": dict(type=int, default=8), "--out": dict(type=str),
@@ -408,7 +419,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(**{k: v for k, v in given.items() if k not in ("f", "levels", "tol")})
     if "tol" in given:
         cfg.tol = _tolerance(args)
-    if "f" in given:
+    if given.get("f") is not None:
         cfg.f = _parse_complex(args.f)
     if given.get("levels"):
         cfg.levels = _parse_levels(args.levels)
@@ -430,8 +441,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(_build_parser().parse_args(argv))
         if cfg.command == "verify" and cfg.kind is None:
             raise ConfigError("verify needs --kind")
-        if cfg.command == "tensor" and cfg.kind is None and cfg.builder is None:
-            raise ConfigError("tensor needs --kind or --builder")
+        if cfg.command == "tensor" and (cfg.kind is None) == (cfg.builder is None):
+            raise ConfigError("tensor needs one of --kind and --builder")
         return _COMMANDS[cfg.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -148,10 +148,10 @@ def div(a: TrackedScalar, b: TrackedScalar, ctx: CountContext,
 # runs over its entries.  Values may carry further axes: a block of vectors
 # (a multilevel level map applies to one axis of the whole product, and the
 # blocked kernels batch their column pairs or columns) has flags of the same
-# shape, and the decomposition-extraction lane stores one linear-form
-# coefficient row per entry against 1-D flags.  Constant maps apply over
-# those trailing axes, and the pointwise product defers to the recorder
-# installed on the context.
+# shape, and the decomposition-extraction lane runs a unit block, one
+# coordinate per column, against 1-D flags, so it is charged as one vector.
+# Constant maps apply over those trailing axes, and the pointwise product
+# defers to the recorder installed on the context.
 # ---------------------------------------------------------------------------
 
 

@@ -430,47 +430,43 @@ def _sparse_maps(n: int, pattern: SparsityPattern) -> tuple[GatherMap, GatherMap
 
 # Per kind: params, count and dim as functions of (n, pattern); the placement
 # of its parameters in the grid; its kernel maps (U, V, W) as a function of
-# (n, f, pattern); whether it may be a level.
+# (n, f, pattern).
 SPECS: dict[StructureKind, StructureSpec] = {
     StructureKind.CIRCULANT: StructureSpec(
         lambda n, _: n, lambda n, _: n, lambda n, _: n,
-        circulant_placement, lambda n, f, _: _fcirc_maps(n, 1.0), multilevel_ok=True),
+        circulant_placement, lambda n, f, _: _fcirc_maps(n, 1.0)),
     StructureKind.F_CIRCULANT: StructureSpec(
         lambda n, _: n, lambda n, _: n, lambda n, _: n,
-        f_circulant_placement, lambda n, f, _: _fcirc_maps(n, complex(f)),
-        multilevel_ok=True, needs_f=True),
+        f_circulant_placement, lambda n, f, _: _fcirc_maps(n, complex(f)), needs_f=True),
     StructureKind.TOEPLITZ: StructureSpec(
         lambda n, _: 2 * n - 1, lambda n, _: 2 * n - 1, lambda n, _: 2 * n - 1,
-        toeplitz_placement, lambda n, f, _: _toeplitz_maps(n), multilevel_ok=True),
+        toeplitz_placement, lambda n, f, _: _toeplitz_maps(n)),
     StructureKind.HANKEL: StructureSpec(
         lambda n, _: 2 * n - 1, lambda n, _: 2 * n - 1, lambda n, _: 2 * n - 1,
-        hankel_placement, lambda n, f, _: _hankel_maps(n), multilevel_ok=True),
+        hankel_placement, lambda n, f, _: _hankel_maps(n)),
     StructureKind.UPPER_TRIANGULAR_TOEPLITZ: StructureSpec(
         lambda n, _: n, lambda n, _: 2 * n - 1, lambda n, _: n,
-        triangular_toeplitz_placement, lambda n, f, _: _triangular_toeplitz_maps(n),
-        multilevel_ok=False),
+        triangular_toeplitz_placement, lambda n, f, _: _triangular_toeplitz_maps(n)),
     # The Toeplitz and Hankel spaces intersect in the two-dimensional space of
     # checkerboard-constant matrices once n >= 2, so their sum has dimension
     # 4n-4 (and 1 at n = 1, where every space is the scalars).
     StructureKind.TOEPLITZ_PLUS_HANKEL: StructureSpec(
         lambda n, _: 4 * n - 2, lambda n, _: 4 * n - 3,
         lambda n, _: 1 if n == 1 else 4 * n - 4,
-        tph_placement, lambda n, f, _: _tph_maps(n), multilevel_ok=True),
+        tph_placement, lambda n, f, _: _tph_maps(n)),
     StructureKind.SYMMETRIC: StructureSpec(
         lambda n, _: n * (n + 1) // 2, lambda n, _: n * (n + 1) // 2,
         lambda n, _: n * (n + 1) // 2,
-        symmetric_placement, lambda n, f, _: _symmetric_maps(n), multilevel_ok=True),
+        symmetric_placement, lambda n, f, _: _symmetric_maps(n)),
     StructureKind.SKEW_SYMMETRIC: StructureSpec(
         lambda n, _: n * (n - 1) // 2,
         lambda n, _: 0 if n == 1 else n * n - n - math.ceil((n - 1) / 2) + 1,
         lambda n, _: n * (n - 1) // 2,
-        skew_symmetric_placement, lambda n, f, _: _skew_symmetric_maps(n),
-        multilevel_ok=False),
+        skew_symmetric_placement, lambda n, f, _: _skew_symmetric_maps(n)),
     StructureKind.SPARSE: StructureSpec(
         lambda n, pattern: len(pattern), lambda n, pattern: len(pattern),
         lambda n, pattern: len(pattern),
-        sparse_placement, lambda n, f, pattern: _sparse_maps(n, pattern),
-        multilevel_ok=True, needs_pattern=True),
+        sparse_placement, lambda n, f, pattern: _sparse_maps(n, pattern), needs_pattern=True),
 }
 
 

@@ -93,7 +93,6 @@ class StructureSpec:
                               of constant maps: U embeds the parameters, V the
                               input, W reads the output off the count = U-row
                               pointwise products (see ``product``)
-    multilevel_ok             the kind may be a level of a multilevel structure
     needs_f, needs_pattern    the kind takes a nonzero f / a sparsity pattern
 
     The table `kernels.SPECS` holds one per kind, in enum order.  MULTILEVEL
@@ -106,7 +105,6 @@ class StructureSpec:
     placement: Callable[[int, complex | None, SparsityPattern | None],
                         tuple[np.ndarray, np.ndarray, np.ndarray]]
     maps: Callable[[int, complex | None, SparsityPattern | None], tuple]
-    multilevel_ok: bool
     needs_f: bool = False
     needs_pattern: bool = False
 
@@ -171,7 +169,8 @@ class StructuredMatrix:
 
     def __post_init__(self):
         """A single-level kind is its own one level.  Every level is checked
-        against the table; their orders and parameter counts multiply."""
+        against the table; their orders and parameter counts multiply.  A
+        multilevel structure's levels each need a parameter."""
         multilevel = self.kind is StructureKind.MULTILEVEL
         if multilevel and not self.levels:
             raise ValueError("multilevel structure needs levels")
@@ -182,9 +181,10 @@ class StructuredMatrix:
                                (LevelSpec(self.kind, self.n, self.f, self.pattern),))
         expected = order = 1
         for lev in self.levels:
-            if multilevel and not spec(lev.kind).multilevel_ok:
-                raise ValueError(f"unsupported level kind {lev.kind.value}")
-            expected *= check_level(lev.kind, lev.n, lev.f, lev.pattern)
+            params = check_level(lev.kind, lev.n, lev.f, lev.pattern)
+            if multilevel and params == 0:
+                raise ValueError(f"level {lev.kind.value} of order {lev.n} has no parameters")
+            expected *= params
             order *= lev.n
         if order != self.n:
             raise ValueError(f"multilevel order {self.n} != product of level orders {order}")
@@ -531,7 +531,7 @@ def parse_matrix(text: str) -> StructuredMatrix:
             if not isinstance(obj, dict) or "kind" not in obj or "n" not in obj:
                 raise SchemaError(f"{where}: expected an object with kind and n")
             lev = _read_level(obj, f"{where}.")
-            if lev.kind is StructureKind.MULTILEVEL or not spec(lev.kind).multilevel_ok:
+            if lev.kind is StructureKind.MULTILEVEL:
                 raise SchemaError(f"{where}.kind: {lev.kind.value} is not a valid level kind")
             levels.append(lev)
         levels = tuple(levels)

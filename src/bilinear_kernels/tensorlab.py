@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structures import (SchemaError, SparsityPattern, StructureKind, check_level,
-                         read_complex_pair, spec)
+from .structures import (LevelSpec, SchemaError, SparsityPattern, StructureKind, _placement,
+                         check_level, read_complex_pair, spec)
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def structure_tensor(kind, n: int, f: complex | None = None,
     if f is None and spec(kind).needs_f:
         f = -1.0
     P = check_level(kind, n, f, pattern)
-    param, cell, coeff = spec(kind).placement(n, f, pattern)
+    param, cell, coeff, _ = _placement((LevelSpec(kind, n, f, pattern),))
     T = np.zeros((P, n, n), dtype=complex)
     np.add.at(T, (param, cell % n, cell // n), coeff)
     return Tensor3(T)
@@ -202,8 +202,8 @@ def flattening_ranks(T: Tensor3, tol: float = 1e-9) -> tuple[int, int, int]:
     arr = T.entries
     if not arr.imag.any():
         arr = arr.real
-    for mode in range(3):
-        mat = np.moveaxis(arr, mode, 0).reshape(arr.shape[mode], -1)
+    for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        mat = arr.transpose(axes).reshape(arr.shape[axes[0]], -1)
         if mat.shape[0] < mat.shape[1]:
             mat = mat.T
         s = np.linalg.svd(mat, compute_uv=False)

@@ -125,7 +125,7 @@ class TestUsageErrors:
         ("tensor", "--kind", "skew_symmetric", "--n", "1"),
         ("tensor", "--builder", "nope"),
         ("tensor", "--builder", "matmul"),
-        ("verify", "--kind", "multilevel", "--levels", "skew_symmetric:3"),
+        ("verify", "--kind", "multilevel", "--levels", "skew_symmetric:1,toeplitz:2"),
         ("verify", "--kind", "multilevel", "--levels", "toeplitz:0"),
         ("verify", "--kind", "f_circulant", "--n", "4", "--f", "0"),
         ("tpp", "--preset", "cyclic-1n1", "--n", "-2"),
@@ -151,6 +151,16 @@ class TestUsageErrors:
         ("tensor", "--kind", "toeplitz", "--n", "3", "--seed", "1"),
         ("stability", "--preset", "gauss", "--trials", "2"),
         ("tpp", "--preset", "d4-222", "--tol", "1e-3"),
+        ("verify", "--kind", "toeplitz", "--n", "3", "--f", "2"),
+        ("verify", "--kind", "circulant", "--n", "3", "--f", "-1"),
+        ("verify", "--kind", "multilevel", "--n", "5", "--levels", "toeplitz:2"),
+        ("verify", "--kind", "multilevel", "--levels", "toeplitz:2", "--f", "2"),
+        ("verify", "--kind", "multilevel", "--levels", "skew_symmetric:1"),
+        ("tensor", "--kind", "hankel", "--n", "3", "--f", "2"),
+        ("tensor", "--builder", "so3", "--f", "2"),
+        ("tensor", "--builder", "so3", "--n", "3"),
+        ("tensor", "--kind", "toeplitz", "--builder", "hankel", "--n", "3"),
+        ("tensor", "--kind", "toeplitz", "--n", "3", "--ottaviani"),
     ])
     def test_bad_option(self, capsys, argv):
         assert_usage_error(*run(capsys, *argv)[::2])
@@ -165,6 +175,22 @@ class TestUsageErrors:
         code, _, err = run(capsys, *argv)
         assert_usage_error(code, err)
         assert err.startswith("error: --n:")
+
+    def test_tensor_multilevel_names_no_option_tensor_lacks(self, capsys):
+        code, _, err = run(capsys, "tensor", "--kind", "multilevel", "--n", "4")
+        assert_usage_error(code, err)
+        assert "--levels" not in err
+
+    @pytest.mark.parametrize("argv, want", [
+        (("verify", "--kind", "f_circulant", "--n", "3", "--trials", "2"), "kind=f_circulant"),
+        (("verify", "--kind", "multilevel", "--n", "6", "--levels", "toeplitz:2,hankel:3",
+          "--trials", "2"), "n=6"),
+        (("verify", "--kind", "multilevel", "--levels", "skew_symmetric:3,triangular_toeplitz:2",
+          "--trials", "2"), "pass=true"),
+    ])
+    def test_inputs_that_are_read(self, capsys, argv, want):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and want in out
 
     def test_help_is_unchanged(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -526,17 +527,35 @@ class TestMultilevel:
         assert rel_err(vals(out), want) < 1e-7
 
     def test_excluded_level_kinds(self):
-        """A skew-symmetric or triangular level is refused when the matrix is
-        built, at any position and as the only level."""
-        for bad in (StructureKind.SKEW_SYMMETRIC, StructureKind.UPPER_TRIANGULAR_TOEPLITZ):
-            count = param_count(StructureKind.TOEPLITZ, 2) * param_count(bad, 2)
-            for levels in ((LevelSpec(StructureKind.TOEPLITZ, 2), LevelSpec(bad, 2)),
-                           (LevelSpec(bad, 2), LevelSpec(StructureKind.TOEPLITZ, 2))):
-                with pytest.raises(ValueError, match="unsupported level kind"):
-                    structured(StructureKind.MULTILEVEL, 4, [1] * count, levels=levels)
-            with pytest.raises(ValueError, match="unsupported level kind"):
-                structured(StructureKind.MULTILEVEL, 2, [1] * param_count(bad, 2),
-                           levels=(LevelSpec(bad, 2),))
+        """Every kind may be a level; a level without parameters, an order-1
+        skew-symmetric one, is refused when the matrix is built, at any
+        position and as the only level."""
+        empty, toeplitz = (LevelSpec(StructureKind.SKEW_SYMMETRIC, 1),
+                           LevelSpec(StructureKind.TOEPLITZ, 2))
+        for levels in ((toeplitz, empty), (empty, toeplitz), (empty,)):
+            n = math.prod(lev.n for lev in levels)
+            with pytest.raises(ValueError, match="^level skew_symmetric of order 1 has no "
+                                                 "parameters$"):
+                structured(StructureKind.MULTILEVEL, n, [], levels=levels)
+
+    @pytest.mark.parametrize("outer", [StructureKind.SKEW_SYMMETRIC,
+                                       StructureKind.UPPER_TRIANGULAR_TOEPLITZ,
+                                       StructureKind.TOEPLITZ])
+    @pytest.mark.parametrize("inner", [StructureKind.SKEW_SYMMETRIC,
+                                       StructureKind.UPPER_TRIANGULAR_TOEPLITZ,
+                                       StructureKind.CIRCULANT])
+    @pytest.mark.parametrize("n_outer, n_inner", [(a, b) for a in (2, 3, 4) for b in (2, 3)])
+    def test_formerly_excluded_level_kinds(self, outer, inner, n_outer, n_inner):
+        """Skew-symmetric and triangular Toeplitz levels give the closed-form
+        count and the naive product's values."""
+        levels = (LevelSpec(outer, n_outer), LevelSpec(inner, n_inner))
+        rng = Lcg(zlib.crc32(f"{outer.value}:{n_outer},{inner.value}:{n_inner}".encode()))
+        M = random_multilevel(levels, rng)
+        x = variables(rng.complex_vector(M.n))
+        ctx = CountContext()
+        out = structured_matvec(M, x, ctx)
+        assert ctx.bilinear_mults == formula_count(StructureKind.MULTILEVEL, M.n, levels=levels)
+        assert rel_err(vals(out), vals(naive_matvec(M, x, CountContext()))) < 1e-12
 
     @pytest.mark.parametrize("levels", [
         "toeplitz:1,hankel:5", "circulant:4,toeplitz:1", "toeplitz:3,toeplitz:3,toeplitz:3",

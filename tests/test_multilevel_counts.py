@@ -23,7 +23,9 @@ from bilinear_kernels.rng import Lcg
 from bilinear_kernels.structures import param_count
 
 PATTERNS = 3
-LEVEL_KINDS = [kind for kind, entry in SPECS.items() if entry.multilevel_ok]
+# The level kinds the goldens below were pinned for.
+LEVEL_KINDS = [kind for kind in SPECS if kind not in (StructureKind.UPPER_TRIANGULAR_TOEPLITZ,
+                                                      StructureKind.SKEW_SYMMETRIC)]
 CASES = [f"{a.value}:{na},{b.value}:{nb}" for a in LEVEL_KINDS for b in LEVEL_KINDS
          for na in (1, 3) for nb in (1, 3)] + ["toeplitz:2,circulant:2,symmetric:2"]
 

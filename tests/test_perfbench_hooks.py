@@ -2,7 +2,8 @@
 
 ``perfbench/tracing.py`` rebinds library functions by name and reads map
 sizes through ``nbytes``; a renamed or deleted function, or a map form
-without ``nbytes``, breaks the traced run.  ``tracing.install`` rebinds
+without ``nbytes``, breaks the traced run.  A hook that nothing calls any
+more breaks its metric without a word, so the recorder's is counted.  ``tracing.install`` rebinds
 process-wide, so the traced round runs in a subprocess.
 """
 
@@ -33,7 +34,18 @@ for name in ("kernel-large", "certify", "oracle-sweep"):
         if reason is not None:
             failed.append(f"{name}/{label}:{reason}")
         op_id += 1
-print(json.dumps({"ran": ran, "failed": failed, "amounts": dict(tracer.amounts)}))
+# The recorder spans under each extraction span, found through the parents.
+labels = [span[0] for span in tracer.spans]
+recorded = dict.fromkeys((i for i, label in enumerate(labels)
+                          if label == "extraction.extract_decomposition"), 0)
+for i, label in enumerate(labels):
+    if label == "extraction.pointwise":
+        up = tracer.spans[i][3]
+        while up >= 0 and up not in recorded:
+            up = tracer.spans[up][3]
+        recorded[up] = recorded.get(up, 0) + 1
+print(json.dumps({"ran": ran, "failed": failed, "amounts": dict(tracer.amounts),
+                  "pointwise_per_extraction": sorted(set(recorded.values()))}))
 """
 
 
@@ -48,3 +60,6 @@ def test_one_traced_round_of_every_workload_runs_clean():
     assert result["failed"] == []
     assert result["amounts"]["counting.apply_matrix.bytes"] > 0
     assert result["amounts"]["extraction.terms"] > 0
+    # The narrow replay makes one pointwise product per extraction, and the
+    # hook the benchmark binds to it stays on that path.
+    assert result["pointwise_per_extraction"] == [1]

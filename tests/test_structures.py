@@ -223,6 +223,20 @@ class TestSerialization:
         M = structured(StructureKind.MULTILEVEL, 4, range(1, 7), levels=levels)
         assert parse_matrix(serialize_matrix(M)) == M
 
+    def test_every_single_level_kind_reads_as_a_level(self):
+        levels = (LevelSpec(StructureKind.SKEW_SYMMETRIC, 3),
+                  LevelSpec(StructureKind.UPPER_TRIANGULAR_TOEPLITZ, 2))
+        M = structured(StructureKind.MULTILEVEL, 6, range(1, 7), levels=levels)
+        assert parse_matrix(serialize_matrix(M)) == M
+        with pytest.raises(SchemaError, match=r"^levels\[0\]\.kind: multilevel is not a "
+                                              "valid level kind$"):
+            parse_matrix('{"kind":"multilevel","n":2,"levels":[{"kind":"multilevel","n":2}],'
+                         '"data":[[1,0]]}')
+        with pytest.raises(ValueError, match="^level skew_symmetric of order 1 has no "
+                                             "parameters$"):
+            parse_matrix('{"kind":"multilevel","n":2,"levels":[{"kind":"skew_symmetric","n":1},'
+                         '{"kind":"toeplitz","n":2}],"data":[]}')
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(
         st.floats(allow_nan=False, allow_infinity=False, width=64),
