@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Rank-certification sweep: for each structure and size, harvest the
-kernel's decomposition, verify it against the structure tensor, and compare
-the term count with the mode-1 flattening rank.
+"""Rank-certification sweep: for each structure and size, run the certify
+chain (bilinear_kernels.certify_rank): harvest the kernel's decomposition,
+verify it against the structure tensor, and compare the term count with the
+largest flattening rank.
 
-Where the two numbers meet, the tensor rank is pinned exactly; where they
-differ by one (Toeplitz-plus-Hankel at n >= 2) only the bounds are certified.
+Where the two numbers meet, the tensor rank is pinned exactly; elsewhere
+only the bounds are certified.  A row whose decomposition fails or whose
+mode-1 flattening rank is not the structure's dimension reads FAILED.
 
 Usage:
     python scripts/certify_ranks.py [max_n]
@@ -26,22 +28,16 @@ def main(max_n: int) -> int:
         for n in range(1, max_n + 1):
             if spec.params(n, None) == 0:
                 continue
-            f = -1.0 if spec.needs_f else None
-            D = bk.extract_decomposition(kind, n, f=f)
-            T = bk.structure_tensor(kind, n, f=f)
-            rep = bk.verify_decomposition(T, D, 1e-8)
-            ranks = bk.flattening_ranks(T)
-            dim = bk.structure_dim(kind, n)
-            lower = max(ranks)
-            if not rep.passed or ranks[0] != dim:
+            c = bk.certify_rank(kind, n)
+            if not c.passed or c.ranks[0] != c.dim:
                 ok = False
                 statement = "FAILED"
-            elif lower == rep.term_count:
-                statement = f"rank = {rep.term_count}"
+            elif c.certified:
+                statement = f"rank = {c.terms}"
             else:
-                statement = f"{lower} <= rank <= {rep.term_count}"
-            print(f"{kind.value:22s} {n:3d} {rep.term_count:6d} {lower:8d} {dim:5d} "
-                  f"{rep.max_abs_error:9.2e}  {statement}")
+                statement = f"{c.lower} <= rank <= {c.terms}"
+            print(f"{kind.value:22s} {n:3d} {c.terms:6d} {c.lower:8d} {c.dim:5d} "
+                  f"{c.error:9.2e}  {statement}")
     return 0 if ok else 1
 
 

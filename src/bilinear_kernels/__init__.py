@@ -9,7 +9,7 @@ from .counting import (CountContext, DivisionByZero, Kind, TrackedScalar,
 from .groups import (GroupAlgebraElement, GroupTable, blocked_simultaneous, cu_matmul,
                      cyclic_group, d4_simultaneous, dihedral8, group_algebra_mul,
                      tpp_check, wedderburn_d4, wedderburn_d4_inverse, x8_simultaneous)
-from .extraction import extract_decomposition
+from .extraction import RankCertificate, certify_rank, extract_decomposition
 from .kernels import (KernelReport, SingularMatrix, circulant_inverse,
                       circulant_matvec, commutator_2x2,
                       f_circulant_inverse, f_circulant_matvec, formula_count,

@@ -18,12 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import CountContext, variable_vector
+from .extraction import certify_rank
 from .groups import blocked_simultaneous, cyclic_group, dihedral8, tpp_check
 from .kernels import SPECS, formula_count, structured_matvec
 from .rng import Lcg
 from .structures import (LevelSpec, SparsityPattern, StructureKind, StructuredMatrix,
-                         dense_parts, naive_count, naive_matvec, param_count,
-                         structure_dim, structured)
+                         default_f, dense_parts, naive_count, naive_matvec, param_count,
+                         structured)
 from .tensorlab import (NAMED_BUILDERS, build_structure_tensor,
                         complex_mul_decomposition, complex_mul_tensor, flattening_ranks,
                         ottaviani_test, stability_measure, structure_tensor,
@@ -99,13 +100,11 @@ def _table_kind(name: str | None, n: int | None, f: complex | None, where: str,
                           f"which only verify --kind draws")
     if n is None or n < 1:
         raise ConfigError(f"{order_where}: the order must be a positive integer, got {n}")
-    if not entry.needs_f:
-        if f is not None:
-            raise ConfigError(f"{f_where}: {kind.value} takes no f; only f_circulant does")
-        return kind, None
+    if f is not None and not entry.needs_f:
+        raise ConfigError(f"{f_where}: {kind.value} takes no f; only f_circulant does")
     if f == 0:
         raise ConfigError(f"{where}: f must be nonzero")
-    return kind, complex(-1.0) if f is None else f
+    return kind, default_f(kind, f)
 
 
 def _parse_levels(text: str) -> tuple[LevelSpec, ...]:
@@ -225,8 +224,7 @@ def cmd_count_table(cfg: RunConfig) -> int:
         if entry.needs_pattern:
             continue
         for n in range(1, cfg.max_n + 1):
-            f = complex(-1.0) if entry.needs_f else None
-            M = random_structured(kind, n, rng, f=f)
+            M = random_structured(kind, n, rng, f=default_f(kind, None))
             row, ok = _count_row(M, str(n), rng)
             rows.append(row)
             all_match &= ok
@@ -253,8 +251,6 @@ def cmd_count_table(cfg: RunConfig) -> int:
 
 
 def cmd_tensor(cfg: RunConfig) -> int:
-    from .extraction import extract_decomposition
-
     if cfg.ottaviani and not cfg.builder:
         raise ConfigError("--ottaviani: the test runs on a --builder tensor")
     if cfg.builder in NAMED_BUILDERS:
@@ -267,34 +263,25 @@ def cmd_tensor(cfg: RunConfig) -> int:
         kind, f = _table_kind(cfg.builder or cfg.kind, cfg.n, cfg.f, where)
         if SPECS[kind].params(cfg.n, None) == 0:
             raise ConfigError(f"{where}: {kind.value} of order {cfg.n} has no parameters")
-        T = structure_tensor(kind, cfg.n, f=f)
-    if cfg.builder:
-        ranks = flattening_ranks(T)
-        print(f"builder={cfg.builder} flattening_ranks={ranks}")
-        if cfg.ottaviani:
-            rep = ottaviani_test(T)
-            if rep.nonsingular:
-                print(f"border rank >= 5 (det magnitude {rep.det_magnitude:.3e})")
+        if not cfg.builder:
+            c = certify_rank(kind, cfg.n, f)
+            print(f"kind={kind.value} n={cfg.n} terms={c.terms} "
+                  f"decomposition_error={c.error:.3e} flattening_ranks={c.ranks} "
+                  f"structure_dim={c.dim}")
+            if c.certified:
+                print(f"rank certified = {c.terms}")
                 return 0
-            print(f"ottaviani test singular (det magnitude {rep.det_magnitude:.3e})")
+            print(f"rank bounds: {c.lower} <= rank <= {c.terms}"
+                  if c.passed else "decomposition failed verification")
             return 1
-        return 0
-    D = extract_decomposition(kind, cfg.n, f=f)
-    rep = verify_decomposition(T, D, 1e-8)
-    ranks = flattening_ranks(T)
-    dim = structure_dim(kind, cfg.n)
-    formula = formula_count(kind, cfg.n)
-    certified = rep.passed and rep.term_count == formula and ranks[0] == dim \
-        and formula == dim
-    print(f"kind={kind.value} n={cfg.n} terms={rep.term_count} "
-          f"decomposition_error={rep.max_abs_error:.3e} flattening_ranks={ranks} "
-          f"structure_dim={dim}")
-    if certified:
-        print(f"rank certified = {formula}")
-        return 0
-    print(f"rank bounds: {ranks[0]} <= rank <= {rep.term_count}"
-          if rep.passed else "decomposition failed verification")
-    return 1
+        T = structure_tensor(kind, cfg.n, f=f)
+    print(f"builder={cfg.builder} flattening_ranks={flattening_ranks(T)}")
+    if cfg.ottaviani:
+        rep = ottaviani_test(T)
+        verdict = "border rank >= 5" if rep.nonsingular else "ottaviani test singular"
+        print(f"{verdict} (det magnitude {rep.det_magnitude:.3e})")
+        return 0 if rep.nonsingular else 1
+    return 0
 
 
 def cmd_stability(cfg: RunConfig) -> int:
@@ -340,8 +327,7 @@ def cmd_simul(cfg: RunConfig) -> int:
         want1 = avals @ bvals
         bv = bvals[::-1].copy()
         if cfg.variant == "g":
-            for p in range(pairs):
-                bv[0, 2 * p], bv[0, 2 * p + 1] = bv[0, 2 * p + 1], bv[0, 2 * p]
+            bv[0] = bv[0].reshape(pairs, 2)[:, ::-1].ravel()
         want2 = avals @ bv
         got1 = np.array([[s.value for s in row] for row in m1])
         got2 = np.array([[s.value for s in row] for row in m2])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import repeat
@@ -74,7 +74,6 @@ class CountContext:
     divisions: int = 0
     scalar_mults: int = 0
     additions: int = 0
-    recorder: object | None = field(default=None, repr=False, compare=False)
 
     def count_bilinear(self, k: int = 1) -> None:
         if k < 0:
@@ -144,14 +143,12 @@ def div(a: TrackedScalar, b: TrackedScalar, ctx: CountContext,
 # Vector layer.
 #
 # Kernels operate on whole vectors of tracked scalars.  Values are a numpy
-# array; per-entry Variable flags are a bool array.  A vector's first axis
-# runs over its entries.  Values may carry further axes: a block of vectors
-# (a multilevel level map applies to one axis of the whole product, and the
-# blocked kernels batch their column pairs or columns) has flags of the same
-# shape, and the decomposition-extraction lane runs a unit block, one
-# coordinate per column, against 1-D flags, so it is charged as one vector.
-# Constant maps apply over those trailing axes, and the pointwise product
-# defers to the recorder installed on the context.
+# array; per-entry Variable flags are a bool array of the same shape.  A
+# vector's first axis runs over its entries.  Values may carry further axes:
+# a block of vectors (a multilevel level map applies to one axis of the
+# whole product, and the blocked kernels batch their column pairs or
+# columns), every column charged as its own vector.  Constant maps apply
+# over those trailing axes.
 # ---------------------------------------------------------------------------
 
 
@@ -405,8 +402,6 @@ def vmul(u: TrackedVector, v: TrackedVector, ctx: CountContext) -> TrackedVector
     bilinear = int(np.count_nonzero(both))
     ctx.count_bilinear(bilinear)
     ctx.count_scalar(both.size - bilinear)
-    if ctx.recorder is not None:
-        return ctx.recorder.pointwise(u, v, both)
     return TrackedVector(u.values * v.values, u.variable | v.variable)
 
 

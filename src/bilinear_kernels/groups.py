@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import (ChainMap, ConstantMap, CountContext, GatherMap, Kind, TrackedScalar,
+from .counting import (ChainMap, ConstantMap, CountContext, GatherMap, TrackedScalar,
                        TrackedVector, add, as_matrix, constant, mul, tile, to_grid,
                        triple_product)
 from .spectral import dft_matrix, idft_matrix
@@ -59,9 +59,6 @@ class GroupTable:
     def mul(self, a: int, b: int) -> int:
         return self.product[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
 
 def cyclic_group(n: int) -> GroupTable:
     """C_n with elements 1, g, ..., g^(n-1)."""
@@ -85,11 +82,9 @@ def dihedral8() -> GroupTable:
         return (a - b) % 4 + 4 * (1 - f0)
 
     product = tuple(tuple(mul_el(p, q) for q in range(8)) for p in range(8))
-    inverse = []
-    for p in range(8):
-        inverse.append(next(q for q in range(8) if product[p][q] == 0))
+    inverse = tuple(product[p].index(0) for p in range(8))
     names = ("1", "x", "x^2", "x^3", "y", "xy", "x^2y", "x^3y")
-    return GroupTable(8, product, 0, tuple(inverse), names)
+    return GroupTable(8, product, 0, inverse, names)
 
 
 @dataclass
@@ -153,21 +148,16 @@ def cu_matmul(G: GroupTable, S: Sequence[int], T: Sequence[int], U: Sequence[int
     n2, p = bvals.shape
     if (m, n, p) != (len(S), len(T), len(U)) or n2 != n:
         raise ValueError("matrix shapes must match the subset cardinalities")
-    ahat = [constant(0)] * G.order
-    for i in range(m):
-        for j in range(n):
-            g = G.product[S[i]][G.inverse[T[j]]]
-            s = TrackedScalar(complex(avals[i, j]),
-                              Kind.VARIABLE if aflags[i, j] else Kind.CONSTANT)
-            ahat[g] = add(ahat[g], s, ctx) if (ahat[g].is_variable or ahat[g].value != 0) else s
-    bhat = [constant(0)] * G.order
-    for i in range(n):
-        for j in range(p):
-            g = G.product[T[i]][G.inverse[U[j]]]
-            s = TrackedScalar(complex(bvals[i, j]),
-                              Kind.VARIABLE if bflags[i, j] else Kind.CONSTANT)
-            bhat[g] = add(bhat[g], s, ctx) if (bhat[g].is_variable or bhat[g].value != 0) else s
-    prod = group_algebra_mul(G, ahat, bhat, ctx)
+    def embed(rows, cols, values, flags) -> list[TrackedScalar]:
+        """Entry (i, j) of the matrix placed at rows[i] cols[j]^-1."""
+        hat = [constant(0)] * G.order
+        for i, row in enumerate(to_grid(TrackedVector(values, flags))):
+            for j, s in enumerate(row):
+                g = G.product[rows[i]][G.inverse[cols[j]]]
+                hat[g] = add(hat[g], s, ctx) if (hat[g].is_variable or hat[g].value != 0) else s
+        return hat
+
+    prod = group_algebra_mul(G, embed(S, T, avals, aflags), embed(T, U, bvals, bflags), ctx)
     return [[prod[G.product[S[i]][G.inverse[U[k]]]] for k in range(p)] for i in range(m)]
 
 

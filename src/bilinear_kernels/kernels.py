@@ -66,7 +66,7 @@ from .extraction import level_decomposition
 from .spectral import (F_CACHE_SIZE, ORDER_CACHE_SIZE, dft_matrix, idft_matrix,
                        principal_root, scaled_dft_matrix, scaled_idft_matrix, twiddles)
 from .structures import (LevelSpec, SparsityPattern, StructureKind, StructureSpec,
-                         StructuredMatrix, check_level, circulant_placement,
+                         StructuredMatrix, check_inputs, check_level, circulant_placement,
                          f_circulant_placement, hankel_placement, skew_symmetric_placement,
                          sparse_placement, symmetric_placement, toeplitz_placement,
                          tph_placement, triangular_toeplitz_placement, upper_index)
@@ -83,7 +83,7 @@ class SingularMatrix(ValueError):
 def formula_count(kind: StructureKind, n: int, pattern: SparsityPattern | None = None,
                   levels: tuple[LevelSpec, ...] | None = None) -> int:
     """Closed-form bilinear multiplication count of the fast kernel."""
-    kind = StructureKind(kind)
+    kind = check_inputs(kind, pattern, levels)
     if kind is StructureKind.MULTILEVEL:
         return math.prod(formula_count(lev.kind, lev.n, lev.pattern) for lev in levels)
     return SPECS[kind].count(n, pattern)
@@ -379,10 +379,10 @@ def _skew_symmetric_maps(n: int) -> tuple[BlockMap, BlockMap, BlockMap]:
     if n == 1:  # the zero map: no products at all
         return tuple(ConstantMap(np.zeros(shape)) for shape in ((0, 0), (0, 1), (1, 0)))
     U, V, W = _fcirc_maps(n, -1.0)
-    pairs = [(i, 0) for i in range(1, n) if i < n - i]
-    entries = pairs + [(i, j) for i in range(1, n) for j in range(1, n) if i != j]
-    rows, cols = np.array(entries, dtype=int).reshape(-1, 2).T
-    P, E, npairs = n * (n - 1) // 2, len(entries), len(pairs)
+    pairs = np.arange(1, (n + 1) // 2)                      # the i < n - i
+    i, j = np.indices((n - 1, n - 1)).reshape(2, -1) + 1
+    rows, cols = np.concatenate([pairs, i[i != j]]), np.concatenate([0 * pairs, j[i != j]])
+    P, E, npairs = n * (n - 1) // 2, len(rows), len(pairs)
     pa = upper_index(n, np.minimum(rows, cols), np.maximum(rows, cols), strict=True)
     sa = np.where(rows < cols, 1.0, -1.0)                  # A[i][j] = sa * w[pa]
     pc = n - 1 - (rows - cols) % n                          # C[i][j] = sc * w[pc]
@@ -478,7 +478,7 @@ def _run(kind: StructureKind, data, x, ctx: CountContext, f: complex | None = No
     if len(dv) != want:
         raise ValueError(f"{kind.value} of order {len(xv)} needs {want} parameters, "
                          f"got {len(dv)}")
-    return match_output(x, SPECS[kind].product(dv, xv, ctx, f))
+    return match_output(x, triple_product(SPECS[kind].maps(len(xv), f, None), dv, xv, ctx))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, as_matrix,
-                       as_vector, constant, match_output, read_only, triple_product)
+                       as_vector, constant, match_output, read_only, to_grid)
 
 
 class SchemaError(ValueError):
@@ -92,7 +92,8 @@ class StructureSpec:
     maps(n, f, pattern)       the kernel's cached Cohn-Umans triple (U, V, W)
                               of constant maps: U embeds the parameters, V the
                               input, W reads the output off the count = U-row
-                              pointwise products (see ``product``)
+                              pointwise products: W (U t * V x) is the
+                              minimum-multiplication product
     needs_f, needs_pattern    the kind takes a nonzero f / a sparsity pattern
 
     The table `kernels.SPECS` holds one per kind, in enum order.  MULTILEVEL
@@ -108,12 +109,6 @@ class StructureSpec:
     needs_f: bool = False
     needs_pattern: bool = False
 
-    def product(self, data: TrackedVector, x: TrackedVector, ctx: CountContext,
-                f: complex | None = None,
-                pattern: SparsityPattern | None = None) -> TrackedVector:
-        """The minimum-multiplication product W (U t * V x) of the kind's
-        triple on TrackedVectors."""
-        return triple_product(self.maps(len(x), f, pattern), data, x, ctx)
 
 @lru_cache(maxsize=len(StructureKind))  # one entry per kind; an import costs more than a hit
 def spec(kind: StructureKind) -> StructureSpec:
@@ -126,16 +121,30 @@ def spec(kind: StructureKind) -> StructureSpec:
                          f"a multilevel structure is given by its levels") from None
 
 
-def param_count(kind: StructureKind, n: int, pattern: SparsityPattern | None = None,
-                levels: tuple[LevelSpec, ...] | None = None) -> int:
+def default_f(kind: StructureKind, f: complex | None) -> complex | None:
+    """The f of a single-level kind: -1 when the kind needs one and none
+    is given, else f as given."""
+    return complex(-1.0) if f is None and spec(kind).needs_f else f
+
+
+def check_inputs(kind: StructureKind, pattern: SparsityPattern | None,
+                 levels: tuple[LevelSpec, ...] | None) -> StructureKind:
+    """The kind, once it has the levels or the pattern it needs."""
+    kind = StructureKind(kind)
     if kind is StructureKind.MULTILEVEL:
         if not levels:
             raise ValueError("multilevel structure needs levels")
+    elif spec(kind).needs_pattern and pattern is None:
+        raise ValueError(f"{kind.value} structure needs a pattern")
+    return kind
+
+
+def param_count(kind: StructureKind, n: int, pattern: SparsityPattern | None = None,
+                levels: tuple[LevelSpec, ...] | None = None) -> int:
+    kind = check_inputs(kind, pattern, levels)
+    if kind is StructureKind.MULTILEVEL:
         return math.prod(param_count(lev.kind, lev.n, lev.pattern) for lev in levels)
-    entry = spec(kind)
-    if entry.needs_pattern and pattern is None:
-        raise ValueError(f"{StructureKind(kind).value} structure needs a pattern")
-    return entry.params(n, pattern)
+    return spec(kind).params(n, pattern)
 
 
 def structure_dim(kind: StructureKind, n: int, pattern: SparsityPattern | None = None) -> int:
@@ -151,6 +160,9 @@ def check_level(kind: StructureKind, n: int, f: complex | None,
         raise ValueError("order must be positive")
     if spec(kind).needs_f and (f is None or f == 0):
         raise ValueError(f"{StructureKind(kind).value} needs a nonzero f")
+    if pattern is not None and (pattern.rows, pattern.cols) != (n, n):
+        raise ValueError(f"pattern of shape {pattern.rows}x{pattern.cols} "
+                         f"for a matrix of order {n}")
     return param_count(kind, n, pattern)
 
 
@@ -254,8 +266,7 @@ def upper_index(n: int, i, j, strict: bool = False):
 
 def _grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column index of every cell, row-major."""
-    i, j = np.indices((n, n)).reshape(2, -1)
-    return i, j
+    return tuple(np.indices((n, n)).reshape(2, -1))
 
 
 def _triples(n: int, param, i, j, coeff=1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -365,10 +376,7 @@ def dense_parts(M: StructuredMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def densify(M: StructuredMatrix) -> list[list[TrackedScalar]]:
     """Dense n x n grid of TrackedScalar; undetermined entries are Constant zero."""
     values, variable, _ = dense_parts(M)
-    n = values.shape[0]
-    return [[TrackedScalar(complex(values[i, j]),
-                           Kind.VARIABLE if variable[i, j] else Kind.CONSTANT)
-             for j in range(n)] for i in range(n)]
+    return to_grid(TrackedVector(values, variable))
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +427,8 @@ def basis(kind: StructureKind, n: int, f: complex | None = None,
           pattern: SparsityPattern | None = None) -> list[StructuredMatrix]:
     """Parameter one-hot matrices: one Constant-1 entry per basis element."""
     P = check_level(kind, n, f, pattern)
-    out = []
-    for p in range(P):
-        data = [constant(0)] * P
-        data[p] = constant(1)
-        out.append(StructuredMatrix(kind, n, tuple(data), f=f, pattern=pattern))
-    return out
+    return [StructuredMatrix(kind, n, tuple(constant(1.0 if q == p else 0.0) for q in range(P)),
+                             f=f, pattern=pattern) for p in range(P)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .structures import (LevelSpec, SchemaError, SparsityPattern, StructureKind, _placement,
-                         check_level, read_complex_pair, spec)
+                         check_level, default_f, read_complex_pair)
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,7 @@ def structure_tensor(kind, n: int, f: complex | None = None,
     """Matvec structure tensor over the canonical parameter basis:
     entry(p, j, k) = k-th coordinate of (basis_p @ e_j)."""
     kind = StructureKind(kind)
-    if f is None and spec(kind).needs_f:
-        f = -1.0
+    f = default_f(kind, f)
     P = check_level(kind, n, f, pattern)
     param, cell, coeff, _ = _placement((LevelSpec(kind, n, f, pattern),))
     T = np.zeros((P, n, n), dtype=complex)
@@ -97,43 +96,29 @@ def structure_tensor(kind, n: int, f: complex | None = None,
 def matmul_tensor(m: int, n: int, p: int) -> Tensor3:
     """Matrix multiplication tensor: entry((i,j), (j,k), (i,k)) = 1, row-major."""
     T = np.zeros((m * n, n * p, m * p), dtype=complex)
-    for i in range(m):
-        for j in range(n):
-            for k in range(p):
-                T[i * n + j, j * p + k, i * p + k] = 1.0
+    i, j, k = np.indices((m, n, p)).reshape(3, -1)
+    T[i * n + j, j * p + k, i * p + k] = 1.0
     return Tensor3(T)
 
 
 def complex_mul_tensor() -> Tensor3:
     """Multiplication of complex numbers over the reals, basis (1, i)."""
     T = np.zeros((2, 2, 2), dtype=complex)
-    T[0, 0, 0] = 1.0
-    T[1, 1, 0] = -1.0
-    T[0, 1, 1] = 1.0
-    T[1, 0, 1] = 1.0
+    T[[0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]] = [1.0, -1.0, 1.0, 1.0]
     return Tensor3(T)
 
 
 def so3_tensor() -> Tensor3:
     """Structure constants of the rotation Lie algebra (Levi-Civita symbol)."""
-    T = np.zeros((3, 3, 3), dtype=complex)
-    for i in range(1, 4):
-        for j in range(1, 4):
-            for k in range(1, 4):
-                T[i - 1, j - 1, k - 1] = (i - j) * (j - k) * (k - i) / 2.0
-    return Tensor3(T)
+    i, j, k = np.indices((3, 3, 3))
+    return Tensor3(((i - j) * (j - k) * (k - i) / 2.0).astype(complex))
 
 
 def commutator_beta_tensor() -> Tensor3:
     """The 3x3x3 bilinear form the 2x2 commutator reduces to:
     (s, t) -> (s1 t2 + s2 t3, -s2 t1 + s3 t2, -s1 t1 - s3 t3)."""
     T = np.zeros((3, 3, 3), dtype=complex)
-    T[0, 1, 0] = 1.0
-    T[1, 2, 0] = 1.0
-    T[1, 0, 1] = -1.0
-    T[2, 1, 1] = 1.0
-    T[0, 0, 2] = -1.0
-    T[2, 2, 2] = -1.0
+    T[[0, 1, 1, 2, 0, 2], [1, 2, 0, 1, 0, 2], [0, 0, 1, 1, 2, 2]] = [1, 1, -1, 1, -1, -1]
     return Tensor3(T)
 
 
@@ -260,8 +245,8 @@ def complex_mul_decomposition(preset: str) -> TensorDecomposition:
 
     usual: the four-term schoolbook algorithm (coefficient sum 4).
     gauss: the three-term algorithm (coefficient sum 2(1+sqrt 2)), read off
-           the rows of U and V and the columns of W of gauss_complex_mul's
-           triple.
+           gauss_complex_mul's triple as every kernel's terms are
+           (extraction.triple_decomposition).
     cube:  the three-term algorithm that is simultaneously rank- and
            stability-optimal; built from unit vectors at 120-degree spacing,
            with the input factors conjugated relative to the output factor
@@ -278,9 +263,10 @@ def complex_mul_decomposition(preset: str) -> TensorDecomposition:
             DecompositionTerm(1.0, e2, e1, e2),
         ]
     elif preset == "gauss":
-        from .kernels import GAUSS_MAPS  # kernels imports extraction, which imports this module
-        U, V, W = (M.apply(np.eye(M.shape[1])) for M in GAUSS_MAPS)
-        terms = [DecompositionTerm(1.0, U[r], V[r], W[:, r]) for r in range(len(U))]
+        # kernels and extraction both import this module
+        from .extraction import triple_decomposition
+        from .kernels import GAUSS_MAPS
+        return triple_decomposition(GAUSS_MAPS)
     elif preset == "cube":
         terms = []
         for theta in (0.0, 2 * np.pi / 3, 4 * np.pi / 3):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from bilinear_kernels import (CountContext, SparsityPattern, StructureKind, contract,
+from bilinear_kernels import (CountContext, SparsityPattern, StructureKind, certify_rank,
+                              complex_mul_decomposition, contract,
                               decomposition_tensor, extract_decomposition,
                               flattening_ranks, formula_count, naive_matvec,
                               structure_dim, structure_tensor, structured,
                               variables, verify_decomposition)
-from bilinear_kernels.kernels import SPECS
+from bilinear_kernels.kernels import GAUSS_MAPS, SPECS
 from bilinear_kernels.rng import Lcg
 from bilinear_kernels.structures import param_count
 from bilinear_kernels.tensorlab import stack_terms
@@ -107,7 +108,7 @@ def test_tph_certified_bounds():
 
 
 def test_shadow_replay_agrees_with_numeric_count():
-    """Independent recount: the symbolic replay records one term per
+    """Independent recount: extraction records one term per
     Variable*Variable product, and must land on the numeric tally."""
     rng = Lcg(44)
     for kind in EXTRACTABLE:
@@ -195,9 +196,8 @@ def spec_cases():
 
 @pytest.mark.parametrize("kind,n,f,pattern", list(spec_cases()))
 def test_replay_equals_the_kernel_triple(kind, n, f, pattern):
-    """The symbolic replay of the kernel body reads off exactly its (U, V, W)
-    maps: one term per row of U, factors equal to the maps applied to
-    identity matrices."""
+    """Extraction reads off exactly the kernel's (U, V, W) maps: one term
+    per row of U, factors equal to the maps applied to identity matrices."""
     U, V, W = SPECS[kind].maps(n, f, pattern)
     assert U.shape[0] == formula_count(kind, n, pattern)
     lam, Us, Vs, Ws = stack_terms(extract_decomposition(kind, n, f=f, pattern=pattern))
@@ -206,3 +206,37 @@ def test_replay_equals_the_kernel_triple(kind, n, f, pattern):
                       (Ws.T, W.apply(np.eye(W.shape[1])))):
         assert got.shape == want.shape
         assert np.abs(got - want).max(initial=0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("build", [structure_tensor, extract_decomposition])
+@pytest.mark.parametrize("pattern", [SparsityPattern(4, 4, ((0, 3), (3, 0))),
+                                     SparsityPattern(2, 2, ((0, 1), (1, 0)))])
+def test_a_pattern_of_another_order_is_refused(build, pattern):
+    with pytest.raises(ValueError, match=r"^pattern of shape \dx\d for a matrix of order 3$"):
+        build(StructureKind.SPARSE, 3, pattern=pattern)
+
+
+def test_the_certificate_reads_the_largest_flattening_rank():
+    """Skew-symmetric n = 2: the mode-1 flattening stops at the dimension 1,
+    but the others reach the two terms, which pins the rank."""
+    c = certify_rank(StructureKind.SKEW_SYMMETRIC, 2)
+    assert (c.terms, c.ranks, c.dim, c.formula, c.lower) == (2, (1, 2, 2), 1, 2, 2)
+    assert c.passed and c.certified
+
+
+def test_the_certificate_keeps_bounds_apart():
+    c = certify_rank(StructureKind.TOEPLITZ_PLUS_HANKEL, 3)
+    assert (c.lower, c.terms) == (8, 9) and c.passed and not c.certified
+
+
+def test_the_certificate_takes_f_minus_one_by_default():
+    assert certify_rank("f_circulant", 4) == certify_rank("f_circulant", 4, f=-1.0)
+    assert certify_rank("f_circulant", 4, f=2.0).certified
+
+
+def test_gauss_terms_are_read_off_its_triple():
+    """The rows of U and V and the columns of W, as the maps applied to
+    identity blocks give them."""
+    _, U, V, W = stack_terms(complex_mul_decomposition("gauss"))
+    for got, M in zip((U, V, W.T), GAUSS_MAPS):
+        assert np.array_equal(got, M.apply(np.eye(M.shape[1])))

@@ -1,6 +1,6 @@
 """Decomposition extraction: the pointwise product of the unit-block lane,
-the replay's guards, its memory, and its factors against a replay over wide
-linear-form rows.
+the guards of reading terms off a triple, its memory, and its factors
+against a replay over wide linear-form rows.
 
 In the lane a parameter-side row holds P = 2 parameter coordinates and an
 input-side row n = 2 input coordinates.
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bilinear_kernels import extraction
-from bilinear_kernels.counting import ConstantMap, CountContext, TrackedVector
+from bilinear_kernels.counting import ConstantMap, TrackedVector
 from bilinear_kernels.extraction import _Recorder, extract_decomposition
 from bilinear_kernels.kernels import SPECS
 from bilinear_kernels.rng import Lcg
@@ -90,7 +90,7 @@ def test_a_product_not_formed_diverges_from_the_row_count(monkeypatch):
 
 
 def test_skew_symmetric_order_32_stays_narrow():
-    """The replay's peak stays below 60 MiB (wide linear-form rows took 87)."""
+    """Extraction's peak stays below 60 MiB (wide linear-form rows took 87)."""
     spec(StructureKind.SKEW_SYMMETRIC).maps(32, None, None)
     tracemalloc.start()
     try:
@@ -127,15 +127,18 @@ class WideRecorder:
 
 
 def wide_factors(kind, n, f, pattern):
+    """The kind's triple applied to the wide rows: U to the parameter rows,
+    V to the input rows, the wide recorder's product, then W."""
     entry = SPECS[kind]
     P, r = entry.params(n, pattern), entry.count(n, pattern)
     rec = WideRecorder(P, n, r)
     rows = np.eye(P + n, rec.width, dtype=complex)
-    out = entry.product(TrackedVector(rows[:P], np.ones(P, dtype=bool)),
-                        TrackedVector(rows[P:], np.ones(n, dtype=bool)),
-                        CountContext(recorder=rec), f, pattern)
+    U, V, W = entry.maps(n, f, pattern)
+    u = TrackedVector(U.apply(rows[:P]), U.propagate(np.ones(P, dtype=bool)))
+    v = TrackedVector(V.apply(rows[P:]), V.propagate(np.ones(n, dtype=bool)))
+    out = W.apply(rec.pointwise(u, v, u.variable & v.variable).values)
     return (np.array(rec.U).reshape(r, P), np.array(rec.V).reshape(r, n),
-            out.values[:, rec.c + 1:].T)
+            out[:, rec.c + 1:].T)
 
 
 def cases():

@@ -615,6 +615,18 @@ def test_kernel_report_carries_formula():
     assert report.counts.bilinear_mults == report.formula_count == 21
 
 
+@pytest.mark.parametrize("kind, n, message", [
+    (StructureKind.MULTILEVEL, 4, "multilevel structure needs levels"),
+    ("multilevel", 4, "multilevel structure needs levels"),
+    ("sparse", 3, "sparse structure needs a pattern"),
+])
+def test_formula_count_without_its_inputs_says_what_is_missing(kind, n, message):
+    """formula_count refuses as param_count does, with the same message."""
+    for count in (formula_count, param_count):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            count(kind, n)
+
+
 def test_formula_count_table():
     assert formula_count(StructureKind.CIRCULANT, 7) == 7
     assert formula_count(StructureKind.TOEPLITZ, 7) == 13

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from bilinear_kernels.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -29,6 +31,26 @@ def test_certify_ranks():
     assert ["toeplitz", "4", "7", "7", "7", "rank", "=", "7"] in rows
     golden = (ROOT / "tests" / "golden" / "certify_ranks_8.txt").read_text(encoding="utf-8")
     assert rows == columns(golden)
+
+
+def test_tensor_states_what_certify_ranks_states(capsys):
+    """Both print from one certificate: for every non-sparse single-level
+    kind at n <= 8, `tensor --kind K --n N` states the sweep's row, and
+    exits 0 exactly where the rank is pinned."""
+    proc = run_script("certify_ranks.py", "8")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert len(rows) == 8 * 8 - 1  # skew-symmetric of order 1 has no parameters
+    for fields in rows:
+        kind, n, statement = fields[0], fields[1], " ".join(fields[6:])
+        code = main(["tensor", "--kind", kind, "--n", n])
+        last = capsys.readouterr().out.splitlines()[-1]
+        if statement.startswith("rank = "):
+            assert (code, last) == (0, f"rank certified = {fields[2]}"), fields
+        else:
+            assert (code, last) == (1, f"rank bounds: {statement}"), fields
+    assert ["skew_symmetric", "2", "2", "2", "1", "rank", "=", "2"] in [
+        fields[:5] + fields[6:] for fields in rows]
 
 
 def test_count_table_writes_the_csv(tmp_path):

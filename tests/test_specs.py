@@ -5,7 +5,7 @@ import pytest
 
 from bilinear_kernels import (CountContext, SparsityPattern, StructureKind,
                               flattening_ranks, structure_tensor, structured)
-from bilinear_kernels.counting import variable_vector
+from bilinear_kernels.counting import triple_product, variable_vector
 from bilinear_kernels.kernels import SPECS
 from bilinear_kernels.structures import LevelSpec, _placement, dense_parts
 
@@ -40,8 +40,8 @@ def test_table_entry_agrees_with_itself(kind, n):
 
     rng = np.random.default_rng(n)
     ctx = CountContext()
-    spec.product(variable_vector(rng.standard_normal(P) + 1j),
-                variable_vector(rng.standard_normal(n) - 1j), ctx, f, pattern)
+    triple_product(spec.maps(n, f, pattern), variable_vector(rng.standard_normal(P) + 1j),
+                   variable_vector(rng.standard_normal(n) - 1j), ctx)
     assert ctx.bilinear_mults == spec.count(n, pattern)
     counters = (ctx.bilinear_mults, ctx.divisions, ctx.scalar_mults, ctx.additions)
     assert all(type(c) is int for c in counters)  # JSON-serializable, never numpy ints

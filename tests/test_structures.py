@@ -8,7 +8,7 @@ from bilinear_kernels import (CountContext, SchemaError, SparsityPattern,
                               parse_matrix, serialize_matrix, structure_dim,
                               structured, variable, variables)
 from bilinear_kernels.rng import Lcg
-from bilinear_kernels.structures import LevelSpec, dense_parts, param_count
+from bilinear_kernels.structures import LevelSpec, default_f, dense_parts, param_count
 
 ALL_SINGLE_KINDS = [
     StructureKind.CIRCULANT, StructureKind.F_CIRCULANT, StructureKind.TOEPLITZ,
@@ -182,6 +182,23 @@ def test_multilevel_densify_is_kronecker_structured():
     want = sum(data[p * 3 + q] * np.kron(outer[p], inner[q])
                for p in range(2) for q in range(3))
     assert np.abs(dense - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("pattern", [
+    SparsityPattern(4, 4, ((0, 3), (3, 0))),    # entries past order 3
+    SparsityPattern(2, 2, ((0, 1), (1, 0))),    # a row of the output missing
+    SparsityPattern(3, 4, ((0, 1),)),
+])
+def test_a_pattern_of_another_order_is_refused(pattern):
+    with pytest.raises(ValueError, match=rf"^pattern of shape {pattern.rows}x{pattern.cols} "
+                                         r"for a matrix of order 3$"):
+        structured(StructureKind.SPARSE, 3, [1.0] * len(pattern), pattern=pattern)
+
+
+def test_default_f_is_minus_one_where_f_is_needed():
+    assert default_f(StructureKind.F_CIRCULANT, None) == -1
+    assert default_f(StructureKind.F_CIRCULANT, 2j) == 2j
+    assert default_f(StructureKind.TOEPLITZ, None) is None
 
 
 def test_structure_dim_values():
