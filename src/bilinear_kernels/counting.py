@@ -167,6 +167,11 @@ def read_only(arr: np.ndarray) -> np.ndarray:
 # vector.  ``apply`` maps values of shape (n, ...) to (m, ...); ``propagate``
 # maps Variable flags the same way through the map's structural support, so
 # an output is Variable when any Variable input feeds it, however many do.
+# Its ``reach`` is the image of all-Variable flags: a read-only (m,) vector,
+# computed once when the map is built.  apply_matrix hands an all-Variable
+# input the reach and propagates only other flags; the pointwise product
+# still reads the flags of every call, so the bilinear count is measured on
+# each one.
 
 class ConstantMap:
     """A dense constant linear map: a read-only matrix and its boolean support.
@@ -179,7 +184,7 @@ class ConstantMap:
     flags must not depend on such numeric accidents.
     """
 
-    __slots__ = ("matrix", "support", "full", "shape", "nbytes", "cost")
+    __slots__ = ("matrix", "support", "full", "reach", "shape", "nbytes", "cost")
 
     def __init__(self, matrix: np.ndarray, support: np.ndarray | None = None):
         self.matrix = read_only(np.asarray(matrix, dtype=complex))
@@ -191,6 +196,7 @@ class ConstantMap:
         self.support = read_only(support)
         self.shape = m, n = self.matrix.shape
         self.full = bool(support.all())
+        self.reach = read_only(np.full(m, n > 0) if self.full else support.any(axis=1))
         self.nbytes = self.matrix.nbytes + support.nbytes
         self.cost = (m * n, m * max(n - 1, 0))
 
@@ -205,7 +211,9 @@ class ConstantMap:
         """The boolean product is an OR of ANDs, so it cannot wrap.  numpy
         forms it without BLAS, so a vector through a full support takes the
         OR of all its entries instead.  Blocks keep the product: at the block
-        sizes the kernels use it is the cheaper of the two."""
+        sizes the kernels use it is the cheaper of the two.  apply_matrix
+        calls this only for flags that are not all Variable; those take the
+        precomputed reach."""
         if self.full and flags.ndim == 1:
             out = np.empty(self.shape[0], dtype=bool)
             out.fill(np.count_nonzero(flags) > 0)
@@ -226,7 +234,7 @@ class GatherMap:
     sign first, so values are summed over the leading ranks alone.
     """
 
-    __slots__ = ("shape", "support", "padded", "terms", "signs", "nbytes", "cost")
+    __slots__ = ("shape", "support", "padded", "terms", "signs", "reach", "nbytes", "cost")
 
     def __init__(self, shape: tuple[int, int], rows, index, sign=None):
         m, n = shape
@@ -250,6 +258,7 @@ class GatherMap:
         self.terms = read_only(np.where(signs[:live] != 0, self.support[:live], 0))
         self.signs = read_only(signs)[:live]
         read_only(self.support)
+        self.reach = read_only(counts > 0)
         self.nbytes = self.support.nbytes + self.terms.nbytes + self.signs.nbytes
         self.cost = (0, len(rows) - int(np.count_nonzero(counts)))
 
@@ -272,13 +281,15 @@ class BlockMap:
     map of a band after the first costs one addition per row.
     """
 
-    __slots__ = ("bands", "shape", "nbytes", "cost")
+    __slots__ = ("bands", "shape", "reach", "nbytes", "cost")
 
     def __init__(self, width: int, bands):
         self.bands = tuple(tuple(band) for band in bands)
         heights = [band[0][1].shape[0] for band in self.bands]
         maps = [M for band in self.bands for _, M in band]
         self.shape = (sum(heights), width)
+        self.reach = read_only(np.concatenate([reduce(operator.or_, (M.reach for _, M in band))
+                                               for band in self.bands]))
         self.nbytes = sum(M.nbytes for M in maps)
         self.cost = (sum(M.cost[0] for M in maps), sum(M.cost[1] for M in maps)
                      + sum((len(band) - 1) * h for band, h in zip(self.bands, heights)))
@@ -295,11 +306,12 @@ class BlockMap:
 class ChainMap:
     """The map ``second`` applied after ``first``."""
 
-    __slots__ = ("first", "second", "shape", "nbytes", "cost")
+    __slots__ = ("first", "second", "shape", "reach", "nbytes", "cost")
 
     def __init__(self, first, second):
         self.first, self.second = first, second
         self.shape = (second.shape[0], first.shape[1])
+        self.reach = read_only(second.propagate(first.reach))
         self.nbytes = first.nbytes + second.nbytes
         self.cost = tuple(a + b for a, b in zip(first.cost, second.cost))
 
@@ -384,14 +396,23 @@ def take(vec: TrackedVector, idx) -> TrackedVector:
 
 def apply_matrix(M, vec: TrackedVector, ctx: CountContext) -> TrackedVector:
     """Apply a constant map of any form to a vector, or to every vector of a
-    block at once: scalar multiplications and additions only."""
+    block at once: scalar multiplications and additions only.  All-Variable
+    flags map to a fresh copy of the map's reach, broadcast over the block."""
     if M.shape[1] != len(vec):
         raise ValueError(f"map of width {M.shape[1]} applied to vector of length {len(vec)}")
-    vectors = math.prod(vec.variable.shape[1:])
+    flags = vec.variable
+    vectors = math.prod(flags.shape[1:])
     scalars, additions = M.cost
     ctx.count_scalar(scalars * vectors)
     ctx.count_addition(additions * vectors)
-    return TrackedVector(M.apply(vec.values), M.propagate(vec.variable))
+    if np.count_nonzero(flags) < flags.size:
+        out = M.propagate(flags)
+    elif flags.ndim == 1:
+        out = M.reach.copy()
+    else:
+        out = np.empty(M.reach.shape + flags.shape[1:], dtype=bool)
+        out.T[...] = M.reach        # reach runs along out's first axis, out.T's last
+    return TrackedVector(M.apply(vec.values), out)
 
 
 def vmul(u: TrackedVector, v: TrackedVector, ctx: CountContext) -> TrackedVector:

@@ -4,7 +4,7 @@ structure tensor ranks with them.
 A kernel's triple (U, V, W) is a rank decomposition of its bilinear map.  U
 applied to the P x P unit block is the r x P block of parameter factors, V
 applied to the n x n unit block the r x n block of input factors, with
-all-Variable flags through each map's support.  The pointwise product
+all-Variable flags mapped to each map's reach.  The pointwise product
 records every Variable*Variable entry as a term and returns the r x r unit
 block of product coordinates, which W turns into the n x r output factors.
 """
@@ -54,8 +54,7 @@ def triple_decomposition(maps) -> TensorDecomposition:
     """The terms of a triple (U, V, W): one per row of U, each forming its
     product."""
     U, V, W = maps
-    u, v = (TrackedVector(M.apply(np.eye(M.shape[1], dtype=complex)),
-                          M.propagate(np.ones(M.shape[1], dtype=bool))) for M in (U, V))
+    u, v = (TrackedVector(M.apply(np.eye(M.shape[1], dtype=complex)), M.reach) for M in (U, V))
     rec = _Recorder()
     both = u.variable & v.variable
     out = rec.pointwise(u, v, both)

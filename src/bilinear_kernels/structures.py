@@ -79,6 +79,10 @@ class LevelSpec:
     f: complex | None = None
     pattern: SparsityPattern | None = None
 
+    def __post_init__(self):
+        """A kind given by its name becomes its StructureKind."""
+        object.__setattr__(self, "kind", StructureKind(self.kind))
+
 
 @dataclass(frozen=True)
 class StructureSpec:
@@ -160,6 +164,8 @@ def check_level(kind: StructureKind, n: int, f: complex | None,
         raise ValueError("order must be positive")
     if spec(kind).needs_f and (f is None or f == 0):
         raise ValueError(f"{StructureKind(kind).value} needs a nonzero f")
+    if pattern is not None and not spec(kind).needs_pattern:
+        raise ValueError(f"{StructureKind(kind).value} takes no sparsity pattern")
     if pattern is not None and (pattern.rows, pattern.cols) != (n, n):
         raise ValueError(f"pattern of shape {pattern.rows}x{pattern.cols} "
                          f"for a matrix of order {n}")
@@ -180,9 +186,11 @@ class StructuredMatrix:
                                                            repr=False, compare=False)
 
     def __post_init__(self):
-        """A single-level kind is its own one level.  Every level is checked
+        """A kind given by its name becomes its StructureKind.  A
+        single-level kind is its own one level.  Every level is checked
         against the table; their orders and parameter counts multiply.  A
         multilevel structure's levels each need a parameter."""
+        object.__setattr__(self, "kind", StructureKind(self.kind))
         multilevel = self.kind is StructureKind.MULTILEVEL
         if multilevel and not self.levels:
             raise ValueError("multilevel structure needs levels")

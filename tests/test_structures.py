@@ -293,3 +293,24 @@ class TestSerialization:
     def test_out_of_range_integer_is_rejected(self):
         with pytest.raises(SchemaError, match=r"data\[0\]: value out of range"):
             parse_matrix('{"kind":"circulant","n":1,"data":[[1%s,0]]}' % ("0" * 400))
+
+
+def test_a_kind_given_by_name_serialises_as_its_enum():
+    by_name = structured("toeplitz", 3, [1, 2, 3, 4, 5])
+    by_enum = structured(StructureKind.TOEPLITZ, 3, [1, 2, 3, 4, 5])
+    assert by_name.kind is StructureKind.TOEPLITZ
+    assert by_name == by_enum
+    assert serialize_matrix(by_name) == serialize_matrix(by_enum)
+    assert parse_matrix(serialize_matrix(by_name)) == by_enum
+    levels = (LevelSpec("toeplitz", 2), LevelSpec("circulant", 2))
+    M = structured("multilevel", 4, range(1, 7), levels=levels)
+    assert [lev.kind for lev in M.levels] == [StructureKind.TOEPLITZ, StructureKind.CIRCULANT]
+    assert parse_matrix(serialize_matrix(M)) == M
+
+
+@pytest.mark.parametrize("kind", [StructureKind.TOEPLITZ, StructureKind.F_CIRCULANT])
+def test_a_pattern_given_to_a_kind_without_one_is_refused(kind):
+    pattern = SparsityPattern(3, 3, ((0, 0),))
+    P = param_count(kind, 3)
+    with pytest.raises(ValueError, match=rf"^{kind.value} takes no sparsity pattern$"):
+        structured(kind, 3, [1.0] * P, f=2.0, pattern=pattern)
