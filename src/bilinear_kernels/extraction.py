@@ -68,7 +68,7 @@ def triple_decomposition(maps) -> TensorDecomposition:
 
 def extract_decomposition(kind, n: int, f: complex | None = None,
                           pattern: SparsityPattern | None = None) -> TensorDecomposition:
-    """The rank-one terms of the kind's cached triple, the one its kernel
+    """The rank-one terms of the kind's stored triple, the one its kernel
     runs: one per bilinear product, summing to the structure tensor.  A kind
     that needs f uses f = -1 when none is given."""
     kind = StructureKind(kind)
@@ -114,7 +114,7 @@ def certify_rank(kind, n: int, f: complex | None = None) -> RankCertificate:
 
 
 def level_decomposition(lev: LevelSpec) -> tuple:
-    """The constant (U, V, W) factor maps of one level: its kind's cached
-    kernel triple, whose supports are structural.  Multilevel products read
-    every level through here, so a trace can count them."""
+    """The constant (U, V, W) factor maps of one level: its kind's stored
+    kernel triple, whose supports are structural.  structured_matvec reads
+    every level through here, once per matrix, so a trace can count them."""
     return spec(lev.kind).maps(lev.n, lev.f, lev.pattern)

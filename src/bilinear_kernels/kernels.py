@@ -22,15 +22,16 @@ product forms the counted products (one per row of U) and W reads the
 output off.  structured_matvec runs every structured matrix through one
 body, the Kronecker product of its levels' triples applied level by level;
 a single-level matrix is its own one level.  It forms the symbol U t once
-per matrix and keeps it on the StructuredMatrix (StructuredMatrix.symbol):
-later products with the same matrix charge its counts again and apply only
-V, the pointwise product and W.  Gauss's product, the commutator and
-Toeplitz times dense (the Toeplitz triple over a batch axis of columns) run
-through counting.triple_product; groups.py holds the simultaneous 2x2
-products.  A single-level kind's triple is cached per order, f or pattern
-and built from the chain of embedding, padding, transform, bin-skipping,
-reversal and peeling steps it replaces, with that chain's structural
-support:
+per matrix and keeps it on the StructuredMatrix (StructuredMatrix.symbol)
+beside the levels' triples: later products with the same matrix charge its
+counts again, read no map and apply only V, the pointwise product and W.
+Gauss's product, the commutator and Toeplitz times dense (the Toeplitz
+triple over a batch axis of columns) run through counting.triple_product;
+groups.py holds the simultaneous 2x2 products.  A single-level kind's
+triple is kept in the one map store (MapStore), keyed per order, f or
+pattern, and built from the chain of embedding, padding, transform,
+bin-skipping, reversal and peeling steps it replaces, with that chain's
+structural support:
 
     circulant, f-circulant  U evaluates the reindexed first column at the n
                             roots of t^n = f; V and W are the scaled transforms
@@ -53,8 +54,9 @@ another (ChainMap); see counting.py.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 
 import numpy as np
 
@@ -63,17 +65,75 @@ from .counting import (BlockMap, ChainMap, ConstantMap, CountContext, GatherMap,
                        concat, match_output, reciprocal, take, tile, to_grid, to_scalars,
                        triple_product, vmul)
 from .extraction import level_decomposition
-from .spectral import (F_CACHE_SIZE, ORDER_CACHE_SIZE, dft_matrix, idft_matrix,
-                       principal_root, scaled_dft_matrix, scaled_idft_matrix, twiddles)
+from .spectral import dft_matrix, idft_matrix, principal_root, scaled_idft_matrix, twiddles
 from .structures import (LevelSpec, SparsityPattern, StructureKind, StructureSpec,
                          StructuredMatrix, check_inputs, check_level, circulant_placement,
                          f_circulant_placement, hankel_placement, skew_symmetric_placement,
                          sparse_placement, symmetric_placement, toeplitz_placement,
                          tph_placement, triangular_toeplitz_placement, upper_index)
 
-# Bound of the stacked symmetric maps' cache: they take O(n^3) memory, so
-# fewer of them are kept than of the O(n^2) per-order maps.
-STACKED_CACHE_SIZE = 16
+# Bounds of the map store.  The entries keep every map of a verify-style
+# sweep over n <= 16 (232 keys a round, 24 of them a fresh f or pattern)
+# resident while fresh ones come and go; the bytes keep an order-1000
+# triple and its bases.
+MAP_STORE_ENTRIES = 288
+MAP_STORE_BYTES = 256 * 2**20
+
+
+class MapStore:
+    """Every kernel map, keyed on (builder, *args), least recently read
+    first, with its size (the maps' nbytes) and its chain: its key, then
+    the chains of the entries it was built from.
+
+    A read moves its chain to the recent end, so a base is always more
+    recent than what was built from it and is never evicted first: one
+    order has one Toeplitz symbol.  After a build, the least recent entries
+    are evicted while either bound is exceeded, up to the new entry, which
+    is kept with its bases.  So every entry's bases are in the store.
+    """
+
+    def __init__(self):
+        self.entries: OrderedDict[tuple, tuple[object, int, list[tuple]]] = OrderedDict()
+        self.nbytes = 0
+        self._reads: list[list[tuple]] = []     # the keys each build in progress reads
+
+    def read(self, builder, args: tuple):
+        key = (builder, *args)
+        if self._reads:
+            self._reads[-1].append(key)
+        entry = self.entries.get(key)
+        built = entry is None
+        if built:
+            self._reads.append([])
+            try:
+                maps = builder(*args)
+            finally:
+                bases = self._reads.pop()
+            size = sum(M.nbytes for M in maps) if isinstance(maps, tuple) else maps.nbytes
+            chain = [key, *(k for base in bases for k in self.entries[base][2])]
+            entry = self.entries[key] = (maps, size, chain)
+            self.nbytes += size
+        for k in entry[2]:
+            self.entries.move_to_end(k)
+        # Evict once the outermost build is done: no entry it read goes first.
+        while built and not self._reads and (len(self.entries) > MAP_STORE_ENTRIES
+                                             or self.nbytes > MAP_STORE_BYTES):
+            oldest = next(iter(self.entries))
+            if oldest is key:
+                break
+            self.nbytes -= self.entries.pop(oldest)[1]
+        return entry[0]
+
+
+MAP_STORE = MapStore()
+
+
+def _stored(builder):
+    """The builder, read through the map store."""
+    @wraps(builder)
+    def read(*args):
+        return MAP_STORE.read(builder, args)
+    return read
 
 
 class SingularMatrix(ValueError):
@@ -102,7 +162,7 @@ class KernelReport:
 # Circulant and f-circulant
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=F_CACHE_SIZE)
+@_stored
 def _fcirc_maps(n: int, f: complex) -> tuple[ConstantMap, ConstantMap, ConstantMap]:
     """Constant transforms diagonalizing the f-circulant action.
 
@@ -114,9 +174,10 @@ def _fcirc_maps(n: int, f: complex) -> tuple[ConstantMap, ConstantMap, ConstantM
     """
     rho = principal_root(f, n)
     j = np.arange(n)
-    pre = idft_matrix(n).matrix * (rho ** -j.astype(float))[None, :]
-    post = (rho ** j)[:, None] * dft_matrix(n).matrix
-    U = scaled_dft_matrix(n, f).matrix[:, (n - j) % n]
+    F = twiddles(n, j[:, None], j)
+    pre = F.conj() / n * (rho ** -j.astype(float))[None, :]
+    post = (rho ** j)[:, None] * F
+    U = (F * rho ** j[None, :])[:, (n - j) % n]
     return ConstantMap(U), ConstantMap(pre), ConstantMap(post)
 
 
@@ -185,7 +246,7 @@ def _live_bins(n: int) -> np.ndarray:
     return np.arange(1, 2 * n)[:, None]
 
 
-@lru_cache(maxsize=ORDER_CACHE_SIZE)
+@_stored
 def _toeplitz_symbol(n: int) -> ConstantMap:
     """Live bins of the 2n-point DFT of the circulant embedding of t.
 
@@ -209,13 +270,13 @@ def _toeplitz_input_output(n: int) -> tuple[np.ndarray, np.ndarray]:
     return V, V.T.conj() / (2 * n)
 
 
-@lru_cache(maxsize=ORDER_CACHE_SIZE)
+@_stored
 def _toeplitz_maps(n: int) -> tuple[ConstantMap, ConstantMap, ConstantMap]:
     V, W = _toeplitz_input_output(n)
     return _toeplitz_symbol(n), ConstantMap(V), ConstantMap(W)
 
 
-@lru_cache(maxsize=ORDER_CACHE_SIZE)
+@_stored
 def _hankel_maps(n: int) -> tuple[ConstantMap, ConstantMap, ConstantMap]:
     """The Toeplitz maps with the output rows reversed (a view)."""
     U, V, W = _toeplitz_maps(n)
@@ -236,7 +297,7 @@ def hankel_matvec(h, x, ctx: CountContext):
     return _run(StructureKind.HANKEL, h, x, ctx)
 
 
-@lru_cache(maxsize=ORDER_CACHE_SIZE)
+@_stored
 def _triangular_toeplitz_maps(n: int) -> tuple[ConstantMap, ConstantMap, ConstantMap]:
     """Length 2n-1 cyclic convolution of a with reversed x, zero padding and
     both reversals folded in: DFT[:, :n], its column-reversed view, and the
@@ -254,7 +315,7 @@ def triangular_toeplitz_matvec(a, x, ctx: CountContext):
     return _run(StructureKind.UPPER_TRIANGULAR_TOEPLITZ, a, x, ctx)
 
 
-@lru_cache(maxsize=ORDER_CACHE_SIZE)
+@_stored
 def _tph_maps(n: int) -> tuple[BlockMap, BlockMap, BlockMap]:
     """The Toeplitz triple without bin 1 stacked on the Hankel triple.
 
@@ -322,7 +383,7 @@ def _peel_map(n: int) -> GatherMap:
     return GatherMap((len(p), len(p)), rows, cells, (l == k) * 1.0 - (l == k - 1))
 
 
-@lru_cache(maxsize=STACKED_CACHE_SIZE)
+@_stored
 def _symmetric_maps(n: int) -> tuple[ChainMap, ConstantMap, ConstantMap]:
     """The peel followed by every stage's symbol map, and every stage's
     Hankel input and output transforms stacked into one R x n and one n x R
@@ -357,7 +418,9 @@ def symmetric_matvec(s, x, ctx: CountContext):
 
 def symmetric_hankel_stages(s, n: int) -> list[np.ndarray]:
     """Per-stage Hankel data values of the peeling (sizes n, n-2, ..., <=2)."""
-    h = _symmetric_maps(n)[0].first.apply(as_vector(s).values)
+    sv = as_vector(s)
+    _check_params(StructureKind.SYMMETRIC, n, len(sv))
+    h = _symmetric_maps(n)[0].first.apply(sv.values)
     return np.split(h, np.cumsum([2 * m - 1 for m in range(n, 2, -2)]))
 
 
@@ -365,7 +428,7 @@ def symmetric_hankel_stages(s, n: int) -> list[np.ndarray]:
 # Skew-symmetric: skew-circulant part plus a paired sparse remainder
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=ORDER_CACHE_SIZE)
+@_stored
 def _skew_symmetric_maps(n: int) -> tuple[BlockMap, BlockMap, BlockMap]:
     """The f = -1 triple of the skew-circulant C sharing A's first row,
     stacked with gather maps of the remainder A - C.
@@ -414,7 +477,7 @@ def skew_symmetric_matvec(w, x, ctx: CountContext):
 # Sparse: entrywise over the pattern
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=F_CACHE_SIZE)
+@_stored
 def _sparse_maps(n: int, pattern: SparsityPattern) -> tuple[GatherMap, GatherMap, GatherMap]:
     """One product per pattern entry (r, c): the parameter times x[c],
     summed into row r."""
@@ -470,14 +533,18 @@ SPECS: dict[StructureKind, StructureSpec] = {
 }
 
 
+def _check_params(kind: StructureKind, n: int, got: int, f: complex | None = None) -> None:
+    """Check order n and f of a single-level kind and its parameter count."""
+    want = check_level(kind, n, f, None)
+    if got != want:
+        raise ValueError(f"{kind.value} of order {n} needs {want} parameters, got {got}")
+
+
 def _run(kind: StructureKind, data, x, ctx: CountContext, f: complex | None = None):
     """A public per-kind product: convert the inputs, check the parameter
     count against the table, run its kernel, return the output like x."""
     dv, xv = as_vector(data), as_vector(x)
-    want = check_level(kind, len(xv), f, None)
-    if len(dv) != want:
-        raise ValueError(f"{kind.value} of order {len(xv)} needs {want} parameters, "
-                         f"got {len(dv)}")
+    _check_params(kind, len(xv), len(dv), f)
     return match_output(x, triple_product(SPECS[kind].maps(len(xv), f, None), dv, xv, ctx))
 
 
@@ -514,11 +581,12 @@ def structured_matvec(M: StructuredMatrix, x, ctx: CountContext):
     U and V apply outer level first, W innermost first, so every counter
     equals that of the outer kernel run over block scalars, level by level.
     U t is M's symbol: the first call forms it, and later calls reuse it
-    and charge its counts again (StructuredMatrix.symbol)."""
+    and charge its counts again (StructuredMatrix.symbol).  M keeps its
+    levels' triples too, so a later call reads no map."""
     xv = as_vector(x)
     if len(xv) != M.n:
         raise ValueError(f"vector of length {len(xv)} for order {M.n}")
-    triples = [level_decomposition(lev) for lev in M.levels]
+    triples = M.level_triples(level_decomposition)
 
     def embed(t: TrackedVector, ctx: CountContext) -> TrackedVector:
         for U, _, _ in triples:

@@ -9,9 +9,10 @@ shared by all callers, and its nonzero support.  The caches keyed on an
 order hold at most ORDER_CACHE_SIZE entries each, those keyed on a complex
 f at most F_CACHE_SIZE.
 
-The Toeplitz-family kernels do not read these caches.  They build their
-parameter, input and output maps (see kernels.py) entry by entry from
-``twiddles``, so only the live bins and rows they use are ever stored.
+No kernel triple reads these caches.  Every kernel builds its parameter,
+input and output maps (see kernels.py) entry by entry from ``twiddles``,
+so only the bins and rows it uses are stored, all in the kernels' one map
+store; the circulant and f-circulant inverses read the transforms here.
 """
 
 from __future__ import annotations

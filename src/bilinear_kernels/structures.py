@@ -93,7 +93,7 @@ class StructureSpec:
     dim(n, pattern)           dimension of the matrix space
     placement(n, f, pattern)  read-only (param, cell, coeff) index triples:
                               dense.flat[cell] += coeff * data[param]
-    maps(n, f, pattern)       the kernel's cached Cohn-Umans triple (U, V, W)
+    maps(n, f, pattern)       the kernel's stored Cohn-Umans triple (U, V, W)
                               of constant maps: U embeds the parameters, V the
                               input, W reads the output off the count = U-row
                               pointwise products: W (U t * V x) is the
@@ -184,6 +184,8 @@ class StructuredMatrix:
                                           compare=False)
     _symbol: tuple[TrackedVector, int, int] | None = field(default=None, init=False,
                                                            repr=False, compare=False)
+    _triples: tuple[tuple, ...] | None = field(default=None, init=False, repr=False,
+                                               compare=False)
 
     def __post_init__(self):
         """A kind given by its name becomes its StructureKind.  A
@@ -222,6 +224,15 @@ class StructuredMatrix:
             read_only(vec.variable)
             object.__setattr__(self, "_vector", vec)
         return vec
+
+    def level_triples(self, read: Callable[[LevelSpec], tuple]) -> tuple[tuple, ...]:
+        """The kernel triple (U, V, W) of each level, read(level) once per
+        matrix and kept beside its symbol."""
+        triples = self._triples
+        if triples is None:
+            triples = tuple(map(read, self.levels))
+            object.__setattr__(self, "_triples", triples)
+        return triples
 
     def symbol(self, embed: Callable[[TrackedVector, CountContext], TrackedVector],
                ctx: CountContext) -> TrackedVector:

@@ -1,5 +1,6 @@
 """Shared cached state: read-only, bounded, and shared as views where one
-map is a slice of another."""
+map is a slice of another.  Every kernel map lives in one store
+(kernels.MAP_STORE), bounded in entries and in bytes."""
 
 from types import ModuleType
 
@@ -11,13 +12,14 @@ from bilinear_kernels import (CountContext, LevelSpec, StructureKind, circulant_
                               f_circulant_matvec, multilevel_matvec, scaled_dft, scaled_idft,
                               structured, structured_matvec, variables)
 from bilinear_kernels.counting import BlockMap, ChainMap, ConstantMap, GatherMap
-from bilinear_kernels.kernels import (ORDER_CACHE_SIZE, STACKED_CACHE_SIZE, _fcirc_maps,
-                                     _hankel_maps, _skew_symmetric_maps, _symmetric_maps,
-                                     _toeplitz_maps, _toeplitz_symbol, _tph_maps,
-                                     _triangular_toeplitz_maps)
-from bilinear_kernels.spectral import (F_CACHE_SIZE, dft_matrix, idft_matrix, root_table,
-                                       scaled_dft_matrix, scaled_idft_matrix)
-from bilinear_kernels.structures import dense_parts
+from bilinear_kernels import kernels
+from bilinear_kernels.kernels import (MAP_STORE, MAP_STORE_BYTES, MAP_STORE_ENTRIES,
+                                     _fcirc_maps, _hankel_maps, _skew_symmetric_maps,
+                                     _sparse_maps, _symmetric_maps, _toeplitz_maps,
+                                     _toeplitz_symbol, _tph_maps, _triangular_toeplitz_maps)
+from bilinear_kernels.spectral import (F_CACHE_SIZE, ORDER_CACHE_SIZE, dft_matrix, idft_matrix,
+                                       root_table, scaled_dft_matrix, scaled_idft_matrix)
+from bilinear_kernels.structures import SparsityPattern, dense_parts
 
 
 def vals(out):
@@ -57,33 +59,44 @@ def test_structured_matrix_data_vector_is_converted_once_and_read_only():
     assert [s.value for s in M.data] == [1, 2, 3, 4, 5]
 
 
+def stored(builder, *args) -> bool:
+    """Whether the store holds builder(*args)."""
+    return (builder.__wrapped__, *args) in MAP_STORE.entries
+
+
+def within_bounds() -> bool:
+    return len(MAP_STORE.entries) <= MAP_STORE_ENTRIES and MAP_STORE.nbytes <= MAP_STORE_BYTES
+
+
 def test_f_keyed_caches_stay_bounded():
     ctx = CountContext()
-    for k in range(F_CACHE_SIZE + 50):
+    for k in range(max(F_CACHE_SIZE, MAP_STORE_ENTRIES) + 50):
         f = complex(1.0 + k / 16, 0.25)
         f_circulant_matvec(variables([1, 2]), f, variables([3, 4]), ctx)
         scaled_dft(variables([1, 2]), f, ctx)
         scaled_idft(variables([1, 2]), f, ctx)
-    for cache in (scaled_dft_matrix, scaled_idft_matrix, _fcirc_maps):
+    for cache in (scaled_dft_matrix, scaled_idft_matrix):
         info = cache.cache_info()
         assert info.maxsize == F_CACHE_SIZE
         assert info.currsize <= F_CACHE_SIZE
+    assert len(MAP_STORE.entries) == MAP_STORE_ENTRIES and within_bounds()
+    assert MAP_STORE.nbytes == sum(entry[1] for entry in MAP_STORE.entries.values())
 
 
 def test_fixed_f_entries_survive_fresh_f():
     """A sweep over n <= 16 at six fixed f plus 16 fresh f per round misses
     only on the fresh f once the fixed entries are resident."""
     fixed = [(n, complex(f)) for n in range(1, 17) for f in (1, -1, 2, 1j, 0.02, 60j)]
-    _fcirc_maps.cache_clear()
     fresh = 0
     for _ in range(3):
-        misses = _fcirc_maps.cache_info().misses
+        new = 0
         for n, f in fixed:
+            new += not stored(_fcirc_maps, n, f)
             _fcirc_maps(n, f)
         for n in range(1, 17):
             fresh += 1
+            new += not stored(_fcirc_maps, n, complex(3.0, fresh))
             _fcirc_maps(n, complex(3.0, fresh))
-        new = _fcirc_maps.cache_info().misses - misses
     assert new == 16
 
 
@@ -116,11 +129,6 @@ def test_kernel_maps_reject_writes(n):
 
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_derived_kernel_maps_are_views(n):
-    # Each cache is bounded on its own, so a sweep run earlier can evict the
-    # symbol of order n while a derived map still holds the old object.
-    for cache in (_toeplitz_symbol, _toeplitz_maps, _hankel_maps, _tph_maps,
-                  _triangular_toeplitz_maps, _symmetric_maps):
-        cache.cache_clear()
     U, V, W = _toeplitz_maps(n)
     assert U is _toeplitz_symbol(n)
     hU, hV, hW = _hankel_maps(n)
@@ -137,15 +145,13 @@ def test_derived_kernel_maps_are_views(n):
         _toeplitz_symbol(m) for m in range(n, 0, -2)]
 
 
-def test_order_keyed_caches_stay_bounded():
-    for cache in (_toeplitz_symbol, _toeplitz_maps, _hankel_maps, _tph_maps,
-                  _triangular_toeplitz_maps, _skew_symmetric_maps, dft_matrix, idft_matrix,
-                  root_table):
+def test_order_keyed_caches_stay_bounded(monkeypatch):
+    for cache in (dft_matrix, idft_matrix, root_table):
         assert cache.cache_info().maxsize == ORDER_CACHE_SIZE
-    assert _symmetric_maps.cache_info().maxsize == STACKED_CACHE_SIZE
-    for n in range(1, STACKED_CACHE_SIZE + 6):
+    monkeypatch.setattr(kernels, "MAP_STORE_ENTRIES", 16)
+    for n in range(1, 22):
         _symmetric_maps(n)
-    assert _symmetric_maps.cache_info().currsize == STACKED_CACHE_SIZE
+    assert len(MAP_STORE.entries) == 16 and stored(_symmetric_maps, 21)
 
 
 def library_caches():
@@ -158,13 +164,13 @@ def library_caches():
 
 def test_multilevel_sweep_with_fresh_f_stays_within_every_cache_bound():
     """Each multilevel product reads its levels' kernel maps; a sweep over
-    twice F_CACHE_SIZE f-circulant levels, each with a fresh f, must leave
-    every cache of the library at or under its bound."""
+    twice as many f-circulant levels as any bound, each with a fresh f, must
+    leave every cache of the library and the map store within its bounds."""
     caches = library_caches()
-    assert {"bilinear_kernels.kernels._fcirc_maps", "bilinear_kernels.spectral.dft_matrix",
+    assert {"bilinear_kernels.spectral.scaled_dft_matrix", "bilinear_kernels.spectral.dft_matrix",
             "bilinear_kernels.structures._placement"} <= caches.keys()
     rng = np.random.default_rng(7)
-    for k in range(2 * F_CACHE_SIZE):
+    for k in range(2 * max(F_CACHE_SIZE, MAP_STORE_ENTRIES)):
         f = complex(1.0 + k / 64, 0.5)
         levels = (LevelSpec(StructureKind.F_CIRCULANT, 3, f=f),
                   LevelSpec(StructureKind.TOEPLITZ, 2))
@@ -174,6 +180,75 @@ def test_multilevel_sweep_with_fresh_f_stays_within_every_cache_bound():
         info = cache.cache_info()
         assert info.maxsize is not None, name
         assert info.currsize <= info.maxsize, name
+    assert within_bounds()
+
+
+def test_no_kernel_map_has_a_cache_of_its_own():
+    """kernels defines no cached function; the spectral transforms it reads
+    for the inverses keep their own caches."""
+    assert not [name for name, value in vars(kernels).items() if hasattr(value, "cache_info")
+                and value.__module__ == kernels.__name__]
+
+
+def test_the_store_keeps_within_its_byte_bound_but_for_the_newest_entry(monkeypatch):
+    """Every entry's bases stay in the store.  Over the byte bound, it holds
+    only the entry it built last and the entries that one was built from."""
+    bound = 40_000
+    monkeypatch.setattr(kernels, "MAP_STORE_BYTES", bound)
+    pattern = SparsityPattern(6, 6, ((0, 1), (2, 2), (5, 0)))
+    reads = [(_toeplitz_maps, 4), (_fcirc_maps, 9, 2j), (_tph_maps, 12), (_hankel_maps, 4),
+             (_symmetric_maps, 9), (_sparse_maps, 6, pattern), (_skew_symmetric_maps, 14),
+             (_triangular_toeplitz_maps, 30), (_fcirc_maps, 3, -1.0), (_tph_maps, 3),
+             (_symmetric_maps, 16), (_toeplitz_symbol, 2)]
+    over = 0
+    for builder, *args in reads * 2:
+        builder(*args)
+        assert stored(builder, *args)
+        assert all(base in MAP_STORE.entries for _, _, chain in MAP_STORE.entries.values()
+                   for base in chain)
+        if MAP_STORE.nbytes > bound:
+            over += 1
+            oldest = next(iter(MAP_STORE.entries))
+            assert set(MAP_STORE.entries) == set(MAP_STORE.entries[oldest][2]), args
+    assert over  # the bound is exercised
+
+
+def test_a_derived_entry_keeps_its_base_through_evictions():
+    """Reading a derived entry refreshes the entries it was built from, so
+    a sweep of fresh entries evicts none of them while the derived one is
+    in use: one order has one Toeplitz symbol."""
+    n = 6
+    _tph_maps(n)
+    for k in range(3 * MAP_STORE_ENTRIES):
+        _fcirc_maps(2, complex(5.0, k))
+        if k % 50 == 0:
+            _tph_maps(n)
+    assert _tph_maps(n)[0].bands[-1][-1][1] is _toeplitz_maps(n)[0] is _toeplitz_symbol(n)
+    assert within_bounds()
+
+
+def test_a_warm_product_reads_no_map(monkeypatch):
+    """The first product reads each level's triple; later ones use the
+    triples the matrix keeps and make no store read."""
+    reads = {"levels": 0, "store": 0}
+
+    def counted(key, real):
+        def call(*args):
+            reads[key] += 1
+            return real(*args)
+        return call
+    monkeypatch.setattr(kernels, "level_decomposition",
+                        counted("levels", kernels.level_decomposition))
+    monkeypatch.setattr(MAP_STORE, "read", counted("store", MAP_STORE.read))
+    levels = (LevelSpec(StructureKind.TOEPLITZ, 2), LevelSpec(StructureKind.SYMMETRIC, 3))
+    M = structured(StructureKind.MULTILEVEL, 6, np.arange(1.0, 19.0), levels=levels)
+    x = variables(np.arange(6.0))
+    first = structured_matvec(M, x, CountContext())
+    assert reads["levels"] == 2 and reads["store"] >= 2
+    reads.update(levels=0, store=0)
+    for _ in range(2):
+        assert vals(structured_matvec(M, x, CountContext())).tobytes() == vals(first).tobytes()
+    assert reads == {"levels": 0, "store": 0}
 
 
 def test_explicit_support_must_match_the_matrix():

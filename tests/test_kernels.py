@@ -313,6 +313,14 @@ class TestSymmetric:
         assert np.array_equal(stages[0], np.array([a, b, c, d, g, i, j]))
         assert stages[1][0] == e - c and stages[1][1] == f - d
 
+    @pytest.mark.parametrize("count, n, message", [
+        (7, 3, "symmetric of order 3 needs 6 parameters, got 7"),
+        (4, 3, "symmetric of order 3 needs 6 parameters, got 4"),
+        (1, 0, "order must be positive")])
+    def test_stages_check_the_parameter_count(self, count, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            symmetric_hankel_stages(variables(range(1, count + 1)), n)
+
 
 class TestFusedMaps:
     """Each kernel map equals the chain of transform, shift or peel steps it replaces."""

@@ -2,14 +2,13 @@
 
 Each product is checked against a dense matrix built here from the
 canonical parameter orders with plain numpy indexing.  Symmetric runs at
-order 128: its stacked maps take O(n^3) memory.  The kernel-map caches are
-cleared after each test, so that one order-1000 triple at a time is held.
+order 128: its stacked maps take O(n^3) memory.
 """
 
 import numpy as np
 import pytest
 
-from bilinear_kernels import kernels, spectral
+from bilinear_kernels import kernels
 from bilinear_kernels.counting import CountContext, variable_vector
 from bilinear_kernels.kernels import formula_count, structured_matvec
 from bilinear_kernels.structures import SparsityPattern, StructureKind, param_count, structured
@@ -17,18 +16,6 @@ from bilinear_kernels.structures import SparsityPattern, StructureKind, param_co
 N = 1000
 F = 2.0 - 0.5j
 ORDERS = {kind: 128 if kind is StructureKind.SYMMETRIC else N for kind in kernels.SPECS}
-CACHES = [getattr(kernels, name) for name in (
-    "_fcirc_maps", "_toeplitz_symbol", "_toeplitz_maps", "_hankel_maps",
-    "_triangular_toeplitz_maps", "_tph_maps", "_symmetric_maps", "_skew_symmetric_maps",
-    "_sparse_maps")] + [getattr(spectral, name) for name in (
-        "root_table", "dft_matrix", "idft_matrix", "scaled_dft_matrix", "scaled_idft_matrix")]
-
-
-@pytest.fixture(autouse=True)
-def release_maps():
-    yield
-    for cache in CACHES:
-        cache.cache_clear()
 
 
 def dense(kind: StructureKind, n: int, p: np.ndarray, pattern) -> np.ndarray:
