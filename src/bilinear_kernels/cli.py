@@ -13,7 +13,6 @@ import cmath
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,24 +30,6 @@ from .tensorlab import (NAMED_BUILDERS, build_structure_tensor,
                         verify_decomposition)
 
 DEFAULT_TOL = 1e-8
-
-
-@dataclass
-class RunConfig:
-    command: str
-    kind: str | None = None
-    n: int | None = None
-    max_n: int = 8
-    levels: tuple[LevelSpec, ...] | None = None
-    f: complex | None = None
-    trials: int = 100
-    seed: int = 0
-    tol: float = DEFAULT_TOL
-    out: str | None = None
-    preset: str | None = None
-    variant: str | None = None
-    builder: str | None = None
-    ottaviani: bool = False
 
 
 class ConfigError(ValueError):
@@ -150,7 +131,7 @@ def _rel_error(got: np.ndarray, want: np.ndarray) -> float:
     return err if math.isfinite(err) else math.inf
 
 
-def _build_instance(cfg: RunConfig, rng: Lcg) -> StructuredMatrix:
+def _build_instance(cfg: argparse.Namespace, rng: Lcg) -> StructuredMatrix:
     if cfg.kind == "multilevel":
         if cfg.levels is None:
             raise ConfigError("multilevel verification needs --levels")
@@ -174,7 +155,7 @@ def _fmt_counts(values: set) -> str:
     return str(values.pop()) if len(values) == 1 else str(sorted(values))
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     rng = Lcg(cfg.seed)
     max_err = 0.0
     counts_match = True
@@ -216,7 +197,7 @@ def _count_row(M: StructuredMatrix, label_n: str, rng: Lcg) -> tuple[list[str], 
     return [name, label_n, str(fast), naive_text, str(formula), str(match).lower()], match
 
 
-def cmd_count_table(cfg: RunConfig) -> int:
+def cmd_count_table(cfg: argparse.Namespace) -> int:
     rng = Lcg(cfg.seed)
     rows = [["structure", "n", "fast_mults", "naive_mults", "formula", "match"]]
     all_match = True
@@ -250,7 +231,7 @@ def cmd_count_table(cfg: RunConfig) -> int:
     return 0 if all_match else 1
 
 
-def cmd_tensor(cfg: RunConfig) -> int:
+def cmd_tensor(cfg: argparse.Namespace) -> int:
     if cfg.ottaviani and not cfg.builder:
         raise ConfigError("--ottaviani: the test runs on a --builder tensor")
     if cfg.builder in NAMED_BUILDERS:
@@ -284,7 +265,7 @@ def cmd_tensor(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_stability(cfg: RunConfig) -> int:
+def cmd_stability(cfg: argparse.Namespace) -> int:
     if cfg.preset not in ("usual", "gauss", "cube"):
         raise ConfigError("stability preset must be usual, gauss, or cube")
     D = complex_mul_decomposition(cfg.preset)
@@ -295,7 +276,7 @@ def cmd_stability(cfg: RunConfig) -> int:
     return 0 if rep.passed else 1
 
 
-def cmd_tpp(cfg: RunConfig) -> int:
+def cmd_tpp(cfg: argparse.Namespace) -> int:
     if cfg.preset == "d4-222":
         G = dihedral8()
         S, T, U = (4, 0), (6, 0), (7, 0)   # {y,1}, {x^2 y,1}, {x^3 y,1}
@@ -310,7 +291,7 @@ def cmd_tpp(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_simul(cfg: RunConfig) -> int:
+def cmd_simul(cfg: argparse.Namespace) -> int:
     if cfg.variant not in ("f", "g"):
         raise ConfigError("--variant must be f or g")
     pairs = 1 if cfg.n is None else cfg.n
@@ -340,7 +321,8 @@ def cmd_simul(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-# The settings of every option, and the options each subcommand reads.
+# The settings of every option; each subcommand's function, help text and
+# the options it reads.
 _OPTIONS = {
     "--kind": dict(type=str), "--n": dict(type=int), "--f": dict(type=str),
     "--levels": dict(type=str), "--seed": dict(type=int, default=0),
@@ -350,15 +332,16 @@ _OPTIONS = {
     "--preset": dict(type=str, required=True), "--variant": dict(type=str, required=True),
 }
 _SUBCOMMANDS = (
-    ("verify", "fast kernel vs naive oracle on random inputs",
+    ("verify", cmd_verify, "fast kernel vs naive oracle on random inputs",
      "--kind --n --f --levels --seed --trials --tol"),
-    ("count-table", "CSV of multiplication counts per structure and size",
+    ("count-table", cmd_count_table, "CSV of multiplication counts per structure and size",
      "--max-n --seed --out"),
-    ("tensor", "rank certification chain or named tensor report",
+    ("tensor", cmd_tensor, "rank certification chain or named tensor report",
      "--kind --n --f --builder --ottaviani"),
-    ("stability", "coefficient-sum measure of named decompositions", "--preset"),
-    ("tpp", "triple product property presets", "--preset --n"),
-    ("simul", "simultaneous 2x2 product kernels vs dense oracles",
+    ("stability", cmd_stability, "coefficient-sum measure of named decompositions",
+     "--preset"),
+    ("tpp", cmd_tpp, "triple product property presets", "--preset --n"),
+    ("simul", cmd_simul, "simultaneous 2x2 product kernels vs dense oracles",
      "--variant --n --seed --trials --tol"),
 )
 
@@ -368,8 +351,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bilinear-kernels",
         description="Structured matrix kernels with certified multiplication counts")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, text, options in _SUBCOMMANDS:
+    for command, run, text, options in _SUBCOMMANDS:
         p = sub.add_parser(command, help=text)
+        p.set_defaults(run=run)
         for option in options.split():
             p.add_argument(option, **_OPTIONS[option])
     return parser
@@ -393,8 +377,9 @@ def _tolerance(args: argparse.Namespace) -> float:
     return tol
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """A RunConfig of the options the subcommand takes, each checked."""
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """The parsed options the subcommand takes, each checked, with --tol,
+    --f and --levels parsed in place."""
     given = vars(args)
     if given.get("trials", 1) < 1:
         raise ConfigError(f"--trials must be a positive integer, got {args.trials}")
@@ -402,34 +387,23 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"--n must be a positive integer, got {args.n}")
     if given.get("max_n", 1) < 1:
         raise ConfigError(f"--max-n must be a positive integer, got {args.max_n}")
-    cfg = RunConfig(**{k: v for k, v in given.items() if k not in ("f", "levels", "tol")})
     if "tol" in given:
-        cfg.tol = _tolerance(args)
+        args.tol = _tolerance(args)
     if given.get("f") is not None:
-        cfg.f = _parse_complex(args.f)
-    if given.get("levels"):
-        cfg.levels = _parse_levels(args.levels)
-    return cfg
-
-
-_COMMANDS = {
-    "verify": cmd_verify,
-    "count-table": cmd_count_table,
-    "tensor": cmd_tensor,
-    "stability": cmd_stability,
-    "tpp": cmd_tpp,
-    "simul": cmd_simul,
-}
+        args.f = _parse_complex(args.f)
+    if "levels" in given:
+        args.levels = _parse_levels(args.levels) if args.levels else None
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = _config_from_args(_build_parser().parse_args(argv))
-        if cfg.command == "verify" and cfg.kind is None:
+        args = _config_from_args(_build_parser().parse_args(argv))
+        if args.command == "verify" and args.kind is None:
             raise ConfigError("verify needs --kind")
-        if cfg.command == "tensor" and (cfg.kind is None) == (cfg.builder is None):
+        if args.command == "tensor" and (args.kind is None) == (args.builder is None):
             raise ConfigError("tensor needs one of --kind and --builder")
-        return _COMMANDS[cfg.command](cfg)
+        return args.run(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

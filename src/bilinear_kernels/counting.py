@@ -6,15 +6,19 @@ Variable*Variable products count toward ``bilinear_mults``; multiplication
 by a constant is a scalar multiplication, additions are free.  Counting is
 structural: it depends on the kind pattern of the operands, never on their
 numeric values.
+
+The map store MAP_STORE keeps every kernel triple and structure placement,
+each built once, bounded in entries and in the bytes it holds (MapStore).
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import reduce, wraps
 from itertools import repeat
 from operator import attrgetter
 from typing import Iterable
@@ -162,11 +166,13 @@ def read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-# Every constant map form has a shape (m, n), its size in nbytes, and a
-# cost: the scalar multiplications and additions of one application to one
-# vector.  ``apply`` maps values of shape (n, ...) to (m, ...); ``propagate``
-# maps Variable flags the same way through the map's structural support, so
-# an output is Variable when any Variable input feeds it, however many do.
+# Every constant map form has a shape (m, n), its size in nbytes (every
+# array it applies, a view in full), its parts (the slots that hold its
+# arrays and maps), and a cost: the scalar multiplications and additions of
+# one application to one vector.  ``apply`` maps values of shape (n, ...)
+# to (m, ...); ``propagate`` maps Variable flags the same way through the
+# map's structural support, so an output is Variable when any Variable input
+# feeds it, however many do.
 # Its ``reach`` is the image of all-Variable flags: a read-only (m,) vector,
 # computed once when the map is built.  apply_matrix hands an all-Variable
 # input the reach and propagates only other flags; the pointwise product
@@ -185,6 +191,7 @@ class ConstantMap:
     """
 
     __slots__ = ("matrix", "support", "full", "reach", "shape", "nbytes", "cost")
+    parts = ("matrix", "support", "reach")
 
     def __init__(self, matrix: np.ndarray, support: np.ndarray | None = None):
         self.matrix = read_only(np.asarray(matrix, dtype=complex))
@@ -235,6 +242,7 @@ class GatherMap:
     """
 
     __slots__ = ("shape", "support", "padded", "terms", "signs", "reach", "nbytes", "cost")
+    parts = ("support", "terms", "signs", "reach")
 
     def __init__(self, shape: tuple[int, int], rows, index, sign=None):
         m, n = shape
@@ -282,6 +290,7 @@ class BlockMap:
     """
 
     __slots__ = ("bands", "shape", "reach", "nbytes", "cost")
+    parts = ("bands", "reach")
 
     def __init__(self, width: int, bands):
         self.bands = tuple(tuple(band) for band in bands)
@@ -307,6 +316,7 @@ class ChainMap:
     """The map ``second`` applied after ``first``."""
 
     __slots__ = ("first", "second", "shape", "reach", "nbytes", "cost")
+    parts = ("first", "second", "reach")
 
     def __init__(self, first, second):
         self.first, self.second = first, second
@@ -320,6 +330,93 @@ class ChainMap:
 
     def propagate(self, flags: np.ndarray) -> np.ndarray:
         return self.second.propagate(self.first.propagate(flags))
+
+
+# Bounds of the map store.  The entries keep every map and placement of a
+# verify-style sweep over n <= 16 (500 keys a round, 48 of them a fresh f or
+# pattern) resident while fresh ones come and go; the bytes keep an
+# order-1000 Toeplitz triple and its symbol (126 MiB).
+MAP_STORE_ENTRIES = 576
+MAP_STORE_BYTES = 160 * 2**20
+
+
+def _buffers(obj, found: dict[int, int]) -> dict[int, int]:
+    """Add the owning buffer of every array obj holds, through tuples and
+    the parts of map forms, to found: its id and its bytes.  A view's owner
+    is the array at the end of its bases, so a view or a broadcast adds no
+    bytes of its own."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        found[id(obj)] = obj.nbytes
+    elif isinstance(obj, tuple):
+        for item in obj:
+            _buffers(item, found)
+    else:
+        for name in getattr(obj, "parts", ()):
+            _buffers(getattr(obj, name), found)
+    return found
+
+
+class MapStore:
+    """Every constant map and placement the library builds once, keyed on
+    (builder, *args), least recently read first, with its size and its
+    chain: its key, then the chains of the entries it was built from.  The
+    size is the bytes of the buffers its arrays own that its bases' do not.
+
+    A read moves its chain to the recent end, so a base is always more
+    recent than what was built from it and is never evicted first: one
+    order has one Toeplitz symbol.  After a build, the least recent entries
+    are evicted while either bound is exceeded, up to the new entry, which
+    is kept with its bases.  So every entry's bases are in the store.
+    """
+
+    def __init__(self):
+        self.entries: OrderedDict[tuple, tuple[object, int, list[tuple]]] = OrderedDict()
+        self.nbytes = 0
+        self._reads: list[list[tuple]] = []     # the keys each build in progress reads
+
+    def read(self, builder, args: tuple):
+        key = (builder, *args)
+        if self._reads:
+            self._reads[-1].append(key)
+        entry = self.entries.get(key)
+        built = entry is None
+        if built:
+            self._reads.append([])
+            try:
+                value = builder(*args)
+            finally:
+                bases = self._reads.pop()
+            chain = [key, *(k for base in bases for k in self.entries[base][2])]
+            held = _buffers(value, {})
+            for base in set(chain[1:]):
+                for shared in _buffers(self.entries[base][0], {}):
+                    held.pop(shared, None)
+            size = sum(held.values())
+            entry = self.entries[key] = (value, size, chain)
+            self.nbytes += size
+        for k in entry[2]:
+            self.entries.move_to_end(k)
+        # Evict once the outermost build is done: no entry it read goes first.
+        while built and not self._reads and (len(self.entries) > MAP_STORE_ENTRIES
+                                             or self.nbytes > MAP_STORE_BYTES):
+            oldest = next(iter(self.entries))
+            if oldest is key:
+                break
+            self.nbytes -= self.entries.pop(oldest)[1]
+        return entry[0]
+
+
+MAP_STORE = MapStore()
+
+
+def _stored(builder):
+    """The builder, read through the map store."""
+    @wraps(builder)
+    def read(*args):
+        return MAP_STORE.read(builder, args)
+    return read
 
 
 class TrackedVector:

@@ -28,8 +28,8 @@ counts again, read no map and apply only V, the pointwise product and W.
 Gauss's product, the commutator and Toeplitz times dense (the Toeplitz
 triple over a batch axis of columns) run through counting.triple_product;
 groups.py holds the simultaneous 2x2 products.  A single-level kind's
-triple is kept in the one map store (MapStore), keyed per order, f or
-pattern, and built from the chain of embedding, padding, transform,
+triple is kept in the one map store (counting.MapStore), keyed per order,
+f or pattern, and built from the chain of embedding, padding, transform,
 bin-skipping, reversal and peeling steps it replaces, with that chain's
 structural support:
 
@@ -54,16 +54,14 @@ another (ChainMap); see counting.py.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import wraps
 
 import numpy as np
 
 from .counting import (BlockMap, ChainMap, ConstantMap, CountContext, GatherMap,
                        TrackedScalar, TrackedVector, apply_matrix, as_matrix, as_vector,
-                       concat, match_output, reciprocal, take, tile, to_grid, to_scalars,
-                       triple_product, vmul)
+                       _stored, concat, match_output, reciprocal, take, tile, to_grid,
+                       to_scalars, triple_product, vmul)
 from .extraction import level_decomposition
 from .spectral import dft_matrix, idft_matrix, principal_root, scaled_idft_matrix, twiddles
 from .structures import (LevelSpec, SparsityPattern, StructureKind, StructureSpec,
@@ -72,70 +70,6 @@ from .structures import (LevelSpec, SparsityPattern, StructureKind, StructureSpe
                          sparse_placement, symmetric_placement, toeplitz_placement,
                          tph_placement, triangular_toeplitz_placement, upper_index)
 
-# Bounds of the map store.  The entries keep every map of a verify-style
-# sweep over n <= 16 (232 keys a round, 24 of them a fresh f or pattern)
-# resident while fresh ones come and go; the bytes keep an order-1000
-# triple and its bases.
-MAP_STORE_ENTRIES = 288
-MAP_STORE_BYTES = 256 * 2**20
-
-
-class MapStore:
-    """Every kernel map, keyed on (builder, *args), least recently read
-    first, with its size (the maps' nbytes) and its chain: its key, then
-    the chains of the entries it was built from.
-
-    A read moves its chain to the recent end, so a base is always more
-    recent than what was built from it and is never evicted first: one
-    order has one Toeplitz symbol.  After a build, the least recent entries
-    are evicted while either bound is exceeded, up to the new entry, which
-    is kept with its bases.  So every entry's bases are in the store.
-    """
-
-    def __init__(self):
-        self.entries: OrderedDict[tuple, tuple[object, int, list[tuple]]] = OrderedDict()
-        self.nbytes = 0
-        self._reads: list[list[tuple]] = []     # the keys each build in progress reads
-
-    def read(self, builder, args: tuple):
-        key = (builder, *args)
-        if self._reads:
-            self._reads[-1].append(key)
-        entry = self.entries.get(key)
-        built = entry is None
-        if built:
-            self._reads.append([])
-            try:
-                maps = builder(*args)
-            finally:
-                bases = self._reads.pop()
-            size = sum(M.nbytes for M in maps) if isinstance(maps, tuple) else maps.nbytes
-            chain = [key, *(k for base in bases for k in self.entries[base][2])]
-            entry = self.entries[key] = (maps, size, chain)
-            self.nbytes += size
-        for k in entry[2]:
-            self.entries.move_to_end(k)
-        # Evict once the outermost build is done: no entry it read goes first.
-        while built and not self._reads and (len(self.entries) > MAP_STORE_ENTRIES
-                                             or self.nbytes > MAP_STORE_BYTES):
-            oldest = next(iter(self.entries))
-            if oldest is key:
-                break
-            self.nbytes -= self.entries.pop(oldest)[1]
-        return entry[0]
-
-
-MAP_STORE = MapStore()
-
-
-def _stored(builder):
-    """The builder, read through the map store."""
-    @wraps(builder)
-    def read(*args):
-        return MAP_STORE.read(builder, args)
-    return read
-
-
 class SingularMatrix(ValueError):
     """A transform value of the parameter vector is numerically zero."""
 
@@ -143,7 +77,7 @@ class SingularMatrix(ValueError):
 def formula_count(kind: StructureKind, n: int, pattern: SparsityPattern | None = None,
                   levels: tuple[LevelSpec, ...] | None = None) -> int:
     """Closed-form bilinear multiplication count of the fast kernel."""
-    kind = check_inputs(kind, pattern, levels)
+    kind = check_inputs(kind, n, pattern, levels)
     if kind is StructureKind.MULTILEVEL:
         return math.prod(formula_count(lev.kind, lev.n, lev.pattern) for lev in levels)
     return SPECS[kind].count(n, pattern)

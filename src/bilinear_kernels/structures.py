@@ -1,6 +1,7 @@
 """Structured matrix representations, the StructureSpec record, placements
 and dense expansion, the naive oracle, basis enumeration, and JSON
-serialization.
+serialization.  Each structure's placement is built once and kept in the
+map store (counting.MapStore) beside the kernel triples.
 
 Canonical parameter orders (normative for serialization and basis indexing):
   circulant            first column top to bottom
@@ -28,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, as_matrix,
+from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, _stored, as_matrix,
                        as_vector, constant, match_output, read_only, to_grid)
 
 
@@ -131,21 +132,30 @@ def default_f(kind: StructureKind, f: complex | None) -> complex | None:
     return complex(-1.0) if f is None and spec(kind).needs_f else f
 
 
-def check_inputs(kind: StructureKind, pattern: SparsityPattern | None,
+def check_inputs(kind: StructureKind, n: int, pattern: SparsityPattern | None,
                  levels: tuple[LevelSpec, ...] | None) -> StructureKind:
-    """The kind, once it has the levels or the pattern it needs."""
+    """The kind, once its order is positive and it has the levels or the
+    pattern it needs, and no pattern it does not take."""
     kind = StructureKind(kind)
+    if n < 1:
+        raise ValueError("order must be positive")
     if kind is StructureKind.MULTILEVEL:
         if not levels:
             raise ValueError("multilevel structure needs levels")
-    elif spec(kind).needs_pattern and pattern is None:
+    elif not spec(kind).needs_pattern:
+        if pattern is not None:
+            raise ValueError(f"{kind.value} takes no sparsity pattern")
+    elif pattern is None:
         raise ValueError(f"{kind.value} structure needs a pattern")
+    elif (pattern.rows, pattern.cols) != (n, n):
+        raise ValueError(f"pattern of shape {pattern.rows}x{pattern.cols} "
+                         f"for a matrix of order {n}")
     return kind
 
 
 def param_count(kind: StructureKind, n: int, pattern: SparsityPattern | None = None,
                 levels: tuple[LevelSpec, ...] | None = None) -> int:
-    kind = check_inputs(kind, pattern, levels)
+    kind = check_inputs(kind, n, pattern, levels)
     if kind is StructureKind.MULTILEVEL:
         return math.prod(param_count(lev.kind, lev.n, lev.pattern) for lev in levels)
     return spec(kind).params(n, pattern)
@@ -153,23 +163,20 @@ def param_count(kind: StructureKind, n: int, pattern: SparsityPattern | None = N
 
 def structure_dim(kind: StructureKind, n: int, pattern: SparsityPattern | None = None) -> int:
     """Dimension of the matrix space (differs from param_count only for tph)."""
-    return spec(kind).dim(n, pattern)
+    return spec(check_inputs(kind, n, pattern, None)).dim(n, pattern)
 
 
 def check_level(kind: StructureKind, n: int, f: complex | None,
                 pattern: SparsityPattern | None) -> int:
-    """Check a single-level structure's order, f and pattern against the
+    """Check a single-level structure's order, pattern and f against the
     table; return its parameter count."""
-    if n < 1:
-        raise ValueError("order must be positive")
-    if spec(kind).needs_f and (f is None or f == 0):
-        raise ValueError(f"{StructureKind(kind).value} needs a nonzero f")
-    if pattern is not None and not spec(kind).needs_pattern:
-        raise ValueError(f"{StructureKind(kind).value} takes no sparsity pattern")
-    if pattern is not None and (pattern.rows, pattern.cols) != (n, n):
-        raise ValueError(f"pattern of shape {pattern.rows}x{pattern.cols} "
-                         f"for a matrix of order {n}")
-    return param_count(kind, n, pattern)
+    params = param_count(kind, n, pattern)
+    if spec(kind).needs_f:
+        if f is None or f == 0:
+            raise ValueError(f"{StructureKind(kind).value} needs a nonzero f")
+    elif f is not None:
+        raise ValueError(f"{StructureKind(kind).value} takes no f")
+    return params
 
 
 @dataclass(frozen=True)
@@ -345,19 +352,14 @@ def sparse_placement(n, f, pattern):
     return _triples(n, np.arange(len(pattern)), r, c)
 
 
-# Bound of the placement cache.  It is keyed on f and on sparsity patterns,
-# which sweeps draw fresh; the bound keeps every fixed structure of a sweep
-# over n <= 16 resident.
-PLACEMENT_CACHE_SIZE = 512
-
-
-@lru_cache(maxsize=PLACEMENT_CACHE_SIZE)
+@_stored
 def _placement(levels: tuple[LevelSpec, ...]):
     """Read-only (param, cell, coeff) triples of a structure given by its
     levels, and its structural mask: the cells some parameter reaches.
 
     Levels compose as a Kronecker product: the outer level's parameter and
-    block index vary slowest.
+    block index vary slowest.  A multilevel placement reads its inner one,
+    so the store keeps that one as its base.
     """
     lev, inner = levels[0], levels[1:]
     param, cell, coeff = spec(lev.kind).placement(lev.n, lev.f, lev.pattern)

@@ -1,7 +1,9 @@
 """Shared cached state: read-only, bounded, and shared as views where one
-map is a slice of another.  Every kernel map lives in one store
-(kernels.MAP_STORE), bounded in entries and in bytes."""
+map is a slice of another.  Every kernel map and every placement lives in
+one store (counting.MAP_STORE), bounded in entries and in the bytes it
+holds."""
 
+import tracemalloc
 from types import ModuleType
 
 import numpy as np
@@ -11,15 +13,15 @@ import bilinear_kernels
 from bilinear_kernels import (CountContext, LevelSpec, StructureKind, circulant_matvec,
                               f_circulant_matvec, multilevel_matvec, scaled_dft, scaled_idft,
                               structured, structured_matvec, variables)
-from bilinear_kernels.counting import BlockMap, ChainMap, ConstantMap, GatherMap
-from bilinear_kernels import kernels
-from bilinear_kernels.kernels import (MAP_STORE, MAP_STORE_BYTES, MAP_STORE_ENTRIES,
-                                     _fcirc_maps, _hankel_maps, _skew_symmetric_maps,
-                                     _sparse_maps, _symmetric_maps, _toeplitz_maps,
-                                     _toeplitz_symbol, _tph_maps, _triangular_toeplitz_maps)
+from bilinear_kernels import counting, kernels
+from bilinear_kernels.counting import (MAP_STORE, MAP_STORE_BYTES, MAP_STORE_ENTRIES, BlockMap,
+                                       ChainMap, ConstantMap, GatherMap, MapStore)
+from bilinear_kernels.kernels import (_fcirc_maps, _hankel_maps, _skew_symmetric_maps,
+                                      _sparse_maps, _symmetric_maps, _toeplitz_maps,
+                                      _toeplitz_symbol, _tph_maps, _triangular_toeplitz_maps)
 from bilinear_kernels.spectral import (F_CACHE_SIZE, ORDER_CACHE_SIZE, dft_matrix, idft_matrix,
                                        root_table, scaled_dft_matrix, scaled_idft_matrix)
-from bilinear_kernels.structures import SparsityPattern, dense_parts
+from bilinear_kernels.structures import SparsityPattern, _placement, dense_parts
 
 
 def vals(out):
@@ -148,7 +150,7 @@ def test_derived_kernel_maps_are_views(n):
 def test_order_keyed_caches_stay_bounded(monkeypatch):
     for cache in (dft_matrix, idft_matrix, root_table):
         assert cache.cache_info().maxsize == ORDER_CACHE_SIZE
-    monkeypatch.setattr(kernels, "MAP_STORE_ENTRIES", 16)
+    monkeypatch.setattr(counting, "MAP_STORE_ENTRIES", 16)
     for n in range(1, 22):
         _symmetric_maps(n)
     assert len(MAP_STORE.entries) == 16 and stored(_symmetric_maps, 21)
@@ -163,12 +165,14 @@ def library_caches():
 
 
 def test_multilevel_sweep_with_fresh_f_stays_within_every_cache_bound():
-    """Each multilevel product reads its levels' kernel maps; a sweep over
-    twice as many f-circulant levels as any bound, each with a fresh f, must
-    leave every cache of the library and the map store within its bounds."""
+    """Each multilevel product reads its levels' kernel maps and each oracle
+    call its placement; a sweep over twice as many f-circulant levels as any
+    bound, each with a fresh f, must leave every cache of the library and
+    the map store within its bounds."""
     caches = library_caches()
-    assert {"bilinear_kernels.spectral.scaled_dft_matrix", "bilinear_kernels.spectral.dft_matrix",
-            "bilinear_kernels.structures._placement"} <= caches.keys()
+    assert {"bilinear_kernels.spectral.scaled_dft_matrix",
+            "bilinear_kernels.spectral.dft_matrix"} <= caches.keys()
+    assert not hasattr(_placement, "cache_info")
     rng = np.random.default_rng(7)
     for k in range(2 * max(F_CACHE_SIZE, MAP_STORE_ENTRIES)):
         f = complex(1.0 + k / 64, 0.5)
@@ -176,10 +180,13 @@ def test_multilevel_sweep_with_fresh_f_stays_within_every_cache_bound():
                   LevelSpec(StructureKind.TOEPLITZ, 2))
         M = structured(StructureKind.MULTILEVEL, 6, rng.standard_normal(9), levels=levels)
         multilevel_matvec(M, variables(rng.standard_normal(6)), CountContext())
+        dense_parts(M)
     for name, cache in caches.items():
         info = cache.cache_info()
         assert info.maxsize is not None, name
         assert info.currsize <= info.maxsize, name
+    chain = MAP_STORE.entries[(_placement.__wrapped__, levels)][2]
+    assert (_placement.__wrapped__, levels[1:]) in chain
     assert within_bounds()
 
 
@@ -194,12 +201,13 @@ def test_the_store_keeps_within_its_byte_bound_but_for_the_newest_entry(monkeypa
     """Every entry's bases stay in the store.  Over the byte bound, it holds
     only the entry it built last and the entries that one was built from."""
     bound = 40_000
-    monkeypatch.setattr(kernels, "MAP_STORE_BYTES", bound)
+    monkeypatch.setattr(counting, "MAP_STORE_BYTES", bound)
     pattern = SparsityPattern(6, 6, ((0, 1), (2, 2), (5, 0)))
+    levels = (LevelSpec(StructureKind.HANKEL, 9), LevelSpec(StructureKind.SYMMETRIC, 5))
     reads = [(_toeplitz_maps, 4), (_fcirc_maps, 9, 2j), (_tph_maps, 12), (_hankel_maps, 4),
              (_symmetric_maps, 9), (_sparse_maps, 6, pattern), (_skew_symmetric_maps, 14),
              (_triangular_toeplitz_maps, 30), (_fcirc_maps, 3, -1.0), (_tph_maps, 3),
-             (_symmetric_maps, 16), (_toeplitz_symbol, 2)]
+             (_symmetric_maps, 16), (_toeplitz_symbol, 2), (_placement, levels)]
     over = 0
     for builder, *args in reads * 2:
         builder(*args)
@@ -211,6 +219,23 @@ def test_the_store_keeps_within_its_byte_bound_but_for_the_newest_entry(monkeypa
             oldest = next(iter(MAP_STORE.entries))
             assert set(MAP_STORE.entries) == set(MAP_STORE.entries[oldest][2]), args
     assert over  # the bound is exercised
+
+
+def test_the_store_counts_the_bytes_it_holds(monkeypatch):
+    """An entry's views, broadcasts and the maps it shares with its bases
+    count once: the store's size is what tracemalloc sees it hold."""
+    store = MapStore()
+    monkeypatch.setattr(counting, "MAP_STORE", store)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _tph_maps(160)
+        _symmetric_maps(40)
+        _skew_symmetric_maps(160)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert abs(store.nbytes - held) <= 0.1 * held
 
 
 def test_a_derived_entry_keeps_its_base_through_evictions():

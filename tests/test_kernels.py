@@ -18,7 +18,7 @@ from bilinear_kernels.kernels import (_symmetric_maps, _toeplitz_maps, _tph_maps
                                      _triangular_toeplitz_maps)
 from bilinear_kernels.rng import Lcg
 from bilinear_kernels.spectral import dft_matrix, idft_matrix
-from bilinear_kernels.structures import LevelSpec, param_count
+from bilinear_kernels.structures import LevelSpec, SparsityPattern, param_count
 
 ALL_KINDS = [
     StructureKind.CIRCULANT, StructureKind.F_CIRCULANT, StructureKind.TOEPLITZ,
@@ -633,6 +633,18 @@ def test_formula_count_without_its_inputs_says_what_is_missing(kind, n, message)
     for count in (formula_count, param_count):
         with pytest.raises(ValueError, match=f"^{message}$"):
             count(kind, n)
+
+
+@pytest.mark.parametrize("kind, n, pattern, message", [
+    ("toeplitz", -3, None, "order must be positive"),
+    ("toeplitz", 0, None, "order must be positive"),
+    ("toeplitz", 3, SparsityPattern(3, 3, ((0, 0),)), "toeplitz takes no sparsity pattern"),
+    ("sparse", 2, SparsityPattern(5, 5, ((0, 0),)),
+     "pattern of shape 5x5 for a matrix of order 2"),
+])
+def test_formula_count_refuses_bad_orders_and_patterns(kind, n, pattern, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        formula_count(kind, n, pattern)
 
 
 def test_formula_count_table():

@@ -314,3 +314,33 @@ def test_a_pattern_given_to_a_kind_without_one_is_refused(kind):
     P = param_count(kind, 3)
     with pytest.raises(ValueError, match=rf"^{kind.value} takes no sparsity pattern$"):
         structured(kind, 3, [1.0] * P, f=2.0, pattern=pattern)
+
+
+def test_an_f_given_to_a_kind_without_one_is_refused():
+    """A kept f would be lost by serialize_matrix, so it is refused."""
+    with pytest.raises(ValueError, match="^toeplitz takes no f$"):
+        structured("toeplitz", 3, [1, 2, 3, 4, 5], f=2)
+    M = structured("toeplitz", 3, [1, 2, 3, 4, 5])
+    assert parse_matrix(serialize_matrix(M)) == M
+
+
+def test_an_f_given_to_a_level_without_one_is_refused():
+    levels = (LevelSpec("circulant", 2, f=3j), LevelSpec("toeplitz", 2))
+    with pytest.raises(ValueError, match="^circulant takes no f$"):
+        structured("multilevel", 4, range(1, 7), levels=levels)
+
+
+SQUARE = SparsityPattern(5, 5, ((0, 1), (4, 4)))
+
+
+@pytest.mark.parametrize("count", [param_count, structure_dim])
+@pytest.mark.parametrize("kind, n, pattern, message", [
+    ("toeplitz", -3, None, "order must be positive"),
+    ("toeplitz", 0, None, "order must be positive"),
+    ("toeplitz", 3, SQUARE, "toeplitz takes no sparsity pattern"),
+    ("sparse", 2, SQUARE, "pattern of shape 5x5 for a matrix of order 2"),
+    ("sparse", 3, None, "sparse structure needs a pattern"),
+])
+def test_the_counts_refuse_bad_orders_and_patterns(count, kind, n, pattern, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        count(kind, n, pattern)
