@@ -102,8 +102,6 @@ def _parse_levels(text: str) -> tuple[LevelSpec, ...]:
         where = f"level {chunk!r}"
         kind, f = _table_kind(parts[0], n, f, where, order_where=where, f_where=where)
         levels.append(LevelSpec(kind, n, f))
-    if not levels:
-        raise ConfigError("empty level list")
     return tuple(levels)
 
 
@@ -391,8 +389,8 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         args.tol = _tolerance(args)
     if given.get("f") is not None:
         args.f = _parse_complex(args.f)
-    if "levels" in given:
-        args.levels = _parse_levels(args.levels) if args.levels else None
+    if given.get("levels") is not None:
+        args.levels = _parse_levels(args.levels)
     return args
 
 

@@ -174,28 +174,53 @@ def verify_decomposition(T: Tensor3, D: TensorDecomposition, tol: float) -> Veri
     return VerificationReport(err, len(D.terms), err <= tol)
 
 
+# The least norm whose square is a normal float64.
+_NORMAL_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
 def flattening_ranks(T: Tensor3, tol: float = 1e-9) -> tuple[int, int, int]:
     """Numerical ranks of the three unfoldings; each lower-bounds border rank.
 
-    Each unfolding goes to the SVD in its tall orientation: the singular
-    values are the same, and LAPACK is several times faster on it.  A
-    tensor whose imaginary part is exactly zero (every structure tensor
-    with real coefficients) goes in real arithmetic: the real SVD of the
-    real part has the same singular values at about half the cost.
+    An unfolding none of whose columns holds two nonzeros has rows with
+    disjoint supports, so M M^H is diagonal and its singular values are
+    exactly its row norms: its rank is the count of rows above tol times
+    the largest, with no SVD.  In a single-level structure tensor a
+    parameter fills at most one cell of each matrix row and column, so
+    this holds for every unfolding but tph's mode-1 one, whose cells hold
+    two parameters.  Row norms whose squares would leave the normal float
+    range also go to the SVD, which scales its input.
+
+    Every other unfolding goes to the SVD in its tall orientation: the
+    singular values are the same, and LAPACK is several times faster on
+    it.  A tensor whose imaginary part is exactly zero (every structure
+    tensor with real coefficients) goes in real arithmetic: the real SVD
+    of the real part has the same singular values at about half the cost.
     """
     ranks = []
     arr = T.entries
     if not arr.imag.any():
         arr = arr.real
-    for axes in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-        mat = arr.transpose(axes).reshape(arr.shape[axes[0]], -1)
-        if mat.shape[0] < mat.shape[1]:
-            mat = mat.T
-        s = np.linalg.svd(mat, compute_uv=False)
-        if s.size == 0 or s[0] == 0:
-            ranks.append(0)
-        else:
-            ranks.append(int((s > tol * s[0]).sum()))
+    # A column holds at most one nonzero iff the nonzero columns number as
+    # many as the nonzeros.  The mode-2 and mode-3 row norms both sum the
+    # squares over the parameters first.
+    support = arr != 0
+    nnz = np.count_nonzero(support)
+    with np.errstate(over="ignore"):
+        squares = np.abs(arr) ** 2
+    by_cell = squares.sum(axis=0)
+    row_squares = (squares.reshape(len(arr), -1).sum(axis=1), by_cell.sum(axis=1),
+                   by_cell.sum(axis=0))
+    for mode, axes in enumerate(((0, 1, 2), (1, 0, 2), (2, 0, 1))):
+        s = np.sqrt(row_squares[mode])
+        top = s.max()
+        if not (np.count_nonzero(support.any(axis=mode)) == nnz
+                and np.isfinite(top) and tol * top > _NORMAL_NORM):
+            mat = arr.transpose(axes).reshape(arr.shape[mode], -1)
+            if mat.shape[0] < mat.shape[1]:
+                mat = mat.T
+            s = np.linalg.svd(mat, compute_uv=False)
+            top = s[0]
+        ranks.append(int((s > tol * top).sum()) if top > 0 else 0)
     return tuple(ranks)
 
 

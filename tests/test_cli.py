@@ -176,6 +176,14 @@ class TestUsageErrors:
         assert_usage_error(code, err)
         assert err.startswith("error: --n:")
 
+    @pytest.mark.parametrize("kind", ["toeplitz", "multilevel"])
+    def test_empty_levels_refused(self, capsys, kind):
+        # An empty --levels was given, so it is parsed and refused, not
+        # taken for an absent one.
+        code, _, err = run(capsys, "verify", "--kind", kind, "--n", "3", "--levels", "")
+        assert_usage_error(code, err)
+        assert err.startswith("error: level ''")
+
     def test_tensor_multilevel_names_no_option_tensor_lacks(self, capsys):
         code, _, err = run(capsys, "tensor", "--kind", "multilevel", "--n", "4")
         assert_usage_error(code, err)

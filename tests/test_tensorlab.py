@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bilinear_kernels import (CountContext, DecompositionTerm, Tensor3,
-                              TensorDecomposition, build_structure_tensor,
+                              TensorDecomposition, build_structure_tensor, certify_rank,
                               circulant_matvec, commutator_beta_tensor,
                               complex_mul_decomposition, complex_mul_tensor,
                               contract, decomposition_tensor, flattening_ranks,
@@ -241,6 +241,31 @@ def random_real_decomposition(rng, dims, r):
         for _ in range(r)])
 
 
+@pytest.fixture
+def svd_dtypes(monkeypatch):
+    """The dtype of every array handed to np.linalg.svd during the test."""
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return seen
+
+
+def disjoint_tensor(rng, d, magnitudes=(0.0, 0.0)):
+    """Random complex entries on the cells (i, j, (i + j) % d), scaled by
+    10**uniform(magnitudes): two indices of an entry fix the third, so no
+    column of any unfolding holds two nonzeros."""
+    i, j = np.indices((d, d)).reshape(2, -1)
+    T = np.zeros((d, d, d), dtype=complex)
+    T[i, j, (i + j) % d] = ((rng.standard_normal(i.size) + 1j * rng.standard_normal(i.size))
+                            * 10.0 ** rng.uniform(*magnitudes, i.size))
+    return T
+
+
 class TestRealArithmeticRanks:
     """flattening_ranks takes real tensors through the real SVD; the ranks
     must equal the complex SVD's on every tensor the library builds."""
@@ -280,21 +305,62 @@ class TestRealArithmeticRanks:
             assert flattening_ranks(T) == complex_flattening_ranks(T)
             assert flattening_ranks(T) == tuple(min(r, d, np.prod(dims) // d) for d in dims)
 
-    @pytest.mark.parametrize("T, dtype", [(structure_tensor("toeplitz", 5), np.float64),
-                                          (structure_tensor("f_circulant", 5, f=1j),
-                                           np.complex128)],
-                             ids=["toeplitz", "f_circulant_1j"])
-    def test_svd_arithmetic(self, monkeypatch, T, dtype):
-        seen = []
-        svd = np.linalg.svd
-
-        def spy(a, *args, **kwargs):
-            seen.append(np.asarray(a).dtype)
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", spy)
+    @pytest.mark.parametrize("T, want", [
+        (structure_tensor("toeplitz", 5), []),
+        (structure_tensor("f_circulant", 5, f=1j), []),
+        (structure_tensor("tph", 5), [np.float64]),
+        (Tensor3(decomposition_tensor(random_decomposition(np.random.default_rng(4), (3, 4, 5), 3))),
+         [np.complex128] * 3),
+    ], ids=["toeplitz", "f_circulant_1j", "tph", "dense_complex"])
+    def test_svd_arithmetic(self, svd_dtypes, T, want):
+        # Unfoldings with orthogonal rows reach no SVD; tph's mode-1 one,
+        # whose cells hold two parameters, goes in real arithmetic, and each
+        # unfolding of a dense complex tensor in complex arithmetic.
         flattening_ranks(T)
-        assert seen == [np.dtype(dtype)] * 3
+        assert svd_dtypes == [np.dtype(d) for d in want]
+
+
+class TestOrthogonalRowLane:
+    """Unfoldings whose rows have disjoint supports take their singular
+    values as row norms; the ranks must equal the all-SVD reference's, also
+    where a row lies just off tol."""
+
+    @pytest.mark.parametrize("scale, drop", [(1e-12, 1), (1e-8, 0)])
+    def test_tolerance_edge(self, svd_dtypes, scale, drop):
+        # Every mode-1 row gets norm 1 but the first, which gets `scale`:
+        # below tol = 1e-9 of the largest at 1e-12, above it at 1e-8.
+        arr = disjoint_tensor(np.random.default_rng(21), 6)
+        arr /= np.linalg.norm(arr.reshape(6, -1), axis=1)[:, None, None]
+        arr[0] *= scale
+        T = Tensor3(arr)
+        ranks = flattening_ranks(T)
+        assert svd_dtypes == []
+        assert ranks[0] == 6 - drop
+        assert ranks == complex_flattening_ranks(T)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("d", [5, 7])
+    def test_random_disjoint_complex(self, svd_dtypes, d, seed):
+        # Entries spread over 13 decades, so some rows fall below tol.
+        T = Tensor3(disjoint_tensor(np.random.default_rng(seed), d, (-13.0, 0.0)))
+        ranks = flattening_ranks(T)
+        assert svd_dtypes == []
+        assert ranks == complex_flattening_ranks(T)
+
+    @pytest.mark.parametrize("kind", ["toeplitz", "symmetric", "skew_symmetric"])
+    def test_large_cells(self, kind):
+        T = structure_tensor(kind, 24)
+        assert flattening_ranks(T) == complex_flattening_ranks(T)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    def test_norms_out_of_float_range_go_to_the_svd(self, svd_dtypes, scale):
+        # Squared row norms would underflow to 0 or overflow to inf.
+        T = structure_tensor("toeplitz", 6)
+        assert flattening_ranks(Tensor3(T.entries * scale)) == flattening_ranks(T) == (11, 6, 6)
+        assert len(svd_dtypes) == 3
+
+    def test_certify_symmetric_32(self):
+        assert certify_rank("symmetric", 32).ranks == (528, 32, 32)
 
 
 class TestOttaviani:
