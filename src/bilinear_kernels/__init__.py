@@ -15,7 +15,7 @@ from .kernels import (KernelReport, SingularMatrix, circulant_inverse,
                       f_circulant_inverse, f_circulant_matvec, formula_count,
                       gauss_complex_mul, hankel_matvec, kernel_report,
                       multilevel_matvec, skew_symmetric_matvec, structured_matvec,
-                      symmetric_hankel_stages, symmetric_matvec, toeplitz_matmul,
+                      symmetric_matvec, toeplitz_matmul,
                       toeplitz_matvec, tph_matvec, triangular_toeplitz_matvec)
 from .rng import Lcg
 from .spectral import RootTable, dft, idft, principal_root, root_table, scaled_dft, scaled_idft

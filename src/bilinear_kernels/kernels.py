@@ -9,7 +9,7 @@ The counts per size n:
     toeplitz, hankel, triangular    2n - 1
     toeplitz-plus-hankel            4n - 3
     symmetric                       n(n+1)/2
-    skew-symmetric                  n^2 - n - ceil((n-1)/2) + 1   (n >= 2)
+    skew-symmetric                  n(n+1)/2 (n >= 3); 0, 2 at n = 1, 2
     sparse                          #pattern
     multilevel                      product of the level counts
     toeplitz matmul                 n(2n-1)
@@ -30,8 +30,8 @@ triple over a batch axis of columns) run through counting.triple_product;
 groups.py holds the simultaneous 2x2 products.  A single-level kind's
 triple is kept in the one map store (counting.MapStore), keyed per order,
 f or pattern, and built from the chain of embedding, padding, transform,
-bin-skipping, reversal and peeling steps it replaces, with that chain's
-structural support:
+bin-skipping and reversal steps it replaces, with that chain's structural
+support, or from the products it forms:
 
     circulant, f-circulant  U evaluates the reindexed first column at the n
                             roots of t^n = f; V and W are the scaled transforms
@@ -40,10 +40,8 @@ structural support:
     triangular              a length 2n-1 transform, padding and reversals folded in
     tph                     the Toeplitz triple without bin 1 stacked on the
                             Hankel triple, the bin-emptying shift folded into U
-    symmetric               U peels the bordered Hankel stages (a gather map) and
-                            applies each stage's symbol; V and W stack the stages
-    skew-symmetric          the f = -1 triple of the first row stacked with the
-                            remainder's gather maps
+    symmetric,              gather maps: a_ij (x_i + x_j) per pair i < j and one
+    skew-symmetric          correction c_i x_i per row (entrywise at skew n <= 2)
     sparse                  gather maps, one product per pattern entry
 
 A map is dense (ConstantMap), a gather of short signed sums (GatherMap), a
@@ -68,7 +66,7 @@ from .structures import (LevelSpec, SparsityPattern, StructureKind, StructureSpe
                          StructuredMatrix, check_inputs, check_level, circulant_placement,
                          f_circulant_placement, hankel_placement, skew_symmetric_placement,
                          sparse_placement, symmetric_placement, toeplitz_placement,
-                         tph_placement, triangular_toeplitz_placement, upper_index)
+                         tph_placement, triangular_toeplitz_placement)
 
 class SingularMatrix(ValueError):
     """A transform value of the parameter vector is numerically zero."""
@@ -197,17 +195,12 @@ def _toeplitz_symbol(n: int) -> ConstantMap:
     return ConstantMap(U, np.broadcast_to(True, U.shape))
 
 
-def _toeplitz_input_output(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Live bins of the 2n-point DFT of x padded with n zeros, and the first
-    n rows of the inverse DFT restricted to those bins."""
-    V = twiddles(2 * n, _live_bins(n), np.arange(n))
-    return V, V.T.conj() / (2 * n)
-
-
 @_stored
 def _toeplitz_maps(n: int) -> tuple[ConstantMap, ConstantMap, ConstantMap]:
-    V, W = _toeplitz_input_output(n)
-    return _toeplitz_symbol(n), ConstantMap(V), ConstantMap(W)
+    """The symbol, the live bins of the 2n-point DFT of x padded with n
+    zeros, and the first n rows of the inverse DFT restricted to those bins."""
+    V = twiddles(2 * n, _live_bins(n), np.arange(n))
+    return _toeplitz_symbol(n), ConstantMap(V), ConstantMap(V.T.conj() / (2 * n))
 
 
 @_stored
@@ -291,119 +284,60 @@ def tph_matvec(t, h, x, ctx: CountContext):
 
 
 # ---------------------------------------------------------------------------
-# Symmetric: peel off bordered Hankel blocks of sizes n, n-2, ...
+# Symmetric and skew-symmetric: one product per pair, one correction per row
 # ---------------------------------------------------------------------------
 
-def _peel_map(n: int) -> GatherMap:
-    """The Hankel data of every stage as one gather over the upper triangle.
-
-    Stage k works on the block of order m = n - 2k at offset k and reads its
-    data h_k[p], p = 0..2m-2, off the block's first row and last column:
-    h_k[p] = s'[c_k(p)], with c_k(p) that border's cell of index sum p and s'
-    what is left once the outer stages' Hankel matrices are taken off.
-    Unrolled, h_k[p] = s[c_k(p)] - s[c_{k-1}(p+2)], but the subtractions
-    read c_l(p + 2(k-l)) for every l <= k: those k + 1 cells, the ones
-    l < k - 1 with sign 0, are the structural support.  A 2x2 or 1x1 block
-    is itself Hankel and ends the peeling.
-    """
-    widths = 2 * np.arange(n, 0, -2) - 1                     # 2m - 1 rows per stage
-    k = np.repeat(np.arange(len(widths)), widths)            # the stage of each row
-    p = np.arange(len(k)) - np.repeat(np.cumsum(widths) - widths, widths)
-    rows = np.repeat(np.arange(len(k)), k + 1)               # k + 1 terms per row
-    l = np.arange(len(rows)) - np.repeat(np.cumsum(k + 1) - (k + 1), k + 1)
-    k = k[rows]
-    q, ml = p[rows] + 2 * (k - l), n - 2 * l                 # c_l(q) in stage l's block
-    cells = upper_index(n, np.maximum(q - ml + 1, 0) + l, np.minimum(q, ml - 1) + l)
-    return GatherMap((len(p), len(p)), rows, cells, (l == k) * 1.0 - (l == k - 1))
+def _pairwise_count(n: int, cells: int) -> int:
+    """Pairwise products: one per pair i < j and one per row, or one per cell if fewer."""
+    return min(cells, n * (n + 1) // 2)
 
 
 @_stored
-def _symmetric_maps(n: int) -> tuple[ChainMap, ConstantMap, ConstantMap]:
-    """The peel followed by every stage's symbol map, and every stage's
-    Hankel input and output transforms stacked into one R x n and one n x R
-    map, R = n(n+1)/2.
+def _pairwise_maps(kind: StructureKind, n: int) -> tuple[BlockMap | GatherMap, GatherMap,
+                                                          GatherMap]:
+    """The pairwise triple of a kind whose placement puts one parameter a_q
+    on both cells (i, j) and (j, i), A[i][j] = s_ij a_q with s_ij = +-1.
 
-    Stage k (order m = n - 2k) owns 2m - 1 consecutive product rows; its
-    input block reads columns k..n-k-1 and its output block, row-reversed,
-    writes rows k..n-k-1.
+    Each pair i < j forms p_ij = a_q (x_i + x_j) and each row one correction
+    c_i x_i, c_i = A[i][i] - sum_{j != i} A[i][j], so that
+    y_i = sum_{j != i} s_ij p_ij + c_i x_i.  U is two bands, the pairs and
+    the corrections: one gather would give every row the n slots of a
+    correction.  V gathers x_i + x_j and x_i, W each row's signed products.
+    A placement with fewer cells than products (skew-symmetric at n <= 2)
+    takes one product per cell instead.
     """
-    R = n * (n + 1) // 2
-    V = np.zeros((R, n), dtype=complex)
-    W = np.zeros((n, R), dtype=complex)
-    blocks = np.zeros((R, n), dtype=bool)
-    symbols = []
-    row = 0
-    for k, m in enumerate(range(n, 0, -2)):
-        Vm, Wm = _toeplitz_input_output(m)
-        bins, cols = slice(row, row + 2 * m - 1), slice(k, k + m)
-        V[bins, cols] = Vm
-        W[cols, bins] = Wm[::-1]
-        blocks[bins, cols] = True
-        symbols.append([(bins, _toeplitz_symbol(m))])
-        row += 2 * m - 1
-    U = ChainMap(_peel_map(n), BlockMap(R, symbols))
-    return U, ConstantMap(V, blocks), ConstantMap(W, blocks.T)
+    param, cell, coeff = SPECS[kind].placement(n, None, None)
+    rows, cols = np.divmod(cell, n)
+    sign, upper, P = coeff.real, rows < cols, SPECS[kind].params(n, None)
+    if SPECS[kind].count(n, None) < np.count_nonzero(upper) + n:
+        e = np.arange(len(cell))
+        return (GatherMap((len(e), P), e, param, sign), GatherMap((len(e), n), e, cols),
+                GatherMap((n, len(e)), rows, e))
+    i, j = rows[upper], cols[upper]
+    k, d, R = np.arange(len(i)), np.arange(n), len(i) + n
+    products = np.concatenate([k, k, len(k) + d])            # pair, pair, correction
+    inputs = np.concatenate([i, j, d])                       # x_i, x_j, x_i
+    every = slice(None)
+    return (BlockMap(P, [[(every, GatherMap((len(k), P), k, param[upper]))],
+                         [(every, GatherMap((n, P), rows, param,
+                                            np.where(rows == cols, sign, -sign)))]]),
+            GatherMap((R, n), products, inputs),
+            GatherMap((n, R), inputs, products,
+                      np.concatenate([sign[upper], np.bincount(cell, sign, n * n)[j * n + i],
+                                      np.ones(n)])))
 
 
 def symmetric_matvec(s, x, ctx: CountContext):
-    """Symmetric product as a sum of nested Hankel products; n(n+1)/2 mults."""
+    """Symmetric product in n(n+1)/2 multiplications: one a_ij (x_i + x_j)
+    per pair i < j and one correction per row."""
     return _run(StructureKind.SYMMETRIC, s, x, ctx)
 
 
-def symmetric_hankel_stages(s, n: int) -> list[np.ndarray]:
-    """Per-stage Hankel data values of the peeling (sizes n, n-2, ..., <=2)."""
-    sv = as_vector(s)
-    _check_params(StructureKind.SYMMETRIC, n, len(sv))
-    h = _symmetric_maps(n)[0].first.apply(sv.values)
-    return np.split(h, np.cumsum([2 * m - 1 for m in range(n, 2, -2)]))
-
-
-# ---------------------------------------------------------------------------
-# Skew-symmetric: skew-circulant part plus a paired sparse remainder
-# ---------------------------------------------------------------------------
-
-@_stored
-def _skew_symmetric_maps(n: int) -> tuple[BlockMap, BlockMap, BlockMap]:
-    """The f = -1 triple of the skew-circulant C sharing A's first row,
-    stacked with gather maps of the remainder A - C.
-
-    C's data d_m = A[0][n-m], m >= 1, is the first row reversed, and d_0 = 0.
-    The remainder has one product per entry (i, j), i, j >= 1, i != j, and
-    one per pair of first-column entries (i, 0), (n-i, 0), i < n-i, whose
-    values are negatives of each other: W adds it to row i and takes it from
-    row n-i.
-    """
-    if n == 1:  # the zero map: no products at all
-        return tuple(ConstantMap(np.zeros(shape)) for shape in ((0, 0), (0, 1), (1, 0)))
-    U, V, W = _fcirc_maps(n, -1.0)
-    pairs = np.arange(1, (n + 1) // 2)                      # the i < n - i
-    i, j = np.indices((n - 1, n - 1)).reshape(2, -1) + 1
-    rows, cols = np.concatenate([pairs, i[i != j]]), np.concatenate([0 * pairs, j[i != j]])
-    P, E, npairs = n * (n - 1) // 2, len(rows), len(pairs)
-    pa = upper_index(n, np.minimum(rows, cols), np.maximum(rows, cols), strict=True)
-    sa = np.where(rows < cols, 1.0, -1.0)                  # A[i][j] = sa * w[pa]
-    pc = n - 1 - (rows - cols) % n                          # C[i][j] = sc * w[pc]
-    sc = np.where(rows > cols, -1.0, 1.0)
-    e = np.arange(E)
-    remainder = GatherMap((E, P), np.tile(e, 2), np.concatenate([pa, pc]),
-                          np.concatenate([sa, -sc]))
-    scatter = GatherMap((n, E), np.concatenate([rows, n - rows[:npairs]]),
-                        np.concatenate([e, e[:npairs]]),
-                        np.concatenate([np.ones(E), -np.ones(npairs)]))
-    every = slice(None)
-    return (BlockMap(P, [[(slice(0, n - 1), U[:, :0:-1])], [(every, remainder)]]),
-            BlockMap(n, [[(every, V)], [(every, GatherMap((E, n), e, cols))]]),
-            BlockMap(n + E, [[(slice(0, n), W), (slice(n, n + E), scatter)]]))
-
-
 def skew_symmetric_matvec(w, x, ctx: CountContext):
-    """Skew-symmetric product in n^2 - n - ceil((n-1)/2) + 1 multiplications.
-
-    The matrix splits as a skew-circulant sharing its first row (n products
-    via the f = -1 transform) plus a remainder with zero first row and zero
-    diagonal whose first-column entries come in +/- pairs, each pair sharing
-    one product.  Order 1 is the zero map and costs nothing.
-    """
+    """Skew-symmetric product in n(n+1)/2 multiplications for n >= 3: one
+    w_ij (x_i + x_j) per pair i < j, added to row i and taken from row j,
+    and one correction per row.  Order 2 takes its two entrywise products,
+    and order 1 is the zero map and costs nothing."""
     return _run(StructureKind.SKEW_SYMMETRIC, w, x, ctx)
 
 
@@ -452,14 +386,14 @@ SPECS: dict[StructureKind, StructureSpec] = {
         lambda n, _: 1 if n == 1 else 4 * n - 4,
         tph_placement, lambda n, f, _: _tph_maps(n)),
     StructureKind.SYMMETRIC: StructureSpec(
-        lambda n, _: n * (n + 1) // 2, lambda n, _: n * (n + 1) // 2,
+        lambda n, _: n * (n + 1) // 2, lambda n, _: _pairwise_count(n, n * n),
         lambda n, _: n * (n + 1) // 2,
-        symmetric_placement, lambda n, f, _: _symmetric_maps(n)),
+        symmetric_placement, lambda n, f, _: _pairwise_maps(StructureKind.SYMMETRIC, n)),
     StructureKind.SKEW_SYMMETRIC: StructureSpec(
+        lambda n, _: n * (n - 1) // 2, lambda n, _: _pairwise_count(n, n * (n - 1)),
         lambda n, _: n * (n - 1) // 2,
-        lambda n, _: 0 if n == 1 else n * n - n - math.ceil((n - 1) / 2) + 1,
-        lambda n, _: n * (n - 1) // 2,
-        skew_symmetric_placement, lambda n, f, _: _skew_symmetric_maps(n)),
+        skew_symmetric_placement,
+        lambda n, f, _: _pairwise_maps(StructureKind.SKEW_SYMMETRIC, n)),
     StructureKind.SPARSE: StructureSpec(
         lambda n, pattern: len(pattern), lambda n, pattern: len(pattern),
         lambda n, pattern: len(pattern),

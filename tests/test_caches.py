@@ -16,12 +16,14 @@ from bilinear_kernels import (CountContext, LevelSpec, StructureKind, circulant_
 from bilinear_kernels import counting, kernels
 from bilinear_kernels.counting import (MAP_STORE, MAP_STORE_BYTES, MAP_STORE_ENTRIES, BlockMap,
                                        ChainMap, ConstantMap, GatherMap, MapStore)
-from bilinear_kernels.kernels import (_fcirc_maps, _hankel_maps, _skew_symmetric_maps,
-                                      _sparse_maps, _symmetric_maps, _toeplitz_maps,
-                                      _toeplitz_symbol, _tph_maps, _triangular_toeplitz_maps)
+from bilinear_kernels.kernels import (_fcirc_maps, _hankel_maps, _pairwise_maps, _sparse_maps,
+                                      _toeplitz_maps, _toeplitz_symbol, _tph_maps,
+                                      _triangular_toeplitz_maps)
 from bilinear_kernels.spectral import (F_CACHE_SIZE, ORDER_CACHE_SIZE, dft_matrix, idft_matrix,
                                        root_table, scaled_dft_matrix, scaled_idft_matrix)
 from bilinear_kernels.structures import SparsityPattern, _placement, dense_parts
+
+SYM, SKEW = StructureKind.SYMMETRIC, StructureKind.SKEW_SYMMETRIC
 
 
 def vals(out):
@@ -117,7 +119,7 @@ def arrays(M):
 def kernel_maps(n):
     """Every cached Toeplitz-family, symmetric and skew-symmetric map of order n."""
     return (*_toeplitz_maps(n), *_hankel_maps(n), *_tph_maps(n), *_triangular_toeplitz_maps(n),
-            *_symmetric_maps(n), *_skew_symmetric_maps(n))
+            *_pairwise_maps(SYM, n), *_pairwise_maps(SKEW, n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
@@ -142,9 +144,9 @@ def test_derived_kernel_maps_are_views(n):
                    for band in stacked.bands for _, block in band if block.matrix.size)
     P, Q, _ = _triangular_toeplitz_maps(n)
     assert np.shares_memory(Q.matrix, P.matrix)
-    sU, _, _ = _symmetric_maps(n)
-    assert [block for (_, block), in sU.second.bands] == [
-        _toeplitz_symbol(m) for m in range(n, 0, -2)]
+    _pairwise_maps(SYM, n)
+    assert MAP_STORE.entries[(_pairwise_maps.__wrapped__, SYM, n)][2] == [
+        (_pairwise_maps.__wrapped__, SYM, n)]        # built from no other stored map
 
 
 def test_order_keyed_caches_stay_bounded(monkeypatch):
@@ -152,8 +154,8 @@ def test_order_keyed_caches_stay_bounded(monkeypatch):
         assert cache.cache_info().maxsize == ORDER_CACHE_SIZE
     monkeypatch.setattr(counting, "MAP_STORE_ENTRIES", 16)
     for n in range(1, 22):
-        _symmetric_maps(n)
-    assert len(MAP_STORE.entries) == 16 and stored(_symmetric_maps, 21)
+        _pairwise_maps(SYM, n)
+    assert len(MAP_STORE.entries) == 16 and stored(_pairwise_maps, SYM, 21)
 
 
 def library_caches():
@@ -205,9 +207,9 @@ def test_the_store_keeps_within_its_byte_bound_but_for_the_newest_entry(monkeypa
     pattern = SparsityPattern(6, 6, ((0, 1), (2, 2), (5, 0)))
     levels = (LevelSpec(StructureKind.HANKEL, 9), LevelSpec(StructureKind.SYMMETRIC, 5))
     reads = [(_toeplitz_maps, 4), (_fcirc_maps, 9, 2j), (_tph_maps, 12), (_hankel_maps, 4),
-             (_symmetric_maps, 9), (_sparse_maps, 6, pattern), (_skew_symmetric_maps, 14),
+             (_pairwise_maps, SYM, 9), (_sparse_maps, 6, pattern), (_pairwise_maps, SKEW, 14),
              (_triangular_toeplitz_maps, 30), (_fcirc_maps, 3, -1.0), (_tph_maps, 3),
-             (_symmetric_maps, 16), (_toeplitz_symbol, 2), (_placement, levels)]
+             (_pairwise_maps, SYM, 16), (_toeplitz_symbol, 2), (_placement, levels)]
     over = 0
     for builder, *args in reads * 2:
         builder(*args)
@@ -230,8 +232,8 @@ def test_the_store_counts_the_bytes_it_holds(monkeypatch):
     try:
         before = tracemalloc.get_traced_memory()[0]
         _tph_maps(160)
-        _symmetric_maps(40)
-        _skew_symmetric_maps(160)
+        _pairwise_maps(SYM, 40)
+        _pairwise_maps(SKEW, 160)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -5,8 +5,8 @@ from bilinear_kernels import (CountContext, SparsityPattern, StructureKind, cert
                               complex_mul_decomposition, contract,
                               decomposition_tensor, extract_decomposition,
                               flattening_ranks, formula_count, naive_matvec,
-                              structure_dim, structure_tensor, structured,
-                              variables, verify_decomposition)
+                              stability_measure, structure_dim, structure_tensor,
+                              structured, variables, verify_decomposition)
 from bilinear_kernels.kernels import GAUSS_MAPS, SPECS
 from bilinear_kernels.rng import Lcg
 from bilinear_kernels.structures import param_count
@@ -42,6 +42,28 @@ def test_symmetric_n3_has_six_terms():
     assert len(D.terms) == 6
     T = structure_tensor(StructureKind.SYMMETRIC, 3)
     assert verify_decomposition(T, D, 1e-8).passed
+
+
+PAIRWISE = [StructureKind.SYMMETRIC, StructureKind.SKEW_SYMMETRIC]
+
+
+@pytest.mark.parametrize("kind", PAIRWISE)
+@pytest.mark.parametrize("n", range(2, 11))
+def test_pairwise_terms_are_exact(kind, n):
+    """Every coefficient and factor entry is 0 or +-1, so the terms sum to
+    the structure tensor without rounding."""
+    D = extract_decomposition(kind, n)
+    for F in stack_terms(D):
+        assert np.isin(F, (0, 1, -1)).all()
+    assert verify_decomposition(structure_tensor(kind, n), D, 1e-8).max_abs_error == 0
+
+
+@pytest.mark.parametrize("kind, n, measure", [
+    (StructureKind.SYMMETRIC, 4, 20.0), (StructureKind.SYMMETRIC, 8, 78.627417),
+    (StructureKind.SYMMETRIC, 16, 304.0), (StructureKind.SKEW_SYMMETRIC, 4, 18.928203),
+    (StructureKind.SKEW_SYMMETRIC, 8, 77.166010), (StructureKind.SKEW_SYMMETRIC, 16, 301.967734)])
+def test_pairwise_stability_measure_is_pinned(kind, n, measure):
+    assert stability_measure(extract_decomposition(kind, n)) == pytest.approx(measure, rel=1e-6)
 
 
 @pytest.mark.parametrize("kind", EXTRACTABLE)

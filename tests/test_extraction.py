@@ -98,7 +98,7 @@ def test_skew_symmetric_order_32_stays_narrow():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(D.terms) == 977
+    assert len(D.terms) == 528
     assert peak < 60 * 2 ** 20
 
 

@@ -10,11 +10,11 @@ from bilinear_kernels import (CountContext, SingularMatrix, StructureKind,
                               formula_count, gauss_complex_mul, hankel_matvec,
                               kernel_report, multilevel_matvec, naive_matvec,
                               skew_symmetric_matvec, structured, structured_matvec,
-                              symmetric_hankel_stages, symmetric_matvec,
+                              symmetric_matvec,
                               toeplitz_matmul, toeplitz_matvec, tph_matvec,
                               triangular_toeplitz_matvec, variable, variables)
 from bilinear_kernels import kernels
-from bilinear_kernels.kernels import (_symmetric_maps, _toeplitz_maps, _tph_maps,
+from bilinear_kernels.kernels import (_pairwise_maps, _toeplitz_maps, _tph_maps,
                                      _triangular_toeplitz_maps)
 from bilinear_kernels.rng import Lcg
 from bilinear_kernels.spectral import dft_matrix, idft_matrix
@@ -296,34 +296,19 @@ class TestSymmetric:
             want = vals(naive_matvec(M, x, CountContext()))
             assert rel_err(vals(out), want) < 1e-8
 
-    def test_n3_peel_has_middle_difference_term(self):
-        # [[a,b,c],[b,d,e],[c,e,f]] peels into Hank(a,b,c,e,f) plus inner [d - c].
-        a, b, c, d, e, f = (1 + 1j, 2, 3 - 2j, 4, 5j, 6)
-        stages = symmetric_hankel_stages(variables([a, b, c, d, e, f]), 3)
-        assert len(stages) == 2
-        assert np.array_equal(stages[0], np.array([a, b, c, e, f]))
-        assert stages[1][0] == d - c
-
-    def test_n4_peel_matches_bordered_hankel_display(self):
-        # first stage Hank(a..d, g, i, j); second stage the 2x2 block
-        # [[e-c, f-d], [f-d, h-2g+... ]] -- verified against densified peeling
-        a, b, c, d, e, f, g, h, i, j = [complex(k + 1, -k) for k in range(10)]
-        stages = symmetric_hankel_stages(variables([a, b, c, d, e, f, g, h, i, j]), 4)
-        assert len(stages) == 2
-        assert np.array_equal(stages[0], np.array([a, b, c, d, g, i, j]))
-        assert stages[1][0] == e - c and stages[1][1] == f - d
-
     @pytest.mark.parametrize("count, n, message", [
         (7, 3, "symmetric of order 3 needs 6 parameters, got 7"),
         (4, 3, "symmetric of order 3 needs 6 parameters, got 4"),
         (1, 0, "order must be positive")])
-    def test_stages_check_the_parameter_count(self, count, n, message):
+    def test_matvec_checks_the_parameter_count(self, count, n, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            symmetric_hankel_stages(variables(range(1, count + 1)), n)
+            symmetric_matvec(variables(range(1, count + 1)), variables(range(n)),
+                             CountContext())
 
 
 class TestFusedMaps:
-    """Each kernel map equals the chain of transform, shift or peel steps it replaces."""
+    """Each kernel map equals the chain of transform or shift steps it
+    replaces, or the products it forms."""
 
     @staticmethod
     def embedding(n):
@@ -359,57 +344,27 @@ class TestFusedMaps:
             assert abs(_toeplitz_maps(n)[0].matrix[0].sum() - 2 * n) < 1e-9
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
-    def test_symmetric_stacked_maps_hold_the_stage_blocks(self, n):
-        U, V, W = _symmetric_maps(n)
+    def test_pairwise_maps_form_the_pairs_and_the_row_corrections(self, n):
+        """Symmetric: product k of pair (i, j) is a_ij (x_i + x_j), product
+        R - n + i is c_i x_i with c_i = a_ii - sum_{j != i} a_ij, and W adds
+        every product of row i with sign +1."""
+        U, V, W = _pairwise_maps(StructureKind.SYMMETRIC, n)
         R = n * (n + 1) // 2
         assert U.shape == (R, R) and V.shape == (R, n) and W.shape == (n, R)
-        symbols = [block for (_, block), in U.second.bands]
-        assert [S.shape[0] for S in symbols] == [2 * m - 1 for m in range(n, 0, -2)]
-        row = 0
-        for k, m in enumerate(range(n, 0, -2)):
-            bins = slice(row, row + 2 * m - 1)
-            _, Vm, Wm = _toeplitz_maps(m)
-            assert np.array_equal(V.matrix[bins, k:k + m], Vm.matrix)
-            assert np.array_equal(W.matrix[k:k + m, bins], Wm.matrix[::-1])
-            assert V.support[bins].sum() == (2 * m - 1) * m
-            row += 2 * m - 1
-        assert np.array_equal(V.support, V.matrix != 0)
-        assert np.array_equal(W.support, V.support.T)
-
-    @staticmethod
-    def peel_loop(s, n):
-        """The peeling as a loop over stages, on a block of columns: take each
-        stage's first row and last column, then subtract its Hankel matrix
-        from the interior.  Run on identity values it gives the peel's
-        matrix, on identity flags (with | for -) its structural support."""
-        stages, m = [], n
+        assert [M.shape[0] for (_, M), in U.bands] == [R - n, n]
         idx = {(i, j): k for k, (i, j) in enumerate(zip(*np.triu_indices(n)))}
-        block = {(i, j): s[idx[i, j]] for i in range(n) for j in range(i, n)}
-        k = 0
-        while m > 0:
-            h = [block[max(0, p - m + 1) + k, min(p, m - 1) + k] for p in range(2 * m - 1)]
-            stages.extend(h)
-            block = {(i, j): (block[i, j] | h[i + j - 2 * k] if s.dtype == bool
-                              else block[i, j] - h[i + j - 2 * k])
-                     for i in range(k + 1, n - k - 1) for j in range(i, n - k - 1)}
-            m, k = m - 2, k + 1
-        return np.array(stages)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10])
-    def test_peel_map_equals_the_peeling_loop_and_keeps_its_support(self, n):
-        peel = _symmetric_maps(n)[0].first
-        P = n * (n + 1) // 2
-        assert np.array_equal(peel.apply(np.eye(P)), self.peel_loop(np.eye(P), n))
-        assert np.array_equal(peel.propagate(np.eye(P, dtype=bool)),
-                              self.peel_loop(np.eye(P, dtype=bool), n))
-
-    def test_peel_support_is_structural_not_numeric(self):
-        """At n = 48 the peel reads 10,100 cells, but only 2,257 of its
-        coefficients survive the cancellations."""
-        peel = _symmetric_maps(48)[0].first
-        P = 48 * 49 // 2
-        assert peel.propagate(np.eye(P, dtype=bool)).sum() == 10100
-        assert np.count_nonzero(peel.apply(np.eye(P))) == 2257
+        Ud, Vd, Wd = np.zeros((R, R)), np.zeros((R, n)), np.zeros((n, R))
+        for k, (i, j) in enumerate(zip(*np.triu_indices(n, 1))):
+            Ud[k, idx[i, j]] = 1
+            Vd[k, [i, j]] = Wd[[i, j], k] = 1
+        for i in range(n):
+            Ud[R - n + i, [idx[min(i, j), max(i, j)] for j in range(n)]] = -1
+            Ud[R - n + i, idx[i, i]] = 1
+            Vd[R - n + i, i] = Wd[i, R - n + i] = 1
+        for M, want in ((U, Ud), (V, Vd), (W, Wd)):
+            assert np.array_equal(M.apply(np.eye(M.shape[1])), want)
+            assert np.array_equal(M.propagate(np.eye(M.shape[1], dtype=bool)), want != 0)
+        assert V.cost == (0, R - n) and W.cost == (0, 2 * (R - n))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_tph_maps_fold_the_shift_into_the_stacked_toeplitz_and_hankel_maps(self, n):
@@ -458,7 +413,7 @@ class TestSkewSymmetric:
             x = variables(rng.complex_vector(n))
             ctx = CountContext()
             out = structured_matvec(M, x, ctx)
-            assert ctx.bilinear_mults == n * n - n - math.ceil((n - 1) / 2) + 1
+            assert ctx.bilinear_mults == (2 if n == 2 else n * (n + 1) // 2)
             want = vals(naive_matvec(M, x, CountContext()))
             assert rel_err(vals(out), want) < 1e-8
 
@@ -652,19 +607,18 @@ def test_formula_count_table():
     assert formula_count(StructureKind.TOEPLITZ, 7) == 13
     assert formula_count(StructureKind.TOEPLITZ_PLUS_HANKEL, 7) == 25
     assert formula_count(StructureKind.SYMMETRIC, 7) == 28
-    assert formula_count(StructureKind.SKEW_SYMMETRIC, 7) == 40
+    assert formula_count(StructureKind.SKEW_SYMMETRIC, 7) == 28
     assert formula_count(StructureKind.SKEW_SYMMETRIC, 1) == 0
 
 
 # Sizes around the points where flag propagation in a narrow integer type
-# would wrap: 128 or more Variables feeding one output.  Symmetric and
-# skew-symmetric stop at 129 to keep the suite fast.
+# would wrap: 128 or more Variables feeding one output.  The pairwise kinds
+# also run at 512.
 WRAP_SIZES = (63, 64, 65, 127, 128, 129, 256)
 
 
-@pytest.mark.parametrize("kind,n", [
-    (kind, n) for kind in ALL_KINDS for n in WRAP_SIZES
-    if n <= 129 or kind not in (StructureKind.SYMMETRIC, StructureKind.SKEW_SYMMETRIC)])
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind in ALL_KINDS for n in WRAP_SIZES] + [
+    (StructureKind.SYMMETRIC, 512), (StructureKind.SKEW_SYMMETRIC, 512)])
 def test_count_matches_formula_at_large_n(kind, n):
     f = 2.0 if kind is StructureKind.F_CIRCULANT else None
     M = random_instance(kind, n, Lcg(n), f=f)

@@ -1,8 +1,7 @@
 """Counts and values of every single-level kernel at order 1000.
 
 Each product is checked against a dense matrix built here from the
-canonical parameter orders with plain numpy indexing.  Symmetric runs at
-order 128: its stacked maps take O(n^3) memory.
+canonical parameter orders with plain numpy indexing.
 """
 
 import numpy as np
@@ -15,7 +14,6 @@ from bilinear_kernels.structures import SparsityPattern, StructureKind, param_co
 
 N = 1000
 F = 2.0 - 0.5j
-ORDERS = {kind: 128 if kind is StructureKind.SYMMETRIC else N for kind in kernels.SPECS}
 
 
 def dense(kind: StructureKind, n: int, p: np.ndarray, pattern) -> np.ndarray:
@@ -46,7 +44,7 @@ def dense(kind: StructureKind, n: int, p: np.ndarray, pattern) -> np.ndarray:
 
 @pytest.mark.parametrize("kind", list(kernels.SPECS), ids=lambda kind: kind.value)
 def test_count_and_values_at_a_large_order(kind):
-    n = ORDERS[kind]
+    n = N
     rng = np.random.default_rng(1000 + list(kernels.SPECS).index(kind))
     pattern = None
     if kind is StructureKind.SPARSE:

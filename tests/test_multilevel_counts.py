@@ -97,11 +97,11 @@ GOLDEN = {
     "circulant:3,tph:3": [
         "0/0/543/405/vvvvvvvvv", "27/0/516/405/vvvvvvvvv", "27/0/516/405/vvvvvvvvv"
     ],
-    "circulant:1,symmetric:1": ["0/0/7/0/v", "0/0/7/0/v", "0/0/7/0/c"],
-    "circulant:1,symmetric:3": ["0/0/80/48/vvv", "0/0/80/48/vvv", "0/0/80/48/vvv"],
-    "circulant:3,symmetric:1": ["3/0/36/18/vvv", "3/0/36/18/vvv", "0/0/39/18/vvv"],
+    "circulant:1,symmetric:1": ["0/0/4/0/v", "0/0/4/0/v", "0/0/4/0/c"],
+    "circulant:1,symmetric:3": ["0/0/18/15/vvv", "0/0/18/15/vvv", "0/0/18/15/vvv"],
+    "circulant:3,symmetric:1": ["3/0/27/18/vvv", "3/0/27/18/vvv", "0/0/30/18/vvv"],
     "circulant:3,symmetric:3": [
-        "18/0/294/216/vvvvvvvvv", "0/0/312/216/vvvvvvvvv", "0/0/312/216/vvvvvvvvv"
+        "15/0/111/117/vvvvvvvvv", "0/0/126/117/vvvvvvvvv", "0/0/126/117/vvvvvvvvv"
     ],
     "circulant:1,sparse:1": ["1/0/3/0/v", "0/0/4/0/v", "0/0/4/0/v"],
     "circulant:1,sparse:3": ["2/0/14/2/vvv", "0/0/16/2/vvv", "0/0/16/2/vvv"],
@@ -139,11 +139,11 @@ GOLDEN = {
     "f_circulant:3,tph:3": [
         "27/0/516/405/vvvvvvvvv", "27/0/516/405/vvvvvvvvv", "27/0/516/405/vvvvvvvvv"
     ],
-    "f_circulant:1,symmetric:1": ["1/0/6/0/v", "0/0/7/0/v", "0/0/7/0/v"],
-    "f_circulant:1,symmetric:3": ["6/0/74/48/vvv", "0/0/80/48/vvv", "0/0/80/48/vvv"],
-    "f_circulant:3,symmetric:1": ["3/0/36/18/vvv", "0/0/39/18/vvv", "0/0/39/18/vvv"],
+    "f_circulant:1,symmetric:1": ["1/0/3/0/v", "0/0/4/0/v", "0/0/4/0/v"],
+    "f_circulant:1,symmetric:3": ["5/0/13/15/vvv", "0/0/18/15/vvv", "0/0/18/15/vvv"],
+    "f_circulant:3,symmetric:1": ["3/0/27/18/vvv", "0/0/30/18/vvv", "0/0/30/18/vvv"],
     "f_circulant:3,symmetric:3": [
-        "18/0/294/216/vvvvvvvvv", "18/0/294/216/vvvvvvvvv", "18/0/294/216/vvvvvvvvv"
+        "15/0/111/117/vvvvvvvvv", "9/0/117/117/vvvvvvvvv", "12/0/114/117/vvvvvvvvv"
     ],
     "f_circulant:1,sparse:1": ["1/0/3/0/v", "0/0/4/0/v", "0/0/4/0/v"],
     "f_circulant:1,sparse:3": ["0/0/16/2/vvv", "0/0/16/2/vvv", "0/0/16/2/cvc"],
@@ -181,11 +181,11 @@ GOLDEN = {
     "toeplitz:3,tph:3": [
         "45/0/960/781/vvvvvvvvv", "45/0/960/781/vvvvvvvvv", "45/0/960/781/vvvvvvvvv"
     ],
-    "toeplitz:1,symmetric:1": ["0/0/7/0/v", "0/0/7/0/v", "1/0/6/0/v"],
-    "toeplitz:1,symmetric:3": ["6/0/74/48/vvv", "5/0/75/48/vvv", "5/0/75/48/vvv"],
-    "toeplitz:3,symmetric:1": ["5/0/70/42/vvv", "5/0/70/42/vvv", "5/0/70/42/vvv"],
+    "toeplitz:1,symmetric:1": ["0/0/4/0/v", "0/0/4/0/v", "1/0/3/0/v"],
+    "toeplitz:1,symmetric:3": ["3/0/15/15/vvv", "3/0/15/15/vvv", "0/0/18/15/vvv"],
+    "toeplitz:3,symmetric:1": ["5/0/55/42/vvv", "5/0/55/42/vvv", "5/0/55/42/vvv"],
     "toeplitz:3,symmetric:3": [
-        "30/0/550/426/vvvvvvvvv", "25/0/555/426/vvvvvvvvv", "30/0/550/426/vvvvvvvvv"
+        "30/0/240/261/vvvvvvvvv", "25/0/245/261/vvvvvvvvv", "25/0/245/261/vvvvvvvvv"
     ],
     "toeplitz:1,sparse:1": ["0/0/4/0/v", "0/0/4/0/v", "0/0/4/0/c"],
     "toeplitz:1,sparse:3": ["1/0/15/2/vvv", "0/0/16/2/vvv", "0/0/16/2/ccc"],
@@ -223,11 +223,11 @@ GOLDEN = {
     "hankel:3,tph:3": [
         "45/0/960/781/vvvvvvvvv", "45/0/960/781/vvvvvvvvv", "45/0/960/781/vvvvvvvvv"
     ],
-    "hankel:1,symmetric:1": ["0/0/7/0/v", "0/0/7/0/v", "0/0/7/0/c"],
-    "hankel:1,symmetric:3": ["5/0/75/48/vvv", "0/0/80/48/vvv", "0/0/80/48/vvv"],
-    "hankel:3,symmetric:1": ["5/0/70/42/vvv", "0/0/75/42/vvv", "5/0/70/42/vvv"],
+    "hankel:1,symmetric:1": ["0/0/4/0/v", "0/0/4/0/v", "0/0/4/0/c"],
+    "hankel:1,symmetric:3": ["3/0/15/15/vvv", "0/0/18/15/vvv", "0/0/18/15/vvv"],
+    "hankel:3,symmetric:1": ["5/0/55/42/vvv", "0/0/60/42/vvv", "5/0/55/42/vvv"],
     "hankel:3,symmetric:3": [
-        "30/0/550/426/vvvvvvvvv", "25/0/555/426/vvvvvvvvv", "25/0/555/426/vvvvvvvvv"
+        "25/0/245/261/vvvvvvvvv", "25/0/245/261/vvvvvvvvv", "10/0/260/261/vvvvvvvvv"
     ],
     "hankel:1,sparse:1": ["0/0/4/0/v", "1/0/3/0/v", "0/0/4/0/c"],
     "hankel:1,sparse:3": ["0/0/16/2/vvv", "0/0/16/2/vvv", "0/0/16/2/vvv"],
@@ -265,57 +265,57 @@ GOLDEN = {
     "tph:3,tph:3": [
         "81/0/1978/1663/vvvvvvvvv", "81/0/1978/1663/vvvvvvvvv", "81/0/1978/1663/vvvvvvvvv"
     ],
-    "tph:1,symmetric:1": ["0/0/8/2/v", "1/0/7/2/v", "0/0/8/2/v"],
-    "tph:1,symmetric:3": ["6/0/80/57/vvv", "0/0/86/57/vvv", "0/0/86/57/vvv"],
-    "tph:3,symmetric:1": ["5/0/155/103/vvv", "9/0/151/103/vvv", "9/0/151/103/vvv"],
+    "tph:1,symmetric:1": ["0/0/5/2/v", "1/0/4/2/v", "0/0/5/2/v"],
+    "tph:1,symmetric:3": ["6/0/18/24/vvv", "0/0/24/24/vvv", "0/0/24/24/vvv"],
+    "tph:3,symmetric:1": ["5/0/128/103/vvv", "9/0/124/103/vvv", "9/0/124/103/vvv"],
     "tph:3,symmetric:3": [
-        "45/0/1149/924/vvvvvvvvv", "54/0/1140/924/vvvvvvvvv", "25/0/1169/924/vvvvvvvvv"
+        "37/0/599/627/vvvvvvvvv", "27/0/609/627/vvvvvvvvv", "10/0/626/627/vvvvvvvvv"
     ],
     "tph:1,sparse:1": ["0/0/5/2/v", "0/0/5/2/v", "0/0/5/2/c"],
     "tph:1,sparse:3": ["3/0/18/10/vvv", "1/0/20/10/vvv", "1/0/20/10/vvc"],
     "tph:3,sparse:1": ["9/0/124/103/vvv", "9/0/124/103/vvv", "9/0/124/103/vvv"],
     "tph:3,sparse:3": ["41/0/516/449/vvvvvvvvv", "0/0/557/449/vvvvvvvvv", "0/0/557/449/vvcvvcvvc"],
-    "symmetric:1,circulant:1": ["0/0/7/0/v", "0/0/7/0/v", "0/0/7/0/v"],
-    "symmetric:1,circulant:3": ["0/0/39/18/vvv", "3/0/36/18/vvv", "0/0/39/18/vvv"],
-    "symmetric:3,circulant:1": ["0/0/86/48/vvv", "0/0/86/48/vvv", "0/0/86/48/vvv"],
+    "symmetric:1,circulant:1": ["0/0/4/0/v", "0/0/4/0/v", "0/0/4/0/v"],
+    "symmetric:1,circulant:3": ["0/0/30/18/vvv", "3/0/27/18/vvv", "0/0/30/18/vvv"],
+    "symmetric:3,circulant:1": ["0/0/24/15/vvv", "0/0/24/15/vvv", "0/0/24/15/vcc"],
     "symmetric:3,circulant:3": [
-        "3/0/363/252/vvvvvvvvv", "15/0/351/252/vvvvvvvvv", "0/0/366/252/vvvvvvvvv"
+        "3/0/177/153/vvvvvvvvv", "9/0/171/153/vvvvvvvvv", "0/0/180/153/vvvvvvvvv"
     ],
-    "symmetric:1,f_circulant:1": ["0/0/7/0/v", "0/0/7/0/v", "0/0/7/0/c"],
-    "symmetric:1,f_circulant:3": ["0/0/39/18/vvv", "3/0/36/18/vvv", "0/0/39/18/vvv"],
-    "symmetric:3,f_circulant:1": ["6/0/80/48/vvv", "0/0/86/48/vvv", "0/0/86/48/ccc"],
+    "symmetric:1,f_circulant:1": ["0/0/4/0/v", "0/0/4/0/v", "0/0/4/0/c"],
+    "symmetric:1,f_circulant:3": ["0/0/30/18/vvv", "3/0/27/18/vvv", "0/0/30/18/vvv"],
+    "symmetric:3,f_circulant:1": ["3/0/21/15/vvv", "0/0/24/15/vvv", "0/0/24/15/ccc"],
     "symmetric:3,f_circulant:3": [
-        "15/0/351/252/vvvvvvvvv", "0/0/366/252/vvvvvvvvv", "15/0/351/252/vvvvvvvvv"
+        "9/0/171/153/vvvvvvvvv", "0/0/180/153/vvvvvvvvv", "12/0/168/153/vvvvvvvvv"
     ],
-    "symmetric:1,toeplitz:1": ["1/0/6/0/v", "1/0/6/0/v", "1/0/6/0/v"],
-    "symmetric:1,toeplitz:3": ["5/0/66/42/vvv", "0/0/71/42/vvv", "5/0/66/42/vvv"],
-    "symmetric:3,toeplitz:1": ["0/0/86/48/vvv", "5/0/81/48/vvv", "0/0/86/48/cvc"],
+    "symmetric:1,toeplitz:1": ["1/0/3/0/v", "1/0/3/0/v", "1/0/3/0/v"],
+    "symmetric:1,toeplitz:3": ["5/0/55/42/vvv", "0/0/60/42/vvv", "5/0/55/42/vvv"],
+    "symmetric:3,toeplitz:1": ["0/0/24/15/vvv", "5/0/19/15/vvv", "0/0/24/15/cvc"],
     "symmetric:3,toeplitz:3": [
-        "30/0/568/438/vvvvvvvvv", "30/0/568/438/vvvvvvvvv", "30/0/568/438/vvvvvvvvv"
+        "30/0/330/309/vvvvvvvvv", "25/0/335/309/vvvvvvvvv", "25/0/335/309/vvvvvvvvv"
     ],
-    "symmetric:1,hankel:1": ["0/0/7/0/v", "0/0/7/0/v", "0/0/7/0/c"],
-    "symmetric:1,hankel:3": ["5/0/66/42/vvv", "0/0/71/42/vvv", "5/0/66/42/vvv"],
-    "symmetric:3,hankel:1": ["6/0/80/48/vvv", "6/0/80/48/vvv", "0/0/86/48/vvv"],
+    "symmetric:1,hankel:1": ["0/0/4/0/v", "0/0/4/0/v", "0/0/4/0/c"],
+    "symmetric:1,hankel:3": ["5/0/55/42/vvv", "0/0/60/42/vvv", "5/0/55/42/vvv"],
+    "symmetric:3,hankel:1": ["5/0/19/15/vvv", "3/0/21/15/vvv", "0/0/24/15/vcc"],
     "symmetric:3,hankel:3": [
-        "30/0/568/438/vvvvvvvvv", "30/0/568/438/vvvvvvvvv", "25/0/573/438/vvvvvvvvv"
+        "25/0/335/309/vvvvvvvvv", "25/0/335/309/vvvvvvvvv", "10/0/350/309/vvvvvvvvv"
     ],
-    "symmetric:1,tph:1": ["1/0/8/2/v", "0/0/9/2/v", "0/0/9/2/v"],
-    "symmetric:1,tph:3": ["9/0/140/103/vvv", "9/0/140/103/vvv", "0/0/149/103/vvv"],
-    "symmetric:3,tph:1": ["6/0/112/81/vvv", "0/0/118/81/vvv", "0/0/118/81/ccc"],
+    "symmetric:1,tph:1": ["1/0/4/2/v", "0/0/5/2/v", "0/0/5/2/v"],
+    "symmetric:1,tph:3": ["9/0/124/103/vvv", "9/0/124/103/vvv", "0/0/133/103/vvv"],
+    "symmetric:3,tph:1": ["3/0/27/33/vvv", "0/0/30/33/vvv", "0/0/30/33/ccc"],
     "symmetric:3,tph:3": [
-        "54/0/1112/909/vvvvvvvvv", "54/0/1112/909/vvvvvvvvv", "54/0/1112/909/vvvvvvvvv"
+        "37/0/761/705/vvvvvvvvv", "54/0/744/705/vvvvvvvvv", "36/0/762/705/vvvvvvvvv"
     ],
-    "symmetric:1,symmetric:1": ["1/0/6/0/v", "0/0/7/0/v", "0/0/7/0/c"],
-    "symmetric:1,symmetric:3": ["6/0/74/48/vvv", "0/0/80/48/vvv", "0/0/80/48/ccc"],
-    "symmetric:3,symmetric:1": ["6/0/80/48/vvv", "5/0/81/48/vvv", "0/0/86/48/vvv"],
+    "symmetric:1,symmetric:1": ["1/0/0/0/v", "0/0/1/0/v", "0/0/1/0/c"],
+    "symmetric:1,symmetric:3": ["5/0/1/15/vvv", "0/0/6/15/vvv", "0/0/6/15/ccc"],
+    "symmetric:3,symmetric:1": ["3/0/3/15/vvv", "3/0/3/15/vvv", "0/0/6/15/vvv"],
     "symmetric:3,symmetric:3": [
-        "36/0/636/495/vvvvvvvvv", "30/0/642/495/vvvvvvvvv", "25/0/647/495/vvvvvvvvv"
+        "32/0/4/153/vvvvvvvvv", "9/0/27/153/vvvvvvvvv", "4/0/32/153/vvvvvvvvv"
     ],
-    "symmetric:1,sparse:1": ["0/0/4/0/v", "0/0/4/0/v", "0/0/4/0/v"],
-    "symmetric:1,sparse:3": ["3/0/13/2/vvv", "1/0/15/2/vvv", "0/0/16/2/vvv"],
-    "symmetric:3,sparse:1": ["0/0/68/48/vvv", "5/0/63/48/vvv", "6/0/62/48/vvv"],
+    "symmetric:1,sparse:1": ["0/0/1/0/v", "0/0/1/0/v", "0/0/1/0/v"],
+    "symmetric:1,sparse:3": ["3/0/2/2/vvv", "1/0/4/2/vvv", "0/0/5/2/vvv"],
+    "symmetric:3,sparse:1": ["0/0/6/15/vvv", "3/0/3/15/vvv", "4/0/2/15/vvv"],
     "symmetric:3,sparse:3": [
-        "0/0/268/198/vvvvvvvvv", "29/0/239/198/vvvvvvvvv", "1/0/267/198/vvvvvvvvv"
+        "0/0/30/69/vvvvvvvvv", "25/0/5/69/vvvvvvvvv", "1/0/29/69/vvvvcvvvv"
     ],
     "sparse:1,circulant:1": ["0/0/4/0/v", "0/0/4/0/v", "0/0/4/0/v"],
     "sparse:1,circulant:3": ["0/0/30/18/vvv", "3/0/27/18/vvv", "0/0/30/18/vvv"],
@@ -347,18 +347,18 @@ GOLDEN = {
     "sparse:3,tph:3": [
         "41/0/624/521/vvvvvvvvv", "18/0/647/521/vvvvvvvvv", "0/0/665/521/vvvcccvvv"
     ],
-    "sparse:1,symmetric:1": ["0/0/4/0/v", "0/0/4/0/v", "0/0/4/0/v"],
-    "sparse:1,symmetric:3": ["0/0/68/48/vvv", "6/0/62/48/vvv", "0/0/68/48/vvv"],
-    "sparse:3,symmetric:1": ["0/0/20/2/vvv", "3/0/17/2/vvv", "0/0/20/2/vvv"],
+    "sparse:1,symmetric:1": ["0/0/1/0/v", "0/0/1/0/v", "0/0/1/0/v"],
+    "sparse:1,symmetric:3": ["0/0/6/15/vvv", "3/0/3/15/vvv", "0/0/6/15/vvv"],
+    "sparse:3,symmetric:1": ["0/0/5/2/vvv", "3/0/2/2/vvv", "0/0/5/2/vvv"],
     "sparse:3,symmetric:3": [
-        "24/0/316/246/vvvvvvvvv", "12/0/328/246/vvvvvvvvv", "0/0/340/246/vvvvvvvvv"
+        "14/0/16/81/vvvvvvvvv", "6/0/24/81/vvvvvvvvv", "0/0/30/81/vvvvvvvvv"
     ],
     "sparse:1,sparse:1": ["0/0/1/0/v", "1/0/0/0/v", "0/0/1/0/v"],
     "sparse:1,sparse:3": ["2/0/3/2/vvv", "0/0/5/2/vvv", "0/0/5/2/vvv"],
     "sparse:3,sparse:1": ["0/0/5/2/vvv", "0/0/5/2/vvv", "1/0/4/2/vvv"],
     "sparse:3,sparse:3": ["14/0/11/16/vvvvvvvvv", "6/0/19/16/vvvvvvvvv", "2/0/23/16/vvvvvvvvc"],
     "toeplitz:2,circulant:2,symmetric:2": [
-        "18/0/312/184/vvvvvvvv", "0/0/330/184/vvvvvvvv", "18/0/312/184/vvvvvvvv"
+        "18/0/186/136/vvvvvvvv", "0/0/204/136/vvvvvvvv", "12/0/192/136/vvvvvvvv"
     ],
 }
 
