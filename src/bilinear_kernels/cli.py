@@ -114,8 +114,10 @@ def random_structured(kind: StructureKind, n: int, rng: Lcg, f: complex | None =
 
 
 def random_pattern(n: int, rng: Lcg, density: float = 0.4) -> SparsityPattern:
-    entries = [(i, j) for i in range(n) for j in range(n)
-               if rng.uniform(0.0, 1.0) < density]
+    """Each cell of an n x n grid with probability density: one uniform
+    draw in [0, 1) per cell, row-major.  When no cell is drawn, one random
+    cell, its row drawn before its column."""
+    entries = [divmod(k, n) for k, u in enumerate(rng.uniforms(n * n, 0.0, 1.0)) if u < density]
     if not entries:
         entries = [(rng.randint(n), rng.randint(n))]
     return SparsityPattern(n, n, tuple(entries))

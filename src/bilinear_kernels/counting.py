@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import OrderedDict
+import sys
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce, wraps
@@ -57,12 +58,31 @@ def constant(value) -> TrackedScalar:
     return TrackedScalar(complex(value), Kind.CONSTANT)
 
 
+# The frozen dataclass __init__ sets each field through object.__setattr__,
+# which dominates the cost of building a vector's worth of scalars; _scalars()
+# allocates them bare and fills them through the slot descriptors instead.
+_new_object = object.__new__
+_set_value = TrackedScalar.value.__set__
+_set_kind = TrackedScalar.kind.__set__
+
+
+def _scalars(values: list[complex], kinds: Iterable[Kind]) -> list[TrackedScalar]:
+    """Tracked scalars of the complex values, each of the next kind, built
+    in bulk."""
+    out = list(map(_new_object, repeat(TrackedScalar, len(values))))
+    deque(map(_set_value, out, values), 0)      # a deque of length 0 only consumes
+    deque(map(_set_kind, out, kinds), 0)
+    return out
+
+
 def variables(values: Iterable) -> list[TrackedScalar]:
-    return [variable(v) for v in values]
+    """Variables of the values; the same scalars as variable() of each."""
+    return _scalars([complex(v) for v in values], repeat(Kind.VARIABLE))
 
 
 def constants(values: Iterable) -> list[TrackedScalar]:
-    return [constant(v) for v in values]
+    """Constants of the values; the same scalars as constant() of each."""
+    return _scalars([complex(v) for v in values], repeat(Kind.CONSTANT))
 
 
 @dataclass
@@ -358,11 +378,26 @@ def _buffers(obj, found: dict[int, int]) -> dict[int, int]:
     return found
 
 
+def _key_bytes(obj) -> int:
+    """The bytes of the sparsity patterns a store key holds, as an argument
+    or as a level's pattern: each pattern's entries tuple and its (row,
+    column) pairs."""
+    if isinstance(obj, tuple):
+        return sum(map(_key_bytes, obj))
+    entries = getattr(getattr(obj, "pattern", obj), "entries", None)
+    if entries is None:
+        return 0
+    return sys.getsizeof(entries) + sum(map(sys.getsizeof, entries))
+
+
 class MapStore:
     """Every constant map and placement the library builds once, keyed on
     (builder, *args), least recently read first, with its size and its
     chain: its key, then the chains of the entries it was built from.  The
-    size is the bytes of the buffers its arrays own that its bases' do not.
+    size is the bytes of the buffers its arrays own that its bases' do not,
+    and of the sparsity patterns in its key (_key_bytes): a pattern holds a
+    Python pair per entry, as many bytes as the maps it keys.  A pattern
+    that keys two entries counts in both.
 
     A read moves its chain to the recent end, so a base is always more
     recent than what was built from it and is never evicted first: one
@@ -393,7 +428,7 @@ class MapStore:
             for base in set(chain[1:]):
                 for shared in _buffers(self.entries[base][0], {}):
                     held.pop(shared, None)
-            size = sum(held.values())
+            size = sum(held.values()) + _key_bytes(key)
             entry = self.entries[key] = (value, size, chain)
             self.nbytes += size
         for k in entry[2]:
@@ -444,21 +479,9 @@ def as_vector(x) -> TrackedVector:
     return TrackedVector(values, flags)
 
 
-# The frozen dataclass __init__ sets each field through object.__setattr__,
-# which dominates the cost of converting a vector; to_scalars allocates the
-# scalars bare and fills them through the slot descriptors instead.
-_new_object = object.__new__
-_set_value = TrackedScalar.value.__set__
-_set_kind = TrackedScalar.kind.__set__
-
-
 def to_scalars(vec: TrackedVector) -> list[TrackedScalar]:
-    values = vec.values.astype(complex, copy=False).tolist()
-    scalars = [_new_object(TrackedScalar) for _ in values]
-    for s, value, flag in zip(scalars, values, vec.variable.tolist()):
-        _set_value(s, value)
-        _set_kind(s, _KIND_OF_FLAG[flag])
-    return scalars
+    return _scalars(vec.values.astype(complex, copy=False).tolist(),
+                    map(_KIND_OF_FLAG.__getitem__, vec.variable.tolist()))
 
 
 def variable_vector(values) -> TrackedVector:

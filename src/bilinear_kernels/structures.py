@@ -25,12 +25,13 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, _stored, as_matrix,
-                       as_vector, constant, match_output, read_only, to_grid)
+from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, _scalars, _stored,
+                       as_matrix, as_vector, constant, match_output, read_only, to_grid)
 
 
 class SchemaError(ValueError):
@@ -272,11 +273,25 @@ def structured(kind: StructureKind, n: int, data, f: complex | None = None,
     """Convenience constructor accepting TrackedScalars or raw numbers.
 
     Raw numbers become Variables (they are inputs to be computed with).
+    Data of raw numbers alone is converted once: its scalars are built in
+    bulk, and the matrix keeps the same values as its data vector, so the
+    first product converts nothing back.  The data tuple is built from a
+    list, at its exact size: a short tuple grown from a generator never
+    reuses the tuples CPython keeps freed per size.
     """
-    scalars = tuple(d if isinstance(d, TrackedScalar)
-                    else TrackedScalar(complex(d), Kind.VARIABLE) for d in data)
-    return StructuredMatrix(kind, n, scalars, f=f, pattern=pattern,
-                            levels=tuple(levels) if levels is not None else None)
+    data = list(data)
+    levels = tuple(levels) if levels is not None else None
+    if any(map(isinstance, data, repeat(TrackedScalar))):
+        scalars = [d if isinstance(d, TrackedScalar) else TrackedScalar(complex(d), Kind.VARIABLE)
+                   for d in data]
+        return StructuredMatrix(kind, n, tuple(scalars), f=f, pattern=pattern, levels=levels)
+    values = [complex(d) for d in data]
+    M = StructuredMatrix(kind, n, tuple(_scalars(values, repeat(Kind.VARIABLE))), f=f,
+                         pattern=pattern, levels=levels)
+    vector = TrackedVector(read_only(np.array(values, dtype=complex)),
+                           read_only(np.ones(len(values), dtype=bool)))
+    object.__setattr__(M, "_vector", vector)
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +425,9 @@ def naive_matvec(A, x, ctx: CountContext):
     A may be a StructuredMatrix or a dense grid of TrackedScalar.  The
     bilinear count equals the number of active (not Constant-zero) entries
     multiplying a Variable, which for all-Variable inputs is the number of
-    structurally nonzero entries.
+    structurally nonzero entries.  Every other active entry is one scalar
+    multiplication, and a row of k active entries makes k - 1 additions: the
+    active entries less the rows that have one.
     """
     if isinstance(A, StructuredMatrix):
         values, variable, _ = dense_parts(A)
@@ -421,15 +438,13 @@ def naive_matvec(A, x, ctx: CountContext):
     if ncols != len(xvec):
         raise ValueError(f"matrix is {m}x{ncols} but vector has length {len(xvec)}")
     active = variable | (values != 0)
-    bilinear = active & variable & xvec.variable[None, :]
-    ctx.count_bilinear(int(bilinear.sum()))
-    ctx.count_scalar(int((active & ~bilinear).sum()))
-    per_row = active.sum(axis=1)
-    ctx.count_addition(int(np.maximum(per_row - 1, 0).sum()))
-    out_values = values @ xvec.values
-    term_var = active & (variable | xvec.variable[None, :])
-    out_var = term_var.any(axis=1)
-    return match_output(x, TrackedVector(out_values, out_var))
+    terms = int(np.count_nonzero(active))
+    bilinear = int(np.count_nonzero(active & variable & xvec.variable))
+    ctx.count_bilinear(bilinear)
+    ctx.count_scalar(terms - bilinear)
+    ctx.count_addition(terms - int(np.count_nonzero(active.any(axis=1))))
+    out_var = (active & (variable | xvec.variable)).any(axis=1)
+    return match_output(x, TrackedVector(values @ xvec.values, out_var))
 
 
 def naive_count(A) -> int:
@@ -437,7 +452,7 @@ def naive_count(A) -> int:
     A may be a StructuredMatrix, a dense grid of TrackedScalar or its
     (values, variable) arrays."""
     values, variable = as_matrix(dense_parts(A)[:2] if isinstance(A, StructuredMatrix) else A)
-    return int((variable | (values != 0)).sum())
+    return int(np.count_nonzero(variable | (values != 0)))
 
 
 # ---------------------------------------------------------------------------

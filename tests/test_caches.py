@@ -3,6 +3,7 @@ map is a slice of another.  Every kernel map and every placement lives in
 one store (counting.MAP_STORE), bounded in entries and in the bytes it
 holds."""
 
+import sys
 import tracemalloc
 from types import ModuleType
 
@@ -11,14 +12,16 @@ import pytest
 
 import bilinear_kernels
 from bilinear_kernels import (CountContext, LevelSpec, StructureKind, circulant_matvec,
-                              f_circulant_matvec, multilevel_matvec, scaled_dft, scaled_idft,
-                              structured, structured_matvec, variables)
+                              f_circulant_matvec, multilevel_matvec, naive_matvec, scaled_dft,
+                              scaled_idft, structured, structured_matvec, variables)
 from bilinear_kernels import counting, kernels
 from bilinear_kernels.counting import (MAP_STORE, MAP_STORE_BYTES, MAP_STORE_ENTRIES, BlockMap,
                                        ChainMap, ConstantMap, GatherMap, MapStore)
 from bilinear_kernels.kernels import (_fcirc_maps, _hankel_maps, _pairwise_maps, _sparse_maps,
                                       _toeplitz_maps, _toeplitz_symbol, _tph_maps,
                                       _triangular_toeplitz_maps)
+from bilinear_kernels.cli import random_pattern
+from bilinear_kernels.rng import Lcg
 from bilinear_kernels.spectral import (F_CACHE_SIZE, ORDER_CACHE_SIZE, dft_matrix, idft_matrix,
                                        root_table, scaled_dft_matrix, scaled_idft_matrix)
 from bilinear_kernels.structures import SparsityPattern, _placement, dense_parts
@@ -238,6 +241,41 @@ def test_the_store_counts_the_bytes_it_holds(monkeypatch):
     finally:
         tracemalloc.stop()
     assert abs(store.nbytes - held) <= 0.1 * held
+
+
+def test_the_store_counts_the_patterns_in_its_keys(monkeypatch):
+    """A sparsity pattern holds a Python pair per entry, as many bytes as the
+    maps it keys: the store counts the patterns in its keys, so its size is
+    what tracemalloc sees it hold, and a sweep of fresh patterns keeps within
+    the byte bound."""
+    store = MapStore()
+    monkeypatch.setattr(counting, "MAP_STORE", store)
+    n, rng = 200, Lcg(4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _sparse_maps(n, random_pattern(n, rng))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert abs(store.nbytes - held) <= 0.1 * held
+    bound = 6 * 2**20
+    monkeypatch.setattr(counting, "MAP_STORE_BYTES", bound)
+    for _ in range(8):
+        pattern = random_pattern(n, rng)
+        M = structured(StructureKind.SPARSE, n, rng.complex_vector(len(pattern)),
+                       pattern=pattern)
+        x = variables(rng.complex_vector(n))
+        structured_matvec(M, x, CountContext())
+        naive_matvec(M, x, CountContext())
+        pairs = sys.getsizeof(pattern.entries) + sum(map(sys.getsizeof, pattern.entries))
+        maps_entry = store.entries[(_sparse_maps.__wrapped__, n, pattern)]
+        assert maps_entry[1] == sum(counting._buffers(maps_entry[0], {}).values()) + pairs
+        placement_entry = store.entries[(_placement.__wrapped__, M.levels)]
+        assert placement_entry[1] == (sum(counting._buffers(placement_entry[0], {}).values())
+                                      + pairs)
+        assert store.nbytes == sum(entry[1] for entry in store.entries.values()) <= bound
+    assert len(store.entries) < 1 + 2 * 8     # the bound has evicted entries
 
 
 def test_a_derived_entry_keeps_its_base_through_evictions():

@@ -342,3 +342,35 @@ def test_readme_cli_example_runs(capsys, monkeypatch, tmp_path, line):
     monkeypatch.delenv("BILINEAR_KERNELS_TOL", raising=False)
     code, _, err = run(capsys, *shlex.split(line)[1:])
     assert code == 0, err
+
+
+# Seeded runs pinned byte for byte: every draw of the LCG, every count and
+# every printed error.  tests/golden/verify_seeded.txt is seeded_transcript():
+# each command line after "$ ", then its stdout and its exit code.
+SEEDED_COMMANDS = (
+    *(f"verify --kind {kind} --n {n} --seed 3 --trials 5"
+      for kind in ("circulant", "f_circulant", "toeplitz", "hankel", "triangular_toeplitz",
+                   "tph", "symmetric", "skew_symmetric", "sparse")
+      for n in (1, 7, 16)),
+    "verify --kind sparse --n 9",
+    "verify --kind f_circulant --n 7 --f 2 --seed 3 --trials 5",
+    "verify --kind f_circulant --n 7 --f 60j --seed 3 --trials 5",
+    "verify --kind multilevel --levels toeplitz:3,hankel:2 --seed 3 --trials 5",
+    "verify --kind multilevel --levels toeplitz:2,toeplitz:2,toeplitz:3 --seed 3 --trials 5",
+    "simul --variant f --n 2 --seed 5",
+    "simul --variant g --n 2 --seed 5",
+)
+
+
+def seeded_transcript(capture) -> str:
+    """The golden's text; capture() returns the stdout printed since its last call."""
+    parts = []
+    for line in SEEDED_COMMANDS:
+        code = main(line.split())
+        parts.append(f"$ {line}\n{capture()}exit {code}\n")
+    return "".join(parts)
+
+
+def test_seeded_runs_match_golden(capsys):
+    golden = (ROOT / "tests" / "golden" / "verify_seeded.txt").read_text(encoding="utf-8")
+    assert seeded_transcript(lambda: capsys.readouterr().out) == golden
