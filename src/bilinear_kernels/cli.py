@@ -403,7 +403,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("verify needs --kind")
         if args.command == "tensor" and (args.kind is None) == (args.builder is None):
             raise ConfigError("tensor needs one of --kind and --builder")
-        return args.run(args)
+        # An overflow shows in the printed error (inf) and the exit code, not
+        # as numpy warnings on stderr.
+        with np.errstate(all="ignore"):
+            return args.run(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

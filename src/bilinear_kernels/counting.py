@@ -198,6 +198,10 @@ def read_only(arr: np.ndarray) -> np.ndarray:
 # input the reach and propagates only other flags; the pointwise product
 # still reads the flags of every call, so the bilinear count is measured on
 # each one.
+# Its ``dense`` form is its m x n complex matrix, equal to ``apply`` of the
+# n x n identity but read off the form's own arrays, with no identity block
+# built; extraction takes its factors from it.  It is computed on each call
+# and kept nowhere; a ConstantMap's is its own read-only matrix.
 
 class ConstantMap:
     """A dense constant linear map: a read-only matrix and its boolean support.
@@ -233,6 +237,9 @@ class ConstantMap:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self.matrix @ values
+
+    def dense(self) -> np.ndarray:
+        return self.matrix
 
     def propagate(self, flags: np.ndarray) -> np.ndarray:
         """The boolean product is an OR of ANDs, so it cannot wrap.  numpy
@@ -295,6 +302,13 @@ class GatherMap:
         terms *= self.signs.reshape(self.signs.shape + (1,) * (values.ndim - 1))
         return terms.sum(axis=0)
 
+    def dense(self) -> np.ndarray:
+        """The signs summed at (row, term) in one bincount, rank by rank as
+        apply sums them; an empty slot adds its 0 sign to input 0."""
+        m, n = self.shape
+        cells = self.terms + np.arange(m) * n
+        return np.bincount(cells.ravel(), self.signs.ravel(), m * n).reshape(m, n).astype(complex)
+
     def propagate(self, flags: np.ndarray) -> np.ndarray:
         """Only a map with a row without terms reads the appended False."""
         if self.padded:
@@ -327,6 +341,16 @@ class BlockMap:
         return np.concatenate([reduce(operator.add, (M.apply(values[cols]) for cols, M in band))
                                for band in self.bands])
 
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=complex)
+        top = 0
+        for band in self.bands:
+            rows = slice(top, top + band[0][1].shape[0])
+            for cols, M in band:
+                out[rows, cols] += M.dense()
+            top = rows.stop
+        return out
+
     def propagate(self, flags: np.ndarray) -> np.ndarray:
         return np.concatenate([reduce(operator.or_, (M.propagate(flags[cols]) for cols, M in band))
                                for band in self.bands])
@@ -347,6 +371,9 @@ class ChainMap:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self.second.apply(self.first.apply(values))
+
+    def dense(self) -> np.ndarray:
+        return self.second.apply(self.first.dense())
 
     def propagate(self, flags: np.ndarray) -> np.ndarray:
         return self.second.propagate(self.first.propagate(flags))

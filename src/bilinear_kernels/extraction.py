@@ -1,13 +1,13 @@
 """Read rank-one decompositions off the kernels' triples, and certify
 structure tensor ranks with them.
 
-A kernel's triple (U, V, W) is a rank decomposition of its bilinear map.  U
-applied to the P x P unit block is the r x P block of parameter factors, V
-applied to the n x n unit block the r x n block of input factors, with
-all-Variable flags mapped to each map's reach.  The pointwise product
-records every Variable*Variable entry as a term and returns the r x r unit
-block of product coordinates, which W turns into the n x r output factors.
-"""
+A kernel's triple (U, V, W) is a rank decomposition of its bilinear map.
+Each map's dense form is its block of factors: U.dense() the r x P block of
+parameter factors, V.dense() the r x n block of input factors, W.dense() the
+n x r block of output factors, one column per product.  The forms are read
+off each map's own arrays, with no map applied to an identity block, and the
+flags are each map's reach, the image of all-Variable flags.  The pointwise
+product records every Variable*Variable entry as a term."""
 
 from __future__ import annotations
 
@@ -30,11 +30,10 @@ class _Recorder:
     """The extraction lane's pointwise product: it keeps the factor rows of
     every Variable*Variable entry, in entry order."""
 
-    def pointwise(self, u: TrackedVector, v: TrackedVector, both: np.ndarray) -> TrackedVector:
-        """Record the Variable*Variable entries as terms and return their
-        unit block of product coordinates.  Any other entry multiplies by a
-        Constant, which has no coordinates: one of its rows must be zero,
-        and so is its product's."""
+    def pointwise(self, u: TrackedVector, v: TrackedVector, both: np.ndarray) -> None:
+        """Record the Variable*Variable entries as terms.  Any other entry
+        multiplies by a Constant, which has no coordinates: one of its rows
+        must be zero, and so is its product's."""
         ib = np.flatnonzero(both)
         if len(ib) < len(u):
             rest = np.flatnonzero(~both)
@@ -45,24 +44,22 @@ class _Recorder:
                 raise ValueError(f"product entry {bad[0]} is not Variable*Variable "
                                  "but has two nonzero rows")
         self.U, self.V = u.values[ib], v.values[ib]
-        out = np.zeros((len(u), len(ib)), dtype=complex)
-        out[ib, np.arange(len(ib))] = 1.0
-        return TrackedVector(out, u.variable | v.variable)
 
 
 def triple_decomposition(maps) -> TensorDecomposition:
     """The terms of a triple (U, V, W): one per row of U, each forming its
-    product."""
+    product.  u and v are the rows of U's and V's dense forms, w the column
+    of W's dense form at the product: every row of U forms one, so the
+    columns are W's own, in order."""
     U, V, W = maps
-    u, v = (TrackedVector(M.apply(np.eye(M.shape[1], dtype=complex)), M.reach) for M in (U, V))
+    u, v = (TrackedVector(M.dense(), M.reach) for M in (U, V))
     rec = _Recorder()
     both = u.variable & v.variable
-    out = rec.pointwise(u, v, both)
+    rec.pointwise(u, v, both)
     r = U.shape[0]
     if not np.count_nonzero(both) == r == len(rec.U):
         raise AssertionError("the pointwise product diverged from the kernel's product count")
-    terms = list(map(DecompositionTerm, repeat(1.0 + 0j, r), rec.U, rec.V,
-                     W.apply(out.values).T.copy()))
+    terms = list(map(DecompositionTerm, repeat(1.0 + 0j, r), rec.U, rec.V, W.dense().T.copy()))
     return TensorDecomposition((U.shape[1], V.shape[1], W.shape[0]), terms)
 
 

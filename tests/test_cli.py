@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -279,6 +280,15 @@ class TestTensor:
         code, _, err = run(capsys, "tensor")
         assert code == 2
 
+    @pytest.mark.parametrize("command, line", [
+        ("tensor", "decomposition_error=inf"), ("verify", "max_rel_err=inf")])
+    def test_an_overflow_reads_inf_without_warnings(self, command, line):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bilinear_kernels", command, "--kind", "f_circulant",
+             "--n", "3", "--f", "1e300"], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert line in proc.stdout.split()
+
 
 class TestStability:
     def test_gauss_value(self, capsys):
@@ -374,3 +384,34 @@ def seeded_transcript(capture) -> str:
 def test_seeded_runs_match_golden(capsys):
     golden = (ROOT / "tests" / "golden" / "verify_seeded.txt").read_text(encoding="utf-8")
     assert seeded_transcript(lambda: capsys.readouterr().out) == golden
+
+
+# The `tensor --kind K --n N` chains of the benchmark's certify workload.
+# tests/golden/tensor_certify.txt is certify_transcript(): each command line
+# after "$ ", then its stdout and its exit code.
+CERTIFY_CELLS = (
+    *((kind, n) for kind in ("circulant", "toeplitz", "hankel") for n in (4, 8, 16, 32)),
+    *(("tph", n) for n in (4, 8, 16)),
+    *((kind, n) for kind in ("symmetric", "skew_symmetric") for n in (4, 8, 12, 16)),
+)
+_ERROR = re.compile(r"decomposition_error=(\S+)")
+
+
+def certify_transcript(capture) -> str:
+    parts = []
+    for kind, n in CERTIFY_CELLS:
+        line = f"tensor --kind {kind} --n {n}"
+        code = main(line.split())
+        parts.append(f"$ {line}\n{capture()}exit {code}\n")
+    return "".join(parts)
+
+
+def test_certify_cells_match_golden(capsys):
+    """Every field but the decomposition error's digits, which depend on the
+    BLAS build (as in test_certify_ranks), equals the recorded chain."""
+    golden = (ROOT / "tests" / "golden" / "tensor_certify.txt").read_text(encoding="utf-8")
+    got = certify_transcript(lambda: capsys.readouterr().out)
+    assert len(CERTIFY_CELLS) == 23
+    assert _ERROR.sub("decomposition_error=*", got) == _ERROR.sub("decomposition_error=*", golden)
+    errors = [float(e) for e in _ERROR.findall(got)]
+    assert len(errors) == 23 and max(errors) < 1e-14

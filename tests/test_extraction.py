@@ -1,6 +1,7 @@
-"""Decomposition extraction: the pointwise product of the unit-block lane,
-the guards of reading terms off a triple, its memory, and its factors
-against a replay over wide linear-form rows.
+"""Decomposition extraction: the recorder's pointwise product, the guards
+of reading terms off a triple, its memory, its factors against a
+replay over wide linear-form rows, and the maps' dense forms against a
+replay over unit blocks.
 
 In the lane a parameter-side row holds P = 2 parameter coordinates and an
 input-side row n = 2 input coordinates.
@@ -11,8 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bilinear_kernels import extraction
-from bilinear_kernels.counting import ConstantMap, TrackedVector
+from bilinear_kernels import counting, extraction, groups, kernels
+from bilinear_kernels.counting import MAP_STORE, ConstantMap, TrackedVector
 from bilinear_kernels.extraction import _Recorder, extract_decomposition
 from bilinear_kernels.kernels import SPECS
 from bilinear_kernels.rng import Lcg
@@ -24,11 +25,12 @@ X0, X1 = [1, 0], [0, 1]       # inputs 0 and 1
 ZERO = [0, 0]
 
 
-def pointwise(u_rows, v_rows, u_var, v_var, rec=None):
-    rec = _Recorder() if rec is None else rec
+def pointwise(u_rows, v_rows, u_var, v_var) -> _Recorder:
+    rec = _Recorder()
     u = TrackedVector(np.array(u_rows, dtype=complex), np.array(u_var))
     v = TrackedVector(np.array(v_rows, dtype=complex), np.array(v_var))
-    return rec.pointwise(u, v, u.variable & v.variable)
+    rec.pointwise(u, v, u.variable & v.variable)
+    return rec
 
 
 @pytest.mark.parametrize("u_row, v_row, u_var, v_var", [
@@ -51,19 +53,16 @@ def test_first_refused_entry_decides_the_message():
 
 
 def test_products_and_constant_scalings():
-    """Products take unit columns in entry order and keep their factor rows;
-    a Constant operand is zero here, and so is its product."""
-    rec = _Recorder()
-    out = pointwise([X1, ZERO, [2, 1], ZERO, P1], [P0, X0, ZERO, ZERO, X1],
-                    [True, False, True, False, True], [True, True, False, False, True], rec)
-    assert np.array_equal(out.values, [[1, 0], [0, 0], [0, 0], [0, 0], [0, 1]])
-    assert out.variable.tolist() == [True, True, True, False, True]
+    """Products keep their factor rows in entry order; a Constant operand is
+    zero here, and its entry records nothing."""
+    rec = pointwise([X1, ZERO, [2, 1], ZERO, P1], [P0, X0, ZERO, ZERO, X1],
+                    [True, False, True, False, True], [True, True, False, False, True])
     assert np.array_equal(rec.U, [X1, P1]) and np.array_equal(rec.V, [P0, X1])
 
 
 def test_small_residues_count_as_zero():
-    out = pointwise([[1, 1e-13], [1e-13, 0]], [X0, [1e-13, 2]], [True, False], [True, True])
-    assert np.array_equal(out.values, [[1], [0]])
+    rec = pointwise([[1, 1e-13], [1e-13, 0]], [X0, [1e-13, 2]], [True, False], [True, True])
+    assert np.array_equal(rec.U, [[1, 1e-13]]) and np.array_equal(rec.V, [X0])
 
 
 def fake_spec(monkeypatch, U: ConstantMap):
@@ -100,6 +99,19 @@ def test_skew_symmetric_order_32_stays_narrow():
         tracemalloc.stop()
     assert len(D.terms) == 528
     assert peak < 60 * 2 ** 20
+
+
+def test_skew_symmetric_order_32_reads_dense_forms():
+    """Extraction's peak stays below 16 MiB: the factors come from the maps'
+    dense forms (a replay on unit blocks took 21.3 MiB)."""
+    spec(StructureKind.SKEW_SYMMETRIC).maps(32, None, None)
+    tracemalloc.start()
+    try:
+        extract_decomposition(StructureKind.SKEW_SYMMETRIC, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 class WideRecorder:
@@ -163,3 +175,71 @@ def test_factors_equal_those_of_the_wide_replay():
         _, U, V, W = stack_terms(extract_decomposition(kind, n, f=f, pattern=pattern))
         for got, want in zip((U, V, W), wide_factors(kind, n, f, pattern)):
             assert np.array_equal(got, want), (kind, n, f, pattern)
+
+
+F_VALUES = (-1.0, 2.0, 1j, 0.02, 60j)
+
+
+def dense_cases():
+    """Every single-level kind at n = 1..16, f-circulant at five f, and 40
+    sparse patterns."""
+    for kind in SPECS:
+        if kind is StructureKind.SPARSE:
+            continue
+        for f in F_VALUES if kind is StructureKind.F_CIRCULANT else (None,):
+            for n in range(1, 17):
+                yield kind, n, f, None
+    rng = Lcg(41)
+    for _ in range(40):
+        n = 1 + rng.randint(12)
+        cells = sorted({(rng.randint(n), rng.randint(n)) for _ in range(1 + rng.randint(n * n))})
+        yield StructureKind.SPARSE, n, None, SparsityPattern(n, n, tuple(cells))
+
+
+def map_forms(obj):
+    """Every map form in obj: itself, the maps of a tuple, and the maps
+    each form is made of (a chain's two, a block map's bands)."""
+    if isinstance(obj, tuple):
+        for item in obj:
+            yield from map_forms(item)
+    elif hasattr(obj, "dense"):
+        yield obj
+        if isinstance(obj, counting.ChainMap):
+            yield from map_forms((obj.first, obj.second))
+        elif isinstance(obj, counting.BlockMap):
+            yield from map_forms(tuple(M for band in obj.bands for _, M in band))
+
+
+def assert_dense_is_the_replay(maps, where):
+    for M in map_forms(maps):
+        dense = M.dense()
+        assert dense.dtype == complex and dense.shape == M.shape, (where, type(M))
+        assert np.array_equal(dense, M.apply(np.eye(M.shape[1], dtype=complex))), (where, type(M))
+
+
+def test_dense_forms_equal_the_unit_block_replay():
+    for kind, n, f, pattern in dense_cases():
+        assert_dense_is_the_replay(SPECS[kind].maps(n, f, pattern), (kind, n, f, pattern))
+    for name, maps in (("gauss", kernels.GAUSS_MAPS), ("commutator", kernels._COMMUTATOR_MAPS),
+                       ("d4", groups._D4_MAPS), ("x8", groups._X8_MAPS)):
+        assert_dense_is_the_replay(maps, name)
+    for key, (value, _, _) in list(MAP_STORE.entries.items()):
+        assert_dense_is_the_replay(value, key)
+
+
+def test_a_gather_row_without_terms_is_zero():
+    M = counting.GatherMap((3, 2), [0, 0, 2], [1, 1, 0], [1.0, 1.0, -1.0])
+    assert np.array_equal(M.dense(), [[0, 2], [0, 0], [-1, 0]])
+    assert np.array_equal(M.dense(), M.apply(np.eye(2)))
+
+
+def test_extraction_adds_nothing_to_the_store():
+    """Dense forms are computed on each call and kept nowhere."""
+    for kind, n, f, pattern in [(StructureKind.SKEW_SYMMETRIC, 32, None, None),
+                                (StructureKind.TOEPLITZ_PLUS_HANKEL, 16, None, None),
+                                (StructureKind.F_CIRCULANT, 9, 1j, None),
+                                (StructureKind.SPARSE, 3, None, SparsityPattern(3, 3, ((0, 1),)))]:
+        SPECS[kind].maps(n, f, pattern)
+        before = len(MAP_STORE.entries), MAP_STORE.nbytes
+        extract_decomposition(kind, n, f=f, pattern=pattern)
+        assert (len(MAP_STORE.entries), MAP_STORE.nbytes) == before, kind

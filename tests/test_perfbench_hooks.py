@@ -60,6 +60,6 @@ def test_one_traced_round_of_every_workload_runs_clean():
     assert result["failed"] == []
     assert result["amounts"]["counting.apply_matrix.bytes"] > 0
     assert result["amounts"]["extraction.terms"] > 0
-    # The narrow replay makes one pointwise product per extraction, and the
+    # Extraction records its terms in one pointwise product, and the
     # hook the benchmark binds to it stays on that path.
     assert result["pointwise_per_extraction"] == [1]

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,8 @@ from bilinear_kernels import (CountContext, DecompositionTerm, Tensor3,
                               serialize_decomposition, so3_tensor,
                               stability_measure, structure_tensor,
                               variables, verify_decomposition)
+from bilinear_kernels import tensorlab
+from bilinear_kernels.extraction import extract_decomposition
 from bilinear_kernels.kernels import SPECS
 from bilinear_kernels.rng import Lcg
 
@@ -361,6 +366,118 @@ class TestOrthogonalRowLane:
 
     def test_certify_symmetric_32(self):
         assert certify_rank("symmetric", 32).ranks == (528, 32, 32)
+
+
+def complex_verify(T, D, tol):
+    """verify_decomposition with every decomposition rebuilt in complex
+    arithmetic: the reference the real lane must agree with."""
+    r = len(D.terms)
+    d1, d2, d3 = D.dims
+    lam = np.array([t.lam for t in D.terms], dtype=complex)
+    U = np.array([t.u for t in D.terms], dtype=complex).reshape(r, d1)
+    V = np.array([t.v for t in D.terms], dtype=complex).reshape(r, d2)
+    W = np.array([t.w for t in D.terms], dtype=complex).reshape(r, d3)
+    U *= lam[:, None]
+    KR = (V[:, :, None] * W[:, None, :]).reshape(r, d2 * d3)
+    err = float(np.abs(T.entries - (U.T @ KR).reshape(d1, d2, d3)).max(initial=0.0))
+    return err, err <= tol
+
+
+@pytest.fixture
+def rebuild_dtypes(monkeypatch):
+    """The dtype of the term rows each rebuild sums during the test."""
+    seen = []
+    rebuild = tensorlab._rebuild
+
+    def spy(rows, dims):
+        seen.append(rows.dtype)
+        return rebuild(rows, dims)
+
+    monkeypatch.setattr(tensorlab, "_rebuild", spy)
+    return seen
+
+
+class TestRealLane:
+    """verify_decomposition sums a decomposition with real lam and factors
+    in real arithmetic; its error must be the complex rebuild's."""
+
+    @pytest.mark.parametrize("kind, n", CERTIFY_CELLS)
+    def test_certify_cells(self, rebuild_dtypes, kind, n):
+        T, D = structure_tensor(kind, n), extract_decomposition(kind, n)
+        rep = verify_decomposition(T, D, 1e-8)
+        assert (rep.max_abs_error, rep.passed) == complex_verify(T, D, 1e-8)
+        real = kind in ("symmetric", "skew_symmetric")
+        assert rebuild_dtypes == [np.dtype(np.float64 if real else np.complex128)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("dims, r", [((3, 4, 5), 6), ((7, 2, 3), 1), ((12, 8, 8), 20)])
+    def test_random_real_decomposition(self, rebuild_dtypes, dims, r, seed):
+        # Non-integer entries, so the two lanes round differently: they
+        # agree to a few units in the last place of the largest entry.
+        rng = np.random.default_rng(seed)
+        D = random_real_decomposition(rng, dims, r)
+        T = Tensor3(decomposition_tensor(random_real_decomposition(rng, dims, r))
+                    + 1e-3 * rng.standard_normal(dims))
+        rebuild_dtypes.clear()
+        got = verify_decomposition(T, D, 1e-8).max_abs_error
+        want, _ = complex_verify(T, D, 1e-8)
+        scale = np.abs(T.entries).max() + sum(
+            abs(t.lam) * np.abs(t.u).max() * np.abs(t.v).max() * np.abs(t.w).max()
+            for t in D.terms)
+        assert abs(got - want) <= 8 * np.finfo(float).eps * scale
+        assert rebuild_dtypes == [np.float64]
+
+    def test_real_terms_against_a_complex_tensor(self, rebuild_dtypes):
+        rng = np.random.default_rng(7)
+        D = random_real_decomposition(rng, (3, 4, 2), 5)
+        T = Tensor3(decomposition_tensor(D) + 0.25j * rng.standard_normal((3, 4, 2)))
+        rebuild_dtypes.clear()
+        got = verify_decomposition(T, D, 1e-8).max_abs_error
+        assert got == pytest.approx(complex_verify(T, D, 1e-8)[0], rel=1e-14)
+        assert got >= 0.25 * np.abs(T.entries.imag).max() > 0
+        assert rebuild_dtypes == [np.float64]
+
+    @pytest.mark.parametrize("where", ["lam", "u", "w"])
+    def test_a_tiny_imaginary_part_takes_the_complex_lane(self, rebuild_dtypes, where):
+        D = extract_decomposition("symmetric", 4)
+        term = D.terms[3]
+        if where == "lam":
+            term.lam = term.lam + 1e-300j
+        else:
+            getattr(term, where)[0] += 1e-300j
+        rep = verify_decomposition(structure_tensor("symmetric", 4), D, 1e-8)
+        assert rebuild_dtypes == [np.complex128]
+        assert rep.passed
+
+    def test_zero_terms(self, rebuild_dtypes):
+        T = structure_tensor("skew_symmetric", 3)
+        D = TensorDecomposition(T.dims, [])
+        rep = verify_decomposition(T, D, 1e-8)
+        assert (rep.max_abs_error, rep.term_count, rep.passed) == (1.0, 0, False)
+        assert (rep.max_abs_error, rep.passed) == complex_verify(T, D, 1e-8)
+        assert rebuild_dtypes == [np.float64]
+
+    @pytest.mark.parametrize("big", [1e300, 1e300 + 1e300j])
+    def test_an_overflowed_rebuild_reads_inf(self, big):
+        T = complex_mul_tensor()
+        D = complex_mul_decomposition("usual")
+        D.terms[0].u = D.terms[0].u * big
+        D.terms[0].v = D.terms[0].v * big
+        with np.errstate(all="ignore"):
+            rep = verify_decomposition(T, D, 1e-8)
+        assert rep.max_abs_error == math.inf and not rep.passed
+
+    def test_symmetric_order_32_memory(self):
+        """The real rebuild peaks below 16 MiB traced (complex: 21.3 MiB)."""
+        T, D = structure_tensor("symmetric", 32), extract_decomposition("symmetric", 32)
+        tracemalloc.start()
+        try:
+            rep = verify_decomposition(T, D, 1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.max_abs_error == 0 and rep.term_count == 528
+        assert peak < 16 * 2 ** 20
 
 
 class TestOttaviani:
