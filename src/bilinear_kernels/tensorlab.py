@@ -21,6 +21,8 @@ class Tensor3:
     entries: np.ndarray
 
     def __post_init__(self):
+        """Array-like entries become an array of their own dtype."""
+        object.__setattr__(self, "entries", np.asarray(self.entries))
         if self.entries.ndim != 3:
             raise ValueError("Tensor3 needs a 3-dimensional array")
         if min(self.entries.shape) < 1:
@@ -81,20 +83,36 @@ def stack_terms(D: TensorDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndar
     return _split(_term_rows(D), D.dims)
 
 
-def _rebuild(rows: np.ndarray, dims) -> np.ndarray:
-    """Sum of the terms in the rows' own arithmetic, as one matrix product:
-    the weighted first factors times the row-wise Khatri-Rao product of the
-    other two.  Scales the rows' U in place."""
+# The bytes that one block of the rebuild, or of the nonzero scan, may hold.
+# Below glibc's 128 KiB mmap threshold, so its temporaries are reused heap,
+# not fresh pages; the fastest of 64, 128, 256 and 512 KiB on the certify
+# chains.
+_BLOCK_BYTES = 128 * 1024
+
+
+def _rebuild(rows: np.ndarray, dims):
+    """Sum of the terms in the rows' own arithmetic, one block of mode-2
+    indices at a time: yields (slice, block) with block the sum's
+    [:, slice, :].  Each block is the weighted first factors times the
+    row-wise Khatri-Rao product of the other two over the slice, and the
+    slice is as wide as keeps both within _BLOCK_BYTES (one index at the
+    least).  Scales the rows' U in place."""
     lam, U, V, W = _split(rows, dims)
     d1, d2, d3 = dims
     U *= lam[:, None]
-    KR = (V[:, :, None] * W[:, None, :]).reshape(len(lam), d2 * d3)
-    return (U.T @ KR).reshape(d1, d2, d3)
+    step = max(1, _BLOCK_BYTES // (rows.itemsize * d3 * (len(lam) + d1)))
+    for j0 in range(0, d2, step):
+        j = slice(j0, min(j0 + step, d2))
+        KR = (V[:, j, None] * W[:, None, :]).reshape(len(lam), (j.stop - j0) * d3)
+        yield j, (U.T @ KR).reshape(d1, j.stop - j0, d3)
 
 
 def decomposition_tensor(D: TensorDecomposition) -> np.ndarray:
-    """Sum of the terms, complex."""
-    return _rebuild(_term_rows(D), D.dims)
+    """Sum of the terms, complex, filled one _rebuild block at a time."""
+    out = np.empty(D.dims, dtype=complex)
+    for j, block in _rebuild(_term_rows(D), D.dims):
+        out[:, j] = block
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -192,28 +210,33 @@ def verify_decomposition(T: Tensor3, D: TensorDecomposition, tol: float) -> Veri
     """The largest entry of |T - sum of the terms|, inf when that is not
     finite, so that an overflowed rebuild cannot pass.
 
+    The sum is rebuilt one block of mode-2 indices at a time (_rebuild):
+    T's slice is subtracted from each block and the block's largest error
+    kept, so beside the stacked term rows it holds one block's temporaries
+    at a time.
+
     When lam and every factor have a zero imaginary part (the 0/+-1 terms of
     the pairwise kernels, for one), the terms are summed in real arithmetic:
     at a quarter of the complex product's cost, and exactly where the sums
-    are exact.  T is subtracted from the sum in place."""
+    are exact."""
     if tuple(D.dims) != tuple(T.dims):
         raise ValueError(f"decomposition dims {D.dims} do not match tensor dims {T.dims}")
     rows = _term_rows(D)
-    if rows.imag.any():
-        R = _rebuild(rows, D.dims)
-        R -= T.entries
-        R = np.abs(R)
-    else:
+    arr = T.entries
+    if not rows.imag.any():
         rows = rows.real.copy()
-        R = _rebuild(rows, D.dims)
-        if T.entries.imag.any():
-            R = np.abs(R - T.entries)
-        else:
-            R -= T.entries.real
-            np.abs(R, out=R)
-    err = float(R.max())
-    if not math.isfinite(err):
-        err = math.inf
+        # A real array's .imag would be a fresh array of zeros as large as T.
+        if np.iscomplexobj(arr) and not arr.imag.any():
+            arr = arr.real
+    in_place = np.can_cast(arr.dtype, rows.dtype)
+    err = 0.0
+    for j, R in _rebuild(rows, D.dims):
+        R = np.subtract(R, arr[:, j], out=R if in_place else None)
+        block_err = float(np.abs(R).max())
+        if not math.isfinite(block_err):
+            err = math.inf
+            break
+        err = max(err, block_err)
     return VerificationReport(err, len(D.terms), err <= tol)
 
 
@@ -221,43 +244,66 @@ def verify_decomposition(T: Tensor3, D: TensorDecomposition, tol: float) -> Veri
 _NORMAL_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
+def _nonzeros(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The C-order flat indices and the values of the nonzero entries,
+    scanned one block of mode-1 slices at a time.  A complex block is
+    compared as its real and imaginary parts, which is several times
+    faster than the complex compare; an entry is nonzero when either of
+    its two part flags is, that is when they, read as one uint16, are."""
+    cells = entries[0].size
+    step = max(1, _BLOCK_BYTES // (2 * cells))
+    idx, vals = [], []
+    for i0 in range(0, len(entries), step):
+        block = np.ascontiguousarray(entries[i0:i0 + step]).reshape(-1)
+        flags = block.view(block.real.dtype) != 0
+        if block.dtype.kind == "c":
+            flags = flags.view(np.uint16)
+        nz = np.flatnonzero(flags)
+        idx.append(nz + i0 * cells)
+        vals.append(block[nz])
+    return np.concatenate(idx), np.concatenate(vals)
+
+
 def flattening_ranks(T: Tensor3, tol: float = 1e-9) -> tuple[int, int, int]:
     """Numerical ranks of the three unfoldings; each lower-bounds border rank.
 
-    An unfolding none of whose columns holds two nonzeros has rows with
+    T is scanned once for its nonzeros (_nonzeros, in blocks of at most
+    _BLOCK_BYTES of flags), and everything up to the SVD is read from
+    them.  An unfolding none of whose columns holds two nonzeros, that is
+    whose nonzeros' column indices are all distinct, has rows with
     disjoint supports, so M M^H is diagonal and its singular values are
-    exactly its row norms: its rank is the count of rows above tol times
-    the largest, with no SVD.  In a single-level structure tensor a
-    parameter fills at most one cell of each matrix row and column, so
-    this holds for every unfolding but tph's mode-1 one, whose cells hold
-    two parameters.  Row norms whose squares would leave the normal float
-    range also go to the SVD, which scales its input.
+    exactly its row norms, which np.bincount sums over the nonzeros' row
+    indices: its rank is the count of rows above tol times the largest,
+    with no SVD.  In a single-level structure tensor a parameter fills at
+    most one cell of each matrix row and column, so this holds for every
+    unfolding but tph's mode-1 one, whose cells hold two parameters.  Row
+    norms whose squares would leave the normal float range also go to the
+    SVD, which scales its input.
 
-    Every other unfolding goes to the SVD in its tall orientation: the
-    singular values are the same, and LAPACK is several times faster on
-    it.  A tensor whose imaginary part is exactly zero (every structure
-    tensor with real coefficients) goes in real arithmetic: the real SVD
-    of the real part has the same singular values at about half the cost.
+    Every other unfolding goes to the SVD of the dense array in its tall
+    orientation: the singular values are the same, and LAPACK is several
+    times faster on it.  A tensor whose nonzeros have no imaginary part
+    (every structure tensor with real coefficients) goes in real
+    arithmetic: the real SVD of the real part has the same singular values
+    at about half the cost.
     """
-    ranks = []
+    idx, vals = _nonzeros(T.entries)
     arr = T.entries
-    if not arr.imag.any():
-        arr = arr.real
-    # A column holds at most one nonzero iff the nonzero columns number as
-    # many as the nonzeros.  The mode-2 and mode-3 row norms both sum the
-    # squares over the parameters first.
-    support = arr != 0
-    nnz = np.count_nonzero(support)
+    if not vals.imag.any():
+        arr, vals = arr.real, vals.real
+    d1, d2, d3 = arr.shape
+    i, cell = np.divmod(idx, d2 * d3)
+    j, k = np.divmod(cell, d3)
     with np.errstate(over="ignore"):
-        squares = np.abs(arr) ** 2
-    by_cell = squares.sum(axis=0)
-    row_squares = (squares.reshape(len(arr), -1).sum(axis=1), by_cell.sum(axis=1),
-                   by_cell.sum(axis=0))
-    for mode, axes in enumerate(((0, 1, 2), (1, 0, 2), (2, 0, 1))):
-        s = np.sqrt(row_squares[mode])
+        squares = np.abs(vals) ** 2
+    ranks = []
+    # Each unfolding's row and column index of every nonzero.
+    for mode, (row, col, axes) in enumerate(((i, cell, (0, 1, 2)), (j, i * d3 + k, (1, 0, 2)),
+                                             (k, idx // d3, (2, 0, 1)))):
+        s = np.sqrt(np.bincount(row, weights=squares, minlength=arr.shape[mode]))
         top = s.max()
-        if not (np.count_nonzero(support.any(axis=mode)) == nnz
-                and np.isfinite(top) and tol * top > _NORMAL_NORM):
+        if not (np.isfinite(top) and tol * top > _NORMAL_NORM
+                and np.count_nonzero(np.bincount(col)) == len(idx)):
             mat = arr.transpose(axes).reshape(arr.shape[mode], -1)
             if mat.shape[0] < mat.shape[1]:
                 mat = mat.T

@@ -24,6 +24,16 @@ from bilinear_kernels.rng import Lcg
 nonzero = st.floats(min_value=0.1, max_value=5.0)
 
 
+def traced_peak(fn):
+    """fn's result and the peak of the memory traced while it runs."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestBuilders:
     def test_complex_mul_hypermatrix(self):
         T = complex_mul_tensor()
@@ -96,6 +106,20 @@ class TestTensor3:
         entries = np.zeros((2, 2, 2), dtype=dtype)
         entries[1, 0, 1] = bad
         with pytest.raises(ValueError, match="finite"):
+            Tensor3(entries)
+
+    def test_accepts_a_nested_list_and_keeps_arrays_as_given(self):
+        T = Tensor3([[[1.0, 2.0]], [[3.0, 4.0]]])
+        assert isinstance(T.entries, np.ndarray) and T.entries.dtype == np.float64
+        assert T.dims == (2, 1, 2) and T.entries[1, 0, 0] == 3.0
+        entries = np.ones((2, 2, 2), dtype=np.float32)
+        assert Tensor3(entries).entries is entries
+
+    @pytest.mark.parametrize("entries, match", [([[1.0, 2.0], [3.0, 4.0]], "3-dimensional"),
+                                                ([[[1.0, float("nan")]]], "finite")],
+                             ids=["2d", "nan"])
+    def test_rejects_a_bad_list_with_its_own_errors(self, entries, match):
+        with pytest.raises(ValueError, match=match):
             Tensor3(entries)
 
 
@@ -367,6 +391,14 @@ class TestOrthogonalRowLane:
     def test_certify_symmetric_32(self):
         assert certify_rank("symmetric", 32).ranks == (528, 32, 32)
 
+    def test_toeplitz_order_64_memory(self):
+        """The nonzero scan peaks below 1 MiB traced; dense passes over the
+        7.9 MiB tensor peaked at 4.5 MiB."""
+        T = structure_tensor("toeplitz", 64)
+        ranks, peak = traced_peak(lambda: flattening_ranks(T))
+        assert ranks == (127, 64, 64)
+        assert peak < 2 ** 20
+
 
 def complex_verify(T, D, tol):
     """verify_decomposition with every decomposition rebuilt in complex
@@ -468,16 +500,137 @@ class TestRealLane:
         assert rep.max_abs_error == math.inf and not rep.passed
 
     def test_symmetric_order_32_memory(self):
-        """The real rebuild peaks below 16 MiB traced (complex: 21.3 MiB)."""
+        """The real rebuild peaks below 8 MiB traced (complex and whole:
+        21.3 MiB; real and whole: 10.6 MiB).  What remains is the stacked
+        term rows, complex and then real."""
         T, D = structure_tensor("symmetric", 32), extract_decomposition("symmetric", 32)
-        tracemalloc.start()
-        try:
-            rep = verify_decomposition(T, D, 1e-8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rep, peak = traced_peak(lambda: verify_decomposition(T, D, 1e-8))
         assert rep.max_abs_error == 0 and rep.term_count == 528
-        assert peak < 16 * 2 ** 20
+        assert peak < 8 * 2 ** 20
+
+    def test_toeplitz_order_64_memory(self):
+        """One block at a time peaks below 2 MiB traced; the rebuild of the
+        7.9 MiB tensor held whole peaked at 16.4 MiB."""
+        T, D = structure_tensor("toeplitz", 64), extract_decomposition("toeplitz", 64)
+        rep, peak = traced_peak(lambda: verify_decomposition(T, D, 1e-8))
+        assert rep.passed and rep.term_count == len(D.terms)
+        assert peak < 2 * 2 ** 20
+
+
+@pytest.fixture
+def rebuild_slices(monkeypatch):
+    """The (start, stop) of every mode-2 block the rebuilds yield during the
+    test."""
+    seen = []
+    rebuild = tensorlab._rebuild
+
+    def spy(rows, dims):
+        for j, block in rebuild(rows, dims):
+            seen.append((j.start, j.stop))
+            yield j, block
+
+    monkeypatch.setattr(tensorlab, "_rebuild", spy)
+    return seen
+
+
+def integer_decomposition(rng, dims, r, real):
+    """r terms with small integer parts, so that every sum is exact and the
+    blocked and whole rebuilds agree to the last bit."""
+    def vec(d):
+        v = rng.integers(-2, 3, d).astype(float)
+        return v if real else v + 1j * rng.integers(-2, 3, d)
+    return TensorDecomposition(dims, [DecompositionTerm(vec(1)[0], *(vec(d) for d in dims))
+                                      for _ in range(r)])
+
+
+def rank_for_blocks(itemsize, d1, d3, per_block):
+    """A term count whose rebuild in the lane of that itemsize takes
+    per_block mode-2 indices a block."""
+    return max(0, tensorlab._BLOCK_BYTES // (per_block * itemsize * d3) - d1)
+
+
+# A tensor lane: the terms' arithmetic and the tensor's.
+LANES = {"complex": (False, 1j), "real": (True, 1.0), "real_terms_complex_tensor": (True, 1j)}
+
+
+class TestBlockedRebuild:
+    """verify_decomposition rebuilds one block of mode-2 indices at a time;
+    at every block edge its error must be the whole rebuild's
+    (complex_verify), and a non-finite entry in any block must read inf."""
+
+    @pytest.mark.parametrize("lane", LANES)
+    @pytest.mark.parametrize("case", ["uneven", "d2_is_1", "d3_is_1", "one_index_a_block"])
+    def test_block_edges(self, rebuild_slices, case, lane):
+        real, bump = LANES[lane]
+        itemsize = 8 if real else 16
+        dims, r, widths = {
+            "uneven": ((4, 10, 4), rank_for_blocks(itemsize, 4, 4, 3), [3, 3, 3, 1]),
+            "d2_is_1": ((5, 1, 6), 7, [1]),
+            "d3_is_1": ((5, 9, 1), rank_for_blocks(itemsize, 5, 1, 4), [4, 4, 1]),
+            # One mode-2 index alone is over the budget.
+            "one_index_a_block": ((3, 5, 4), tensorlab._BLOCK_BYTES // (itemsize * 4), [1] * 5),
+        }[case]
+        D = integer_decomposition(np.random.default_rng(sum(dims) + r), dims, r, real)
+        exact = decomposition_tensor(D)
+        rebuild_slices.clear()
+        rep = verify_decomposition(Tensor3(exact), D, 1e-8)
+        assert [stop - start for start, stop in rebuild_slices] == widths
+        assert (rep.max_abs_error, rep.passed) == (0.0, True)
+        # Errors in the first, a middle and the last block, the largest in
+        # the middle one.
+        T = Tensor3(exact + 0)
+        d1, d2, d3 = dims
+        T.entries[0, 0, 0] += bump
+        T.entries[d1 // 2, d2 // 2, d3 // 2] += 3 * bump
+        T.entries[-1, -1, -1] += 2 * bump
+        rep = verify_decomposition(T, D, 1e-8)
+        assert (rep.max_abs_error, rep.passed) == complex_verify(T, D, 1e-8) == (3.0, False)
+
+    def test_a_real_dtype_tensor_takes_no_tensor_sized_temporary(self):
+        # Real terms against float64 entries of 4 MiB: the blocks only.
+        D = integer_decomposition(np.random.default_rng(5), (127, 64, 64), 3, real=True)
+        T = Tensor3(decomposition_tensor(D).real)
+        rep, peak = traced_peak(lambda: verify_decomposition(T, D, 1e-8))
+        assert (rep.max_abs_error, rep.passed) == (0.0, True)
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("lane", ["real", "real_terms_complex_tensor"])
+    def test_zero_terms_in_several_blocks(self, rebuild_slices, lane):
+        _, bump = LANES[lane]
+        rng = np.random.default_rng(3)
+        dims = (64, 10, 64)
+        T = Tensor3(rng.integers(-3, 4, dims) * bump)
+        D = TensorDecomposition(dims, [])
+        rep = verify_decomposition(T, D, 1e-8)
+        assert [stop - start for start, stop in rebuild_slices] == [4, 4, 2]
+        assert (rep.max_abs_error, rep.term_count, rep.passed) == (3.0, 0, False)
+        assert (rep.max_abs_error, rep.passed) == complex_verify(T, D, 1e-8)
+
+    @pytest.mark.parametrize("lane", ["complex", "real"])
+    @pytest.mark.parametrize("block", [1, 3], ids=["middle", "last"])
+    @pytest.mark.parametrize("bad", ["nan", "overflow"])
+    def test_a_non_finite_block_reads_inf(self, rebuild_slices, bad, block, lane):
+        real, _ = LANES[lane]
+        itemsize = 8 if real else 16
+        dims = (4, 10, 4)
+        D = integer_decomposition(np.random.default_rng(11), dims,
+                                  rank_for_blocks(itemsize, 4, 4, 3), real)
+        T = Tensor3(decomposition_tensor(D))
+        rebuild_slices.clear()
+        verify_decomposition(T, D, 1e-8)
+        start, stop = rebuild_slices[block]
+        assert len(rebuild_slices) == 4 and stop - start in (1, 3)
+        # Only mode-2 index `start` of the rebuild is not finite.
+        term = D.terms[0]
+        if bad == "nan":
+            term.v[start] = np.nan
+        else:
+            term.u[:] = 1.0
+            term.v[start] = 1e308
+            term.w[:] = 4.0
+        with np.errstate(all="ignore"):
+            rep = verify_decomposition(T, D, 1e-8)
+        assert rep.max_abs_error == math.inf and not rep.passed
 
 
 class TestOttaviani:
