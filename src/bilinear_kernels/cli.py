@@ -407,8 +407,8 @@ def main(argv: list[str] | None = None) -> int:
         # as numpy warnings on stderr.
         with np.errstate(all="ignore"):
             return args.run(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -7,20 +7,19 @@ parameter factors, V.dense() the r x n block of input factors, W.dense() the
 n x r block of output factors, one column per product.  The forms are read
 off each map's own arrays, with no map applied to an identity block, and the
 flags are each map's reach, the image of all-Variable flags.  The pointwise
-product records every Variable*Variable entry as a term."""
+product records the factor rows of every Variable*Variable entry, stacked
+with W's columns as the decomposition's rows."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .counting import TrackedVector
 from .structures import (LevelSpec, SparsityPattern, StructureKind, check_level, default_f,
                          spec, structure_dim)
-from .tensorlab import (DecompositionTerm, TensorDecomposition, flattening_ranks,
-                        structure_tensor, verify_decomposition)
+from .tensorlab import TensorDecomposition, flattening_ranks, structure_tensor, verify_decomposition
 
 _ZERO_TOL = 1e-11
 CERTIFY_TOL = 1e-8
@@ -47,20 +46,20 @@ class _Recorder:
 
 
 def triple_decomposition(maps) -> TensorDecomposition:
-    """The terms of a triple (U, V, W): one per row of U, each forming its
-    product.  u and v are the rows of U's and V's dense forms, w the column
-    of W's dense form at the product: every row of U forms one, so the
-    columns are W's own, in order."""
+    """The terms of a triple (U, V, W), one row [1, u, v, w] per row of U,
+    each forming its product: u and v are the rows of U's and V's dense
+    forms, w the column of W's dense form at the product.  Every row of U
+    forms one, so the columns are W's own, in order."""
     U, V, W = maps
     u, v = (TrackedVector(M.dense(), M.reach) for M in (U, V))
     rec = _Recorder()
     both = u.variable & v.variable
     rec.pointwise(u, v, both)
-    r = U.shape[0]
-    if not np.count_nonzero(both) == r == len(rec.U):
+    if not np.count_nonzero(both) == U.shape[0] == len(rec.U):
         raise AssertionError("the pointwise product diverged from the kernel's product count")
-    terms = list(map(DecompositionTerm, repeat(1.0 + 0j, r), rec.U, rec.V, W.dense().T.copy()))
-    return TensorDecomposition((U.shape[1], V.shape[1], W.shape[0]), terms)
+    del u, v  # the dense forms, so that they and the rows never peak together
+    return TensorDecomposition((U.shape[1], V.shape[1], W.shape[0]), rows=np.concatenate(
+        (np.ones((len(rec.U), 1)), rec.U, rec.V, W.dense().T), axis=1, dtype=complex))
 
 
 def extract_decomposition(kind, n: int, f: complex | None = None,

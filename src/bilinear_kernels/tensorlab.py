@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,52 +36,66 @@ class Tensor3:
         return self.entries.shape
 
 
-@dataclass
-class DecompositionTerm:
-    lam: complex
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-
-
-@dataclass
-class TensorDecomposition:
-    """Weighted rank-one terms lam * u (x) v (x) w."""
-
-    dims: tuple[int, int, int]
-    terms: list[DecompositionTerm]
-
-    def __post_init__(self):
-        d1, d2, d3 = self.dims
-        for k, t in enumerate(self.terms):
-            if len(t.u) != d1 or len(t.v) != d2 or len(t.w) != d3:
-                raise ValueError(f"term {k} factor lengths do not match dims {self.dims}")
-
-
-def _term_rows(D: TensorDecomposition) -> np.ndarray:
-    """Every term's lam, u, v and w side by side, one row per term: one
-    complex array, so one pass tests them all."""
-    d1, d2, d3 = D.dims
-    rows = np.empty((len(D.terms), 1 + d1 + d2 + d3), dtype=complex)
-    if D.terms:
-        rows[:, 0] = [t.lam for t in D.terms]
-        rows[:, 1:1 + d1] = [t.u for t in D.terms]
-        rows[:, 1 + d1:1 + d1 + d2] = [t.v for t in D.terms]
-        rows[:, 1 + d1 + d2:] = [t.w for t in D.terms]
-    return rows
-
-
 def _split(rows: np.ndarray, dims) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """lam (r,) and the factors U (r, d1), V (r, d2), W (r, d3): views of
-    the term rows."""
+    """lam and the factors u, v, w of rows [lam, u, v, w], as views: lam (r,)
+    and U (r, d1), V (r, d2), W (r, d3) of r rows, a 0-d lam and vectors of one."""
     d1, d2, _ = dims
-    return rows[:, 0], rows[:, 1:1 + d1], rows[:, 1 + d1:1 + d1 + d2], rows[:, 1 + d1 + d2:]
+    return rows[..., 0], rows[..., 1:1 + d1], rows[..., 1 + d1:1 + d1 + d2], rows[..., 1 + d1 + d2:]
+
+
+def _part(k: int) -> property:
+    """Part k of a term's row, lam a scalar and a factor a view; set, it writes the row."""
+    return property(lambda t: _split(t.row, t.dims)[k][()],
+                    lambda t, value: np.copyto(_split(t.row, t.dims)[k], value))
+
+
+class DecompositionTerm:
+    """One weighted rank-one term lam * u (x) v (x) w, held as a complex row
+    [lam, u, v, w]: a decomposition's terms are views of its rows, which
+    their setters write, and a term built on its own is a row of its own."""
+
+    lam, u, v, w = map(_part, range(4))
+
+    def __init__(self, lam: complex, u, v, w):
+        self.dims = (len(u), len(v), len(w))
+        self.row = np.concatenate(([lam], u, v, w)).astype(complex, copy=False)
+
+
+class TensorDecomposition(Sequence):
+    """Weighted rank-one terms lam * u (x) v (x) w, held stacked: rows is one
+    complex (r, 1 + d1 + d2 + d3) array, a term's lam, u, v and w side by
+    side in its row.  Built from terms, whose rows it copies, or from rows,
+    which it keeps.  It is the sequence of its terms, views of its rows."""
+
+    def __init__(self, dims, terms=(), *, rows=None):
+        self.dims = dims = tuple(dims)
+        if rows is None:
+            for k, t in enumerate(terms):
+                if t.dims != dims:
+                    raise ValueError(f"term {k} factor lengths do not match dims {dims}")
+            rows = np.array([t.row for t in terms], dtype=complex).reshape(-1, 1 + sum(dims))
+        self.rows = np.asarray(rows, dtype=complex)
+        if self.rows.ndim != 2 or self.rows.shape[1] != 1 + sum(dims):
+            raise ValueError(f"rows of shape {self.rows.shape} do not hold terms of dims {dims}")
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return TensorDecomposition(self.dims, rows=self.rows[k])
+        term = object.__new__(DecompositionTerm)
+        term.row, term.dims = self.rows[k], self.dims
+        return term
+
+    # The terms: the decomposition itself, as the sequence of them.
+    terms = property(lambda self: self)
 
 
 def stack_terms(D: TensorDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """lam (r,) and the factors U (r, d1), V (r, d2), W (r, d3), one term a
-    row; stacked on every call, so later edits to the terms are seen."""
-    return _split(_term_rows(D), D.dims)
+    row: views of D's rows, so writing into them edits D."""
+    return _split(D.rows, D.dims)
 
 
 # The bytes that one block of the rebuild, or of the nonzero scan, may hold.
@@ -110,7 +125,7 @@ def _rebuild(rows: np.ndarray, dims):
 def decomposition_tensor(D: TensorDecomposition) -> np.ndarray:
     """Sum of the terms, complex, filled one _rebuild block at a time."""
     out = np.empty(D.dims, dtype=complex)
-    for j, block in _rebuild(_term_rows(D), D.dims):
+    for j, block in _rebuild(D.rows.copy(), D.dims):
         out[:, j] = block
     return out
 
@@ -212,19 +227,21 @@ def verify_decomposition(T: Tensor3, D: TensorDecomposition, tol: float) -> Veri
 
     The sum is rebuilt one block of mode-2 indices at a time (_rebuild):
     T's slice is subtracted from each block and the block's largest error
-    kept, so beside the stacked term rows it holds one block's temporaries
-    at a time.
+    kept, so beside a copy of D's rows it holds one block's temporaries at
+    a time.
 
     When lam and every factor have a zero imaginary part (the 0/+-1 terms of
     the pairwise kernels, for one), the terms are summed in real arithmetic:
     at a quarter of the complex product's cost, and exactly where the sums
     are exact."""
-    if tuple(D.dims) != tuple(T.dims):
+    if D.dims != T.dims:
         raise ValueError(f"decomposition dims {D.dims} do not match tensor dims {T.dims}")
-    rows = _term_rows(D)
+    # _rebuild scales the U it is given: it gets a copy, never D's rows.
     arr = T.entries
-    if not rows.imag.any():
-        rows = rows.real.copy()
+    if D.rows.imag.any():
+        rows = D.rows.copy()
+    else:
+        rows = D.rows.real.copy()
         # A real array's .imag would be a fresh array of zeros as large as T.
         if np.iscomplexobj(arr) and not arr.imag.any():
             arr = arr.real
@@ -237,7 +254,7 @@ def verify_decomposition(T: Tensor3, D: TensorDecomposition, tol: float) -> Veri
             err = math.inf
             break
         err = max(err, block_err)
-    return VerificationReport(err, len(D.terms), err <= tol)
+    return VerificationReport(err, len(D.rows), err <= tol)
 
 
 # The least norm whose square is a normal float64.
@@ -367,29 +384,21 @@ def complex_mul_decomposition(preset: str) -> TensorDecomposition:
            (complex multiplication commutes with conjugation, which is what
            lets a symmetric family of cubes realize the non-symmetric tensor).
     """
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
     if preset == "usual":
-        terms = [
-            DecompositionTerm(1.0, e1, e1, e1),
-            DecompositionTerm(-1.0, e2, e2, e1),
-            DecompositionTerm(1.0, e1, e2, e2),
-            DecompositionTerm(1.0, e2, e1, e2),
-        ]
+        # Rows [lam, u, v, w]: (1, e1, e1, e1), (-1, e2, e2, e1), (1, e1, e2, e2), (1, e2, e1, e2).
+        rows = [[1, 1, 0, 1, 0, 1, 0], [-1, 0, 1, 0, 1, 1, 0], [1, 1, 0, 0, 1, 0, 1],
+                [1, 0, 1, 1, 0, 0, 1]]
     elif preset == "gauss":
         # kernels and extraction both import this module
         from .extraction import triple_decomposition
         from .kernels import GAUSS_MAPS
         return triple_decomposition(GAUSS_MAPS)
     elif preset == "cube":
-        terms = []
-        for theta in (0.0, 2 * np.pi / 3, 4 * np.pi / 3):
-            inp = np.array([np.cos(theta), -np.sin(theta)])
-            out = np.array([np.cos(theta), np.sin(theta)])
-            terms.append(DecompositionTerm(4.0 / 3.0, inp, inp, out))
+        rows = [[4.0 / 3.0, c, -s, c, -s, c, s] for c, s in
+                ((np.cos(t), np.sin(t)) for t in (0.0, 2 * np.pi / 3, 4 * np.pi / 3))]
     else:
         raise ValueError(f"unknown preset {preset!r} (expected usual, gauss, or cube)")
-    return TensorDecomposition((2, 2, 2), terms)
+    return TensorDecomposition((2, 2, 2), rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -397,22 +406,11 @@ def complex_mul_decomposition(preset: str) -> TensorDecomposition:
 # ---------------------------------------------------------------------------
 
 def serialize_decomposition(D: TensorDecomposition) -> str:
+    pairs = [np.stack([F.real, F.imag], axis=-1).tolist() for F in stack_terms(D)]
     return json.dumps({
         "dims": list(D.dims),
-        "terms": [{
-            "lambda": [complex(t.lam).real, complex(t.lam).imag],
-            "u": [[complex(z).real, complex(z).imag] for z in t.u],
-            "v": [[complex(z).real, complex(z).imag] for z in t.v],
-            "w": [[complex(z).real, complex(z).imag] for z in t.w],
-        } for t in D.terms],
+        "terms": [{"lambda": lam, "u": u, "v": v, "w": w} for lam, u, v, w in zip(*pairs)],
     })
-
-
-def _read_cvec(obj, where: str) -> np.ndarray:
-    if not isinstance(obj, list):
-        raise SchemaError(f"{where}: expected a list of [re, im]")
-    return np.array([read_complex_pair(pair, f"{where}[{k}]") for k, pair in enumerate(obj)],
-                    dtype=complex)
 
 
 def parse_decomposition(text: str) -> TensorDecomposition:
@@ -428,17 +426,18 @@ def parse_decomposition(text: str) -> TensorDecomposition:
         raise SchemaError("dims: expected three positive integers")
     if not isinstance(doc["terms"], list):
         raise SchemaError("terms: expected a list")
-    terms = []
+    rows = []
     for k, t in enumerate(doc["terms"]):
         where = f"terms[{k}]"
         if not isinstance(t, dict) or any(key not in t for key in ("lambda", "u", "v", "w")):
             raise SchemaError(f"{where}: expected an object with lambda, u, v, w")
-        lam = read_complex_pair(t["lambda"], f"{where}.lambda")
-        factors = []
+        rows.append([read_complex_pair(t["lambda"], f"{where}.lambda")])
         for name, d in zip("uvw", dims):
-            vec = _read_cvec(t[name], f"{where}.{name}")
+            vec = t[name]
+            if not isinstance(vec, list):
+                raise SchemaError(f"{where}.{name}: expected a list of [re, im]")
+            rows[k] += [read_complex_pair(pair, f"{where}.{name}[{i}]")
+                        for i, pair in enumerate(vec)]
             if len(vec) != d:
                 raise SchemaError(f"{where}.{name}: expected {d} entries, got {len(vec)}")
-            factors.append(vec)
-        terms.append(DecompositionTerm(lam, *factors))
-    return TensorDecomposition(tuple(dims), terms)
+    return TensorDecomposition(dims, rows=np.array(rows, dtype=complex).reshape(-1, 1 + sum(dims)))

@@ -255,6 +255,21 @@ class TestCountTable:
         assert code == 2 and "cannot write" in err
 
 
+@pytest.mark.parametrize("argv, target", [
+    ("tensor --kind toeplitz --n 100000", "certify_rank"),
+    ("verify --kind toeplitz --n 100000 --trials 1", "random_structured"),
+])
+@pytest.mark.parametrize("message", ["Unable to allocate 149. GiB for an array", ""])
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch, argv, target, message):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(f"bilinear_kernels.cli.{target}", exhausted)
+    code, out, err = run(capsys, *argv.split())
+    assert_usage_error(code, err)
+    assert out == "" and err == f"error: {message or 'out of memory'}\n"
+
+
 class TestTensor:
     def test_circulant_certification(self, capsys):
         code, out, _ = run(capsys, "tensor", "--kind", "circulant", "--n", "4")

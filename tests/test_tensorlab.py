@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -500,13 +501,14 @@ class TestRealLane:
         assert rep.max_abs_error == math.inf and not rep.passed
 
     def test_symmetric_order_32_memory(self):
-        """The real rebuild peaks below 8 MiB traced (complex and whole:
-        21.3 MiB; real and whole: 10.6 MiB).  What remains is the stacked
-        term rows, complex and then real."""
+        """The real rebuild peaks below 4 MiB traced (complex and whole:
+        21.3 MiB; real and whole: 10.6 MiB; terms restacked into complex
+        rows before the real copy: 7.2 MiB).  What remains is the real copy
+        of the decomposition's rows, 2.4 MiB, and one block."""
         T, D = structure_tensor("symmetric", 32), extract_decomposition("symmetric", 32)
         rep, peak = traced_peak(lambda: verify_decomposition(T, D, 1e-8))
         assert rep.max_abs_error == 0 and rep.term_count == 528
-        assert peak < 8 * 2 ** 20
+        assert peak < 4 * 2 ** 20
 
     def test_toeplitz_order_64_memory(self):
         """One block at a time peaks below 2 MiB traced; the rebuild of the
@@ -724,3 +726,67 @@ def test_decomposition_json_rejects_a_factor_of_the_wrong_length():
     term = '{"lambda": [1, 0], "u": [[1, 0]], "v": [[1, 0]], "w": [[1, 0]]}'
     with pytest.raises(SchemaError, match=r"^terms\[0\]\.v: expected 2 entries, got 1$"):
         parse_decomposition('{"dims": [1, 2, 1], "terms": [%s]}' % term)
+
+
+class TestDecompositionInput:
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_a_term_with_a_wrong_length_factor_is_refused(self, bad):
+        factors = [np.ones(2), np.ones(2), np.ones(2)]
+        factors[bad] = np.ones(3)
+        terms = [DecompositionTerm(1.0, *[np.ones(2)] * 3), DecompositionTerm(1.0, *factors)]
+        with pytest.raises(ValueError, match=r"^term 1 factor lengths do not match dims"):
+            TensorDecomposition((2, 2, 2), terms)
+
+    @pytest.mark.parametrize("shape", [(3, 6), (3, 8), (0, 6), (7,), (1, 1, 7)])
+    def test_rows_not_one_plus_the_dims_wide_are_refused(self, shape):
+        with pytest.raises(ValueError, match=r"^rows of shape"):
+            TensorDecomposition((2, 2, 2), rows=np.zeros(shape, dtype=complex))
+
+    def test_rows_are_kept_and_terms_are_views_of_them(self):
+        rows = np.arange(14, dtype=complex).reshape(2, 7)
+        D = TensorDecomposition((2, 2, 2), rows=rows)
+        assert D.rows is rows and len(D.terms) == 2
+        D.terms[1].w[0] = -1
+        D.terms[0].lam = 9
+        assert rows[1, 5] == -1 and rows[0, 0] == 9
+        assert [t.lam for t in D.terms[::-1]] == [7, 9]
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_no_call_edits_the_rows(rebuild_dtypes, real):
+    """Verification, the rebuilt tensor, the stability measure and the JSON
+    leave the rows bit for bit as they were; the terms' lam are not 1, so a
+    rebuild that scaled the rows' own U would show."""
+    rng = np.random.default_rng(12)
+    D = (random_real_decomposition if real else random_decomposition)(rng, (3, 4, 5), 6)
+    before = D.rows.copy()
+    T = Tensor3(decomposition_tensor(D) + 1e-3 * rng.standard_normal((3, 4, 5)))
+    rebuild_dtypes.clear()
+    first = verify_decomposition(T, D, 1e-8)
+    assert verify_decomposition(T, D, 1e-8) == first and first.max_abs_error > 0
+    assert rebuild_dtypes == [np.dtype(np.float64 if real else np.complex128)] * 2
+    stability_measure(D)
+    serialize_decomposition(D)
+    assert D.rows.tobytes() == before.tobytes()
+
+
+# tests/golden/decomposition_json.txt is json_golden_text(): each case's
+# name on a line, then serialize_decomposition of its decomposition on the next.
+JSON_CASES = {
+    "usual": lambda: complex_mul_decomposition("usual"),
+    "gauss": lambda: complex_mul_decomposition("gauss"),
+    "cube": lambda: complex_mul_decomposition("cube"),
+    "tph 3": lambda: extract_decomposition("tph", 3),
+    "symmetric 3": lambda: extract_decomposition("symmetric", 3),
+    "f_circulant 3 f=2": lambda: extract_decomposition("f_circulant", 3, f=2),
+}
+
+
+def json_golden_text() -> str:
+    return "".join(f"{name}\n{serialize_decomposition(make())}\n"
+                   for name, make in JSON_CASES.items())
+
+
+def test_decomposition_json_matches_golden():
+    golden = Path(__file__).resolve().parent / "golden" / "decomposition_json.txt"
+    assert json_golden_text() == golden.read_text(encoding="utf-8")
