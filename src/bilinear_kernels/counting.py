@@ -235,6 +235,19 @@ class ConstantMap:
         """The sub-map of the selected rows and columns; slices give views."""
         return ConstantMap(self.matrix[key], self.support[key])
 
+    def rescaled(self, matrix: np.ndarray) -> "ConstantMap":
+        """This map with its matrix swapped for matrix, a complex array of
+        the same shape that rescales this one's rows or columns by nonzero
+        constants: such a rescaling keeps the structural support, so the
+        support, reach and every other part are this map's own."""
+        if matrix.shape != self.shape:
+            raise ValueError(f"matrix of shape {matrix.shape} for a map of shape {self.shape}")
+        out = _new_object(ConstantMap)
+        out.matrix = read_only(matrix)
+        out.support, out.full, out.reach = self.support, self.full, self.reach
+        out.shape, out.nbytes, out.cost = self.shape, self.nbytes, self.cost
+        return out
+
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self.matrix @ values
 
@@ -296,6 +309,25 @@ class GatherMap:
         self.reach = read_only(counts > 0)
         self.nbytes = self.support.nbytes + self.terms.nbytes + self.signs.nbytes
         self.cost = (0, len(rows) - int(np.count_nonzero(counts)))
+
+    @classmethod
+    def picking(cls, n: int, index) -> "GatherMap":
+        """The map whose row i is input index[i]: the map that
+        GatherMap((len(index), n), range(len(index)), index) builds, with
+        none of the sorting and tables that rows of several terms need."""
+        index = read_only(np.array(index, dtype=np.intp).reshape(1, -1))
+        m = index.shape[1]
+        if not m:
+            return cls((0, n), [], [])
+        out = _new_object(cls)
+        out.shape = (m, n)
+        out.support = out.terms = index
+        out.signs = read_only(np.ones((1, m)))
+        out.padded = False
+        out.reach = read_only(np.ones(m, dtype=bool))
+        out.nbytes = 2 * index.nbytes + out.signs.nbytes
+        out.cost = (0, 0)
+        return out
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         terms = values[self.terms]
@@ -424,7 +456,10 @@ class MapStore:
     size is the bytes of the buffers its arrays own that its bases' do not,
     and of the sparsity patterns in its key (_key_bytes): a pattern holds a
     Python pair per entry, as many bytes as the maps it keys.  A pattern
-    that keys two entries counts in both.
+    that keys two entries counts in both.  Beside each entry the store
+    keeps those owned buffers (``owned``), so a new entry takes its bases'
+    buffers from there instead of walking their maps again: every buffer a
+    base holds is owned by it or by one of its own bases.
 
     A read moves its chain to the recent end, so a base is always more
     recent than what was built from it and is never evicted first: one
@@ -435,6 +470,7 @@ class MapStore:
 
     def __init__(self):
         self.entries: OrderedDict[tuple, tuple[object, int, list[tuple]]] = OrderedDict()
+        self.owned: dict[tuple, dict[int, int]] = {}
         self.nbytes = 0
         self._reads: list[list[tuple]] = []     # the keys each build in progress reads
 
@@ -451,9 +487,9 @@ class MapStore:
             finally:
                 bases = self._reads.pop()
             chain = [key, *(k for base in bases for k in self.entries[base][2])]
-            held = _buffers(value, {})
+            held = self.owned[key] = _buffers(value, {})
             for base in set(chain[1:]):
-                for shared in _buffers(self.entries[base][0], {}):
+                for shared in self.owned[base]:
                     held.pop(shared, None)
             size = sum(held.values()) + _key_bytes(key)
             entry = self.entries[key] = (value, size, chain)
@@ -467,6 +503,7 @@ class MapStore:
             if oldest is key:
                 break
             self.nbytes -= self.entries.pop(oldest)[1]
+            del self.owned[oldest]
         return entry[0]
 
 
@@ -504,6 +541,30 @@ def as_vector(x) -> TrackedVector:
     flags = np.fromiter(map(operator.is_, map(_kind_of, scalars), repeat(Kind.VARIABLE, n)),
                         dtype=bool, count=n)
     return TrackedVector(values, flags)
+
+
+def as_input(x) -> TrackedVector:
+    """A kernel's operand: what as_vector accepts, or raw numbers, a
+    sequence of them or a numeric numpy array, whose entries become
+    Variables as structured() makes them.  Anything else is a one-line
+    TypeError."""
+    if isinstance(x, TrackedVector):
+        return x
+    if isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind in "biufc":
+        return variable_vector(x)
+    items = list(x)
+    try:
+        return as_vector(items)
+    except AttributeError:      # not every item is a TrackedScalar
+        pass
+    values = []
+    for v in items:
+        try:
+            values.append(complex(v))
+        except (TypeError, ValueError):
+            raise TypeError(f"expected all tracked scalars or all numbers, got "
+                            f"{type(v).__name__} {v!r:.40}") from None
+    return variable_vector(values)
 
 
 def to_scalars(vec: TrackedVector) -> list[TrackedScalar]:

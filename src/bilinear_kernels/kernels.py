@@ -57,9 +57,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import (BlockMap, ChainMap, ConstantMap, CountContext, GatherMap,
-                       TrackedScalar, TrackedVector, apply_matrix, as_matrix, as_vector,
-                       _stored, concat, match_output, reciprocal, take, tile, to_grid,
-                       to_scalars, triple_product, vmul)
+                       TrackedScalar, TrackedVector, apply_matrix, as_input, as_matrix,
+                       as_vector, _stored, concat, match_output, reciprocal, take, tile,
+                       to_grid, to_scalars, triple_product, vmul)
 from .extraction import level_decomposition
 from .spectral import dft_matrix, idft_matrix, principal_root, scaled_idft_matrix, twiddles
 from .structures import (LevelSpec, SparsityPattern, StructureKind, StructureSpec,
@@ -95,6 +95,15 @@ class KernelReport:
 # ---------------------------------------------------------------------------
 
 @_stored
+def _fcirc_base(n: int) -> tuple[ConstantMap, ConstantMap, ConstantMap]:
+    """The transforms of order n before any scaling by f: the DFT F with its
+    columns reindexed by m -> (n - m) mod n, F's conjugate over n, and F."""
+    j = np.arange(n)
+    F = twiddles(n, j[:, None], j)
+    return ConstantMap(F[:, (n - j) % n]), ConstantMap(F.conj() / n), ConstantMap(F)
+
+
+@_stored
 def _fcirc_maps(n: int, f: complex) -> tuple[ConstantMap, ConstantMap, ConstantMap]:
     """Constant transforms diagonalizing the f-circulant action.
 
@@ -103,14 +112,20 @@ def _fcirc_maps(n: int, f: complex) -> tuple[ConstantMap, ConstantMap, ConstantM
     x[m] = d[(n-m) mod n] the product Av equals post @ diag(eval @ x) @ pre @ v
     where eval evaluates at the n roots of t^n = f.  U is eval with the
     reindexing, its own inverse, folded into its columns.
+
+    Each map is a diagonal rescaling of the order's stored base
+    (_fcirc_base) by powers of the principal root rho: U's columns by
+    rho^j at the reindexed j, pre's columns by rho^-j and post's rows by
+    rho^j.  Every f, 1 included, takes these same products, and each map
+    shares its base's support and reach.
     """
     rho = principal_root(f, n)
     j = np.arange(n)
-    F = twiddles(n, j[:, None], j)
-    pre = F.conj() / n * (rho ** -j.astype(float))[None, :]
-    post = (rho ** j)[:, None] * F
-    U = (F * rho ** j[None, :])[:, (n - j) % n]
-    return ConstantMap(U), ConstantMap(pre), ConstantMap(post)
+    up = rho ** j
+    U, pre, post = _fcirc_base(n)
+    return (U.rescaled(U.matrix * up[-j]),             # up at (n - j) mod n
+            pre.rescaled(pre.matrix * rho ** -j.astype(float)),
+            post.rescaled(up[:, None] * post.matrix))
 
 
 def circulant_matvec(c, x, ctx: CountContext):
@@ -134,7 +149,7 @@ def _spectrum_or_raise(params: TrackedVector, M: ConstantMap,
 
 def circulant_inverse(c, ctx: CountContext):
     """First column of Circ(c)^-1 using n divisions and zero bilinear mults."""
-    cv = as_vector(c)
+    cv = as_input(c)
     n = len(cv)
     inv_hat = reciprocal(_spectrum_or_raise(cv, dft_matrix(n), ctx), ctx)
     return match_output(c, apply_matrix(idft_matrix(n), inv_hat, ctx))
@@ -144,7 +159,7 @@ def f_circulant_inverse(c, f: complex, ctx: CountContext):
     """Parameters of the inverse f-circulant; n divisions, zero bilinear mults."""
     if f == 0:
         raise ValueError("f must be nonzero")
-    cv = as_vector(c)
+    cv = as_input(c)
     n = len(cv)
     inv_hat = reciprocal(_spectrum_or_raise(cv, _fcirc_maps(n, complex(f))[0], ctx), ctx)
     x_inv = apply_matrix(scaled_idft_matrix(n, complex(f)), inv_hat, ctx)
@@ -276,7 +291,7 @@ def tph_matvec(t, h, x, ctx: CountContext):
     chosen so that it vanishes, leaving 2n-2 live products on the Toeplitz
     side, plus 2n-1 on the Hankel side.
     """
-    tv, hv = as_vector(t), as_vector(h)
+    tv, hv = as_input(t), as_input(h)
     if len(tv) != len(hv):
         raise ValueError(f"tph needs as many anti-diagonals as diagonals, "
                          f"got {len(hv)} and {len(tv)}")
@@ -351,7 +366,7 @@ def _sparse_maps(n: int, pattern: SparsityPattern) -> tuple[GatherMap, GatherMap
     summed into row r."""
     rows, cols = np.array(pattern.entries, dtype=int).reshape(-1, 2).T
     e = np.arange(len(pattern))
-    return (GatherMap((len(e), len(e)), e, e), GatherMap((len(e), n), e, cols),
+    return (GatherMap.picking(len(e), e), GatherMap.picking(n, cols),
             GatherMap((pattern.rows, len(e)), rows, e))
 
 
@@ -411,7 +426,7 @@ def _check_params(kind: StructureKind, n: int, got: int, f: complex | None = Non
 def _run(kind: StructureKind, data, x, ctx: CountContext, f: complex | None = None):
     """A public per-kind product: convert the inputs, check the parameter
     count against the table, run its kernel, return the output like x."""
-    dv, xv = as_vector(data), as_vector(x)
+    dv, xv = as_input(data), as_input(x)
     _check_params(kind, len(xv), len(dv), f)
     return match_output(x, triple_product(SPECS[kind].maps(len(xv), f, None), dv, xv, ctx))
 
@@ -451,7 +466,7 @@ def structured_matvec(M: StructuredMatrix, x, ctx: CountContext):
     U t is M's symbol: the first call forms it, and later calls reuse it
     and charge its counts again (StructuredMatrix.symbol).  M keeps its
     levels' triples too, so a later call reads no map."""
-    xv = as_vector(x)
+    xv = as_input(x)
     if len(xv) != M.n:
         raise ValueError(f"vector of length {len(xv)} for order {M.n}")
     triples = M.level_triples(level_decomposition)
@@ -476,7 +491,7 @@ def toeplitz_matmul(t, Y, ctx: CountContext):
     """Toeplitz times dense in n(2n-1) multiplications: the Toeplitz triple
     applied once over a batch axis of Y's columns, with t tiled across it so
     that U t is charged once per column."""
-    tv, y = as_vector(t), TrackedVector(*as_matrix(Y))
+    tv, y = as_input(t), TrackedVector(*as_matrix(Y))
     n = len(y)
     if y.values.shape[1] != n or len(tv) != 2 * n - 1:
         raise ValueError("toeplitz_matmul expects 2n-1 diagonals and an n x n factor")

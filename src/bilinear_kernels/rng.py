@@ -7,17 +7,43 @@ every platform.  This is the generator documented in the README; all seeded
 CLI commands and the acceptance suite draw from it.  tests/test_rng.py pins
 its stream by value.
 
-The bulk draws, complex_vector and uniforms, run the recurrence in one local
-loop with the same floating-point operations as the single draws, so they
-return the same values and leave the same state as those draws one by one.
+The bulk draws, complex_vector and uniforms, return the same values and
+leave the same state as the single draws one by one.  Below BULK_DRAWS
+draws they run the recurrence in one local loop.  From BULK_DRAWS on they
+jump ahead instead: k steps from state s give a^k s + c_k mod 2^64, with
+(a^k, c_k) read from a uint64 table of JUMP_BLOCK steps, so numpy forms a
+block of states at once, wrapping mod 2^64 as the loop masks, and applies
+the loop's floating-point operations to them.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
 _UNIT = float(1 << 53)
+
+# The loop costs about 0.4 us a draw and the jump 6-8 us a call, so the jump
+# wins from about 20 draws, ten complex entries (measured on a 2-core x86-64
+# host, Python 3.11, numpy 2.4).
+BULK_DRAWS = 20
+JUMP_BLOCK = 512
+
+
+def _jump_table(steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a^k, c_k) mod 2^64 for k = 1 .. steps: k steps from s give a^k s + c_k."""
+    mults, incs, m, c = [], [], 1, 0
+    for _ in range(steps):
+        m, c = m * _MULT & _MASK, (c * _MULT + _INC) & _MASK
+        mults.append(m)
+        incs.append(c)
+    return np.array(mults, dtype=np.uint64), np.array(incs, dtype=np.uint64)
+
+
+_JUMP_MULT, _JUMP_INC = _jump_table(JUMP_BLOCK)
+_BLOCK_MULT, _BLOCK_INC = int(_JUMP_MULT[-1]), int(_JUMP_INC[-1])
 
 
 class Lcg:
@@ -41,9 +67,33 @@ class Lcg:
         im = self.uniform()
         return complex(re, im)
 
+    def _fractions(self, k: int) -> np.ndarray:
+        """The next k draws' u / 2^53, u their top 53 bits, by jumping ahead
+        a block of JUMP_BLOCK states at a time; k >= 1."""
+        starts = [self.state]
+        for _ in range((k - 1) // JUMP_BLOCK):
+            starts.append((starts[-1] * _BLOCK_MULT + _BLOCK_INC) & _MASK)
+        if len(starts) == 1:
+            states = _JUMP_MULT[:k] * np.uint64(starts[0])
+            states += _JUMP_INC[:k]
+        else:
+            states = np.array(starts, dtype=np.uint64)[:, None] * _JUMP_MULT
+            states += _JUMP_INC
+            states = states.ravel()[:k]
+        self.state = int(states[-1])
+        fractions = (states >> np.uint64(11)).astype(np.float64)
+        fractions /= _UNIT
+        return fractions
+
     def uniforms(self, k: int, lo: float = -1.0, hi: float = 1.0) -> list[float]:
         """k uniform(lo, hi) draws."""
-        s, width, out = self.state, hi - lo, []
+        width = hi - lo
+        if k >= BULK_DRAWS:
+            values = self._fractions(k)
+            values *= width
+            values += lo
+            return values.tolist()
+        s, out = self.state, []
         for _ in range(k):
             s = (s * _MULT + _INC) & _MASK
             out.append(lo + width * ((s >> 11) / _UNIT))
@@ -52,6 +102,11 @@ class Lcg:
 
     def complex_vector(self, n: int) -> list[complex]:
         """n complex_uniform() draws: real part, then imaginary part."""
+        if 2 * n >= BULK_DRAWS:
+            parts = self._fractions(2 * n)
+            parts *= 2.0
+            parts -= 1.0          # -1.0 + x, exactly: the sum is the same either way
+            return parts.view(complex).tolist()     # re, im pairs are complex128's layout
         s, out = self.state, []
         for _ in range(n):
             s = (s * _MULT + _INC) & _MASK

@@ -31,7 +31,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, _scalars, _stored,
-                       as_matrix, as_vector, constant, match_output, read_only, to_grid)
+                       as_input, as_matrix, as_vector, constant, match_output, read_only,
+                       to_grid)
 
 
 class SchemaError(ValueError):
@@ -67,6 +68,12 @@ class SparsityPattern:
             if (r, c) in seen:
                 raise ValueError(f"duplicate pattern entry ({r},{c})")
             seen.add((r, c))
+        object.__setattr__(self, "_hash", hash((self.rows, self.cols, self.entries)))
+
+    def __hash__(self) -> int:
+        """The hash of the fields, computed once: a pattern keys store
+        entries, and hashing its entries walks every pair."""
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -182,6 +189,18 @@ def check_level(kind: StructureKind, n: int, f: complex | None,
 
 @dataclass(frozen=True)
 class StructuredMatrix:
+    """A structured matrix: its kind, order and parameters in the canonical
+    order, the f, pattern or levels its kind takes, and what its products
+    keep (its parameters as a vector, its symbol, its levels' triples).
+
+    ``data`` is the parameters as TrackedScalars.  A matrix made from raw
+    numbers (structured()) keeps them as its data vector alone, one
+    read-only array that every product and the oracle read; its data is
+    built from that vector on first read and kept (__getattr__), so
+    equality, hashing, repr and serialization see the same tuple as for a
+    matrix made from the scalars.
+    """
+
     kind: StructureKind
     n: int
     data: tuple[TrackedScalar, ...]
@@ -196,10 +215,38 @@ class StructuredMatrix:
                                                compare=False)
 
     def __post_init__(self):
+        self._settle(len(self.data))
+
+    @classmethod
+    def _of_variables(cls, kind: StructureKind, n: int, values: np.ndarray,
+                      f: complex | None, pattern: SparsityPattern | None,
+                      levels: tuple[LevelSpec, ...] | None) -> "StructuredMatrix":
+        """The matrix whose parameters are Variables of the read-only complex
+        values, kept as its data vector; no scalar is built."""
+        M = cls.__new__(cls)
+        vector = TrackedVector(values, read_only(np.ones(len(values), dtype=bool)))
+        for name, value in (("kind", kind), ("n", n), ("f", f), ("pattern", pattern),
+                            ("levels", levels), ("_vector", vector)):
+            object.__setattr__(M, name, value)
+        M._settle(len(values))
+        return M
+
+    def __getattr__(self, name: str):
+        """The data of a matrix kept as its data vector alone: the Variables
+        of the vector, built on this first read and kept."""
+        vec = self._vector
+        if name != "data" or vec is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        data = tuple(_scalars(vec.values.tolist(), repeat(Kind.VARIABLE)))
+        object.__setattr__(self, "data", data)
+        return data
+
+    def _settle(self, size: int) -> None:
         """A kind given by its name becomes its StructureKind.  A
         single-level kind is its own one level.  Every level is checked
-        against the table; their orders and parameter counts multiply.  A
-        multilevel structure's levels each need a parameter."""
+        against the table; their orders and parameter counts multiply, and
+        the product must be size.  A multilevel structure's levels each
+        need a parameter."""
         object.__setattr__(self, "kind", StructureKind(self.kind))
         multilevel = self.kind is StructureKind.MULTILEVEL
         if multilevel and not self.levels:
@@ -218,10 +265,10 @@ class StructuredMatrix:
             order *= lev.n
         if order != self.n:
             raise ValueError(f"multilevel order {self.n} != product of level orders {order}")
-        if len(self.data) != expected:
+        if size != expected:
             raise ValueError(
                 f"{self.kind.value} of order {self.n} needs {expected} parameters, "
-                f"got {len(self.data)}")
+                f"got {size}")
 
     def data_vector(self) -> TrackedVector:
         """The parameters as a read-only TrackedVector, converted on first use."""
@@ -267,31 +314,35 @@ class StructuredMatrix:
         return vec
 
 
+# Types that numpy converts to complex as complex() does, with no call per entry.
+_PLAIN_NUMBERS = {complex, float, int}
+
+
 def structured(kind: StructureKind, n: int, data, f: complex | None = None,
                pattern: SparsityPattern | None = None,
                levels: Sequence[LevelSpec] | None = None) -> StructuredMatrix:
     """Convenience constructor accepting TrackedScalars or raw numbers.
 
     Raw numbers become Variables (they are inputs to be computed with).
-    Data of raw numbers alone is converted once: its scalars are built in
-    bulk, and the matrix keeps the same values as its data vector, so the
-    first product converts nothing back.  The data tuple is built from a
+    Data of raw numbers alone is converted once, into one read-only array
+    that the matrix keeps as its data vector: no scalar is built until
+    ``data`` is read (StructuredMatrix).  Plain Python numbers go to numpy
+    whole; any other number through complex() first, so that a value
+    complex() refuses raises its error.  A data tuple is built from a
     list, at its exact size: a short tuple grown from a generator never
     reuses the tuples CPython keeps freed per size.
     """
     data = list(data)
     levels = tuple(levels) if levels is not None else None
-    if any(map(isinstance, data, repeat(TrackedScalar))):
-        scalars = [d if isinstance(d, TrackedScalar) else TrackedScalar(complex(d), Kind.VARIABLE)
-                   for d in data]
-        return StructuredMatrix(kind, n, tuple(scalars), f=f, pattern=pattern, levels=levels)
-    values = [complex(d) for d in data]
-    M = StructuredMatrix(kind, n, tuple(_scalars(values, repeat(Kind.VARIABLE))), f=f,
-                         pattern=pattern, levels=levels)
-    vector = TrackedVector(read_only(np.array(values, dtype=complex)),
-                           read_only(np.ones(len(values), dtype=bool)))
-    object.__setattr__(M, "_vector", vector)
-    return M
+    if not set(map(type, data)) <= _PLAIN_NUMBERS:
+        if any(map(isinstance, data, repeat(TrackedScalar))):
+            scalars = [d if isinstance(d, TrackedScalar)
+                       else TrackedScalar(complex(d), Kind.VARIABLE) for d in data]
+            return StructuredMatrix(kind, n, tuple(scalars), f=f, pattern=pattern,
+                                    levels=levels)
+        data = [complex(d) for d in data]
+    values = read_only(np.array(data, dtype=complex))
+    return StructuredMatrix._of_variables(kind, n, values, f, pattern, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +373,11 @@ def circulant_placement(n, f=None, pattern=None):
 
 
 def f_circulant_placement(n, f, pattern=None):
-    i, j = _grid(n)
-    return _triples(n, (i - j) % n, i, j, np.where(i > j, f, 1.0))
+    """The stored circulant placement's param and cell, each wrapped cell
+    (i > j) weighted by f."""
+    param, cell, _, _ = _placement((LevelSpec(StructureKind.CIRCULANT, n),))
+    coeff = np.asarray(np.where(np.tri(n, k=-1, dtype=bool).ravel(), f, 1.0), dtype=complex)
+    return param, cell, read_only(coeff)
 
 
 def toeplitz_placement(n, f=None, pattern=None):
@@ -405,7 +459,7 @@ def dense_parts(M: StructuredMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray
     values = np.zeros(size, dtype=complex)
     np.add.at(values, cell, coeff * data.values[param])
     variable = np.zeros(size, dtype=bool)
-    np.logical_or.at(variable, cell, data.variable[param])
+    variable[cell[data.variable[param]]] = True
     return values.reshape(structural.shape), variable.reshape(structural.shape), structural
 
 
@@ -433,7 +487,7 @@ def naive_matvec(A, x, ctx: CountContext):
         values, variable, _ = dense_parts(A)
     else:
         values, variable = as_matrix(A)
-    xvec = as_vector(x)
+    xvec = as_input(x)
     m, ncols = values.shape
     if ncols != len(xvec):
         raise ValueError(f"matrix is {m}x{ncols} but vector has length {len(xvec)}")
