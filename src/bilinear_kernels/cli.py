@@ -13,6 +13,7 @@ import cmath
 import math
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -21,9 +22,9 @@ from .extraction import certify_rank
 from .groups import blocked_simultaneous, cyclic_group, dihedral8, tpp_check
 from .kernels import SPECS, formula_count, structured_matvec
 from .rng import Lcg
-from .structures import (LevelSpec, SparsityPattern, StructureKind, StructuredMatrix,
-                         default_f, dense_parts, naive_count, naive_matvec, param_count,
-                         structured)
+from .structures import (InputError, LevelSpec, SparsityPattern, StructureKind,
+                         StructuredMatrix, check_structure, default_f, dense_parts, naive_count,
+                         naive_matvec, param_count, spec, structured)
 from .tensorlab import (NAMED_BUILDERS, build_structure_tensor,
                         complex_mul_decomposition, complex_mul_tensor, flattening_ranks,
                         ottaviani_test, stability_measure, structure_tensor,
@@ -62,30 +63,31 @@ def _parse_complex(text: str) -> complex:
     return z
 
 
-def _table_kind(name: str | None, n: int | None, f: complex | None, where: str,
-                draws_pattern: bool = False, order_where: str = "--n",
-                f_where: str = "--f") -> tuple[StructureKind, complex | None]:
-    """A single-level kind named on the command line (at ``where``, its order
-    at ``order_where``, its f, None when not given, at ``f_where``), checked
-    against the table, and the f it takes: -1 by default.  Only verify draws
-    a sparsity pattern."""
-    try:
-        kind = StructureKind(name)
-    except ValueError:
-        raise ConfigError(f"{where}: unknown kind {name!r}") from None
-    if kind is StructureKind.MULTILEVEL:
+def _table_kind(name: str, f: complex | None, where: str) -> complex | None:
+    """The f of a single-level kind named on the command line at where, -1
+    by default where the kind takes one.  Only verify --kind draws what is
+    more than a table entry (a sparse pattern, multilevel levels); the
+    table's own rules are the validator's."""
+    if name == StructureKind.MULTILEVEL:
         raise ConfigError(f"{where}: multilevel is not a single-level kind")
-    entry = SPECS[kind]
-    if entry.needs_pattern and not draws_pattern:
-        raise ConfigError(f"{where}: {kind.value} needs a sparsity pattern, "
+    if getattr(spec(name), "needs_pattern", False):
+        raise ConfigError(f"{where}: {name} needs a sparsity pattern, "
                           f"which only verify --kind draws")
-    if n is None or n < 1:
-        raise ConfigError(f"{order_where}: the order must be a positive integer, got {n}")
-    if f is not None and not entry.needs_f:
-        raise ConfigError(f"{f_where}: {kind.value} takes no f; only f_circulant does")
-    if f == 0:
-        raise ConfigError(f"{where}: f must be nonzero")
-    return kind, default_f(kind, f)
+    return default_f(name, f)
+
+
+@contextmanager
+def _reported_at(where: str | None = None, kind_at: str = "--kind"):
+    """The validator's refusal as a usage error: at where, else at the
+    option of the input at fault (kind_at for the kind), and with no
+    position when no one input is at fault."""
+    try:
+        yield
+    except InputError as exc:
+        if exc.field is None:
+            raise ConfigError(str(exc)) from None
+        at = where or (kind_at if exc.field == "kind" else f"--{exc.field}")
+        raise ConfigError(f"{at}: {exc}") from None
 
 
 def _parse_levels(text: str) -> tuple[LevelSpec, ...]:
@@ -100,8 +102,10 @@ def _parse_levels(text: str) -> tuple[LevelSpec, ...]:
             raise ConfigError(f"level {chunk!r}: bad order {parts[1]!r}") from None
         f = _parse_complex(parts[2]) if len(parts) == 3 else None
         where = f"level {chunk!r}"
-        kind, f = _table_kind(parts[0], n, f, where, order_where=where, f_where=where)
-        levels.append(LevelSpec(kind, n, f))
+        f = _table_kind(parts[0], f, where)
+        with _reported_at(where):
+            check_structure(parts[0], n, f)
+        levels.append(LevelSpec(parts[0], n, f))
     return tuple(levels)
 
 
@@ -132,23 +136,14 @@ def _rel_error(got: np.ndarray, want: np.ndarray) -> float:
 
 
 def _build_instance(cfg: argparse.Namespace, rng: Lcg) -> StructuredMatrix:
-    if cfg.kind == "multilevel":
-        if cfg.levels is None:
-            raise ConfigError("multilevel verification needs --levels")
-        if cfg.f is not None:
-            raise ConfigError("--f: multilevel takes no f; a level takes it as f_circulant:n:F")
-        order = math.prod(lev.n for lev in cfg.levels)
-        if cfg.n is not None and cfg.n != order:
-            raise ConfigError(f"--n: {cfg.n} is not {order}, the product of the level orders")
-        try:
-            return random_structured(StructureKind.MULTILEVEL, order, rng, levels=cfg.levels)
-        except ValueError as exc:
-            raise ConfigError(f"--levels: {exc}") from None
-    if cfg.levels is not None:
-        raise ConfigError(f"--levels: only --kind multilevel takes levels, not {cfg.kind!r}")
-    kind, f = _table_kind(cfg.kind, cfg.n, cfg.f, "--kind", draws_pattern=True)
-    pattern = random_pattern(cfg.n, rng) if SPECS[kind].needs_pattern else None
-    return random_structured(kind, cfg.n, rng, f=f, pattern=pattern)
+    """One trial's matrix.  A sparse one's pattern is drawn for its order
+    once that is checked, with the empty pattern standing in until then."""
+    f, pattern = default_f(cfg.kind, cfg.f), None
+    with _reported_at():
+        if getattr(spec(cfg.kind), "needs_pattern", False):
+            n = check_structure(cfg.kind, cfg.n, f, SparsityPattern(cfg.n, cfg.n, ())).n
+            pattern = random_pattern(n, rng)
+        return random_structured(cfg.kind, cfg.n, rng, f=f, pattern=pattern, levels=cfg.levels)
 
 
 def _fmt_counts(values: set) -> str:
@@ -170,7 +165,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         ctx_naive = CountContext()
         ref = naive_matvec(M, x, ctx_naive)
         max_err = max(max_err, _rel_error(fast.values, ref.values))
-        formula = formula_count(M.kind, M.n, M.pattern, M.levels)
+        formula = formula_count(M.kind, M.n, M.pattern, cfg.levels)
         counts_match &= ctx.bilinear_mults == formula
         fast_counts.add(ctx.bilinear_mults)
         naive_counts.add(ctx_naive.bilinear_mults)
@@ -183,13 +178,14 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _count_row(M: StructuredMatrix, label_n: str, rng: Lcg) -> tuple[list[str], bool]:
+def _count_row(M: StructuredMatrix, label_n: str, rng: Lcg,
+               levels: tuple[LevelSpec, ...] | None = None) -> tuple[list[str], bool]:
     ctx = CountContext()
     structured_matvec(M, variable_vector(rng.complex_vector(M.n)), ctx)
     fast = ctx.bilinear_mults
     values, variable, structural = dense_parts(M)
     naive = naive_count((values, variable))
-    formula = formula_count(M.kind, M.n, M.pattern, M.levels)
+    formula = formula_count(M.kind, M.n, M.pattern, levels)
     match = fast == formula
     # '*': the pattern-aware count, which skips a structurally zero diagonal
     naive_text = str(naive) if structural.diagonal().all() else f"{naive}*"
@@ -215,7 +211,7 @@ def cmd_count_table(cfg: argparse.Namespace) -> int:
             levels = (LevelSpec(StructureKind.TOEPLITZ, n),
                       LevelSpec(StructureKind.TOEPLITZ, k))
             M = random_structured(StructureKind.MULTILEVEL, n * k, rng, levels=levels)
-            row, ok = _count_row(M, f"{n}x{k}", rng)
+            row, ok = _count_row(M, f"{n}x{k}", rng, levels)
             rows.append(row)
             all_match &= ok
     text = "\n".join(",".join(r) for r in rows) + "\n"
@@ -241,21 +237,20 @@ def cmd_tensor(cfg: argparse.Namespace) -> int:
         T = build_structure_tensor(cfg.builder)
     else:
         where = f"--builder (named: {', '.join(NAMED_BUILDERS)})" if cfg.builder else "--kind"
-        kind, f = _table_kind(cfg.builder or cfg.kind, cfg.n, cfg.f, where)
-        if SPECS[kind].params(cfg.n, None) == 0:
-            raise ConfigError(f"{where}: {kind.value} of order {cfg.n} has no parameters")
-        if not cfg.builder:
-            c = certify_rank(kind, cfg.n, f)
-            print(f"kind={kind.value} n={cfg.n} terms={c.terms} "
-                  f"decomposition_error={c.error:.3e} flattening_ranks={c.ranks} "
-                  f"structure_dim={c.dim}")
-            if c.certified:
-                print(f"rank certified = {c.terms}")
-                return 0
-            print(f"rank bounds: {c.lower} <= rank <= {c.terms}"
-                  if c.passed else "decomposition failed verification")
-            return 1
-        T = structure_tensor(kind, cfg.n, f=f)
+        f = _table_kind(cfg.builder or cfg.kind, cfg.f, where)
+        with _reported_at(kind_at=where):
+            if not cfg.builder:
+                c = certify_rank(cfg.kind, cfg.n, f)
+                print(f"kind={cfg.kind} n={cfg.n} terms={c.terms} "
+                      f"decomposition_error={c.error:.3e} flattening_ranks={c.ranks} "
+                      f"structure_dim={c.dim}")
+                if c.certified:
+                    print(f"rank certified = {c.terms}")
+                    return 0
+                print(f"rank bounds: {c.lower} <= rank <= {c.terms}"
+                      if c.passed else "decomposition failed verification")
+                return 1
+            T = structure_tensor(cfg.builder, cfg.n, f=f)
     print(f"builder={cfg.builder} flattening_ranks={flattening_ranks(T)}")
     if cfg.ottaviani:
         rep = ottaviani_test(T)

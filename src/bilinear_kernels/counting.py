@@ -662,7 +662,10 @@ def match_output(x_input, vec: TrackedVector):
 
 
 def as_matrix(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a dense grid of TrackedScalars to (values, variable) arrays."""
+    """A kernel's grid operand as (values, variable) arrays: the pair
+    itself, or rows whose entries as_input takes together (a grid of
+    TrackedScalars, read with no check per entry, or of raw numbers, a 2-D
+    numeric numpy array among them, whose entries become Variables)."""
     if isinstance(rows, tuple) and len(rows) == 2 and isinstance(rows[0], np.ndarray):
         return rows
     grid = [list(r) for r in rows]
@@ -670,6 +673,5 @@ def as_matrix(rows) -> tuple[np.ndarray, np.ndarray]:
     n = len(grid[0]) if m else 0
     if any(len(r) != n for r in grid):
         raise ValueError("ragged matrix")
-    values = np.array([list(map(_value_of, r)) for r in grid], dtype=complex)
-    flags = np.array([[s.kind is Kind.VARIABLE for s in r] for r in grid], dtype=bool)
-    return values, flags
+    vec = as_input([s for r in grid for s in r])
+    return vec.values.reshape(m, n), vec.variable.reshape(m, n)

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import TrackedVector
-from .structures import (LevelSpec, SparsityPattern, StructureKind, check_level, default_f,
-                         spec, structure_dim)
+from .structures import LevelSpec, SparsityPattern, check_structure, default_f, spec, structure_dim
 from .tensorlab import TensorDecomposition, flattening_ranks, structure_tensor, verify_decomposition
 
 _ZERO_TOL = 1e-11
@@ -67,9 +66,8 @@ def extract_decomposition(kind, n: int, f: complex | None = None,
     """The rank-one terms of the kind's stored triple, the one its kernel
     runs: one per bilinear product, summing to the structure tensor.  A kind
     that needs f uses f = -1 when none is given."""
-    kind = StructureKind(kind)
     f = default_f(kind, f)
-    check_level(kind, n, f, pattern)
+    kind = check_structure(kind, n, f, pattern).kind
     return triple_decomposition(spec(kind).maps(n, f, pattern))
 
 
@@ -101,8 +99,8 @@ class RankCertificate:
 
 def certify_rank(kind, n: int, f: complex | None = None) -> RankCertificate:
     """Verify the kernel's decomposition against the structure tensor and
-    take its flattening ranks.  f defaults as in extract_decomposition."""
-    kind = StructureKind(kind)
+    take its flattening ranks.  f defaults as in extract_decomposition;
+    structure_tensor checks the inputs first."""
     T = structure_tensor(kind, n, f=f)
     rep = verify_decomposition(T, extract_decomposition(kind, n, f=f), CERTIFY_TOL)
     return RankCertificate(rep.term_count, rep.max_abs_error, rep.passed, flattening_ranks(T),

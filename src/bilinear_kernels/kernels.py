@@ -51,19 +51,18 @@ another (ChainMap); see counting.py.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .counting import (BlockMap, ChainMap, ConstantMap, CountContext, GatherMap,
                        TrackedScalar, TrackedVector, apply_matrix, as_input, as_matrix,
-                       as_vector, _stored, concat, match_output, reciprocal, take, tile,
+                       _stored, concat, match_output, reciprocal, take, tile,
                        to_grid, to_scalars, triple_product, vmul)
 from .extraction import level_decomposition
 from .spectral import dft_matrix, idft_matrix, principal_root, scaled_idft_matrix, twiddles
 from .structures import (LevelSpec, SparsityPattern, StructureKind, StructureSpec,
-                         StructuredMatrix, check_inputs, check_level, circulant_placement,
+                         StructuredMatrix, check_structure, circulant_placement,
                          f_circulant_placement, hankel_placement, skew_symmetric_placement,
                          sparse_placement, symmetric_placement, toeplitz_placement,
                          tph_placement, triangular_toeplitz_placement)
@@ -74,11 +73,9 @@ class SingularMatrix(ValueError):
 
 def formula_count(kind: StructureKind, n: int, pattern: SparsityPattern | None = None,
                   levels: tuple[LevelSpec, ...] | None = None) -> int:
-    """Closed-form bilinear multiplication count of the fast kernel."""
-    kind = check_inputs(kind, n, pattern, levels)
-    if kind is StructureKind.MULTILEVEL:
-        return math.prod(formula_count(lev.kind, lev.n, lev.pattern) for lev in levels)
-    return SPECS[kind].count(n, pattern)
+    """Closed-form bilinear multiplication count of the fast kernel: the
+    product of its levels' counts (check_structure)."""
+    return check_structure(kind, n, pattern=pattern, levels=levels).count
 
 
 @dataclass
@@ -157,10 +154,9 @@ def circulant_inverse(c, ctx: CountContext):
 
 def f_circulant_inverse(c, f: complex, ctx: CountContext):
     """Parameters of the inverse f-circulant; n divisions, zero bilinear mults."""
-    if f == 0:
-        raise ValueError("f must be nonzero")
     cv = as_input(c)
     n = len(cv)
+    check_structure(StructureKind.F_CIRCULANT, n, f, size=n)
     inv_hat = reciprocal(_spectrum_or_raise(cv, _fcirc_maps(n, complex(f))[0], ctx), ctx)
     x_inv = apply_matrix(scaled_idft_matrix(n, complex(f)), inv_hat, ctx)
     return match_output(c, take(x_inv, (n - np.arange(n)) % n))
@@ -180,7 +176,7 @@ GAUSS_MAPS = (_GAUSS_SUMS, _GAUSS_SUMS,
 def gauss_complex_mul(a: TrackedScalar, b: TrackedScalar, c: TrackedScalar,
                       d: TrackedScalar, ctx: CountContext):
     """(a+ib)(c+id) -> (ac-bd, ad+bc) with exactly three multiplications."""
-    return tuple(to_scalars(triple_product(GAUSS_MAPS, as_vector([a, b]), as_vector([c, d]),
+    return tuple(to_scalars(triple_product(GAUSS_MAPS, as_input([a, b]), as_input([c, d]),
                                            ctx)))
 
 
@@ -416,18 +412,11 @@ SPECS: dict[StructureKind, StructureSpec] = {
 }
 
 
-def _check_params(kind: StructureKind, n: int, got: int, f: complex | None = None) -> None:
-    """Check order n and f of a single-level kind and its parameter count."""
-    want = check_level(kind, n, f, None)
-    if got != want:
-        raise ValueError(f"{kind.value} of order {n} needs {want} parameters, got {got}")
-
-
 def _run(kind: StructureKind, data, x, ctx: CountContext, f: complex | None = None):
-    """A public per-kind product: convert the inputs, check the parameter
-    count against the table, run its kernel, return the output like x."""
+    """A public per-kind product: convert the inputs, check them against
+    the table (check_structure), run its kernel, return the output like x."""
     dv, xv = as_input(data), as_input(x)
-    _check_params(kind, len(xv), len(dv), f)
+    check_structure(kind, len(xv), f, size=len(dv))
     return match_output(x, triple_product(SPECS[kind].maps(len(xv), f, None), dv, xv, ctx))
 
 
@@ -493,7 +482,7 @@ def toeplitz_matmul(t, Y, ctx: CountContext):
     that U t is charged once per column."""
     tv, y = as_input(t), TrackedVector(*as_matrix(Y))
     n = len(y)
-    if y.values.shape[1] != n or len(tv) != 2 * n - 1:
+    if y.values.shape != (n, n) or len(tv) != 2 * n - 1:
         raise ValueError("toeplitz_matmul expects 2n-1 diagonals and an n x n factor")
     return to_grid(triple_product(_toeplitz_maps(n), tile(tv, n), y, ctx))
 
@@ -515,7 +504,7 @@ _COMMUTATOR_MAPS = (
 
 def commutator_2x2(A, X, ctx: CountContext):
     """[A, X] = AX - XA for 2x2 matrices with exactly six multiplications."""
-    a, x = (as_vector([s for row in M for s in row]) for M in (A, X))
+    a, x = (TrackedVector(*(part.reshape(-1) for part in as_matrix(M))) for M in (A, X))
     out = triple_product(_COMMUTATOR_MAPS, a, x, ctx)
     return to_grid(TrackedVector(out.values.reshape(2, 2), out.variable.reshape(2, 2)))
 
@@ -524,6 +513,7 @@ def kernel_report(M: StructuredMatrix, x) -> KernelReport:
     """Run the kernel on a fresh context and package counts and formula."""
     ctx = CountContext()
     out = structured_matvec(M, x, ctx)
-    formula = formula_count(M.kind, M.n, M.pattern, M.levels)
+    multilevel = M.kind is StructureKind.MULTILEVEL
+    formula = formula_count(M.kind, M.n, M.pattern, M.levels if multilevel else None)
     out_list = out if isinstance(out, list) else to_scalars(out)
     return KernelReport(out_list, ctx.snapshot(), formula)

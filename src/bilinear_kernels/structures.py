@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import cmath
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import repeat
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +36,16 @@ from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, _scalar
 
 class SchemaError(ValueError):
     """Malformed matrix/vector JSON; the message carries the offending position."""
+
+
+class InputError(ValueError):
+    """An input that breaks a rule of the structure table: field is the input
+    at fault (kind, n, f, pattern, levels or data; None when no one input
+    is), level the index of its level (None: the structure itself)."""
+
+    def __init__(self, message: str, field: str | None, level: int | None = None):
+        super().__init__(message)
+        self.field, self.level = field, level
 
 
 class StructureKind(str, Enum):
@@ -50,6 +59,11 @@ class StructureKind(str, Enum):
     SKEW_SYMMETRIC = "skew_symmetric"
     SPARSE = "sparse"
     MULTILEVEL = "multilevel"
+
+    @classmethod
+    def _missing_(cls, value):
+        """The kind rule: a name that is no kind's is refused."""
+        raise InputError(f"unknown kind {value!r}", "kind")
 
 
 @dataclass(frozen=True)
@@ -90,7 +104,8 @@ class LevelSpec:
 
     def __post_init__(self):
         """A kind given by its name becomes its StructureKind."""
-        object.__setattr__(self, "kind", StructureKind(self.kind))
+        if self.kind.__class__ is not StructureKind:
+            object.__setattr__(self, "kind", StructureKind(self.kind))
 
 
 @dataclass(frozen=True)
@@ -124,67 +139,95 @@ class StructureSpec:
 
 
 @lru_cache(maxsize=len(StructureKind))  # one entry per kind; an import costs more than a hit
-def spec(kind: StructureKind) -> StructureSpec:
-    """The table entry of a single-level kind."""
+def spec(kind: StructureKind) -> StructureSpec | None:
+    """The table entry of a single-level kind or its name; None for
+    multilevel, which is given by its levels, and for any other name."""
     from .kernels import SPECS  # the table holds the kernel maps, and kernels imports this module
-    try:
-        return SPECS[kind]
-    except KeyError:
-        raise ValueError(f"{StructureKind(kind).value} has no table entry: "
-                         f"a multilevel structure is given by its levels") from None
+    return SPECS.get(kind)
 
 
 def default_f(kind: StructureKind, f: complex | None) -> complex | None:
     """The f of a single-level kind: -1 when the kind needs one and none
     is given, else f as given."""
-    return complex(-1.0) if f is None and spec(kind).needs_f else f
+    return complex(-1.0) if f is None and getattr(spec(kind), "needs_f", False) else f
 
 
-def check_inputs(kind: StructureKind, n: int, pattern: SparsityPattern | None,
-                 levels: tuple[LevelSpec, ...] | None) -> StructureKind:
-    """The kind, once its order is positive and it has the levels or the
-    pattern it needs, and no pattern it does not take."""
-    kind = StructureKind(kind)
-    if n < 1:
-        raise ValueError("order must be positive")
+class Structure(NamedTuple):
+    """A checked structure; its parameter and kernel counts are its levels' products."""
+
+    kind: StructureKind
+    n: int
+    params: int
+    count: int
+
+
+def check_structure(kind: StructureKind, n: int | None, f: complex | None = None,
+                    pattern: SparsityPattern | None = None,
+                    levels: Sequence[LevelSpec] | None = None,
+                    size: int | None = None) -> Structure:
+    """Every input rule of the structure table, in one place: each entry
+    point calls this and adds only its own error type and the position of
+    the input at fault (InputError).  A multilevel kind has levels of
+    single-level kinds with a parameter each, and an order (None: theirs)
+    equal to the product of theirs; any other kind is its own one level.
+    Orders are at least 1, a pattern (n x n) goes with sparse alone and a
+    nonzero f with f-circulant alone.  size is the number of parameters
+    given, None when none are: it must be the table's, and f-circulant
+    then needs its f."""
+    kind = kind if kind.__class__ is StructureKind else StructureKind(kind)
+    parts = [(None, kind, n, f, pattern)]     # last: a multilevel order defaults to its levels'
     if kind is StructureKind.MULTILEVEL:
         if not levels:
-            raise ValueError("multilevel structure needs levels")
-    elif not spec(kind).needs_pattern:
-        if pattern is not None:
-            raise ValueError(f"{kind.value} takes no sparsity pattern")
-    elif pattern is None:
-        raise ValueError(f"{kind.value} structure needs a pattern")
-    elif (pattern.rows, pattern.cols) != (n, n):
-        raise ValueError(f"pattern of shape {pattern.rows}x{pattern.cols} "
-                         f"for a matrix of order {n}")
-    return kind
+            raise InputError("multilevel structure needs levels", "levels")
+        parts[:0] = [(k, lev.kind, lev.n, lev.f, lev.pattern) for k, lev in enumerate(levels)]
+    elif levels is not None:
+        raise InputError(f"{kind.value} takes no levels", "levels")
+    params = count = order = 1
+    for level, part, m, part_f, part_pattern in parts:
+        entry = spec(part)
+        if entry is None and level is not None:
+            raise InputError(f"{part.value} is not a valid level kind", "kind", level)
+        if m is None and entry is None:
+            n = m = order
+        if m is None or m < 1:
+            raise InputError("order must be positive", "n", level)
+        if entry is None or not entry.needs_pattern:
+            if part_pattern is not None:
+                raise InputError(f"{part.value} takes no sparsity pattern", "pattern", level)
+        elif part_pattern is None:
+            raise InputError(f"{part.value} structure needs a pattern", "pattern", level)
+        elif (part_pattern.rows, part_pattern.cols) != (m, m):
+            raise InputError(f"pattern of shape {part_pattern.rows}x{part_pattern.cols} "
+                             f"for a matrix of order {m}", "pattern", level)
+        if entry is None or not entry.needs_f:
+            if part_f is not None:
+                raise InputError(f"{part.value} takes no f", "f", level)
+        elif part_f == 0 or (part_f is None and size is not None):
+            raise InputError(f"{part.value} needs a nonzero f", "f", level)
+        if entry is not None:
+            level_params = entry.params(m, part_pattern)
+            if level_params == 0 and level is not None:
+                raise InputError(f"level {part.value} of order {m} has no parameters", None,
+                                 level)
+            params *= level_params
+            count *= entry.count(m, part_pattern)
+            order *= m
+    if order != n:
+        raise InputError(f"multilevel order {n} != product of level orders {order}", "n")
+    if size is not None and size != params:
+        raise InputError(f"{kind.value} of order {n} needs {params} parameters, got {size}",
+                         "data")
+    return Structure(kind, n, params, count)
 
 
 def param_count(kind: StructureKind, n: int, pattern: SparsityPattern | None = None,
                 levels: tuple[LevelSpec, ...] | None = None) -> int:
-    kind = check_inputs(kind, n, pattern, levels)
-    if kind is StructureKind.MULTILEVEL:
-        return math.prod(param_count(lev.kind, lev.n, lev.pattern) for lev in levels)
-    return spec(kind).params(n, pattern)
+    return check_structure(kind, n, pattern=pattern, levels=levels).params
 
 
 def structure_dim(kind: StructureKind, n: int, pattern: SparsityPattern | None = None) -> int:
     """Dimension of the matrix space (differs from param_count only for tph)."""
-    return spec(check_inputs(kind, n, pattern, None)).dim(n, pattern)
-
-
-def check_level(kind: StructureKind, n: int, f: complex | None,
-                pattern: SparsityPattern | None) -> int:
-    """Check a single-level structure's order, pattern and f against the
-    table; return its parameter count."""
-    params = param_count(kind, n, pattern)
-    if spec(kind).needs_f:
-        if f is None or f == 0:
-            raise ValueError(f"{StructureKind(kind).value} needs a nonzero f")
-    elif f is not None:
-        raise ValueError(f"{StructureKind(kind).value} takes no f")
-    return params
+    return spec(check_structure(kind, n, pattern=pattern).kind).dim(n, pattern)
 
 
 @dataclass(frozen=True)
@@ -242,33 +285,14 @@ class StructuredMatrix:
         return data
 
     def _settle(self, size: int) -> None:
-        """A kind given by its name becomes its StructureKind.  A
-        single-level kind is its own one level.  Every level is checked
-        against the table; their orders and parameter counts multiply, and
-        the product must be size.  A multilevel structure's levels each
-        need a parameter."""
-        object.__setattr__(self, "kind", StructureKind(self.kind))
-        multilevel = self.kind is StructureKind.MULTILEVEL
-        if multilevel and not self.levels:
-            raise ValueError("multilevel structure needs levels")
-        if not multilevel:
-            if self.levels is not None:
-                raise ValueError(f"{self.kind.value} takes no levels")
-            object.__setattr__(self, "levels",
-                               (LevelSpec(self.kind, self.n, self.f, self.pattern),))
-        expected = order = 1
-        for lev in self.levels:
-            params = check_level(lev.kind, lev.n, lev.f, lev.pattern)
-            if multilevel and params == 0:
-                raise ValueError(f"level {lev.kind.value} of order {lev.n} has no parameters")
-            expected *= params
-            order *= lev.n
-        if order != self.n:
-            raise ValueError(f"multilevel order {self.n} != product of level orders {order}")
-        if size != expected:
-            raise ValueError(
-                f"{self.kind.value} of order {self.n} needs {expected} parameters, "
-                f"got {size}")
+        """Check the matrix and its size parameters (check_structure); a kind
+        name becomes its StructureKind and a single-level kind its own level."""
+        kind, n, _, _ = check_structure(self.kind, self.n, self.f, self.pattern, self.levels,
+                                        size)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        if kind is not StructureKind.MULTILEVEL:
+            object.__setattr__(self, "levels", (LevelSpec(kind, n, self.f, self.pattern),))
 
     def data_vector(self) -> TrackedVector:
         """The parameters as a read-only TrackedVector, converted on first use."""
@@ -516,7 +540,7 @@ def naive_count(A) -> int:
 def basis(kind: StructureKind, n: int, f: complex | None = None,
           pattern: SparsityPattern | None = None) -> list[StructuredMatrix]:
     """Parameter one-hot matrices: one Constant-1 entry per basis element."""
-    P = check_level(kind, n, f, pattern)
+    P = check_structure(kind, n, f, pattern).params
     return [StructuredMatrix(kind, n, tuple(constant(1.0 if q == p else 0.0) for q in range(P)),
                              f=f, pattern=pattern) for p in range(P)]
 
@@ -561,11 +585,14 @@ def serialize_matrix(M: StructuredMatrix) -> str:
     return json.dumps(doc)
 
 
-def _read_kind(obj, where: str) -> StructureKind:
-    try:
-        return StructureKind(obj)
-    except ValueError:
-        raise SchemaError(f"{where}: unknown kind {obj!r}") from None
+def _positioned(exc: InputError, where: str) -> ValueError:
+    """The validator's refusal as a SchemaError at the key of the input at
+    fault under where, or as itself when no one input is at fault."""
+    if exc.field is None:
+        return exc
+    level = "" if exc.level is None else f"levels[{exc.level}]."
+    key = "omega" if exc.field == "pattern" else exc.field
+    return SchemaError(f"{where}{level}{key}: {exc}")
 
 
 def _read_pattern(obj, n: int, where: str) -> SparsityPattern:
@@ -584,27 +611,22 @@ def _read_pattern(obj, n: int, where: str) -> SparsityPattern:
 
 
 def _read_level(doc: dict, where: str) -> LevelSpec:
-    """The kind and order of a matrix or level object, and the f and pattern
-    its kind needs; where prefixes every position."""
-    kind = _read_kind(doc["kind"], f"{where}kind")
+    """A matrix or level object's kind, order, f and pattern, each read as
+    its JSON type; where prefixes every position."""
     n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise SchemaError(f"{where}n: expected a positive integer")
-    if kind is StructureKind.MULTILEVEL:
-        return LevelSpec(kind, n)
-    f = pattern = None
-    if spec(kind).needs_f:
-        if "f" not in doc:
-            raise SchemaError(f"{where}f: required for {kind.value}")
-        f = read_complex_pair(doc["f"], f"{where}f")
-    if spec(kind).needs_pattern:
-        if "omega" not in doc:
-            raise SchemaError(f"{where}omega: required for {kind.value}")
-        pattern = _read_pattern(doc["omega"], n, f"{where}omega")
-    return LevelSpec(kind, n, f, pattern)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise SchemaError(f"{where}n: expected an integer")
+    f = read_complex_pair(doc["f"], f"{where}f") if "f" in doc else None
+    pattern = _read_pattern(doc["omega"], n, f"{where}omega") if "omega" in doc else None
+    try:
+        return LevelSpec(doc["kind"], n, f, pattern)
+    except InputError as exc:
+        raise _positioned(exc, where) from None
 
 
 def parse_matrix(text: str) -> StructuredMatrix:
+    """The matrix of a JSON document.  Every field found goes to the
+    validator, whose refusal is a SchemaError at the field's position."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -614,30 +636,23 @@ def parse_matrix(text: str) -> StructuredMatrix:
     for key in ("kind", "n", "data"):
         if key not in doc:
             raise SchemaError(f"top level: missing {key!r}")
-    top = _read_level(doc, "")
-    kind, n, levels = top.kind, top.n, None
-    if kind is StructureKind.MULTILEVEL:
-        if "levels" not in doc or not isinstance(doc["levels"], list) or not doc["levels"]:
-            raise SchemaError("levels: required non-empty list for multilevel")
+    top, levels = _read_level(doc, ""), None
+    if "levels" in doc:
+        if not isinstance(doc["levels"], list):
+            raise SchemaError("levels: expected a list")
         levels = []
         for k, obj in enumerate(doc["levels"]):
             where = f"levels[{k}]"
             if not isinstance(obj, dict) or "kind" not in obj or "n" not in obj:
                 raise SchemaError(f"{where}: expected an object with kind and n")
-            lev = _read_level(obj, f"{where}.")
-            if lev.kind is StructureKind.MULTILEVEL:
-                raise SchemaError(f"{where}.kind: {lev.kind.value} is not a valid level kind")
-            levels.append(lev)
-        levels = tuple(levels)
+            levels.append(_read_level(obj, f"{where}."))
     if not isinstance(doc["data"], list):
         raise SchemaError("data: expected a list")
     data = [read_complex_pair(entry, f"data[{k}]") for k, entry in enumerate(doc["data"])]
-    expected = param_count(kind, n, top.pattern, levels)
-    if len(data) != expected:
-        raise SchemaError(f"data: need {expected} entries for {kind.value} of order {n}, "
-                          f"got {len(data)}")
-    scalars = tuple(TrackedScalar(z, Kind.VARIABLE) for z in data)
-    return StructuredMatrix(kind, n, scalars, f=top.f, pattern=top.pattern, levels=levels)
+    try:
+        return structured(top.kind, top.n, data, f=top.f, pattern=top.pattern, levels=levels)
+    except InputError as exc:
+        raise _positioned(exc, "") from None
 
 
 def serialize_vector(x) -> str:

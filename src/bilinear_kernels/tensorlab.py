@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .structures import (LevelSpec, SchemaError, SparsityPattern, StructureKind, _placement,
-                         check_level, default_f, read_complex_pair)
+                         check_structure, default_f, read_complex_pair)
 
 
 @dataclass(frozen=True)
@@ -108,24 +108,25 @@ _BLOCK_BYTES = 128 * 1024
 def _rebuild(rows: np.ndarray, dims):
     """Sum of the terms in the rows' own arithmetic, one block of mode-2
     indices at a time: yields (slice, block) with block the sum's
-    [:, slice, :].  Each block is the weighted first factors times the
-    row-wise Khatri-Rao product of the other two over the slice, and the
-    slice is as wide as keeps both within _BLOCK_BYTES (one index at the
-    least).  Scales the rows' U in place."""
+    [:, slice, :].  Each block is the weighted first factors lam * U,
+    formed once as an array of their own, times the row-wise Khatri-Rao
+    product of the other two over the slice, read off the rows in place;
+    the slice is as wide as keeps both within _BLOCK_BYTES (one index at
+    the least).  The rows are only read."""
     lam, U, V, W = _split(rows, dims)
     d1, d2, d3 = dims
-    U *= lam[:, None]
+    weighted = (U * lam[:, None]).T
     step = max(1, _BLOCK_BYTES // (rows.itemsize * d3 * (len(lam) + d1)))
     for j0 in range(0, d2, step):
         j = slice(j0, min(j0 + step, d2))
         KR = (V[:, j, None] * W[:, None, :]).reshape(len(lam), (j.stop - j0) * d3)
-        yield j, (U.T @ KR).reshape(d1, j.stop - j0, d3)
+        yield j, (weighted @ KR).reshape(d1, j.stop - j0, d3)
 
 
 def decomposition_tensor(D: TensorDecomposition) -> np.ndarray:
     """Sum of the terms, complex, filled one _rebuild block at a time."""
     out = np.empty(D.dims, dtype=complex)
-    for j, block in _rebuild(D.rows.copy(), D.dims):
+    for j, block in _rebuild(D.rows, D.dims):
         out[:, j] = block
     return out
 
@@ -137,11 +138,13 @@ def decomposition_tensor(D: TensorDecomposition) -> np.ndarray:
 def structure_tensor(kind, n: int, f: complex | None = None,
                      pattern: SparsityPattern | None = None) -> Tensor3:
     """Matvec structure tensor over the canonical parameter basis:
-    entry(p, j, k) = k-th coordinate of (basis_p @ e_j)."""
-    kind = StructureKind(kind)
-    f = default_f(kind, f)
-    P = check_level(kind, n, f, pattern)
-    param, cell, coeff, _ = _placement((LevelSpec(kind, n, f, pattern),))
+    entry(p, j, k) = k-th coordinate of (basis_p @ e_j).  A kind that
+    needs f uses f = -1 when none is given.  The tensor is read off the
+    placement of the structure given by its one level, and is checked as
+    one (check_structure): like every level, it needs a parameter."""
+    levels = (LevelSpec(kind, n, default_f(kind, f), pattern),)
+    P = check_structure(StructureKind.MULTILEVEL, n, levels=levels).params
+    param, cell, coeff, _ = _placement(levels)
     T = np.zeros((P, n, n), dtype=complex)
     np.add.at(T, (param, cell % n, cell // n), coeff)
     return Tensor3(T)
@@ -194,10 +197,7 @@ def build_structure_tensor(spec: str, n: int | None = None, f: complex | None = 
         if m is None or n is None or p is None:
             raise ValueError("matmul tensor needs m, n, p")
         return matmul_tensor(m, n, p)
-    kind = StructureKind(spec)
-    if n is None:
-        raise ValueError("structured tensor needs n")
-    return structure_tensor(kind, n, f=f, pattern=pattern)
+    return structure_tensor(spec, n, f=f, pattern=pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +227,8 @@ def verify_decomposition(T: Tensor3, D: TensorDecomposition, tol: float) -> Veri
 
     The sum is rebuilt one block of mode-2 indices at a time (_rebuild):
     T's slice is subtracted from each block and the block's largest error
-    kept, so beside a copy of D's rows it holds one block's temporaries at
-    a time.
+    kept, so beside the weighted first factors it holds one block's
+    temporaries at a time; D's rows are read in place.
 
     When lam and every factor have a zero imaginary part (the 0/+-1 terms of
     the pairwise kernels, for one), the terms are summed in real arithmetic:
@@ -236,12 +236,9 @@ def verify_decomposition(T: Tensor3, D: TensorDecomposition, tol: float) -> Veri
     are exact."""
     if D.dims != T.dims:
         raise ValueError(f"decomposition dims {D.dims} do not match tensor dims {T.dims}")
-    # _rebuild scales the U it is given: it gets a copy, never D's rows.
-    arr = T.entries
-    if D.rows.imag.any():
-        rows = D.rows.copy()
-    else:
-        rows = D.rows.real.copy()
+    arr, rows = T.entries, D.rows
+    if not rows.imag.any():
+        rows = rows.real
         # A real array's .imag would be a fresh array of zeros as large as T.
         if np.iscomplexobj(arr) and not arr.imag.any():
             arr = arr.real
