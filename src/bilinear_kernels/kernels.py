@@ -7,7 +7,7 @@ The counts per size n:
 
     circulant, f-circulant          n
     toeplitz, hankel, triangular    2n - 1
-    toeplitz-plus-hankel            4n - 3
+    toeplitz-plus-hankel            4n - 4 (1 at n = 1)
     symmetric                       n(n+1)/2
     skew-symmetric                  n(n+1)/2 (n >= 3); 0, 2 at n = 1, 2
     sparse                          #pattern
@@ -29,17 +29,15 @@ Gauss's product, the commutator and Toeplitz times dense (the Toeplitz
 triple over a batch axis of columns) run through counting.triple_product;
 groups.py holds the simultaneous 2x2 products.  A single-level kind's
 triple is kept in the one map store (counting.MapStore), keyed per order,
-f or pattern, and built from the chain of embedding, padding, transform,
-bin-skipping and reversal steps it replaces, with that chain's structural
-support, or from the products it forms:
+f or pattern, and built from the embedding it runs, with that embedding's
+structural support, or from the products it forms:
 
     circulant, f-circulant  U evaluates the reindexed first column at the n
                             roots of t^n = f; V and W are the scaled transforms
-    toeplitz                the live bins 1..2n-1 of the 2n-point embedding
-    hankel                  the Toeplitz triple with W's rows reversed
-    triangular              a length 2n-1 transform, padding and reversals folded in
-    tph                     the Toeplitz triple without bin 1 stacked on the
-                            Hankel triple, the bin-emptying shift folded into U
+    toeplitz, hankel,       one builder from the kind's frame in C[z]/(z^N - 1):
+    triangular, tph         2n points, bin 0 emptied (toeplitz; hankel reads its
+                            U and V); 2n-1 (triangular); two of 2n-1, two bins
+                            emptied, products picked from one evaluation of x (tph)
     symmetric,              gather maps: a_ij (x_i + x_j) per pair i < j and one
     skew-symmetric          correction c_i x_i per row (entrywise at skew n <= 2)
     sparse                  gather maps, one product per pattern entry
@@ -181,112 +179,119 @@ def gauss_complex_mul(a: TrackedScalar, b: TrackedScalar, c: TrackedScalar,
 
 
 # ---------------------------------------------------------------------------
-# Toeplitz family
+# Toeplitz family: one embedding builder
 # ---------------------------------------------------------------------------
 
-def _live_bins(n: int) -> np.ndarray:
-    """Bins 1..2n-1 of the 2n-point transform of the circulant embedding."""
-    return np.arange(1, 2 * n)[:, None]
+def _tph_null(n: int) -> np.ndarray:
+    """The all-ones and the checkerboard matrix (the scalars at n = 1), where the
+    Toeplitz and Hankel spaces meet, each as Toeplitz parameters less Hankel ones."""
+    sign = (-1) ** (np.arange(2 * n - 1) % 2)
+    return np.array([np.repeat([1, -1], 2 * n - 1), [*sign * (-1) ** (n - 1), *-sign]])[:min(n, 2)]
+
+
+# Per kind, from (n, i = 0..n-1, q = 0..2n-2): the frame order N of
+# C[z]/(z^N - 1); each parameter's symbol position; the input placement
+# sigma; each summand's output placement tau (cell (i, j) of summand s reads
+# the symbol at tau_s[i] - sigma[j], and summand s reads the s-th parameter
+# block); and the null directions, parameter combinations that leave the
+# matrix unchanged.  sigma and tau are permutations of 0..n-1, positions that
+# each hold a parameter.  Hankel reads Toeplitz's frame: only its tau differs.
+_FRAMES = {
+    StructureKind.TOEPLITZ: lambda n, i, q: (2 * n, n - 1 - q, i, (i,), ()),
+    StructureKind.HANKEL: lambda n, i, q: (2 * n, n - 1 - q, i, (n - 1 - i,), ()),
+    StructureKind.UPPER_TRIANGULAR_TOEPLITZ:
+        lambda n, i, q: (2 * n - 1, i, n - 1 - i, (n - 1 - i,), ()),
+    StructureKind.TOEPLITZ_PLUS_HANKEL:
+        lambda n, i, q: (2 * n - 1, n - 1 - q, i, (i, n - 1 - i), _tph_null(n)),
+}
+
+
+def _max_volume_rows(G: np.ndarray) -> np.ndarray:
+    """One row of G per column, picked greedily by maximum volume: each the first
+    row of largest norm, to rounding, once the rows picked before are projected out."""
+    R, rows = G.copy(), []
+    for _ in range(G.shape[1]):
+        norms = np.linalg.norm(R, axis=1)
+        rows.append(int(np.argmax(norms >= (1 - 1e-9) * norms.max())))
+        R -= np.outer(R @ R[rows[-1]].conj(), R[rows[-1]]) / norms[rows[-1]] ** 2
+    return np.array(rows, dtype=int)
+
+
+def _full(M: np.ndarray) -> ConstantMap:               # a map that reads all of its inputs
+    return ConstantMap(M, np.broadcast_to(True, M.shape))
 
 
 @_stored
-def _toeplitz_symbol(n: int) -> ConstantMap:
-    """Live bins of the 2n-point DFT of the circulant embedding of t.
+def _frame(kind: StructureKind, n: int):
+    """U and V of a kind's frame; X, x evaluated once at each live bin; and
+    each product's summand and row of X.
 
-    With t[j] the j-th parameter, the embedding's first column is t[n-1],
-    ..., t[0], -sum(t), t[2n-2], ..., t[n]: the free entry at position n
-    makes the frequency-0 bin vanish, so bin k of t[j] at position pos(j) is
-    omega^(k*pos(j)) - omega^(k*n).  Every bin reads every parameter through
-    the -sum entry, so the support is full even where the two terms cancel.
-    """
-    j = np.arange(2 * n - 1)
-    pos = np.where(j < n, n - 1 - j, 3 * n - 1 - j)
-    k = _live_bins(n)
-    U = twiddles(2 * n, k, pos) - twiddles(2 * n, k, n)
-    return ConstantMap(U, np.broadcast_to(True, U.shape))
+    Bin k of a summand's symbol is row k of F = omega^(k pos) applied to its
+    parameters, and X's entries are F's at sigma.  Each free direction (a
+    position no i - sigma[j] reaches, or a null direction) empties one bin,
+    picked by maximum volume over G, the bins' dependence on them: sum N
+    less one product each.  With A = G[B]^-1 U_full[B] over the emptied
+    bins B, a lone summand's free positions fold into F as F - G A; null
+    directions Z (entries +-1: additions only) shift t once to t - Z^T A t."""
+    N, pos, sigma, taus, null = _FRAMES[kind](n, np.arange(n), np.arange(2 * n - 1))
+    S, p, k = len(taus), len(pos), np.arange(N)
+    F = twiddles(N, k[:, None], pos)
+    slot = np.arange(n, N - n + 1)                      # cells read -(n-1)..n-1 mod N
+    Z = np.reshape(null, (-1, S * p))
+    G = np.concatenate([np.broadcast_to(twiddles(N, k[:, None], slot), (S, N, len(slot))),
+                        F @ Z.reshape(-1, S, p).transpose(1, 2, 0)], axis=2).reshape(S * N, -1)
+    emptied = _max_volume_rows(G)
+    U_emptied = np.eye(S)[emptied // N, :, None] * F[emptied % N, None]    # U_full[B]
+    A = np.linalg.solve(G[emptied], U_emptied.reshape(-1, S * p))
+    live = (np.bincount(emptied, minlength=S * N) == 0).reshape(S, N)
+    summand, bins = np.nonzero(live)                   # each product's summand and bin
+    union = np.flatnonzero(live.any(axis=0))
+    X, rows = _full(F[union[:, None], np.argsort(pos % N)[sigma]]), np.searchsorted(union, bins)
+    V = X if len(rows) == len(union) else ChainMap(X, GatherMap.picking(len(union), rows))
+    for r in range(0, N, 128) if len(slot) else ():    # in row blocks: no N x p temporary
+        F[r:r + 128] -= G[r:r + 128] @ A
+    F = _full(F)
+    bands = [[(slice(s * p, (s + 1) * p), F[slice(*edges)])] for s in range(S)
+             for edges in np.flatnonzero(np.diff(live[s], prepend=0, append=0)).reshape(-1, 2)]
+    U = bands[0][0][1] if S == len(bands) == 1 else BlockMap(S * p, bands)
+    if len(Z):
+        r, c = np.nonzero(Z.T)
+        every, shift = slice(None), GatherMap((S * p, len(Z)), r, c, -Z.T[r, c])
+        U = ChainMap(BlockMap(S * p, [[(every, GatherMap.picking(S * p, np.arange(S * p))),
+                                       (every, ChainMap(_full(A), shift))]]), U)
+    return U, V, X, summand, rows
 
 
 @_stored
-def _toeplitz_maps(n: int) -> tuple[ConstantMap, ConstantMap, ConstantMap]:
-    """The symbol, the live bins of the 2n-point DFT of x padded with n
-    zeros, and the first n rows of the inverse DFT restricted to those bins."""
-    V = twiddles(2 * n, _live_bins(n), np.arange(n))
-    return _toeplitz_symbol(n), ConstantMap(V), ConstantMap(V.T.conj() / (2 * n))
-
-
-@_stored
-def _hankel_maps(n: int) -> tuple[ConstantMap, ConstantMap, ConstantMap]:
-    """The Toeplitz maps with the output rows reversed (a view)."""
-    U, V, W = _toeplitz_maps(n)
-    return U, V, W[::-1]
+def _embedding_maps(kind: StructureKind, n: int):
+    """The Cohn-Umans triple of a Toeplitz-family kind: its frame's U and V,
+    and W, which reads y_i off bin k of summand s with omega^(-k tau_s[i]) / N."""
+    U, V, X, summand, rows = _frame(StructureKind.TOEPLITZ if kind is StructureKind.HANKEL
+                                    else kind, n)
+    N, _, sigma, taus, _ = _FRAMES[kind](n, np.arange(n), np.arange(2 * n - 1))
+    perms = np.argsort(sigma)[np.array(taus)]          # each summand's columns of X
+    W = np.concatenate([X.matrix[rows[summand == s, None], perm] for s, perm in enumerate(perms)])
+    return U, V, _full(np.divide(np.conjugate(W, out=W), N, out=W).T)
 
 
 def toeplitz_matvec(t, x, ctx: CountContext):
-    """Toeplitz product via the 2n-point embedding; exactly 2n-1 multiplications.
-
-    The frequency-0 bin of the embedded symbol vanishes by the choice of the
-    free entry, so its product is never formed.
-    """
+    """Toeplitz product in 2n-1 multiplications: free position n empties bin 0 of 2n."""
     return _run(StructureKind.TOEPLITZ, t, x, ctx)
 
 
 def hankel_matvec(h, x, ctx: CountContext):
-    """Hankel product as a row-reversed Toeplitz product; 2n-1 multiplications."""
+    """Hankel product: Toeplitz's frame read out in reverse; 2n-1 multiplications."""
     return _run(StructureKind.HANKEL, h, x, ctx)
 
 
-@_stored
-def _triangular_toeplitz_maps(n: int) -> tuple[ConstantMap, ConstantMap, ConstantMap]:
-    """Length 2n-1 cyclic convolution of a with reversed x, zero padding and
-    both reversals folded in: DFT[:, :n], its column-reversed view, and the
-    first n rows of the inverse DFT in reverse order."""
-    N = 2 * n - 1
-    k = np.arange(N)
-    i = np.arange(n)
-    P = ConstantMap(twiddles(N, k[:, None], i))
-    return P, P[:, ::-1], ConstantMap(twiddles(N, i[::-1, None], k).conj() / N)
-
-
 def triangular_toeplitz_matvec(a, x, ctx: CountContext):
-    """Upper-triangular Toeplitz product through a length 2n-1 cyclic
-    convolution of the coefficient polynomials; exactly 2n-1 multiplications."""
+    """Upper-triangular Toeplitz product in exactly 2n-1 multiplications."""
     return _run(StructureKind.UPPER_TRIANGULAR_TOEPLITZ, a, x, ctx)
 
 
-@_stored
-def _tph_maps(n: int) -> tuple[BlockMap, BlockMap, BlockMap]:
-    """The Toeplitz triple without bin 1 stacked on the Hankel triple.
-
-    The shift a = -(U[0] . t) / 2n, added to every diagonal and taken from
-    every anti-diagonal, empties bin 1 of the Toeplitz symbol (see
-    tph_matvec).  It is folded into U as the rank-one terms
-    (U[1:] 1) a and -(U 1) a, which read every diagonal: their support is
-    full.  V and W are views of the Toeplitz and Hankel maps.
-    """
-    U, V, W = _toeplitz_maps(n)
-    T, R = 2 * n - 1, 4 * n - 3
-    a = -U.matrix[0] / (2 * n)
-    top = U.matrix[1:] + np.outer(U.matrix[1:].sum(axis=1), a)
-    shift = -np.outer(U.matrix.sum(axis=1), a)
-
-    def full(M: np.ndarray) -> ConstantMap:
-        return ConstantMap(M, np.broadcast_to(True, M.shape))
-
-    t, h, every = slice(0, T), slice(T, 2 * T), slice(None)
-    lo, hi = slice(0, T - 1), slice(T - 1, R)          # Toeplitz bins 2.., Hankel bins 1..
-    return (BlockMap(2 * T, [[(t, full(top))], [(t, full(shift)), (h, U)]]),
-            BlockMap(n, [[(every, V[1:])], [(every, V)]]),
-            BlockMap(R, [[(lo, W[:, 1:]), (hi, W[::-1])]]))
-
-
 def tph_matvec(t, h, x, ctx: CountContext):
-    """(Toeplitz + Hankel) product in exactly 4n-3 multiplications.
-
-    An all-ones shift a moves mass between the two summands.  The embedded
-    symbol's frequency-1 value is affine in a with coefficient 2n, and a is
-    chosen so that it vanishes, leaving 2n-2 live products on the Toeplitz
-    side, plus 2n-1 on the Hankel side.
-    """
+    """(Toeplitz + Hankel) product in 4n-4 multiplications (1 at n = 1): moving the
+    matrices that are both between its two (2n-1)-point frames empties two bins."""
     tv, hv = as_input(t), as_input(h)
     if len(tv) != len(hv):
         raise ValueError(f"tph needs as many anti-diagonals as diagonals, "
@@ -382,20 +387,17 @@ SPECS: dict[StructureKind, StructureSpec] = {
         f_circulant_placement, lambda n, f, _: _fcirc_maps(n, complex(f)), needs_f=True),
     StructureKind.TOEPLITZ: StructureSpec(
         lambda n, _: 2 * n - 1, lambda n, _: 2 * n - 1, lambda n, _: 2 * n - 1,
-        toeplitz_placement, lambda n, f, _: _toeplitz_maps(n)),
+        toeplitz_placement, lambda n, f, _: _embedding_maps(StructureKind.TOEPLITZ, n)),
     StructureKind.HANKEL: StructureSpec(
         lambda n, _: 2 * n - 1, lambda n, _: 2 * n - 1, lambda n, _: 2 * n - 1,
-        hankel_placement, lambda n, f, _: _hankel_maps(n)),
+        hankel_placement, lambda n, f, _: _embedding_maps(StructureKind.HANKEL, n)),
     StructureKind.UPPER_TRIANGULAR_TOEPLITZ: StructureSpec(
         lambda n, _: n, lambda n, _: 2 * n - 1, lambda n, _: n,
-        triangular_toeplitz_placement, lambda n, f, _: _triangular_toeplitz_maps(n)),
-    # The Toeplitz and Hankel spaces intersect in the two-dimensional space of
-    # checkerboard-constant matrices once n >= 2, so their sum has dimension
-    # 4n-4 (and 1 at n = 1, where every space is the scalars).
+        triangular_toeplitz_placement,
+        lambda n, f, _: _embedding_maps(StructureKind.UPPER_TRIANGULAR_TOEPLITZ, n)),
     StructureKind.TOEPLITZ_PLUS_HANKEL: StructureSpec(
-        lambda n, _: 4 * n - 2, lambda n, _: 4 * n - 3,
-        lambda n, _: 1 if n == 1 else 4 * n - 4,
-        tph_placement, lambda n, f, _: _tph_maps(n)),
+        lambda n, _: 4 * n - 2, lambda n, _: max(1, 4 * n - 4), lambda n, _: max(1, 4 * n - 4),
+        tph_placement, lambda n, f, _: _embedding_maps(StructureKind.TOEPLITZ_PLUS_HANKEL, n)),
     StructureKind.SYMMETRIC: StructureSpec(
         lambda n, _: n * (n + 1) // 2, lambda n, _: _pairwise_count(n, n * n),
         lambda n, _: n * (n + 1) // 2,
@@ -484,7 +486,7 @@ def toeplitz_matmul(t, Y, ctx: CountContext):
     n = len(y)
     if y.values.shape != (n, n) or len(tv) != 2 * n - 1:
         raise ValueError("toeplitz_matmul expects 2n-1 diagonals and an n x n factor")
-    return to_grid(triple_product(_toeplitz_maps(n), tile(tv, n), y, ctx))
+    return to_grid(triple_product(_embedding_maps(StructureKind.TOEPLITZ, n), tile(tv, n), y, ctx))
 
 
 # [A, X] for A = [[a, b], [c, d]], X = [[x, y], [z, w]] is a bilinear form in

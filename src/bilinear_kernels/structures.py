@@ -122,7 +122,7 @@ class StructureSpec:
                               input, W reads the output off the count = U-row
                               pointwise products: W (U t * V x) is the
                               minimum-multiplication product
-    needs_f, needs_pattern    the kind takes a nonzero f / a sparsity pattern
+    needs_f, needs_pattern    the kind takes a nonzero finite f / a sparsity pattern
 
     The table `kernels.SPECS` holds one per kind, in enum order.  MULTILEVEL
     is the one composite kind: it has levels instead of an entry.
@@ -171,7 +171,7 @@ def check_structure(kind: StructureKind, n: int | None, f: complex | None = None
     single-level kinds with a parameter each, and an order (None: theirs)
     equal to the product of theirs; any other kind is its own one level.
     Orders are at least 1, a pattern (n x n) goes with sparse alone and a
-    nonzero f with f-circulant alone.  size is the number of parameters
+    nonzero finite f with f-circulant alone.  size is the number of parameters
     given, None when none are: it must be the table's, and f-circulant
     then needs its f."""
     kind = kind if kind.__class__ is StructureKind else StructureKind(kind)
@@ -204,11 +204,13 @@ def check_structure(kind: StructureKind, n: int | None, f: complex | None = None
                 raise InputError(f"{part.value} takes no f", "f", level)
         elif part_f == 0 or (part_f is None and size is not None):
             raise InputError(f"{part.value} needs a nonzero f", "f", level)
+        elif part_f is not None and not cmath.isfinite(part_f):
+            raise InputError(f"{part.value} needs a finite f", "f", level)
         if entry is not None:
             level_params = entry.params(m, part_pattern)
             if level_params == 0 and level is not None:
-                raise InputError(f"level {part.value} of order {m} has no parameters", None,
-                                 level)
+                named = "level " * (len(levels) > 1)       # one level is the structure
+                raise InputError(f"{named}{part.value} of order {m} has no parameters", None, level)
             params *= level_params
             count *= entry.count(m, part_pattern)
             order *= m

@@ -77,7 +77,7 @@ def test_criterion_1_exact_count_table():
         assert fast_count(random_instance(StructureKind.UPPER_TRIANGULAR_TOEPLITZ, n, rng),
                           x) == 2 * n - 1
         assert fast_count(random_instance(StructureKind.TOEPLITZ_PLUS_HANKEL, n, rng),
-                          x) == 4 * n - 3
+                          x) == (1 if n == 1 else 4 * n - 4)
         assert fast_count(random_instance(StructureKind.SYMMETRIC, n, rng),
                           x) == n * (n + 1) // 2
         if n >= 2:
@@ -204,14 +204,9 @@ def test_criterion_3_rank_certification():
             ranks = bk.flattening_ranks(T)
             dim = bk.structure_dim(kind, n)
             assert ranks[0] == dim, f"{kind.value} n={n}: rank {ranks[0]} != dim {dim}"
-            if dim == formula:
-                certified.append((kind.value, n, formula))
-            else:
-                # tph for n >= 2: the matrix space has dimension 4n-4, one
-                # less than the term count, so only the bounds are certified.
-                assert kind is StructureKind.TOEPLITZ_PLUS_HANKEL and n >= 2
-                assert dim == 4 * n - 4 and formula == 4 * n - 3
-    assert len(certified) == 8 * 4 + 1  # four exact kinds at n = 1..8, tph at n = 1
+            assert dim == formula, f"{kind.value} n={n}: dim {dim} != terms {formula}"
+            certified.append((kind.value, n, formula))
+    assert len(certified) == 8 * 5  # five exact kinds at n = 1..8
     dt = elapsed_under(t0, 30, "criterion 3")
     print(f"\nACCEPTANCE 3 (decomposition terms = formula, verified at 1e-8, "
           f"flattening rank = structure dim, n <= 8): PASS [{dt:.1f}s]")

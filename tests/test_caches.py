@@ -17,9 +17,8 @@ from bilinear_kernels import (CountContext, LevelSpec, StructureKind, circulant_
 from bilinear_kernels import counting, kernels
 from bilinear_kernels.counting import (MAP_STORE, MAP_STORE_BYTES, MAP_STORE_ENTRIES, BlockMap,
                                        ChainMap, ConstantMap, GatherMap, MapStore)
-from bilinear_kernels.kernels import (_fcirc_maps, _hankel_maps, _pairwise_maps, _sparse_maps,
-                                      _toeplitz_maps, _toeplitz_symbol, _tph_maps,
-                                      _triangular_toeplitz_maps)
+from bilinear_kernels.kernels import (_embedding_maps, _fcirc_base, _fcirc_maps, _frame,
+                                      _pairwise_maps, _sparse_maps)
 from bilinear_kernels.cli import random_pattern
 from bilinear_kernels.rng import Lcg
 from bilinear_kernels.spectral import (F_CACHE_SIZE, ORDER_CACHE_SIZE, dft_matrix, idft_matrix,
@@ -27,6 +26,9 @@ from bilinear_kernels.spectral import (F_CACHE_SIZE, ORDER_CACHE_SIZE, dft_matri
 from bilinear_kernels.structures import SparsityPattern, _placement, dense_parts
 
 SYM, SKEW = StructureKind.SYMMETRIC, StructureKind.SKEW_SYMMETRIC
+TOEPLITZ, HANKEL, TRIANGULAR, TPH = (StructureKind.TOEPLITZ, StructureKind.HANKEL,
+                                     StructureKind.UPPER_TRIANGULAR_TOEPLITZ,
+                                     StructureKind.TOEPLITZ_PLUS_HANKEL)
 
 
 def vals(out):
@@ -121,7 +123,7 @@ def arrays(M):
 
 def kernel_maps(n):
     """Every cached Toeplitz-family, symmetric and skew-symmetric map of order n."""
-    return (*_toeplitz_maps(n), *_hankel_maps(n), *_tph_maps(n), *_triangular_toeplitz_maps(n),
+    return (*(M for kind in (TOEPLITZ, HANKEL, TPH, TRIANGULAR) for M in _embedding_maps(kind, n)),
             *_pairwise_maps(SYM, n), *_pairwise_maps(SKEW, n))
 
 
@@ -134,19 +136,33 @@ def test_kernel_maps_reject_writes(n):
                     write_first(arr)
 
 
+def owner(arr: np.ndarray) -> np.ndarray:
+    """The array that owns a view's buffer."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_derived_kernel_maps_are_views(n):
-    U, V, W = _toeplitz_maps(n)
-    assert U is _toeplitz_symbol(n)
-    hU, hV, hW = _hankel_maps(n)
-    assert hU is U and hV is V and np.shares_memory(hW.matrix, W.matrix)
-    tU, tV, tW = _tph_maps(n)
-    assert tU.bands[-1][-1][1] is U
-    for stacked, base in ((tV, V), (tW, W)):
-        assert all(np.shares_memory(block.matrix, base.matrix)
-                   for band in stacked.bands for _, block in band if block.matrix.size)
-    P, Q, _ = _triangular_toeplitz_maps(n)
-    assert np.shares_memory(Q.matrix, P.matrix)
+    """Hankel reads Toeplitz's frame: the same U and V.  tph's summands read
+    views of one symbol transform after one shift of the parameters, and
+    their products pick from one evaluation of x; an f-circulant map shares
+    its order's base's support and reach."""
+    U, V, W = _embedding_maps(TOEPLITZ, n)
+    hU, hV, hW = _embedding_maps(HANKEL, n)
+    assert hU is U and hV is V and hU is _frame(TOEPLITZ, n)[0]
+    assert not np.shares_memory(hW.matrix, W.matrix) and hW.matrix.strides[1] > 0
+    tU, tV, _ = _embedding_maps(TPH, n)
+    shift, symbol = tU.first, tU.second
+    assert shift.cost[0] == min(n, 2) * (4 * n - 2)    # only A multiplies: rank min(n, 2)
+    blocks = [M for band in symbol.bands for _, M in band]
+    assert all(isinstance(M, ConstantMap) for M in blocks)
+    assert len({id(owner(M.matrix)) for M in blocks}) == 1
+    if n > 1:
+        assert isinstance(tV.second, GatherMap) and tV.first.shape == (2 * n - 1, n)
+    for M, base in zip(_fcirc_maps(n, 2j), _fcirc_base(n)):
+        assert M.support is base.support and M.reach is base.reach
     _pairwise_maps(SYM, n)
     assert MAP_STORE.entries[(_pairwise_maps.__wrapped__, SYM, n)][2] == [
         (_pairwise_maps.__wrapped__, SYM, n)]        # built from no other stored map
@@ -209,10 +225,11 @@ def test_the_store_keeps_within_its_byte_bound_but_for_the_newest_entry(monkeypa
     monkeypatch.setattr(counting, "MAP_STORE_BYTES", bound)
     pattern = SparsityPattern(6, 6, ((0, 1), (2, 2), (5, 0)))
     levels = (LevelSpec(StructureKind.HANKEL, 9), LevelSpec(StructureKind.SYMMETRIC, 5))
-    reads = [(_toeplitz_maps, 4), (_fcirc_maps, 9, 2j), (_tph_maps, 12), (_hankel_maps, 4),
-             (_pairwise_maps, SYM, 9), (_sparse_maps, 6, pattern), (_pairwise_maps, SKEW, 14),
-             (_triangular_toeplitz_maps, 30), (_fcirc_maps, 3, -1.0), (_tph_maps, 3),
-             (_pairwise_maps, SYM, 16), (_toeplitz_symbol, 2), (_placement, levels)]
+    reads = [(_embedding_maps, TOEPLITZ, 4), (_fcirc_maps, 9, 2j), (_embedding_maps, TPH, 12),
+             (_embedding_maps, HANKEL, 4), (_pairwise_maps, SYM, 9), (_sparse_maps, 6, pattern),
+             (_pairwise_maps, SKEW, 14), (_embedding_maps, TRIANGULAR, 30),
+             (_fcirc_maps, 3, -1.0), (_embedding_maps, TPH, 3), (_pairwise_maps, SYM, 16),
+             (_fcirc_base, 2), (_placement, levels)]
     over = 0
     for builder, *args in reads * 2:
         builder(*args)
@@ -234,7 +251,7 @@ def test_the_store_counts_the_bytes_it_holds(monkeypatch):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        _tph_maps(160)
+        _embedding_maps(TPH, 160)
         _pairwise_maps(SYM, 40)
         _pairwise_maps(SKEW, 160)
         held = tracemalloc.get_traced_memory()[0] - before
@@ -281,14 +298,16 @@ def test_the_store_counts_the_patterns_in_its_keys(monkeypatch):
 def test_a_derived_entry_keeps_its_base_through_evictions():
     """Reading a derived entry refreshes the entries it was built from, so
     a sweep of fresh entries evicts none of them while the derived one is
-    in use: one order has one Toeplitz symbol."""
+    in use: one order has one Toeplitz frame."""
     n = 6
-    _tph_maps(n)
+    _embedding_maps(HANKEL, n)
     for k in range(3 * MAP_STORE_ENTRIES):
         _fcirc_maps(2, complex(5.0, k))
         if k % 50 == 0:
-            _tph_maps(n)
-    assert _tph_maps(n)[0].bands[-1][-1][1] is _toeplitz_maps(n)[0] is _toeplitz_symbol(n)
+            _embedding_maps(HANKEL, n)
+    assert stored(_frame, TOEPLITZ, n)
+    hankel, toeplitz = _embedding_maps(HANKEL, n), _embedding_maps(TOEPLITZ, n)
+    assert hankel[0] is toeplitz[0] is _frame(TOEPLITZ, n)[0]
     assert within_bounds()
 
 

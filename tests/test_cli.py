@@ -287,9 +287,9 @@ class TestTensor:
         code, out, _ = run(capsys, "tensor", "--builder", "commutator_beta", "--ottaviani")
         assert code == 0 and "border rank >= 5" in out
 
-    def test_tph_reports_bounds_not_certification(self, capsys):
+    def test_tph_rank_is_certified(self, capsys):
         code, out, _ = run(capsys, "tensor", "--kind", "tph", "--n", "3")
-        assert code == 1 and "rank bounds: 8 <= rank <= 9" in out
+        assert code == 0 and "rank certified = 8" in out
 
     def test_needs_kind_or_builder(self, capsys):
         code, _, err = run(capsys, "tensor")

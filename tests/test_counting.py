@@ -199,8 +199,10 @@ def test_constant_map_flags_equal_the_boolean_product(shape):
 
 
 def test_toeplitz_family_maps_have_full_supports():
-    from bilinear_kernels.kernels import _fcirc_maps, _toeplitz_maps
-    for maps in (_toeplitz_maps(5), _fcirc_maps(4, 2.0), _fcirc_maps(3, 1.0)):
+    from bilinear_kernels import StructureKind
+    from bilinear_kernels.kernels import _embedding_maps, _fcirc_maps
+    for maps in (_embedding_maps(StructureKind.TOEPLITZ, 5), _fcirc_maps(4, 2.0),
+                 _fcirc_maps(3, 1.0)):
         assert all(M.full for M in maps)
 
 

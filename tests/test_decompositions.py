@@ -108,15 +108,12 @@ def test_exact_rank_certification_where_dim_meets_count(kind, n):
     assert flattening_ranks(T)[0] == len(D.terms) == formula_count(kind, n)
 
 
-@pytest.mark.xfail(strict=True, reason="the Toeplitz+Hankel matrix space has dimension "
-                   "4n-4 for n >= 2 (the two checkerboard-constant matrices lie in the "
-                   "intersection), so the 4n-3 term count can never match the flattening "
-                   "rank; the kernel count is an upper bound only")
-def test_tph_exact_rank_certification_is_unattainable():
-    n = 3
-    D = extract_decomposition(StructureKind.TOEPLITZ_PLUS_HANKEL, n)
-    T = structure_tensor(StructureKind.TOEPLITZ_PLUS_HANKEL, n)
-    assert flattening_ranks(T)[0] == len(D.terms)
+def test_tph_exact_rank_is_certified():
+    """The matrix space has dimension 4n-4 for n >= 2 (the two
+    checkerboard-constant matrices lie in the intersection), and the
+    kernel's 4n-4 terms meet it."""
+    for n in range(2, 17):
+        assert certify_rank(StructureKind.TOEPLITZ_PLUS_HANKEL, n).certified, n
 
 
 def test_tph_certified_bounds():
@@ -126,7 +123,7 @@ def test_tph_certified_bounds():
         assert verify_decomposition(T, D, 1e-8).passed
         lower = max(flattening_ranks(T))
         assert lower == 4 * n - 4
-        assert len(D.terms) == 4 * n - 3
+        assert len(D.terms) == 4 * n - 4
 
 
 def test_shadow_replay_agrees_with_numeric_count():
@@ -247,8 +244,8 @@ def test_the_certificate_reads_the_largest_flattening_rank():
 
 
 def test_the_certificate_keeps_bounds_apart():
-    c = certify_rank(StructureKind.TOEPLITZ_PLUS_HANKEL, 3)
-    assert (c.lower, c.terms) == (8, 9) and c.passed and not c.certified
+    c = certify_rank(StructureKind.UPPER_TRIANGULAR_TOEPLITZ, 3)
+    assert (c.lower, c.terms) == (3, 5) and c.passed and not c.certified
 
 
 def test_the_certificate_takes_f_minus_one_by_default():

@@ -18,7 +18,7 @@ from bilinear_kernels import (CountContext, LevelSpec, SparsityPattern, Structur
                               variable, variables)
 from bilinear_kernels import counting
 from bilinear_kernels.counting import GatherMap, MapStore, _buffers, _key_bytes
-from bilinear_kernels.kernels import _fcirc_maps, _sparse_maps, _tph_maps
+from bilinear_kernels.kernels import _embedding_maps, _fcirc_maps, _sparse_maps
 from bilinear_kernels.rng import BULK_DRAWS, JUMP_BLOCK, Lcg
 from bilinear_kernels.spectral import principal_root, twiddles
 from bilinear_kernels.structures import _placement, default_f, param_count
@@ -167,7 +167,7 @@ def test_store_sizes_equal_those_of_walking_every_base(monkeypatch):
         _fcirc_maps(1 + k % 7, complex(1.0, k))
         _placement((LevelSpec(StructureKind.F_CIRCULANT, 1 + k % 5, complex(2.0, k)),
                     LevelSpec(StructureKind.TOEPLITZ, 2)))
-        _tph_maps(1 + k % 4)
+        _embedding_maps(StructureKind.TOEPLITZ_PLUS_HANKEL, 1 + k % 4)
         n = 2 + k % 3
         _sparse_maps(n, SparsityPattern(n, n, ((0, 0), (n - 1, rng.randint(n)))))
         assert set(store.owned) == set(store.entries)

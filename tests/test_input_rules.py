@@ -65,6 +65,14 @@ RULES = {
         tensor=lambda: structure_tensor("f_circulant", 3, f=0),
         json=(_doc(kind="f_circulant", n=3, f=[0, 0], count=3), "f"),
         cli=("verify --kind f_circulant --n 3 --f 0", "--f")),
+    "f not finite": dict(
+        message="f_circulant needs a finite f",
+        structured=lambda: structured("f_circulant", 3, [1] * 3, f=float("nan")),
+        count=None,
+        kernel=lambda: f_circulant_matvec([1, 2, 3], complex("inf"), [1, 2, 3], CountContext()),
+        tensor=lambda: structure_tensor("f_circulant", 3, f=complex(1, float("nan"))),
+        json=None,
+        cli=("verify --kind f_circulant --n 3 --f nan", "--f")),
     "missing pattern": dict(
         message="sparse structure needs a pattern",
         structured=lambda: structured("sparse", 3, [1] * 2),
@@ -95,10 +103,19 @@ RULES = {
         structured=lambda: structured("multilevel", 2, [], levels=(EMPTY, TOEPLITZ2)),
         count=lambda: formula_count("multilevel", 2, levels=(EMPTY, TOEPLITZ2)),
         kernel=None,
-        tensor=lambda: structure_tensor("skew_symmetric", 1),
+        tensor=None,
         json=(_doc(kind="multilevel", n=2, count=0, levels=[
             {"kind": "skew_symmetric", "n": 1}, {"kind": "toeplitz", "n": 2}]), None),
         cli=("verify --kind multilevel --levels skew_symmetric:1,toeplitz:2", None)),
+    "structure without parameters": dict(
+        message="skew_symmetric of order 1 has no parameters",
+        structured=lambda: structured("multilevel", 1, [], levels=(EMPTY,)),
+        count=lambda: formula_count("multilevel", 1, levels=(EMPTY,)),
+        kernel=None,
+        tensor=lambda: structure_tensor("skew_symmetric", 1),
+        json=(_doc(kind="multilevel", n=1, count=0, levels=[{"kind": "skew_symmetric", "n": 1}]),
+              None),
+        cli=("tensor --kind skew_symmetric --n 1", None)),
     "level-order mismatch": dict(
         message="multilevel order 5 != product of level orders 2",
         structured=lambda: structured("multilevel", 5, [1] * 3, levels=(TOEPLITZ2,)),
@@ -204,12 +221,14 @@ def test_f_circulant_inverse_without_f_gives_the_tables_message():
     for f in (None, 0):
         with pytest.raises(InputError, match="^f_circulant needs a nonzero f$"):
             f_circulant_inverse(variables([1, 2]), f, CountContext())
+    with pytest.raises(InputError, match="^f_circulant needs a finite f$") as caught:
+        f_circulant_inverse(variables([1, 2]), float("inf"), CountContext())
+    assert caught.value.field == "f"
 
 
 @pytest.mark.parametrize("certify", [certify_rank, structure_tensor])
 def test_the_tensor_chain_of_a_structure_without_parameters_gives_the_tables_message(certify):
-    with pytest.raises(InputError, match="^level skew_symmetric of order 1 has no "
-                                         "parameters$"):
+    with pytest.raises(InputError, match="^skew_symmetric of order 1 has no parameters$"):
         certify("skew_symmetric", 1)
     assert len(extract_decomposition("skew_symmetric", 1)) == 0
 

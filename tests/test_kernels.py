@@ -14,10 +14,10 @@ from bilinear_kernels import (CountContext, SingularMatrix, StructureKind,
                               toeplitz_matmul, toeplitz_matvec, tph_matvec,
                               triangular_toeplitz_matvec, variable, variables)
 from bilinear_kernels import kernels
-from bilinear_kernels.kernels import (_pairwise_maps, _toeplitz_maps, _tph_maps,
-                                     _triangular_toeplitz_maps)
+from bilinear_kernels.cli import random_pattern
+from bilinear_kernels.kernels import _embedding_maps, _pairwise_maps
 from bilinear_kernels.rng import Lcg
-from bilinear_kernels.spectral import dft_matrix, idft_matrix
+from bilinear_kernels.spectral import twiddles
 from bilinear_kernels.structures import LevelSpec, SparsityPattern, param_count
 
 ALL_KINDS = [
@@ -254,7 +254,7 @@ class TestToeplitzPlusHankel:
         ctx = CountContext()
         tph_matvec(variables(rng.complex_vector(5)), variables(rng.complex_vector(5)),
                    variables(rng.complex_vector(3)), ctx)
-        assert ctx.bilinear_mults == 9
+        assert ctx.bilinear_mults == 8
 
     def test_single_entry(self):
         ctx = CountContext()
@@ -271,7 +271,7 @@ class TestToeplitzPlusHankel:
             out = structured_matvec(M, x, ctx)
             want = vals(naive_matvec(M, x, CountContext()))
             assert rel_err(vals(out), want) < 1e-8
-            assert ctx.bilinear_mults == 4 * n - 3
+            assert ctx.bilinear_mults == (1 if n == 1 else 4 * n - 4)
 
 
 class TestSymmetric:
@@ -310,38 +310,27 @@ class TestFusedMaps:
     """Each kernel map equals the chain of transform or shift steps it
     replaces, or the products it forms."""
 
-    @staticmethod
-    def embedding(n):
-        """Circulant embedding of the 2n-1 Toeplitz diagonals, 2n x (2n-1)."""
-        E = np.zeros((2 * n, 2 * n - 1))
-        for j in range(2 * n - 1):
-            E[n - 1 - j if j < n else 3 * n - 1 - j, j] = 1.0
-        E[n] = -1.0
-        return E
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16])
-    def test_toeplitz_maps_are_slices_of_the_2n_point_transforms(self, n):
-        U, V, W = _toeplitz_maps(n)
-        D, Di = dft_matrix(2 * n).matrix, idft_matrix(2 * n).matrix
-        assert np.abs(U.matrix - D[1:] @ self.embedding(n)).max() < 1e-12 * n
-        assert np.abs(V.matrix - D[1:, :n]).max() < 1e-12
-        assert np.abs(W.matrix - Di[:n, 1:]).max() < 1e-12
-        for M in (U, V, W):
-            assert M.support.all()
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 9])
-    def test_triangular_maps_fold_the_padding_and_reversals(self, n):
-        P, Q, R = _triangular_toeplitz_maps(n)
-        D, Di = dft_matrix(2 * n - 1).matrix, idft_matrix(2 * n - 1).matrix
-        assert np.abs(P.matrix - D[:, :n]).max() < 1e-12
-        assert np.array_equal(Q.matrix, P.matrix[:, ::-1])
-        assert np.abs(R.matrix - Di[:n][::-1]).max() < 1e-12
-
-    def test_tph_shift_coefficient_is_2n(self):
-        """The symbol's frequency-1 row, which fixes the tph shift, sums to 2n:
-        the bin is affine in an all-ones shift with linear coefficient 2n."""
-        for n in range(1, 65):
-            assert abs(_toeplitz_maps(n)[0].matrix[0].sum() - 2 * n) < 1e-9
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
+    def test_toeplitz_family_maps_are_the_direct_twiddle_formulas(self, n):
+        """Toeplitz and Hankel: bins 1..2n-1 of the 2n-point frame, the free
+        position n emptying bin 0; triangular: every bin of the (2n-1)-point
+        frame.  Each U, V and W equals its formula byte for byte."""
+        i, q, k = np.arange(n), np.arange(2 * n - 1), np.arange(1, 2 * n)[:, None]
+        toeplitz_U = twiddles(2 * n, k, (n - 1 - q) % (2 * n)) - twiddles(2 * n, k, n)
+        V = twiddles(2 * n, k, i)
+        k = np.arange(2 * n - 1)[:, None]
+        want = {
+            StructureKind.TOEPLITZ: (toeplitz_U, V, V.T.conj() / (2 * n)),
+            StructureKind.HANKEL: (toeplitz_U, V, V.T.conj()[::-1] / (2 * n)),
+            StructureKind.UPPER_TRIANGULAR_TOEPLITZ: (
+                twiddles(2 * n - 1, k, i), twiddles(2 * n - 1, k, n - 1 - i),
+                twiddles(2 * n - 1, k, n - 1 - i).T.conj() / (2 * n - 1)),
+        }
+        for kind, matrices in want.items():
+            for M, matrix in zip(_embedding_maps(kind, n), matrices):
+                m, w = matrix.shape
+                assert M.dense().shape == (m, w) and M.dense().tobytes() == matrix.tobytes()
+                assert M.support.all() and M.cost == (m * w, m * (w - 1))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
     def test_pairwise_maps_form_the_pairs_and_the_row_corrections(self, n):
@@ -365,26 +354,6 @@ class TestFusedMaps:
             assert np.array_equal(M.apply(np.eye(M.shape[1])), want)
             assert np.array_equal(M.propagate(np.eye(M.shape[1], dtype=bool)), want != 0)
         assert V.cost == (0, R - n) and W.cost == (0, 2 * (R - n))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 8])
-    def test_tph_maps_fold_the_shift_into_the_stacked_toeplitz_and_hankel_maps(self, n):
-        U, V, W = _toeplitz_maps(n)
-        tU, tV, tW = _tph_maps(n)
-        T = 2 * n - 1
-        shift = np.zeros((2 * T, 2 * T), dtype=complex)   # [t; h] -> [t + a 1; h - a 1]
-        shift[:T, :T] = shift[T:, T:] = np.eye(T)
-        a = -U.matrix[0] / (2 * n)
-        shift[:T, :T] += np.outer(np.ones(T), a)
-        shift[T:, :T] -= np.outer(np.ones(T), a)
-        chain = np.block([[U.matrix[1:], np.zeros((T - 1, T))],
-                          [np.zeros((T, T)), U.matrix]]) @ shift
-        assert np.abs(tU.apply(np.eye(2 * T)) - chain).max() < 1e-12 * n
-        support = tU.propagate(np.eye(2 * T, dtype=bool))
-        assert support[T - 1:].all() and support[:T - 1, :T].all()
-        assert not support[:T - 1, T:].any()
-        assert np.array_equal(tV.apply(np.eye(n)), np.vstack([V.matrix[1:], V.matrix]))
-        assert np.array_equal(tW.apply(np.eye(4 * n - 3)),
-                              np.hstack([W.matrix[:, 1:], W.matrix[::-1]]))
 
 
 class TestSkewSymmetric:
@@ -492,12 +461,13 @@ class TestMultilevel:
     def test_excluded_level_kinds(self):
         """Every kind may be a level; a level without parameters, an order-1
         skew-symmetric one, is refused when the matrix is built, at any
-        position and as the only level."""
+        position and as the only level, which is the structure itself."""
         empty, toeplitz = (LevelSpec(StructureKind.SKEW_SYMMETRIC, 1),
                            LevelSpec(StructureKind.TOEPLITZ, 2))
         for levels in ((toeplitz, empty), (empty, toeplitz), (empty,)):
             n = math.prod(lev.n for lev in levels)
-            with pytest.raises(ValueError, match="^level skew_symmetric of order 1 has no "
+            named = "level " if len(levels) > 1 else ""
+            with pytest.raises(ValueError, match=f"^{named}skew_symmetric of order 1 has no "
                                                  "parameters$"):
                 structured(StructureKind.MULTILEVEL, n, [], levels=levels)
 
@@ -605,26 +575,28 @@ def test_formula_count_refuses_bad_orders_and_patterns(kind, n, pattern, message
 def test_formula_count_table():
     assert formula_count(StructureKind.CIRCULANT, 7) == 7
     assert formula_count(StructureKind.TOEPLITZ, 7) == 13
-    assert formula_count(StructureKind.TOEPLITZ_PLUS_HANKEL, 7) == 25
+    assert formula_count(StructureKind.TOEPLITZ_PLUS_HANKEL, 7) == 24
     assert formula_count(StructureKind.SYMMETRIC, 7) == 28
     assert formula_count(StructureKind.SKEW_SYMMETRIC, 7) == 28
     assert formula_count(StructureKind.SKEW_SYMMETRIC, 1) == 0
 
 
 # Sizes around the points where flag propagation in a narrow integer type
-# would wrap: 128 or more Variables feeding one output.  The pairwise kinds
-# also run at 512.
-WRAP_SIZES = (63, 64, 65, 127, 128, 129, 256)
+# would wrap (128 or more Variables feeding one output), and 512.
+WRAP_SIZES = (63, 64, 65, 127, 128, 129, 256, 512)
 
 
-@pytest.mark.parametrize("kind,n", [(kind, n) for kind in ALL_KINDS for n in WRAP_SIZES] + [
-    (StructureKind.SYMMETRIC, 512), (StructureKind.SKEW_SYMMETRIC, 512)])
+@pytest.mark.parametrize("kind,n", [(kind, n) for kind in ALL_KINDS + [StructureKind.SPARSE]
+                                    for n in WRAP_SIZES])
 def test_count_matches_formula_at_large_n(kind, n):
+    """Every single-level kind counts its closed form."""
     f = 2.0 if kind is StructureKind.F_CIRCULANT else None
-    M = random_instance(kind, n, Lcg(n), f=f)
+    pattern = random_pattern(n, Lcg(n)) if kind is StructureKind.SPARSE else None
+    M = structured(kind, n, Lcg(n).complex_vector(param_count(kind, n, pattern)), f=f,
+                   pattern=pattern)
     ctx = CountContext()
     out = structured_matvec(M, variables(Lcg(n + 1).complex_vector(n)), ctx)
-    assert ctx.bilinear_mults == formula_count(kind, n)
+    assert ctx.bilinear_mults == formula_count(kind, n, pattern)
     assert all(s.is_variable for s in out)
 
 

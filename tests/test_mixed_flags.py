@@ -67,11 +67,11 @@ GOLDEN = {
         "15/0/vvvvvvvv", "17/0/vvvvvvvvv", "17/0/vvvvvvvvv", "0/0/vvvvvvvvv",
     ],
     "tph": [
-        "1/0/v", "0/0/v", "0/0/c", "5/0/vv", "0/0/vv", "0/0/vv", "9/0/vvv", "0/0/vvv",
-        "0/0/vvv", "13/0/vvvv", "13/0/vvvv", "0/0/vvvv", "17/0/vvvvv", "17/0/vvvvv",
-        "17/0/vvvvv", "21/0/vvvvvv", "0/0/vvvvvv", "21/0/vvvvvv", "25/0/vvvvvvv",
-        "25/0/vvvvvvv", "0/0/vvvvvvv", "29/0/vvvvvvvv", "0/0/vvvvvvvv", "29/0/vvvvvvvv",
-        "33/0/vvvvvvvvv", "0/0/vvvvvvvvv", "33/0/vvvvvvvvv",
+        "1/0/v", "0/0/v", "0/0/c", "4/0/vv", "0/0/vv", "0/0/vv", "8/0/vvv", "0/0/vvv",
+        "0/0/vvv", "12/0/vvvv", "12/0/vvvv", "0/0/vvvv", "16/0/vvvvv", "16/0/vvvvv",
+        "16/0/vvvvv", "20/0/vvvvvv", "0/0/vvvvvv", "20/0/vvvvvv", "24/0/vvvvvvv",
+        "24/0/vvvvvvv", "0/0/vvvvvvv", "28/0/vvvvvvvv", "0/0/vvvvvvvv", "28/0/vvvvvvvv",
+        "32/0/vvvvvvvvv", "0/0/vvvvvvvvv", "32/0/vvvvvvvvv",
     ],
     "symmetric": [
         "0/0/v", "0/0/v", "0/0/c", "0/0/vv", "2/0/vv", "0/0/cc", "0/0/vvv", "0/0/vvv",

@@ -91,11 +91,11 @@ GOLDEN = {
     "circulant:3,hankel:3": [
         "15/0/264/192/vvvvvvvvv", "15/0/264/192/vvvvvvvvv", "15/0/264/192/vvvvvvvvv"
     ],
-    "circulant:1,tph:1": ["1/0/8/2/v", "0/0/9/2/v", "0/0/9/2/c"],
-    "circulant:1,tph:3": ["9/0/140/103/vvv", "0/0/149/103/vvv", "0/0/149/103/vvv"],
-    "circulant:3,tph:1": ["3/0/48/30/vvv", "3/0/48/30/vvv", "3/0/48/30/vvv"],
+    "circulant:1,tph:1": ["1/0/9/3/v", "0/0/10/3/v", "0/0/10/3/c"],
+    "circulant:1,tph:3": ["8/0/115/101/vvv", "0/0/123/101/vvv", "0/0/123/101/vvv"],
+    "circulant:3,tph:1": ["3/0/51/33/vvv", "3/0/51/33/vvv", "3/0/51/33/vvv"],
     "circulant:3,tph:3": [
-        "0/0/543/405/vvvvvvvvv", "27/0/516/405/vvvvvvvvv", "27/0/516/405/vvvvvvvvv"
+        "0/0/465/399/vvvvvvvvv", "24/0/441/399/vvvvvvvvv", "24/0/441/399/vvvvvvvvv"
     ],
     "circulant:1,symmetric:1": ["0/0/4/0/v", "0/0/4/0/v", "0/0/4/0/c"],
     "circulant:1,symmetric:3": ["0/0/18/15/vvv", "0/0/18/15/vvv", "0/0/18/15/vvv"],
@@ -133,11 +133,11 @@ GOLDEN = {
     "f_circulant:3,hankel:3": [
         "15/0/264/192/vvvvvvvvv", "15/0/264/192/vvvvvvvvv", "15/0/264/192/vvvvvvvvv"
     ],
-    "f_circulant:1,tph:1": ["1/0/8/2/v", "0/0/9/2/v", "0/0/9/2/v"],
-    "f_circulant:1,tph:3": ["9/0/140/103/vvv", "9/0/140/103/vvv", "9/0/140/103/vvv"],
-    "f_circulant:3,tph:1": ["3/0/48/30/vvv", "3/0/48/30/vvv", "0/0/51/30/vvv"],
+    "f_circulant:1,tph:1": ["1/0/9/3/v", "0/0/10/3/v", "0/0/10/3/v"],
+    "f_circulant:1,tph:3": ["8/0/115/101/vvv", "8/0/115/101/vvv", "8/0/115/101/vvv"],
+    "f_circulant:3,tph:1": ["3/0/51/33/vvv", "3/0/51/33/vvv", "0/0/54/33/vvv"],
     "f_circulant:3,tph:3": [
-        "27/0/516/405/vvvvvvvvv", "27/0/516/405/vvvvvvvvv", "27/0/516/405/vvvvvvvvv"
+        "24/0/441/399/vvvvvvvvv", "24/0/441/399/vvvvvvvvv", "24/0/441/399/vvvvvvvvv"
     ],
     "f_circulant:1,symmetric:1": ["1/0/3/0/v", "0/0/4/0/v", "0/0/4/0/v"],
     "f_circulant:1,symmetric:3": ["5/0/13/15/vvv", "0/0/18/15/vvv", "0/0/18/15/vvv"],
@@ -175,11 +175,11 @@ GOLDEN = {
     "toeplitz:3,hankel:3": [
         "25/0/490/376/vvvvvvvvv", "25/0/490/376/vvvvvvvvv", "25/0/490/376/vvvvvvvvv"
     ],
-    "toeplitz:1,tph:1": ["0/0/9/2/v", "0/0/9/2/v", "0/0/9/2/c"],
-    "toeplitz:1,tph:3": ["0/0/149/103/vvv", "9/0/140/103/vvv", "5/0/144/103/vvv"],
-    "toeplitz:3,tph:1": ["5/0/100/72/vvv", "5/0/100/72/vvv", "5/0/100/72/vvv"],
+    "toeplitz:1,tph:1": ["0/0/10/3/v", "0/0/10/3/v", "0/0/10/3/c"],
+    "toeplitz:1,tph:3": ["0/0/123/101/vvv", "8/0/115/101/vvv", "8/0/115/101/vvv"],
+    "toeplitz:3,tph:1": ["5/0/105/77/vvv", "5/0/105/77/vvv", "5/0/105/77/vvv"],
     "toeplitz:3,tph:3": [
-        "45/0/960/781/vvvvvvvvv", "45/0/960/781/vvvvvvvvv", "45/0/960/781/vvvvvvvvv"
+        "40/0/835/771/vvvvvvvvv", "40/0/835/771/vvvvvvvvv", "40/0/835/771/vvvvvvvvv"
     ],
     "toeplitz:1,symmetric:1": ["0/0/4/0/v", "0/0/4/0/v", "1/0/3/0/v"],
     "toeplitz:1,symmetric:3": ["3/0/15/15/vvv", "3/0/15/15/vvv", "0/0/18/15/vvv"],
@@ -217,11 +217,11 @@ GOLDEN = {
     "hankel:3,hankel:3": [
         "25/0/490/376/vvvvvvvvv", "25/0/490/376/vvvvvvvvv", "25/0/490/376/vvvvvvvvv"
     ],
-    "hankel:1,tph:1": ["1/0/8/2/v", "1/0/8/2/v", "0/0/9/2/v"],
-    "hankel:1,tph:3": ["0/0/149/103/vvv", "0/0/149/103/vvv", "9/0/140/103/vvv"],
-    "hankel:3,tph:1": ["5/0/100/72/vvv", "5/0/100/72/vvv", "0/0/105/72/vvv"],
+    "hankel:1,tph:1": ["1/0/9/3/v", "1/0/9/3/v", "0/0/10/3/v"],
+    "hankel:1,tph:3": ["0/0/123/101/vvv", "0/0/123/101/vvv", "8/0/115/101/vvv"],
+    "hankel:3,tph:1": ["5/0/105/77/vvv", "5/0/105/77/vvv", "0/0/110/77/vvv"],
     "hankel:3,tph:3": [
-        "45/0/960/781/vvvvvvvvv", "45/0/960/781/vvvvvvvvv", "45/0/960/781/vvvvvvvvv"
+        "40/0/835/771/vvvvvvvvv", "40/0/835/771/vvvvvvvvv", "40/0/835/771/vvvvvvvvv"
     ],
     "hankel:1,symmetric:1": ["0/0/4/0/v", "0/0/4/0/v", "0/0/4/0/c"],
     "hankel:1,symmetric:3": ["3/0/15/15/vvv", "0/0/18/15/vvv", "0/0/18/15/vvv"],
@@ -235,46 +235,44 @@ GOLDEN = {
     "hankel:3,sparse:3": [
         "0/0/240/176/vvvvvvvvv", "0/0/240/176/vvvvvvvvv", "0/0/240/176/ccccccccc"
     ],
-    "tph:1,circulant:1": ["1/0/7/2/v", "0/0/8/2/v", "1/0/7/2/v"],
-    "tph:1,circulant:3": ["0/0/42/24/vvv", "3/0/39/24/vvv", "0/0/42/24/ccc"],
-    "tph:3,circulant:1": ["9/0/151/103/vvv", "0/0/160/103/vvv", "0/0/160/103/ccc"],
+    "tph:1,circulant:1": ["1/0/8/3/v", "0/0/9/3/v", "1/0/8/3/v"],
+    "tph:1,circulant:3": ["0/0/45/27/vvv", "3/0/42/27/vvv", "0/0/45/27/ccc"],
+    "tph:3,circulant:1": ["8/0/123/101/vvv", "0/0/131/101/vvv", "0/0/131/101/ccc"],
     "tph:3,circulant:3": [
-        "27/0/615/471/vvvvvvvvv", "0/0/642/471/vvvvvvvvv", "27/0/615/471/vvvvvvvvv"
+        "24/0/513/447/vvvvvvvvv", "0/0/537/447/vvvvvvvvv", "24/0/513/447/vvvvvvvvv"
     ],
-    "tph:1,f_circulant:1": ["1/0/7/2/v", "0/0/8/2/v", "0/0/8/2/c"],
-    "tph:1,f_circulant:3": ["3/0/39/24/vvv", "3/0/39/24/vvv", "0/0/42/24/ccc"],
-    "tph:3,f_circulant:1": ["9/0/151/103/vvv", "0/0/160/103/vvv", "9/0/151/103/vvv"],
+    "tph:1,f_circulant:1": ["1/0/8/3/v", "0/0/9/3/v", "0/0/9/3/c"],
+    "tph:1,f_circulant:3": ["3/0/42/27/vvv", "3/0/42/27/vvv", "0/0/45/27/ccc"],
+    "tph:3,f_circulant:1": ["8/0/123/101/vvv", "0/0/131/101/vvv", "8/0/123/101/vvv"],
     "tph:3,f_circulant:3": [
-        "27/0/615/471/vvvvvvvvv", "27/0/615/471/vvvvvvvvv", "27/0/615/471/vvvvvvvvv"
+        "24/0/513/447/vvvvvvvvv", "24/0/513/447/vvvvvvvvv", "24/0/513/447/vvvvvvvvv"
     ],
-    "tph:1,toeplitz:1": ["1/0/7/2/v", "0/0/8/2/v", "0/0/8/2/v"],
-    "tph:1,toeplitz:3": ["5/0/71/50/vvv", "5/0/71/50/vvv", "5/0/71/50/vvv"],
-    "tph:3,toeplitz:1": ["5/0/155/103/vvv", "9/0/151/103/vvv", "0/0/160/103/vvv"],
+    "tph:1,toeplitz:1": ["1/0/8/3/v", "0/0/9/3/v", "0/0/9/3/v"],
+    "tph:1,toeplitz:3": ["5/0/76/57/vvv", "5/0/76/57/vvv", "5/0/76/57/vvv"],
+    "tph:3,toeplitz:1": ["8/0/123/101/vvv", "8/0/123/101/vvv", "0/0/131/101/vvv"],
     "tph:3,toeplitz:3": [
-        "45/0/1007/809/vvvvvvvvv", "0/0/1052/809/vvvvvvvvv", "45/0/1007/809/vvvvvvvvv"
+        "40/0/857/779/vvvvvvvvv", "0/0/897/779/vvvvvvvvv", "40/0/857/779/vvvvvvvvv"
     ],
-    "tph:1,hankel:1": ["1/0/7/2/v", "1/0/7/2/v", "0/0/8/2/c"],
-    "tph:1,hankel:3": ["5/0/71/50/vvv", "5/0/71/50/vvv", "0/0/76/50/vvv"],
-    "tph:3,hankel:1": ["9/0/151/103/vvv", "0/0/160/103/vvv", "9/0/151/103/vvv"],
-    "tph:3,hankel:3": [
-        "45/0/1007/809/vvvvvvvvv", "45/0/1007/809/vvvvvvvvv", "0/0/1052/809/vvvvvvvvv"
-    ],
-    "tph:1,tph:1": ["0/0/11/5/v", "0/0/11/5/v", "0/0/11/5/v"],
-    "tph:1,tph:3": ["9/0/150/116/vvv", "9/0/150/116/vvv", "9/0/150/116/vvv"],
-    "tph:3,tph:1": ["9/0/230/182/vvv", "9/0/230/182/vvv", "9/0/230/182/vvv"],
+    "tph:1,hankel:1": ["1/0/8/3/v", "1/0/8/3/v", "0/0/9/3/c"],
+    "tph:1,hankel:3": ["5/0/76/57/vvv", "5/0/76/57/vvv", "0/0/81/57/vvv"],
+    "tph:3,hankel:1": ["8/0/123/101/vvv", "0/0/131/101/vvv", "8/0/123/101/vvv"],
+    "tph:3,hankel:3": ["40/0/857/779/vvvvvvvvv", "40/0/857/779/vvvvvvvvv", "0/0/897/779/vvvvvvvvv"],
+    "tph:1,tph:1": ["0/0/14/9/v", "0/0/14/9/v", "0/0/14/9/v"],
+    "tph:1,tph:3": ["8/0/135/131/vvv", "8/0/135/131/vvv", "8/0/135/131/vvv"],
+    "tph:3,tph:1": ["8/0/199/195/vvv", "8/0/199/195/vvv", "8/0/199/195/vvv"],
     "tph:3,tph:3": [
-        "81/0/1978/1663/vvvvvvvvv", "81/0/1978/1663/vvvvvvvvv", "81/0/1978/1663/vvvvvvvvv"
+        "64/0/1509/1601/vvvvvvvvv", "64/0/1509/1601/vvvvvvvvv", "64/0/1509/1601/vvvvvvvvv"
     ],
-    "tph:1,symmetric:1": ["0/0/5/2/v", "1/0/4/2/v", "0/0/5/2/v"],
-    "tph:1,symmetric:3": ["6/0/18/24/vvv", "0/0/24/24/vvv", "0/0/24/24/vvv"],
-    "tph:3,symmetric:1": ["5/0/128/103/vvv", "9/0/124/103/vvv", "9/0/124/103/vvv"],
+    "tph:1,symmetric:1": ["0/0/6/3/v", "1/0/5/3/v", "0/0/6/3/v"],
+    "tph:1,symmetric:3": ["6/0/24/33/vvv", "0/0/30/33/vvv", "0/0/30/33/vvv"],
+    "tph:3,symmetric:1": ["8/0/99/101/vvv", "8/0/99/101/vvv", "8/0/99/101/vvv"],
     "tph:3,symmetric:3": [
-        "37/0/599/627/vvvvvvvvv", "27/0/609/627/vvvvvvvvv", "10/0/626/627/vvvvvvvvv"
+        "40/0/485/633/vvvvvvvvv", "24/0/501/633/vvvvvvvvv", "16/0/509/633/vvvvvvvvv"
     ],
-    "tph:1,sparse:1": ["0/0/5/2/v", "0/0/5/2/v", "0/0/5/2/c"],
-    "tph:1,sparse:3": ["3/0/18/10/vvv", "1/0/20/10/vvv", "1/0/20/10/vvc"],
-    "tph:3,sparse:1": ["9/0/124/103/vvv", "9/0/124/103/vvv", "9/0/124/103/vvv"],
-    "tph:3,sparse:3": ["41/0/516/449/vvvvvvvvv", "0/0/557/449/vvvvvvvvv", "0/0/557/449/vvcvvcvvc"],
+    "tph:1,sparse:1": ["0/0/6/3/v", "0/0/6/3/v", "0/0/6/3/c"],
+    "tph:1,sparse:3": ["3/0/23/17/vvv", "1/0/25/17/vvv", "1/0/25/17/vvc"],
+    "tph:3,sparse:1": ["8/0/99/101/vvv", "8/0/99/101/vvv", "8/0/99/101/vvv"],
+    "tph:3,sparse:3": ["40/0/417/459/vvvvvvvvv", "0/0/457/459/vvvvvvvvv", "0/0/457/459/vvcvvcvvc"],
     "symmetric:1,circulant:1": ["0/0/4/0/v", "0/0/4/0/v", "0/0/4/0/v"],
     "symmetric:1,circulant:3": ["0/0/30/18/vvv", "3/0/27/18/vvv", "0/0/30/18/vvv"],
     "symmetric:3,circulant:1": ["0/0/24/15/vvv", "0/0/24/15/vvv", "0/0/24/15/vcc"],
@@ -299,11 +297,11 @@ GOLDEN = {
     "symmetric:3,hankel:3": [
         "25/0/335/309/vvvvvvvvv", "25/0/335/309/vvvvvvvvv", "10/0/350/309/vvvvvvvvv"
     ],
-    "symmetric:1,tph:1": ["1/0/4/2/v", "0/0/5/2/v", "0/0/5/2/v"],
-    "symmetric:1,tph:3": ["9/0/124/103/vvv", "9/0/124/103/vvv", "0/0/133/103/vvv"],
-    "symmetric:3,tph:1": ["3/0/27/33/vvv", "0/0/30/33/vvv", "0/0/30/33/ccc"],
+    "symmetric:1,tph:1": ["1/0/5/3/v", "0/0/6/3/v", "0/0/6/3/v"],
+    "symmetric:1,tph:3": ["8/0/99/101/vvv", "8/0/99/101/vvv", "0/0/107/101/vvv"],
+    "symmetric:3,tph:1": ["3/0/33/39/vvv", "0/0/36/39/vvv", "0/0/36/39/ccc"],
     "symmetric:3,tph:3": [
-        "37/0/761/705/vvvvvvvvv", "54/0/744/705/vvvvvvvvv", "36/0/762/705/vvvvvvvvv"
+        "40/0/602/693/vvvvvvvvv", "48/0/594/693/vvvvvvvvv", "32/0/610/693/vvvvvvvvv"
     ],
     "symmetric:1,symmetric:1": ["1/0/0/0/v", "0/0/1/0/v", "0/0/1/0/c"],
     "symmetric:1,symmetric:3": ["5/0/1/15/vvv", "0/0/6/15/vvv", "0/0/6/15/ccc"],
@@ -341,12 +339,10 @@ GOLDEN = {
     "sparse:3,hankel:3": [
         "5/0/295/216/vvvvvvvvv", "20/0/280/216/vvvvvvvvv", "20/0/280/216/vvvvvvvvv"
     ],
-    "sparse:1,tph:1": ["0/0/5/2/v", "0/0/5/2/v", "0/0/5/2/v"],
-    "sparse:1,tph:3": ["9/0/124/103/vvv", "9/0/124/103/vvv", "0/0/133/103/vvv"],
-    "sparse:3,tph:1": ["2/0/23/12/vvv", "0/0/25/12/vvv", "0/0/25/12/vvc"],
-    "sparse:3,tph:3": [
-        "41/0/624/521/vvvvvvvvv", "18/0/647/521/vvvvvvvvv", "0/0/665/521/vvvcccvvv"
-    ],
+    "sparse:1,tph:1": ["0/0/6/3/v", "0/0/6/3/v", "0/0/6/3/v"],
+    "sparse:1,tph:3": ["8/0/99/101/vvv", "8/0/99/101/vvv", "0/0/107/101/vvv"],
+    "sparse:3,tph:1": ["2/0/28/17/vvv", "0/0/30/17/vvv", "0/0/30/17/vvc"],
+    "sparse:3,tph:3": ["40/0/495/511/vvvvvvvvv", "16/0/519/511/vvvvvvvvv", "0/0/535/511/vvvcccvvv"],
     "sparse:1,symmetric:1": ["0/0/1/0/v", "0/0/1/0/v", "0/0/1/0/v"],
     "sparse:1,symmetric:3": ["0/0/6/15/vvv", "3/0/3/15/vvv", "0/0/6/15/vvv"],
     "sparse:3,symmetric:1": ["0/0/5/2/vvv", "3/0/2/2/vvv", "0/0/5/2/vvv"],
