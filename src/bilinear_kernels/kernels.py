@@ -32,12 +32,12 @@ triple is kept in the one map store (counting.MapStore), keyed per order,
 f or pattern, and built from the embedding it runs, with that embedding's
 structural support, or from the products it forms:
 
-    circulant, f-circulant  U evaluates the reindexed first column at the n
-                            roots of t^n = f; V and W are the scaled transforms
-    toeplitz, hankel,       one builder from the kind's frame in C[z]/(z^N - 1):
-    triangular, tph         2n points, bin 0 emptied (toeplitz; hankel reads its
-                            U and V); 2n-1 (triangular); two of 2n-1, two bins
-                            emptied, products picked from one evaluation of x (tph)
+    circulant, f-circulant, one builder from the kind's frame in C[z]/(z^N - 1):
+    toeplitz, hankel,       n points (circulant; f-circulant rescales its maps
+    triangular, tph         by powers of the n-th root of f); 2n points, bin 0
+                            emptied (toeplitz; hankel reads its U and V); 2n-1
+                            (triangular); two of 2n-1, two bins emptied,
+                            products picked from one evaluation of x (tph)
     symmetric,              gather maps: a_ij (x_i + x_j) per pair i < j and one
     skew-symmetric          correction c_i x_i per row (entrywise at skew n <= 2)
     sparse                  gather maps, one product per pattern entry
@@ -58,7 +58,7 @@ from .counting import (BlockMap, ChainMap, ConstantMap, CountContext, GatherMap,
                        _stored, concat, match_output, reciprocal, take, tile,
                        to_grid, to_scalars, triple_product, vmul)
 from .extraction import level_decomposition
-from .spectral import dft_matrix, idft_matrix, principal_root, scaled_idft_matrix, twiddles
+from .spectral import principal_root, twiddles
 from .structures import (LevelSpec, SparsityPattern, StructureKind, StructureSpec,
                          StructuredMatrix, check_structure, circulant_placement,
                          f_circulant_placement, hankel_placement, skew_symmetric_placement,
@@ -86,81 +86,6 @@ class KernelReport:
 
 
 # ---------------------------------------------------------------------------
-# Circulant and f-circulant
-# ---------------------------------------------------------------------------
-
-@_stored
-def _fcirc_base(n: int) -> tuple[ConstantMap, ConstantMap, ConstantMap]:
-    """The transforms of order n before any scaling by f: the DFT F with its
-    columns reindexed by m -> (n - m) mod n, F's conjugate over n, and F."""
-    j = np.arange(n)
-    F = twiddles(n, j[:, None], j)
-    return ConstantMap(F[:, (n - j) % n]), ConstantMap(F.conj() / n), ConstantMap(F)
-
-
-@_stored
-def _fcirc_maps(n: int, f: complex) -> tuple[ConstantMap, ConstantMap, ConstantMap]:
-    """Constant transforms diagonalizing the f-circulant action.
-
-    With data d (wrap factors stripped from the first column) the matrix is
-    A[i][j] = d[(i-j) mod n] * f^{[i>j]}; over the reindexed coefficients
-    x[m] = d[(n-m) mod n] the product Av equals post @ diag(eval @ x) @ pre @ v
-    where eval evaluates at the n roots of t^n = f.  U is eval with the
-    reindexing, its own inverse, folded into its columns.
-
-    Each map is a diagonal rescaling of the order's stored base
-    (_fcirc_base) by powers of the principal root rho: U's columns by
-    rho^j at the reindexed j, pre's columns by rho^-j and post's rows by
-    rho^j.  Every f, 1 included, takes these same products, and each map
-    shares its base's support and reach.
-    """
-    rho = principal_root(f, n)
-    j = np.arange(n)
-    up = rho ** j
-    U, pre, post = _fcirc_base(n)
-    return (U.rescaled(U.matrix * up[-j]),             # up at (n - j) mod n
-            pre.rescaled(pre.matrix * rho ** -j.astype(float)),
-            post.rescaled(up[:, None] * post.matrix))
-
-
-def circulant_matvec(c, x, ctx: CountContext):
-    """Circ(c) @ x in exactly n bilinear multiplications."""
-    return _run(StructureKind.CIRCULANT, c, x, ctx)
-
-
-def f_circulant_matvec(c, f: complex, x, ctx: CountContext):
-    """f-circulant product in exactly n bilinear multiplications; f must be nonzero."""
-    return _run(StructureKind.F_CIRCULANT, c, x, ctx, f)
-
-
-def _spectrum_or_raise(params: TrackedVector, M: ConstantMap,
-                       ctx: CountContext) -> TrackedVector:
-    hat = apply_matrix(M, params, ctx)
-    floor = 1e-12 * float(np.linalg.norm(params.values))
-    if np.any(np.abs(hat.values) <= floor):
-        raise SingularMatrix("a transform value of the parameter vector is zero")
-    return hat
-
-
-def circulant_inverse(c, ctx: CountContext):
-    """First column of Circ(c)^-1 using n divisions and zero bilinear mults."""
-    cv = as_input(c)
-    n = len(cv)
-    inv_hat = reciprocal(_spectrum_or_raise(cv, dft_matrix(n), ctx), ctx)
-    return match_output(c, apply_matrix(idft_matrix(n), inv_hat, ctx))
-
-
-def f_circulant_inverse(c, f: complex, ctx: CountContext):
-    """Parameters of the inverse f-circulant; n divisions, zero bilinear mults."""
-    cv = as_input(c)
-    n = len(cv)
-    check_structure(StructureKind.F_CIRCULANT, n, f, size=n)
-    inv_hat = reciprocal(_spectrum_or_raise(cv, _fcirc_maps(n, complex(f))[0], ctx), ctx)
-    x_inv = apply_matrix(scaled_idft_matrix(n, complex(f)), inv_hat, ctx)
-    return match_output(c, take(x_inv, (n - np.arange(n)) % n))
-
-
-# ---------------------------------------------------------------------------
 # Gauss 3-multiplication complex product
 # ---------------------------------------------------------------------------
 
@@ -179,7 +104,7 @@ def gauss_complex_mul(a: TrackedScalar, b: TrackedScalar, c: TrackedScalar,
 
 
 # ---------------------------------------------------------------------------
-# Toeplitz family: one embedding builder
+# Circulant and Toeplitz families: one embedding builder
 # ---------------------------------------------------------------------------
 
 def _tph_null(n: int) -> np.ndarray:
@@ -190,13 +115,14 @@ def _tph_null(n: int) -> np.ndarray:
 
 
 # Per kind, from (n, i = 0..n-1, q = 0..2n-2): the frame order N of
-# C[z]/(z^N - 1); each parameter's symbol position; the input placement
-# sigma; each summand's output placement tau (cell (i, j) of summand s reads
-# the symbol at tau_s[i] - sigma[j], and summand s reads the s-th parameter
-# block); and the null directions, parameter combinations that leave the
-# matrix unchanged.  sigma and tau are permutations of 0..n-1, positions that
-# each hold a parameter.  Hankel reads Toeplitz's frame: only its tau differs.
+# C[z]/(z^N - 1); each parameter's symbol position (circulant's n parameters
+# are q = i); the input placement sigma; each summand's output placement tau
+# (cell (i, j) of summand s reads the symbol at tau_s[i] - sigma[j], and
+# summand s reads the s-th parameter block); and the null directions,
+# parameter combinations that leave the matrix unchanged.  sigma and tau are
+# permutations of 0..n-1, positions that each hold a parameter.
 _FRAMES = {
+    StructureKind.CIRCULANT: lambda n, i, q: (n, -i % n, n - 1 - i, (n - 1 - i,), ()),
     StructureKind.TOEPLITZ: lambda n, i, q: (2 * n, n - 1 - q, i, (i,), ()),
     StructureKind.HANKEL: lambda n, i, q: (2 * n, n - 1 - q, i, (n - 1 - i,), ()),
     StructureKind.UPPER_TRIANGULAR_TOEPLITZ:
@@ -204,6 +130,10 @@ _FRAMES = {
     StructureKind.TOEPLITZ_PLUS_HANKEL:
         lambda n, i, q: (2 * n - 1, n - 1 - q, i, (i, n - 1 - i), _tph_null(n)),
 }
+# The kind whose frame a kind reads, where it is another kind's: Hankel reads
+# Toeplitz's with its own tau, f-circulant circulant's rescaled by f.
+_READS = {StructureKind.HANKEL: StructureKind.TOEPLITZ,
+          StructureKind.F_CIRCULANT: StructureKind.CIRCULANT}
 
 
 def _max_volume_rows(G: np.ndarray) -> np.ndarray:
@@ -263,15 +193,67 @@ def _frame(kind: StructureKind, n: int):
 
 
 @_stored
-def _embedding_maps(kind: StructureKind, n: int):
-    """The Cohn-Umans triple of a Toeplitz-family kind: its frame's U and V,
-    and W, which reads y_i off bin k of summand s with omega^(-k tau_s[i]) / N."""
-    U, V, X, summand, rows = _frame(StructureKind.TOEPLITZ if kind is StructureKind.HANKEL
-                                    else kind, n)
+def _embedding_maps(kind: StructureKind, n: int, f: complex = 1):
+    """The Cohn-Umans triple of a kind the builder describes: its frame's U
+    and V, and W, which reads y_i off bin k of summand s with
+    omega^(-k tau_s[i]) / N.
+
+    A kind that takes f (f-circulant) reads its frame's triple rescaled:
+    z = rho w, rho = principal_root(f, n), takes C[z]/(z^n - f) to
+    C[w]/(w^n - 1), so U's column q scales by rho^pos(q), V's column j by
+    rho^sigma(j) and W's row i by rho^-tau(i).  Each exponent is a position
+    in 0..n-1, read off one table of the n powers.  A rescale keeps the
+    support and reach of the frame's maps.  SPECS reads circulant's own
+    triple at f = 1."""
+    frame = _READS.get(kind, kind)
+    if SPECS[kind].needs_f:
+        _, pos, sigma, (tau,), _ = _FRAMES[frame](n, np.arange(n), np.arange(2 * n - 1))
+        up, (U, V, W) = principal_root(f, n) ** np.arange(n), _embedding_maps(frame, n)
+        return (U.rescaled(U.matrix * up[pos]), V.rescaled(V.matrix * up[sigma]),
+                W.rescaled(W.matrix / up[tau, None]))
+    U, V, X, summand, rows = _frame(frame, n)
     N, _, sigma, taus, _ = _FRAMES[kind](n, np.arange(n), np.arange(2 * n - 1))
     perms = np.argsort(sigma)[np.array(taus)]          # each summand's columns of X
     W = np.concatenate([X.matrix[rows[summand == s, None], perm] for s, perm in enumerate(perms)])
     return U, V, _full(np.divide(np.conjugate(W, out=W), N, out=W).T)
+
+
+def circulant_matvec(c, x, ctx: CountContext):
+    """Circ(c) @ x in exactly n bilinear multiplications."""
+    return _run(StructureKind.CIRCULANT, c, x, ctx)
+
+
+def f_circulant_matvec(c, f: complex, x, ctx: CountContext):
+    """f-circulant product in exactly n bilinear multiplications; f must be nonzero."""
+    return _run(StructureKind.F_CIRCULANT, c, x, ctx, f)
+
+
+def _inverse(kind: StructureKind, c, f: complex | None, ctx: CountContext):
+    """The parameters of the inverse, read through the kind's stored triple:
+    U c evaluates c's symbol at the n roots of z^n = f (f = 1: circulant),
+    and W reads the coefficients of its reciprocal, parameter q at row
+    (q - 1) mod n.  Non-finite parameters are refused before any transform."""
+    cv = as_input(c)
+    n = len(cv)
+    check_structure(kind, n, f, size=n)
+    if (bad := ~np.isfinite(cv.values)).any():
+        raise ValueError(f"{kind.value} parameters {np.flatnonzero(bad).tolist()} are not finite")
+    U, _, W = SPECS[kind].maps(n, f, None)
+    hat = apply_matrix(U, cv, ctx)
+    if np.any(np.abs(hat.values) <= 1e-12 * float(np.linalg.norm(cv.values))):
+        raise SingularMatrix("a transform value of the parameter vector is zero")
+    inv = apply_matrix(W, reciprocal(hat, ctx), ctx)
+    return match_output(c, take(inv, (np.arange(n) - 1) % n))
+
+
+def circulant_inverse(c, ctx: CountContext):
+    """First column of Circ(c)^-1 using n divisions and zero bilinear mults."""
+    return _inverse(StructureKind.CIRCULANT, c, None, ctx)
+
+
+def f_circulant_inverse(c, f: complex, ctx: CountContext):
+    """Parameters of the inverse f-circulant; n divisions, zero bilinear mults."""
+    return _inverse(StructureKind.F_CIRCULANT, c, f, ctx)
 
 
 def toeplitz_matvec(t, x, ctx: CountContext):
@@ -381,10 +363,11 @@ def _sparse_maps(n: int, pattern: SparsityPattern) -> tuple[GatherMap, GatherMap
 SPECS: dict[StructureKind, StructureSpec] = {
     StructureKind.CIRCULANT: StructureSpec(
         lambda n, _: n, lambda n, _: n, lambda n, _: n,
-        circulant_placement, lambda n, f, _: _fcirc_maps(n, 1.0)),
+        circulant_placement, lambda n, f, _: _embedding_maps(StructureKind.CIRCULANT, n)),
     StructureKind.F_CIRCULANT: StructureSpec(
-        lambda n, _: n, lambda n, _: n, lambda n, _: n,
-        f_circulant_placement, lambda n, f, _: _fcirc_maps(n, complex(f)), needs_f=True),
+        lambda n, _: n, lambda n, _: n, lambda n, _: n, f_circulant_placement,
+        lambda n, f, _: (_embedding_maps(StructureKind.F_CIRCULANT, n, complex(f)) if f != 1
+                         else _embedding_maps(StructureKind.CIRCULANT, n)), needs_f=True),
     StructureKind.TOEPLITZ: StructureSpec(
         lambda n, _: 2 * n - 1, lambda n, _: 2 * n - 1, lambda n, _: 2 * n - 1,
         toeplitz_placement, lambda n, f, _: _embedding_maps(StructureKind.TOEPLITZ, n)),

@@ -9,10 +9,12 @@ shared by all callers, and its nonzero support.  The caches keyed on an
 order hold at most ORDER_CACHE_SIZE entries each, those keyed on a complex
 f at most F_CACHE_SIZE.
 
-No kernel triple reads these caches.  Every kernel builds its parameter,
-input and output maps (see kernels.py) entry by entry from ``twiddles``,
-so only the bins and rows it uses are stored, all in the kernels' one map
-store; the circulant and f-circulant inverses read the transforms here.
+No kernel reads these caches.  Every kernel builds its parameter, input
+and output maps (see kernels.py) entry by entry from ``twiddles``, so only
+the bins and rows it uses are stored, all in the kernels' one map store;
+the circulant and f-circulant inverses read their kind's stored triple.
+The caches here serve the public transforms below and the group triples
+(groups._X8_MAPS).
 """
 
 from __future__ import annotations

@@ -17,8 +17,7 @@ from bilinear_kernels import (CountContext, LevelSpec, StructureKind, circulant_
 from bilinear_kernels import counting, kernels
 from bilinear_kernels.counting import (MAP_STORE, MAP_STORE_BYTES, MAP_STORE_ENTRIES, BlockMap,
                                        ChainMap, ConstantMap, GatherMap, MapStore)
-from bilinear_kernels.kernels import (_embedding_maps, _fcirc_base, _fcirc_maps, _frame,
-                                      _pairwise_maps, _sparse_maps)
+from bilinear_kernels.kernels import SPECS, _embedding_maps, _frame, _pairwise_maps, _sparse_maps
 from bilinear_kernels.cli import random_pattern
 from bilinear_kernels.rng import Lcg
 from bilinear_kernels.spectral import (F_CACHE_SIZE, ORDER_CACHE_SIZE, dft_matrix, idft_matrix,
@@ -26,6 +25,7 @@ from bilinear_kernels.spectral import (F_CACHE_SIZE, ORDER_CACHE_SIZE, dft_matri
 from bilinear_kernels.structures import SparsityPattern, _placement, dense_parts
 
 SYM, SKEW = StructureKind.SYMMETRIC, StructureKind.SKEW_SYMMETRIC
+CIRC, FCIRC = StructureKind.CIRCULANT, StructureKind.F_CIRCULANT
 TOEPLITZ, HANKEL, TRIANGULAR, TPH = (StructureKind.TOEPLITZ, StructureKind.HANKEL,
                                      StructureKind.UPPER_TRIANGULAR_TOEPLITZ,
                                      StructureKind.TOEPLITZ_PLUS_HANKEL)
@@ -40,11 +40,11 @@ def write_first(arr):
 
 
 def test_cached_maps_reject_writes():
-    U, pre, post = _fcirc_maps(8, complex(1.0))
+    U, V, W = _embedding_maps(CIRC, 8)
     perm = (8 - np.arange(8)) % 8
     assert np.array_equal(U.matrix, scaled_dft_matrix(8, complex(1.0)).matrix[:, perm])
     for arr in (dft_matrix(8).matrix, dft_matrix(8).support, U.matrix, U.support,
-                pre.matrix, pre.support, post.matrix, post.support):
+                V.matrix, V.support, W.matrix, W.support):
         with pytest.raises(ValueError):
             write_first(arr)
     c, x = [1, 2, 3, 4, 5, 6, 7, 8], [1, -1, 2, 0, 1j, 3, -2, 1]
@@ -92,6 +92,11 @@ def test_f_keyed_caches_stay_bounded():
     assert MAP_STORE.nbytes == sum(entry[1] for entry in MAP_STORE.entries.values())
 
 
+def f_args(n, f):
+    """The arguments that key f-circulant's triple: circulant's own at f = 1."""
+    return (CIRC, n) if f == 1 else (FCIRC, n, f)
+
+
 def test_fixed_f_entries_survive_fresh_f():
     """A sweep over n <= 16 at six fixed f plus 16 fresh f per round misses
     only on the fresh f once the fixed entries are resident."""
@@ -100,12 +105,12 @@ def test_fixed_f_entries_survive_fresh_f():
     for _ in range(3):
         new = 0
         for n, f in fixed:
-            new += not stored(_fcirc_maps, n, f)
-            _fcirc_maps(n, f)
+            new += not stored(_embedding_maps, *f_args(n, f))
+            SPECS[FCIRC].maps(n, f, None)
         for n in range(1, 17):
             fresh += 1
-            new += not stored(_fcirc_maps, n, complex(3.0, fresh))
-            _fcirc_maps(n, complex(3.0, fresh))
+            new += not stored(_embedding_maps, *f_args(n, complex(3.0, fresh)))
+            SPECS[FCIRC].maps(n, complex(3.0, fresh), None)
     assert new == 16
 
 
@@ -122,8 +127,9 @@ def arrays(M):
 
 
 def kernel_maps(n):
-    """Every cached Toeplitz-family, symmetric and skew-symmetric map of order n."""
-    return (*(M for kind in (TOEPLITZ, HANKEL, TPH, TRIANGULAR) for M in _embedding_maps(kind, n)),
+    """Every cached embedding-builder, symmetric and skew-symmetric map of order n."""
+    return (*(M for kind in (CIRC, TOEPLITZ, HANKEL, TPH, TRIANGULAR)
+              for M in _embedding_maps(kind, n)), *_embedding_maps(FCIRC, n, 2j),
             *_pairwise_maps(SYM, n), *_pairwise_maps(SKEW, n))
 
 
@@ -161,7 +167,7 @@ def test_derived_kernel_maps_are_views(n):
     assert len({id(owner(M.matrix)) for M in blocks}) == 1
     if n > 1:
         assert isinstance(tV.second, GatherMap) and tV.first.shape == (2 * n - 1, n)
-    for M, base in zip(_fcirc_maps(n, 2j), _fcirc_base(n)):
+    for M, base in zip(_embedding_maps(FCIRC, n, 2j), _embedding_maps(CIRC, n)):
         assert M.support is base.support and M.reach is base.reach
     _pairwise_maps(SYM, n)
     assert MAP_STORE.entries[(_pairwise_maps.__wrapped__, SYM, n)][2] == [
@@ -212,10 +218,29 @@ def test_multilevel_sweep_with_fresh_f_stays_within_every_cache_bound():
 
 
 def test_no_kernel_map_has_a_cache_of_its_own():
-    """kernels defines no cached function; the spectral transforms it reads
-    for the inverses keep their own caches."""
+    """kernels defines no cached function: every kernel map, the inverses'
+    included, is in the map store."""
     assert not [name for name, value in vars(kernels).items() if hasattr(value, "cache_info")
                 and value.__module__ == kernels.__name__]
+
+
+@pytest.mark.parametrize("kind, f", [(CIRC, None), (FCIRC, 2j), (FCIRC, 1.0)])
+def test_an_inverse_reads_the_triple_its_product_stored(kind, f):
+    """One home for the transforms: after a product at order n, the inverse
+    of the same kind adds no store entry and misses no cache of the library."""
+    n = 11
+    c, x = [3.0 * n, *np.ones(n - 1)], variables(np.arange(n))
+    if f is None:
+        circulant_matvec(c, x, CountContext())
+    else:
+        f_circulant_matvec(c, f, x, CountContext())
+    entries, caches = set(MAP_STORE.entries), library_caches()
+    misses = {name: cache.cache_info().misses for name, cache in caches.items()}
+    inverse = (kernels.circulant_inverse(c, CountContext()) if f is None
+               else kernels.f_circulant_inverse(c, f, CountContext()))
+    assert len(inverse) == n
+    assert set(MAP_STORE.entries) == entries
+    assert {name: cache.cache_info().misses for name, cache in caches.items()} == misses
 
 
 def test_the_store_keeps_within_its_byte_bound_but_for_the_newest_entry(monkeypatch):
@@ -225,11 +250,12 @@ def test_the_store_keeps_within_its_byte_bound_but_for_the_newest_entry(monkeypa
     monkeypatch.setattr(counting, "MAP_STORE_BYTES", bound)
     pattern = SparsityPattern(6, 6, ((0, 1), (2, 2), (5, 0)))
     levels = (LevelSpec(StructureKind.HANKEL, 9), LevelSpec(StructureKind.SYMMETRIC, 5))
-    reads = [(_embedding_maps, TOEPLITZ, 4), (_fcirc_maps, 9, 2j), (_embedding_maps, TPH, 12),
-             (_embedding_maps, HANKEL, 4), (_pairwise_maps, SYM, 9), (_sparse_maps, 6, pattern),
-             (_pairwise_maps, SKEW, 14), (_embedding_maps, TRIANGULAR, 30),
-             (_fcirc_maps, 3, -1.0), (_embedding_maps, TPH, 3), (_pairwise_maps, SYM, 16),
-             (_fcirc_base, 2), (_placement, levels)]
+    reads = [(_embedding_maps, TOEPLITZ, 4), (_embedding_maps, FCIRC, 9, 2j),
+             (_embedding_maps, TPH, 12), (_embedding_maps, HANKEL, 4), (_pairwise_maps, SYM, 9),
+             (_sparse_maps, 6, pattern), (_pairwise_maps, SKEW, 14),
+             (_embedding_maps, TRIANGULAR, 30), (_embedding_maps, FCIRC, 3, -1.0),
+             (_embedding_maps, TPH, 3), (_pairwise_maps, SYM, 16), (_embedding_maps, CIRC, 2),
+             (_placement, levels)]
     over = 0
     for builder, *args in reads * 2:
         builder(*args)
@@ -302,7 +328,7 @@ def test_a_derived_entry_keeps_its_base_through_evictions():
     n = 6
     _embedding_maps(HANKEL, n)
     for k in range(3 * MAP_STORE_ENTRIES):
-        _fcirc_maps(2, complex(5.0, k))
+        _embedding_maps(FCIRC, 2, complex(5.0, k))
         if k % 50 == 0:
             _embedding_maps(HANKEL, n)
     assert stored(_frame, TOEPLITZ, n)

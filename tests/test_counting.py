@@ -200,9 +200,10 @@ def test_constant_map_flags_equal_the_boolean_product(shape):
 
 def test_toeplitz_family_maps_have_full_supports():
     from bilinear_kernels import StructureKind
-    from bilinear_kernels.kernels import _embedding_maps, _fcirc_maps
-    for maps in (_embedding_maps(StructureKind.TOEPLITZ, 5), _fcirc_maps(4, 2.0),
-                 _fcirc_maps(3, 1.0)):
+    from bilinear_kernels.kernels import _embedding_maps
+    for maps in (_embedding_maps(StructureKind.TOEPLITZ, 5),
+                 _embedding_maps(StructureKind.F_CIRCULANT, 4, 2.0),
+                 _embedding_maps(StructureKind.CIRCULANT, 3)):
         assert all(M.full for M in maps)
 
 

@@ -1,6 +1,6 @@
 """A fresh verify instance at the cost of a warm one: bulk draws by jump
-ahead, parameters kept as one array, f-circulant maps and placements
-derived from their order's base, and the map store's owned buffers.  Each
+ahead, parameters kept as one array, f-circulant placements derived
+from their order's base, and the map store's owned buffers.  Each
 against the direct formulation it replaces.  Also the public kernels on
 plain numbers."""
 
@@ -18,9 +18,8 @@ from bilinear_kernels import (CountContext, LevelSpec, SparsityPattern, Structur
                               variable, variables)
 from bilinear_kernels import counting
 from bilinear_kernels.counting import GatherMap, MapStore, _buffers, _key_bytes
-from bilinear_kernels.kernels import _embedding_maps, _fcirc_maps, _sparse_maps
+from bilinear_kernels.kernels import _embedding_maps, _sparse_maps
 from bilinear_kernels.rng import BULK_DRAWS, JUMP_BLOCK, Lcg
-from bilinear_kernels.spectral import principal_root, twiddles
 from bilinear_kernels.structures import _placement, default_f, param_count
 
 SINGLE_KINDS = [k for k in StructureKind if k not in (StructureKind.SPARSE,
@@ -67,34 +66,10 @@ def test_bulk_draws_return_python_numbers():
 
 
 # ---------------------------------------------------------------------------
-# f-circulant maps and placements from the order's base
+# f-circulant placements from the order's base
 # ---------------------------------------------------------------------------
 
-def direct_fcirc_matrices(n, f):
-    """U, pre and post as one formula each, with no base."""
-    rho = principal_root(f, n)
-    j = np.arange(n)
-    F = twiddles(n, j[:, None], j)
-    pre = F.conj() / n * (rho ** -j.astype(float))[None, :]
-    post = (rho ** j)[:, None] * F
-    U = (F * rho ** j[None, :])[:, (n - j) % n]
-    return U, pre, post
-
-
 F_GRID = [1.0, -1.0, 2.0, 1j, 0.02, 60j, complex(0.3, -2.2), 1e-300, 1e300]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
-@pytest.mark.parametrize("f", F_GRID)
-def test_fresh_f_maps_equal_the_direct_formulas_byte_for_byte(n, f):
-    maps = _fcirc_maps(n, 1.0 if f == 1.0 else complex(f))
-    for M, want in zip(maps, direct_fcirc_matrices(n, f)):
-        assert M.matrix.dtype == want.dtype and M.matrix.tobytes() == want.tobytes()
-        assert np.array_equal(M.support, want != 0)
-        assert np.array_equal(M.reach, (want != 0).any(axis=1))
-        assert M.cost == (n * n, n * (n - 1)) and M.shape == (n, n)
-        assert M.nbytes == want.nbytes + want.size
-        assert not M.matrix.flags.writeable
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
@@ -164,7 +139,7 @@ def test_store_sizes_equal_those_of_walking_every_base(monkeypatch):
     monkeypatch.setattr(counting, "MAP_STORE_ENTRIES", 24)
     rng = Lcg(2)
     for k in range(40):
-        _fcirc_maps(1 + k % 7, complex(1.0, k))
+        _embedding_maps(StructureKind.F_CIRCULANT, 1 + k % 7, complex(1.0, k))
         _placement((LevelSpec(StructureKind.F_CIRCULANT, 1 + k % 5, complex(2.0, k)),
                     LevelSpec(StructureKind.TOEPLITZ, 2)))
         _embedding_maps(StructureKind.TOEPLITZ_PLUS_HANKEL, 1 + k % 4)

@@ -6,17 +6,19 @@ code 2.  Also the kernels outside the table on plain numbers, and the
 one-line errors of empty or missing operands."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from bilinear_kernels import (CountContext, LevelSpec, SchemaError, SparsityPattern,
                               StructureKind, TrackedScalar, blocked_simultaneous, certify_rank,
-                              commutator_2x2, d4_simultaneous, dft, extract_decomposition,
-                              f_circulant_inverse, f_circulant_matvec, formula_count,
-                              gauss_complex_mul, idft, param_count, parse_matrix, scaled_dft,
-                              scaled_idft, serialize_matrix, structure_tensor, structured,
-                              toeplitz_matmul, toeplitz_matvec, variables, x8_simultaneous)
+                              circulant_inverse, commutator_2x2, d4_simultaneous, dft,
+                              extract_decomposition, f_circulant_inverse, f_circulant_matvec,
+                              formula_count, gauss_complex_mul, idft, param_count,
+                              parse_matrix, scaled_dft, scaled_idft, serialize_matrix,
+                              structure_tensor, structured, toeplitz_matmul, toeplitz_matvec,
+                              variables, x8_simultaneous)
 from bilinear_kernels.cli import main
 from bilinear_kernels.structures import InputError, check_structure
 
@@ -49,6 +51,22 @@ RULES = {
         tensor=lambda: structure_tensor("toeplitz", 0),
         json=(_doc(kind="toeplitz", n=0), "n"),
         cli=("tensor --kind toeplitz --n 0", "--n")),
+    "order 0 of an inverse": dict(
+        message="order must be positive",
+        structured=None,
+        count=None,
+        kernel=lambda: circulant_inverse([], CountContext()),
+        tensor=None,
+        json=None,
+        cli=None),
+    "order 0 of an f-circulant inverse": dict(
+        message="order must be positive",
+        structured=None,
+        count=None,
+        kernel=lambda: f_circulant_inverse([], 2, CountContext()),
+        tensor=None,
+        json=None,
+        cli=None),
     "f on toeplitz": dict(
         message="toeplitz takes no f",
         structured=lambda: structured("toeplitz", 3, [1] * 5, f=2),
@@ -224,6 +242,20 @@ def test_f_circulant_inverse_without_f_gives_the_tables_message():
     with pytest.raises(InputError, match="^f_circulant needs a finite f$") as caught:
         f_circulant_inverse(variables([1, 2]), float("inf"), CountContext())
     assert caught.value.field == "f"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1, float("-inf"))])
+@pytest.mark.parametrize("kind, inverse", [
+    ("circulant", lambda c, ctx: circulant_inverse(c, ctx)),
+    ("f_circulant", lambda c, ctx: f_circulant_inverse(c, 2.0, ctx))])
+def test_an_inverse_refuses_non_finite_parameters_before_any_transform(kind, inverse, bad):
+    for form in (lambda c: c, variables):
+        ctx = CountContext()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{kind} parameters \[1, 3\] are not finite$"):
+                inverse(form([4, bad, 1, bad]), ctx)
+        assert ctx == CountContext()
 
 
 @pytest.mark.parametrize("certify", [certify_rank, structure_tensor])

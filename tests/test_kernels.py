@@ -15,10 +15,11 @@ from bilinear_kernels import (CountContext, SingularMatrix, StructureKind,
                               triangular_toeplitz_matvec, variable, variables)
 from bilinear_kernels import kernels
 from bilinear_kernels.cli import random_pattern
-from bilinear_kernels.kernels import _embedding_maps, _pairwise_maps
+from bilinear_kernels.kernels import SPECS, _embedding_maps, _pairwise_maps
 from bilinear_kernels.rng import Lcg
-from bilinear_kernels.spectral import twiddles
+from bilinear_kernels.spectral import principal_root, twiddles
 from bilinear_kernels.structures import LevelSpec, SparsityPattern, param_count
+from test_fresh_instances import F_GRID
 
 ALL_KINDS = [
     StructureKind.CIRCULANT, StructureKind.F_CIRCULANT, StructureKind.TOEPLITZ,
@@ -310,11 +311,14 @@ class TestFusedMaps:
     """Each kernel map equals the chain of transform or shift steps it
     replaces, or the products it forms."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 33])
-    def test_toeplitz_family_maps_are_the_direct_twiddle_formulas(self, n):
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 33])
+    @pytest.mark.parametrize("f", F_GRID)
+    def test_toeplitz_family_maps_are_the_direct_twiddle_formulas(self, n, f):
         """Toeplitz and Hankel: bins 1..2n-1 of the 2n-point frame, the free
         position n emptying bin 0; triangular: every bin of the (2n-1)-point
-        frame.  Each U, V and W equals its formula byte for byte."""
+        frame; circulant: every bin of the n-point frame, c_q at -q mod n, and
+        f-circulant that triple rescaled by powers of rho, circulant's own at
+        f = 1.  Each U, V and W equals its formula byte for byte."""
         i, q, k = np.arange(n), np.arange(2 * n - 1), np.arange(1, 2 * n)[:, None]
         toeplitz_U = twiddles(2 * n, k, (n - 1 - q) % (2 * n)) - twiddles(2 * n, k, n)
         V = twiddles(2 * n, k, i)
@@ -326,8 +330,15 @@ class TestFusedMaps:
                 twiddles(2 * n - 1, k, i), twiddles(2 * n - 1, k, n - 1 - i),
                 twiddles(2 * n - 1, k, n - 1 - i).T.conj() / (2 * n - 1)),
         }
-        for kind, matrices in want.items():
-            for M, matrix in zip(_embedding_maps(kind, n), matrices):
+        k, pos, sigma, up = np.arange(n)[:, None], -i % n, n - 1 - i, principal_root(f, n) ** i
+        U, V, W = want[StructureKind.CIRCULANT] = (
+            twiddles(n, k, pos), twiddles(n, k, sigma), twiddles(n, k, sigma).T.conj() / n)
+        triples = {kind: _embedding_maps(kind, n) for kind in want}
+        want[f] = (U, V, W) if f == 1 else (U * up[pos], V * up[sigma], W / up[sigma, None])
+        triples[f] = SPECS[StructureKind.F_CIRCULANT].maps(n, f, None)
+        assert (triples[f] is triples[StructureKind.CIRCULANT]) == (f == 1)
+        for key, matrices in want.items():
+            for M, matrix in zip(triples[key], matrices):
                 m, w = matrix.shape
                 assert M.dense().shape == (m, w) and M.dense().tobytes() == matrix.tobytes()
                 assert M.support.all() and M.cost == (m * w, m * (w - 1))
