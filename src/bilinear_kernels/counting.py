@@ -532,31 +532,24 @@ class TrackedVector:
 
 
 def as_vector(x) -> TrackedVector:
-    """Accept a TrackedVector or a sequence of TrackedScalar."""
-    if isinstance(x, TrackedVector):
-        return x
-    scalars = list(x)
-    n = len(scalars)
-    values = np.fromiter(map(_value_of, scalars), dtype=complex, count=n)
-    flags = np.fromiter(map(operator.is_, map(_kind_of, scalars), repeat(Kind.VARIABLE, n)),
-                        dtype=bool, count=n)
-    return TrackedVector(values, flags)
-
-
-def as_input(x) -> TrackedVector:
-    """A kernel's operand: what as_vector accepts, or raw numbers, a
-    sequence of them or a numeric numpy array, whose entries become
-    Variables as structured() makes them.  Anything else is a one-line
-    TypeError."""
+    """A kernel's operand: a TrackedVector, a sequence of TrackedScalars, or
+    raw numbers, a sequence of them or a numeric numpy array, whose entries
+    become Variables as structured() makes them.  Anything else, a sequence
+    that mixes scalars and numbers among them, is a one-line TypeError."""
     if isinstance(x, TrackedVector):
         return x
     if isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind in "biufc":
         return variable_vector(x)
     items = list(x)
+    n = len(items)
     try:
-        return as_vector(items)
+        values = np.fromiter(map(_value_of, items), dtype=complex, count=n)
+        flags = np.fromiter(map(operator.is_, map(_kind_of, items), repeat(Kind.VARIABLE, n)),
+                            dtype=bool, count=n)
     except AttributeError:      # not every item is a TrackedScalar
         pass
+    else:
+        return TrackedVector(values, flags)
     values = []
     for v in items:
         try:
@@ -663,7 +656,7 @@ def match_output(x_input, vec: TrackedVector):
 
 def as_matrix(rows) -> tuple[np.ndarray, np.ndarray]:
     """A kernel's grid operand as (values, variable) arrays: the pair
-    itself, or rows whose entries as_input takes together (a grid of
+    itself, or rows whose entries as_vector takes together (a grid of
     TrackedScalars, read with no check per entry, or of raw numbers, a 2-D
     numeric numpy array among them, whose entries become Variables)."""
     if isinstance(rows, tuple) and len(rows) == 2 and isinstance(rows[0], np.ndarray):
@@ -673,5 +666,5 @@ def as_matrix(rows) -> tuple[np.ndarray, np.ndarray]:
     n = len(grid[0]) if m else 0
     if any(len(r) != n for r in grid):
         raise ValueError("ragged matrix")
-    vec = as_input([s for r in grid for s in r])
+    vec = as_vector([s for r in grid for s in r])
     return vec.values.reshape(m, n), vec.variable.reshape(m, n)

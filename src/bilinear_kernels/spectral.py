@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import ConstantMap, CountContext, apply_matrix, as_input, match_output
+from .counting import ConstantMap, CountContext, apply_matrix, as_vector, match_output
 
 # Bound of every cache keyed on an arbitrary complex f (or sparsity
 # pattern).  It keeps all the (n, f) pairs of a sweep over n <= 16 and a
@@ -97,21 +97,21 @@ def scaled_idft_matrix(n: int, f: complex) -> ConstantMap:
 
 def dft(v, ctx: CountContext):
     """Forward DFT; zero bilinear multiplications by construction."""
-    vec = as_input(v)
+    vec = as_vector(v)
     return match_output(v, apply_matrix(dft_matrix(len(vec)), vec, ctx))
 
 
 def idft(v, ctx: CountContext):
-    vec = as_input(v)
+    vec = as_vector(v)
     return match_output(v, apply_matrix(idft_matrix(len(vec)), vec, ctx))
 
 
 def scaled_dft(v, f: complex, ctx: CountContext):
     """Evaluate the polynomial with coefficients v at the n roots of x^n = f."""
-    vec = as_input(v)
+    vec = as_vector(v)
     return match_output(v, apply_matrix(scaled_dft_matrix(len(vec), complex(f)), vec, ctx))
 
 
 def scaled_idft(v, f: complex, ctx: CountContext):
-    vec = as_input(v)
+    vec = as_vector(v)
     return match_output(v, apply_matrix(scaled_idft_matrix(len(vec), complex(f)), vec, ctx))

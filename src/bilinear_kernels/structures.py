@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, _scalars, _stored,
-                       as_input, as_matrix, as_vector, constant, match_output, read_only,
+                       as_matrix, as_vector, constant, match_output, read_only,
                        to_grid)
 
 
@@ -513,7 +513,7 @@ def naive_matvec(A, x, ctx: CountContext):
         values, variable, _ = dense_parts(A)
     else:
         values, variable = as_matrix(A)
-    xvec = as_input(x)
+    xvec = as_vector(x)
     m, ncols = values.shape
     if ncols != len(xvec):
         raise ValueError(f"matrix is {m}x{ncols} but vector has length {len(xvec)}")

@@ -170,8 +170,10 @@ def test_as_vector_converts_any_sequence_of_scalars():
     empty = as_vector([])
     assert empty.values.shape == empty.variable.shape == (0,)
     assert (empty.values.dtype, empty.variable.dtype) == (complex, bool)
-    for bad in ([variable(1), 2.0], [variable(1), (1, 2)], [3j]):
-        with pytest.raises(AttributeError):
+    raw = as_vector([3j])
+    assert raw.values.tolist() == [3j] and raw.variable.tolist() == [True]
+    for bad in ([variable(1), 2.0], [variable(1), (1, 2)]):
+        with pytest.raises(TypeError, match="^expected all tracked scalars or all numbers, got "):
             as_vector(bad)
 
 

@@ -61,8 +61,13 @@ def test_pairwise_terms_are_exact(kind, n):
 @pytest.mark.parametrize("kind, n, measure", [
     (StructureKind.SYMMETRIC, 4, 20.0), (StructureKind.SYMMETRIC, 8, 78.627417),
     (StructureKind.SYMMETRIC, 16, 304.0), (StructureKind.SKEW_SYMMETRIC, 4, 18.928203),
-    (StructureKind.SKEW_SYMMETRIC, 8, 77.166010), (StructureKind.SKEW_SYMMETRIC, 16, 301.967734)])
-def test_pairwise_stability_measure_is_pinned(kind, n, measure):
+    (StructureKind.SKEW_SYMMETRIC, 8, 77.166010), (StructureKind.SKEW_SYMMETRIC, 16, 301.967734),
+    *((kind, n, n * (2 * n - 1) ** 0.5) for kind in (StructureKind.TOEPLITZ, StructureKind.HANKEL)
+      for n in (2, 8, 32))])
+def test_stability_measure_is_pinned(kind, n, measure):
+    """Pairwise kinds, and Toeplitz and Hankel in the (2n-1)-point frame:
+    each of their 2n-1 terms has |u| = sqrt(2n-1), |v| = sqrt(n) and
+    |w| = sqrt(n) / (2n-1), so the measure is n sqrt(2n-1)."""
     assert stability_measure(extract_decomposition(kind, n)) == pytest.approx(measure, rel=1e-6)
 
 

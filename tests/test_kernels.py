@@ -15,7 +15,7 @@ from bilinear_kernels import (CountContext, SingularMatrix, StructureKind,
                               triangular_toeplitz_matvec, variable, variables)
 from bilinear_kernels import kernels
 from bilinear_kernels.cli import random_pattern
-from bilinear_kernels.kernels import SPECS, _embedding_maps, _pairwise_maps
+from bilinear_kernels.kernels import _FRAMES, SPECS, _embedding_maps, _pairwise_maps
 from bilinear_kernels.rng import Lcg
 from bilinear_kernels.spectral import principal_root, twiddles
 from bilinear_kernels.structures import LevelSpec, SparsityPattern, param_count
@@ -314,18 +314,16 @@ class TestFusedMaps:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 33])
     @pytest.mark.parametrize("f", F_GRID)
     def test_toeplitz_family_maps_are_the_direct_twiddle_formulas(self, n, f):
-        """Toeplitz and Hankel: bins 1..2n-1 of the 2n-point frame, the free
-        position n emptying bin 0; triangular: every bin of the (2n-1)-point
-        frame; circulant: every bin of the n-point frame, c_q at -q mod n, and
-        f-circulant that triple rescaled by powers of rho, circulant's own at
-        f = 1.  Each U, V and W equals its formula byte for byte."""
-        i, q, k = np.arange(n), np.arange(2 * n - 1), np.arange(1, 2 * n)[:, None]
-        toeplitz_U = twiddles(2 * n, k, (n - 1 - q) % (2 * n)) - twiddles(2 * n, k, n)
-        V = twiddles(2 * n, k, i)
-        k = np.arange(2 * n - 1)[:, None]
+        """Toeplitz and Hankel: every bin of the (2n-1)-point frame, t_q at
+        n-1-q mod 2n-1; triangular: every bin of that frame; circulant: every
+        bin of the n-point frame, c_q at -q mod n, and f-circulant that triple
+        rescaled by powers of rho, circulant's own at f = 1.  Each U, V and W
+        equals its formula byte for byte."""
+        i, q, k = np.arange(n), np.arange(2 * n - 1), np.arange(2 * n - 1)[:, None]
+        toeplitz_U, V = twiddles(2 * n - 1, k, (n - 1 - q) % (2 * n - 1)), twiddles(2 * n - 1, k, i)
         want = {
-            StructureKind.TOEPLITZ: (toeplitz_U, V, V.T.conj() / (2 * n)),
-            StructureKind.HANKEL: (toeplitz_U, V, V.T.conj()[::-1] / (2 * n)),
+            StructureKind.TOEPLITZ: (toeplitz_U, V, V.T.conj() / (2 * n - 1)),
+            StructureKind.HANKEL: (toeplitz_U, V, V.T.conj()[::-1] / (2 * n - 1)),
             StructureKind.UPPER_TRIANGULAR_TOEPLITZ: (
                 twiddles(2 * n - 1, k, i), twiddles(2 * n - 1, k, n - 1 - i),
                 twiddles(2 * n - 1, k, n - 1 - i).T.conj() / (2 * n - 1)),
@@ -342,6 +340,16 @@ class TestFusedMaps:
                 m, w = matrix.shape
                 assert M.dense().shape == (m, w) and M.dense().tobytes() == matrix.tobytes()
                 assert M.support.all() and M.cost == (m * w, m * (w - 1))
+
+    @pytest.mark.parametrize("n", [*range(2, 65), 255, 256, 1000, 1024])
+    def test_tph_null_directions_empty_bins_0_and_n_minus_1_stably(self, n):
+        """tph's kill system, J's and C's Toeplitz symbols at bins 0 and n-1
+        of the first summand, is triangular (J's symbol is N at bin 0 and 0
+        elsewhere) and far from singular at every order."""
+        N, pos, _, _, null = _FRAMES[StructureKind.TOEPLITZ_PLUS_HANKEL](
+            n, np.arange(n), np.arange(2 * n - 1))
+        G = twiddles(N, np.array([0, n - 1])[:, None], pos) @ null[:, :len(pos)].T
+        assert abs(G[1, 0]) < 1e-9 * N and np.linalg.cond(G) < 2
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
     def test_pairwise_maps_form_the_pairs_and_the_row_corrections(self, n):
