@@ -167,12 +167,15 @@ def div(a: TrackedScalar, b: TrackedScalar, ctx: CountContext,
 # Vector layer.
 #
 # Kernels operate on whole vectors of tracked scalars.  Values are a numpy
-# array; per-entry Variable flags are a bool array of the same shape.  A
-# vector's first axis runs over its entries.  Values may carry further axes:
-# a block of vectors (a multilevel level map applies to one axis of the
-# whole product, and the blocked kernels batch their column pairs or
-# columns), every column charged as its own vector.  Constant maps apply
-# over those trailing axes.
+# array; per-entry Variable flags are a bool array of the same shape, or the
+# all-Variable marker None where every entry is known to be Variable by
+# structure: an input of Variables or raw numbers, a matrix's parameters,
+# and what maps of full reach and pointwise products make of them.  Such
+# flags are never built, copied or OR-ed.  A vector's first axis runs over
+# its entries.  Values may carry further axes: a block of vectors (a
+# multilevel level map applies to one axis of the whole product, and the
+# blocked kernels batch their column pairs or columns), every column
+# charged as its own vector.  Constant maps apply over those trailing axes.
 # ---------------------------------------------------------------------------
 
 
@@ -194,10 +197,11 @@ def read_only(arr: np.ndarray) -> np.ndarray:
 # map's structural support, so an output is Variable when any Variable input
 # feeds it, however many do.
 # Its ``reach`` is the image of all-Variable flags: a read-only (m,) vector,
-# computed once when the map is built.  apply_matrix hands an all-Variable
-# input the reach and propagates only other flags; the pointwise product
-# still reads the flags of every call, so the bilinear count is measured on
-# each one.
+# computed once when the map is built, and ``full_reach`` whether it is all
+# True.  apply_matrix keeps the marker through a map of full reach, hands
+# any other all-Variable input a fresh copy of the reach, and propagates
+# only mixed flags; the pointwise product still reads the flags of every
+# call (or the marker), so the bilinear count is measured on each one.
 # Its ``dense`` form is its m x n complex matrix, equal to ``apply`` of the
 # n x n identity but read off the form's own arrays, with no identity block
 # built; extraction takes its factors from it.  It is computed on each call
@@ -214,7 +218,7 @@ class ConstantMap:
     flags must not depend on such numeric accidents.
     """
 
-    __slots__ = ("matrix", "support", "full", "reach", "shape", "nbytes", "cost")
+    __slots__ = ("matrix", "support", "full", "reach", "full_reach", "shape", "nbytes", "cost")
     parts = ("matrix", "support", "reach")
 
     def __init__(self, matrix: np.ndarray, support: np.ndarray | None = None):
@@ -228,6 +232,7 @@ class ConstantMap:
         self.shape = m, n = self.matrix.shape
         self.full = bool(support.all())
         self.reach = read_only(np.full(m, n > 0) if self.full else support.any(axis=1))
+        self.full_reach = bool(self.reach.all())
         self.nbytes = self.matrix.nbytes + support.nbytes
         self.cost = (m * n, m * max(n - 1, 0))
 
@@ -245,6 +250,7 @@ class ConstantMap:
         out = _new_object(ConstantMap)
         out.matrix = read_only(matrix)
         out.support, out.full, out.reach = self.support, self.full, self.reach
+        out.full_reach = self.full_reach
         out.shape, out.nbytes, out.cost = self.shape, self.nbytes, self.cost
         return out
 
@@ -260,7 +266,7 @@ class ConstantMap:
         OR of all its entries instead.  Blocks keep the product: at the block
         sizes the kernels use it is the cheaper of the two.  apply_matrix
         calls this only for flags that are not all Variable; those take the
-        precomputed reach."""
+        marker or the precomputed reach."""
         if self.full and flags.ndim == 1:
             out = np.empty(self.shape[0], dtype=bool)
             out.fill(np.count_nonzero(flags) > 0)
@@ -281,7 +287,8 @@ class GatherMap:
     sign first, so values are summed over the leading ranks alone.
     """
 
-    __slots__ = ("shape", "support", "padded", "terms", "signs", "reach", "nbytes", "cost")
+    __slots__ = ("shape", "support", "padded", "terms", "signs", "reach", "full_reach", "nbytes",
+                 "cost")
     parts = ("support", "terms", "signs", "reach")
 
     def __init__(self, shape: tuple[int, int], rows, index, sign=None):
@@ -307,6 +314,7 @@ class GatherMap:
         self.signs = read_only(signs)[:live]
         read_only(self.support)
         self.reach = read_only(counts > 0)
+        self.full_reach = bool(self.reach.all())
         self.nbytes = self.support.nbytes + self.terms.nbytes + self.signs.nbytes
         self.cost = (0, len(rows) - int(np.count_nonzero(counts)))
 
@@ -324,7 +332,7 @@ class GatherMap:
         out.support = out.terms = index
         out.signs = read_only(np.ones((1, m)))
         out.padded = False
-        out.reach = read_only(np.ones(m, dtype=bool))
+        out.reach, out.full_reach = read_only(np.ones(m, dtype=bool)), True
         out.nbytes = 2 * index.nbytes + out.signs.nbytes
         out.cost = (0, 0)
         return out
@@ -355,7 +363,7 @@ class BlockMap:
     map of a band after the first costs one addition per row.
     """
 
-    __slots__ = ("bands", "shape", "reach", "nbytes", "cost")
+    __slots__ = ("bands", "shape", "reach", "full_reach", "nbytes", "cost")
     parts = ("bands", "reach")
 
     def __init__(self, width: int, bands):
@@ -365,6 +373,7 @@ class BlockMap:
         self.shape = (sum(heights), width)
         self.reach = read_only(np.concatenate([reduce(operator.or_, (M.reach for _, M in band))
                                                for band in self.bands]))
+        self.full_reach = bool(self.reach.all())
         self.nbytes = sum(M.nbytes for M in maps)
         self.cost = (sum(M.cost[0] for M in maps), sum(M.cost[1] for M in maps)
                      + sum((len(band) - 1) * h for band, h in zip(self.bands, heights)))
@@ -391,13 +400,14 @@ class BlockMap:
 class ChainMap:
     """The map ``second`` applied after ``first``."""
 
-    __slots__ = ("first", "second", "shape", "reach", "nbytes", "cost")
+    __slots__ = ("first", "second", "shape", "reach", "full_reach", "nbytes", "cost")
     parts = ("first", "second", "reach")
 
     def __init__(self, first, second):
         self.first, self.second = first, second
         self.shape = (second.shape[0], first.shape[1])
         self.reach = read_only(second.propagate(first.reach))
+        self.full_reach = bool(self.reach.all())
         self.nbytes = first.nbytes + second.nbytes
         self.cost = tuple(a + b for a, b in zip(first.cost, second.cost))
 
@@ -519,41 +529,79 @@ def _stored(builder):
 
 
 class TrackedVector:
-    """Vector of tracked scalars stored structure-of-arrays style."""
+    """Vector of tracked scalars stored structure-of-arrays style: its
+    values, and its Variable flags, a bool array of the same shape or the
+    all-Variable marker None.
 
-    __slots__ = ("values", "variable")
+    The marker stands for flags known to be all True by structure, not found
+    so by reading them: an input of Variables or raw numbers (as_vector,
+    variable_vector), a StructuredMatrix's parameters and kept symbol, and
+    what maps of full reach and pointwise products make of those.  A vector
+    given an all-True array keeps it.  ``variable`` reads the flags as a
+    bool array in either form, the marker as a read-only all-True view.
+    """
 
-    def __init__(self, values: np.ndarray, variable: np.ndarray):
+    __slots__ = ("values", "flags")
+
+    def __init__(self, values: np.ndarray, flags: np.ndarray | None):
         self.values = values
-        self.variable = variable
+        self.flags = flags
 
     def __len__(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def variable(self) -> np.ndarray:
+        flags = self.flags
+        return np.broadcast_to(True, self.values.shape) if flags is None else flags
+
+
+def rearranged(vec: TrackedVector, arrange) -> TrackedVector:
+    """vec with the same rearrangement of entries (a gather, reshape or
+    repeat) applied to its values and to its flags; the marker stays."""
+    flags = vec.flags
+    return TrackedVector(arrange(vec.values), None if flags is None else arrange(flags))
+
+
+def number(v) -> complex:
+    """complex(v) for a number.  Text is refused, though complex() parses
+    it: a str or bytes is a one-line TypeError, as is anything else that
+    complex() refuses."""
+    if isinstance(v, (str, bytes)):
+        raise TypeError(f"expected a number, got {type(v).__name__} {v!r:.40}")
+    return complex(v)
 
 
 def as_vector(x) -> TrackedVector:
     """A kernel's operand: a TrackedVector, a sequence of TrackedScalars, or
     raw numbers, a sequence of them or a numeric numpy array, whose entries
     become Variables as structured() makes them.  Anything else, a sequence
-    that mixes scalars and numbers among them, is a one-line TypeError."""
+    that mixes scalars and numbers or holds text among them, is a one-line
+    TypeError.  Scalars that are all Variable, and raw numbers, give the
+    all-Variable marker."""
     if isinstance(x, TrackedVector):
         return x
     if isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind in "biufc":
         return variable_vector(x)
+    if isinstance(x, (str, bytes)):
+        raise TypeError(f"expected a sequence of tracked scalars or numbers, got "
+                        f"{type(x).__name__} {x!r:.40}")
     items = list(x)
     n = len(items)
     try:
         values = np.fromiter(map(_value_of, items), dtype=complex, count=n)
-        flags = np.fromiter(map(operator.is_, map(_kind_of, items), repeat(Kind.VARIABLE, n)),
-                            dtype=bool, count=n)
+        kinds = list(map(_kind_of, items))
     except AttributeError:      # not every item is a TrackedScalar
         pass
     else:
-        return TrackedVector(values, flags)
+        if kinds.count(Kind.VARIABLE) == n:
+            return TrackedVector(values, None)
+        return TrackedVector(values, np.fromiter(map(operator.is_, kinds, repeat(Kind.VARIABLE)),
+                                                 dtype=bool, count=n))
     values = []
     for v in items:
         try:
-            values.append(complex(v))
+            values.append(number(v))
         except (TypeError, ValueError):
             raise TypeError(f"expected all tracked scalars or all numbers, got "
                             f"{type(v).__name__} {v!r:.40}") from None
@@ -561,70 +609,94 @@ def as_vector(x) -> TrackedVector:
 
 
 def to_scalars(vec: TrackedVector) -> list[TrackedScalar]:
-    return _scalars(vec.values.astype(complex, copy=False).tolist(),
-                    map(_KIND_OF_FLAG.__getitem__, vec.variable.tolist()))
+    flags = vec.flags
+    kinds = (repeat(Kind.VARIABLE) if flags is None
+             else map(_KIND_OF_FLAG.__getitem__, flags.tolist()))
+    return _scalars(vec.values.astype(complex, copy=False).tolist(), kinds)
 
 
 def variable_vector(values) -> TrackedVector:
-    arr = np.asarray(values, dtype=complex)
-    return TrackedVector(arr, np.ones(arr.shape[0], dtype=bool))
+    return TrackedVector(np.asarray(values, dtype=complex), None)
 
 
 def tile(vec: TrackedVector, k: int) -> TrackedVector:
     """The block whose k columns are copies of vec; a map applied to it
     charges every column as its own vector."""
-    return TrackedVector(np.repeat(vec.values[:, None], k, axis=1),
-                         np.repeat(vec.variable[:, None], k, axis=1))
+    return rearranged(vec, lambda a: np.repeat(a[:, None], k, axis=1))
 
 
 def to_grid(block: TrackedVector) -> list[list[TrackedScalar]]:
     """The rows of an (m, k) block as lists of tracked scalars."""
     m, k = block.values.shape
-    flat = to_scalars(TrackedVector(block.values.reshape(-1), block.variable.reshape(-1)))
+    flat = to_scalars(rearranged(block, np.ravel))
     return [flat[i * k:(i + 1) * k] for i in range(m)]
 
 
 def concat(*vecs: TrackedVector) -> TrackedVector:
-    return TrackedVector(np.concatenate([v.values for v in vecs], axis=0),
-                         np.concatenate([v.variable for v in vecs]))
+    """The vectors one after another: the marker when each has it."""
+    flags = None
+    if any(v.flags is not None for v in vecs):
+        flags = np.concatenate([v.variable for v in vecs])
+    return TrackedVector(np.concatenate([v.values for v in vecs], axis=0), flags)
 
 
 def take(vec: TrackedVector, idx) -> TrackedVector:
     """Gather entries; a pure relabeling, nothing is counted."""
     idx = np.asarray(idx, dtype=int)
-    return TrackedVector(vec.values[idx], vec.variable[idx])
+    return rearranged(vec, lambda a: a[idx])
 
 
 def apply_matrix(M, vec: TrackedVector, ctx: CountContext) -> TrackedVector:
     """Apply a constant map of any form to a vector, or to every vector of a
-    block at once: scalar multiplications and additions only.  All-Variable
-    flags map to a fresh copy of the map's reach, broadcast over the block."""
+    block at once: scalar multiplications and additions only.  The marker
+    maps to the marker through a map of full reach, and to a fresh copy of
+    the reach, broadcast over the block, through any other; so do all-True
+    flags given as an array, to the copy.  Mixed flags are propagated."""
     if M.shape[1] != len(vec):
         raise ValueError(f"map of width {M.shape[1]} applied to vector of length {len(vec)}")
-    flags = vec.variable
-    vectors = math.prod(flags.shape[1:])
+    values, flags = vec.values, vec.flags
+    vectors = math.prod(values.shape[1:])
     scalars, additions = M.cost
     ctx.count_scalar(scalars * vectors)
     ctx.count_addition(additions * vectors)
-    if np.count_nonzero(flags) < flags.size:
-        out = M.propagate(flags)
-    elif flags.ndim == 1:
+    if flags is None:
+        if M.full_reach:
+            return TrackedVector(M.apply(values), None)
+    elif np.count_nonzero(flags) < flags.size:
+        return TrackedVector(M.apply(values), M.propagate(flags))
+    if values.ndim == 1:
         out = M.reach.copy()
     else:
-        out = np.empty(M.reach.shape + flags.shape[1:], dtype=bool)
+        out = np.empty(M.reach.shape + values.shape[1:], dtype=bool)
         out.T[...] = M.reach        # reach runs along out's first axis, out.T's last
-    return TrackedVector(M.apply(vec.values), out)
+    return TrackedVector(M.apply(values), out)
+
+
+def one_vector(vec: TrackedVector, n: int) -> TrackedVector:
+    """vec, when it is one vector of length n.  A block, or a vector of any
+    other length, is a one-line ValueError that names its shape."""
+    if vec.values.shape != (n,):
+        raise ValueError(f"expected one vector of length {n}, got an operand of shape "
+                         f"{vec.values.shape}")
+    return vec
 
 
 def vmul(u: TrackedVector, v: TrackedVector, ctx: CountContext) -> TrackedVector:
-    """Pointwise product; each Variable*Variable entry is one bilinear mult."""
+    """Pointwise product; each Variable*Variable entry is one bilinear mult.
+    Two marked vectors make one product per entry and the marker; one marked
+    vector makes the other's flags the Variable pairs and the marker."""
     if len(u) != len(v):
         raise ValueError("pointwise product of mismatched lengths")
-    both = u.variable & v.variable
+    values = u.values * v.values
+    uf, vf = u.flags, v.flags
+    if uf is None and vf is None:
+        ctx.count_bilinear(values.size)
+        return TrackedVector(values, None)
+    both = vf if uf is None else uf if vf is None else uf & vf
     bilinear = int(np.count_nonzero(both))
     ctx.count_bilinear(bilinear)
     ctx.count_scalar(both.size - bilinear)
-    return TrackedVector(u.values * v.values, u.variable | v.variable)
+    return TrackedVector(values, None if uf is None or vf is None else uf | vf)
 
 
 def triple_product(maps, a: TrackedVector, b: TrackedVector,
@@ -641,10 +713,11 @@ def reciprocal(vec: TrackedVector, ctx: CountContext,
     """Entrywise 1/x.  Each Variable divisor is one counted division."""
     if np.any(np.abs(vec.values) <= zero_threshold):
         raise DivisionByZero("reciprocal of a zero entry")
-    nvar = int(vec.variable.sum())
+    flags = vec.flags
+    nvar = vec.values.size if flags is None else int(np.count_nonzero(flags))
     ctx.count_division(nvar)
     ctx.count_scalar(len(vec) - nvar)
-    return TrackedVector(1.0 / vec.values, vec.variable.copy())
+    return TrackedVector(1.0 / vec.values, None if flags is None else flags.copy())
 
 
 def match_output(x_input, vec: TrackedVector):

@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .counting import (ChainMap, ConstantMap, CountContext, GatherMap, TrackedScalar,
-                       TrackedVector, add, as_matrix, constant, mul, tile, to_grid,
-                       triple_product)
+                       TrackedVector, add, as_matrix, constant, mul, rearranged, tile,
+                       to_grid, triple_product)
 from .spectral import dft_matrix, idft_matrix
 
 
@@ -296,5 +296,5 @@ def blocked_simultaneous(A, B, variant: str, ctx: CountContext):
     a = tile(TrackedVector(avals.reshape(-1), aflags.reshape(-1)), pairs)
     out = triple_product(_D4_MAPS if variant == "f" else _X8_MAPS, a,
                          TrackedVector(by_pair(bvals), by_pair(bflags)), ctx)
-    grid = to_grid(TrackedVector(by_row(out.values), by_row(out.variable)))
+    grid = to_grid(rearranged(out, by_row))
     return grid[:2], grid[2:]

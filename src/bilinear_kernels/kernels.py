@@ -55,8 +55,8 @@ import numpy as np
 
 from .counting import (BlockMap, ChainMap, ConstantMap, CountContext, GatherMap,
                        TrackedScalar, TrackedVector, apply_matrix, as_matrix, as_vector,
-                       _stored, concat, match_output, reciprocal, take, tile,
-                       to_grid, to_scalars, triple_product, vmul)
+                       _stored, concat, match_output, one_vector, rearranged, reciprocal,
+                       take, tile, to_grid, to_scalars, triple_product, vmul)
 from .extraction import level_decomposition
 from .spectral import principal_root, twiddles
 from .structures import (LevelSpec, SparsityPattern, StructureKind, StructureSpec,
@@ -397,9 +397,11 @@ SPECS: dict[StructureKind, StructureSpec] = {
 
 def _run(kind: StructureKind, data, x, ctx: CountContext, f: complex | None = None):
     """A public per-kind product: convert the inputs, check them against
-    the table (check_structure), run its kernel, return the output like x."""
+    the table (check_structure) and x as one vector, run its kernel, return
+    the output like x."""
     dv, xv = as_vector(data), as_vector(x)
     check_structure(kind, len(xv), f, size=len(dv))
+    one_vector(xv, len(xv))
     return match_output(x, triple_product(SPECS[kind].maps(len(xv), f, None), dv, xv, ctx))
 
 
@@ -411,14 +413,14 @@ def _leading(vec: TrackedVector, d: int) -> TrackedVector:
     """A block (a, d, ...) as (d, ..., a): the axis a map made goes last."""
     if vec.values.shape == (d,):
         return vec
-    return TrackedVector(vec.values.T.reshape(d, -1), vec.variable.T.reshape(d, -1))
+    return rearranged(vec, lambda a: a.T.reshape(d, -1))
 
 
 def _trailing(vec: TrackedVector, d: int) -> TrackedVector:
     """A block's trailing axis of length d as its leading one: (d, rest)."""
     if vec.values.shape == (d,):
         return vec
-    return TrackedVector(vec.values.reshape(-1, d).T, vec.variable.reshape(-1, d).T)
+    return rearranged(vec, lambda a: a.reshape(-1, d).T)
 
 
 def multilevel_matvec(M: StructuredMatrix, x, ctx: CountContext):
@@ -438,9 +440,7 @@ def structured_matvec(M: StructuredMatrix, x, ctx: CountContext):
     U t is M's symbol: the first call forms it, and later calls reuse it
     and charge its counts again (StructuredMatrix.symbol).  M keeps its
     levels' triples too, so a later call reads no map."""
-    xv = as_vector(x)
-    if len(xv) != M.n:
-        raise ValueError(f"vector of length {len(xv)} for order {M.n}")
+    xv = one_vector(as_vector(x), M.n)
     triples = M.level_triples(level_decomposition)
 
     def embed(t: TrackedVector, ctx: CountContext) -> TrackedVector:
@@ -455,7 +455,7 @@ def structured_matvec(M: StructuredMatrix, x, ctx: CountContext):
     for _, _, W in reversed(triples):
         z = apply_matrix(W, _trailing(z, W.shape[1]), ctx)
     if z.values.ndim > 1:
-        z = TrackedVector(z.values.reshape(-1), z.variable.reshape(-1))
+        z = rearranged(z, np.ravel)
     return match_output(x, z)
 
 
@@ -489,7 +489,7 @@ def commutator_2x2(A, X, ctx: CountContext):
     """[A, X] = AX - XA for 2x2 matrices with exactly six multiplications."""
     a, x = (TrackedVector(*(part.reshape(-1) for part in as_matrix(M))) for M in (A, X))
     out = triple_product(_COMMUTATOR_MAPS, a, x, ctx)
-    return to_grid(TrackedVector(out.values.reshape(2, 2), out.variable.reshape(2, 2)))
+    return to_grid(rearranged(out, lambda a: a.reshape(2, 2)))
 
 
 def kernel_report(M: StructuredMatrix, x) -> KernelReport:

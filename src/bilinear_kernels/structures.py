@@ -30,8 +30,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, _scalars, _stored,
-                       as_matrix, as_vector, constant, match_output, read_only,
-                       to_grid)
+                       as_matrix, as_vector, constant, match_output, number, one_vector,
+                       read_only, to_grid)
 
 
 class SchemaError(ValueError):
@@ -267,9 +267,10 @@ class StructuredMatrix:
                       f: complex | None, pattern: SparsityPattern | None,
                       levels: tuple[LevelSpec, ...] | None) -> "StructuredMatrix":
         """The matrix whose parameters are Variables of the read-only complex
-        values, kept as its data vector; no scalar is built."""
+        values, kept as its data vector with the all-Variable marker; no
+        scalar is built."""
         M = cls.__new__(cls)
-        vector = TrackedVector(values, read_only(np.ones(len(values), dtype=bool)))
+        vector = TrackedVector(values, None)
         for name, value in (("kind", kind), ("n", n), ("f", f), ("pattern", pattern),
                             ("levels", levels), ("_vector", vector)):
             object.__setattr__(M, name, value)
@@ -297,7 +298,8 @@ class StructuredMatrix:
             object.__setattr__(self, "levels", (LevelSpec(kind, n, self.f, self.pattern),))
 
     def data_vector(self) -> TrackedVector:
-        """The parameters as a read-only TrackedVector, converted on first use."""
+        """The parameters as a read-only TrackedVector, converted on first use;
+        parameters that are all Variable carry the all-Variable marker."""
         vec = self._vector
         if vec is None:
             vec = as_vector(self.data)
@@ -320,11 +322,11 @@ class StructuredMatrix:
         """The kernel's parameter symbol U t, formed once per matrix.
 
         The first call runs embed(t, ctx), U applied to the parameters on
-        the caller's context, and keeps the read-only result with the scalar
-        multiplications and additions it charged.  Every later call charges
-        those same counts to ctx and returns the kept symbol, so each call's
-        counters are those of a full kernel run.  U makes no bilinear
-        products and no divisions.
+        the caller's context, and keeps the read-only result (the marker
+        where U keeps it) with the scalar multiplications and additions it
+        charged.  Every later call charges those same counts to ctx and
+        returns the kept symbol, so each call's counters are those of a full
+        kernel run.  U makes no bilinear products and no divisions.
         """
         if self._symbol is None:
             scalars, additions = ctx.scalar_mults, ctx.additions
@@ -351,22 +353,25 @@ def structured(kind: StructureKind, n: int, data, f: complex | None = None,
 
     Raw numbers become Variables (they are inputs to be computed with).
     Data of raw numbers alone is converted once, into one read-only array
-    that the matrix keeps as its data vector: no scalar is built until
-    ``data`` is read (StructuredMatrix).  Plain Python numbers go to numpy
-    whole; any other number through complex() first, so that a value
-    complex() refuses raises its error.  A data tuple is built from a
-    list, at its exact size: a short tuple grown from a generator never
-    reuses the tuples CPython keeps freed per size.
+    that the matrix keeps as its data vector, with the all-Variable marker:
+    no scalar is built until ``data`` is read (StructuredMatrix).  Plain
+    Python numbers go to numpy whole; any other number through
+    counting.number first, so that text, or a value complex() refuses, is a
+    one-line TypeError.  A data tuple is built from a list, at its exact
+    size: a short tuple grown from a generator never reuses the tuples
+    CPython keeps freed per size.
     """
+    if isinstance(data, (str, bytes)):
+        raise TypeError(f"expected parameters, got {type(data).__name__} {data!r:.40}")
     data = list(data)
     levels = tuple(levels) if levels is not None else None
     if not set(map(type, data)) <= _PLAIN_NUMBERS:
         if any(map(isinstance, data, repeat(TrackedScalar))):
             scalars = [d if isinstance(d, TrackedScalar)
-                       else TrackedScalar(complex(d), Kind.VARIABLE) for d in data]
+                       else TrackedScalar(number(d), Kind.VARIABLE) for d in data]
             return StructuredMatrix(kind, n, tuple(scalars), f=f, pattern=pattern,
                                     levels=levels)
-        data = [complex(d) for d in data]
+        data = [number(d) for d in data]
     values = read_only(np.array(data, dtype=complex))
     return StructuredMatrix._of_variables(kind, n, values, f, pattern, levels)
 
@@ -478,14 +483,18 @@ def _placement(levels: tuple[LevelSpec, ...]):
 def dense_parts(M: StructuredMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense (values, variable, structural) arrays for any structured matrix:
     the weighted parameters scattered onto their cells, and each cell
-    Variable when a Variable parameter reaches it."""
+    Variable when a Variable parameter reaches it.  Parameters with the
+    all-Variable marker reach every cell of the structural mask, so their
+    variable is that read-only mask itself."""
     param, cell, coeff, structural = _placement(M.levels)
     data = M.data_vector()
     size = structural.size
     values = np.zeros(size, dtype=complex)
     np.add.at(values, cell, coeff * data.values[param])
+    if data.flags is None:
+        return values.reshape(structural.shape), structural, structural
     variable = np.zeros(size, dtype=bool)
-    variable[cell[data.variable[param]]] = True
+    variable[cell[data.flags[param]]] = True
     return values.reshape(structural.shape), variable.reshape(structural.shape), structural
 
 
@@ -508,23 +517,32 @@ def naive_matvec(A, x, ctx: CountContext):
     structurally nonzero entries.  Every other active entry is one scalar
     multiplication, and a row of k active entries makes k - 1 additions: the
     active entries less the rows that have one.
+
+    The all-Variable marker is read, not expanded: a matrix whose parameters
+    carry it has its structural mask as both its Variable and its active
+    entries, and an x that carries it makes every active entry meet a
+    Variable; either way an output row is Variable when it has an active
+    entry.
     """
+    marked = isinstance(A, StructuredMatrix) and A.data_vector().flags is None
     if isinstance(A, StructuredMatrix):
         values, variable, _ = dense_parts(A)
     else:
         values, variable = as_matrix(A)
-    xvec = as_vector(x)
-    m, ncols = values.shape
-    if ncols != len(xvec):
-        raise ValueError(f"matrix is {m}x{ncols} but vector has length {len(xvec)}")
-    active = variable | (values != 0)
+    xvec = one_vector(as_vector(x), values.shape[1])
+    active = variable if marked else variable | (values != 0)
+    rows = active.any(axis=1)
     terms = int(np.count_nonzero(active))
-    bilinear = int(np.count_nonzero(active & variable & xvec.variable))
+    hit = active if marked else active & variable
+    if xvec.flags is not None:
+        hit = hit & xvec.flags
+    bilinear = int(np.count_nonzero(hit))
     ctx.count_bilinear(bilinear)
     ctx.count_scalar(terms - bilinear)
-    ctx.count_addition(terms - int(np.count_nonzero(active.any(axis=1))))
-    out_var = (active & (variable | xvec.variable)).any(axis=1)
-    return match_output(x, TrackedVector(values @ xvec.values, out_var))
+    ctx.count_addition(terms - int(np.count_nonzero(rows)))
+    if not marked and xvec.flags is not None:
+        rows = (active & (variable | xvec.flags)).any(axis=1)
+    return match_output(x, TrackedVector(values @ xvec.values, rows))
 
 
 def naive_count(A) -> int:

@@ -139,7 +139,7 @@ def test_structured_takes_mixed_iterator_and_array_input():
         assert M.data_vector().values.tobytes() == raw.data_vector().values.tobytes()
 
 
-@pytest.mark.parametrize("data", [[1, "x", 3], [1, None, 3], [variable(1), None, 3],
+@pytest.mark.parametrize("data", [[1, {}, 3], [1, None, 3], [variable(1), None, 3],
                                   [variable(1), [2], 3]])
 def test_structured_refuses_a_non_number_as_complex_does(data):
     exc = _error_of(data[1])

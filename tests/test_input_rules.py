@@ -3,7 +3,8 @@ structures.check_structure, and every entry point refuses a broken rule
 with its message: the library as the table words it, the JSON reader as a
 SchemaError at the field's position, the CLI as one error line with exit
 code 2.  Also the kernels outside the table on plain numbers, and the
-one-line errors of empty or missing operands."""
+one-line errors of empty or missing operands, of a block given for a
+product's x, and of text given for numbers."""
 
 import json
 import warnings
@@ -12,13 +13,13 @@ import numpy as np
 import pytest
 
 from bilinear_kernels import (CountContext, LevelSpec, SchemaError, SparsityPattern,
-                              StructureKind, TrackedScalar, blocked_simultaneous, certify_rank,
-                              circulant_inverse, commutator_2x2, d4_simultaneous, dft,
-                              extract_decomposition, f_circulant_inverse, f_circulant_matvec,
-                              formula_count, gauss_complex_mul, idft, param_count,
-                              parse_matrix, scaled_dft, scaled_idft, serialize_matrix,
-                              structure_tensor, structured, toeplitz_matmul, toeplitz_matvec,
-                              variables, x8_simultaneous)
+                              StructureKind, TrackedScalar, TrackedVector, blocked_simultaneous,
+                              certify_rank, circulant_inverse, circulant_matvec, commutator_2x2,
+                              d4_simultaneous, dft, extract_decomposition, f_circulant_inverse,
+                              f_circulant_matvec, formula_count, gauss_complex_mul, idft,
+                              naive_matvec, param_count, parse_matrix, scaled_dft, scaled_idft,
+                              serialize_matrix, structure_tensor, structured, structured_matvec,
+                              toeplitz_matmul, toeplitz_matvec, variables, x8_simultaneous)
 from bilinear_kernels.cli import main
 from bilinear_kernels.structures import InputError, check_structure
 
@@ -323,3 +324,73 @@ def test_a_grid_that_is_not_numbers_is_a_one_line_type_error(bad):
     with pytest.raises(TypeError) as caught:
         commutator_2x2(bad, B, CountContext())
     assert "\n" not in str(caught.value)
+
+
+# ---------------------------------------------------------------------------
+# A product's x is one vector, and text is not a number
+# ---------------------------------------------------------------------------
+
+def _block(rows, marked: bool) -> TrackedVector:
+    """The block whose columns are vectors, as one TrackedVector of shape
+    (n, B): with the all-Variable marker or with explicit flags."""
+    values = np.array(rows, dtype=complex).T
+    return TrackedVector(values, None if marked else np.ones(values.shape, dtype=bool))
+
+
+BLOCK_CALLS = {
+    "toeplitz_matvec": (2, lambda x, ctx: toeplitz_matvec([1, 2, 3], x, ctx)),
+    "toeplitz structured_matvec":
+        (2, lambda x, ctx: structured_matvec(structured("toeplitz", 2, [1, 2, 3]), x, ctx)),
+    "toeplitz naive_matvec":
+        (2, lambda x, ctx: naive_matvec(structured("toeplitz", 2, [1, 2, 3]), x, ctx)),
+    "circulant_matvec": (3, lambda x, ctx: circulant_matvec([1, 2, 3], x, ctx)),
+    "circulant structured_matvec":
+        (3, lambda x, ctx: structured_matvec(structured("circulant", 3, [1, 2, 3]), x, ctx)),
+    "circulant naive_matvec":
+        (3, lambda x, ctx: naive_matvec(structured("circulant", 3, [1, 2, 3]), x, ctx)),
+    "dense naive_matvec": (2, lambda x, ctx: naive_matvec([[1, 2], [3, 4]], x, ctx)),
+}
+
+
+@pytest.mark.parametrize("marked", [True, False])
+@pytest.mark.parametrize("call", BLOCK_CALLS)
+def test_a_block_operand_is_refused_with_its_shape(call, marked):
+    n, run = BLOCK_CALLS[call]
+    x = _block([list(range(1 + k * n, 1 + (k + 1) * n)) for k in range(3)], marked)
+    ctx = CountContext()
+    with pytest.raises(ValueError, match=rf"^expected one vector of length {n}, got an "
+                                         rf"operand of shape \({n}, 3\)$"):
+        run(x, ctx)
+    assert ctx == CountContext()
+    assert len(run(x.values[:, 0], ctx)) == n       # one of its columns is a vector
+
+
+TEXT_CALLS = {
+    "str operand": (lambda: circulant_matvec("12", "34", CountContext()),
+                    "expected a sequence of tracked scalars or numbers, got str '12'"),
+    "bytes operand": (lambda: circulant_matvec([1, 2], b"34", CountContext()),
+                      "expected a sequence of tracked scalars or numbers, got bytes b'34'"),
+    "str items": (lambda: circulant_matvec(["1", "2"], [3, 4], CountContext()),
+                  "expected all tracked scalars or all numbers, got str '1'"),
+    "numpy str items": (lambda: toeplitz_matvec([1, 2, 3], np.array(["3", "4"]), CountContext()),
+                        "expected all tracked scalars or all numbers, got str_ np.str_('3')"),
+    "naive str x": (lambda: naive_matvec(structured("circulant", 2, [1, 2]), ["3", "4"],
+                                         CountContext()),
+                    "expected all tracked scalars or all numbers, got str '3'"),
+    "structured str items": (lambda: structured("circulant", 2, ["1", "2"]),
+                             "expected a number, got str '1'"),
+    "structured str among scalars": (lambda: structured("circulant", 2, [variables([1])[0], "2"]),
+                                     "expected a number, got str '2'"),
+    "structured str data": (lambda: structured("circulant", 2, "12"),
+                            "expected parameters, got str '12'"),
+    "structured bytes data": (lambda: structured("circulant", 2, b"12"),
+                              "expected parameters, got bytes b'12'"),
+}
+
+
+@pytest.mark.parametrize("call", TEXT_CALLS)
+def test_text_is_not_a_number(call):
+    run, message = TEXT_CALLS[call]
+    with pytest.raises(TypeError) as caught:
+        run()
+    assert str(caught.value) == message

@@ -1,6 +1,7 @@
 """Each constant map's reach, the image of all-Variable flags computed once
 when the map is built, against a dense support built independently of
-``propagate``; and apply_matrix's choice between the reach and propagate."""
+``propagate``; and apply_matrix's choice between the all-Variable marker,
+the reach and propagate."""
 
 import numpy as np
 import pytest
@@ -65,6 +66,7 @@ def test_reach_is_the_image_of_all_variable_flags(name):
         assert M.reach.dtype == bool and M.reach.shape == (M.shape[0],)
         assert np.array_equal(M.reach, want), name
         assert np.array_equal(M.propagate(ones), want), name
+        assert M.full_reach is bool(want.all()), name
 
 
 @pytest.mark.parametrize("name", TRIPLES)
@@ -80,14 +82,24 @@ def test_reach_is_read_only(name):
                                   "tph.n3", "sparse.n8", "skew_symmetric.n1", "commutator"])
 @pytest.mark.parametrize("block", [(), (3,)])
 def test_all_variable_input_takes_a_fresh_writable_reach(name, block):
+    """All-True flags given as an array take a fresh writable copy of the
+    reach; the marker stays the marker through a map of full reach and
+    takes the copy through any other."""
     for M in TRIPLES[name]:
         flags = np.ones((M.shape[1],) + block, dtype=bool)
         values = np.ones(flags.shape, dtype=complex)
-        out = apply_matrix(M, TrackedVector(values, flags), CountContext()).variable
         want = M.propagate(flags)
-        assert out.dtype == bool and out.shape == want.shape
-        assert np.array_equal(out, want)
-        assert out.flags.writeable and not np.shares_memory(out, M.reach)
+        for given in (flags, None):
+            out = apply_matrix(M, TrackedVector(values, given), CountContext())
+            if given is None and M.full_reach:
+                assert out.flags is None
+                out = out.variable
+                assert not out.flags.writeable
+            else:
+                out = out.flags
+                assert out.flags.writeable and not np.shares_memory(out, M.reach)
+            assert out.dtype == bool and out.shape == want.shape
+            assert np.array_equal(out, want)
 
 
 class Spy:
@@ -95,7 +107,7 @@ class Spy:
 
     def __init__(self, M):
         self.M, self.calls = M, 0
-        self.shape, self.cost, self.reach = M.shape, M.cost, M.reach
+        self.shape, self.cost, self.reach, self.full_reach = M.shape, M.cost, M.reach, M.full_reach
 
     def apply(self, values):
         return self.M.apply(values)
@@ -113,6 +125,7 @@ def test_only_mixed_flags_go_through_propagate(block):
         flags = np.ones((M.shape[1],) + block, dtype=bool)
         values = np.ones(flags.shape, dtype=complex)
         apply_matrix(spy, TrackedVector(values, flags), CountContext())
+        apply_matrix(spy, TrackedVector(values, None), CountContext())
         assert spy.calls == 0
         flags[1] = False
         got = apply_matrix(spy, TrackedVector(values, flags), CountContext()).variable
