@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .counting import CountContext, variable_vector
+from .counting import CountContext, TrackedVector, variable_vector
 from .extraction import certify_rank
 from .groups import blocked_simultaneous, cyclic_group, dihedral8, tpp_check
 from .kernels import SPECS, formula_count, structured_matvec
@@ -178,7 +178,7 @@ def _count_row(M: StructuredMatrix, label_n: str, rng: Lcg,
     structured_matvec(M, variable_vector(rng.complex_vector(M.n)), ctx)
     fast = ctx.bilinear_mults
     values, variable, structural = dense_parts(M)
-    naive = naive_count((values, variable))
+    naive = naive_count(TrackedVector(values, variable))
     formula = formula_count(M.kind, M.n, M.pattern, levels)
     match = fast == formula
     # '*': the pattern-aware count, which skips a structurally zero diagonal
@@ -291,16 +291,14 @@ def cmd_simul(cfg: argparse.Namespace) -> int:
         avals = np.array(rng.complex_vector(4)).reshape(2, 2)
         bvals = np.array(rng.complex_vector(4 * pairs)).reshape(2, 2 * pairs)
         ctx = CountContext()
-        m1, m2 = blocked_simultaneous((avals, np.ones(avals.shape, dtype=bool)),
-                                      (bvals, np.ones(bvals.shape, dtype=bool)), cfg.variant, ctx)
+        m1, m2 = blocked_simultaneous(avals, bvals, cfg.variant, ctx)
         counts.add(ctx.bilinear_mults)
         want1 = avals @ bvals
         bv = bvals[::-1].copy()
         if cfg.variant == "g":
             bv[0] = bv[0].reshape(pairs, 2)[:, ::-1].ravel()
         want2 = avals @ bv
-        got1 = np.array([[s.value for s in row] for row in m1])
-        got2 = np.array([[s.value for s in row] for row in m2])
+        got1, got2 = (np.array([[s.value for s in row] for row in m]) for m in (m1, m2))
         max_err = max(max_err, _rel_error(got1, want1), _rel_error(got2, want2))
     count = counts.pop() if len(counts) == 1 else sorted(counts)
     ok = max_err <= cfg.tol and count == 8 * pairs

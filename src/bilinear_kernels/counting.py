@@ -727,17 +727,20 @@ def match_output(x_input, vec: TrackedVector):
     return to_scalars(vec)
 
 
-def as_matrix(rows) -> tuple[np.ndarray, np.ndarray]:
-    """A kernel's grid operand as (values, variable) arrays: the pair
-    itself, or rows whose entries as_vector takes together (a grid of
-    TrackedScalars, read with no check per entry, or of raw numbers, a 2-D
-    numeric numpy array among them, whose entries become Variables)."""
-    if isinstance(rows, tuple) and len(rows) == 2 and isinstance(rows[0], np.ndarray):
+def as_matrix(rows) -> TrackedVector:
+    """A kernel's grid operand as a 2-D TrackedVector: itself, a 2-D numeric
+    numpy array read whole, or rows whose entries as_vector takes together
+    (TrackedScalars, read with no check per entry, or raw numbers); so a
+    grid of Variables or of raw numbers carries the all-Variable marker."""
+    if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "biufc":
+        rows = variable_vector(rows)
+    if isinstance(rows, TrackedVector):
+        if rows.values.ndim != 2:
+            raise ValueError(f"expected a grid, got an operand of shape {rows.values.shape}")
         return rows
     grid = [list(r) for r in rows]
     m = len(grid)
     n = len(grid[0]) if m else 0
     if any(len(r) != n for r in grid):
         raise ValueError("ragged matrix")
-    vec = as_vector([s for r in grid for s in r])
-    return vec.values.reshape(m, n), vec.variable.reshape(m, n)
+    return rearranged(as_vector([s for r in grid for s in r]), lambda a: a.reshape(m, n))

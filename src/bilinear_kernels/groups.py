@@ -142,22 +142,20 @@ def cu_matmul(G: GroupTable, S: Sequence[int], T: Sequence[int], U: Sequence[int
     """
     if not tpp_check(G, S, T, U):
         raise ValueError("subsets do not satisfy the triple product property")
-    avals, aflags = as_matrix(A)
-    bvals, bflags = as_matrix(B)
-    m, n = avals.shape
-    n2, p = bvals.shape
+    a, b = as_matrix(A), as_matrix(B)
+    (m, n), (n2, p) = a.values.shape, b.values.shape
     if (m, n, p) != (len(S), len(T), len(U)) or n2 != n:
         raise ValueError("matrix shapes must match the subset cardinalities")
-    def embed(rows, cols, values, flags) -> list[TrackedScalar]:
-        """Entry (i, j) of the matrix placed at rows[i] cols[j]^-1."""
+    def embed(rows, cols, grid: TrackedVector) -> list[TrackedScalar]:
+        """Entry (i, j) of the grid placed at rows[i] cols[j]^-1."""
         hat = [constant(0)] * G.order
-        for i, row in enumerate(to_grid(TrackedVector(values, flags))):
+        for i, row in enumerate(to_grid(grid)):
             for j, s in enumerate(row):
                 g = G.product[rows[i]][G.inverse[cols[j]]]
                 hat[g] = add(hat[g], s, ctx) if (hat[g].is_variable or hat[g].value != 0) else s
         return hat
 
-    prod = group_algebra_mul(G, embed(S, T, avals, aflags), embed(T, U, bvals, bflags), ctx)
+    prod = group_algebra_mul(G, embed(S, T, a), embed(T, U, b), ctx)
     return [[prod[G.product[S[i]][G.inverse[U[k]]]] for k in range(p)] for i in range(m)]
 
 
@@ -244,7 +242,7 @@ def wedderburn_d4_inverse(chars4, block) -> np.ndarray:
 
 def _two_by_two(A, B, name: str):
     A, B = as_matrix(A), as_matrix(B)
-    if A[0].shape != (2, 2) or B[0].shape != (2, 2):
+    if A.values.shape != (2, 2) or B.values.shape != (2, 2):
         raise ValueError(f"{name} expects 2x2 factors")
     return A, B
 
@@ -280,12 +278,12 @@ def blocked_simultaneous(A, B, variant: str, ctx: CountContext):
     pair."""
     if variant not in ("f", "g"):
         raise ValueError("variant must be 'f' or 'g'")
-    (avals, aflags), (bvals, bflags) = as_matrix(A), as_matrix(B)
-    if avals.shape != (2, 2) or bvals.shape[0] != 2:
+    a, b = as_matrix(A), as_matrix(B)
+    if a.values.shape != (2, 2) or len(b) != 2:
         raise ValueError("blocked_simultaneous expects a 2x2 A and a 2-row B")
-    if bvals.shape[1] % 2 != 0:
+    if b.values.shape[1] % 2 != 0:
         raise ValueError("B must have an even number of columns")
-    pairs = bvals.shape[1] // 2
+    pairs = b.values.shape[1] // 2
 
     def by_pair(M):        # (2, 2n) -> (4, n): column j is pair j's block, row-major
         return M.reshape(2, pairs, 2).transpose(0, 2, 1).reshape(4, pairs)
@@ -293,8 +291,7 @@ def blocked_simultaneous(A, B, variant: str, ctx: CountContext):
     def by_row(M):         # (8, n) -> (4, 2n): the rows of AB, then of AB^variant
         return M.reshape(2, 2, 2, pairs).transpose(0, 1, 3, 2).reshape(4, 2 * pairs)
 
-    a = tile(TrackedVector(avals.reshape(-1), aflags.reshape(-1)), pairs)
-    out = triple_product(_D4_MAPS if variant == "f" else _X8_MAPS, a,
-                         TrackedVector(by_pair(bvals), by_pair(bflags)), ctx)
+    out = triple_product(_D4_MAPS if variant == "f" else _X8_MAPS,
+                         tile(rearranged(a, np.ravel), pairs), rearranged(b, by_pair), ctx)
     grid = to_grid(rearranged(out, by_row))
     return grid[:2], grid[2:]

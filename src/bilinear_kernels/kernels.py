@@ -19,10 +19,10 @@ The counts per size n:
 Every kernel is one Cohn-Umans triple (U, V, W) of constant maps, run as
 W (U t * V x): U embeds the parameters t, V the input x, the pointwise
 product forms the counted products (one per row of U) and W reads the
-output off.  structured_matvec runs every structured matrix through one
-body, the Kronecker product of its levels' triples applied level by level;
-a single-level matrix is its own one level.  It forms the symbol U t once
-per matrix and keeps it on the StructuredMatrix (StructuredMatrix.symbol)
+output off.  structured_matvec runs every structured matrix, the per-kind
+functions' too, through one body, the Kronecker product of its levels'
+triples level by level; a single level is its own.  It forms the symbol U t
+once per matrix and keeps it on the StructuredMatrix (StructuredMatrix.symbol)
 beside the levels' triples: later products with the same matrix charge its
 counts again, read no map and apply only V, the pointwise product and W.
 Gauss's product, the commutator and Toeplitz times dense (the Toeplitz
@@ -58,6 +58,7 @@ from .counting import (BlockMap, ChainMap, ConstantMap, CountContext, GatherMap,
                        _stored, concat, match_output, one_vector, rearranged, reciprocal,
                        take, tile, to_grid, to_scalars, triple_product, vmul)
 from .extraction import level_decomposition
+from .groups import _two_by_two
 from .spectral import principal_root, twiddles
 from .structures import (LevelSpec, SparsityPattern, StructureKind, StructureSpec,
                          StructuredMatrix, check_structure, circulant_placement,
@@ -230,7 +231,7 @@ def _inverse(kind: StructureKind, c, f: complex | None, ctx: CountContext):
     and W reads the coefficients of its reciprocal, parameter q at row
     (q - 1) mod n.  Non-finite parameters are refused before any transform."""
     cv = as_vector(c)
-    n = len(cv)
+    n = len(one_vector(cv, len(cv)))
     check_structure(kind, n, f, size=n)
     if (bad := ~np.isfinite(cv.values)).any():
         raise ValueError(f"{kind.value} parameters {np.flatnonzero(bad).tolist()} are not finite")
@@ -272,7 +273,7 @@ def triangular_toeplitz_matvec(a, x, ctx: CountContext):
 def tph_matvec(t, h, x, ctx: CountContext):
     """(Toeplitz + Hankel) product in 4n-4 multiplications (1 at n = 1): moving the
     matrices that are both between its two (2n-1)-point frames empties two bins."""
-    tv, hv = as_vector(t), as_vector(h)
+    tv, hv = (one_vector(v, len(v)) for v in (as_vector(t), as_vector(h)))
     if len(tv) != len(hv):
         raise ValueError(f"tph needs as many anti-diagonals as diagonals, "
                          f"got {len(hv)} and {len(tv)}")
@@ -396,13 +397,12 @@ SPECS: dict[StructureKind, StructureSpec] = {
 
 
 def _run(kind: StructureKind, data, x, ctx: CountContext, f: complex | None = None):
-    """A public per-kind product: convert the inputs, check them against
-    the table (check_structure) and x as one vector, run its kernel, return
-    the output like x."""
+    """A public per-kind product: convert the data and then x, each once,
+    build the order-len(x) matrix of the data (StructuredMatrix._of_vector
+    checks it), and return structured_matvec's product in x's form."""
     dv, xv = as_vector(data), as_vector(x)
-    check_structure(kind, len(xv), f, size=len(dv))
-    one_vector(xv, len(xv))
-    return match_output(x, triple_product(SPECS[kind].maps(len(xv), f, None), dv, xv, ctx))
+    M = StructuredMatrix._of_vector(kind, len(xv), dv, f, None, None)
+    return match_output(x, structured_matvec(M, xv, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +463,9 @@ def toeplitz_matmul(t, Y, ctx: CountContext):
     """Toeplitz times dense in n(2n-1) multiplications: the Toeplitz triple
     applied once over a batch axis of Y's columns, with t tiled across it so
     that U t is charged once per column."""
-    tv, y = as_vector(t), TrackedVector(*as_matrix(Y))
+    tv, y = as_vector(t), as_matrix(Y)
     n = len(y)
-    if y.values.shape != (n, n) or len(tv) != 2 * n - 1:
+    if y.values.shape != (n, n) or tv.values.shape != (2 * n - 1,):
         raise ValueError("toeplitz_matmul expects 2n-1 diagonals and an n x n factor")
     return to_grid(triple_product(_embedding_maps(StructureKind.TOEPLITZ, n), tile(tv, n), y, ctx))
 
@@ -486,8 +486,9 @@ _COMMUTATOR_MAPS = (
 
 
 def commutator_2x2(A, X, ctx: CountContext):
-    """[A, X] = AX - XA for 2x2 matrices with exactly six multiplications."""
-    a, x = (TrackedVector(*(part.reshape(-1) for part in as_matrix(M))) for M in (A, X))
+    """[A, X] = AX - XA for 2x2 matrices with exactly six multiplications;
+    any other factor is refused before anything is counted."""
+    a, x = (rearranged(M, np.ravel) for M in _two_by_two(A, X, "commutator_2x2"))
     out = triple_product(_COMMUTATOR_MAPS, a, x, ctx)
     return to_grid(rearranged(out, lambda a: a.reshape(2, 2)))
 

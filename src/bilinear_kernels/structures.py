@@ -29,9 +29,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, _scalars, _stored,
-                       as_matrix, as_vector, constant, match_output, number, one_vector,
-                       read_only, to_grid)
+from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, _stored, as_matrix,
+                       as_vector, constant, match_output, number, one_vector, read_only,
+                       to_grid, to_scalars)
 
 
 class SchemaError(ValueError):
@@ -238,12 +238,12 @@ class StructuredMatrix:
     order, the f, pattern or levels its kind takes, and what its products
     keep (its parameters as a vector, its symbol, its levels' triples).
 
-    ``data`` is the parameters as TrackedScalars.  A matrix made from raw
-    numbers (structured()) keeps them as its data vector alone, one
-    read-only array that every product and the oracle read; its data is
-    built from that vector on first read and kept (__getattr__), so
-    equality, hashing, repr and serialization see the same tuple as for a
-    matrix made from the scalars.
+    ``data`` is the parameters as TrackedScalars.  A matrix made from a
+    vector (_of_vector: structured() of raw numbers, and the per-kind
+    kernels) keeps it as its data vector alone, which every product and the
+    oracle read; its data is built from that vector on first read and kept
+    (__getattr__), so equality, hashing, repr and serialization see the
+    same tuple as for a matrix made from the scalars.
     """
 
     kind: StructureKind
@@ -263,27 +263,26 @@ class StructuredMatrix:
         self._settle(len(self.data))
 
     @classmethod
-    def _of_variables(cls, kind: StructureKind, n: int, values: np.ndarray,
-                      f: complex | None, pattern: SparsityPattern | None,
-                      levels: tuple[LevelSpec, ...] | None) -> "StructuredMatrix":
-        """The matrix whose parameters are Variables of the read-only complex
-        values, kept as its data vector with the all-Variable marker; no
-        scalar is built."""
+    def _of_vector(cls, kind: StructureKind, n: int, vector: TrackedVector,
+                   f: complex | None, pattern: SparsityPattern | None,
+                   levels: tuple[LevelSpec, ...] | None) -> "StructuredMatrix":
+        """The matrix whose parameters are the one vector given, with its
+        flags or the marker, kept as its data vector and checked as any
+        matrix is (counting.one_vector, then _settle); no scalar is built."""
         M = cls.__new__(cls)
-        vector = TrackedVector(values, None)
         for name, value in (("kind", kind), ("n", n), ("f", f), ("pattern", pattern),
-                            ("levels", levels), ("_vector", vector)):
+                            ("levels", levels), ("_vector", one_vector(vector, len(vector)))):
             object.__setattr__(M, name, value)
-        M._settle(len(values))
+        M._settle(len(vector))
         return M
 
     def __getattr__(self, name: str):
-        """The data of a matrix kept as its data vector alone: the Variables
-        of the vector, built on this first read and kept."""
+        """The data of a matrix kept as its data vector alone: the scalars of
+        the vector (to_scalars), built on this first read and kept."""
         vec = self._vector
         if name != "data" or vec is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        data = tuple(_scalars(vec.values.tolist(), repeat(Kind.VARIABLE)))
+        data = tuple(to_scalars(vec))
         object.__setattr__(self, "data", data)
         return data
 
@@ -298,8 +297,8 @@ class StructuredMatrix:
             object.__setattr__(self, "levels", (LevelSpec(kind, n, self.f, self.pattern),))
 
     def data_vector(self) -> TrackedVector:
-        """The parameters as a read-only TrackedVector, converted on first use;
-        parameters that are all Variable carry the all-Variable marker."""
+        """The parameters as a TrackedVector: the one it was made from, or
+        its data read once into a read-only vector (the marker: all Variable)."""
         vec = self._vector
         if vec is None:
             vec = as_vector(self.data)
@@ -332,7 +331,8 @@ class StructuredMatrix:
             scalars, additions = ctx.scalar_mults, ctx.additions
             vec = embed(self.data_vector(), ctx)
             read_only(vec.values)
-            read_only(vec.variable)
+            if vec.flags is not None:         # the marker has no array to protect
+                read_only(vec.flags)
             object.__setattr__(self, "_symbol", (vec, ctx.scalar_mults - scalars,
                                                  ctx.additions - additions))
             return vec
@@ -373,7 +373,7 @@ def structured(kind: StructureKind, n: int, data, f: complex | None = None,
                                     levels=levels)
         data = [number(d) for d in data]
     values = read_only(np.array(data, dtype=complex))
-    return StructuredMatrix._of_variables(kind, n, values, f, pattern, levels)
+    return StructuredMatrix._of_vector(kind, n, TrackedVector(values, None), f, pattern, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +511,7 @@ def densify(M: StructuredMatrix) -> list[list[TrackedScalar]]:
 def naive_matvec(A, x, ctx: CountContext):
     """Entrywise matrix-vector product, structurally skipping Constant zeros.
 
-    A may be a StructuredMatrix or a dense grid of TrackedScalar.  The
+    A may be a StructuredMatrix or a grid that counting.as_matrix reads.  The
     bilinear count equals the number of active (not Constant-zero) entries
     multiplying a Variable, which for all-Variable inputs is the number of
     structurally nonzero entries.  Every other active entry is one scalar
@@ -519,16 +519,17 @@ def naive_matvec(A, x, ctx: CountContext):
     active entries less the rows that have one.
 
     The all-Variable marker is read, not expanded: a matrix whose parameters
-    carry it has its structural mask as both its Variable and its active
-    entries, and an x that carries it makes every active entry meet a
-    Variable; either way an output row is Variable when it has an active
-    entry.
+    carry it has its structural mask, and a grid that carries it every cell,
+    as both its Variable and its active entries, and an x that carries it
+    makes every active entry meet a Variable; either way an output row is
+    Variable when it has an active entry.
     """
-    marked = isinstance(A, StructuredMatrix) and A.data_vector().flags is None
     if isinstance(A, StructuredMatrix):
         values, variable, _ = dense_parts(A)
+        marked = A.data_vector().flags is None
     else:
-        values, variable = as_matrix(A)
+        grid = as_matrix(A)
+        values, variable, marked = grid.values, grid.variable, grid.flags is None
     xvec = one_vector(as_vector(x), values.shape[1])
     active = variable if marked else variable | (values != 0)
     rows = active.any(axis=1)
@@ -546,11 +547,10 @@ def naive_matvec(A, x, ctx: CountContext):
 
 
 def naive_count(A) -> int:
-    """Structural multiplication count of the naive product (generic input).
-    A may be a StructuredMatrix, a dense grid of TrackedScalar or its
-    (values, variable) arrays."""
-    values, variable = as_matrix(dense_parts(A)[:2] if isinstance(A, StructuredMatrix) else A)
-    return int(np.count_nonzero(variable | (values != 0)))
+    """Structural multiplication count of the naive product (generic input):
+    A is a StructuredMatrix or a grid that counting.as_matrix reads."""
+    grid = TrackedVector(*dense_parts(A)[:2]) if isinstance(A, StructuredMatrix) else as_matrix(A)
+    return int(np.count_nonzero(grid.variable | (grid.values != 0)))
 
 
 # ---------------------------------------------------------------------------

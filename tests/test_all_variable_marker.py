@@ -2,15 +2,18 @@
 be Variable.  A product run with the marker gives the same counters and
 bit-identical values and flags as the same product run with an explicit
 all-True flag array, for every kind, for maps whose reach is not all True,
-and next to mixed flags; so does every vector operation on a marked vector."""
+and next to mixed flags; so does every vector operation on a marked vector.
+A grid of Variables or of raw numbers carries the marker too, into the
+maps of the kernels that take grids."""
 
 import numpy as np
 import pytest
 
 from bilinear_kernels import (CountContext, LevelSpec, SparsityPattern, StructureKind,
-                              naive_matvec, structured, structured_matvec)
-from bilinear_kernels.counting import (Kind, TrackedScalar, TrackedVector, as_vector, concat,
-                                       reciprocal, take, tile, to_grid, to_scalars,
+                              blocked_simultaneous, commutator_2x2, counting, naive_matvec,
+                              structured, structured_matvec, toeplitz_matmul)
+from bilinear_kernels.counting import (Kind, TrackedScalar, TrackedVector, as_matrix, as_vector,
+                                       concat, reciprocal, take, tile, to_grid, to_scalars,
                                        variable_vector, variables, vmul)
 from bilinear_kernels.kernels import SPECS
 from bilinear_kernels.rng import Lcg
@@ -194,3 +197,64 @@ def test_take_concat_tile_and_to_grid_keep_the_marker():
     assert to_grid(block) == to_grid(tile(explicit(), 3))
     assert to_scalars(marked()) == to_scalars(explicit())
     assert {s.kind for row in to_grid(block) for s in row} == {Kind.VARIABLE}
+
+
+# ---------------------------------------------------------------------------
+# Grids
+# ---------------------------------------------------------------------------
+
+ROWS = [[1, 2j], [3, -4]]
+GRID_FORMS = {
+    "Variables": lambda rows: [variables(row) for row in rows],
+    "raw numbers": lambda rows: rows,
+    "complex ndarray": lambda rows: np.array(rows, dtype=complex),
+}
+
+
+@pytest.mark.parametrize("form", GRID_FORMS)
+def test_a_grid_of_variables_or_numbers_carries_the_marker(form):
+    grid = as_matrix(GRID_FORMS[form](ROWS))
+    assert grid.flags is None
+    assert grid.values.tobytes() == np.array(ROWS, dtype=complex).tobytes()
+    assert as_matrix(grid) is grid
+
+
+def test_a_grid_with_a_constant_keeps_its_flags():
+    grid = as_matrix([variables([1, 2]), [TrackedScalar(3, Kind.VARIABLE),
+                                          TrackedScalar(4, Kind.CONSTANT)]])
+    assert grid.flags.tolist() == [[True, True], [True, False]]
+    with pytest.raises(ValueError, match=r"^expected a grid, got an operand of shape \(4,\)$"):
+        as_matrix(marked())
+
+
+GRID_CALLS = {
+    "blocked_simultaneous": lambda form, ctx: blocked_simultaneous(
+        form(ROWS), form([[1, 2, 3, 4], [5, 6, 7, 8]]), "g", ctx),
+    "toeplitz_matmul": lambda form, ctx: toeplitz_matmul([1, 2, 3], form(ROWS), ctx),
+    "commutator_2x2": lambda form, ctx: commutator_2x2(form(ROWS), form([[5, 6], [7j, 8]]), ctx),
+}
+
+
+@pytest.mark.parametrize("form", GRID_FORMS)
+@pytest.mark.parametrize("call", GRID_CALLS)
+def test_all_variable_grids_hand_u_and_v_the_marker(monkeypatch, call, form):
+    seen, apply_matrix = [], counting.apply_matrix
+
+    def spy(M, vec, ctx):
+        seen.append(vec.flags)
+        return apply_matrix(M, vec, ctx)
+
+    monkeypatch.setattr(counting, "apply_matrix", spy)
+    GRID_CALLS[call](GRID_FORMS[form], CountContext())
+    assert len(seen) == 3 and seen[0] is None and seen[1] is None
+
+
+@pytest.mark.parametrize("call", GRID_CALLS)
+def test_a_marked_grid_runs_as_an_all_true_array_does(call):
+    def explicit_grid(rows):
+        values = np.array(rows, dtype=complex)
+        return TrackedVector(values, np.ones(values.shape, dtype=bool))
+
+    got_ctx, want_ctx = CountContext(), CountContext()
+    got = GRID_CALLS[call](GRID_FORMS["raw numbers"], got_ctx)
+    assert got == GRID_CALLS[call](explicit_grid, want_ctx) and got_ctx == want_ctx

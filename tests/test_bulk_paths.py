@@ -60,7 +60,7 @@ def check_oracle(A, values, flags, x):
     assert ctx.divisions == 0
     assert [s.kind is Kind.VARIABLE for s in out] == out_flags.tolist()
     assert np.array([s.value for s in out]).tobytes() == (values @ xvec.values).tobytes()
-    assert naive_count((values, flags)) == int((flags | (values != 0)).sum())
+    assert naive_count(TrackedVector(values, flags)) == int((flags | (values != 0)).sum())
 
 
 @pytest.mark.parametrize("seed", range(4))

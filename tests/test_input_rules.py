@@ -4,7 +4,8 @@ with its message: the library as the table words it, the JSON reader as a
 SchemaError at the field's position, the CLI as one error line with exit
 code 2.  Also the kernels outside the table on plain numbers, and the
 one-line errors of empty or missing operands, of a block given for a
-product's x, and of text given for numbers."""
+product's x or for its parameters, of a 2x2 kernel's factors of another
+shape, and of text given for numbers."""
 
 import json
 import warnings
@@ -19,7 +20,8 @@ from bilinear_kernels import (CountContext, LevelSpec, SchemaError, SparsityPatt
                               f_circulant_matvec, formula_count, gauss_complex_mul, idft,
                               naive_matvec, param_count, parse_matrix, scaled_dft, scaled_idft,
                               serialize_matrix, structure_tensor, structured, structured_matvec,
-                              toeplitz_matmul, toeplitz_matvec, variables, x8_simultaneous)
+                              symmetric_matvec, toeplitz_matmul, toeplitz_matvec, tph_matvec,
+                              variables, x8_simultaneous)
 from bilinear_kernels.cli import main
 from bilinear_kernels.structures import InputError, check_structure
 
@@ -236,6 +238,14 @@ def test_toeplitz_matmul_of_empty_operands_is_its_shape_error():
         toeplitz_matmul([], [], CountContext())
 
 
+def test_toeplitz_matmul_of_a_block_of_diagonals_is_its_shape_error():
+    ctx = CountContext()
+    with pytest.raises(ValueError, match="^toeplitz_matmul expects 2n-1 diagonals and an "
+                                         "n x n factor$"):
+        toeplitz_matmul(TrackedVector(np.ones((3, 2)), None), [[1, 2], [3, 4]], ctx)
+    assert ctx == CountContext()
+
+
 def test_f_circulant_inverse_without_f_gives_the_tables_message():
     for f in (None, 0):
         with pytest.raises(InputError, match="^f_circulant needs a nonzero f$"):
@@ -394,3 +404,45 @@ def test_text_is_not_a_number(call):
     with pytest.raises(TypeError) as caught:
         run()
     assert str(caught.value) == message
+
+
+# ---------------------------------------------------------------------------
+# A kernel's parameters are one vector, and a 2x2 kernel takes 2x2 factors
+# ---------------------------------------------------------------------------
+
+NINE, TWELVE = [[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]
+# Per call: the block's rows (its columns as vectors, _block) and the call
+# that takes the block for its parameters.
+PARAMETER_CALLS = {
+    "toeplitz_matvec": (NINE, lambda p, ctx: toeplitz_matvec(p, [1, 2], ctx)),
+    "circulant_matvec": (NINE, lambda p, ctx: circulant_matvec(p, [1, 2, 3], ctx)),
+    "f_circulant_matvec": (NINE, lambda p, ctx: f_circulant_matvec(p, 2, [1, 2, 3], ctx)),
+    "symmetric_matvec": (NINE, lambda p, ctx: symmetric_matvec(p, [1, 2], ctx)),
+    "tph_matvec t": (TWELVE, lambda p, ctx: tph_matvec(p, [1, 2, 3, 4], [1, 2, 3], ctx)),
+    "tph_matvec h": (TWELVE, lambda p, ctx: tph_matvec([1, 2, 3, 4], p, [1, 2, 3], ctx)),
+    "tph_matvec t and h": (TWELVE, lambda p, ctx: tph_matvec(p, p, [1, 2, 3], ctx)),
+    "circulant_inverse": (NINE, lambda p, ctx: circulant_inverse(p, ctx)),
+    "f_circulant_inverse": (NINE, lambda p, ctx: f_circulant_inverse(p, 2, ctx)),
+}
+
+
+@pytest.mark.parametrize("marked", [True, False])
+@pytest.mark.parametrize("call", PARAMETER_CALLS)
+def test_a_block_of_parameters_is_refused_with_its_shape(call, marked):
+    rows, run = PARAMETER_CALLS[call]
+    p = _block(rows, marked)
+    n, k = p.values.shape
+    ctx = CountContext()
+    with pytest.raises(ValueError, match=rf"^expected one vector of length {n}, got an "
+                                         rf"operand of shape \({n}, {k}\)$"):
+        run(p, ctx)
+    assert ctx == CountContext()
+
+
+@pytest.mark.parametrize("factor", [[[1, 2, 3, 4]], NINE, [[1, 2, 3], [4, 5, 6]]])
+def test_the_commutator_refuses_a_factor_that_is_not_2x2(factor):
+    for pair in ((factor, B), (A, factor), (_grid(factor), _grid(B))):
+        ctx = CountContext()
+        with pytest.raises(ValueError, match="^commutator_2x2 expects 2x2 factors$"):
+            commutator_2x2(*pair, ctx)
+        assert ctx == CountContext()
