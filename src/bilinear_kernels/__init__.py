@@ -4,8 +4,8 @@ bilinear multiplication count and a tensor laboratory that certifies the
 counts against structure-tensor rank bounds."""
 
 from .counting import (CountContext, DivisionByZero, Kind, TrackedScalar,
-                       TrackedVector, add, as_vector, constant, constants, div,
-                       mul, neg, sub, to_scalars, variable, variables)
+                       TrackedVector, as_vector, constant, constants, to_scalars,
+                       variable, variables)
 from .groups import (GroupAlgebraElement, GroupTable, blocked_simultaneous, cu_matmul,
                      cyclic_group, d4_simultaneous, dihedral8, group_algebra_mul,
                      tpp_check, wedderburn_d4, wedderburn_d4_inverse, x8_simultaneous)

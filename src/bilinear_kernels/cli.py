@@ -245,6 +245,8 @@ def cmd_tensor(cfg: argparse.Namespace) -> int:
                       if c.passed else "decomposition failed verification")
                 return 1
             T = structure_tensor(cfg.builder, cfg.n, f=f)
+    if cfg.ottaviani and T.dims != (3, 3, 3):
+        raise ConfigError(f"--ottaviani: the test needs a 3x3x3 tensor, got {T.dims}")
     print(f"builder={cfg.builder} flattening_ranks={flattening_ranks(T)}")
     if cfg.ottaviani:
         rep = ottaviani_test(T)
@@ -267,6 +269,8 @@ def cmd_stability(cfg: argparse.Namespace) -> int:
 
 def cmd_tpp(cfg: argparse.Namespace) -> int:
     if cfg.preset == "d4-222":
+        if cfg.n is not None:
+            raise ConfigError("--n: the d4-222 preset takes no --n")
         G = dihedral8()
         S, T, U = (4, 0), (6, 0), (7, 0)   # {y,1}, {x^2 y,1}, {x^3 y,1}
     elif cfg.preset == "cyclic-1n1":

@@ -30,7 +30,7 @@ DIVISION_ZERO_THRESHOLD = 1e-300
 
 
 class DivisionByZero(ZeroDivisionError):
-    """Divisor magnitude at or below the configured zero threshold."""
+    """Divisor magnitude at or below DIVISION_ZERO_THRESHOLD."""
 
 
 class Kind(Enum):
@@ -99,22 +99,22 @@ class CountContext:
     scalar_mults: int = 0
     additions: int = 0
 
-    def count_bilinear(self, k: int = 1) -> None:
+    def count_bilinear(self, k: int) -> None:
         if k < 0:
             raise ValueError("counter increments must be nonnegative")
         self.bilinear_mults += k
 
-    def count_division(self, k: int = 1) -> None:
+    def count_division(self, k: int) -> None:
         if k < 0:
             raise ValueError("counter increments must be nonnegative")
         self.divisions += k
 
-    def count_scalar(self, k: int = 1) -> None:
+    def count_scalar(self, k: int) -> None:
         if k < 0:
             raise ValueError("counter increments must be nonnegative")
         self.scalar_mults += k
 
-    def count_addition(self, k: int = 1) -> None:
+    def count_addition(self, k: int) -> None:
         if k < 0:
             raise ValueError("counter increments must be nonnegative")
         self.additions += k
@@ -122,45 +122,6 @@ class CountContext:
     def snapshot(self) -> "CountContext":
         return CountContext(self.bilinear_mults, self.divisions,
                             self.scalar_mults, self.additions)
-
-
-def _kind_or(a: TrackedScalar, b: TrackedScalar) -> Kind:
-    return Kind.VARIABLE if (a.is_variable or b.is_variable) else Kind.CONSTANT
-
-
-def mul(a: TrackedScalar, b: TrackedScalar, ctx: CountContext) -> TrackedScalar:
-    """Product.  Variable*Variable is the one counted bilinear multiplication."""
-    if a.is_variable and b.is_variable:
-        ctx.count_bilinear()
-    else:
-        ctx.count_scalar()
-    return TrackedScalar(a.value * b.value, _kind_or(a, b))
-
-
-def add(a: TrackedScalar, b: TrackedScalar, ctx: CountContext) -> TrackedScalar:
-    ctx.count_addition()
-    return TrackedScalar(a.value + b.value, _kind_or(a, b))
-
-
-def sub(a: TrackedScalar, b: TrackedScalar, ctx: CountContext) -> TrackedScalar:
-    ctx.count_addition()
-    return TrackedScalar(a.value - b.value, _kind_or(a, b))
-
-
-def neg(a: TrackedScalar) -> TrackedScalar:
-    return TrackedScalar(-a.value, a.kind)
-
-
-def div(a: TrackedScalar, b: TrackedScalar, ctx: CountContext,
-        zero_threshold: float = DIVISION_ZERO_THRESHOLD) -> TrackedScalar:
-    """Quotient.  Division by a Variable is counted in ``divisions``."""
-    if abs(b.value) <= zero_threshold:
-        raise DivisionByZero(f"divisor magnitude {abs(b.value)} at or below {zero_threshold}")
-    if b.is_variable:
-        ctx.count_division()
-    else:
-        ctx.count_scalar()
-    return TrackedScalar(a.value / b.value, _kind_or(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +241,8 @@ class GatherMap:
 
     Its support is every gathered input, so a term of sign 0, which a
     composed chain reads although it cancels, still passes its flag.  A sign
-    costs no multiplication, as ``neg`` does not; every term of a row after
-    its first costs one addition.  A row without terms is Constant zero.
+    costs no multiplication; every term of a row after its first costs one
+    addition.  A row without terms is Constant zero.
 
     The terms are laid out as (rank, row) tables, a row's terms of nonzero
     sign first, so values are summed over the leading ranks alone.
@@ -708,10 +669,9 @@ def triple_product(maps, a: TrackedVector, b: TrackedVector,
     return apply_matrix(W, vmul(apply_matrix(U, a, ctx), apply_matrix(V, b, ctx), ctx), ctx)
 
 
-def reciprocal(vec: TrackedVector, ctx: CountContext,
-               zero_threshold: float = DIVISION_ZERO_THRESHOLD) -> TrackedVector:
+def reciprocal(vec: TrackedVector, ctx: CountContext) -> TrackedVector:
     """Entrywise 1/x.  Each Variable divisor is one counted division."""
-    if np.any(np.abs(vec.values) <= zero_threshold):
+    if np.any(np.abs(vec.values) <= DIVISION_ZERO_THRESHOLD):
         raise DivisionByZero("reciprocal of a zero entry")
     flags = vec.flags
     nvar = vec.values.size if flags is None else int(np.count_nonzero(flags))

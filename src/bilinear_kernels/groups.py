@@ -2,10 +2,12 @@
 embedding-based matrix multiplication, and the two 8-multiplication
 simultaneous 2x2 product kernels.
 
-group_algebra_mul and cu_matmul are the scalar reference path: they walk the
-table entry by entry and skip Constant-zero coefficients by value.  The
-simultaneous kernels are triples (U, V, W) of constant maps built once and
-run by counting.triple_product, over a batch axis of column pairs."""
+Every product here runs as one triple (U, V, W) of constant maps through
+counting.triple_product.  group_algebra_mul and cu_matmul build theirs per
+call from the table and the factors' supports (Variable or nonzero
+entries), one product per pair of support entries; cu_matmul is the exact
+reference, as its maps are 0/1 gathers.  The simultaneous kernels' triples
+are built once and run over a batch axis of column pairs."""
 
 from __future__ import annotations
 
@@ -15,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .counting import (ChainMap, ConstantMap, CountContext, GatherMap, TrackedScalar,
-                       TrackedVector, add, as_matrix, constant, mul, rearranged, tile,
-                       to_grid, triple_product)
+                       TrackedVector, as_matrix, as_vector, rearranged, tile, to_grid,
+                       to_scalars, triple_product)
 from .spectral import dft_matrix, idft_matrix
 
 
@@ -95,50 +97,54 @@ class GroupAlgebraElement:
 
 
 def tpp_check(G: GroupTable, S: Sequence[int], T: Sequence[int], U: Sequence[int]) -> bool:
-    """Exhaustive triple product property test: every coincidence
-    s*t*u = s'*t'*u' must force s = s', t = t', u = u'."""
-    seen: dict[int, tuple[int, int, int]] = {}
-    for s in S:
-        for t in T:
-            st = G.product[s][t]
-            for u in U:
-                g = G.product[st][u]
-                prev = seen.get(g)
-                if prev is None:
-                    seen[g] = (s, t, u)
-                elif prev != (s, t, u):
-                    return False
-    return True
+    """The triple product property that cu_matmul needs, over the quotient
+    sets Q(X) = {x^-1 y : x, y in X}: q_s q_t q_u = 1 for q_s in Q(S), q_t in
+    Q(T) and q_u in Q(U) forces q_s = q_t = q_u = 1, that is, s'^-1 s t^-1 t'
+    u^-1 u' = 1 forces s = s', t = t' and u = u'.  A subset that repeats an
+    element fails it."""
+    if any(len(set(X)) != len(X) for X in (S, T, U)):
+        return False
+    P, e = G.product, G.identity
+    qs, qt, qu = ({P[G.inverse[x]][y] for x in X for y in X} for X in (S, T, U))
+    return all(P[P[a][b]][c] != e for a in qs for b in qt for c in qu if (a, b, c) != (e, e, e))
 
 
-def _coeffs(a) -> list[TrackedScalar]:
-    return a.coefficients if isinstance(a, GroupAlgebraElement) else list(a)
+def _convolution(G: GroupTable, a: TrackedVector, b: TrackedVector, a_at, b_at):
+    """The triple of the group-algebra product of a placed at the elements
+    a_at and b at b_at: U and V pick each pair (i, j) of support entries
+    (Variable or nonzero), and W adds product (i, j) into the coefficient of
+    a_at[i] b_at[j]."""
+    sup_a, sup_b = (np.flatnonzero(v.variable | (v.values != 0)) for v in (a, b))
+    i, j = np.repeat(sup_a, len(sup_b)), np.tile(sup_b, len(sup_a))
+    pairs = len(i)
+    return (GatherMap.picking(len(a), i), GatherMap.picking(len(b), j),
+            GatherMap((G.order, pairs), G.table()[a_at[i], b_at[j]], range(pairs)))
 
 
 def group_algebra_mul(G: GroupTable, a, b, ctx: CountContext):
-    """Convolution over the group; structurally skips Constant-zero coefficients."""
-    ca, cb = _coeffs(a), _coeffs(b)
-    if len(ca) != G.order or len(cb) != G.order:
+    """Convolution over the group, one product per pair of support
+    coefficients; a Constant-zero coefficient is skipped.  Raw numbers are
+    Variables, and the product is a GroupAlgebraElement when a factor is."""
+    wrap = isinstance(a, GroupAlgebraElement) or isinstance(b, GroupAlgebraElement)
+    a, b = (as_vector(x.coefficients if isinstance(x, GroupAlgebraElement) else x)
+            for x in (a, b))
+    if a.values.shape != (G.order,) or b.values.shape != (G.order,):
         raise ValueError("coefficient vectors must have length equal to the group order")
-    out: list[TrackedScalar] = [constant(0)] * G.order
-    sup_a = [i for i, s in enumerate(ca) if s.is_variable or s.value != 0]
-    sup_b = [j for j, s in enumerate(cb) if s.is_variable or s.value != 0]
-    for i in sup_a:
-        for j in sup_b:
-            k = G.product[i][j]
-            out[k] = add(out[k], mul(ca[i], cb[j], ctx), ctx)
-    result = out
-    if isinstance(a, GroupAlgebraElement) or isinstance(b, GroupAlgebraElement):
-        return GroupAlgebraElement(result)
-    return result
+    every = np.arange(G.order)
+    out = to_scalars(triple_product(_convolution(G, a, b, every, every), a, b, ctx))
+    return GroupAlgebraElement(out) if wrap else out
 
 
 def cu_matmul(G: GroupTable, S: Sequence[int], T: Sequence[int], U: Sequence[int],
               A, B, ctx: CountContext):
-    """Matrix product read off a group-algebra product (reference path).
+    """Matrix product read off a group-algebra product, the exact reference.
 
-    A is embedded over s_i t_j^-1, B over t_i u_j^-1, and entry (i, k) of AB
-    is the coefficient of s_i u_k^-1 in the convolution.
+    A is embedded over s_i t_j^-1, B over t_j u_k^-1, and entry (i, k) of AB
+    is the coefficient of s_i u_k^-1 in their convolution; the triple
+    product property (tpp_check) makes each placement one-to-one and the
+    read-off exact.  One triple: U and V pick the support pairs of A's and
+    B's entries, and W is the convolution's scatter-add chained with a pick
+    of the read-off elements.
     """
     if not tpp_check(G, S, T, U):
         raise ValueError("subsets do not satisfy the triple product property")
@@ -146,17 +152,16 @@ def cu_matmul(G: GroupTable, S: Sequence[int], T: Sequence[int], U: Sequence[int
     (m, n), (n2, p) = a.values.shape, b.values.shape
     if (m, n, p) != (len(S), len(T), len(U)) or n2 != n:
         raise ValueError("matrix shapes must match the subset cardinalities")
-    def embed(rows, cols, grid: TrackedVector) -> list[TrackedScalar]:
-        """Entry (i, j) of the grid placed at rows[i] cols[j]^-1."""
-        hat = [constant(0)] * G.order
-        for i, row in enumerate(to_grid(grid)):
-            for j, s in enumerate(row):
-                g = G.product[rows[i]][G.inverse[cols[j]]]
-                hat[g] = add(hat[g], s, ctx) if (hat[g].is_variable or hat[g].value != 0) else s
-        return hat
+    table, inverse = G.table(), np.array(G.inverse)
 
-    prod = group_algebra_mul(G, embed(S, T, a), embed(T, U, b), ctx)
-    return [[prod[G.product[S[i]][G.inverse[U[k]]]] for k in range(p)] for i in range(m)]
+    def placed(rows, cols):         # the element rows[i] cols[j]^-1 of entry (i, j), row-major
+        return table[np.ix_(rows, inverse[list(cols)])].ravel()
+
+    a, b = rearranged(a, np.ravel), rearranged(b, np.ravel)
+    pick_a, pick_b, scatter = _convolution(G, a, b, placed(S, T), placed(T, U))
+    read = ChainMap(scatter, GatherMap.picking(G.order, placed(S, U)))
+    out = triple_product((pick_a, pick_b, read), a, b, ctx)
+    return to_grid(rearranged(out, lambda v: v.reshape(m, p)))
 
 
 # ---------------------------------------------------------------------------

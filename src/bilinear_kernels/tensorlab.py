@@ -180,9 +180,9 @@ def commutator_beta_tensor() -> Tensor3:
 
 
 NAMED_BUILDERS = {
-    "complex_mul": lambda **kw: complex_mul_tensor(),
-    "so3": lambda **kw: so3_tensor(),
-    "commutator_beta": lambda **kw: commutator_beta_tensor(),
+    "complex_mul": complex_mul_tensor,
+    "so3": so3_tensor,
+    "commutator_beta": commutator_beta_tensor,
 }
 
 

@@ -162,6 +162,9 @@ class TestUsageErrors:
         ("tensor", "--builder", "so3", "--n", "3"),
         ("tensor", "--kind", "toeplitz", "--builder", "hankel", "--n", "3"),
         ("tensor", "--kind", "toeplitz", "--n", "3", "--ottaviani"),
+        ("tensor", "--builder", "complex_mul", "--ottaviani"),
+        ("tensor", "--builder", "toeplitz", "--n", "3", "--ottaviani"),
+        ("tpp", "--preset", "d4-222", "--n", "3"),
     ])
     def test_bad_option(self, capsys, argv):
         assert_usage_error(*run(capsys, *argv)[::2])
@@ -286,6 +289,10 @@ class TestTensor:
     def test_commutator_ottaviani(self, capsys):
         code, out, _ = run(capsys, "tensor", "--builder", "commutator_beta", "--ottaviani")
         assert code == 0 and "border rank >= 5" in out
+
+    def test_ottaviani_of_a_kind(self, capsys):
+        code, out, _ = run(capsys, "tensor", "--builder", "circulant", "--n", "3", "--ottaviani")
+        assert code == 1 and "ottaviani test singular" in out
 
     def test_tph_rank_is_certified(self, capsys):
         code, out, _ = run(capsys, "tensor", "--kind", "tph", "--n", "3")

@@ -5,81 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bilinear_kernels import (CountContext, DivisionByZero, Kind, TrackedScalar, add,
-                              constant, div, mul, neg, sub, variable)
-from bilinear_kernels.counting import (ConstantMap, GatherMap, TrackedVector, as_vector,
-                                       to_scalars, vmul)
-
-
-class TestMul:
-    def test_variable_times_variable_counts(self):
-        ctx = CountContext()
-        r = mul(variable(2), variable(3), ctx)
-        assert r.value == 6 and r.kind is Kind.VARIABLE
-        assert ctx.bilinear_mults == 1 and ctx.scalar_mults == 0
-
-    def test_constant_times_variable_is_scalar_mult(self):
-        ctx = CountContext()
-        r = mul(constant(5), variable(7), ctx)
-        assert r.value == 35 and r.kind is Kind.VARIABLE
-        assert ctx.bilinear_mults == 0 and ctx.scalar_mults == 1
-        r = mul(variable(7), constant(5), ctx)
-        assert r.kind is Kind.VARIABLE and ctx.bilinear_mults == 0
-
-    def test_constant_times_constant(self):
-        ctx = CountContext()
-        r = mul(constant(2), constant(3), ctx)
-        assert r.value == 6 and r.kind is Kind.CONSTANT
-        assert ctx.bilinear_mults == 0 and ctx.scalar_mults == 1
-
-
-class TestAddSubNeg:
-    def test_add_is_free_of_multiplications(self):
-        ctx = CountContext()
-        r = add(variable(1), constant(2), ctx)
-        assert r.value == 3 and r.kind is Kind.VARIABLE
-        assert ctx.bilinear_mults == 0 and ctx.additions == 1
-
-    def test_constant_add(self):
-        ctx = CountContext()
-        r = add(constant(1), constant(1), ctx)
-        assert r.value == 2 and r.kind is Kind.CONSTANT
-
-    def test_neg_counts_nothing(self):
-        ctx = CountContext()
-        r = neg(variable(5))
-        assert r.value == -5 and r.kind is Kind.VARIABLE
-        assert ctx.snapshot() == CountContext()
-
-    def test_sub(self):
-        ctx = CountContext()
-        r = sub(variable(5), variable(2), ctx)
-        assert r.value == 3 and ctx.additions == 1 and ctx.bilinear_mults == 0
-
-
-class TestDiv:
-    def test_variable_divisor_counts_division(self):
-        ctx = CountContext()
-        r = div(variable(6), variable(2), ctx)
-        assert r.value == 3 and ctx.divisions == 1 and ctx.bilinear_mults == 0
-
-    def test_constant_divisor_is_scalar_mult(self):
-        ctx = CountContext()
-        r = div(variable(6), constant(2), ctx)
-        assert r.value == 3 and ctx.divisions == 0 and ctx.scalar_mults == 1
-
-    def test_zero_divisor_raises(self):
-        ctx = CountContext()
-        with pytest.raises(DivisionByZero):
-            div(variable(1), variable(0), ctx)
-
-    def test_value_matches_untracked_arithmetic_exactly(self):
-        ctx = CountContext()
-        a, b = complex(1.7, -2.3), complex(-0.4, 9.1)
-        assert mul(variable(a), variable(b), ctx).value == a * b
-        assert add(variable(a), variable(b), ctx).value == a + b
-        assert sub(variable(a), variable(b), ctx).value == a - b
-        assert div(variable(a), variable(b), ctx).value == a / b
+from bilinear_kernels import (CountContext, DivisionByZero, Kind, TrackedScalar, constant,
+                              variable)
+from bilinear_kernels.counting import (ConstantMap, GatherMap, TrackedVector, apply_matrix,
+                                       as_vector, reciprocal, to_scalars, vmul)
 
 
 def test_fresh_context_starts_at_zero():
@@ -97,20 +26,21 @@ def test_counters_reject_negative_increments():
 @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=20),
        st.integers(0, 2 ** 32), st.integers(0, 2 ** 32))
 def test_counting_is_value_independent(pattern, seed_a, seed_b):
-    """Same kind pattern, different values: identical counter state."""
+    """Same kind pattern, different values: identical counter state, through
+    a pointwise product and a gather map's signed sum of its entries."""
+    k = len(pattern)
+    flags = np.array(pattern, dtype=bool).T
+    total = GatherMap((1, k), np.zeros(k), range(k), [(-1) ** i for i in range(k)])
 
     def run(seed):
         ctx = CountContext()
-        acc = constant(0)
-        for k, (va, vb) in enumerate(pattern):
-            x = variable(seed + k) if va else constant(seed + k)
-            y = variable(seed - k) if vb else constant(seed - k)
-            acc = add(acc, mul(x, y, ctx), ctx)
+        u, v = (TrackedVector(np.arange(k) * sign + seed + 0j, f) for sign, f in zip((1, -1), flags))
+        apply_matrix(total, vmul(u, v, ctx), ctx)
         return (ctx.bilinear_mults, ctx.divisions, ctx.scalar_mults, ctx.additions)
 
     assert run(seed_a) == run(seed_b)
-    expected_bilinear = sum(1 for va, vb in pattern if va and vb)
-    assert run(seed_a)[0] == expected_bilinear
+    assert run(seed_a) == (sum(1 for va, vb in pattern if va and vb), 0,
+                           sum(1 for va, vb in pattern if not (va and vb)), k - 1)
 
 
 def test_vector_roundtrip_preserves_values_and_kinds():
@@ -138,11 +68,45 @@ def test_to_scalars_builds_ordinary_frozen_scalars():
 
 def test_vmul_counts_variable_pairs_only():
     ctx = CountContext()
-    u = as_vector([variable(2), constant(3), variable(4)])
-    v = as_vector([variable(5), variable(6), constant(7)])
+    u = as_vector([variable(2), constant(3), variable(4), constant(2)])
+    v = as_vector([variable(5), variable(6), constant(7), constant(3)])
     out = vmul(u, v, ctx)
-    assert ctx.bilinear_mults == 1 and ctx.scalar_mults == 2
-    assert [complex(z) for z in out.values] == [10, 18, 28]
+    assert ctx.bilinear_mults == 1 and ctx.scalar_mults == 3
+    assert [complex(z) for z in out.values] == [10, 18, 28, 6]
+    assert out.variable.tolist() == [True, True, True, False]
+    a, b = complex(1.7, -2.3), complex(-0.4, 9.1)
+    assert vmul(as_vector([a]), as_vector([b]), ctx).values.tolist() == [a * b]
+
+
+def test_reciprocal_counts_variable_divisors_only():
+    """A Variable divisor is one division, a Constant one a scalar
+    multiplication, and a zero divisor is refused before anything is counted."""
+    ctx = CountContext()
+    a, b = complex(1.7, -2.3), complex(-0.4, 9.1)
+    out = reciprocal(as_vector([variable(a), constant(2), variable(b)]), ctx)
+    assert ctx == CountContext(divisions=2, scalar_mults=1)
+    want = np.array([1 / a, 0.5, 1 / b])       # numpy's quotient may round differently
+    assert np.all(np.abs(out.values - want) <= 4 * np.finfo(float).eps * np.abs(want))
+    assert out.variable.tolist() == [True, False, True]
+    for zero in ([variable(1), variable(0)], [constant(0)]):
+        ctx = CountContext()
+        with pytest.raises(DivisionByZero, match="^reciprocal of a zero entry$"):
+            reciprocal(as_vector(zero), ctx)
+        assert ctx == CountContext()
+
+
+def test_a_signed_term_costs_an_addition_and_no_multiplication():
+    """Row 0 is a - b, row 1 is -b alone, row 2 is a + b: each term after a
+    row's first is one addition, a sign is free, and the values are Python's
+    own sums."""
+    M = GatherMap((3, 2), [0, 0, 1, 2, 2], [0, 1, 1, 0, 1], [1, -1, -1, 1, 1])
+    a, b = complex(1.7, -2.3), complex(-0.4, 9.1)
+    for x in (as_vector([variable(a), constant(b)]), as_vector([constant(a), constant(b)])):
+        ctx = CountContext()
+        out = apply_matrix(M, x, ctx)
+        assert ctx == CountContext(additions=2)
+        assert out.values.tolist() == [a - b, -b, a + b]
+        assert out.variable.tolist() == [x.variable[0], False, x.variable[0]]
 
 
 def test_vmul_counts_every_entry_of_a_block():

@@ -1,7 +1,10 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
-from bilinear_kernels import (CountContext, GroupAlgebraElement, blocked_simultaneous,
+from bilinear_kernels import (CountContext, GroupAlgebraElement, GroupTable, blocked_simultaneous,
                               constant, cu_matmul, cyclic_group, d4_simultaneous,
                               dihedral8, group_algebra_mul, tpp_check, variable,
                               variables, wedderburn_d4, wedderburn_d4_inverse,
@@ -11,6 +14,30 @@ from bilinear_kernels.rng import Lcg
 D4 = dihedral8()
 # {y, 1}, {x^2 y, 1}, {x^3 y, 1}
 D4_TRIPLE = ((4, 0), (6, 0), (7, 0))
+
+
+def symmetric_group_3() -> GroupTable:
+    """S3 as the permutations of (0, 1, 2), composed as functions."""
+    perms = sorted(itertools.permutations(range(3)))
+    index = {p: k for k, p in enumerate(perms)}
+    product = tuple(tuple(index[tuple(p[q[i]] for i in range(3))] for q in perms)
+                    for p in perms)
+    inverse = tuple(row.index(0) for row in product)
+    return GroupTable(6, product, 0, inverse, tuple(map(str, perms)))
+
+
+S3 = symmetric_group_3()
+
+
+def tpp_by_definition(G, S, T, U) -> bool:
+    """s'^-1 s t^-1 t' u^-1 u' = 1 only for s = s', t = t', u = u'."""
+    def prod(*xs):
+        return functools.reduce(G.mul, xs, G.identity)
+    inv = G.inverse
+    return all(prod(inv[s2], s, inv[t], t2, inv[u], u2) != G.identity
+               or (s, t, u) == (s2, t2, u2)
+               for s, s2 in itertools.product(S, S) for t, t2 in itertools.product(T, T)
+               for u, u2 in itertools.product(U, U))
 
 
 def grid(vals):
@@ -57,6 +84,50 @@ class TestTpp:
         G = cyclic_group(2)
         full = (0, 1)
         assert not tpp_check(G, full, full, full)
+
+    def test_a_triple_whose_quotients_meet_is_refused(self):
+        """s t u is one-to-one on this triple, but both quotient sets hold y
+        (x^3y^-1 x^3 = y), and y y = 1: a_11 b_21 and a_12 b_11 land where
+        entry (3, 1) of A B is read off, so a product that trusted s t u
+        alone read [[33], [20], [30]] for A B = [[15], [20], [17]]."""
+        S, T, U = (3, 6, 7), (3, 7), (7,)
+        assert not tpp_check(D4, S, T, U)
+        with pytest.raises(ValueError, match="triple product"):
+            cu_matmul(D4, S, T, U, [[3, 1], [2, 4], [2, 3]], [[4], [3]], CountContext())
+
+    def test_a_triple_with_the_property_is_accepted(self):
+        """s t u is not one-to-one here (1 y x = x^3y = 1 1 x^3y), yet the
+        quotient sets meet only at 1, so the product reads off exactly."""
+        S, T, U = (0,), (0, 4), (1, 7)
+        assert tpp_check(D4, S, T, U)
+        A, B = np.array([[3, 5]]), np.array([[2, 7], [4, 1]])
+        out = cu_matmul(D4, S, T, U, A.tolist(), B.tolist(), CountContext())
+        assert np.array_equal(grid_values(out), A @ B)
+
+    def test_a_repeated_element_is_refused(self):
+        assert not tpp_check(D4, (4, 4), (6, 0), (7, 0))
+
+    @pytest.mark.parametrize("G", [D4, S3], ids=["D4", "S3"])
+    def test_sampled_triples_match_the_definition_and_read_off_exactly(self, G):
+        """On 300 drawn triples of subsets of sizes 1..3, tpp_check equals the
+        definition, and cu_matmul is exact on each triple it accepts."""
+        rng = Lcg(G.order * 101)
+
+        def subset():
+            pool = list(range(G.order))
+            return tuple(pool.pop(rng.randint(len(pool))) for _ in range(1 + rng.randint(3)))
+
+        accepted = 0
+        for _ in range(300):
+            S, T, U = subset(), subset(), subset()
+            assert tpp_check(G, S, T, U) == tpp_by_definition(G, S, T, U), (S, T, U)
+            if tpp_check(G, S, T, U):
+                accepted += 1
+                A = np.array([[1 + rng.randint(8) for _ in T] for _ in S])
+                B = np.array([[1 + rng.randint(8) for _ in U] for _ in T])
+                out = cu_matmul(G, S, T, U, A.tolist(), B.tolist(), CountContext())
+                assert np.array_equal(grid_values(out), A @ B), (S, T, U)
+        assert accepted >= 10
 
 
 class TestGroupAlgebra:

@@ -16,8 +16,9 @@ import pytest
 from bilinear_kernels import (CountContext, LevelSpec, SchemaError, SparsityPattern,
                               StructureKind, TrackedScalar, TrackedVector, blocked_simultaneous,
                               certify_rank, circulant_inverse, circulant_matvec, commutator_2x2,
-                              d4_simultaneous, dft, extract_decomposition, f_circulant_inverse,
-                              f_circulant_matvec, formula_count, gauss_complex_mul, idft,
+                              cu_matmul, cyclic_group, d4_simultaneous, dft, dihedral8,
+                              extract_decomposition, f_circulant_inverse, f_circulant_matvec,
+                              formula_count, gauss_complex_mul, group_algebra_mul, idft,
                               naive_matvec, param_count, parse_matrix, scaled_dft, scaled_idft,
                               serialize_matrix, structure_tensor, structured, structured_matvec,
                               symmetric_matvec, toeplitz_matmul, toeplitz_matvec, tph_matvec,
@@ -302,6 +303,10 @@ PLAIN_CALLS = [
     ("idft", lambda form, ctx: idft(form([1, 2, 3]), ctx)),
     ("scaled_dft", lambda form, ctx: scaled_dft(form([1, 2, 3]), 2j, ctx)),
     ("scaled_idft", lambda form, ctx: scaled_idft(form([1, 2, 3]), 2j, ctx)),
+    ("group_algebra_mul",
+     lambda form, ctx: group_algebra_mul(cyclic_group(2), form([1, 2]), form([3j, 4]), ctx)),
+    ("cu_matmul",
+     lambda form, ctx: cu_matmul(dihedral8(), (4, 0), (6, 0), (7, 0), form(A), form(B), ctx)),
 ]
 
 
@@ -395,6 +400,15 @@ TEXT_CALLS = {
                             "expected parameters, got str '12'"),
     "structured bytes data": (lambda: structured("circulant", 2, b"12"),
                               "expected parameters, got bytes b'12'"),
+    "group str operand": (lambda: group_algebra_mul(cyclic_group(2), "12", [3, 4],
+                                                    CountContext()),
+                          "expected a sequence of tracked scalars or numbers, got str '12'"),
+    "group str items": (lambda: group_algebra_mul(cyclic_group(2), [1, 2], ["3", "4"],
+                                                  CountContext()),
+                        "expected all tracked scalars or all numbers, got str '3'"),
+    "cu_matmul str grid": (lambda: cu_matmul(dihedral8(), (4, 0), (6, 0), (7, 0),
+                                             [["1", 2], [3, 4]], B, CountContext()),
+                           "expected all tracked scalars or all numbers, got str '1'"),
 }
 
 

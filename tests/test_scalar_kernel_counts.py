@@ -1,8 +1,9 @@
 """Counters and output flags of the kernels outside the structure table, pinned.
 
 The kernels are Gauss's complex product, the 2x2 commutator, the two
-simultaneous 2x2 products, their blocked forms at 1..4 column pairs, and the
-Toeplitz-times-dense product at n = 1..6.  Each runs on three Lcg-drawn
+simultaneous 2x2 products, their blocked forms at 1..4 column pairs, the
+Toeplitz-times-dense product at n = 1..6, the D4 group-algebra product and
+cu_matmul on the d4-222 preset.  Each runs on three Lcg-drawn
 patterns of Constant and Variable entries: pattern 0 mixes the first
 operand only, 1 the second only, 2 both, each at its own drawn density.
 All four counters (bilinear, divisions, scalar, additions) and the Variable
@@ -14,12 +15,14 @@ import zlib
 import pytest
 
 from bilinear_kernels import (CountContext, blocked_simultaneous, commutator_2x2,
-                              counting, d4_simultaneous, gauss_complex_mul,
-                              toeplitz_matmul, x8_simultaneous)
+                              counting, cu_matmul, d4_simultaneous, dihedral8,
+                              gauss_complex_mul, group_algebra_mul, toeplitz_matmul,
+                              x8_simultaneous)
 from bilinear_kernels.counting import Kind, TrackedScalar
 from bilinear_kernels.rng import Lcg
 
 PATTERNS = 3
+D4, D4_222 = dihedral8(), ((4, 0), (6, 0), (7, 0))     # the tpp preset's subsets
 
 
 def draw_scalars(rng: Lcg, k: int, p_variable: float) -> list[TrackedScalar]:
@@ -63,6 +66,8 @@ CASES = {
     **{f"blocked.{variant}.{pairs}": (blocked(variant), 4, 4 * pairs)
        for variant in ("f", "g") for pairs in (1, 2, 3, 4)},
     **{f"toeplitz_matmul.{n}": (matmul, 2 * n - 1, n * n) for n in range(1, 7)},
+    "group_algebra_mul": (lambda a, b, ctx: [group_algebra_mul(D4, a, b, ctx)], 8, 8),
+    "cu_matmul": (lambda a, b, ctx: cu_matmul(D4, *D4_222, rows(a, 2), rows(b, 2), ctx), 4, 4),
 }
 
 
@@ -139,6 +144,11 @@ GOLDEN = {
         "55/0/1529/1350/vvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvv",
         "33/0/1551/1350/vvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvv",
     ],
+    # Generated once both ran as triples: the products, scalar
+    # multiplications and flags of the scalar walk they replace, and one
+    # addition per term of a coefficient's sum after its first.
+    "group_algebra_mul": ["32/0/32/56/vvvvvvvv", "24/0/40/56/vvvvvvvv", "0/0/64/56/vvvvvvvv"],
+    "cu_matmul": ["0/0/16/8/vvvv", "4/0/12/8/vvvv", "0/0/16/8/vvvv"],
 }
 
 
