@@ -85,6 +85,14 @@ def constants(values: Iterable) -> list[TrackedScalar]:
     return _scalars([complex(v) for v in values], repeat(Kind.CONSTANT))
 
 
+def _increment(k: int) -> int:
+    """k as a counter increment: counters only ever increase, so a negative
+    k is a ValueError."""
+    if k < 0:
+        raise ValueError("counter increments must be nonnegative")
+    return k
+
+
 @dataclass
 class CountContext:
     """Mutable tally of the four counted quantities for one computation.
@@ -100,24 +108,16 @@ class CountContext:
     additions: int = 0
 
     def count_bilinear(self, k: int) -> None:
-        if k < 0:
-            raise ValueError("counter increments must be nonnegative")
-        self.bilinear_mults += k
+        self.bilinear_mults += _increment(k)
 
     def count_division(self, k: int) -> None:
-        if k < 0:
-            raise ValueError("counter increments must be nonnegative")
-        self.divisions += k
+        self.divisions += _increment(k)
 
     def count_scalar(self, k: int) -> None:
-        if k < 0:
-            raise ValueError("counter increments must be nonnegative")
-        self.scalar_mults += k
+        self.scalar_mults += _increment(k)
 
     def count_addition(self, k: int) -> None:
-        if k < 0:
-            raise ValueError("counter increments must be nonnegative")
-        self.additions += k
+        self.additions += _increment(k)
 
     def snapshot(self) -> "CountContext":
         return CountContext(self.bilinear_mults, self.divisions,

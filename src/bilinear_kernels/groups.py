@@ -26,8 +26,10 @@ from .spectral import dft_matrix, idft_matrix
 class GroupTable:
     """A finite group given by an explicit multiplication table.
 
-    product[a, b] is the index of the product of elements a and b; the
-    group laws are checked exhaustively at construction for order <= 64.
+    product[a, b] is the index of the product of elements a and b.  At
+    construction the table's shape and entries, and the identity and every
+    inverse as element indices, are checked first, each a one-line
+    ValueError; then the group laws, exhaustively for order <= 64.
     """
 
     order: int
@@ -43,6 +45,9 @@ class GroupTable:
             raise ValueError("product table must be an order x order index table")
         if len(self.inverse) != n or len(self.element_names) != n:
             raise ValueError("inverse and element_names must have length order")
+        if not 0 <= self.identity < n:
+            raise ValueError(f"identity {self.identity} is not an element of a group of order {n}")
+        _check_elements(n, self.inverse, "inverse")
         e = self.identity
         if not (np.all(P[e] == np.arange(n)) and np.all(P[:, e] == np.arange(n))):
             raise ValueError("identity law fails")
@@ -60,6 +65,14 @@ class GroupTable:
 
     def mul(self, a: int, b: int) -> int:
         return self.product[a][b]
+
+
+def _check_elements(order: int, entries: Sequence[int], name: str) -> None:
+    """Each entry is an element index of a group of the order: the first
+    that is not is a one-line ValueError that names it as name[k]."""
+    for k, x in enumerate(entries):
+        if not 0 <= x < order:
+            raise ValueError(f"{name}[{k}] = {x} is not an element of a group of order {order}")
 
 
 def cyclic_group(n: int) -> GroupTable:
@@ -101,7 +114,10 @@ def tpp_check(G: GroupTable, S: Sequence[int], T: Sequence[int], U: Sequence[int
     sets Q(X) = {x^-1 y : x, y in X}: q_s q_t q_u = 1 for q_s in Q(S), q_t in
     Q(T) and q_u in Q(U) forces q_s = q_t = q_u = 1, that is, s'^-1 s t^-1 t'
     u^-1 u' = 1 forces s = s', t = t' and u = u'.  A subset that repeats an
-    element fails it."""
+    element fails it; an entry that is no element index of G is a one-line
+    ValueError that names it."""
+    for name, X in zip("STU", (S, T, U)):
+        _check_elements(G.order, X, name)
     if any(len(set(X)) != len(X) for X in (S, T, U)):
         return False
     P, e = G.product, G.identity

@@ -397,11 +397,11 @@ SPECS: dict[StructureKind, StructureSpec] = {
 
 
 def _run(kind: StructureKind, data, x, ctx: CountContext, f: complex | None = None):
-    """A public per-kind product: convert the data and then x, each once,
-    build the order-len(x) matrix of the data (StructuredMatrix._of_vector
-    checks it), and return structured_matvec's product in x's form."""
+    """A public per-kind product: read the data and then x by the kernels'
+    operand rule (as_vector), build the order-len(x) matrix of the data (it
+    keeps its own copy), and return structured_matvec's product in x's form."""
     dv, xv = as_vector(data), as_vector(x)
-    M = StructuredMatrix._of_vector(kind, len(xv), dv, f, None, None)
+    M = StructuredMatrix(kind, len(xv), dv, f)
     return match_output(x, structured_matvec(M, xv, ctx))
 
 

@@ -1,7 +1,8 @@
 """Structured matrix representations, the StructureSpec record, placements
 and dense expansion, the naive oracle, basis enumeration, and JSON
-serialization.  Each structure's placement is built once and kept in the
-map store (counting.MapStore) beside the kernel triples.
+serialization.  A StructuredMatrix has one constructor, which keeps its
+parameters as one read-only vector.  Each structure's placement is built
+once and kept in the map store (counting.MapStore) beside the kernel triples.
 
 Canonical parameter orders (normative for serialization and basis indexing):
   circulant            first column top to bottom
@@ -30,8 +31,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, _stored, as_matrix,
-                       as_vector, constant, match_output, number, one_vector, read_only,
-                       to_grid, to_scalars)
+                       as_vector, match_output, number, one_vector, read_only, to_grid,
+                       to_scalars)
 
 
 class SchemaError(ValueError):
@@ -232,18 +233,20 @@ def structure_dim(kind: StructureKind, n: int, pattern: SparsityPattern | None =
     return spec(check_structure(kind, n, pattern=pattern).kind).dim(n, pattern)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StructuredMatrix:
     """A structured matrix: its kind, order and parameters in the canonical
     order, the f, pattern or levels its kind takes, and what its products
     keep (its parameters as a vector, its symbol, its levels' triples).
 
-    ``data`` is the parameters as TrackedScalars.  A matrix made from a
-    vector (_of_vector: structured() of raw numbers, and the per-kind
-    kernels) keeps it as its data vector alone, which every product and the
-    oracle read; its data is built from that vector on first read and kept
+    The one constructor converts data once into the matrix's data vector, a
+    read-only TrackedVector that every product and the oracle read
+    (_parameters), and then checks the matrix and its size
+    (check_structure): a kind name becomes its StructureKind and a
+    single-level kind its own level.  ``data`` is the parameters as
+    TrackedScalars, built from that vector on first read and kept
     (__getattr__), so equality, hashing, repr and serialization see the
-    same tuple as for a matrix made from the scalars.
+    same tuple however the matrix was made.
     """
 
     kind: StructureKind
@@ -252,60 +255,32 @@ class StructuredMatrix:
     f: complex | None = None
     pattern: SparsityPattern | None = None
     levels: tuple[LevelSpec, ...] | None = None
-    _vector: TrackedVector | None = field(default=None, init=False, repr=False,
-                                          compare=False)
+    _vector: TrackedVector = field(init=False, repr=False, compare=False)
     _symbol: tuple[TrackedVector, int, int] | None = field(default=None, init=False,
                                                            repr=False, compare=False)
-    _triples: tuple[tuple, ...] | None = field(default=None, init=False, repr=False,
-                                               compare=False)
+    _triples: tuple[tuple, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self._settle(len(self.data))
-
-    @classmethod
-    def _of_vector(cls, kind: StructureKind, n: int, vector: TrackedVector,
-                   f: complex | None, pattern: SparsityPattern | None,
-                   levels: tuple[LevelSpec, ...] | None) -> "StructuredMatrix":
-        """The matrix whose parameters are the one vector given, with its
-        flags or the marker, kept as its data vector and checked as any
-        matrix is (counting.one_vector, then _settle); no scalar is built."""
-        M = cls.__new__(cls)
-        for name, value in (("kind", kind), ("n", n), ("f", f), ("pattern", pattern),
-                            ("levels", levels), ("_vector", one_vector(vector, len(vector)))):
-            object.__setattr__(M, name, value)
-        M._settle(len(vector))
-        return M
+    def __init__(self, kind: StructureKind, n: int, data, f: complex | None = None,
+                 pattern: SparsityPattern | None = None,
+                 levels: Sequence[LevelSpec] | None = None):
+        vector = _parameters(data)
+        levels = tuple(levels) if levels is not None else None
+        kind, n, _, _ = check_structure(kind, n, f, pattern, levels, len(vector))
+        if kind is not StructureKind.MULTILEVEL:
+            levels = (LevelSpec(kind, n, f, pattern),)
+        vars(self).update(kind=kind, n=n, f=f, pattern=pattern, levels=levels, _vector=vector)
 
     def __getattr__(self, name: str):
-        """The data of a matrix kept as its data vector alone: the scalars of
-        the vector (to_scalars), built on this first read and kept."""
-        vec = self._vector
-        if name != "data" or vec is None:
+        """The data: the scalars of the data vector (to_scalars), built on
+        this first read and kept."""
+        if name != "data":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        data = tuple(to_scalars(vec))
-        object.__setattr__(self, "data", data)
+        data = vars(self)["data"] = tuple(to_scalars(self._vector))
         return data
 
-    def _settle(self, size: int) -> None:
-        """Check the matrix and its size parameters (check_structure); a kind
-        name becomes its StructureKind and a single-level kind its own level."""
-        kind, n, _, _ = check_structure(self.kind, self.n, self.f, self.pattern, self.levels,
-                                        size)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        if kind is not StructureKind.MULTILEVEL:
-            object.__setattr__(self, "levels", (LevelSpec(kind, n, self.f, self.pattern),))
-
     def data_vector(self) -> TrackedVector:
-        """The parameters as a TrackedVector: the one it was made from, or
-        its data read once into a read-only vector (the marker: all Variable)."""
-        vec = self._vector
-        if vec is None:
-            vec = as_vector(self.data)
-            read_only(vec.values)
-            read_only(vec.variable)
-            object.__setattr__(self, "_vector", vec)
-        return vec
+        """The parameters as the matrix's read-only TrackedVector."""
+        return self._vector
 
     def level_triples(self, read: Callable[[LevelSpec], tuple]) -> tuple[tuple, ...]:
         """The kernel triple (U, V, W) of each level, read(level) once per
@@ -346,34 +321,39 @@ class StructuredMatrix:
 _PLAIN_NUMBERS = {complex, float, int}
 
 
+def _parameters(data) -> TrackedVector:
+    """A matrix's parameters as one read-only TrackedVector of its own: a
+    TrackedVector (one vector) copied, or TrackedScalars, alone or mixed
+    with raw numbers, read by as_vector.  Raw numbers are Variables, and
+    raw numbers alone carry the all-Variable marker: plain Python numbers
+    go to numpy whole, any other number through counting.number first, so
+    that text, or a value complex() refuses, is a one-line TypeError, as is
+    text given as the data."""
+    flags = None
+    if isinstance(data, TrackedVector):
+        values, flags = one_vector(data, len(data)).values.astype(complex), data.flags
+        flags = None if flags is None else flags.astype(bool)
+    elif isinstance(data, (str, bytes)):
+        raise TypeError(f"expected parameters, got {type(data).__name__} {data!r:.40}")
+    else:
+        data = list(data)
+        if not set(map(type, data)) <= _PLAIN_NUMBERS:
+            if any(map(isinstance, data, repeat(TrackedScalar))):
+                vec = as_vector([d if isinstance(d, TrackedScalar)
+                                 else TrackedScalar(number(d), Kind.VARIABLE) for d in data])
+                data, flags = vec.values, vec.flags
+            else:
+                data = [number(d) for d in data]
+        values = np.asarray(data, dtype=complex)
+    return TrackedVector(read_only(values), None if flags is None else read_only(flags))
+
+
 def structured(kind: StructureKind, n: int, data, f: complex | None = None,
                pattern: SparsityPattern | None = None,
                levels: Sequence[LevelSpec] | None = None) -> StructuredMatrix:
-    """Convenience constructor accepting TrackedScalars or raw numbers.
-
-    Raw numbers become Variables (they are inputs to be computed with).
-    Data of raw numbers alone is converted once, into one read-only array
-    that the matrix keeps as its data vector, with the all-Variable marker:
-    no scalar is built until ``data`` is read (StructuredMatrix).  Plain
-    Python numbers go to numpy whole; any other number through
-    counting.number first, so that text, or a value complex() refuses, is a
-    one-line TypeError.  A data tuple is built from a list, at its exact
-    size: a short tuple grown from a generator never reuses the tuples
-    CPython keeps freed per size.
-    """
-    if isinstance(data, (str, bytes)):
-        raise TypeError(f"expected parameters, got {type(data).__name__} {data!r:.40}")
-    data = list(data)
-    levels = tuple(levels) if levels is not None else None
-    if not set(map(type, data)) <= _PLAIN_NUMBERS:
-        if any(map(isinstance, data, repeat(TrackedScalar))):
-            scalars = [d if isinstance(d, TrackedScalar)
-                       else TrackedScalar(number(d), Kind.VARIABLE) for d in data]
-            return StructuredMatrix(kind, n, tuple(scalars), f=f, pattern=pattern,
-                                    levels=levels)
-        data = [number(d) for d in data]
-    values = read_only(np.array(data, dtype=complex))
-    return StructuredMatrix._of_vector(kind, n, TrackedVector(values, None), f, pattern, levels)
+    """The matrix StructuredMatrix(kind, n, data, f, pattern, levels), by
+    the name the library builds its matrices with."""
+    return StructuredMatrix(kind, n, data, f, pattern, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -559,10 +539,12 @@ def naive_count(A) -> int:
 
 def basis(kind: StructureKind, n: int, f: complex | None = None,
           pattern: SparsityPattern | None = None) -> list[StructuredMatrix]:
-    """Parameter one-hot matrices: one Constant-1 entry per basis element."""
+    """Parameter one-hot matrices: one Constant-1 entry per basis element,
+    each given as a one-hot vector with all-Constant flags."""
     P = check_structure(kind, n, f, pattern).params
-    return [StructuredMatrix(kind, n, tuple(constant(1.0 if q == p else 0.0) for q in range(P)),
-                             f=f, pattern=pattern) for p in range(P)]
+    flags = np.zeros(P, dtype=bool)
+    return [StructuredMatrix(kind, n, TrackedVector(one_hot, flags), f=f, pattern=pattern)
+            for one_hot in np.eye(P, dtype=complex)]
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +583,7 @@ def serialize_matrix(M: StructuredMatrix) -> str:
         doc = {"kind": M.kind.value, "n": M.n, "levels": [_level_doc(lev) for lev in M.levels]}
     else:
         doc = _level_doc(M.levels[0])
-    doc["data"] = [_pair(s.value) for s in M.data]
+    doc["data"] = [_pair(z) for z in M.data_vector().values.tolist()]
     return json.dumps(doc)
 
 

@@ -165,6 +165,10 @@ class TestUsageErrors:
         ("tensor", "--builder", "complex_mul", "--ottaviani"),
         ("tensor", "--builder", "toeplitz", "--n", "3", "--ottaviani"),
         ("tpp", "--preset", "d4-222", "--n", "3"),
+        ("verify", "--kind", "f_circulant", "--n", "3", "--f", "abc"),
+        ("verify", "--kind", "f_circulant", "--n", "3", "--f", "1,2,3"),
+        ("verify", "--kind", "multilevel", "--levels", "toeplitz:x,toeplitz:2"),
+        ("tpp", "--preset", "foo"),
     ])
     def test_bad_option(self, capsys, argv):
         assert_usage_error(*run(capsys, *argv)[::2])

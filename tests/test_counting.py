@@ -22,6 +22,17 @@ def test_counters_reject_negative_increments():
         ctx.count_bilinear(-1)
 
 
+@pytest.mark.parametrize("counter, field", [
+    ("count_bilinear", "bilinear_mults"), ("count_division", "divisions"),
+    ("count_scalar", "scalar_mults"), ("count_addition", "additions")])
+def test_each_counter_refuses_a_negative_increment_and_keeps_its_count(counter, field):
+    ctx = CountContext()
+    getattr(ctx, counter)(3)
+    with pytest.raises(ValueError, match="^counter increments must be nonnegative$"):
+        getattr(ctx, counter)(-1)
+    assert ctx == CountContext(**{field: 3})
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=20),
        st.integers(0, 2 ** 32), st.integers(0, 2 ** 32))

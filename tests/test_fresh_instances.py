@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from bilinear_kernels import (CountContext, LevelSpec, SparsityPattern, StructureKind,
-                              TrackedScalar, circulant_inverse, circulant_matvec,
-                              f_circulant_inverse, f_circulant_matvec, hankel_matvec,
-                              naive_matvec, serialize_matrix, skew_symmetric_matvec, structured,
-                              structured_matvec, symmetric_matvec, toeplitz_matmul,
-                              toeplitz_matvec, tph_matvec, triangular_toeplitz_matvec,
-                              variable, variables)
+                              StructuredMatrix, TrackedScalar, TrackedVector, circulant_inverse,
+                              circulant_matvec, constant, f_circulant_inverse,
+                              f_circulant_matvec, hankel_matvec, naive_matvec, serialize_matrix,
+                              skew_symmetric_matvec, structured, structured_matvec,
+                              symmetric_matvec, toeplitz_matmul, toeplitz_matvec, tph_matvec,
+                              triangular_toeplitz_matvec, variable, variables)
 from bilinear_kernels import counting
 from bilinear_kernels.counting import GatherMap, MapStore, _buffers, _key_bytes
 from bilinear_kernels.kernels import _embedding_maps, _sparse_maps
@@ -125,6 +125,68 @@ def test_structured_keeps_the_values_of_every_plain_number_type():
     data = [1, 2.5, -3j, 2**70, 0.0, -0.0]
     M = structured(StructureKind.SYMMETRIC, 3, data)
     assert _enc([s.value for s in M.data]) == _enc([complex(d) for d in data])
+
+
+# One constructor: each form of the Toeplitz parameters 1, 2, 3 (order 2),
+# made fresh per call, and the indices of its Constant entries.
+DATA_FORMS = {
+    "scalar tuple": (lambda: tuple(variables([1, 2, 3])), ()),
+    "scalar list": (lambda: variables([1, 2, 3]), ()),
+    "raw ints": (lambda: (1, 2, 3), ()),
+    "float ndarray": (lambda: np.array([1.0, 2.0, 3.0]), ()),
+    "scalars and numbers": (lambda: [variable(1), constant(2), 3], (1,)),
+    "tracked vector": (lambda: TrackedVector(np.array([1, 2, 3], dtype=complex), None), ()),
+    "tracked vector with flags":
+        (lambda: TrackedVector(np.array([1.0, 2.0, 3.0]), np.array([True, False, True])), (1,)),
+}
+
+
+@pytest.mark.parametrize("form", DATA_FORMS)
+def test_the_constructor_and_structured_build_one_matrix_of_each_data_form(form):
+    make, constants = DATA_FORMS[form]
+    want = structured("toeplitz", 2, [constant(v) if k in constants else variable(v)
+                                      for k, v in enumerate([1, 2, 3])])
+    kept = want.data_vector()
+    x = variables([1, -1])
+    for build in (StructuredMatrix, structured):
+        M = build(StructureKind.TOEPLITZ, 2, make())
+        assert M == want and hash(M) == hash(want) and repr(M) == repr(want)
+        assert serialize_matrix(M) == serialize_matrix(want)
+        vec = M.data_vector()
+        assert vec.values.tobytes() == kept.values.tobytes()
+        assert (vec.flags is None, vec.variable.tolist()) == (kept.flags is None,
+                                                              kept.variable.tolist())
+        assert not vec.values.flags.writeable
+        assert structured_matvec(M, x, CountContext()) == structured_matvec(want, x, CountContext())
+
+
+@pytest.mark.parametrize("data, message", [
+    ("123", "expected parameters, got str '123'"),
+    (b"123", "expected parameters, got bytes b'123'"),
+    (["1", "2", "3"], "expected a number, got str '1'"),
+    ([variable(1), "2", 3], "expected a number, got str '2'"),
+])
+def test_the_constructor_refuses_text_with_the_message_of_structured(data, message):
+    for build in (StructuredMatrix, structured):
+        with pytest.raises(TypeError) as caught:
+            build(StructureKind.TOEPLITZ, 2, data)
+        assert str(caught.value) == message
+
+
+def test_a_vector_passed_in_is_copied_so_later_writes_leave_the_matrix_alone():
+    values, flags = np.array([1, 2, 3], dtype=complex), np.array([True, False, True])
+    M = StructuredMatrix(StructureKind.TOEPLITZ, 2, TrackedVector(values, flags))
+    x = variables([1, -1])
+    before = structured_matvec(M, x, CountContext())
+    symbol = M._symbol[0].values.copy()
+    values[:], flags[:] = 9, True
+    assert structured_matvec(M, x, CountContext()) == before
+    assert M._symbol[0].values.tobytes() == symbol.tobytes()
+    assert M.data_vector().values.tolist() == [1, 2, 3]
+    assert M.data_vector().variable.tolist() == [True, False, True]
+    assert values.flags.writeable and flags.flags.writeable
+    toeplitz_matvec(TrackedVector(values, flags), x, CountContext())
+    assert values.flags.writeable and flags.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,41 @@ class TestGroupTables:
         with pytest.raises(ValueError):
             GroupTable(2, ((0, 1), (1, 1)), 0, (0, 1), ("1", "g"))
 
+    # Per row: the table's arguments after its order, and the one-line refusal.
+    C2 = ((0, 1), (1, 0))
+    C3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    BAD_TABLES = {
+        "short table": ((2, ((0, 1),), 0, (0, 1), "ab"),
+                        "product table must be an order x order index table"),
+        "entry out of range": ((2, ((0, 1), (1, 2)), 0, (0, 1), "ab"),
+                               "product table must be an order x order index table"),
+        "short inverse": ((2, C2, 0, (0,), "ab"),
+                          "inverse and element_names must have length order"),
+        "identity out of range": ((2, C2, 5, (0, 1), "ab"),
+                                  "identity 5 is not an element of a group of order 2"),
+        "negative identity": ((2, C2, -1, (0, 1), "ab"),
+                              "identity -1 is not an element of a group of order 2"),
+        "inverse out of range": ((2, C2, 0, (0, 7), "ab"),
+                                 "inverse[1] = 7 is not an element of a group of order 2"),
+        "negative inverse": ((2, C2, 0, (-2, 1), "ab"),
+                             "inverse[0] = -2 is not an element of a group of order 2"),
+        "identity law": ((2, C2, 1, (0, 1), "ab"), "identity law fails"),
+        "inverse law": ((3, C3, 0, (0, 1, 2), "abc"), "inverse law fails"),
+        "associativity": ((3, ((0, 1, 2), (1, 0, 1), (2, 1, 0)), 0, (0, 1, 2), "abc"),
+                          "associativity fails"),
+    }
+
+    @pytest.mark.parametrize("row", BAD_TABLES)
+    def test_each_bad_table_is_a_one_line_error(self, row):
+        args, message = self.BAD_TABLES[row]
+        with pytest.raises(ValueError) as caught:
+            GroupTable(*args)
+        assert str(caught.value) == message
+
+    def test_a_cyclic_group_needs_an_element(self):
+        with pytest.raises(ValueError, match="^cyclic group needs n >= 1$"):
+            cyclic_group(0)
+
 
 class TestTpp:
     def test_d4_preset_true(self):
@@ -103,6 +138,21 @@ class TestTpp:
         A, B = np.array([[3, 5]]), np.array([[2, 7], [4, 1]])
         out = cu_matmul(D4, S, T, U, A.tolist(), B.tolist(), CountContext())
         assert np.array_equal(grid_values(out), A @ B)
+
+    @pytest.mark.parametrize("subsets, message", [
+        (((9,), (0,), (0,)), "S[0] = 9 is not an element of a group of order 8"),
+        (((-4, 0), (6, 0), (7, 0)), "S[0] = -4 is not an element of a group of order 8"),
+        (((4, 0), (6, 8), (7, 0)), "T[1] = 8 is not an element of a group of order 8"),
+        (((4, 0), (6, 0), (7, -1)), "U[1] = -1 is not an element of a group of order 8"),
+    ])
+    def test_an_entry_that_is_no_element_is_a_one_line_error(self, subsets, message):
+        with pytest.raises(ValueError) as caught:
+            tpp_check(D4, *subsets)
+        assert str(caught.value) == message
+        ctx = CountContext()
+        with pytest.raises(ValueError) as caught:
+            cu_matmul(D4, *subsets, grid([[1, 2], [3, 4]]), grid([[5, 6], [7, 8]]), ctx)
+        assert str(caught.value) == message and ctx == CountContext()
 
     def test_a_repeated_element_is_refused(self):
         assert not tpp_check(D4, (4, 4), (6, 0), (7, 0))

@@ -14,12 +14,15 @@ import numpy as np
 import pytest
 
 from bilinear_kernels import (CountContext, LevelSpec, SchemaError, SparsityPattern,
-                              StructureKind, TrackedScalar, TrackedVector, blocked_simultaneous,
-                              certify_rank, circulant_inverse, circulant_matvec, commutator_2x2,
-                              cu_matmul, cyclic_group, d4_simultaneous, dft, dihedral8,
-                              extract_decomposition, f_circulant_inverse, f_circulant_matvec,
-                              formula_count, gauss_complex_mul, group_algebra_mul, idft,
-                              naive_matvec, param_count, parse_matrix, scaled_dft, scaled_idft,
+                              StructureKind, Tensor3, TrackedScalar, TrackedVector,
+                              blocked_simultaneous, build_structure_tensor, certify_rank,
+                              circulant_inverse, circulant_matvec, commutator_2x2,
+                              complex_mul_decomposition, cu_matmul, cyclic_group,
+                              d4_simultaneous, dft, dihedral8, extract_decomposition,
+                              f_circulant_inverse, f_circulant_matvec, formula_count,
+                              gauss_complex_mul, group_algebra_mul, idft, multilevel_matvec,
+                              naive_matvec, param_count, parse_decomposition, parse_matrix,
+                              parse_vector, root_table, scaled_dft, scaled_idft,
                               serialize_matrix, structure_tensor, structured, structured_matvec,
                               symmetric_matvec, toeplitz_matmul, toeplitz_matvec, tph_matvec,
                               variables, x8_simultaneous)
@@ -460,3 +463,105 @@ def test_the_commutator_refuses_a_factor_that_is_not_2x2(factor):
         with pytest.raises(ValueError, match="^commutator_2x2 expects 2x2 factors$"):
             commutator_2x2(*pair, ctx)
         assert ctx == CountContext()
+
+
+# ---------------------------------------------------------------------------
+# The readers' refusals, and the shape refusals of the kernels and builders
+# outside the table: each one line
+# ---------------------------------------------------------------------------
+
+_SPARSE2 = '{"kind": "sparse", "n": 2, "omega": %s, "data": [[1, 0], [1, 0]]}'
+_MULTI4 = '{"kind": "multilevel", "n": 4, "levels": %s, "data": []}'
+_TERM = '{"dims": [1, 1, 1], "terms": [%s]}'
+READER_REFUSALS = {
+    "matrix not JSON": (lambda: parse_matrix("{"),
+                        "offset 1: invalid JSON (Expecting property name enclosed in double "
+                        "quotes)"),
+    "matrix not an object": (lambda: parse_matrix("[]"), "top level: expected an object"),
+    "matrix without data": (lambda: parse_matrix('{"kind": "toeplitz", "n": 2}'),
+                            "top level: missing 'data'"),
+    "matrix order not an integer": (lambda: parse_matrix(_doc(kind="toeplitz", n=2.0)),
+                                    "n: expected an integer"),
+    "pattern not a list": (lambda: parse_matrix(_SPARSE2 % "3"),
+                           "omega: expected a list of [i, j] pairs"),
+    "pattern pair not integers": (lambda: parse_matrix(_SPARSE2 % "[[0, 1.5]]"),
+                                  "omega[0]: expected [i, j] with integer indices"),
+    "pattern entry outside": (lambda: parse_matrix(_SPARSE2 % "[[0, 2], [1, 1]]"),
+                              "omega: pattern entry (0,2) outside 2x2"),
+    "pattern entry twice": (lambda: parse_matrix(_SPARSE2 % "[[0, 1], [0, 1]]"),
+                            "omega: duplicate pattern entry (0,1)"),
+    "levels not a list": (lambda: parse_matrix(_MULTI4 % "3"), "levels: expected a list"),
+    "level without n": (lambda: parse_matrix(_MULTI4 % '[{"kind": "toeplitz"}]'),
+                        "levels[0]: expected an object with kind and n"),
+    "level order not an integer":
+        (lambda: parse_matrix(_MULTI4 % '[{"kind": "toeplitz", "n": "2"}]'),
+         "levels[0].n: expected an integer"),
+    "data not a list": (lambda: parse_matrix('{"kind": "toeplitz", "n": 2, "data": 3}'),
+                        "data: expected a list"),
+    "vector not JSON": (lambda: parse_vector("{"),
+                        "offset 1: invalid JSON (Expecting property name enclosed in double "
+                        "quotes)"),
+    "vector without data": (lambda: parse_vector('{"n": 2}'),
+                            "top level: expected an object with n and data"),
+    "vector order 0": (lambda: parse_vector('{"n": 0, "data": []}'),
+                       "n: expected a positive integer"),
+    "vector data not a list": (lambda: parse_vector('{"n": 2, "data": 3}'),
+                               "data: expected 2 entries"),
+    "decomposition not JSON": (lambda: parse_decomposition("{"),
+                               "offset 1: invalid JSON (Expecting property name enclosed in "
+                               "double quotes)"),
+    "decomposition without terms": (lambda: parse_decomposition('{"dims": [1, 1, 1]}'),
+                                    "top level: expected an object with dims and terms"),
+    "dims not positive": (lambda: parse_decomposition('{"dims": [1, 0, 1], "terms": []}'),
+                          "dims: expected three positive integers"),
+    "terms not a list": (lambda: parse_decomposition('{"dims": [1, 1, 1], "terms": {}}'),
+                         "terms: expected a list"),
+    "term without factors": (lambda: parse_decomposition(_TERM % '{"lambda": [1, 0]}'),
+                             "terms[0]: expected an object with lambda, u, v, w"),
+    "factor not a list":
+        (lambda: parse_decomposition(_TERM % '{"lambda": [1, 0], "u": 3, "v": [], "w": []}'),
+         "terms[0].u: expected a list of [re, im]"),
+}
+
+
+@pytest.mark.parametrize("row", READER_REFUSALS)
+def test_each_reader_refusal_is_a_schema_error_at_its_position(row):
+    read, message = READER_REFUSALS[row]
+    with pytest.raises(SchemaError) as caught:
+        read()
+    assert str(caught.value) == message
+
+
+SQUARE = [[1, 2], [3, 4]]
+SHAPE_REFUSALS = {
+    "tph of unequal lengths": (lambda: tph_matvec([1, 2, 3], [1, 2, 3, 4, 5], [1, 2],
+                                                  CountContext()),
+                               "tph needs as many anti-diagonals as diagonals, got 5 and 3"),
+    "multilevel product of one level":
+        (lambda: multilevel_matvec(structured("toeplitz", 2, [1, 2, 3]), [1, 2], CountContext()),
+         "multilevel_matvec expects a multilevel matrix"),
+    "group algebra product of the wrong length":
+        (lambda: group_algebra_mul(cyclic_group(3), [1, 2], [1, 2, 3], CountContext()),
+         "coefficient vectors must have length equal to the group order"),
+    "blocked variant": (lambda: blocked_simultaneous(SQUARE, SQUARE, "h", CountContext()),
+                        "variant must be 'f' or 'g'"),
+    "blocked shape": (lambda: blocked_simultaneous(NINE, SQUARE, "f", CountContext()),
+                      "blocked_simultaneous expects a 2x2 A and a 2-row B"),
+    "blocked odd columns": (lambda: blocked_simultaneous(SQUARE, NINE[:2], "g", CountContext()),
+                            "B must have an even number of columns"),
+    "matmul tensor without m and p": (lambda: build_structure_tensor("matmul", n=2),
+                                      "matmul tensor needs m, n, p"),
+    "unknown complex product preset": (lambda: complex_mul_decomposition("nope"),
+                                       "unknown preset 'nope' (expected usual, gauss, or cube)"),
+    "tensor with an empty dimension": (lambda: Tensor3(np.zeros((1, 0, 2))),
+                                       "tensor dims must be positive"),
+    "root table of order 0": (lambda: root_table(0), "root table needs n >= 1"),
+}
+
+
+@pytest.mark.parametrize("row", SHAPE_REFUSALS)
+def test_each_shape_refusal_is_a_one_line_value_error(row):
+    run, message = SHAPE_REFUSALS[row]
+    with pytest.raises(ValueError) as caught:
+        run()
+    assert str(caught.value) == message
