@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce, wraps
 from itertools import repeat
-from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -141,12 +140,12 @@ class CountContext:
 
 
 _KIND_OF_FLAG = (Kind.CONSTANT, Kind.VARIABLE)
-_value_of, _kind_of = attrgetter("value"), attrgetter("kind")
+_VARIABLE = Kind.VARIABLE       # a member read through its Enum class costs a lookup each time
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:
     """Mark an array read-only in place and return it."""
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -533,45 +532,51 @@ def number(v) -> complex:
     return complex(v)
 
 
+# Entry types read with no call per entry; numpy reads the plain numbers as complex() does.
+_SCALAR_TYPES = {TrackedScalar}
+_PLAIN_NUMBERS = {complex, float, int}
+
+
 def as_vector(x) -> TrackedVector:
-    """A kernel's operand: a TrackedVector, a sequence of TrackedScalars, or
-    raw numbers, a sequence of them or a numeric numpy array, whose entries
-    become Variables as structured() makes them.  Anything else, a sequence
-    that mixes scalars and numbers or holds text among them, is a one-line
-    TypeError.  Scalars that are all Variable, and raw numbers, give the
-    all-Variable marker."""
+    """Every vector operand (a kernel's parameters and x, a matrix's data, a
+    grid's entries), by one rule.  A TrackedVector or a numeric numpy array
+    is read whole, and the result may share its arrays; a sequence of
+    TrackedScalars, of raw numbers or of both is read entry by entry, on a
+    path chosen from the entries' types, raw numbers as Variables.  Variables
+    and raw numbers alone give the marker.  An operand that is not one 1-D
+    vector (a block, a 0-d array) is one_vector's one-line ValueError; text,
+    or an entry that is not a number, is a one-line TypeError (number)."""
     if isinstance(x, TrackedVector):
-        return x
-    if isinstance(x, np.ndarray) and x.ndim == 1 and x.dtype.kind in "biufc":
-        return variable_vector(x)
-    if isinstance(x, (str, bytes)):
+        vec = x
+    elif isinstance(x, np.ndarray) and x.dtype.kind in "biufc":
+        vec = variable_vector(x)
+    elif isinstance(x, (str, bytes)):
         raise TypeError(f"expected a sequence of tracked scalars or numbers, got "
                         f"{type(x).__name__} {x!r:.40}")
-    items = list(x)
-    n = len(items)
-    try:
-        values = np.fromiter(map(_value_of, items), dtype=complex, count=n)
-        kinds = list(map(_kind_of, items))
-    except AttributeError:      # not every item is a TrackedScalar
-        pass
     else:
-        if kinds.count(Kind.VARIABLE) == n:
+        items = list(x)
+        types = {v.__class__ for v in items}
+        if types != _SCALAR_TYPES:
+            if types <= _PLAIN_NUMBERS:
+                return TrackedVector(np.array(items, dtype=complex), None)
+            items = [v if isinstance(v, TrackedScalar) else TrackedScalar(number(v), _VARIABLE)
+                     for v in items]
+        values = np.array([s.value for s in items], dtype=complex)
+        kinds = [s.kind for s in items]
+        if kinds.count(_VARIABLE) == len(kinds):
             return TrackedVector(values, None)
-        return TrackedVector(values, np.fromiter(map(operator.is_, kinds, repeat(Kind.VARIABLE)),
-                                                 dtype=bool, count=n))
-    values = []
-    for v in items:
-        try:
-            values.append(number(v))
-        except (TypeError, ValueError):
-            raise TypeError(f"expected all tracked scalars or all numbers, got "
-                            f"{type(v).__name__} {v!r:.40}") from None
-    return variable_vector(values)
+        return TrackedVector(values, np.array([k is _VARIABLE for k in kinds], dtype=bool))
+    ndim = vec.values.ndim
+    if ndim != 1:
+        if not ndim:
+            raise ValueError("expected one vector, got an operand of shape ()")
+        one_vector(vec, len(vec))
+    return vec
 
 
 def to_scalars(vec: TrackedVector) -> list[TrackedScalar]:
     flags = vec.flags
-    kinds = (repeat(Kind.VARIABLE) if flags is None
+    kinds = (repeat(_VARIABLE) if flags is None
              else map(_KIND_OF_FLAG.__getitem__, flags.tolist()))
     return _scalars(vec.values.astype(complex, copy=False).tolist(), kinds)
 
@@ -689,9 +694,9 @@ def match_output(x_input, vec: TrackedVector):
 
 def as_matrix(rows) -> TrackedVector:
     """A kernel's grid operand as a 2-D TrackedVector: itself, a 2-D numeric
-    numpy array read whole, or rows whose entries as_vector takes together
-    (TrackedScalars, read with no check per entry, or raw numbers); so a
-    grid of Variables or of raw numbers carries the all-Variable marker."""
+    numpy array read whole, or rows whose entries as_vector reads together
+    by its one rule; so a grid of Variables or of raw numbers carries the
+    all-Variable marker."""
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "biufc":
         rows = variable_vector(rows)
     if isinstance(rows, TrackedVector):

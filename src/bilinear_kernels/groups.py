@@ -27,9 +27,9 @@ class GroupTable:
     """A finite group given by an explicit multiplication table.
 
     product[a, b] is the index of the product of elements a and b.  At
-    construction the table's shape and entries, and the identity and every
-    inverse as element indices, are checked first, each a one-line
-    ValueError; then the group laws, exhaustively for order <= 64.
+    construction the table's shape, and its entries, the identity and every
+    inverse as element indices (_is_element), are checked first, each a
+    one-line ValueError; then the group laws, exhaustively for order <= 64.
     """
 
     order: int
@@ -40,15 +40,19 @@ class GroupTable:
 
     def __post_init__(self):
         n = self.order
-        P = np.array(self.product, dtype=int)
-        if P.shape != (n, n) or P.min() < 0 or P.max() >= n:
+        P = np.array(self.product)
+        if P.shape != (n, n):
             raise ValueError("product table must be an order x order index table")
+        if P.dtype.kind not in "iu" or P.min() < 0 or P.max() >= n:    # name the first bad entry
+            for a, row in enumerate(self.product):
+                _check_elements(n, row, f"product[{a}]")
         if len(self.inverse) != n or len(self.element_names) != n:
             raise ValueError("inverse and element_names must have length order")
-        if not 0 <= self.identity < n:
-            raise ValueError(f"identity {self.identity} is not an element of a group of order {n}")
-        _check_elements(n, self.inverse, "inverse")
         e = self.identity
+        if not _is_element(e, n):
+            raise ValueError(f"identity {e!r} is not an element of a group of order {n}")
+        _check_elements(n, self.inverse, "inverse")
+        P = P.astype(int)
         if not (np.all(P[e] == np.arange(n)) and np.all(P[:, e] == np.arange(n))):
             raise ValueError("identity law fails")
         inv = np.array(self.inverse, dtype=int)
@@ -67,12 +71,18 @@ class GroupTable:
         return self.product[a][b]
 
 
+def _is_element(x, order: int) -> bool:
+    """x is an element index of a group of the order: a Python or numpy
+    integer in 0..order-1."""
+    return isinstance(x, (int, np.integer)) and 0 <= x < order
+
+
 def _check_elements(order: int, entries: Sequence[int], name: str) -> None:
-    """Each entry is an element index of a group of the order: the first
-    that is not is a one-line ValueError that names it as name[k]."""
+    """Each entry is an element index of a group of the order (_is_element):
+    the first that is not is a one-line ValueError that names it as name[k]."""
     for k, x in enumerate(entries):
-        if not 0 <= x < order:
-            raise ValueError(f"{name}[{k}] = {x} is not an element of a group of order {order}")
+        if not _is_element(x, order):
+            raise ValueError(f"{name}[{k}] = {x!r} is not an element of a group of order {order}")
 
 
 def cyclic_group(n: int) -> GroupTable:

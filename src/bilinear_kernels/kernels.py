@@ -231,7 +231,7 @@ def _inverse(kind: StructureKind, c, f: complex | None, ctx: CountContext):
     and W reads the coefficients of its reciprocal, parameter q at row
     (q - 1) mod n.  Non-finite parameters are refused before any transform."""
     cv = as_vector(c)
-    n = len(one_vector(cv, len(cv)))
+    n = len(cv)
     check_structure(kind, n, f, size=n)
     if (bad := ~np.isfinite(cv.values)).any():
         raise ValueError(f"{kind.value} parameters {np.flatnonzero(bad).tolist()} are not finite")
@@ -273,7 +273,7 @@ def triangular_toeplitz_matvec(a, x, ctx: CountContext):
 def tph_matvec(t, h, x, ctx: CountContext):
     """(Toeplitz + Hankel) product in 4n-4 multiplications (1 at n = 1): moving the
     matrices that are both between its two (2n-1)-point frames empties two bins."""
-    tv, hv = (one_vector(v, len(v)) for v in (as_vector(t), as_vector(h)))
+    tv, hv = as_vector(t), as_vector(h)
     if len(tv) != len(hv):
         raise ValueError(f"tph needs as many anti-diagonals as diagonals, "
                          f"got {len(hv)} and {len(tv)}")
@@ -397,9 +397,9 @@ SPECS: dict[StructureKind, StructureSpec] = {
 
 
 def _run(kind: StructureKind, data, x, ctx: CountContext, f: complex | None = None):
-    """A public per-kind product: read the data and then x by the kernels'
-    operand rule (as_vector), build the order-len(x) matrix of the data (it
-    keeps its own copy), and return structured_matvec's product in x's form."""
+    """A public per-kind product: read the data and then x (as_vector), so
+    bad data is the error reported first, build the order-len(x) matrix of
+    the data, and return structured_matvec's product in x's form."""
     dv, xv = as_vector(data), as_vector(x)
     M = StructuredMatrix(kind, len(xv), dv, f)
     return match_output(x, structured_matvec(M, xv, ctx))

@@ -25,14 +25,12 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, _stored, as_matrix,
-                       as_vector, match_output, number, one_vector, read_only, to_grid,
-                       to_scalars)
+                       as_vector, match_output, one_vector, read_only, to_grid, to_scalars)
 
 
 class SchemaError(ValueError):
@@ -239,11 +237,11 @@ class StructuredMatrix:
     order, the f, pattern or levels its kind takes, and what its products
     keep (its parameters as a vector, its symbol, its levels' triples).
 
-    The one constructor converts data once into the matrix's data vector, a
-    read-only TrackedVector that every product and the oracle read
-    (_parameters), and then checks the matrix and its size
-    (check_structure): a kind name becomes its StructureKind and a
-    single-level kind its own level.  ``data`` is the parameters as
+    The one constructor reads data once (counting.as_vector) into the
+    matrix's data vector, a read-only TrackedVector of its own that every
+    product and the oracle read (_parameters), and then checks the matrix
+    and its size (check_structure): a kind name becomes its StructureKind
+    and a single-level kind its own level.  ``data`` is the parameters as
     TrackedScalars, built from that vector on first read and kept
     (__getattr__), so equality, hashing, repr and serialization see the
     same tuple however the matrix was made.
@@ -317,42 +315,27 @@ class StructuredMatrix:
         return vec
 
 
-# Types that numpy converts to complex as complex() does, with no call per entry.
-_PLAIN_NUMBERS = {complex, float, int}
-
-
 def _parameters(data) -> TrackedVector:
-    """A matrix's parameters as one read-only TrackedVector of its own: a
-    TrackedVector (one vector) copied, or TrackedScalars, alone or mixed
-    with raw numbers, read by as_vector.  Raw numbers are Variables, and
-    raw numbers alone carry the all-Variable marker: plain Python numbers
-    go to numpy whole, any other number through counting.number first, so
-    that text, or a value complex() refuses, is a one-line TypeError, as is
-    text given as the data."""
-    flags = None
-    if isinstance(data, TrackedVector):
-        values, flags = one_vector(data, len(data)).values.astype(complex), data.flags
-        flags = None if flags is None else flags.astype(bool)
-    elif isinstance(data, (str, bytes)):
-        raise TypeError(f"expected parameters, got {type(data).__name__} {data!r:.40}")
-    else:
-        data = list(data)
-        if not set(map(type, data)) <= _PLAIN_NUMBERS:
-            if any(map(isinstance, data, repeat(TrackedScalar))):
-                vec = as_vector([d if isinstance(d, TrackedScalar)
-                                 else TrackedScalar(number(d), Kind.VARIABLE) for d in data])
-                data, flags = vec.values, vec.flags
-            else:
-                data = [number(d) for d in data]
-        values = np.asarray(data, dtype=complex)
-    return TrackedVector(read_only(values), None if flags is None else read_only(flags))
+    """A matrix's parameters, read by the one operand rule (as_vector), as
+    one read-only TrackedVector of its own: what the caller passed in, a
+    TrackedVector or an array, is copied."""
+    vec = as_vector(data)
+    if isinstance(data, (TrackedVector, np.ndarray)):
+        flags = vec.flags
+        vec = TrackedVector(vec.values.astype(complex),
+                            None if flags is None else flags.astype(bool))
+    read_only(vec.values)
+    if vec.flags is not None:
+        read_only(vec.flags)
+    return vec
 
 
 def structured(kind: StructureKind, n: int, data, f: complex | None = None,
                pattern: SparsityPattern | None = None,
                levels: Sequence[LevelSpec] | None = None) -> StructuredMatrix:
     """The matrix StructuredMatrix(kind, n, data, f, pattern, levels), by
-    the name the library builds its matrices with."""
+    the name the library builds its matrices with; data is read as every
+    vector operand is (counting.as_vector)."""
     return StructuredMatrix(kind, n, data, f, pattern, levels)
 
 

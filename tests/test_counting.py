@@ -147,9 +147,11 @@ def test_as_vector_converts_any_sequence_of_scalars():
     assert (empty.values.dtype, empty.variable.dtype) == (complex, bool)
     raw = as_vector([3j])
     assert raw.values.tolist() == [3j] and raw.variable.tolist() == [True]
-    for bad in ([variable(1), 2.0], [variable(1), (1, 2)]):
-        with pytest.raises(TypeError, match="^expected all tracked scalars or all numbers, got "):
-            as_vector(bad)
+    mixed = as_vector([variable(1), 2.0])          # raw numbers among scalars are Variables
+    assert mixed.values.tolist() == [1, 2] and mixed.flags is None
+    with pytest.raises(TypeError, match=r"^complex\(\) first argument must be a string or a "
+                                        r"number, not 'tuple'$"):
+        as_vector([variable(1), (1, 2)])
 
 
 def flag_cases(n: int) -> list[np.ndarray]:

@@ -161,8 +161,8 @@ def test_the_constructor_and_structured_build_one_matrix_of_each_data_form(form)
 
 
 @pytest.mark.parametrize("data, message", [
-    ("123", "expected parameters, got str '123'"),
-    (b"123", "expected parameters, got bytes b'123'"),
+    ("123", "expected a sequence of tracked scalars or numbers, got str '123'"),
+    (b"123", "expected a sequence of tracked scalars or numbers, got bytes b'123'"),
     (["1", "2", "3"], "expected a number, got str '1'"),
     ([variable(1), "2", 3], "expected a number, got str '2'"),
 ])
@@ -304,12 +304,26 @@ def test_toeplitz_matmul_takes_plain_diagonals():
     assert ctx == ref_ctx
 
 
-@pytest.mark.parametrize("bad", [[1.0, "x"], [1.0, None], [variable(1.0), 2.0],
-                                 [1.0, [2.0]], np.ones((2, 2)), np.array(["a", "b"])])
-def test_a_kernel_operand_that_is_not_numbers_is_a_one_line_type_error(bad):
-    with pytest.raises(TypeError) as caught:
-        circulant_matvec(bad, [1.0, 2.0], CountContext())
-    assert "\n" not in str(caught.value)
-    assert str(caught.value).startswith("expected all tracked scalars or all numbers")
-    with pytest.raises(TypeError):
-        structured_matvec(structured(StructureKind.CIRCULANT, 2, [1, 2]), bad, CountContext())
+@pytest.mark.parametrize("bad, error, message", [
+    ([1.0, "x"], TypeError, "expected a number, got str 'x'"),
+    ([1.0, None], TypeError, "complex() first argument must be a string or a number, "
+                             "not 'NoneType'"),
+    ([variable(1.0), 2.0], None, None),                 # raw numbers among scalars are read
+    ([1.0, [2.0]], TypeError, "complex() first argument must be a string or a number, "
+                              "not 'list'"),
+    (np.ones((2, 2)), ValueError, "expected one vector of length 2, got an operand of "
+                                  "shape (2, 2)"),
+    (np.array(["a", "b"]), TypeError, "expected a number, got str_ np.str_('a')"),
+], ids=[f"bad{k}" for k in range(6)])
+def test_a_kernel_operand_that_is_not_numbers_is_a_one_line_type_error(bad, error, message):
+    M = structured(StructureKind.CIRCULANT, 2, [1, 2])
+    if error is None:
+        want = structured_matvec(M, variables([1, 2]), CountContext())
+        assert circulant_matvec(bad, [1.0, 2.0], CountContext()) == want
+        assert structured_matvec(M, bad, CountContext()) == want
+        return
+    for run in (lambda: circulant_matvec(bad, [1.0, 2.0], CountContext()),
+                lambda: structured_matvec(M, bad, CountContext())):
+        with pytest.raises(error) as caught:
+            run()
+        assert str(caught.value) == message

@@ -77,7 +77,7 @@ class TestGroupTables:
         "short table": ((2, ((0, 1),), 0, (0, 1), "ab"),
                         "product table must be an order x order index table"),
         "entry out of range": ((2, ((0, 1), (1, 2)), 0, (0, 1), "ab"),
-                               "product table must be an order x order index table"),
+                               "product[1][1] = 2 is not an element of a group of order 2"),
         "short inverse": ((2, C2, 0, (0,), "ab"),
                           "inverse and element_names must have length order"),
         "identity out of range": ((2, C2, 5, (0, 1), "ab"),
@@ -88,6 +88,14 @@ class TestGroupTables:
                                  "inverse[1] = 7 is not an element of a group of order 2"),
         "negative inverse": ((2, C2, 0, (-2, 1), "ab"),
                              "inverse[0] = -2 is not an element of a group of order 2"),
+        "float entry": ((2, ((0, 1.5), (1, 0)), 0, (0, 1), "ab"),
+                        "product[0][1] = 1.5 is not an element of a group of order 2"),
+        "text entry": ((2, ((0, "1"), (1, 0)), 0, (0, 1), "ab"),
+                       "product[0][1] = '1' is not an element of a group of order 2"),
+        "float identity": ((2, C2, 0.5, (0, 1), "ab"),
+                           "identity 0.5 is not an element of a group of order 2"),
+        "float inverse": ((2, C2, 0, (0, 1.0), "ab"),
+                          "inverse[1] = 1.0 is not an element of a group of order 2"),
         "identity law": ((2, C2, 1, (0, 1), "ab"), "identity law fails"),
         "inverse law": ((3, C3, 0, (0, 1, 2), "abc"), "inverse law fails"),
         "associativity": ((3, ((0, 1, 2), (1, 0, 1), (2, 1, 0)), 0, (0, 1, 2), "abc"),
@@ -100,6 +108,10 @@ class TestGroupTables:
         with pytest.raises(ValueError) as caught:
             GroupTable(*args)
         assert str(caught.value) == message
+
+    def test_numpy_integer_entries_are_element_indices(self):
+        G = GroupTable(2, np.array(self.C2), np.int64(0), (np.int64(0), np.int64(1)), "ab")
+        assert G.mul(1, 1) == 0 and G.identity == 0
 
     def test_a_cyclic_group_needs_an_element(self):
         with pytest.raises(ValueError, match="^cyclic group needs n >= 1$"):
@@ -144,6 +156,10 @@ class TestTpp:
         (((-4, 0), (6, 0), (7, 0)), "S[0] = -4 is not an element of a group of order 8"),
         (((4, 0), (6, 8), (7, 0)), "T[1] = 8 is not an element of a group of order 8"),
         (((4, 0), (6, 0), (7, -1)), "U[1] = -1 is not an element of a group of order 8"),
+        (((1.5,), (0,), (0,)), "S[0] = 1.5 is not an element of a group of order 8"),
+        (((4.0, 0), (6, 0), (7, 0)), "S[0] = 4.0 is not an element of a group of order 8"),
+        (((4, 0), (6, "0"), (7, 0)), "T[1] = '0' is not an element of a group of order 8"),
+        (((4, 0), (6, 0), (7, None)), "U[1] = None is not an element of a group of order 8"),
     ])
     def test_an_entry_that_is_no_element_is_a_one_line_error(self, subsets, message):
         with pytest.raises(ValueError) as caught:
@@ -153,6 +169,9 @@ class TestTpp:
         with pytest.raises(ValueError) as caught:
             cu_matmul(D4, *subsets, grid([[1, 2], [3, 4]]), grid([[5, 6], [7, 8]]), ctx)
         assert str(caught.value) == message and ctx == CountContext()
+
+    def test_numpy_integer_subset_entries_are_element_indices(self):
+        assert tpp_check(dihedral8(), (np.int64(4), 0), (6, 0), (7, 0))
 
     def test_a_repeated_element_is_refused(self):
         assert not tpp_check(D4, (4, 4), (6, 0), (7, 0))

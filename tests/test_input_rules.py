@@ -14,18 +14,18 @@ import numpy as np
 import pytest
 
 from bilinear_kernels import (CountContext, LevelSpec, SchemaError, SparsityPattern,
-                              StructureKind, Tensor3, TrackedScalar, TrackedVector,
-                              blocked_simultaneous, build_structure_tensor, certify_rank,
-                              circulant_inverse, circulant_matvec, commutator_2x2,
+                              StructureKind, StructuredMatrix, Tensor3, TrackedScalar,
+                              TrackedVector, blocked_simultaneous, build_structure_tensor,
+                              certify_rank, circulant_inverse, circulant_matvec, commutator_2x2,
                               complex_mul_decomposition, cu_matmul, cyclic_group,
                               d4_simultaneous, dft, dihedral8, extract_decomposition,
                               f_circulant_inverse, f_circulant_matvec, formula_count,
                               gauss_complex_mul, group_algebra_mul, idft, multilevel_matvec,
                               naive_matvec, param_count, parse_decomposition, parse_matrix,
                               parse_vector, root_table, scaled_dft, scaled_idft,
-                              serialize_matrix, structure_tensor, structured, structured_matvec,
-                              symmetric_matvec, toeplitz_matmul, toeplitz_matvec, tph_matvec,
-                              variables, x8_simultaneous)
+                              serialize_matrix, serialize_vector, structure_tensor, structured,
+                              structured_matvec, symmetric_matvec, to_scalars, toeplitz_matmul,
+                              toeplitz_matvec, tph_matvec, variables, x8_simultaneous)
 from bilinear_kernels.cli import main
 from bilinear_kernels.structures import InputError, check_structure
 
@@ -244,8 +244,8 @@ def test_toeplitz_matmul_of_empty_operands_is_its_shape_error():
 
 def test_toeplitz_matmul_of_a_block_of_diagonals_is_its_shape_error():
     ctx = CountContext()
-    with pytest.raises(ValueError, match="^toeplitz_matmul expects 2n-1 diagonals and an "
-                                         "n x n factor$"):
+    with pytest.raises(ValueError, match=r"^expected one vector of length 3, got an operand "
+                                         r"of shape \(3, 2\)$"):
         toeplitz_matmul(TrackedVector(np.ones((3, 2)), None), [[1, 2], [3, 4]], ctx)
     assert ctx == CountContext()
 
@@ -339,6 +339,10 @@ def test_numpy_scalars_read_as_numbers(name, call):
 
 @pytest.mark.parametrize("bad", [[["a", 2], [3, 4]], [[variables([1])[0], 2], [3, 4]]])
 def test_a_grid_that_is_not_numbers_is_a_one_line_type_error(bad):
+    if isinstance(bad[0][0], TrackedScalar):        # raw numbers among scalars are read
+        want = commutator_2x2([variables(row) for row in [[1, 2], [3, 4]]], B, CountContext())
+        assert commutator_2x2(bad, B, CountContext()) == want
+        return
     with pytest.raises(TypeError) as caught:
         commutator_2x2(bad, B, CountContext())
     assert "\n" not in str(caught.value)
@@ -389,29 +393,30 @@ TEXT_CALLS = {
     "bytes operand": (lambda: circulant_matvec([1, 2], b"34", CountContext()),
                       "expected a sequence of tracked scalars or numbers, got bytes b'34'"),
     "str items": (lambda: circulant_matvec(["1", "2"], [3, 4], CountContext()),
-                  "expected all tracked scalars or all numbers, got str '1'"),
+                  "expected a number, got str '1'"),
     "numpy str items": (lambda: toeplitz_matvec([1, 2, 3], np.array(["3", "4"]), CountContext()),
-                        "expected all tracked scalars or all numbers, got str_ np.str_('3')"),
+                        "expected a number, got str_ np.str_('3')"),
     "naive str x": (lambda: naive_matvec(structured("circulant", 2, [1, 2]), ["3", "4"],
                                          CountContext()),
-                    "expected all tracked scalars or all numbers, got str '3'"),
+                    "expected a number, got str '3'"),
     "structured str items": (lambda: structured("circulant", 2, ["1", "2"]),
                              "expected a number, got str '1'"),
     "structured str among scalars": (lambda: structured("circulant", 2, [variables([1])[0], "2"]),
                                      "expected a number, got str '2'"),
     "structured str data": (lambda: structured("circulant", 2, "12"),
-                            "expected parameters, got str '12'"),
-    "structured bytes data": (lambda: structured("circulant", 2, b"12"),
-                              "expected parameters, got bytes b'12'"),
+                            "expected a sequence of tracked scalars or numbers, got str '12'"),
+    "structured bytes data":
+        (lambda: structured("circulant", 2, b"12"),
+         "expected a sequence of tracked scalars or numbers, got bytes b'12'"),
     "group str operand": (lambda: group_algebra_mul(cyclic_group(2), "12", [3, 4],
                                                     CountContext()),
                           "expected a sequence of tracked scalars or numbers, got str '12'"),
     "group str items": (lambda: group_algebra_mul(cyclic_group(2), [1, 2], ["3", "4"],
                                                   CountContext()),
-                        "expected all tracked scalars or all numbers, got str '3'"),
+                        "expected a number, got str '3'"),
     "cu_matmul str grid": (lambda: cu_matmul(dihedral8(), (4, 0), (6, 0), (7, 0),
                                              [["1", 2], [3, 4]], B, CountContext()),
-                           "expected all tracked scalars or all numbers, got str '1'"),
+                           "expected a number, got str '1'"),
 }
 
 
@@ -565,3 +570,85 @@ def test_each_shape_refusal_is_a_one_line_value_error(row):
     with pytest.raises(ValueError) as caught:
         run()
     assert str(caught.value) == message
+
+
+# ---------------------------------------------------------------------------
+# One rule reads every vector operand (counting.as_vector)
+# ---------------------------------------------------------------------------
+
+V3, C3 = [2, 1 + 1j, -1], [1, 2, 3]
+
+# Each entry point with its vector operand v of length 3 (its other
+# operands fixed), run on ctx.
+VECTOR_READERS = {
+    "structured data": lambda v, ctx: structured_matvec(structured("circulant", 3, v), C3, ctx),
+    "StructuredMatrix data": lambda v, ctx: StructuredMatrix(StructureKind.CIRCULANT, 3, v),
+    "kernel parameters": lambda v, ctx: circulant_matvec(v, C3, ctx),
+    "kernel x": lambda v, ctx: circulant_matvec(C3, v, ctx),
+    "tph t": lambda v, ctx: tph_matvec(v, C3, [1, 2], ctx),
+    "tph h": lambda v, ctx: tph_matvec(C3, v, [1, 2], ctx),
+    "circulant_inverse": lambda v, ctx: circulant_inverse(v, ctx),
+    "structured_matvec x":
+        lambda v, ctx: structured_matvec(structured("circulant", 3, C3), v, ctx),
+    "naive_matvec x": lambda v, ctx: naive_matvec(structured("circulant", 3, C3), v, ctx),
+    "dft": lambda v, ctx: dft(v, ctx),
+    "group_algebra_mul": lambda v, ctx: group_algebra_mul(cyclic_group(3), v, C3, ctx),
+    "toeplitz_matmul t": lambda v, ctx: toeplitz_matmul(v, [[1, 2], [3, 4]], ctx),
+    "serialize_vector": lambda v, ctx: serialize_vector(v),
+}
+
+VECTOR_FORMS = {
+    "tracked scalars": lambda: variables(V3),
+    "plain numbers": lambda: list(V3),
+    "1-D array": lambda: np.array(V3),
+    "scalars mixed with numbers": lambda: [variables(V3)[0], *V3[1:]],
+    "2-D array": lambda: np.ones((3, 2)),
+    "0-d array": lambda: np.array(2.0),
+    "TrackedVector block": lambda: TrackedVector(np.ones((3, 2), dtype=complex), None),
+    "text": lambda: "123",
+    "text among numbers": lambda: [2, "1", -1],
+}
+
+# The refused forms, each with its error at every entry point; every other
+# form is read as the tracked scalars are.
+VECTOR_REFUSALS = {
+    "2-D array": (ValueError, "expected one vector of length 3, got an operand of shape (3, 2)"),
+    "0-d array": (ValueError, "expected one vector, got an operand of shape ()"),
+    "TrackedVector block":
+        (ValueError, "expected one vector of length 3, got an operand of shape (3, 2)"),
+    "text": (TypeError, "expected a sequence of tracked scalars or numbers, got str '123'"),
+    "text among numbers": (TypeError, "expected a number, got str '1'"),
+}
+
+
+def _read(out):
+    """A result as comparable values: a vector as its scalars."""
+    return to_scalars(out) if isinstance(out, TrackedVector) else out
+
+
+@pytest.mark.parametrize("form", VECTOR_FORMS)
+@pytest.mark.parametrize("reader", VECTOR_READERS)
+def test_every_vector_operand_is_read_by_one_rule(reader, form):
+    run = VECTOR_READERS[reader]
+    ref_ctx, ctx = CountContext(), CountContext()
+    want = _read(run(variables(V3), ref_ctx))
+    if form not in VECTOR_REFUSALS:
+        assert _read(run(VECTOR_FORMS[form](), ctx)) == want
+        assert ctx == ref_ctx
+        return
+    error, message = VECTOR_REFUSALS[form]
+    with pytest.raises(error) as caught:
+        run(VECTOR_FORMS[form](), ctx)
+    assert (type(caught.value), str(caught.value)) == (error, message)
+    assert ctx == CountContext()
+
+
+@pytest.mark.parametrize("transform", [dft, idft, lambda v, ctx: scaled_dft(v, 2, ctx),
+                                       lambda v, ctx: scaled_idft(v, 2, ctx)],
+                         ids=["dft", "idft", "scaled_dft", "scaled_idft"])
+def test_a_transform_refuses_a_block_with_its_shape(transform):
+    ctx = CountContext()
+    with pytest.raises(ValueError, match=r"^expected one vector of length 4, got an operand "
+                                         r"of shape \(4, 2\)$"):
+        transform(np.ones((4, 2)), ctx)
+    assert ctx == CountContext()
