@@ -17,6 +17,7 @@ import math
 import operator
 import sys
 from collections import OrderedDict, deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce, wraps
@@ -234,6 +235,20 @@ class ConstantMap:
         return np.dot(self.support, flags)
 
 
+# The most ranks a gather map adds rank by rank.  Against one gather of the
+# whole table (one BLAS thread, 3 to 1224 rows), two ranks of signs 1 win at
+# every size, whether rank 1 fills every row or half of them; at three the
+# table wins when every slot is live (no sign product), and at four in
+# most cases.
+_FEW_RANKS = 2
+
+
+def _along(signs: np.ndarray, ndim: int) -> np.ndarray:
+    """Signs shaped to scale what values of ndim axes gather, over the
+    values' trailing axes."""
+    return signs if ndim == 1 else signs.reshape(signs.shape + (1,) * (ndim - 1))
+
+
 class GatherMap:
     """A constant map whose output rows are short signed sums of gathered
     inputs: row i sums sign[k] * input[index[k]] over the terms k of row i.
@@ -244,11 +259,21 @@ class GatherMap:
     addition.  A row without terms is Constant zero.
 
     The terms are laid out as (rank, row) tables, a row's terms of nonzero
-    sign first, so values are summed over the leading ranks alone.
+    sign first, so values are summed over the leading ranks alone.  The
+    map chooses how it applies when it is built (``ranks``).  With few
+    ranks (_FEW_RANKS), rank 0 filling every row and each later rank live
+    on a prefix of the rows with signs 1, it gathers rank 0, multiplies it
+    by its signs unless they are all 1, and adds each later rank at its
+    prefix, through views of the table; a picking is then one gather.  Any
+    other map gathers its whole table and sums it over the ranks,
+    multiplying by the signs unless they are all 1.  Both give the
+    table's sums: numpy sums a table's ranks in order, and a sign of 1 or
+    an empty slot changes a sum only in the sign of a zero part or where
+    an input is not finite.
     """
 
     __slots__ = ("shape", "support", "padded", "terms", "signs", "reach", "full_reach", "nbytes",
-                 "cost")
+                 "cost", "ranks", "signed")
     parts = ("support", "terms", "signs", "reach")
 
     def __init__(self, shape: tuple[int, int], rows, index, sign=None):
@@ -277,6 +302,25 @@ class GatherMap:
         self.full_reach = bool(self.reach.all())
         self.nbytes = self.support.nbytes + self.terms.nbytes + self.signs.nbytes
         self.cost = (0, len(rows) - int(np.count_nonzero(counts)))
+        self._choose_form()
+
+    def _choose_form(self) -> None:
+        """Set ``signed``, whether the table's signs are not all 1, and
+        ``ranks``: None for the table, or rank 0's inputs and signs (None
+        when all 1) followed by each later rank's live rows, a prefix, and
+        their inputs, all views of the table."""
+        terms, signs = self.terms, self.signs
+        self.signed = not (signs == 1).all()
+        self.ranks = None
+        if not 0 < len(signs) <= _FEW_RANKS or not signs[0].all():
+            return
+        ranks = [(terms[0], signs[0] if (signs[0] != 1).any() else None)]
+        for r in range(1, len(signs)):
+            k = int(np.count_nonzero(signs[r]))
+            if (signs[r, :k] != 1).any():       # rows that are not a prefix, or signs not 1
+                return
+            ranks.append((slice(k), terms[r, :k]))
+        self.ranks = tuple(ranks)
 
     @classmethod
     def picking(cls, n: int, index) -> "GatherMap":
@@ -295,12 +339,23 @@ class GatherMap:
         out.reach, out.full_reach = read_only(np.ones(m, dtype=bool)), True
         out.nbytes = 2 * index.nbytes + out.signs.nbytes
         out.cost = (0, 0)
+        out.ranks, out.signed = ((index[0], None),), False
         return out
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        terms = values[self.terms]
-        terms *= self.signs.reshape(self.signs.shape + (1,) * (values.ndim - 1))
-        return terms.sum(axis=0)
+        ranks = self.ranks
+        if ranks is None:
+            terms = values[self.terms]
+            if self.signed:
+                terms *= _along(self.signs, values.ndim)
+            return terms.sum(axis=0)
+        index, sign = ranks[0]
+        out = values[index]
+        if sign is not None:
+            out *= _along(sign, values.ndim)
+        for rows, index in ranks[1:]:
+            out[rows] += values[index]
+        return out
 
     def dense(self) -> np.ndarray:
         """The signs summed at (row, term) in one bincount, rank by rank as
@@ -537,40 +592,61 @@ _SCALAR_TYPES = {TrackedScalar}
 _PLAIN_NUMBERS = {complex, float, int}
 
 
+def _not_one_vector(shape: tuple) -> ValueError:
+    """one_vector's error for an operand of this shape that is not one
+    vector, read as one of its leading length."""
+    if not shape:
+        return ValueError("expected one vector, got an operand of shape ()")
+    return ValueError(f"expected one vector of length {shape[0]}, got an operand of shape {shape}")
+
+
+def _nested(v) -> bool:
+    """Whether an entry of a sequence is itself a vector: an array of one
+    axis or more, or a sequence that is not text."""
+    if isinstance(v, np.ndarray):
+        return v.ndim > 0
+    return isinstance(v, Sequence) and not isinstance(v, (str, bytes))
+
+
 def as_vector(x) -> TrackedVector:
     """Every vector operand (a kernel's parameters and x, a matrix's data, a
     grid's entries), by one rule.  A TrackedVector or a numeric numpy array
     is read whole, and the result may share its arrays; a sequence of
-    TrackedScalars, of raw numbers or of both is read entry by entry, on a
-    path chosen from the entries' types, raw numbers as Variables.  Variables
-    and raw numbers alone give the marker.  An operand that is not one 1-D
-    vector (a block, a 0-d array) is one_vector's one-line ValueError; text,
-    or an entry that is not a number, is a one-line TypeError (number)."""
+    TrackedScalars, of raw numbers or of both is read entry by entry, raw
+    numbers as Variables.  A list of Variables is read in one pass over the
+    list itself; any other sequence on a path chosen from its entries'
+    types.  Variables and raw numbers alone give the marker.  An operand
+    that is not one 1-D vector (a block, a 0-d array: a numpy array of any
+    dtype and any other number of axes, or a sequence whose entries are all
+    sequences or arrays) is one_vector's one-line ValueError; text, or an
+    entry that is not a number, is a one-line TypeError (number)."""
     if isinstance(x, TrackedVector):
         vec = x
     elif isinstance(x, np.ndarray) and x.dtype.kind in "biufc":
         vec = variable_vector(x)
+    elif isinstance(x, np.ndarray) and x.ndim != 1:
+        raise _not_one_vector(x.shape)
     elif isinstance(x, (str, bytes)):
         raise TypeError(f"expected a sequence of tracked scalars or numbers, got "
                         f"{type(x).__name__} {x!r:.40}")
     else:
-        items = list(x)
+        items = x if x.__class__ is list else list(x)
+        values = [s.value for s in items if s.__class__ is TrackedScalar and s.kind is _VARIABLE]
+        if len(values) == len(items):                     # Variables alone
+            return TrackedVector(np.fromiter(values, complex, len(values)), None)
         types = {v.__class__ for v in items}
         if types != _SCALAR_TYPES:
             if types <= _PLAIN_NUMBERS:
                 return TrackedVector(np.array(items, dtype=complex), None)
+            if all(map(_nested, items)):                  # a block given as rows
+                raise _not_one_vector((len(items), len(items[0])))
             items = [v if isinstance(v, TrackedScalar) else TrackedScalar(number(v), _VARIABLE)
                      for v in items]
-        values = np.array([s.value for s in items], dtype=complex)
-        kinds = [s.kind for s in items]
-        if kinds.count(_VARIABLE) == len(kinds):
-            return TrackedVector(values, None)
-        return TrackedVector(values, np.array([k is _VARIABLE for k in kinds], dtype=bool))
-    ndim = vec.values.ndim
-    if ndim != 1:
-        if not ndim:
-            raise ValueError("expected one vector, got an operand of shape ()")
-        one_vector(vec, len(vec))
+        values = np.fromiter([s.value for s in items], complex, len(items))
+        flags = np.array([s.kind is _VARIABLE for s in items], dtype=bool)
+        return TrackedVector(values, None if flags.all() else flags)
+    if vec.values.ndim != 1:
+        raise _not_one_vector(vec.values.shape)
     return vec
 
 
@@ -617,14 +693,19 @@ def apply_matrix(M, vec: TrackedVector, ctx: CountContext) -> TrackedVector:
     block at once: scalar multiplications and additions only.  The marker
     maps to the marker through a map of full reach, and to a fresh copy of
     the reach, broadcast over the block, through any other; so do all-True
-    flags given as an array, to the copy.  Mixed flags are propagated."""
-    if M.shape[1] != len(vec):
-        raise ValueError(f"map of width {M.shape[1]} applied to vector of length {len(vec)}")
+    flags given as an array, to the copy.  Mixed flags are propagated.  The
+    map's cost, nonnegative by construction, is added to the counters as it
+    stands, once per vector of a block."""
     values, flags = vec.values, vec.flags
-    vectors = math.prod(values.shape[1:])
+    if M.shape[1] != values.shape[0]:
+        raise ValueError(f"map of width {M.shape[1]} applied to vector of length "
+                         f"{values.shape[0]}")
     scalars, additions = M.cost
-    ctx.count_scalar(scalars * vectors)
-    ctx.count_addition(additions * vectors)
+    if values.ndim > 1:
+        vectors = math.prod(values.shape[1:])
+        scalars, additions = scalars * vectors, additions * vectors
+    ctx.scalar_mults += scalars
+    ctx.additions += additions
     if flags is None:
         if M.full_reach:
             return TrackedVector(M.apply(values), None)
@@ -650,18 +731,19 @@ def one_vector(vec: TrackedVector, n: int) -> TrackedVector:
 def vmul(u: TrackedVector, v: TrackedVector, ctx: CountContext) -> TrackedVector:
     """Pointwise product; each Variable*Variable entry is one bilinear mult.
     Two marked vectors make one product per entry and the marker; one marked
-    vector makes the other's flags the Variable pairs and the marker."""
-    if len(u) != len(v):
+    vector makes the other's flags the Variable pairs and the marker.  The
+    counts are nonnegative by construction and added to ctx as they stand."""
+    if u.values.shape[0] != v.values.shape[0]:
         raise ValueError("pointwise product of mismatched lengths")
     values = u.values * v.values
     uf, vf = u.flags, v.flags
     if uf is None and vf is None:
-        ctx.count_bilinear(values.size)
+        ctx.bilinear_mults += values.size
         return TrackedVector(values, None)
     both = vf if uf is None else uf if vf is None else uf & vf
     bilinear = int(np.count_nonzero(both))
-    ctx.count_bilinear(bilinear)
-    ctx.count_scalar(both.size - bilinear)
+    ctx.bilinear_mults += bilinear
+    ctx.scalar_mults += both.size - bilinear
     return TrackedVector(values, None if uf is None or vf is None else uf | vf)
 
 
@@ -696,7 +778,9 @@ def as_matrix(rows) -> TrackedVector:
     """A kernel's grid operand as a 2-D TrackedVector: itself, a 2-D numeric
     numpy array read whole, or rows whose entries as_vector reads together
     by its one rule; so a grid of Variables or of raw numbers carries the
-    all-Variable marker."""
+    all-Variable marker.  A TrackedVector that is not 2-D, and rows whose
+    entries are all sequences or arrays, are the one-line ValueError
+    "expected a grid", with the operand's shape."""
     if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "biufc":
         rows = variable_vector(rows)
     if isinstance(rows, TrackedVector):
@@ -708,4 +792,7 @@ def as_matrix(rows) -> TrackedVector:
     n = len(grid[0]) if m else 0
     if any(len(r) != n for r in grid):
         raise ValueError("ragged matrix")
-    return rearranged(as_vector([s for r in grid for s in r]), lambda a: a.reshape(m, n))
+    entries = [s for r in grid for s in r]
+    if entries and _nested(entries[0]) and all(map(_nested, entries)):     # a block of grids
+        raise ValueError(f"expected a grid, got an operand of shape {(m, n, len(entries[0]))}")
+    return rearranged(as_vector(entries), lambda a: a.reshape(m, n))

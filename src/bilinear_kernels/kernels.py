@@ -439,7 +439,9 @@ def structured_matvec(M: StructuredMatrix, x, ctx: CountContext):
     equals that of the outer kernel run over block scalars, level by level.
     U t is M's symbol: the first call forms it, and later calls reuse it
     and charge its counts again (StructuredMatrix.symbol).  M keeps its
-    levels' triples too, so a later call reads no map."""
+    levels' triples too, so a later call reads no map.  A single level has
+    nothing to reshape: its V, pointwise product and W run on x and the
+    symbol as they are."""
     xv = one_vector(as_vector(x), M.n)
     triples = M.level_triples(level_decomposition)
 
@@ -449,6 +451,9 @@ def structured_matvec(M: StructuredMatrix, x, ctx: CountContext):
         return _leading(t, t.values.size)    # one product per row of the Kronecker U
 
     t, v = M.symbol(embed, ctx), xv
+    if len(triples) == 1:
+        _, V, W = triples[0]
+        return match_output(x, apply_matrix(W, vmul(t, apply_matrix(V, v, ctx), ctx), ctx))
     for _, V, _ in triples:
         v = apply_matrix(V, _leading(v, V.shape[1]), ctx)
     z = vmul(t, _leading(v, len(t)), ctx)

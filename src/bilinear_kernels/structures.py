@@ -310,8 +310,8 @@ class StructuredMatrix:
                                                  ctx.additions - additions))
             return vec
         vec, scalars, additions = self._symbol
-        ctx.count_scalar(scalars)
-        ctx.count_addition(additions)
+        ctx.scalar_mults += scalars             # kept from a run's counters: nonnegative
+        ctx.additions += additions
         return vec
 
 

@@ -561,6 +561,12 @@ SHAPE_REFUSALS = {
     "tensor with an empty dimension": (lambda: Tensor3(np.zeros((1, 0, 2))),
                                        "tensor dims must be positive"),
     "root table of order 0": (lambda: root_table(0), "root table needs n >= 1"),
+    "commutator factor of grids": (lambda: commutator_2x2([[[1, 2]] * 2] * 2, SQUARE,
+                                                          CountContext()),
+                                   "expected a grid, got an operand of shape (2, 2, 2)"),
+    "toeplitz_matmul block of arrays": (lambda: toeplitz_matmul([1, 2, 3], np.ones((2, 2, 3)),
+                                                                CountContext()),
+                                        "expected a grid, got an operand of shape (2, 2, 3)"),
 }
 
 
@@ -607,6 +613,15 @@ VECTOR_FORMS = {
     "TrackedVector block": lambda: TrackedVector(np.ones((3, 2), dtype=complex), None),
     "text": lambda: "123",
     "text among numbers": lambda: [2, "1", -1],
+    "1-D object array of tracked scalars": lambda: np.array(variables(V3), dtype=object),
+    "0-d text array": lambda: np.array("12"),
+    "2-D text array": lambda: np.array([["1", "2"]] * 3),
+    "2-D object array": lambda: np.array([[1, None]] * 3, dtype=object),
+    "2-D object array of tracked scalars":
+        lambda: np.array(variables(V3 * 2), dtype=object).reshape(3, 2),
+    "nested list": lambda: [[1, 2], [3, 4], [5, 6]],
+    "ragged nested list": lambda: [[1, [2, 3]], [4, 5], [6, 7]],
+    "list of arrays": lambda: [np.ones(2)] * 3,
 }
 
 # The refused forms, each with its error at every entry point; every other
@@ -618,6 +633,18 @@ VECTOR_REFUSALS = {
         (ValueError, "expected one vector of length 3, got an operand of shape (3, 2)"),
     "text": (TypeError, "expected a sequence of tracked scalars or numbers, got str '123'"),
     "text among numbers": (TypeError, "expected a number, got str '1'"),
+    "0-d text array": (ValueError, "expected one vector, got an operand of shape ()"),
+    "2-D text array":
+        (ValueError, "expected one vector of length 3, got an operand of shape (3, 2)"),
+    "2-D object array":
+        (ValueError, "expected one vector of length 3, got an operand of shape (3, 2)"),
+    "2-D object array of tracked scalars":
+        (ValueError, "expected one vector of length 3, got an operand of shape (3, 2)"),
+    "nested list": (ValueError, "expected one vector of length 3, got an operand of shape (3, 2)"),
+    "ragged nested list":
+        (ValueError, "expected one vector of length 3, got an operand of shape (3, 2)"),
+    "list of arrays":
+        (ValueError, "expected one vector of length 3, got an operand of shape (3, 2)"),
 }
 
 

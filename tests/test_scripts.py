@@ -67,3 +67,14 @@ def test_stability_report():
     proc = run_script("stability_report.py")
     assert proc.returncode == 0, proc.stderr
     assert "gauss        3   4.82842712   0.00e+00" in proc.stdout.splitlines()
+
+
+def test_ab_rounds_times_a_checkout_against_itself():
+    """Two rounds of kernel-large, the repo against itself: both sides run
+    every op without a failure, and every cell gets a row."""
+    proc = run_script("ab_rounds.py", str(ROOT), str(ROOT), "--rounds", "2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "kernel-large: 2 rounds of 24 ops, seed 1; failed ops A 0, B 0"
+    assert [line.split()[0] for line in lines[4:6]] == ["min", "median"]
+    assert lines[7].split()[0] == "circulant.n16" and len(lines) == 7 + 24
