@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+import threading
 from collections import OrderedDict, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -491,6 +492,8 @@ class MapStore:
     order has one Toeplitz frame.  After a build, the least recent entries
     are evicted while either bound is exceeded, up to the new entry, which
     is kept with its bases.  So every entry's bases are in the store.
+    One re-entrant lock is held across each read, its builds and their
+    nested reads included, so reads from several threads run one at a time.
     """
 
     def __init__(self):
@@ -498,38 +501,40 @@ class MapStore:
         self.owned: dict[tuple, dict[int, int]] = {}
         self.nbytes = 0
         self._reads: list[list[tuple]] = []     # the keys each build in progress reads
+        self._lock = threading.RLock()          # held across a read, its builds included
 
     def read(self, builder, args: tuple):
-        key = (builder, *args)
-        if self._reads:
-            self._reads[-1].append(key)
-        entry = self.entries.get(key)
-        built = entry is None
-        if built:
-            self._reads.append([])
-            try:
-                value = builder(*args)
-            finally:
-                bases = self._reads.pop()
-            chain = [key, *(k for base in bases for k in self.entries[base][2])]
-            held = self.owned[key] = _buffers(value, {})
-            for base in set(chain[1:]):
-                for shared in self.owned[base]:
-                    held.pop(shared, None)
-            size = sum(held.values()) + _key_bytes(key)
-            entry = self.entries[key] = (value, size, chain)
-            self.nbytes += size
-        for k in entry[2]:
-            self.entries.move_to_end(k)
-        # Evict once the outermost build is done: no entry it read goes first.
-        while built and not self._reads and (len(self.entries) > MAP_STORE_ENTRIES
-                                             or self.nbytes > MAP_STORE_BYTES):
-            oldest = next(iter(self.entries))
-            if oldest is key:
-                break
-            self.nbytes -= self.entries.pop(oldest)[1]
-            del self.owned[oldest]
-        return entry[0]
+        with self._lock:
+            key = (builder, *args)
+            if self._reads:
+                self._reads[-1].append(key)
+            entry = self.entries.get(key)
+            built = entry is None
+            if built:
+                self._reads.append([])
+                try:
+                    value = builder(*args)
+                finally:
+                    bases = self._reads.pop()
+                chain = [key, *(k for base in bases for k in self.entries[base][2])]
+                held = self.owned[key] = _buffers(value, {})
+                for base in set(chain[1:]):
+                    for shared in self.owned[base]:
+                        held.pop(shared, None)
+                size = sum(held.values()) + _key_bytes(key)
+                entry = self.entries[key] = (value, size, chain)
+                self.nbytes += size
+            for k in entry[2]:
+                self.entries.move_to_end(k)
+            # Evict once the outermost build is done: no entry it read goes first.
+            while built and not self._reads and (len(self.entries) > MAP_STORE_ENTRIES
+                                                 or self.nbytes > MAP_STORE_BYTES):
+                oldest = next(iter(self.entries))
+                if oldest is key:
+                    break
+                self.nbytes -= self.entries.pop(oldest)[1]
+                del self.owned[oldest]
+            return entry[0]
 
 
 MAP_STORE = MapStore()

@@ -284,11 +284,6 @@ def tph_matvec(t, h, x, ctx: CountContext):
 # Symmetric and skew-symmetric: one product per pair, one correction per row
 # ---------------------------------------------------------------------------
 
-def _pairwise_count(n: int, cells: int) -> int:
-    """Pairwise products: one per pair i < j and one per row, or one per cell if fewer."""
-    return min(cells, n * (n + 1) // 2)
-
-
 @_stored
 def _pairwise_maps(kind: StructureKind, n: int) -> tuple[BlockMap | GatherMap, GatherMap,
                                                           GatherMap]:
@@ -381,11 +376,11 @@ SPECS: dict[StructureKind, StructureSpec] = {
         lambda n, _: 4 * n - 2, lambda n, _: max(1, 4 * n - 4), lambda n, _: max(1, 4 * n - 4),
         tph_placement, lambda n, f, _: _embedding_maps(StructureKind.TOEPLITZ_PLUS_HANKEL, n)),
     StructureKind.SYMMETRIC: StructureSpec(
-        lambda n, _: n * (n + 1) // 2, lambda n, _: _pairwise_count(n, n * n),
+        lambda n, _: n * (n + 1) // 2, lambda n, _: n * (n + 1) // 2,
         lambda n, _: n * (n + 1) // 2,
         symmetric_placement, lambda n, f, _: _pairwise_maps(StructureKind.SYMMETRIC, n)),
     StructureKind.SKEW_SYMMETRIC: StructureSpec(
-        lambda n, _: n * (n - 1) // 2, lambda n, _: _pairwise_count(n, n * (n - 1)),
+        lambda n, _: n * (n - 1) // 2, lambda n, _: min(n * (n - 1), n * (n + 1) // 2),
         lambda n, _: n * (n - 1) // 2,
         skew_symmetric_placement,
         lambda n, f, _: _pairwise_maps(StructureKind.SKEW_SYMMETRIC, n)),

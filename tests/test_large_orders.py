@@ -2,7 +2,8 @@
 
 Each product at order 1000 is checked against a dense matrix built here
 from the canonical parameter orders with plain numpy indexing; the counters
-at orders 64 and 512 against the maps' own costs, for both input forms.
+at orders 64, 256 and 512 against the maps' own costs, for both input
+forms.
 """
 
 import numpy as np
@@ -63,7 +64,7 @@ def test_count_and_values_at_a_large_order(kind):
     assert np.abs(out.values - want).max() <= 1e-8 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("n", [64, 256, 512])
 @pytest.mark.parametrize("kind", list(kernels.SPECS), ids=lambda kind: kind.value)
 def test_counts_at_large_orders_are_the_maps_costs_for_either_input(kind, n):
     """The bilinear count is the formula, and the scalar multiplications and

@@ -20,7 +20,7 @@ from bilinear_kernels import (CountContext, LevelSpec, SparsityPattern, Structur
 from bilinear_kernels.counting import Kind, TrackedScalar, TrackedVector
 from bilinear_kernels.kernels import SPECS
 from bilinear_kernels.rng import Lcg
-from bilinear_kernels.structures import param_count
+from bilinear_kernels.structures import basis, dense_parts, param_count
 
 PATTERNS = 3
 # The level kinds the goldens below were pinned for.
@@ -387,3 +387,121 @@ def test_a_single_level_matrix_runs_as_its_one_level(kind, n):
         return out
 
     assert runs(single) == runs(one_level)
+
+
+# Symmetric and skew-symmetric levels at orders 4, 5 and 6, both in either
+# place: each has several pairs per row, at an even and at an odd order, so
+# a change to the pairwise layout that mishandles either shows here.
+PAIRWISE_CASES = [f"{a}:{na},{b}:{nb}" for a, b in (("symmetric", "skew_symmetric"),
+                                                     ("skew_symmetric", "symmetric"))
+                  for na in (4, 5, 6) for nb in (4, 5, 6)]
+
+
+def pairwise_record(case: str, mixed: bool) -> tuple[str, np.ndarray, np.ndarray]:
+    """'bilinear/divisions/scalar/additions/flags' of one run, its values
+    and the dense Kronecker product of the levels' parameter matrices."""
+    levels = tuple(level(text) for text in case.split(","))
+    rng = np.random.default_rng(zlib.crc32(f"{case}/{mixed}".encode()))
+    n = math.prod(lev.n for lev in levels)
+    count = param_count(StructureKind.MULTILEVEL, n, levels=levels)
+    t = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    flags = (rng.random(count) < 0.7, rng.random(n) < 0.7) if mixed else (None, None)
+    M = structured(StructureKind.MULTILEVEL, n, TrackedVector(t, flags[0]), levels=levels)
+    ctx = CountContext()
+    out = structured_matvec(M, TrackedVector(x, flags[1]), ctx)
+    bases = [np.array([dense(B) for B in basis(lev.kind, lev.n)]) for lev in levels]
+    A = np.einsum("ab,aij,bkl->ikjl", t.reshape(len(bases[0]), -1), *bases).reshape(n, n)
+    flags = "".join("v" if f else "c" for f in out.variable)
+    return (f"{ctx.bilinear_mults}/{ctx.divisions}/{ctx.scalar_mults}/{ctx.additions}/{flags}",
+            out.values, A @ x)
+
+
+def dense(M) -> np.ndarray:
+    return dense_parts(M)[0]
+
+
+# Pinned on these inputs with the row-major pairwise layout, (all-Variable,
+# mixed flags); the counters do not depend on how the products are laid out.
+PAIRWISE_GOLDEN = {
+    "symmetric:4,skew_symmetric:4": [
+        "100/0/0/404/vvvvvvvvvvvvvvvv",
+        "77/0/23/404/vvvvvvvvvvvvvvvv",
+    ],
+    "symmetric:4,skew_symmetric:5": [
+        "150/0/0/660/vvvvvvvvvvvvvvvvvvvv",
+        "115/0/35/660/vvvvvvvvvvvvvvvvvvvv",
+    ],
+    "symmetric:4,skew_symmetric:6": [
+        "210/0/0/978/vvvvvvvvvvvvvvvvvvvvvvvv",
+        "169/0/41/978/vvvvvvvvvvvvvvvvvvvvvvvv",
+    ],
+    "symmetric:5,skew_symmetric:4": [
+        "150/0/0/630/vvvvvvvvvvvvvvvvvvvv",
+        "76/0/74/630/vvvvvvvvvvvvvvvvvvvv",
+    ],
+    "symmetric:5,skew_symmetric:5": [
+        "225/0/0/1025/vvvvvvvvvvvvvvvvvvvvvvvvv",
+        "153/0/72/1025/vvvvvvvvvvvvvvvvvvvvvvvvv",
+    ],
+    "symmetric:5,skew_symmetric:6": [
+        "315/0/0/1515/vvvvvvvvvvvvvvvvvvvvvvvvvvvvvv",
+        "254/0/61/1515/vvvvvvvvvvvvvvvvvvvvvvvvvvvvvv",
+    ],
+    "symmetric:6,skew_symmetric:4": [
+        "210/0/0/906/vvvvvvvvvvvvvvvvvvvvvvvv",
+        "133/0/77/906/vvvvvvvvvvvvvvvvvvvvvvvv",
+    ],
+    "symmetric:6,skew_symmetric:5": [
+        "315/0/0/1470/vvvvvvvvvvvvvvvvvvvvvvvvvvvvvv",
+        "241/0/74/1470/vvvvvvvvvvvvvvvvvvvvvvvvvvvvvv",
+    ],
+    "symmetric:6,skew_symmetric:6": [
+        "441/0/0/2169/vvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvv",
+        "317/0/124/2169/vvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvv",
+    ],
+    "skew_symmetric:4,symmetric:4": [
+        "100/0/0/452/vvvvvvvvvvvvvvvv",
+        "74/0/26/452/vvvvvvvvvvvvvvvv",
+    ],
+    "skew_symmetric:4,symmetric:5": [
+        "150/0/0/710/vvvvvvvvvvvvvvvvvvvv",
+        "96/0/54/710/vvvvvvvvvvvvvvvvvvvv",
+    ],
+    "skew_symmetric:4,symmetric:6": [
+        "210/0/0/1026/vvvvvvvvvvvvvvvvvvvvvvvv",
+        "167/0/43/1026/vvvvvvvvvvvvvvvvvvvvvvvv",
+    ],
+    "skew_symmetric:5,symmetric:4": [
+        "150/0/0/720/vvvvvvvvvvvvvvvvvvvv",
+        "127/0/23/720/vvvvvvvvvvvvvvvvvvvv",
+    ],
+    "skew_symmetric:5,symmetric:5": [
+        "225/0/0/1125/vvvvvvvvvvvvvvvvvvvvvvvvv",
+        "194/0/31/1125/vvvvvvvvvvvvvvvvvvvvvvvvv",
+    ],
+    "skew_symmetric:5,symmetric:6": [
+        "315/0/0/1620/vvvvvvvvvvvvvvvvvvvvvvvvvvvvvv",
+        "241/0/74/1620/vvvvvvvvvvvvvvvvvvvvvvvvvvvvvv",
+    ],
+    "skew_symmetric:6,symmetric:4": [
+        "210/0/0/1050/vvvvvvvvvvvvvvvvvvvvvvvv",
+        "172/0/38/1050/vvvvvvvvvvvvvvvvvvvvvvvv",
+    ],
+    "skew_symmetric:6,symmetric:5": [
+        "315/0/0/1635/vvvvvvvvvvvvvvvvvvvvvvvvvvvvvv",
+        "249/0/66/1635/vvvvvvvvvvvvvvvvvvvvvvvvvvvvvv",
+    ],
+    "skew_symmetric:6,symmetric:6": [
+        "441/0/0/2349/vvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvv",
+        "338/0/103/2349/vvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvvv",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", PAIRWISE_CASES)
+@pytest.mark.parametrize("mixed", [False, True], ids=["all-variable", "mixed"])
+def test_pairwise_levels_match_the_kronecker_product_and_the_pinned_counters(case, mixed):
+    counters, got, want = pairwise_record(case, mixed)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert counters == PAIRWISE_GOLDEN[case][mixed]
