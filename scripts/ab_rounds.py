@@ -10,10 +10,15 @@ runs one thread and the process is pinned to one CPU, as in the benchmark's
 worker.
 
 Prints the per-op time (a round's time over its ops) of each side, its
-minimum and median over the rounds, and each cell's median op time.
+minimum and median over the rounds, and each cell's median op time.  With
+--groups it also prints each group's summed cell medians, a group being the
+cells whose labels differ only in their last dotted field (oracle-sweep's
+f_circulant.fresh, bttb, toeplitz3, sparse, ...), to show where a change
+lands.
 
 Usage:
     python scripts/ab_rounds.py A B [--workload kernel-large] [--rounds 400] [--seed 1]
+                                    [--groups]
 
 A and B are checkout roots (each holding src/ and perfbench/), e.g. a copy
 of the parent commit and this tree.
@@ -66,6 +71,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", default="kernel-large")
     ap.add_argument("--rounds", type=int, default=400)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--groups", action="store_true",
+                    help="also print each group's summed cell medians")
     args = ap.parse_args(argv)
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
@@ -101,10 +108,19 @@ def main(argv=None) -> int:
     for name, stat in (("min", min), ("median", statistics.median)):
         a, b = (stat(side) * 1e6 for side in per_op)
         print(f"{name:28s} {a:9.2f} {b:9.2f} {(b - a) / a:+8.1%}")
+    medians = [[statistics.median(op) * 1e6 for op in side] for side in times]
     print(f"{'cell median (us)':28s} {'A':>9s} {'B':>9s} {'change':>8s}")
-    for i, label in enumerate(labels):
-        a, b = (statistics.median(side[i]) * 1e6 for side in times)
+    for label, a, b in zip(labels, *medians):
         print(f"{label:28s} {a:9.2f} {b:9.2f} {(b - a) / a:+8.1%}")
+    if args.groups:
+        groups: dict[str, list[float]] = {}
+        for label, a, b in zip(labels, *medians):
+            sums = groups.setdefault(label.rsplit(".", 1)[0], [0.0, 0.0])
+            sums[0] += a
+            sums[1] += b
+        print(f"{'group median sum (us)':28s} {'A':>9s} {'B':>9s} {'change':>8s}")
+        for group, (a, b) in groups.items():
+            print(f"{group:28s} {a:9.2f} {b:9.2f} {(b - a) / a:+8.1%}")
     return 0 if failed == [0, 0] else 1
 
 

@@ -618,13 +618,14 @@ def as_vector(x) -> TrackedVector:
     grid's entries), by one rule.  A TrackedVector or a numeric numpy array
     is read whole, and the result may share its arrays; a sequence of
     TrackedScalars, of raw numbers or of both is read entry by entry, raw
-    numbers as Variables.  A list of Variables is read in one pass over the
-    list itself; any other sequence on a path chosen from its entries'
-    types.  Variables and raw numbers alone give the marker.  An operand
-    that is not one 1-D vector (a block, a 0-d array: a numpy array of any
-    dtype and any other number of axes, or a sequence whose entries are all
-    sequences or arrays) is one_vector's one-line ValueError; text, or an
-    entry that is not a number, is a one-line TypeError (number)."""
+    numbers as Variables.  Raw numbers alone are read in one numpy read,
+    tried first when the first entry is one, and a list of Variables in one
+    pass over the list itself; any other sequence on a path chosen from its
+    entries' types.  Variables and raw numbers alone give the marker.  An
+    operand that is not one 1-D vector (a block, a 0-d array: a numpy array
+    of any dtype and any other number of axes, or a sequence whose entries
+    are all sequences or arrays) is one_vector's one-line ValueError; text,
+    or an entry that is not a number, is a one-line TypeError (number)."""
     if isinstance(x, TrackedVector):
         vec = x
     elif isinstance(x, np.ndarray) and x.dtype.kind in "biufc":
@@ -636,13 +637,17 @@ def as_vector(x) -> TrackedVector:
                         f"{type(x).__name__} {x!r:.40}")
     else:
         items = x if x.__class__ is list else list(x)
-        values = [s.value for s in items if s.__class__ is TrackedScalar and s.kind is _VARIABLE]
-        if len(values) == len(items):                     # Variables alone
-            return TrackedVector(np.fromiter(values, complex, len(values)), None)
-        types = {v.__class__ for v in items}
-        if types != _SCALAR_TYPES:
-            if types <= _PLAIN_NUMBERS:
+        if items and items[0].__class__ in _PLAIN_NUMBERS:
+            types = {v.__class__ for v in items}
+            if types <= _PLAIN_NUMBERS:                   # raw numbers alone
                 return TrackedVector(np.array(items, dtype=complex), None)
+        else:
+            values = [s.value for s in items
+                      if s.__class__ is TrackedScalar and s.kind is _VARIABLE]
+            if len(values) == len(items):                 # Variables alone
+                return TrackedVector(np.fromiter(values, complex, len(values)), None)
+            types = {v.__class__ for v in items}
+        if types != _SCALAR_TYPES:
             if all(map(_nested, items)):                  # a block given as rows
                 raise _not_one_vector((len(items), len(items[0])))
             items = [v if isinstance(v, TrackedScalar) else TrackedScalar(number(v), _VARIABLE)
@@ -762,13 +767,15 @@ def triple_product(maps, a: TrackedVector, b: TrackedVector,
 
 
 def reciprocal(vec: TrackedVector, ctx: CountContext) -> TrackedVector:
-    """Entrywise 1/x.  Each Variable divisor is one counted division."""
+    """Entrywise 1/x, of a vector or of every vector of a block.  Each
+    Variable divisor is one counted division and each Constant one a
+    scalar multiplication, over every entry of the block."""
     if np.any(np.abs(vec.values) <= DIVISION_ZERO_THRESHOLD):
         raise DivisionByZero("reciprocal of a zero entry")
     flags = vec.flags
     nvar = vec.values.size if flags is None else int(np.count_nonzero(flags))
     ctx.count_division(nvar)
-    ctx.count_scalar(len(vec) - nvar)
+    ctx.count_scalar(vec.values.size - nvar)
     return TrackedVector(1.0 / vec.values, None if flags is None else flags.copy())
 
 

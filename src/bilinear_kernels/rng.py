@@ -13,7 +13,7 @@ draws they run the recurrence in one local loop.  From BULK_DRAWS on they
 jump ahead instead: k steps from state s give a^k s + c_k mod 2^64, with
 (a^k, c_k) read from a uint64 table of JUMP_BLOCK steps, so numpy forms a
 block of states at once, wrapping mod 2^64 as the loop masks, and applies
-the loop's floating-point operations to them.
+to them floating-point operations that give the loop's values exactly.
 """
 
 from __future__ import annotations
@@ -24,10 +24,12 @@ _MULT = 6364136223846793005
 _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
 _UNIT = float(1 << 53)
+_TWO_OVER_UNIT = 2.0 ** -52
 
-# The loop costs about 0.4 us a draw and the jump 6-8 us a call, so the jump
-# wins from about 20 draws, ten complex entries (measured on a 2-core x86-64
-# host, Python 3.11, numpy 2.4).
+# The loop costs about 0.6 us a complex entry (two draws) and the jump
+# 5-6 us a call, so they break even at 9-10 complex entries and the jump is
+# taken from 20 draws (measured on a 2-core x86-64 host, Python 3.11,
+# numpy 2.4, one BLAS thread).
 BULK_DRAWS = 20
 JUMP_BLOCK = 512
 
@@ -67,9 +69,9 @@ class Lcg:
         im = self.uniform()
         return complex(re, im)
 
-    def _fractions(self, k: int) -> np.ndarray:
-        """The next k draws' u / 2^53, u their top 53 bits, by jumping ahead
-        a block of JUMP_BLOCK states at a time; k >= 1."""
+    def _tops(self, k: int) -> np.ndarray:
+        """The next k draws' top 53 bits u, as doubles (exact: u < 2^53), by
+        jumping ahead a block of JUMP_BLOCK states at a time; k >= 1."""
         starts = [self.state]
         for _ in range((k - 1) // JUMP_BLOCK):
             starts.append((starts[-1] * _BLOCK_MULT + _BLOCK_INC) & _MASK)
@@ -81,15 +83,14 @@ class Lcg:
             states += _JUMP_INC
             states = states.ravel()[:k]
         self.state = int(states[-1])
-        fractions = (states >> np.uint64(11)).astype(np.float64)
-        fractions /= _UNIT
-        return fractions
+        return (states >> np.uint64(11)).astype(np.float64)
 
     def uniforms(self, k: int, lo: float = -1.0, hi: float = 1.0) -> list[float]:
         """k uniform(lo, hi) draws."""
         width = hi - lo
         if k >= BULK_DRAWS:
-            values = self._fractions(k)
+            values = self._tops(k)
+            values /= _UNIT
             values *= width
             values += lo
             return values.tolist()
@@ -101,10 +102,12 @@ class Lcg:
         return out
 
     def complex_vector(self, n: int) -> list[complex]:
-        """n complex_uniform() draws: real part, then imaginary part."""
+        """n complex_uniform() draws: real part, then imaginary part.  In
+        bulk, u * 2^-52 - 1 is the loop's -1 + 2 (u / 2^53) exactly: each
+        scaling by a power of two is exact."""
         if 2 * n >= BULK_DRAWS:
-            parts = self._fractions(2 * n)
-            parts *= 2.0
+            parts = self._tops(2 * n)
+            parts *= _TWO_OVER_UNIT
             parts -= 1.0          # -1.0 + x, exactly: the sum is the same either way
             return parts.view(complex).tolist()     # re, im pairs are complex128's layout
         s, out = self.state, []

@@ -2,7 +2,9 @@
 and dense expansion, the naive oracle, basis enumeration, and JSON
 serialization.  A StructuredMatrix has one constructor, which keeps its
 parameters as one read-only vector.  Each structure's placement is built
-once and kept in the map store (counting.MapStore) beside the kernel triples.
+once, with the facts of its structural mask the oracle reads, and kept in
+the map store (counting.MapStore) beside the kernel triples; each
+structure's check is kept once per structure (check_structure).
 
 Canonical parameter orders (normative for serialization and basis indexing):
   circulant            first column top to bottom
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -29,8 +32,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .counting import (CountContext, Kind, TrackedScalar, TrackedVector, _stored, as_matrix,
-                       as_vector, match_output, one_vector, read_only, to_grid, to_scalars)
+from .counting import (MAP_STORE_ENTRIES, CountContext, Kind, TrackedScalar, TrackedVector,
+                       _stored, as_matrix, as_vector, match_output, one_vector, read_only,
+                       to_grid, to_scalars)
 
 
 class SchemaError(ValueError):
@@ -105,6 +109,12 @@ class LevelSpec:
         """A kind given by its name becomes its StructureKind."""
         if self.kind.__class__ is not StructureKind:
             object.__setattr__(self, "kind", StructureKind(self.kind))
+        object.__setattr__(self, "_hash", hash((self.kind, self.n, self.f, self.pattern)))
+
+    def __hash__(self) -> int:
+        """The hash of the fields, computed once: level tuples key the kept
+        checks and the store's placements."""
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -169,11 +179,79 @@ def check_structure(kind: StructureKind, n: int | None, f: complex | None = None
     the input at fault (InputError).  A multilevel kind has levels of
     single-level kinds with a parameter each, and an order (None: theirs)
     equal to the product of theirs; any other kind is its own one level.
-    Orders are at least 1, a pattern (n x n) goes with sparse alone and a
-    nonzero finite f with f-circulant alone.  size is the number of parameters
+    Orders are integers (operator.index, not bool), read as plain ints, and
+    at least 1; a pattern (n x n) goes with sparse alone and a nonzero
+    finite f with f-circulant alone.  size is the number of parameters
     given, None when none are: it must be the table's, and f-circulant
-    then needs its f."""
+    then needs its f.
+
+    Each structure is checked once (_checked): a structure without a
+    sparsity pattern, given by plain int orders, keeps its result for its
+    (kind, n, f, levels, size), least recently used evicted first beyond
+    MAP_STORE_ENTRIES results.  A refusal is never kept, so a structure
+    that breaks a rule raises on every call, and a structure with a
+    pattern is checked on every call, so no pattern is kept alive."""
+    return _checked(kind, n, f, pattern, levels, size)[0]
+
+
+def _checked(kind: StructureKind, n: int | None, f: complex | None = None,
+             pattern: SparsityPattern | None = None,
+             levels: Sequence[LevelSpec] | None = None,
+             size: int | None = None) -> tuple[Structure, tuple[LevelSpec, ...] | None]:
+    """check_structure's Structure and the structure's levels with plain
+    int orders, read from the kept results where the structure may be kept.
+    A single-level kind's one level is built once per kept result; where
+    the check is not kept, its levels are None."""
     kind = kind if kind.__class__ is StructureKind else StructureKind(kind)
+    plain = pattern is None and (n is None or n.__class__ is int)
+    if plain and (levels is None or _keyable(levels)):
+        try:
+            return _kept(kind, n, f, levels, size)
+        except TypeError:       # an input that cannot key a result is checked, not kept
+            pass
+    return _check(kind, n, f, pattern, levels, size)
+
+
+def _keyable(levels) -> bool:
+    """Whether levels may key a kept result: a tuple of levels with plain
+    int orders and no pattern.  An order equal to an int but not one (2.0,
+    True) must not read the int's result."""
+    if levels.__class__ is not tuple:
+        return False
+    for lev in levels:
+        if lev.n.__class__ is not int or lev.pattern is not None:
+            return False
+    return True
+
+
+@lru_cache(maxsize=MAP_STORE_ENTRIES)
+def _kept(kind: StructureKind, n: int | None, f: complex | None,
+          levels: tuple[LevelSpec, ...] | None,
+          size: int | None) -> tuple[Structure, tuple[LevelSpec, ...]]:
+    """The check of a structure without a pattern, with a single-level
+    kind's one level, kept (lru_cache keeps no call that raises)."""
+    structure, levels = _check(kind, n, f, None, levels, size)
+    return structure, levels or (LevelSpec(kind, structure.n, f),)
+
+
+def _order(m, level: int | None) -> int:
+    """An order as a plain int; one that operator.index refuses, or a bool,
+    is the validator's InputError on n."""
+    if m.__class__ is int:
+        return m
+    if not isinstance(m, bool):
+        try:
+            return operator.index(m)
+        except TypeError:
+            pass
+    raise InputError(f"order must be an integer, got {type(m).__name__} {m!r:.40}", "n", level)
+
+
+def _check(kind: StructureKind, n: int | None, f: complex | None,
+           pattern: SparsityPattern | None, levels: Sequence[LevelSpec] | None,
+           size: int | None) -> tuple[Structure, tuple[LevelSpec, ...] | None]:
+    """The rules of check_structure, applied: the body every result comes
+    from.  Its levels are a multilevel kind's, None for any other kind."""
     parts = [(None, kind, n, f, pattern)]     # last: a multilevel order defaults to its levels'
     if kind is StructureKind.MULTILEVEL:
         if not levels:
@@ -182,14 +260,21 @@ def check_structure(kind: StructureKind, n: int | None, f: complex | None = None
     elif levels is not None:
         raise InputError(f"{kind.value} takes no levels", "levels")
     params = count = order = 1
+    orders = []
     for level, part, m, part_f, part_pattern in parts:
         entry = spec(part)
         if entry is None and level is not None:
             raise InputError(f"{part.value} is not a valid level kind", "kind", level)
         if m is None and entry is None:
-            n = m = order
+            m = order
+        if m is not None:
+            m = _order(m, level)
         if m is None or m < 1:
             raise InputError("order must be positive", "n", level)
+        if level is None:
+            n = m
+        else:
+            orders.append(m)
         if entry is None or not entry.needs_pattern:
             if part_pattern is not None:
                 raise InputError(f"{part.value} takes no sparsity pattern", "pattern", level)
@@ -218,7 +303,10 @@ def check_structure(kind: StructureKind, n: int | None, f: complex | None = None
     if size is not None and size != params:
         raise InputError(f"{kind.value} of order {n} needs {params} parameters, got {size}",
                          "data")
-    return Structure(kind, n, params, count)
+    if kind is StructureKind.MULTILEVEL:
+        levels = tuple(lev if lev.n is m else LevelSpec(lev.kind, m, lev.f, lev.pattern)
+                       for lev, m in zip(levels, orders))
+    return Structure(kind, n, params, count), levels
 
 
 def param_count(kind: StructureKind, n: int, pattern: SparsityPattern | None = None,
@@ -228,7 +316,8 @@ def param_count(kind: StructureKind, n: int, pattern: SparsityPattern | None = N
 
 def structure_dim(kind: StructureKind, n: int, pattern: SparsityPattern | None = None) -> int:
     """Dimension of the matrix space (differs from param_count only for tph)."""
-    return spec(check_structure(kind, n, pattern=pattern).kind).dim(n, pattern)
+    structure = check_structure(kind, n, pattern=pattern)
+    return spec(structure.kind).dim(structure.n, pattern)
 
 
 @dataclass(frozen=True, init=False)
@@ -240,11 +329,12 @@ class StructuredMatrix:
     The one constructor reads data once (counting.as_vector) into the
     matrix's data vector, a read-only TrackedVector of its own that every
     product and the oracle read (_parameters), and then checks the matrix
-    and its size (check_structure): a kind name becomes its StructureKind
-    and a single-level kind its own level.  ``data`` is the parameters as
-    TrackedScalars, built from that vector on first read and kept
-    (__getattr__), so equality, hashing, repr and serialization see the
-    same tuple however the matrix was made.
+    and its size (check_structure): a kind name becomes its StructureKind,
+    an order a plain int, and the levels are the check's, so that a
+    single-level kind's one level is built once per kept check.  ``data``
+    is the parameters as TrackedScalars, built from that vector on first
+    read and kept (__getattr__), so equality, hashing, repr and
+    serialization see the same tuple however the matrix was made.
     """
 
     kind: StructureKind
@@ -263,9 +353,8 @@ class StructuredMatrix:
                  levels: Sequence[LevelSpec] | None = None):
         vector = _parameters(data)
         levels = tuple(levels) if levels is not None else None
-        kind, n, _, _ = check_structure(kind, n, f, pattern, levels, len(vector))
-        if kind is not StructureKind.MULTILEVEL:
-            levels = (LevelSpec(kind, n, f, pattern),)
+        (kind, n, _, _), levels = _checked(kind, n, f, pattern, levels, len(vector))
+        levels = levels or (LevelSpec(kind, n, f, pattern),)
         vars(self).update(kind=kind, n=n, f=f, pattern=pattern, levels=levels, _vector=vector)
 
     def __getattr__(self, name: str):
@@ -369,7 +458,7 @@ def circulant_placement(n, f=None, pattern=None):
 def f_circulant_placement(n, f, pattern=None):
     """The stored circulant placement's param and cell, each wrapped cell
     (i > j) weighted by f."""
-    param, cell, _, _ = _placement((LevelSpec(StructureKind.CIRCULANT, n),))
+    param, cell = _placement((LevelSpec(StructureKind.CIRCULANT, n),))[:2]
     coeff = np.asarray(np.where(np.tri(n, k=-1, dtype=bool).ravel(), f, 1.0), dtype=complex)
     return param, cell, read_only(coeff)
 
@@ -415,10 +504,28 @@ def sparse_placement(n, f, pattern):
     return _triples(n, np.arange(len(pattern)), r, c)
 
 
+class Placement(NamedTuple):
+    """A structure's placement: read-only (param, cell, coeff) index
+    triples, dense.flat[cell] += coeff * data[param], its structural mask
+    (the cells some parameter reaches), and the mask's facts that the oracle
+    reads for a matrix whose parameters carry the all-Variable marker: its
+    count of active cells (terms), its active rows as a read-only mask
+    (rows) and their count (row_count), and whether no two triples share a
+    cell (distinct)."""
+
+    param: np.ndarray
+    cell: np.ndarray
+    coeff: np.ndarray
+    structural: np.ndarray
+    terms: int
+    rows: np.ndarray
+    row_count: int
+    distinct: bool
+
+
 @_stored
-def _placement(levels: tuple[LevelSpec, ...]):
-    """Read-only (param, cell, coeff) triples of a structure given by its
-    levels, and its structural mask: the cells some parameter reaches.
+def _placement(levels: tuple[LevelSpec, ...]) -> Placement:
+    """The Placement of a structure given by its levels.
 
     Levels compose as a Kronecker product: the outer level's parameter and
     block index vary slowest.  A multilevel placement reads its inner one,
@@ -428,37 +535,55 @@ def _placement(levels: tuple[LevelSpec, ...]):
     param, cell, coeff = spec(lev.kind).placement(lev.n, lev.f, lev.pattern)
     n = lev.n
     if inner:
-        iparam, icell, icoeff, istruct = _placement(inner)
-        m = istruct.shape[0]
+        base = _placement(inner)
+        m = base.structural.shape[0]
         row, col = np.divmod(cell, n)
-        irow, icol = np.divmod(icell, m)
+        irow, icol = np.divmod(base.cell, m)
         param = (param[:, None] * param_count(StructureKind.MULTILEVEL, m, levels=inner)
-                 + iparam).ravel()
+                 + base.param).ravel()
         cell = ((row[:, None] * m + irow) * (n * m) + col[:, None] * m + icol).ravel()
-        coeff = (coeff[:, None] * icoeff).ravel()
+        coeff = (coeff[:, None] * base.coeff).ravel()
         n *= m
     structural = np.zeros(n * n, dtype=bool)
     structural[cell] = True
-    return (read_only(param), read_only(cell), read_only(coeff),
-            read_only(structural.reshape(n, n)))
+    structural = structural.reshape(n, n)
+    terms = int(np.count_nonzero(structural))
+    rows = structural.any(axis=1)
+    return Placement(read_only(param), read_only(cell), read_only(coeff), read_only(structural),
+                     terms, read_only(rows), int(np.count_nonzero(rows)), terms == len(cell))
+
+
+def _dense(M: StructuredMatrix) -> tuple[np.ndarray, np.ndarray, Placement]:
+    """dense_parts' values and variable, and M's Placement."""
+    placement = _placement(M.levels)
+    param, cell, structural = placement.param, placement.cell, placement.structural
+    data = M.data_vector()
+    values = np.zeros(structural.size, dtype=complex)
+    weighted = placement.coeff * data.values[param]
+    if placement.distinct:
+        values[cell] += weighted        # 0 + w, as np.add.at: -0.0 lands as +0.0
+    else:
+        np.add.at(values, cell, weighted)
+    values = values.reshape(structural.shape)
+    if data.flags is None:
+        return values, structural, placement
+    variable = np.zeros(structural.size, dtype=bool)
+    variable[cell[data.flags[param]]] = True
+    return values, variable.reshape(structural.shape), placement
 
 
 def dense_parts(M: StructuredMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense (values, variable, structural) arrays for any structured matrix:
-    the weighted parameters scattered onto their cells, and each cell
-    Variable when a Variable parameter reaches it.  Parameters with the
+    the weighted parameters summed onto their cells, and each cell Variable
+    when a Variable parameter reaches it.  Where no two parameters share a
+    cell (the placement's distinct) each is added to its zero cell in one
+    buffered pass; otherwise (tph, and levels holding tph) they are summed
+    by np.add.at.  Either way a cell is 0 + its weighted parameters, so a
+    weighted zero of either sign lands as +0.0.  Parameters with the
     all-Variable marker reach every cell of the structural mask, so their
     variable is that read-only mask itself."""
-    param, cell, coeff, structural = _placement(M.levels)
-    data = M.data_vector()
-    size = structural.size
-    values = np.zeros(size, dtype=complex)
-    np.add.at(values, cell, coeff * data.values[param])
-    if data.flags is None:
-        return values.reshape(structural.shape), structural, structural
-    variable = np.zeros(size, dtype=bool)
-    variable[cell[data.flags[param]]] = True
-    return values.reshape(structural.shape), variable.reshape(structural.shape), structural
+    values, variable, placement = _dense(M)
+    return values, variable, placement.structural
 
 
 def densify(M: StructuredMatrix) -> list[list[TrackedScalar]]:
@@ -485,25 +610,32 @@ def naive_matvec(A, x, ctx: CountContext):
     carry it has its structural mask, and a grid that carries it every cell,
     as both its Variable and its active entries, and an x that carries it
     makes every active entry meet a Variable; either way an output row is
-    Variable when it has an active entry.
+    Variable when it has an active entry.  Such a matrix's active entries
+    and rows are its placement's, so their counts are read from the
+    placement (Placement's terms, rows and row_count), not counted again.
     """
+    placement = None
     if isinstance(A, StructuredMatrix):
-        values, variable, _ = dense_parts(A)
+        values, variable, placement = _dense(A)
         marked = A.data_vector().flags is None
     else:
         grid = as_matrix(A)
         values, variable, marked = grid.values, grid.variable, grid.flags is None
     xvec = one_vector(as_vector(x), values.shape[1])
-    active = variable if marked else variable | (values != 0)
-    rows = active.any(axis=1)
-    terms = int(np.count_nonzero(active))
+    if marked and placement is not None:
+        active, terms, row_count = variable, placement.terms, placement.row_count
+        rows = placement.rows.copy()        # the output's flags: its own, not the stored mask
+    else:
+        active = variable if marked else variable | (values != 0)
+        rows = active.any(axis=1)
+        terms, row_count = int(np.count_nonzero(active)), int(np.count_nonzero(rows))
     hit = active if marked else active & variable
     if xvec.flags is not None:
         hit = hit & xvec.flags
-    bilinear = int(np.count_nonzero(hit))
+    bilinear = terms if hit is active else int(np.count_nonzero(hit))
     ctx.count_bilinear(bilinear)
     ctx.count_scalar(terms - bilinear)
-    ctx.count_addition(terms - int(np.count_nonzero(rows)))
+    ctx.count_addition(terms - row_count)
     if not marked and xvec.flags is not None:
         rows = (active & (variable | xvec.flags)).any(axis=1)
     return match_output(x, TrackedVector(values @ xvec.values, rows))

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structures import (LevelSpec, SchemaError, SparsityPattern, StructureKind, _placement,
-                         check_structure, default_f, read_complex_pair)
+from .structures import (LevelSpec, SchemaError, SparsityPattern, StructureKind, _checked,
+                         _placement, default_f, read_complex_pair)
 
 
 @dataclass(frozen=True)
@@ -143,8 +143,8 @@ def structure_tensor(kind, n: int, f: complex | None = None,
     placement of the structure given by its one level, and is checked as
     one (check_structure): like every level, it needs a parameter."""
     levels = (LevelSpec(kind, n, default_f(kind, f), pattern),)
-    P = check_structure(StructureKind.MULTILEVEL, n, levels=levels).params
-    param, cell, coeff, _ = _placement(levels)
+    (_, n, P, _), levels = _checked(StructureKind.MULTILEVEL, n, levels=levels)
+    param, cell, coeff = _placement(levels)[:3]
     T = np.zeros((P, n, n), dtype=complex)
     np.add.at(T, (param, cell % n, cell // n), coeff)
     return Tensor3(T)

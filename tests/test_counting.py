@@ -106,6 +106,27 @@ def test_reciprocal_counts_variable_divisors_only():
         assert ctx == CountContext()
 
 
+def test_reciprocal_of_a_marked_block_counts_every_entry():
+    """A (2, 3) block with the all-Variable marker is six Variable
+    divisors: six divisions and no scalar multiplication."""
+    ctx = CountContext()
+    values = np.arange(1, 7, dtype=complex).reshape(2, 3)
+    out = reciprocal(TrackedVector(values, None), ctx)
+    assert ctx == CountContext(divisions=6)
+    assert out.flags is None and np.array_equal(out.values, 1.0 / values)
+
+
+def test_reciprocal_of_a_block_charges_each_constant_entry():
+    """A (2, 3) block with one Variable entry: one division, and each of
+    its five Constant entries one scalar multiplication."""
+    ctx = CountContext()
+    flags = np.zeros((2, 3), dtype=bool)
+    flags[1, 2] = True
+    out = reciprocal(TrackedVector(np.arange(1, 7, dtype=complex).reshape(2, 3), flags), ctx)
+    assert ctx == CountContext(divisions=1, scalar_mults=5)
+    assert np.array_equal(out.flags, flags) and out.flags is not flags
+
+
 def test_a_signed_term_costs_an_addition_and_no_multiplication():
     """Row 0 is a - b, row 1 is -b alone, row 2 is a + b: each term after a
     row's first is one addition, a sign is free, and the values are Python's

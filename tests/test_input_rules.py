@@ -58,6 +58,22 @@ RULES = {
         tensor=lambda: structure_tensor("toeplitz", 0),
         json=(_doc(kind="toeplitz", n=0), "n"),
         cli=("tensor --kind toeplitz --n 0", "--n")),
+    "order not an integer": dict(
+        message="order must be an integer, got float 2.0",
+        structured=lambda: structured("toeplitz", 2.0, [1, 2, 3]),
+        count=lambda: param_count("toeplitz", 2.0),
+        kernel=None,
+        tensor=lambda: structure_tensor("toeplitz", 2.0),
+        json=None,
+        cli=None),
+    "order a bool": dict(
+        message="order must be an integer, got bool True",
+        structured=lambda: structured("circulant", True, [1]),
+        count=lambda: formula_count("circulant", True),
+        kernel=None,
+        tensor=lambda: structure_tensor("circulant", True),
+        json=None,
+        cli=None),
     "order 0 of an inverse": dict(
         message="order must be positive",
         structured=None,
@@ -196,6 +212,43 @@ def test_a_level_rule_names_its_level():
         {"kind": "toeplitz", "n": 2}, {"kind": "f_circulant", "n": 2, "f": [0, 0]}])
     with pytest.raises(SchemaError, match=r"^levels\[1\]\.f: f_circulant needs a nonzero f$"):
         parse_matrix(text)
+
+
+def test_a_level_order_that_is_not_an_integer_names_its_level():
+    for bad in (2.0, True, "2", None):
+        levels = (TOEPLITZ2, LevelSpec("toeplitz", bad))
+        with pytest.raises(InputError) as caught:
+            check_structure("multilevel", None, levels=levels)
+        assert (caught.value.field, caught.value.level) == ("n", 1)
+    with pytest.raises(InputError, match="^order must be an integer, got float 4.0$"):
+        check_structure("multilevel", 4.0, levels=(TOEPLITZ2, TOEPLITZ2))
+
+
+def test_an_order_equal_to_a_kept_one_is_still_refused():
+    """A check is kept per structure, and 2.0 == 2 and True == 1: a kept
+    check of the int order must not pass the float or the bool."""
+    assert param_count("toeplitz", 2) == 3 and param_count("circulant", 1) == 1
+    for _ in range(2):
+        with pytest.raises(InputError, match="^order must be an integer, got float 2.0$"):
+            param_count("toeplitz", 2.0)
+        with pytest.raises(InputError, match="^order must be an integer, got bool True$"):
+            check_structure("circulant", True, size=1)
+    check_structure("multilevel", 4, levels=(TOEPLITZ2, TOEPLITZ2))
+    with pytest.raises(InputError, match="^order must be an integer, got float 2.0$"):
+        check_structure("multilevel", 4, levels=(TOEPLITZ2, LevelSpec("toeplitz", 2.0)))
+
+
+@pytest.mark.parametrize("order", [np.int64(2), np.int32(2), np.uint8(2)])
+def test_an_integer_order_of_another_type_is_read_as_a_plain_int(order):
+    M = structured("toeplitz", order, [1, 2, 3])
+    assert type(M.n) is int and type(M.levels[0].n) is int
+    assert type(param_count("toeplitz", order)) is int
+    assert parse_matrix(serialize_matrix(M)) == M
+    L = structured("multilevel", None, range(9), levels=(LevelSpec("toeplitz", order),
+                                                         LevelSpec("circulant", np.int64(3))))
+    assert type(L.n) is int and all(type(lev.n) is int for lev in L.levels)
+    assert parse_matrix(serialize_matrix(L)) == L
+    assert structure_tensor("toeplitz", order).entries.shape == (3, 2, 2)
 
 
 def test_the_counts_take_no_f_and_a_matrix_needs_its_own():

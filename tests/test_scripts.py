@@ -78,3 +78,24 @@ def test_ab_rounds_times_a_checkout_against_itself():
     assert lines[0] == "kernel-large: 2 rounds of 24 ops, seed 1; failed ops A 0, B 0"
     assert [line.split()[0] for line in lines[4:6]] == ["min", "median"]
     assert lines[7].split()[0] == "circulant.n16" and len(lines) == 7 + 24
+
+
+def test_ab_rounds_groups_sum_each_groups_cells():
+    """--groups adds a table after the cells: one row per kind of
+    kernel-large (its cells at n = 16, 32 and 48), whose medians are the
+    sums of its cells'."""
+    proc = run_script("ab_rounds.py", str(ROOT), str(ROOT), "--rounds", "2", "--groups")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    cells, groups = lines[7:7 + 24], lines[7 + 24:]
+    assert groups[0].startswith("group median sum (us)") and len(groups) == 1 + 8
+    sums = {}
+    for label, a, b, _ in map(str.split, cells):
+        pair = sums.setdefault(label.rsplit(".", 1)[0], [0.0, 0.0])
+        pair[0] += float(a)
+        pair[1] += float(b)
+    assert [row.split()[0] for row in groups[1:]] == list(sums)
+    for row in groups[1:]:
+        group, a, b, _ = row.split()
+        assert abs(float(a) - sums[group][0]) <= 0.01 * 3
+        assert abs(float(b) - sums[group][1]) <= 0.01 * 3
