@@ -7,7 +7,9 @@ their own module names, and neither is changed.  Every op of a round runs
 once per side, the two sides back to back in an order that alternates from
 round to round, so a slow spell of a shared machine falls on both.  BLAS
 runs one thread and the process is pinned to one CPU, as in the benchmark's
-worker.
+worker.  The garbage collector is off while a round runs and collects
+between rounds, outside the clock, so that no side pays for a collection
+the other's garbage set off.
 
 Prints the per-op time (a round's time over its ops) of each side, its
 minimum and median over the rounds, and each cell's median op time.  With
@@ -88,16 +90,21 @@ def main(argv=None) -> int:
     clock = time.perf_counter
     times = [[[] for _ in labels] for _ in sides]      # side, op, one sample per round
     failed = [0, 0]
-    for r in range(args.rounds):
-        for i in range(len(labels)):
-            for s in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
-                ops, modules = sides[s]
-                sys.modules.update(modules)
-                op = ops[i][1]
-                t0 = clock()
-                reason = op()
-                times[s][i].append(clock() - t0)
-                failed[s] += reason is not None
+    gc.disable()
+    try:
+        for r in range(args.rounds):
+            for i in range(len(labels)):
+                for s in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
+                    ops, modules = sides[s]
+                    sys.modules.update(modules)
+                    op = ops[i][1]
+                    t0 = clock()
+                    reason = op()
+                    times[s][i].append(clock() - t0)
+                    failed[s] += reason is not None
+            gc.collect()
+    finally:
+        gc.enable()
 
     per_op = [[sum(op[r] for op in side) / len(labels) for r in range(args.rounds)]
               for side in times]

@@ -152,12 +152,12 @@ def read_only(arr: np.ndarray) -> np.ndarray:
 
 
 # Every constant map form has a shape (m, n), its size in nbytes (every
-# array it applies, a view in full), its parts (the slots that hold its
-# arrays and maps), and a cost: the scalar multiplications and additions of
-# one application to one vector.  ``apply`` maps values of shape (n, ...)
-# to (m, ...); ``propagate`` maps Variable flags the same way through the
-# map's structural support, so an output is Variable when any Variable input
-# feeds it, however many do.
+# array it applies, counted once: a view of another adds nothing), its
+# parts (the slots that hold its arrays and maps), and a cost: the scalar
+# multiplications and additions of one application to one vector.
+# ``apply`` maps values of shape (n, ...) to (m, ...); ``propagate`` maps
+# Variable flags the same way through the map's structural support, so an
+# output is Variable when any Variable input feeds it, however many do.
 # Its ``reach`` is the image of all-Variable flags: a read-only (m,) vector,
 # computed once when the map is built, and ``full_reach`` whether it is all
 # True.  apply_matrix keeps the marker through a map of full reach, hands
@@ -259,23 +259,26 @@ class GatherMap:
     costs no multiplication; every term of a row after its first costs one
     addition.  A row without terms is Constant zero.
 
-    The terms are laid out as (rank, row) tables, a row's terms of nonzero
-    sign first, so values are summed over the leading ranks alone.  The
-    map chooses how it applies when it is built (``ranks``).  With few
-    ranks (_FEW_RANKS), rank 0 filling every row and each later rank live
-    on a prefix of the rows with signs 1, it gathers rank 0, multiplies it
-    by its signs unless they are all 1, and adds each later rank at its
-    prefix, through views of the table; a picking is then one gather.  Any
-    other map gathers its whole table and sums it over the ranks,
-    multiplying by the signs unless they are all 1.  Both give the
-    table's sums: numpy sums a table's ranks in order, and a sign of 1 or
-    an empty slot changes a sum only in the sign of a zero part or where
-    an input is not finite.
+    The terms are laid out in one (rank, row) index table, ``support``,
+    beside their signs, a row's terms of nonzero sign first.  An empty slot
+    has sign 0 and repeats its row's first input, or input 0 in a row
+    without terms, so it adds 0 * input to a sum.  Flags are OR-ed over the
+    whole table, rows without terms masked by the reach; values are summed
+    over its leading ranks alone (``terms``, a view).  The map chooses how
+    it applies when it is built (``ranks``).  With few ranks (_FEW_RANKS),
+    rank 0 filling every row and each later rank live on a prefix of the
+    rows with signs 1, it gathers rank 0, multiplies it by its signs unless
+    they are all 1, and adds each later rank at its prefix, through views
+    of the table; a picking is then one gather.  Any other map gathers its
+    leading ranks and sums them, multiplying by the signs unless they are
+    all 1.  Both give the table's sums: numpy sums a table's ranks in
+    order, and a sign of 1 or an empty slot changes a sum only in the sign
+    of a zero part or where an input is not finite.
     """
 
-    __slots__ = ("shape", "support", "padded", "terms", "signs", "reach", "full_reach", "nbytes",
-                 "cost", "ranks", "signed")
-    parts = ("support", "terms", "signs", "reach")
+    __slots__ = ("shape", "support", "terms", "signs", "reach", "full_reach", "nbytes", "cost",
+                 "ranks", "signed")
+    parts = ("support", "signs", "reach")
 
     def __init__(self, shape: tuple[int, int], rows, index, sign=None):
         m, n = shape
@@ -289,19 +292,14 @@ class GatherMap:
         support = np.full((counts.max(initial=0), m), n, dtype=np.intp)
         signs = np.zeros(support.shape)
         support[rank, rows], signs[rank, rows] = index[order], sign[order]
-        # An empty slot has sign 0 and repeats its row's first input, which
-        # leaves the row's OR as it is.  Only a row without terms, whose first
-        # slot is empty, reads index n: the False that propagate appends.
-        empty = support == n
-        self.support = np.where(empty, support[:1], support)
-        self.padded = bool(empty[:1].any())
+        support[:1, counts == 0] = 0
+        np.copyto(support, support[:1], where=support == n)
         live = np.count_nonzero(signs.any(axis=1))
-        self.terms = read_only(np.where(signs[:live] != 0, self.support[:live], 0))
-        self.signs = read_only(signs)[:live]
-        read_only(self.support)
+        self.support = read_only(support)
+        self.terms, self.signs = support[:live], read_only(signs)[:live]
         self.reach = read_only(counts > 0)
         self.full_reach = bool(self.reach.all())
-        self.nbytes = self.support.nbytes + self.terms.nbytes + self.signs.nbytes
+        self.nbytes = support.nbytes + self.signs.nbytes
         self.cost = (0, len(rows) - int(np.count_nonzero(counts)))
         self._choose_form()
 
@@ -336,9 +334,8 @@ class GatherMap:
         out.shape = (m, n)
         out.support = out.terms = index
         out.signs = read_only(np.ones((1, m)))
-        out.padded = False
         out.reach, out.full_reach = read_only(np.ones(m, dtype=bool)), True
-        out.nbytes = 2 * index.nbytes + out.signs.nbytes
+        out.nbytes = index.nbytes + out.signs.nbytes
         out.cost = (0, 0)
         out.ranks, out.signed = ((index[0], None),), False
         return out
@@ -360,16 +357,18 @@ class GatherMap:
 
     def dense(self) -> np.ndarray:
         """The signs summed at (row, term) in one bincount, rank by rank as
-        apply sums them; an empty slot adds its 0 sign to input 0."""
+        apply sums them; an empty slot adds its 0 sign at the input it
+        repeats (its row's first input, or input 0 in a row without terms)."""
         m, n = self.shape
         cells = self.terms + np.arange(m) * n
         return np.bincount(cells.ravel(), self.signs.ravel(), m * n).reshape(m, n).astype(complex)
 
     def propagate(self, flags: np.ndarray) -> np.ndarray:
-        """Only a map with a row without terms reads the appended False."""
-        if self.padded:
-            flags = np.concatenate([flags, np.zeros((1,) + flags.shape[1:], dtype=bool)])
-        return np.logical_or.reduce(flags[self.support], axis=0)
+        """Only a map with a row without terms masks its OR by the reach."""
+        out = np.logical_or.reduce(flags[self.support], axis=0)
+        if not self.full_reach:
+            out &= _along(self.reach, out.ndim)
+        return out
 
 
 class BlockMap:

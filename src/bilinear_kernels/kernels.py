@@ -61,7 +61,7 @@ from .extraction import level_decomposition
 from .groups import _two_by_two
 from .spectral import principal_root, twiddles
 from .structures import (LevelSpec, SparsityPattern, StructureKind, StructureSpec,
-                         StructuredMatrix, check_structure, circulant_placement,
+                         StructuredMatrix, _checked, check_structure, circulant_placement,
                          f_circulant_placement, hankel_placement, skew_symmetric_placement,
                          sparse_placement, symmetric_placement, toeplitz_placement,
                          tph_placement, triangular_toeplitz_placement)
@@ -232,7 +232,7 @@ def _inverse(kind: StructureKind, c, f: complex | None, ctx: CountContext):
     (q - 1) mod n.  Non-finite parameters are refused before any transform."""
     cv = as_vector(c)
     n = len(cv)
-    check_structure(kind, n, f, size=n)
+    f = _checked(kind, n, f, size=n)[2]
     if (bad := ~np.isfinite(cv.values)).any():
         raise ValueError(f"{kind.value} parameters {np.flatnonzero(bad).tolist()} are not finite")
     U, _, W = SPECS[kind].maps(n, f, None)

@@ -33,8 +33,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .counting import (MAP_STORE_ENTRIES, CountContext, Kind, TrackedScalar, TrackedVector,
-                       _stored, as_matrix, as_vector, match_output, one_vector, read_only,
-                       to_grid, to_scalars)
+                       _stored, as_matrix, as_vector, match_output, number, one_vector,
+                       read_only, to_grid, to_scalars)
 
 
 class SchemaError(ValueError):
@@ -49,6 +49,33 @@ class InputError(ValueError):
     def __init__(self, message: str, field: str | None, level: int | None = None):
         super().__init__(message)
         self.field, self.level = field, level
+
+
+def _integer(v) -> int | None:
+    """v as a plain int by the order rule: operator.index, with a bool
+    refused; None when v is not one."""
+    if v.__class__ is int:
+        return v
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    return None
+
+
+def _read_f(f) -> complex | None:
+    """An f as a plain complex by counting.number's rule, None as None; a
+    bool (numpy's too), or anything complex() refuses or overflows on, is
+    the validator's InputError on f."""
+    if f is None or f.__class__ is complex:
+        return f
+    if not isinstance(f, (bool, np.bool_)):
+        try:
+            return number(f)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise InputError(f"f must be a number, got {type(f).__name__} {f!r:.40}", "f")
 
 
 class StructureKind(str, Enum):
@@ -69,23 +96,40 @@ class StructureKind(str, Enum):
         raise InputError(f"unknown kind {value!r}", "kind")
 
 
+def _read_entries(entries, rows: int, cols: int) -> tuple[tuple[int, int], ...]:
+    """The entries with their indices read as plain ints (_integer); the
+    first that is not an integer, is outside rows x cols or repeats an
+    earlier one is the pattern's one-line ValueError."""
+    seen: dict[tuple[int, int], None] = {}      # the entries, in order
+    for (i, j) in entries:
+        r, c = _integer(i), _integer(j)
+        if r is None or c is None:
+            raise ValueError(f"pattern entry ({i!r:.20},{j!r:.20}) is not a pair of integers")
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise ValueError(f"pattern entry ({r},{c}) outside {rows}x{cols}")
+        if (r, c) in seen:
+            raise ValueError(f"duplicate pattern entry ({r},{c})")
+        seen[r, c] = None
+    return tuple(seen)
+
+
 @dataclass(frozen=True)
 class SparsityPattern:
-    """Set of (row, column) index pairs inside an n x m bound."""
+    """Set of (row, column) index pairs inside an n x m bound.  The bounds
+    and indices are read as orders are (_integer) and kept as plain ints."""
 
     rows: int
     cols: int
     entries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        seen = set()
-        for (r, c) in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"pattern entry ({r},{c}) outside {self.rows}x{self.cols}")
-            if (r, c) in seen:
-                raise ValueError(f"duplicate pattern entry ({r},{c})")
-            seen.add((r, c))
-        object.__setattr__(self, "_hash", hash((self.rows, self.cols, self.entries)))
+        rows, cols = _integer(self.rows), _integer(self.cols)
+        if rows is None or cols is None:
+            raise ValueError(f"pattern bounds ({self.rows!r:.20},{self.cols!r:.20}) "
+                             f"are not integers")
+        entries = _read_entries(self.entries, rows, cols)
+        vars(self).update(rows=rows, cols=cols, entries=entries,
+                          _hash=hash((rows, cols, entries)))
 
     def __hash__(self) -> int:
         """The hash of the fields, computed once: a pattern keys store
@@ -106,9 +150,12 @@ class LevelSpec:
     pattern: SparsityPattern | None = None
 
     def __post_init__(self):
-        """A kind given by its name becomes its StructureKind."""
+        """A kind given by its name becomes its StructureKind, and an f a
+        plain complex (_read_f)."""
         if self.kind.__class__ is not StructureKind:
             object.__setattr__(self, "kind", StructureKind(self.kind))
+        if self.f is not None and self.f.__class__ is not complex:
+            object.__setattr__(self, "f", _read_f(self.f))
         object.__setattr__(self, "_hash", hash((self.kind, self.n, self.f, self.pattern)))
 
     def __hash__(self) -> int:
@@ -157,8 +204,8 @@ def spec(kind: StructureKind) -> StructureSpec | None:
 
 def default_f(kind: StructureKind, f: complex | None) -> complex | None:
     """The f of a single-level kind: -1 when the kind needs one and none
-    is given, else f as given."""
-    return complex(-1.0) if f is None and getattr(spec(kind), "needs_f", False) else f
+    is given, else f as given, read as a plain complex (_read_f)."""
+    return complex(-1.0) if f is None and getattr(spec(kind), "needs_f", False) else _read_f(f)
 
 
 class Structure(NamedTuple):
@@ -180,8 +227,9 @@ def check_structure(kind: StructureKind, n: int | None, f: complex | None = None
     single-level kinds with a parameter each, and an order (None: theirs)
     equal to the product of theirs; any other kind is its own one level.
     Orders are integers (operator.index, not bool), read as plain ints, and
-    at least 1; a pattern (n x n) goes with sparse alone and a nonzero
-    finite f with f-circulant alone.  size is the number of parameters
+    at least 1; an f is a number (not bool), read as a plain complex; a
+    pattern (n x n) goes with sparse alone and a nonzero finite f with
+    f-circulant alone.  size is the number of parameters
     given, None when none are: it must be the table's, and f-circulant
     then needs its f.
 
@@ -197,19 +245,21 @@ def check_structure(kind: StructureKind, n: int | None, f: complex | None = None
 def _checked(kind: StructureKind, n: int | None, f: complex | None = None,
              pattern: SparsityPattern | None = None,
              levels: Sequence[LevelSpec] | None = None,
-             size: int | None = None) -> tuple[Structure, tuple[LevelSpec, ...] | None]:
+             size: int | None = None
+             ) -> tuple[Structure, tuple[LevelSpec, ...] | None, complex | None]:
     """check_structure's Structure and the structure's levels with plain
-    int orders, read from the kept results where the structure may be kept.
-    A single-level kind's one level is built once per kept result; where
-    the check is not kept, its levels are None."""
+    int orders, read from the kept results where the structure may be kept,
+    and f as a plain complex.  A single-level kind's one level is built
+    once per kept result; where the check is not kept, its levels are None.
+    f is read first (_read_f), so every key of a kept result is hashable,
+    and returned as read here, not as the kept result holds it."""
     kind = kind if kind.__class__ is StructureKind else StructureKind(kind)
+    if f is not None and f.__class__ is not complex:
+        f = _read_f(f)
     plain = pattern is None and (n is None or n.__class__ is int)
     if plain and (levels is None or _keyable(levels)):
-        try:
-            return _kept(kind, n, f, levels, size)
-        except TypeError:       # an input that cannot key a result is checked, not kept
-            pass
-    return _check(kind, n, f, pattern, levels, size)
+        return (*_kept(kind, n, f, levels, size), f)
+    return (*_check(kind, n, f, pattern, levels, size), f)
 
 
 def _keyable(levels) -> bool:
@@ -235,16 +285,12 @@ def _kept(kind: StructureKind, n: int | None, f: complex | None,
 
 
 def _order(m, level: int | None) -> int:
-    """An order as a plain int; one that operator.index refuses, or a bool,
-    is the validator's InputError on n."""
-    if m.__class__ is int:
-        return m
-    if not isinstance(m, bool):
-        try:
-            return operator.index(m)
-        except TypeError:
-            pass
-    raise InputError(f"order must be an integer, got {type(m).__name__} {m!r:.40}", "n", level)
+    """An order as a plain int; one that is not an integer (_integer) is the
+    validator's InputError on n."""
+    if (order := _integer(m)) is None:
+        raise InputError(f"order must be an integer, got {type(m).__name__} {m!r:.40}", "n",
+                         level)
+    return order
 
 
 def _check(kind: StructureKind, n: int | None, f: complex | None,
@@ -353,7 +399,7 @@ class StructuredMatrix:
                  levels: Sequence[LevelSpec] | None = None):
         vector = _parameters(data)
         levels = tuple(levels) if levels is not None else None
-        (kind, n, _, _), levels = _checked(kind, n, f, pattern, levels, len(vector))
+        (kind, n, _, _), levels, f = _checked(kind, n, f, pattern, levels, len(vector))
         levels = levels or (LevelSpec(kind, n, f, pattern),)
         vars(self).update(kind=kind, n=n, f=f, pattern=pattern, levels=levels, _vector=vector)
 

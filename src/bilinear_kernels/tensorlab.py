@@ -143,7 +143,7 @@ def structure_tensor(kind, n: int, f: complex | None = None,
     placement of the structure given by its one level, and is checked as
     one (check_structure): like every level, it needs a parameter."""
     levels = (LevelSpec(kind, n, default_f(kind, f), pattern),)
-    (_, n, P, _), levels = _checked(StructureKind.MULTILEVEL, n, levels=levels)
+    (_, n, P, _), levels, _ = _checked(StructureKind.MULTILEVEL, n, levels=levels)
     param, cell, coeff = _placement(levels)[:3]
     T = np.zeros((P, n, n), dtype=complex)
     np.add.at(T, (param, cell % n, cell // n), coeff)

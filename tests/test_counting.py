@@ -207,19 +207,20 @@ def test_toeplitz_family_maps_have_full_supports():
         assert all(M.full for M in maps)
 
 
-@pytest.mark.parametrize("shape, rows, index, sign, padded", [
-    ((3, 4), [0, 1, 2], [3, 0, 1], None, False),                 # a relabelling
-    ((2, 3), [0, 0, 1, 1], [0, 1, 1, 2], [1, -1, 0, 1], False),   # two terms per row
-    ((3, 4), [0, 0, 1, 2], [1, 2, 3, 0], None, False),            # ragged rows
-    ((3, 4), [0, 0, 2], [1, 2, 3], [1, -1, 1], True),             # row 1 empty
-    ((3, 4), [0, 0, 1], [1, 2, 3], [0, 1, 1], True),              # row 2 empty
+@pytest.mark.parametrize("shape, rows, index, sign, full_reach", [
+    ((3, 4), [0, 1, 2], [3, 0, 1], None, True),                  # a relabelling
+    ((2, 3), [0, 0, 1, 1], [0, 1, 1, 2], [1, -1, 0, 1], True),    # two terms per row
+    ((3, 4), [0, 0, 1, 2], [1, 2, 3, 0], None, True),             # ragged rows
+    ((3, 4), [0, 0, 2], [1, 2, 3], [1, -1, 1], False),            # row 1 empty
+    ((3, 4), [0, 0, 1], [1, 2, 3], [0, 1, 1], False),             # row 2 empty
     ((2, 3), [], [], None, False),                                # no terms at all
 ])
-def test_gather_map_flags_equal_the_boolean_product(shape, rows, index, sign, padded):
+def test_gather_map_flags_equal_the_boolean_product(shape, rows, index, sign, full_reach):
     """A gather's flags are those of its structural support as a dense
-    boolean matrix, whether or not a slot of its table is empty."""
+    boolean matrix, whether or not a slot of its table is empty: a row
+    without terms reads input 0 and is masked by the reach."""
     G = GatherMap(shape, rows, index, sign)
-    assert G.padded is padded
+    assert G.full_reach is full_reach
     support = np.zeros(shape, dtype=bool)
     support[np.asarray(rows, dtype=int), np.asarray(index, dtype=int)] = True
     for flags in flag_cases(shape[1]):

@@ -226,8 +226,8 @@ def test_picking_builds_what_the_general_constructor_builds(m, n):
         a, b = getattr(want, name), getattr(got, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         assert not b.flags.writeable
-    assert (want.shape, want.padded, want.nbytes, want.cost) == \
-        (got.shape, got.padded, got.nbytes, got.cost)
+    assert (want.shape, want.full_reach, want.nbytes, want.cost) == \
+        (got.shape, got.full_reach, got.nbytes, got.cost)
     values = np.arange(n * 2.0).reshape(n, 2) + 1j
     assert got.apply(values).tobytes() == want.apply(values).tobytes()
     assert got.dense().tobytes() == want.dense().tobytes()

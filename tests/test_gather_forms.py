@@ -11,10 +11,11 @@ import pytest
 
 from bilinear_kernels import (CountContext, SparsityPattern, StructureKind, cyclic_group,
                               dihedral8, structured, structured_matvec)
-from bilinear_kernels.counting import BlockMap, ChainMap, GatherMap, variable_vector
+from bilinear_kernels.counting import BlockMap, ChainMap, GatherMap, _buffers, variable_vector
 from bilinear_kernels.groups import _D4_MAPS, _X8_MAPS, _convolution
-from bilinear_kernels.kernels import (_COMMUTATOR_MAPS, GAUSS_MAPS, _frame, _pairwise_maps,
+from bilinear_kernels.kernels import (_COMMUTATOR_MAPS, GAUSS_MAPS, SPECS, _frame, _pairwise_maps,
                                       _sparse_maps)
+from bilinear_kernels.structures import default_f
 
 
 def gathers(*maps):
@@ -67,6 +68,26 @@ SOURCES = {
 }
 
 
+def stored_triple(kind: StructureKind, n: int):
+    """The triple the kernels store for kind at order n; a sparse pattern
+    fills every other row, so its maps have rows without terms."""
+    pattern = (SparsityPattern(n, n, tuple((i, 3 * i % n) for i in range(0, n, 2)))
+               if SPECS[kind].needs_pattern else None)
+    f = 2.0 if kind is StructureKind.F_CIRCULANT else default_f(kind, None)
+    return SPECS[kind].maps(n, f, pattern)
+
+
+STORED = {f"stored {kind.value}.n{n}": (lambda kind=kind, n=n: stored_triple(kind, n))
+          for kind in SPECS for n in (1, 2, 5, 9)}
+
+
+def owner(arr: np.ndarray) -> np.ndarray:
+    """The array that owns a view's buffer."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
 def table_sum(M: GatherMap, values: np.ndarray) -> np.ndarray:
     """What the whole table gives: every slot gathered, signed and summed."""
     signs = M.signs.reshape(M.signs.shape + (1,) * (values.ndim - 1))
@@ -93,14 +114,36 @@ def test_every_apply_form_gives_the_tables_sums(source):
 
 @pytest.mark.parametrize("source", SOURCES)
 def test_every_rank_is_a_view_of_the_table(source):
-    """A form adds no array of its own, so nbytes and the store's walk over
-    the map's parts count the table alone."""
+    """A form adds no array of its own, so nbytes counts the one index
+    table once."""
     for M in gathers(*SOURCES[source]()):
-        assert M.nbytes == M.support.nbytes + M.terms.nbytes + M.signs.nbytes
+        assert M.nbytes == M.support.nbytes + M.signs.nbytes
         if M.ranks is not None:
             (first, _), *later = M.ranks
             for index in (first, *(index for _, index in later)):
-                assert np.shares_memory(index, M.terms)
+                assert np.shares_memory(index, M.support)
+
+
+@pytest.mark.parametrize("source", {**SOURCES, **STORED})
+def test_a_gather_map_holds_one_index_table(source):
+    """``terms`` is a view of ``support``, and the store's walk over the
+    map's parts finds one index-array owner, beside the signs' and the
+    reach's."""
+    maps = list(gathers(*{**SOURCES, **STORED}[source]()))
+    assert maps or source.startswith("stored")
+    for M in maps:
+        assert owner(M.terms) is owner(M.support)
+        assert M.nbytes == M.support.nbytes + M.signs.nbytes
+        found = _buffers(M, {})
+        assert found.keys() == {id(owner(a)) for a in (M.support, M.signs, M.reach)}
+        assert len(found) == 3
+
+
+@pytest.mark.parametrize("kind, nbytes", [(SYMMETRIC, 3_771_008), (SKEW, 3_766_912)])
+def test_the_pairwise_maps_of_order_256_hold_one_index_table_per_gather(kind, nbytes):
+    """The bytes the store counts for the pairwise triple at n = 256, one
+    index table and one sign table a gather."""
+    assert sum(_buffers(_pairwise_maps(kind, 256), {}).values()) == nbytes
 
 
 def test_each_kernel_map_takes_the_form_its_shape_calls_for():
@@ -142,3 +185,28 @@ def test_a_sign_of_1_is_not_multiplied_so_a_zero_parts_sign_stays():
     out = structured_matvec(structured("symmetric", 1, [-2]), [-2], CountContext())
     assert [s.value for s in out] == [4]
     assert np.signbit(out[0].value.imag)
+
+
+def test_a_slot_of_sign_0_reads_only_its_own_rows_input_where_one_is_not_finite():
+    """A slot of sign 0 adds 0 * the input it reads: an empty slot repeats
+    its row's first input, and a row without terms reads input 0.  So an
+    input that is not finite reaches only the rows that read it.  An
+    infinite x0 leaves row 2 (x2 alone, with an empty slot) finite.  An
+    infinite x2 makes row 2's sum NaN in both parts, 0 * inf added to inf,
+    whose imaginary part the complex sign product has already made NaN.
+    Row 1, without terms, reads x0.  Through the sparse kernel, whose W is
+    this map, every product is complex, so an infinite one is NaN already."""
+    inf, nan = np.inf, np.nan
+    G = GatherMap((3, 3), [0, 0, 2], [0, 1, 2])     # x0 + x1, no terms, x2
+    P = SparsityPattern(3, 3, ((0, 0), (0, 1), (2, 2)))
+    M = structured("sparse", 3, [1, 1, 1], pattern=P)
+    for x, (real, imag), (kernel_real, kernel_imag) in (
+            ([inf, 1, 1], ([inf, nan, 1], [nan, nan, 0]), ([nan, nan, 1], [nan, nan, 0])),
+            ([1, 1, inf], ([2, 0, nan], [0, 0, nan]), ([2, 0, nan], [0, 0, nan]))):
+        with np.errstate(invalid="ignore"):
+            out = G.apply(np.array(x, dtype=complex))
+            product = np.array([s.value for s in structured_matvec(M, x, CountContext())])
+        np.testing.assert_array_equal(out.real, real)
+        np.testing.assert_array_equal(out.imag, imag)
+        np.testing.assert_array_equal(product.real, kernel_real)
+        np.testing.assert_array_equal(product.imag, kernel_imag)

@@ -9,6 +9,7 @@ shape, and of text given for numbers."""
 
 import json
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -114,6 +115,30 @@ RULES = {
         tensor=lambda: structure_tensor("f_circulant", 3, f=complex(1, float("nan"))),
         json=None,
         cli=("verify --kind f_circulant --n 3 --f nan", "--f")),
+    "f a bool": dict(
+        message="f must be a number, got bool True",
+        structured=lambda: structured("f_circulant", 3, [1] * 3, f=True),
+        count=None,
+        kernel=lambda: f_circulant_matvec([1, 2, 3], True, [1, 2, 3], CountContext()),
+        tensor=lambda: structure_tensor("f_circulant", 3, f=True),
+        json=None,
+        cli=None),
+    "f text": dict(
+        message="f must be a number, got str '2'",
+        structured=lambda: structured("f_circulant", 3, [1] * 3, f="2"),
+        count=None,
+        kernel=lambda: f_circulant_inverse([1, 2, 3], "2", CountContext()),
+        tensor=lambda: certify_rank("f_circulant", 3, f="2"),
+        json=None,
+        cli=None),
+    "f out of range": dict(
+        message="f must be a number, got int 1" + "0" * 39,
+        structured=lambda: structured("f_circulant", 3, [1] * 3, f=10**400),
+        count=None,
+        kernel=lambda: f_circulant_matvec([1, 2, 3], 10**400, [1, 2, 3], CountContext()),
+        tensor=lambda: structure_tensor("f_circulant", 3, f=10**400),
+        json=None,
+        cli=None),
     "missing pattern": dict(
         message="sparse structure needs a pattern",
         structured=lambda: structured("sparse", 3, [1] * 2),
@@ -249,6 +274,35 @@ def test_an_integer_order_of_another_type_is_read_as_a_plain_int(order):
     assert type(L.n) is int and all(type(lev.n) is int for lev in L.levels)
     assert parse_matrix(serialize_matrix(L)) == L
     assert structure_tensor("toeplitz", order).entries.shape == (3, 2, 2)
+
+
+@pytest.mark.parametrize("f", [np.array(2.0), np.float64(2.0), np.int64(2), 2, Fraction(2)])
+def test_an_f_of_another_number_type_is_read_as_a_plain_complex(f):
+    """An f is read as an order is: by its number, held as a plain complex
+    by the matrix and its level, and so hashable, serializable and equal
+    to the matrix of 2.0 in every product."""
+    want = structured("f_circulant", 3, [1, 2, 3], f=2.0)
+    M = structured("f_circulant", 3, [1, 2, 3], f=f)
+    assert type(M.f) is complex and type(M.levels[0].f) is complex and M == want
+    level = LevelSpec("f_circulant", 3, f)
+    assert type(level.f) is complex and hash(level) == hash(want.levels[0])
+    assert parse_matrix(serialize_matrix(M)) == M
+    for run in (structured_matvec, naive_matvec):
+        got, ref = CountContext(), CountContext()
+        assert run(M, [1, 2, 3], got) == run(want, [1, 2, 3], ref) and got == ref
+    assert (f_circulant_inverse([4, 1, 1], f, CountContext())
+            == f_circulant_inverse([4, 1, 1], 2.0, CountContext()))
+    assert certify_rank("f_circulant", 3, f=f) == certify_rank("f_circulant", 3, f=2.0)
+
+
+def test_a_numpy_bool_f_is_refused_as_a_bool():
+    """A numpy bool is a bool, as it is for an order: it does not build as
+    f = 1."""
+    for make in (lambda: structured("f_circulant", 3, [1, 2, 3], f=np.True_),
+                 lambda: LevelSpec("f_circulant", 3, np.True_)):
+        with pytest.raises(InputError, match="^f must be a number, got bool ") as caught:
+            make()
+        assert caught.value.field == "f"
 
 
 def test_the_counts_take_no_f_and_a_matrix_needs_its_own():
@@ -588,6 +642,36 @@ def test_each_reader_refusal_is_a_schema_error_at_its_position(row):
     with pytest.raises(SchemaError) as caught:
         read()
     assert str(caught.value) == message
+
+
+# A pattern's bounds and indices are read as orders are: operator.index, a
+# bool refused; the kernel and the oracle would both truncate 0.5 to 0.
+PATTERN_REFUSALS = {
+    "pattern index not an integer": (((0.5, 0), (1, 1)), 2,
+                                     "pattern entry (0.5,0) is not a pair of integers"),
+    "pattern index a bool": (((True, 0), (1, 1)), 2,
+                             "pattern entry (True,0) is not a pair of integers"),
+    "pattern index text": (((0, "1"),), 2, "pattern entry (0,'1') is not a pair of integers"),
+    "pattern bounds not integers": (((0, 0),), 2.5, "pattern bounds (2.5,2.5) are not integers"),
+    "pattern bounds a bool": (((0, 0),), True, "pattern bounds (True,True) are not integers"),
+}
+
+
+@pytest.mark.parametrize("row", PATTERN_REFUSALS)
+def test_each_pattern_refusal_is_one_line(row):
+    entries, bound, message = PATTERN_REFUSALS[row]
+    with pytest.raises(ValueError) as caught:
+        SparsityPattern(bound, bound, entries)
+    assert str(caught.value) == message
+
+
+def test_pattern_indices_of_another_integer_type_are_read_as_plain_ints():
+    P = SparsityPattern(np.int64(2), np.uint8(2), ((np.int64(0), np.int32(1)), (1, np.int8(1))))
+    assert P == SparsityPattern(2, 2, ((0, 1), (1, 1))) and hash(P) == hash(SparsityPattern(
+        2, 2, ((0, 1), (1, 1))))
+    assert all(type(k) is int for k in (P.rows, P.cols, *(k for pair in P.entries for k in pair)))
+    M = structured("sparse", 2, [1, 2], pattern=P)
+    assert parse_matrix(serialize_matrix(M)) == M
 
 
 SQUARE = [[1, 2], [3, 4]]

@@ -159,14 +159,17 @@ def test_a_structure_with_a_pattern_is_checked_on_every_call(monkeypatch):
     assert structures._kept.cache_info().currsize == 0
 
 
-def test_an_input_that_cannot_key_a_result_is_checked_not_kept(monkeypatch):
-    """A 0-d array f passes the f rules but cannot key a kept result: it is
-    checked on every call, as at first."""
+def test_a_0d_array_f_keys_the_kept_result_of_its_number(monkeypatch):
+    """An f is read as a plain complex before it keys a result, so a 0-d
+    array f reads the result kept for 2.0, and a matrix of it holds 2.0."""
     runs = spy(monkeypatch)
-    for k in range(2):
-        assert check_structure("f_circulant", 3, np.array(2.0), size=3).params == 3
-        assert len(runs) == k + 1
-    assert structures._kept.cache_info().currsize == 0
+    for f in (2.0, np.array(2.0), np.float64(2.0), 2.0):
+        assert check_structure("f_circulant", 3, f, size=3).params == 3
+        assert len(runs) == 1
+    assert structures._kept.cache_info().currsize == 1
+    M = structured("f_circulant", 3, [1, 2, 3], f=np.array(2.0))
+    assert len(runs) == 1
+    assert type(M.f) is complex and M.f == 2 and M.levels == (LevelSpec("f_circulant", 3, 2.0),)
 
 
 def test_the_kept_checks_stay_within_the_store_entry_bound():

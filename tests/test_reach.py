@@ -22,9 +22,9 @@ def dense_support(M) -> np.ndarray:
     if isinstance(M, ConstantMap):
         return np.asarray(M.support)
     if isinstance(M, GatherMap):
-        support = np.zeros((m, n + 1), dtype=bool)     # column n: a row without terms
+        support = np.zeros((m, n), dtype=bool)
         support[np.broadcast_to(np.arange(m), M.support.shape), M.support] = True
-        return support[:, :n]
+        return support & M.reach[:, None]       # a row without terms reads input 0
     if isinstance(M, BlockMap):
         bands = []
         for band in M.bands:
@@ -67,6 +67,18 @@ def test_reach_is_the_image_of_all_variable_flags(name):
         assert np.array_equal(M.reach, want), name
         assert np.array_equal(M.propagate(ones), want), name
         assert M.full_reach is bool(want.all()), name
+
+
+@pytest.mark.parametrize("name", TRIPLES)
+@pytest.mark.parametrize("block", [(), (3,)])
+def test_mixed_flags_take_the_boolean_product(name, block):
+    """propagate equals the boolean product of the dense support on mixed
+    flags, a vector or a block, a gather's rows without terms included."""
+    rng = np.random.default_rng(len(name))
+    for M in TRIPLES[name]:
+        flags = rng.random((M.shape[1],) + block) < 0.5
+        got = M.propagate(flags)
+        assert got.dtype == bool and np.array_equal(got, np.dot(dense_support(M), flags)), name
 
 
 @pytest.mark.parametrize("name", TRIPLES)
