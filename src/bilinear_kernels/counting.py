@@ -437,9 +437,9 @@ class ChainMap:
 
 
 # Bounds of the map store.  The entries keep every map and placement of a
-# verify-style sweep over n <= 16 (500 keys a round, 48 of them a fresh f or
-# pattern) resident while fresh ones come and go; the bytes keep an
-# order-1000 Toeplitz and Hankel pair (152.5 MiB: their shared frame and a W each).
+# verify-style sweep over n <= 16 (532 keys a first round, 484 later, 48 of
+# them a fresh f or pattern) resident while fresh ones come and go; the bytes
+# keep an order-1000 Toeplitz and Hankel pair (152.5 MiB: a transform, 2 Ws).
 MAP_STORE_ENTRIES = 576
 MAP_STORE_BYTES = 160 * 2**20
 
@@ -488,11 +488,12 @@ class MapStore:
 
     A read moves its chain to the recent end, so a base is always more
     recent than what was built from it and is never evicted first: one
-    order has one Toeplitz frame.  After a build, the least recent entries
-    are evicted while either bound is exceeded, up to the new entry, which
-    is kept with its bases.  So every entry's bases are in the store.
-    One re-entrant lock is held across each read, its builds and their
-    nested reads included, so reads from several threads run one at a time.
+    order has one (2n-1)-point transform, read by Toeplitz, Hankel and tph.
+    After a build, the least recent entries are evicted while either bound
+    is exceeded, up to the new entry, which is kept with its bases: every
+    entry's bases are in the store.  One re-entrant lock is held across
+    each read, its builds and their nested reads included, so reads from
+    several threads run one at a time.
     """
 
     def __init__(self):

@@ -35,9 +35,9 @@ structural support, or from the products it forms:
     circulant, f-circulant, one builder from the kind's frame in C[z]/(z^N - 1):
     toeplitz, hankel,       n points (circulant; f-circulant rescales its maps
     triangular, tph         by powers of the n-th root of f); 2n-1 points
-                            (toeplitz, hankel reads its U and V; triangular);
-                            two of 2n-1, bins 0 and n-1 of the first emptied,
-                            products picked from one evaluation of x (tph)
+                            (toeplitz; triangular; hankel and tph read toeplitz's
+                            transform, tph as two summands, bins 0 and n-1 of
+                            the first emptied, products picked from one X)
     symmetric,              gather maps: a_ij (x_i + x_j) per pair i < j and one
     skew-symmetric          correction c_i x_i per row (entrywise at skew n <= 2)
     sparse                  gather maps, one product per pattern entry
@@ -133,9 +133,10 @@ _FRAMES = {
     StructureKind.TOEPLITZ_PLUS_HANKEL:
         lambda n, i, q: (2 * n - 1, n - 1 - q, i, (i, n - 1 - i), _tph_null(n)),
 }
-# The kind whose frame a kind reads, where it is another kind's: Hankel reads
-# Toeplitz's with its own tau, f-circulant circulant's rescaled by f.
+# The kind whose transform a kind reads, where it is another kind's: Hankel and
+# tph read Toeplitz's; f-circulant reads circulant's triple, rescaled by f.
 _READS = {StructureKind.HANKEL: StructureKind.TOEPLITZ,
+          StructureKind.TOEPLITZ_PLUS_HANKEL: StructureKind.TOEPLITZ,
           StructureKind.F_CIRCULANT: StructureKind.CIRCULANT}
 
 
@@ -144,49 +145,29 @@ def _full(M: np.ndarray) -> ConstantMap:               # a map that reads all of
 
 
 @_stored
-def _frame(kind: StructureKind, n: int):
-    """U and V of a kind's frame; X, x evaluated once at each bin; and each
-    product's summand and bin, its row of X.
-
-    Bin k of a summand's symbol is row k of F = omega^(k pos) applied to its
-    parameters, and X = omega^(k sigma).  No position is free, so only the
-    null directions Z (tph's J and, from n = 2 on, C) empty bins, one each,
-    by rule: J bin 0 and C bin n - 1 of the first summand, sum N less one
-    product each.  With G = F[B] Z_0^T, the emptied bins' dependence on Z,
-    and A = G^-1 U_full[B], Z (entries +-1: additions only) shifts t once to
-    t - Z^T A t.  J's Toeplitz symbol is N at bin 0 and 0 elsewhere, so G is
-    triangular and nonsingular.  A frame without null directions empties
-    no bin and solves nothing."""
-    N, pos, sigma, taus, null = _FRAMES[kind](n, np.arange(n), np.arange(2 * n - 1))
-    S, p = len(taus), len(pos)
+def _transform(kind: StructureKind, n: int) -> tuple[ConstantMap, ConstantMap]:
+    """A frame's twiddles, the one place they are evaluated: bin k of the
+    symbol is row k of F = omega^(k pos) applied to the parameters, and x's
+    value at bin k is row k of X = omega^(k sigma)."""
+    N, pos, sigma, _, _ = _FRAMES[kind](n, np.arange(n), np.arange(2 * n - 1))
     k = np.arange(N)[:, None]
-    F, X = twiddles(N, k, pos), _full(twiddles(N, k, sigma))
-    Z = np.reshape(null, (-1, S * p))
-    emptied = np.array([0, n - 1][:len(Z)], dtype=int)  # bins of the first summand
-    live = np.ones((S, N), dtype=bool)
-    live[0, emptied] = False
-    summand, bins = np.nonzero(live)                   # each product's summand and bin
-    V = X if len(bins) == N else ChainMap(X, GatherMap.picking(N, bins))
-    U = _full(F)
-    if S > 1 or len(Z):                                # else every bin of one summand: F itself
-        U = BlockMap(S * p, [[(slice(s * p, (s + 1) * p), U[slice(*edges)])] for s in range(S)
-                             for edges in np.flatnonzero(np.diff(live[s], prepend=0, append=0))
-                             .reshape(-1, 2)])
-    if len(Z):
-        G = (F @ Z[:, :p].T)[emptied]
-        A = np.linalg.solve(G, (np.eye(S)[0, :, None] * F[emptied, None]).reshape(len(Z), -1))
-        r, c = np.nonzero(Z.T)
-        every, shift = slice(None), GatherMap((S * p, len(Z)), r, c, -Z.T[r, c])
-        U = ChainMap(BlockMap(S * p, [[(every, GatherMap.picking(S * p, np.arange(S * p))),
-                                       (every, ChainMap(_full(A), shift))]]), U)
-    return U, V, X, summand, bins
+    return _full(twiddles(N, k, pos)), _full(twiddles(N, k, sigma))
 
 
 @_stored
 def _embedding_maps(kind: StructureKind, n: int, f: complex = 1):
-    """The Cohn-Umans triple of a kind the builder describes: its frame's U
-    and V, and W, which reads y_i off bin k of summand s with
-    omega^(-k tau_s[i]) / N.
+    """The Cohn-Umans triple of a kind the builder describes, from the
+    transform F, X of the frame it reads: U applies F to each summand's
+    parameters, V picks the live bins of X, and W reads y_i off bin k of
+    summand s with omega^(-k tau_s[i]) / N.
+
+    No position is free, so only the null directions Z (tph's J and, from
+    n = 2 on, C) empty bins, one each, by rule: J bin 0 and C bin n - 1 of
+    the first summand, B.  With G = F[B] Z_0^T and A = G^-1 U_full[B], Z
+    (entries +-1: additions only) shifts t once to t - Z^T A t; J's
+    Toeplitz symbol is N at bin 0 and 0 elsewhere, so G is triangular and
+    nonsingular.  One summand with no null direction (Toeplitz, Hankel)
+    takes F and X themselves.
 
     A kind that takes f (f-circulant) reads its frame's triple rescaled:
     z = rho w, rho = principal_root(f, n), takes C[z]/(z^n - f) to
@@ -201,8 +182,26 @@ def _embedding_maps(kind: StructureKind, n: int, f: complex = 1):
         up, (U, V, W) = principal_root(f, n) ** np.arange(n), _embedding_maps(frame, n)
         return (U.rescaled(U.matrix * up[pos]), V.rescaled(V.matrix * up[sigma]),
                 W.rescaled(W.matrix / up[tau, None]))
-    U, V, X, summand, bins = _frame(frame, n)
-    N, _, sigma, taus, _ = _FRAMES[kind](n, np.arange(n), np.arange(2 * n - 1))
+    N, pos, sigma, taus, null = _FRAMES[kind](n, np.arange(n), np.arange(2 * n - 1))
+    U, X = _transform(frame, n)
+    F, S, p = U.matrix, len(taus), len(pos)
+    Z = np.reshape(null, (-1, S * p))
+    emptied = np.array([0, n - 1][:len(Z)], dtype=int)  # bins of the first summand
+    live = np.ones((S, N), dtype=bool)
+    live[0, emptied] = False
+    summand, bins = np.nonzero(live)                   # each product's summand and bin
+    V = X if len(bins) == N else ChainMap(X, GatherMap.picking(N, bins))
+    if S > 1 or len(Z):                                # else every bin of one summand: F itself
+        U = BlockMap(S * p, [[(slice(s * p, (s + 1) * p), U[slice(*edges)])] for s in range(S)
+                             for edges in np.flatnonzero(np.diff(live[s], prepend=0, append=0))
+                             .reshape(-1, 2)])
+    if len(Z):
+        G = (F @ Z[:, :p].T)[emptied]
+        A = np.linalg.solve(G, (np.eye(S)[0, :, None] * F[emptied, None]).reshape(len(Z), -1))
+        r, c = np.nonzero(Z.T)
+        every, shift = slice(None), GatherMap((S * p, len(Z)), r, c, -Z.T[r, c])
+        U = ChainMap(BlockMap(S * p, [[(every, GatherMap.picking(S * p, np.arange(S * p))),
+                                       (every, ChainMap(_full(A), shift))]]), U)
     perms = np.argsort(sigma)[np.array(taus)]          # each summand's columns of X
     W = np.concatenate([X.matrix[bins[summand == s, None], perm] for s, perm in enumerate(perms)])
     return U, V, _full(np.divide(np.conjugate(W, out=W), N, out=W).T)

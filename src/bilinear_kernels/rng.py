@@ -45,7 +45,6 @@ def _jump_table(steps: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _JUMP_MULT, _JUMP_INC = _jump_table(JUMP_BLOCK)
-_BLOCK_MULT, _BLOCK_INC = int(_JUMP_MULT[-1]), int(_JUMP_INC[-1])
 
 
 class Lcg:
@@ -71,19 +70,21 @@ class Lcg:
 
     def _tops(self, k: int) -> np.ndarray:
         """The next k draws' top 53 bits u, as doubles (exact: u < 2^53), by
-        jumping ahead a block of JUMP_BLOCK states at a time; k >= 1."""
-        starts = [self.state]
-        for _ in range((k - 1) // JUMP_BLOCK):
-            starts.append((starts[-1] * _BLOCK_MULT + _BLOCK_INC) & _MASK)
-        if len(starts) == 1:
-            states = _JUMP_MULT[:k] * np.uint64(starts[0])
-            states += _JUMP_INC[:k]
-        else:
-            states = np.array(starts, dtype=np.uint64)[:, None] * _JUMP_MULT
-            states += _JUMP_INC
-            states = states.ravel()[:k]
-        self.state = int(states[-1])
-        return (states >> np.uint64(11)).astype(np.float64)
+        jumping ahead a block of JUMP_BLOCK states at a time; k >= 1.  The
+        output is allocated before the first step, so a k that numpy refuses
+        to hold is a MemoryError at once."""
+        try:
+            tops = np.empty(k)
+        except ValueError as exc:           # "Maximum allowed dimension exceeded"
+            raise MemoryError(f"{k} random draws do not fit in memory") from exc
+        s = np.uint64(self.state)
+        for lo in range(0, k, JUMP_BLOCK):
+            states = _JUMP_MULT[:k - lo] * s
+            states += _JUMP_INC[:k - lo]
+            s = states[-1]
+            tops[lo:lo + JUMP_BLOCK] = states >> np.uint64(11)
+        self.state = int(s)
+        return tops
 
     def uniforms(self, k: int, lo: float = -1.0, hi: float = 1.0) -> list[float]:
         """k uniform(lo, hi) draws."""

@@ -109,9 +109,9 @@ def idft(v, ctx: CountContext):
 def scaled_dft(v, f: complex, ctx: CountContext):
     """Evaluate the polynomial with coefficients v at the n roots of x^n = f."""
     vec = as_vector(v)
-    return match_output(v, apply_matrix(scaled_dft_matrix(len(vec), complex(f)), vec, ctx))
+    return match_output(v, apply_matrix(scaled_dft_matrix(len(vec), complex(f) + 0j), vec, ctx))
 
 
 def scaled_idft(v, f: complex, ctx: CountContext):
     vec = as_vector(v)
-    return match_output(v, apply_matrix(scaled_idft_matrix(len(vec), complex(f)), vec, ctx))
+    return match_output(v, apply_matrix(scaled_idft_matrix(len(vec), complex(f) + 0j), vec, ctx))

@@ -65,14 +65,16 @@ def _integer(v) -> int | None:
 
 
 def _read_f(f) -> complex | None:
-    """An f as a plain complex by counting.number's rule, None as None; a
-    bool (numpy's too), or anything complex() refuses or overflows on, is
-    the validator's InputError on f."""
-    if f is None or f.__class__ is complex:
-        return f
+    """An f as a plain complex by counting.number's rule, with each zero
+    part read as +0.0 (-0.0 equals and hashes as 0.0, so a kept or stored
+    result cannot tell them apart), None as None; a bool (numpy's too), or
+    anything complex() refuses or overflows on, is the validator's
+    InputError on f."""
+    if f is None:
+        return None
     if not isinstance(f, (bool, np.bool_)):
         try:
-            return number(f)
+            return number(f) + 0j
         except (TypeError, ValueError, OverflowError):
             pass
     raise InputError(f"f must be a number, got {type(f).__name__} {f!r:.40}", "f")
@@ -154,7 +156,7 @@ class LevelSpec:
         plain complex (_read_f)."""
         if self.kind.__class__ is not StructureKind:
             object.__setattr__(self, "kind", StructureKind(self.kind))
-        if self.f is not None and self.f.__class__ is not complex:
+        if self.f is not None:
             object.__setattr__(self, "f", _read_f(self.f))
         object.__setattr__(self, "_hash", hash((self.kind, self.n, self.f, self.pattern)))
 
@@ -254,7 +256,9 @@ def _checked(kind: StructureKind, n: int | None, f: complex | None = None,
     f is read first (_read_f), so every key of a kept result is hashable,
     and returned as read here, not as the kept result holds it."""
     kind = kind if kind.__class__ is StructureKind else StructureKind(kind)
-    if f is not None and f.__class__ is not complex:
+    if f.__class__ is complex:
+        f += 0j                                   # _read_f's rule: each zero part +0.0
+    elif f is not None:
         f = _read_f(f)
     plain = pattern is None and (n is None or n.__class__ is int)
     if plain and (levels is None or _keyable(levels)):

@@ -17,7 +17,8 @@ from bilinear_kernels import (CountContext, LevelSpec, StructureKind, circulant_
 from bilinear_kernels import counting, kernels
 from bilinear_kernels.counting import (MAP_STORE, MAP_STORE_BYTES, MAP_STORE_ENTRIES, BlockMap,
                                        ChainMap, ConstantMap, GatherMap, MapStore)
-from bilinear_kernels.kernels import SPECS, _embedding_maps, _frame, _pairwise_maps, _sparse_maps
+from bilinear_kernels.kernels import (SPECS, _embedding_maps, _pairwise_maps, _sparse_maps,
+                                      _transform)
 from bilinear_kernels.cli import random_pattern
 from bilinear_kernels.rng import Lcg
 from bilinear_kernels.spectral import (F_CACHE_SIZE, ORDER_CACHE_SIZE, dft_matrix, idft_matrix,
@@ -152,19 +153,19 @@ def owner(arr: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_derived_kernel_maps_are_views(n):
     """Hankel reads Toeplitz's frame: the same U and V.  tph's summands read
-    views of one symbol transform after one shift of the parameters, and
+    views of Toeplitz's symbol transform after one shift of the parameters, and
     their products pick from one evaluation of x; an f-circulant map shares
     its order's base's support and reach."""
     U, V, W = _embedding_maps(TOEPLITZ, n)
     hU, hV, hW = _embedding_maps(HANKEL, n)
-    assert hU is U and hV is V and hU is _frame(TOEPLITZ, n)[0]
+    assert hU is U and hV is V and hU is _transform(TOEPLITZ, n)[0]
     assert not np.shares_memory(hW.matrix, W.matrix) and hW.matrix.strides[1] > 0
     tU, tV, _ = _embedding_maps(TPH, n)
     shift, symbol = tU.first, tU.second
     assert shift.cost[0] == min(n, 2) * (4 * n - 2)    # only A multiplies: rank min(n, 2)
     blocks = [M for band in symbol.bands for _, M in band]
     assert all(isinstance(M, ConstantMap) for M in blocks)
-    assert len({id(owner(M.matrix)) for M in blocks}) == 1
+    assert {id(owner(M.matrix)) for M in blocks} == {id(owner(_transform(TOEPLITZ, n)[0].matrix))}
     if n > 1:
         assert isinstance(tV.second, GatherMap) and tV.first.shape == (2 * n - 1, n)
     for M, base in zip(_embedding_maps(FCIRC, n, 2j), _embedding_maps(CIRC, n)):
@@ -286,6 +287,29 @@ def test_the_store_counts_the_bytes_it_holds(monkeypatch):
     assert abs(store.nbytes - held) <= 0.1 * held
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 256])
+def test_toeplitz_hankel_and_tph_read_one_stored_transform(monkeypatch, n):
+    """The three kinds embed in one (2n-1)-point frame, with the same
+    parameter positions and input placement: the store holds one transform
+    for it, and tph's symbol bands and its evaluation of x hold no buffer
+    but that transform's (a band keeps only its own row reach)."""
+    store = MapStore()
+    monkeypatch.setattr(counting, "MAP_STORE", store)
+    for kind in (TOEPLITZ, HANKEL, TPH):
+        _embedding_maps(kind, n)
+    assert [key[1:] for key in store.entries if key[0] is _transform.__wrapped__] == [
+        (TOEPLITZ, n)]
+    F, X = _transform(TOEPLITZ, n)
+    transform = set(counting._buffers((F, X), {}))
+    tU, tV, _ = _embedding_maps(TPH, n)
+    bands = [M for band in tU.second.bands for _, M in band]
+    assert bands and all(isinstance(M, ConstantMap) for M in bands)
+    assert all(set(counting._buffers((M.matrix, M.support), {})) <= transform for M in bands)
+    assert (tV.first if isinstance(tV, ChainMap) else tV) is X
+    if n == 256:     # 21,040,091 bytes while tph kept a copy of the transform
+        assert store.nbytes == 14_744_090
+
+
 def test_the_store_counts_the_patterns_in_its_keys(monkeypatch):
     """A sparsity pattern holds a Python pair per entry, as many bytes as the
     maps it keys: the store counts the patterns in its keys, so its size is
@@ -331,9 +355,9 @@ def test_a_derived_entry_keeps_its_base_through_evictions():
         _embedding_maps(FCIRC, 2, complex(5.0, k))
         if k % 50 == 0:
             _embedding_maps(HANKEL, n)
-    assert stored(_frame, TOEPLITZ, n)
+    assert stored(_transform, TOEPLITZ, n)
     hankel, toeplitz = _embedding_maps(HANKEL, n), _embedding_maps(TOEPLITZ, n)
-    assert hankel[0] is toeplitz[0] is _frame(TOEPLITZ, n)[0]
+    assert hankel[0] is toeplitz[0] is _transform(TOEPLITZ, n)[0]
     assert within_bounds()
 
 

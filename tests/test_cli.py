@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from bilinear_kernels.cli import _rel_error, main
+from bilinear_kernels.rng import Lcg
 
 
 def run(capsys, *argv):
@@ -275,6 +276,25 @@ def test_out_of_memory_is_one_error_line(capsys, monkeypatch, argv, target, mess
     code, out, err = run(capsys, *argv.split())
     assert_usage_error(code, err)
     assert out == "" and err == f"error: {message or 'out of memory'}\n"
+
+
+@pytest.mark.parametrize("draw", ["complex_vector", "uniforms"])
+def test_draws_numpy_cannot_hold_are_a_memory_error_before_any_step(draw):
+    rng = Lcg(3)
+    with pytest.raises(MemoryError, match="^10000000000000000000000 random draws do not fit"):
+        getattr(rng, draw)(10**22 // (2 if draw == "complex_vector" else 1))
+    assert rng.state == Lcg(3).state
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --kind symmetric --n 99999999999 --trials 1",
+    "verify --kind sparse --n 99999999999 --trials 1",
+    "verify --kind multilevel --levels symmetric:99999999999,toeplitz:2 --trials 1",
+])
+def test_an_order_too_large_to_draw_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert_usage_error(code, err)
+    assert out == "" and "random draws do not fit in memory" in err
 
 
 class TestTensor:

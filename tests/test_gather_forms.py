@@ -13,8 +13,8 @@ from bilinear_kernels import (CountContext, SparsityPattern, StructureKind, cycl
                               dihedral8, structured, structured_matvec)
 from bilinear_kernels.counting import BlockMap, ChainMap, GatherMap, _buffers, variable_vector
 from bilinear_kernels.groups import _D4_MAPS, _X8_MAPS, _convolution
-from bilinear_kernels.kernels import (_COMMUTATOR_MAPS, GAUSS_MAPS, SPECS, _frame, _pairwise_maps,
-                                      _sparse_maps)
+from bilinear_kernels.kernels import (_COMMUTATOR_MAPS, GAUSS_MAPS, SPECS, _embedding_maps,
+                                      _pairwise_maps, _sparse_maps)
 from bilinear_kernels.structures import default_f
 
 
@@ -45,7 +45,7 @@ EMPTY_ROW = SparsityPattern(3, 3, ((0, 1), (2, 0), (2, 2)))
 SOURCES = {
     **{f"{kind.value}.n{n}": (lambda kind=kind, n=n: _pairwise_maps(kind, n))
        for kind in (SYMMETRIC, SKEW) for n in (1, 2, 3, 16, 48)},
-    **{f"tph frame.n{n}": (lambda n=n: _frame(StructureKind.TOEPLITZ_PLUS_HANKEL, n)[:2])
+    **{f"tph frame.n{n}": (lambda n=n: _embedding_maps(StructureKind.TOEPLITZ_PLUS_HANKEL, n)[:2])
        for n in (1, 2, 5)},
     "sparse spread": lambda: _sparse_maps(4, SPREAD),
     "sparse with an empty row": lambda: _sparse_maps(3, EMPTY_ROW),

@@ -5,6 +5,7 @@ never a refusal) and the facts of its structural mask that the oracle reads
 those of counting every call afresh."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -16,6 +17,8 @@ from bilinear_kernels.cli import random_pattern, random_structured
 from bilinear_kernels.counting import MapStore, TrackedVector, variables
 from bilinear_kernels.kernels import SPECS, structured_matvec
 from bilinear_kernels.rng import Lcg
+from bilinear_kernels.spectral import (scaled_dft, scaled_dft_matrix, scaled_idft,
+                                       scaled_idft_matrix)
 from bilinear_kernels.structures import (InputError, _placement, check_structure, default_f,
                                          dense_parts, param_count)
 
@@ -170,6 +173,31 @@ def test_a_0d_array_f_keys_the_kept_result_of_its_number(monkeypatch):
     M = structured("f_circulant", 3, [1, 2, 3], f=np.array(2.0))
     assert len(runs) == 1
     assert type(M.f) is complex and M.f == 2 and M.levels == (LevelSpec("f_circulant", 3, 2.0),)
+
+
+def test_an_f_that_differs_only_in_the_sign_of_a_zero_is_one_f(monkeypatch):
+    """-0.0 equals and hashes as 0.0, so kept checks, levels and stored maps
+    cannot tell f = -1+0j from -1-0j: each zero part of f is read as +0.0.
+    In either build order, in one process, both give the bytes of f = -1,
+    and the matrix's f is its level's, as are the scaled transforms'."""
+    x = variables([1, 2j, 3])
+
+    def products(f):
+        M = structured("f_circulant", 3, [1, 2, 3], f=f)
+        assert math.copysign(1, M.f.imag) == math.copysign(1, M.levels[0].f.imag) == 1
+        return [np.array([s.value for s in op(*args, CountContext())]).tobytes()
+                for op, args in ((structured_matvec, (M, x)), (scaled_dft, (x, f)),
+                                 (scaled_idft, (x, f)))]
+
+    got = []
+    for zeros in ((0.0, -0.0), (-0.0, 0.0), (None,)):
+        structures._kept.cache_clear()
+        for cache in (scaled_dft_matrix, scaled_idft_matrix):
+            cache.cache_clear()
+        monkeypatch.setattr(counting, "MAP_STORE", MapStore())
+        got += [products(-1 if zero is None else complex(-1, zero)) for zero in zeros]
+    assert all(products == got[-1] for products in got)
+    assert math.copysign(1, LevelSpec("f_circulant", 3, complex(-1, -0.0)).f.imag) == 1
 
 
 def test_the_kept_checks_stay_within_the_store_entry_bound():
