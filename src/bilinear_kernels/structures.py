@@ -579,20 +579,26 @@ def _placement(levels: tuple[LevelSpec, ...]) -> Placement:
 
     Levels compose as a Kronecker product: the outer level's parameter and
     block index vary slowest.  A multilevel placement reads its inner one,
-    so the store keeps that one as its base.
+    so the store keeps that one as its base.  An f-circulant outer level
+    places its parameters as circulant does, so its placement is the one
+    with circulant there, whose arrays and facts it keeps, but for coeff.
     """
     lev, inner = levels[0], levels[1:]
     param, cell, coeff = spec(lev.kind).placement(lev.n, lev.f, lev.pattern)
-    n = lev.n
     if inner:
         base = _placement(inner)
+        coeff = (coeff[:, None] * base.coeff).ravel()
+    if lev.kind is StructureKind.F_CIRCULANT:
+        circulant = _placement((LevelSpec(StructureKind.CIRCULANT, lev.n), *inner))
+        return circulant._replace(coeff=read_only(coeff))
+    n = lev.n
+    if inner:
         m = base.structural.shape[0]
         row, col = np.divmod(cell, n)
         irow, icol = np.divmod(base.cell, m)
         param = (param[:, None] * param_count(StructureKind.MULTILEVEL, m, levels=inner)
                  + base.param).ravel()
         cell = ((row[:, None] * m + irow) * (n * m) + col[:, None] * m + icol).ravel()
-        coeff = (coeff[:, None] * base.coeff).ravel()
         n *= m
     structural = np.zeros(n * n, dtype=bool)
     structural[cell] = True

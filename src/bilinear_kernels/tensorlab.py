@@ -1,4 +1,4 @@
-"""Structure tensors as dense order-3 arrays, decomposition verification,
+"""Structure tensors held as their nonzeros, decomposition verification,
 flattening and skew-contraction rank bounds, and the coefficient-sum
 stability measure."""
 
@@ -11,29 +11,72 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .counting import read_only
 from .structures import (LevelSpec, SchemaError, SparsityPattern, StructureKind, _checked,
                          _placement, default_f, read_complex_pair)
 
 
-@dataclass(frozen=True)
 class Tensor3:
-    """Dense order-3 tensor; entry(i, j, k) = entries[i, j, k]."""
+    """Order-3 tensor held as its nonzeros: ``nonzeros`` is (index, values),
+    the distinct C-order flat indices of its nonzero entries, in no set
+    order, and their values; every other entry is zero.
 
-    entries: np.ndarray
+    Tensor3(entries) keeps a dense array as given (array-like entries
+    become an array of their own dtype) and finds its nonzeros at their
+    first read, by one scan (_nonzeros): an edit of the array after that is
+    not seen.  Tensor3.from_nonzeros keeps the nonzeros, and forms the
+    dense, read-only ``entries`` at their first read; verification and the
+    flattening ranks never do.  Entries must be finite either way."""
 
-    def __post_init__(self):
-        """Array-like entries become an array of their own dtype."""
-        object.__setattr__(self, "entries", np.asarray(self.entries))
-        if self.entries.ndim != 3:
+    __slots__ = ("dims", "_dense", "_coords")
+
+    def __init__(self, entries):
+        entries = np.asarray(entries)
+        if entries.ndim != 3:
             raise ValueError("Tensor3 needs a 3-dimensional array")
-        if min(self.entries.shape) < 1:
+        if min(entries.shape) < 1:
             raise ValueError("tensor dims must be positive")
-        if not np.isfinite(self.entries).all():
+        if not np.isfinite(entries).all():
             raise ValueError("tensor entries must be finite")
+        self.dims, self._dense, self._coords = entries.shape, entries, None
+
+    @classmethod
+    def from_nonzeros(cls, dims, index, values) -> Tensor3:
+        """The tensor of shape dims whose entry at each flat index is the
+        value beside it, zero elsewhere; index and values are kept as
+        given.  Zero values may be among them."""
+        dims = tuple(map(int, dims))
+        if len(dims) != 3:
+            raise ValueError("Tensor3 needs three dims")
+        if min(dims) < 1:
+            raise ValueError("tensor dims must be positive")
+        index, values = np.asarray(index), np.asarray(values)
+        if index.ndim != 1 or index.shape != values.shape or index.dtype.kind not in "iu":
+            raise ValueError("Tensor3 needs one integer flat index per value")
+        ordered = np.sort(index)
+        if ordered.size and (ordered[0] < 0 or ordered[-1] >= math.prod(dims)
+                             or (ordered[1:] == ordered[:-1]).any()):
+            raise ValueError("tensor flat indices must be distinct and within the dims")
+        if not np.isfinite(values).all():
+            raise ValueError("tensor entries must be finite")
+        T = cls.__new__(cls)
+        T.dims, T._dense, T._coords = dims, None, (index, values)
+        return T
 
     @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.entries.shape
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._coords is None:
+            self._coords = _nonzeros(self._dense)
+        return self._coords
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._dense is None:
+            index, values = self._coords
+            dense = np.zeros(self.dims, dtype=values.dtype)
+            dense.reshape(-1)[index] = values
+            self._dense = read_only(dense)
+        return self._dense
 
 
 def _split(rows: np.ndarray, dims) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -105,22 +148,34 @@ def stack_terms(D: TensorDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndar
 _BLOCK_BYTES = 128 * 1024
 
 
+def _width(rows: np.ndarray, dims) -> int:
+    """The mode-2 indices in a _rebuild block of these rows: as many as keep
+    its Khatri-Rao product and the block within _BLOCK_BYTES, one at the
+    least."""
+    d1, _, d3 = dims
+    return max(1, _BLOCK_BYTES // (rows.itemsize * d3 * (len(rows) + d1)))
+
+
 def _rebuild(rows: np.ndarray, dims):
     """Sum of the terms in the rows' own arithmetic, one block of mode-2
     indices at a time: yields (slice, block) with block the sum's
-    [:, slice, :].  Each block is the weighted first factors lam * U,
-    formed once as an array of their own, times the row-wise Khatri-Rao
-    product of the other two over the slice, read off the rows in place;
-    the slice is as wide as keeps both within _BLOCK_BYTES (one index at
-    the least).  The rows are only read."""
+    [:, slice, :].  Each block is U^T times the row-wise Khatri-Rao product
+    of V over the slice and the weighted last factors lam * W, formed once
+    as an (r, d3) array of their own; each slice but the last is _width
+    indices wide.  U, V and W are read off the rows in place, but for the
+    real part of complex rows: its U has a stride of two items, which BLAS
+    cannot read (numpy would copy it for every block), so that U is copied
+    once.  The rows are only read."""
     lam, U, V, W = _split(rows, dims)
+    if U.strides[1] != U.itemsize:
+        U = np.ascontiguousarray(U)
     d1, d2, d3 = dims
-    weighted = (U * lam[:, None]).T
-    step = max(1, _BLOCK_BYTES // (rows.itemsize * d3 * (len(lam) + d1)))
-    for j0 in range(0, d2, step):
-        j = slice(j0, min(j0 + step, d2))
-        KR = (V[:, j, None] * W[:, None, :]).reshape(len(lam), (j.stop - j0) * d3)
-        yield j, (weighted @ KR).reshape(d1, j.stop - j0, d3)
+    weighted = W * lam[:, None]
+    width = _width(rows, dims)
+    for j0 in range(0, d2, width):
+        j = slice(j0, min(j0 + width, d2))
+        KR = (V[:, j, None] * weighted[:, None, :]).reshape(len(lam), (j.stop - j0) * d3)
+        yield j, (U.T @ KR).reshape(d1, j.stop - j0, d3)
 
 
 def decomposition_tensor(D: TensorDecomposition) -> np.ndarray:
@@ -139,15 +194,16 @@ def structure_tensor(kind, n: int, f: complex | None = None,
                      pattern: SparsityPattern | None = None) -> Tensor3:
     """Matvec structure tensor over the canonical parameter basis:
     entry(p, j, k) = k-th coordinate of (basis_p @ e_j).  A kind that
-    needs f uses f = -1 when none is given.  The tensor is read off the
-    placement of the structure given by its one level, and is checked as
-    one (check_structure): like every level, it needs a parameter."""
+    needs f uses f = -1 when none is given.  The tensor's nonzeros are the
+    placement of the structure given by its one level, read as they are
+    stored: parameter p at cell (k, j) with its coefficient.  The structure
+    is checked as one (check_structure): like every level, it needs a
+    parameter."""
     levels = (LevelSpec(kind, n, default_f(kind, f), pattern),)
     (_, n, P, _), levels, _ = _checked(StructureKind.MULTILEVEL, n, levels=levels)
     param, cell, coeff = _placement(levels)[:3]
-    T = np.zeros((P, n, n), dtype=complex)
-    np.add.at(T, (param, cell % n, cell // n), coeff)
-    return Tensor3(T)
+    row, col = np.divmod(cell, n)
+    return Tensor3.from_nonzeros((P, n, n), (param * n + col) * n + row, coeff)
 
 
 def matmul_tensor(m: int, n: int, p: int) -> Tensor3:
@@ -221,14 +277,56 @@ class VerificationReport:
     passed: bool
 
 
+def _less_blocks(T: Tensor3, rows: np.ndarray):
+    """A function of (slice, block) that subtracts T[:, slice, :] from a
+    _rebuild block of these rows, in place where the block's dtype holds
+    the difference: the nonzeros in the block when T holds them, and the
+    dense slice when T holds only that, whose nonzeros may take twice its
+    bytes.  Each nonzero's flat index in its block is worked out once, and
+    the nonzeros are put in order of block, so that a block's are one run;
+    when one block holds the whole tensor, they are its own flat indices.
+    The zeros would change nothing they were subtracted from.  With real
+    rows, T with no imaginary part is read as its real part."""
+    _, d2, d3 = T.dims
+    real = rows.dtype.kind != "c"
+    if T._coords is None:
+        arr = T._dense
+        if real and np.iscomplexobj(arr) and not arr.imag.any():
+            arr = arr.real
+        return lambda j, R: np.subtract(R, arr[:, j],
+                                        out=R if np.can_cast(arr.dtype, R.dtype) else None)
+    index, values = T._coords
+    if real and np.iscomplexobj(values) and not values.imag.any():
+        values = values.real
+    dtype = np.result_type(rows.dtype, values.dtype)
+    width = _width(rows, T.dims)
+    starts = (0, len(index))
+    if width < d2:
+        i, j, k = np.unravel_index(index, T.dims)
+        block = j // width
+        j0 = block * width
+        order = np.argsort(block, kind="stable")
+        index = ((i * np.minimum(width, d2 - j0) + j - j0) * d3 + k)[order]
+        values = values[order]
+        starts = np.searchsorted(block[order], np.arange(-(-d2 // width) + 1))
+
+    def less(j, R):
+        run = slice(starts[j.start // width], starts[j.start // width + 1])
+        R = R.astype(dtype, copy=False)
+        R.reshape(-1)[index[run]] -= values[run]
+        return R
+    return less
+
+
 def verify_decomposition(T: Tensor3, D: TensorDecomposition, tol: float) -> VerificationReport:
     """The largest entry of |T - sum of the terms|, inf when that is not
     finite, so that an overflowed rebuild cannot pass.
 
-    The sum is rebuilt one block of mode-2 indices at a time (_rebuild):
-    T's slice is subtracted from each block and the block's largest error
-    kept, so beside the weighted first factors it holds one block's
-    temporaries at a time; D's rows are read in place.
+    The sum is rebuilt one block of mode-2 indices at a time (_rebuild),
+    T's part of each block is subtracted from it (_less_blocks) and the
+    block's largest error kept, so beside the weighted last factors the
+    check holds one block's temporaries at a time, and T's nonzeros when
+    it is held as those; D's rows are read in place.
 
     When lam and every factor have a zero imaginary part (the 0/+-1 terms of
     the pairwise kernels, for one), the terms are summed in real arithmetic:
@@ -236,17 +334,11 @@ def verify_decomposition(T: Tensor3, D: TensorDecomposition, tol: float) -> Veri
     are exact."""
     if D.dims != T.dims:
         raise ValueError(f"decomposition dims {D.dims} do not match tensor dims {T.dims}")
-    arr, rows = T.entries, D.rows
-    if not rows.imag.any():
-        rows = rows.real
-        # A real array's .imag would be a fresh array of zeros as large as T.
-        if np.iscomplexobj(arr) and not arr.imag.any():
-            arr = arr.real
-    in_place = np.can_cast(arr.dtype, rows.dtype)
+    rows = D.rows.real if not D.rows.imag.any() else D.rows
+    less = _less_blocks(T, rows)
     err = 0.0
     for j, R in _rebuild(rows, D.dims):
-        R = np.subtract(R, arr[:, j], out=R if in_place else None)
-        block_err = float(np.abs(R).max())
+        block_err = float(np.abs(less(j, R)).max())
         if not math.isfinite(block_err):
             err = math.inf
             break
@@ -278,52 +370,88 @@ def _nonzeros(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(idx), np.concatenate(vals)
 
 
+def _roots(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
+    """The component of each of size vertices joined by the edges (a, b),
+    labelled by its least vertex: every vertex starts as its own root,
+    each round hooks the larger root of every edge whose ends differ onto
+    the smaller, and roots are chased until each vertex points at one."""
+    root = np.arange(size)
+    while True:
+        ra, rb = root[a], root[b]
+        if (ra == rb).all():
+            return root
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        up = root[root]
+        while (up != root).any():
+            root, up = up, up[up]
+
+
+def _incidence_rank(row, col, values, counts, size: int) -> int | None:
+    """The exact rank of an unfolding each nonempty column of which holds
+    two nonzeros, all of one value (counts: the nonzeros per column), else
+    None.  It is that value times the unsigned incidence matrix of the
+    graph on its rows whose edges are its columns, of rank the rows some
+    edge touches less the bipartite components.  These are read off the
+    double cover, where row v has copies v and v + size and an edge (a, b)
+    joins a to b + size and a + size to b: a component's two copies of a
+    row are joined there exactly when it has an odd cycle."""
+    if not (counts.max(initial=0) == 2 and 2 * np.count_nonzero(counts) == len(values)
+            and values[0] != 0 and (values == values[0]).all()):
+        return None
+    a, b = row[np.argsort(col, kind="stable")].reshape(-1, 2).T
+    root = _roots(np.concatenate((a, a + size)), np.concatenate((b + size, b)), 2 * size)
+    touched = np.flatnonzero(np.bincount(row, minlength=size))
+    r0, r1 = root[touched], root[touched + size]
+    return len(touched) - int(np.count_nonzero(np.bincount(np.minimum(r0, r1)[r0 != r1])))
+
+
 def flattening_ranks(T: Tensor3, tol: float = 1e-9) -> tuple[int, int, int]:
     """Numerical ranks of the three unfoldings; each lower-bounds border rank.
 
-    T is scanned once for its nonzeros (_nonzeros, in blocks of at most
-    _BLOCK_BYTES of flags), and everything up to the SVD is read from
-    them.  An unfolding none of whose columns holds two nonzeros, that is
-    whose nonzeros' column indices are all distinct, has rows with
-    disjoint supports, so M M^H is diagonal and its singular values are
-    exactly its row norms, which np.bincount sums over the nonzeros' row
-    indices: its rank is the count of rows above tol times the largest,
-    with no SVD.  In a single-level structure tensor a parameter fills at
-    most one cell of each matrix row and column, so this holds for every
-    unfolding but tph's mode-1 one, whose cells hold two parameters.  Row
-    norms whose squares would leave the normal float range also go to the
-    SVD, which scales its input.
+    Everything is read off T's nonzeros.  An unfolding none of whose
+    columns holds two nonzeros, that is whose nonzeros' column indices are
+    all distinct, has rows with disjoint supports, so M M^H is diagonal
+    and its singular values are exactly its row norms, which np.bincount
+    sums over the nonzeros' row indices: its rank is the count of rows
+    above tol times the largest, with no SVD.  In a single-level structure
+    tensor a parameter fills at most one cell of each matrix row and
+    column, so this holds for every unfolding but tph's mode-1 one, whose
+    cells hold two parameters, both 1: that one's rank is its incidence
+    graph's (_incidence_rank), exact, with no SVD.  Row norms whose squares
+    would leave the normal float range also go to the SVD, which scales
+    its input.
 
-    Every other unfolding goes to the SVD of the dense array in its tall
-    orientation: the singular values are the same, and LAPACK is several
-    times faster on it.  A tensor whose nonzeros have no imaginary part
-    (every structure tensor with real coefficients) goes in real
-    arithmetic: the real SVD of the real part has the same singular values
-    at about half the cost.
+    Every other unfolding goes to the SVD of its dense form, built from the
+    nonzeros, in its tall orientation: the singular values are the same,
+    and LAPACK is several times faster on it.  A tensor whose nonzeros have
+    no imaginary part (every structure tensor with real coefficients) goes
+    in real arithmetic: the real SVD of the real part has the same singular
+    values at about half the cost.
     """
-    idx, vals = _nonzeros(T.entries)
-    arr = T.entries
+    idx, vals = T.nonzeros
     if not vals.imag.any():
-        arr, vals = arr.real, vals.real
-    d1, d2, d3 = arr.shape
+        vals = vals.real
+    dims = d1, d2, d3 = T.dims
     i, cell = np.divmod(idx, d2 * d3)
     j, k = np.divmod(cell, d3)
     with np.errstate(over="ignore"):
         squares = np.abs(vals) ** 2
     ranks = []
     # Each unfolding's row and column index of every nonzero.
-    for mode, (row, col, axes) in enumerate(((i, cell, (0, 1, 2)), (j, i * d3 + k, (1, 0, 2)),
-                                             (k, idx // d3, (2, 0, 1)))):
-        s = np.sqrt(np.bincount(row, weights=squares, minlength=arr.shape[mode]))
+    for size, row, col in zip(dims, (i, j, k), (cell, i * d3 + k, idx // d3)):
+        s = np.sqrt(np.bincount(row, weights=squares, minlength=size))
         top = s.max()
-        if not (np.isfinite(top) and tol * top > _NORMAL_NORM
-                and np.count_nonzero(np.bincount(col)) == len(idx)):
-            mat = arr.transpose(axes).reshape(arr.shape[mode], -1)
-            if mat.shape[0] < mat.shape[1]:
-                mat = mat.T
-            s = np.linalg.svd(mat, compute_uv=False)
-            top = s[0]
-        ranks.append(int((s > tol * top).sum()) if top > 0 else 0)
+        counts = np.bincount(col)
+        if np.isfinite(top) and tol * top > _NORMAL_NORM and np.count_nonzero(counts) == len(idx):
+            ranks.append(int((s > tol * top).sum()))
+            continue
+        rank = _incidence_rank(row, col, vals, counts, size)
+        if rank is None:
+            mat = np.zeros((size, d1 * d2 * d3 // size), dtype=vals.dtype)
+            mat[row, col] = vals
+            s = np.linalg.svd(mat.T if size < mat.shape[1] else mat, compute_uv=False)
+            rank = int((s > tol * s[0]).sum()) if s[0] > 0 else 0
+        ranks.append(rank)
     return tuple(ranks)
 
 

@@ -86,6 +86,29 @@ def test_fresh_f_placement_equals_the_direct_formula_byte_for_byte(n, f):
     assert got[0] is circulant[0] and got[1] is circulant[1]
 
 
+@pytest.mark.parametrize("inner", [(), (LevelSpec(StructureKind.TOEPLITZ, 2),),
+                                   (LevelSpec(StructureKind.TOEPLITZ_PLUS_HANKEL, 2),)],
+                         ids=["one_level", "over_toeplitz", "over_tph"])
+@pytest.mark.parametrize("f", [-1.0, 2.0, 1j, complex(0.3, -2.2), 1e300])
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_fresh_f_placement_keeps_circulants_arrays_and_facts(n, f, inner):
+    """Only coeff is computed per f: param, cell, the mask and its row mask
+    are the very arrays of circulant's entry at the same order, and its
+    counts the same.  coeff is each cell's f weight times the inner
+    placement's coefficients, as the Kronecker rule gives."""
+    got = _placement((LevelSpec(StructureKind.F_CIRCULANT, n, complex(f)), *inner))
+    circulant = _placement((LevelSpec(StructureKind.CIRCULANT, n), *inner))
+    for field in ("param", "cell", "structural", "rows"):
+        assert getattr(got, field) is getattr(circulant, field)
+    assert ((got.terms, got.row_count, got.distinct)
+            == (circulant.terms, circulant.row_count, circulant.distinct))
+    i, j = np.indices((n, n)).reshape(2, -1)
+    want = np.asarray(np.where(i > j, complex(f), 1.0), dtype=complex)
+    if inner:
+        want = (want[:, None] * _placement(inner).coeff).ravel()
+    assert got.coeff.tobytes() == want.tobytes() and not got.coeff.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # Parameters kept as one array
 # ---------------------------------------------------------------------------

@@ -338,14 +338,18 @@ class TestRealArithmeticRanks:
     @pytest.mark.parametrize("T, want", [
         (structure_tensor("toeplitz", 5), []),
         (structure_tensor("f_circulant", 5, f=1j), []),
-        (structure_tensor("tph", 5), [np.float64]),
+        (structure_tensor("tph", 5), []),
         (Tensor3(decomposition_tensor(random_decomposition(np.random.default_rng(4), (3, 4, 5), 3))),
          [np.complex128] * 3),
-    ], ids=["toeplitz", "f_circulant_1j", "tph", "dense_complex"])
+        (Tensor3(decomposition_tensor(random_real_decomposition(np.random.default_rng(4),
+                                                                (3, 4, 5), 3))),
+         [np.float64] * 3),
+    ], ids=["toeplitz", "f_circulant_1j", "tph", "dense_complex", "dense_real"])
     def test_svd_arithmetic(self, svd_dtypes, T, want):
-        # Unfoldings with orthogonal rows reach no SVD; tph's mode-1 one,
-        # whose cells hold two parameters, goes in real arithmetic, and each
-        # unfolding of a dense complex tensor in complex arithmetic.
+        # Unfoldings with orthogonal rows reach no SVD, nor does tph's
+        # mode-1 one, whose cells hold two parameters (its incidence
+        # graph's rank); each unfolding of a dense tensor goes in complex
+        # arithmetic, or in real arithmetic when its entries are real.
         flattening_ranks(T)
         assert svd_dtypes == [np.dtype(d) for d in want]
 
@@ -587,6 +591,11 @@ class TestBlockedRebuild:
         T.entries[-1, -1, -1] += 2 * bump
         rep = verify_decomposition(T, D, 1e-8)
         assert (rep.max_abs_error, rep.passed) == complex_verify(T, D, 1e-8) == (3.0, False)
+        # The same entries held as their nonzeros, in no order: each block
+        # subtracts its own, and the report is the same.
+        index = np.random.default_rng(r).permutation(np.flatnonzero(T.entries))
+        coords = Tensor3.from_nonzeros(dims, index, T.entries.reshape(-1)[index])
+        assert verify_decomposition(coords, D, 1e-8) == rep
 
     def test_a_real_dtype_tensor_takes_no_tensor_sized_temporary(self):
         # Real terms against float64 entries of 4 MiB: the blocks only.
@@ -633,6 +642,211 @@ class TestBlockedRebuild:
         with np.errstate(all="ignore"):
             rep = verify_decomposition(T, D, 1e-8)
         assert rep.max_abs_error == math.inf and not rep.passed
+
+
+def graph_tensor(vertices, edges, value=1.0):
+    """The (vertices, edges, 1) tensor whose mode-1 unfolding is value times
+    the unsigned incidence matrix of the graph: edge e = (a, b) puts value
+    at (a, e, 0) and (b, e, 0)."""
+    a, b = np.array(edges).T
+    e = np.arange(len(edges))
+    return Tensor3.from_nonzeros((vertices, len(edges), 1),
+                                 np.concatenate((a, b)) * len(edges) + np.concatenate((e, e)),
+                                 np.full(2 * len(edges), value))
+
+
+def with_cells(T, extra):
+    """T with one more index in modes 2 and 3, whose new cell (d2, d3)
+    holds the nonzeros given as (row, value) pairs: the mode-1 unfolding
+    gains one column, and the other two unfoldings columns of their own."""
+    d1, d2, d3 = T.dims
+    index, values = T.nonzeros
+    i, j, k = np.unravel_index(index, T.dims)
+    rows, vals = zip(*extra)
+    index = np.concatenate(((i * (d2 + 1) + j) * (d3 + 1) + k,
+                            (np.array(rows) * (d2 + 1) + d2) * (d3 + 1) + d3))
+    return Tensor3.from_nonzeros((d1, d2 + 1, d3 + 1), index, np.concatenate((values, vals)))
+
+
+def svd_rank(T, mode=0, tol=1e-9):
+    s = np.linalg.svd(np.moveaxis(T.entries, mode, 0).reshape(T.dims[mode], -1),
+                      compute_uv=False)
+    return int((s > tol * s[0]).sum()) if s[0] > 0 else 0
+
+
+@st.composite
+def sparse_cases(draw):
+    """A random sparse tensor's dims, flat indices and values (real or
+    complex, some of them exact zeros), and a random complex decomposition
+    of its dims whose lam are not 1."""
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=3, max_size=3)))
+    size = int(np.prod(dims))
+    index = np.array(draw(st.lists(st.integers(0, size - 1), max_size=size, unique=True)),
+                     dtype=np.intp)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.integers(-2, 3, len(index)) * rng.standard_normal(len(index))
+    if draw(st.booleans()):
+        values = values + 1j * rng.standard_normal(len(index))
+    return dims, index, values, random_decomposition(rng, dims, draw(st.integers(0, 6)))
+
+
+class TestCoordinates:
+    """A Tensor3 built from its nonzeros is read without its dense array:
+    verification subtracts the nonzeros block by block and the ranks read
+    them, so both must equal those of the dense Tensor3 of the same entries,
+    bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_cases(), st.sampled_from(["none", "nan", "inf"]))
+    def test_coordinates_and_dense_agree(self, case, bad):
+        dims, index, values, D = case
+        coords = Tensor3.from_nonzeros(dims, index, values)
+        dense = np.zeros(dims, dtype=values.dtype)
+        dense.reshape(-1)[index] = values
+        assert np.array_equal(coords.entries, dense) and coords.entries.dtype == dense.dtype
+        if bad != "none" and len(D):
+            D.rows[-1] = {"nan": np.nan, "inf": np.inf}[bad]
+        with np.errstate(all="ignore"):
+            reports = [verify_decomposition(T, D, 1e-8) for T in (coords, Tensor3(dense))]
+        assert reports[0] == reports[1]
+        if bad != "none" and len(D):
+            assert reports[0].max_abs_error == math.inf and not reports[0].passed
+        assert flattening_ranks(coords) == flattening_ranks(Tensor3(dense))
+
+    @pytest.mark.parametrize("kind, n", sorted(
+        set(CERTIFY_CELLS) | {(kind.value, n) for kind in SINGLE_LEVEL_KINDS
+                              for n in [*range(1, 17), 33] if SPECS[kind].params(n, None)}
+        | {(kind.value, 64) for kind in SINGLE_LEVEL_KINDS
+           if kind.value not in ("symmetric", "skew_symmetric")}))
+    def test_structure_tensors_read_as_their_dense_form(self, kind, n):
+        # The dense form of symmetric and skew-symmetric at n = 64 is 136 MB
+        # each, so those two stop at n = 33.
+        T, D = structure_tensor(kind, n), extract_decomposition(kind, n)
+        dense = Tensor3(T.entries.copy())
+        assert verify_decomposition(T, D, 1e-9) == verify_decomposition(dense, D, 1e-9)
+        assert flattening_ranks(T) == flattening_ranks(dense)
+
+    def test_the_nonzeros_are_the_stored_placement(self):
+        from bilinear_kernels.structures import LevelSpec, StructureKind, _placement
+        placement = _placement((LevelSpec(StructureKind.TOEPLITZ, 6),))
+        index, values = structure_tensor("toeplitz", 6).nonzeros
+        assert values is placement.coeff
+        assert np.array_equal(index, (placement.param * 6 + placement.cell % 6) * 6
+                              + placement.cell // 6)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
+    def test_any_integer_indices(self, dtype):
+        # Order 32 verifies in blocks of two mode-2 indices; uint8 holds
+        # order 5's flat indices.
+        n = 5 if dtype is np.uint8 else 32
+        T, D = structure_tensor("toeplitz", n), extract_decomposition("toeplitz", n)
+        index, values = T.nonzeros
+        other = Tensor3.from_nonzeros(T.dims, index.astype(dtype), values)
+        assert verify_decomposition(other, D, 1e-9) == verify_decomposition(T, D, 1e-9)
+        assert flattening_ranks(other) == flattening_ranks(T) == (2 * n - 1, n, n)
+        assert np.array_equal(other.entries, T.entries)
+
+    def test_entries_are_formed_once_read_only(self):
+        T = structure_tensor("tph", 3)
+        assert T.entries is T.entries and not T.entries.flags.writeable
+        assert T.entries.dtype == np.complex128
+
+    @pytest.mark.parametrize("args, match", [
+        (((2, 2), [0], [1.0]), "three dims"),
+        (((2, 0, 2), [0], [1.0]), "dims must be positive"),
+        (((2, 2, 2), [0, 1], [1.0]), "one integer flat index per value"),
+        (((2, 2, 2), [0.0], [1.0]), "one integer flat index per value"),
+        (((2, 2, 2), [3, 3], [1.0, 2.0]), "distinct and within the dims"),
+        (((2, 2, 2), [8], [1.0]), "distinct and within the dims"),
+        (((2, 2, 2), [-1], [1.0]), "distinct and within the dims"),
+        (((2, 2, 2), [0], [np.nan]), "finite"),
+    ])
+    def test_bad_nonzeros_are_refused(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            Tensor3.from_nonzeros(*args)
+
+    def test_structure_tensor_allocates_under_one_mib(self):
+        """The dense Toeplitz n = 128 tensor was 63.8 MiB, and building it
+        peaked at 67.7 MiB traced."""
+        T, peak = traced_peak(lambda: structure_tensor("toeplitz", 128))
+        assert T.dims == (255, 128, 128) and peak < 2 ** 20
+
+    def test_certify_toeplitz_128_memory(self):
+        """The chain peaked at 68.5-70.5 MiB traced with the dense tensor."""
+        c, peak = traced_peak(lambda: certify_rank("toeplitz", 128))
+        assert c.certified and c.ranks == (255, 128, 128)
+        assert peak < 8 * 2 ** 20
+
+    @pytest.mark.parametrize("kind", [kind.value for kind in SINGLE_LEVEL_KINDS])
+    def test_certify_never_reads_the_dense_tensor(self, monkeypatch, kind):
+        def refuse(T):
+            raise AssertionError("the dense entries were read")
+        monkeypatch.setattr(Tensor3, "entries", property(refuse))
+        for n in (1, 2, 3, 5, 8, 16):
+            if SPECS[kind].params(n, None):
+                assert certify_rank(kind, n).passed
+
+    def test_certify_tph_takes_no_svd(self, svd_dtypes):
+        for n in range(1, 33):
+            c = certify_rank("tph", n)
+            assert c.certified or n == 1
+        assert svd_dtypes == []
+
+
+class TestIncidenceRank:
+    """An unfolding whose every nonempty column holds two nonzeros of one
+    value takes its rank from its graph, with no SVD; that rank must be the
+    SVD's."""
+
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_tph_equals_the_svd(self, svd_dtypes, n):
+        T = structure_tensor("tph", n)
+        rank = flattening_ranks(T)[0]
+        assert svd_dtypes == [] and type(rank) is int
+        assert rank == svd_rank(T) == (4 * n - 4 if n > 1 else 1)
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_an_edge_across_components_changes_the_rank_as_the_svd_does(self, svd_dtypes, n):
+        # tph's graph joins Toeplitz parameter j - i + n - 1 to Hankel
+        # parameter i + j + 2n - 1: two bipartite components, split by
+        # parity, Toeplitz parameter 0 and Hankel parameter 3n - 2 (i + j =
+        # n - 1) in one.  An edge between Toeplitz parameters 0 and 1 merges
+        # the two (rank + 1); one between Toeplitz parameters 0 and 2, on
+        # one side of one component, closes an odd cycle (rank + 1); one
+        # between Toeplitz parameter 0 and Hankel parameter 3n (i + j =
+        # n + 1), across the sides of that component, keeps it bipartite.
+        T = structure_tensor("tph", n)
+        for ends, gain in [((0, 1), 1), ((0, 2), 1), ((0, 3 * n), 0)]:
+            grown = with_cells(T, [(end, 1.0) for end in ends])
+            rank = flattening_ranks(grown)[0]
+            assert svd_dtypes == []
+            assert rank == svd_rank(grown) == 4 * n - 4 + gain
+            svd_dtypes.clear()
+
+    @pytest.mark.parametrize("vertices, edges, rank", [
+        (3, [(0, 1), (1, 2), (2, 0)], 3),                        # a triangle: odd
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], 5),        # a 5-cycle: odd
+        (4, [(0, 1), (1, 2), (2, 3), (3, 0)], 3),                # a 4-cycle: bipartite
+        (7, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 6)], 5),        # odd + two bipartite
+        (6, [(0, 5), (5, 0), (1, 4)], 2),                        # a double edge; 2, 3 alone
+    ], ids=["triangle", "5-cycle", "4-cycle", "mixed", "double_edge"])
+    def test_odd_cycles_count_as_the_svd_counts_them(self, vertices, edges, rank):
+        T = graph_tensor(vertices, edges, value=-2.5)
+        assert flattening_ranks(T)[0] == svd_rank(T) == rank
+
+    @pytest.mark.parametrize("case", ["three_in_a_column", "unequal_values", "complex_unequal"])
+    def test_other_shapes_go_to_the_svd(self, svd_dtypes, case):
+        T = structure_tensor("tph", 4)
+        if case == "three_in_a_column":
+            T = with_cells(T, [(0, 1.0), (1, 1.0), (2, 1.0)])
+        else:
+            index, values = T.nonzeros
+            values = values.copy()
+            values[0] = 2.0 if case == "unequal_values" else 1j
+            T = Tensor3.from_nonzeros(T.dims, index, values)
+        ranks = flattening_ranks(T)
+        assert len(svd_dtypes) >= 1
+        assert ranks == complex_flattening_ranks(T)
 
 
 class TestOttaviani:
